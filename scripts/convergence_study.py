@@ -9,9 +9,13 @@ import argparse
 
 import numpy as np
 
-from lie2 import su2
-from lie2 import su2grid as sg
-from lie2.paths import LOOP, random_path
+from lie2.suites import REGISTRY, RunConfig
+
+LABELS = {
+    "kappa-cocycle": "double-integral cocycle",
+    "ad-omega": "conjugation invariance ",
+    "kappa-conjugation": "exponentiated conj rule",
+}
 
 
 def main() -> None:
@@ -22,30 +26,16 @@ def main() -> None:
                         default=[64, 128, 256, 512])
     args = parser.parse_args()
 
-    g = su2()
+    # the group-scale suites' own fixtures, drawn in this order from one generator
     rng = np.random.default_rng(args.seed)
-
-    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
-    pspec = sg.random_group_path_coeffs(rng, amplitude=0.5)
-    xi = 0.6 * random_path(g, rng, 4, LOOP)
-    eta = 0.6 * random_path(g, rng, 4, LOOP)
-    cspec = sg.random_group_path_coeffs(rng, amplitude=0.6)
-    fspecs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
-
-    rows = {
-        "double-integral cocycle": lambda n: sg.kappa_cocycle_residual(
-            *(s.sample(n, n) for s in specs), args.k),
-        "conjugation invariance ": lambda n: sg.ad_omega_identity_residual(
-            pspec.sample(n), xi, eta, args.k),
-        "exponentiated conj rule": lambda n: sg.kappa_conjugation_identity_residual(
-            cspec.sample(n), *(s.sample(n, n) for s in fspecs), args.k),
-    }
+    fixtures = {name: next(REGISTRY[name].sample(RunConfig(), rng)) for name in LABELS}
 
     header = "identity                 " + "".join(f"{n:>12d}" for n in args.sizes)
     print(header)
     print("-" * len(header))
-    for label, evaluate in rows.items():
-        residuals = [evaluate(n) for n in args.sizes]
+    for name, label in LABELS.items():
+        residuals = [r for n in args.sizes for r in REGISTRY[name].evaluate(
+            RunConfig(k=args.k, nt=n, ntheta=n), fixtures[name]).values()]
         print(label + "  " + "".join(f"{r:>12.3e}" for r in residuals))
         ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
         print("  ratios" + " " * 17

@@ -5,10 +5,8 @@ modules, and second-order group-scale quadrature."""
 from .liealg import (
     InputError,
     LieAlgebraPresentation,
-    bracket,
     ce_three_cocycle_residual,
     load_presentation,
-    nu,
     sl2,
     so3,
     su2,
@@ -41,7 +39,6 @@ from .paths import (
     CentralVector,
     PolyPath,
     derivative,
-    endpoint,
     integral_pairing,
     pointwise_bracket,
     universal_integral,

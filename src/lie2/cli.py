@@ -34,7 +34,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="tolerance for quadrature-based identities")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite name (repeatable); default all")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; suites run one after another")
     parser.add_argument("--form-scale", type=float, default=1.0,
                         help="scalar rescaling of the invariant form")
     parser.add_argument("--report", type=Path, default=None,

@@ -102,14 +102,6 @@ class LieAlgebraPresentation:
         )
 
 
-def bracket(g: LieAlgebraPresentation, x, y):
-    return g.bracket(x, y)
-
-
-def nu(g: LieAlgebraPresentation, x, y, z) -> float:
-    return g.nu(x, y, z)
-
-
 def ce_three_cocycle_residual(g: LieAlgebraPresentation, w, x, y, z) -> float:
     """Absolute value of the alternating-sum differential of nu on (w,x,y,z).
 

@@ -15,8 +15,8 @@ hand-derived specialization of the identity is transcribed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .paths import (
     zero_central,
     zero_path,
 )
+from .worstcase import WorstCase, worst_case
 
 Graded = tuple[int, Any]
 
@@ -52,9 +53,6 @@ class CoordSpace:
 
     def random(self, rng: np.random.Generator):
         return rng.uniform(-1.0, 1.0, self.dim)
-
-    def basis(self):
-        return list(np.eye(self.dim))
 
 
 class RealLine:
@@ -102,6 +100,13 @@ class CentralSpace:
         )
 
 
+def random_elements(rng: np.random.Generator, trials: int,
+                    spaces: Sequence) -> Iterator[tuple]:
+    """One random element of each space per trial, drawn in that order."""
+    for _ in range(trials):
+        yield tuple(space.random(rng) for space in spaces)
+
+
 def relative(residual_norm: float, input_norms: Sequence[float]) -> float:
     """Residual scaled by 1 + prod(1 + |x_i|), stable under degree growth."""
     denom = 1.0
@@ -129,7 +134,6 @@ class TwoTermLInfinity:
     l2_00: Callable[[Any, Any], Any]
     l2_01: Callable[[Any, Any], Any]
     l3: Callable[[Any, Any, Any], Any] | None = None
-    level: float = 0.0
 
     def space(self, degree: int):
         if degree == 0:
@@ -137,10 +141,6 @@ class TwoTermLInfinity:
         if degree == 1:
             return self.space1
         raise InputError(f"no element space in degree {degree}")
-
-    @property
-    def strict(self) -> bool:
-        return self.l3 is None
 
     def l3_or_zero(self, x, y, z):
         if self.l3 is None:
@@ -229,23 +229,25 @@ def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
     return out
 
 
+def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator, trials: int,
+                   max_n: int = 4) -> Iterator[list[Graded]]:
+    """Random graded inputs of every signature, trial after trial."""
+    signatures = all_signatures(max_n)
+    for _ in range(trials):
+        for sig in signatures:
+            yield [(d, L.space(d).random(rng)) for d in sig]
+
+
 def jacobi_sweep(
     L: TwoTermLInfinity,
     rng: np.random.Generator,
     trials: int,
     max_n: int = 4,
-) -> tuple[float, list[Graded]]:
+) -> tuple[float, list[Graded] | None]:
     """Max relative Jacobi residual over random trials of every signature."""
-    worst = 0.0
-    worst_inputs: list[Graded] = []
-    signatures = all_signatures(max_n)
-    for _ in range(trials):
-        for sig in signatures:
-            inputs = [(d, L.space(d).random(rng)) for d in sig]
-            r = generalized_jacobi_residual(L, inputs)
-            if r > worst:
-                worst, worst_inputs = r, inputs
-    return worst, worst_inputs
+    worst = worst_case(jacobi_samples(L, rng, trials, max_n),
+                       lambda inputs: {"jacobi": generalized_jacobi_residual(L, inputs)})
+    return worst.max_residual, worst.inputs
 
 
 # ---------------------------------------------------------------------------
@@ -326,32 +328,15 @@ def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
     return {"chain": r_chain, "homo1": r_one, "homo2": r_two, "homo3": r_three}
 
 
-@dataclass
-class HomReport:
-    chain: float = 0.0
-    homo1: float = 0.0
-    homo2: float = 0.0
-    homo3: float = 0.0
-    worst_inputs: dict = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.chain, self.homo1, self.homo2, self.homo3)
+def hom_samples(hom: LInftyHom, rng: np.random.Generator, trials: int) -> Iterator[tuple]:
+    """(x, y, z, h): three objects and one direction of the source."""
+    src = hom.src
+    return random_elements(rng, trials, (src.space0, src.space0, src.space0, src.space1))
 
 
-def hom_residuals(hom: LInftyHom, rng: np.random.Generator, trials: int) -> HomReport:
-    report = HomReport()
-    for _ in range(trials):
-        x = hom.src.space0.random(rng)
-        y = hom.src.space0.random(rng)
-        z = hom.src.space0.random(rng)
-        h = hom.src.space1.random(rng)
-        res = hom_residuals_once(hom, x, y, z, h)
-        for key, value in res.items():
-            if value > getattr(report, key):
-                setattr(report, key, value)
-                report.worst_inputs[key] = (x, y, z, h)
-    return report
+def hom_residuals(hom: LInftyHom, rng: np.random.Generator, trials: int) -> WorstCase:
+    return worst_case(hom_samples(hom, rng, trials),
+                      lambda inputs: hom_residuals_once(hom, *inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -405,32 +390,17 @@ def two_hom_residuals_once(homotopy: ChainHomotopy, x, y, h) -> dict[str, float]
     return {"homotopy0": r0, "homotopy1": r1, "coherence": r2}
 
 
-@dataclass
-class TwoHomReport:
-    homotopy0: float = 0.0
-    homotopy1: float = 0.0
-    coherence: float = 0.0
-    worst_inputs: dict = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.homotopy0, self.homotopy1, self.coherence)
+def two_hom_samples(homotopy: ChainHomotopy, rng: np.random.Generator,
+                    trials: int) -> Iterator[tuple]:
+    """(x, y, h): two objects and one direction of the source."""
+    src = homotopy.from_hom.src
+    return random_elements(rng, trials, (src.space0, src.space0, src.space1))
 
 
 def two_hom_residual(homotopy: ChainHomotopy, rng: np.random.Generator,
-                     trials: int) -> TwoHomReport:
-    report = TwoHomReport()
-    src = homotopy.from_hom.src
-    for _ in range(trials):
-        x = src.space0.random(rng)
-        y = src.space0.random(rng)
-        h = src.space1.random(rng)
-        res = two_hom_residuals_once(homotopy, x, y, h)
-        for key, value in res.items():
-            if value > getattr(report, key):
-                setattr(report, key, value)
-                report.worst_inputs[key] = (x, y, h)
-    return report
+                     trials: int) -> WorstCase:
+    return worst_case(two_hom_samples(homotopy, rng, trials),
+                      lambda inputs: two_hom_residuals_once(homotopy, *inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +440,7 @@ def categorical_view_check(L: TwoTermLInfinity, rng: np.random.Generator,
     def mor_sub(a, b):
         return (a[0] - b[0], a[1] - b[1])
 
-    worst = 0.0
+    worst = WorstCase()
     for _ in range(trials):
         x = s0.random(rng)
         z = s0.random(rng)
@@ -490,10 +460,10 @@ def categorical_view_check(L: TwoTermLInfinity, rng: np.random.Generator,
             ),
         ]
         for m in checks:
-            worst = max(worst, relative(mor_norm(m), norms))
+            worst.add({"category": relative(mor_norm(m), norms)})
 
         # source/target are bracket homomorphisms
         bm = bracket_with_identity(z, f)
-        worst = max(worst, relative(s0.norm(src(bm) - L.l2_00(z, src(f))), norms))
-        worst = max(worst, relative(s0.norm(tgt(bm) - L.l2_00(z, tgt(f))), norms))
-    return worst
+        worst.add({"source": relative(s0.norm(src(bm) - L.l2_00(z, src(f))), norms),
+                   "target": relative(s0.norm(tgt(bm) - L.l2_00(z, tgt(f))), norms)})
+    return worst.max_residual

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .linfty import (
     TwoTermLInfinity,
     compose,
     identity_hom,
+    random_elements,
     relative,
     two_hom_residuals_once,
 )
@@ -39,6 +41,7 @@ from .paths import (
     validate_splitting,
     zero_path,
 )
+from .worstcase import WorstCase, largest, worst_case
 
 LINEAR_SPLITTING = np.array([0.0, 1.0])
 
@@ -55,7 +58,6 @@ def make_gk(g: LieAlgebraPresentation, k: float) -> TwoTermLInfinity:
         l2_00=g.bracket,
         l2_01=lambda x, c: 0.0,
         l3=lambda x, y, z: k * g.nu(x, y, z),
-        level=k,
     )
 
 
@@ -77,7 +79,6 @@ def make_pkg(g: LieAlgebraPresentation, k: float, degree: int = 4) -> TwoTermLIn
         l2_00=pointwise_bracket,
         l2_01=act,
         l3=None,
-        level=k,
     )
 
 
@@ -220,6 +221,7 @@ class ModelBundle:
     tau: ChainHomotopy
     phi_psi: LInftyHom  # skeletal -> skeletal, should be the identity
     psi_phi: LInftyHom  # path -> path, homotopic to the identity via tau
+    trivializer: ChainHomotopy  # zero => identity on the indiscrete vector model
 
 
 def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
@@ -236,6 +238,7 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
         algebra=g, k=k, splitting=f, degree=degree,
         gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,
         phi_psi=compose(phi, psi), psi_phi=compose(psi, phi),
+        trivializer=trivializing_homotopy(make_el_vectors(g)),
     )
 
 
@@ -249,68 +252,51 @@ def lambda2_forced_residual(bundle: ModelBundle, rng: np.random.Generator,
     inclusion uniquely (its source differential is the identity); solve for it
     from the law and compare with the closed form."""
     lam, el = bundle.lam, bundle.el
-    worst = 0.0
-    for _ in range(trials):
-        l1 = el.space0.random(rng)
-        l2 = el.space0.random(rng)
+
+    def residual(pair):
+        l1, l2 = pair
         forced = lam.phi1(el.l2_01(l1, l2)) - bundle.pkg.l2_01(lam.phi0(l1), lam.phi1(l2))
         diff = lam.phi2(l1, l2) - forced
-        worst = max(
-            worst,
-            relative(diff.norm(), [el.space0.norm(l1), el.space0.norm(l2)]),
-        )
-    return worst
+        return {"forced": relative(diff.norm(), [el.space0.norm(l1), el.space0.norm(l2)])}
+
+    return worst_case(random_elements(rng, trials, (el.space0, el.space0)),
+                      residual).max_residual
 
 
 # ---------------------------------------------------------------------------
 # equivalence data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
-    round_trip_identity: float  # distance of (endpoint o splitting) from id
-    retraction: float  # worst homotopy/coherence residual of tau
-    trivializer: float  # worst residual of the indiscrete-model homotopy
+def equivalence_samples(bundle: ModelBundle, rng: np.random.Generator,
+                        trials: int = 50) -> Iterator[tuple]:
+    """Inputs of the three equivalence laws, law after law, each tagged with
+    the law's name: (endpoint o splitting) is the identity, the retraction
+    homotopy, and the trivializer of the indiscrete model."""
+    structures = {"round_trip_identity": bundle.gk, "retraction": bundle.pkg,
+                  "trivializer": bundle.trivializer.from_hom.src}
+    for law, L in structures.items():
+        for inputs in random_elements(rng, trials, (L.space0, L.space0, L.space1)):
+            yield (law, *inputs)
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.round_trip_identity, self.retraction, self.trivializer)
+
+def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
+    """Residual of the law an ``equivalence_samples`` item is tagged with."""
+    law, *args = inputs
+    if law == "round_trip_identity":
+        gk, rt = bundle.gk, bundle.phi_psi
+        x, y, c = args
+        nx, ny = gk.space0.norm(x), gk.space0.norm(y)
+        return {law: largest(relative(gk.space0.norm(rt.phi0(x) - x), [nx]),
+                             relative(abs(rt.phi1(c) - c), [abs(c)]),
+                             relative(abs(rt.phi2(x, y)), [nx, ny]))}
+    homotopy = bundle.tau if law == "retraction" else bundle.trivializer
+    return {law: largest(*two_hom_residuals_once(homotopy, *args).values())}
 
 
 def equivalence_report(bundle: ModelBundle, rng: np.random.Generator,
-                       trials: int = 50) -> EquivalenceReport:
-    g = bundle.algebra
-    gk = bundle.gk
-    rt = 0.0
-    for _ in range(trials):
-        x = gk.space0.random(rng)
-        y = gk.space0.random(rng)
-        c = gk.space1.random(rng)
-        nx, ny = gk.space0.norm(x), gk.space0.norm(y)
-        rt = max(rt, relative(gk.space0.norm(bundle.phi_psi.phi0(x) - x), [nx]))
-        rt = max(rt, relative(abs(bundle.phi_psi.phi1(c) - c), [abs(c)]))
-        rt = max(rt, relative(abs(bundle.phi_psi.phi2(x, y)), [nx, ny]))
-
-    retraction = 0.0
-    src = bundle.pkg
-    for _ in range(trials):
-        p = src.space0.random(rng)
-        q = src.space0.random(rng)
-        v = src.space1.random(rng)
-        res = two_hom_residuals_once(bundle.tau, p, q, v)
-        retraction = max(retraction, max(res.values()))
-
-    el_vec = make_el_vectors(g)
-    triv = trivializing_homotopy(el_vec)
-    trivial = 0.0
-    for _ in range(trials):
-        x = el_vec.space0.random(rng)
-        y = el_vec.space0.random(rng)
-        h = el_vec.space1.random(rng)
-        res = two_hom_residuals_once(triv, x, y, h)
-        trivial = max(trivial, max(res.values()))
-
-    return EquivalenceReport(rt, retraction, trivial)
+                       trials: int = 50) -> WorstCase:
+    return worst_case(equivalence_samples(bundle, rng, trials),
+                      lambda inputs: equivalence_residuals(bundle, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +435,15 @@ def universality_sweep(rng: np.random.Generator, count: int = 20,
                        degree: int = 8) -> float:
     """Max deviation of the splitting integral from -1/6 over random
     admissible splitting functions."""
-    worst = 0.0
-    for _ in range(count):
-        f = random_splitting(rng, degree)
-        worst = max(worst, abs(universal_integral(f) + 1.0 / 6.0))
-    return worst
+    return worst_case(splitting_samples(rng, count, degree),
+                      lambda f: {"deviation": splitting_deviation(f)}).max_residual
+
+
+def splitting_samples(rng: np.random.Generator, count: int = 20,
+                      degree: int = 8) -> Iterator[np.ndarray]:
+    return (random_splitting(rng, degree) for _ in range(count))
+
+
+def splitting_deviation(f) -> float:
+    """Distance of the splitting integral of f from its universal value -1/6."""
+    return abs(universal_integral(f) + 1.0 / 6.0)

@@ -31,6 +31,13 @@ def _join_kind(a: str, b: str) -> str:
     return FREE
 
 
+def _off_zero(values: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether endpoint values exceed roundoff relative to the coefficients:
+    1e-12 * max(1, max|coeffs|), the second bound only computed when needed."""
+    err = np.abs(values).max(initial=0.0)
+    return err > 1e-12 and err > 1e-12 * np.abs(coeffs).max()
+
+
 @dataclass(frozen=True, eq=False)
 class PolyPath:
     algebra: LieAlgebraPresentation
@@ -46,9 +53,9 @@ class PolyPath:
         object.__setattr__(self, "coeffs", coeffs)
         if self.kind not in (BASED, LOOP, FREE):
             raise InputError(f"unknown path kind {self.kind!r}")
-        if self.kind in (BASED, LOOP) and np.abs(coeffs[:, 0]).max(initial=0.0) > 1e-12:
+        if self.kind in (BASED, LOOP) and _off_zero(coeffs[:, 0], coeffs):
             raise InputError("based path must vanish at theta = 0")
-        if self.kind == LOOP and np.abs(coeffs.sum(axis=1)).max(initial=0.0) > 1e-12:
+        if self.kind == LOOP and _off_zero(coeffs.sum(axis=1), coeffs):
             raise InputError("loop must vanish at theta = 2*pi")
 
     @property
@@ -86,13 +93,6 @@ class PolyPath:
         return PolyPath(self.algebra, float(scalar) * self.coeffs, self.kind)
 
     __rmul__ = __mul__
-
-    def times_scalar_poly(self, poly: np.ndarray) -> "PolyPath":
-        """Multiply every coordinate by a scalar polynomial in u."""
-        poly = np.atleast_1d(np.asarray(poly, dtype=float))
-        c = np.array([np.convolve(row, poly) for row in self.coeffs])
-        # zero endpoints of self survive multiplication by any polynomial
-        return PolyPath(self.algebra, c, self.kind)
 
     def l2_norm_sq(self) -> float:
         """Integral over u in [0,1] of |p(u)|^2 (coordinate-wise squares)."""
@@ -143,10 +143,6 @@ def integral_pairing(p: PolyPath, q: PolyPath) -> float:
     dp, dq = p.degree, q.degree
     moments = TWO_PI / (np.arange(dp + 1)[:, None] + np.arange(dq + 1)[None, :] + 1.0)
     return float(np.einsum("ia,ij,jb,ab->", p.coeffs, p.algebra.form, q.coeffs, moments))
-
-
-def endpoint(p: PolyPath) -> np.ndarray:
-    return p.endpoint()
 
 
 # ---------------------------------------------------------------------------

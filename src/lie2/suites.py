@@ -1,33 +1,51 @@
 """Named verification suites, deterministic configuration, and reports.
 
+Each suite is stated once, as a ``SuiteSpec``: ``sample`` yields the inputs of
+one trial at a time and ``evaluate`` maps them to ``{component: residual}``.
+One generic runner, ``_drive``, folds every suite's trials through
+``WorstCase``, so any NaN residual fails the suite; it writes the witness of a
+failing suite as ``{"component", "inputs"}``, and replay evaluates the
+recorded inputs again.
+
 Every suite draws from its own generator seeded by (config.seed, ordinal), so
-a report depends only on the configuration, never on execution order or the
-number of worker threads.
+a report depends only on the configuration, never on execution order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from . import kacmoody, su2grid, twogroups
 from .liealg import InputError, LieAlgebraPresentation, load_presentation
-from .linfty import jacobi_sweep, hom_residuals, two_hom_residual, zeroed_phi2
+from .linfty import (
+    generalized_jacobi_residual,
+    hom_residuals,
+    hom_residuals_once,
+    hom_samples,
+    jacobi_samples,
+    random_elements,
+    two_hom_residuals_once,
+    two_hom_samples,
+    zeroed_phi2,
+)
 from .models import (
     ModelBundle,
     build_models,
-    equivalence_report,
+    equivalence_residuals,
+    equivalence_samples,
     exactness_check,
     lambda2_forced_residual,
-    make_gk,
-    make_pkg,
-    universality_sweep,
+    splitting_deviation,
+    splitting_samples,
 )
 from .paths import (
     LOOP,
@@ -36,6 +54,7 @@ from .paths import (
     random_path,
     validate_splitting,
 )
+from .worstcase import WorstCase
 
 LINEAR = "linear"
 
@@ -53,7 +72,7 @@ class RunConfig:
     tol_exact: float = 1e-10
     tol_quad: float = 1e-3
     suites: tuple[str, ...] = ("all",)
-    jobs: int = 1
+    jobs: int = 1  # accepted for old reports and scripts; suites run one after another
     form_scale: float = 1.0
 
     def splitting_coeffs(self) -> np.ndarray:
@@ -65,6 +84,16 @@ class RunConfig:
             raise InputError(f"cannot parse splitting {self.splitting!r}") from exc
         return validate_splitting(coeffs)
 
+    @cached_property
+    def presentation(self) -> LieAlgebraPresentation:
+        return load_presentation(self.algebra, form_scale=self.form_scale)
+
+    @cached_property
+    def models(self) -> ModelBundle:
+        """Every structure and morphism of this configuration, built once."""
+        return build_models(self.presentation, self.k, self.splitting_coeffs(),
+                            self.degree)
+
     def resolve_suites(self) -> list[str]:
         names = list(self.suites)
         if not names or "all" in names:
@@ -75,6 +104,9 @@ class RunConfig:
         return names
 
     def validate(self) -> None:
+        if not all(math.isfinite(v) for v in
+                   (self.k, self.tol_exact, self.tol_quad, self.form_scale)):
+            raise InputError("k, the tolerances and form_scale must be finite")
         if self.trials <= 0:
             raise InputError("trials must be positive")
         if self.seed < 0:
@@ -89,7 +121,7 @@ class RunConfig:
             raise InputError("jobs must be at least 1")
         self.splitting_coeffs()
         self.resolve_suites()
-        load_presentation(self.algebra, form_scale=self.form_scale)
+        self.presentation  # loads and validates the algebra
 
 
 @dataclass
@@ -103,15 +135,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +149,12 @@ def serialize_element(v) -> dict | list | float:
         return {"type": "central", "loop": serialize_element(v.loop), "c": v.c}
     if isinstance(v, np.ndarray):
         return {"type": "vector", "value": v.tolist()}
-    if isinstance(v, (float, int, np.floating)):
+    if isinstance(v, (float, np.floating)):
         return {"type": "real", "value": float(v)}
+    if isinstance(v, (int, np.integer)):
+        return {"type": "int", "value": int(v)}
+    if isinstance(v, str):
+        return {"type": "name", "value": v}
     if isinstance(v, (tuple, list)):
         return [serialize_element(x) for x in v]
     raise TypeError(f"cannot serialize witness element of type {type(v)!r}")
@@ -143,230 +171,199 @@ def deserialize_element(doc, algebra: LieAlgebraPresentation):
         return np.asarray(doc["value"], dtype=float)
     if doc["type"] == "real":
         return float(doc["value"])
+    if doc["type"] == "int":
+        return int(doc["value"])
+    if doc["type"] == "name":
+        return str(doc["value"])
     raise InputError(f"unknown witness element type {doc!r}")
 
 
-def serialize_graded(inputs) -> list:
-    return [[deg, serialize_element(v)] for deg, v in inputs]
-
-
-def deserialize_graded(doc, algebra):
-    return [(int(deg), deserialize_element(v, algebra)) for deg, v in doc]
-
-
 # ---------------------------------------------------------------------------
-# shared setup helpers
+# suite specifications and the one generic runner
 # ---------------------------------------------------------------------------
 
-def _algebra(config: RunConfig) -> LieAlgebraPresentation:
-    return load_presentation(config.algebra, form_scale=config.form_scale)
+NOTES = "details"  # evaluate's entry for report details that are not residuals
 
 
-def _bundle(config: RunConfig) -> ModelBundle:
-    return build_models(_algebra(config), config.k, config.splitting_coeffs(),
-                        config.degree)
+@dataclass(frozen=True)
+class SuiteSpec:
+    """One suite, stated once.
+
+    ``sample(config, rng)`` yields the inputs of one trial at a time;
+    ``evaluate(config, inputs)`` returns ``{component: residual}`` and may add
+    report details under ``NOTES``.  The optional ``control(config, rng)``
+    runs after the trials on the same generator and returns
+    ``(details, ok)``; a false ``ok`` fails the suite.  The reported trial
+    count is the number of samples unless ``trials(config)`` says otherwise.
+    ``runner`` is ``_drive`` bound to this spec.
+    """
+
+    name: str
+    ordinal: int
+    identity: str
+    sample: Callable[[RunConfig, np.random.Generator], Iterable]
+    evaluate: Callable[[RunConfig, Any], dict]
+    tolerance: Callable[[RunConfig], float] = attrgetter("tol_exact")
+    control: Callable[[RunConfig, np.random.Generator], tuple[dict, bool]] | None = None
+    trials: Callable[[RunConfig], int] | None = None
+    runner: Callable[[RunConfig, np.random.Generator], SuiteResult] | None = None
+
+    def __post_init__(self):
+        if self.runner is None:
+            def runner(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
+                return _drive(self, config, rng)
+            object.__setattr__(self, "runner", runner)
 
 
-def _require_su2_matrix_layer(config: RunConfig) -> LieAlgebraPresentation:
-    g = _algebra(config)
-    if g.dim != 3:
-        raise InputError("group-level suites support only the bundled 3-dimensional presentations")
-    su2grid.validate_pairing_scale(g)
-    return g
-
-
-def _result(config, name, trials, residual, tolerance, witness=None, details=None):
+def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
+    """Stream the trials through one ``WorstCase``; a suite that checks more
+    than one component reports the maximum of each in its details."""
+    worst, notes = WorstCase(), {}
+    for inputs in spec.sample(config, rng):
+        residuals = spec.evaluate(config, inputs)
+        if NOTES in residuals:
+            notes.update(residuals.pop(NOTES))
+        worst.add(residuals, inputs)
+    extra, control_ok = spec.control(config, rng) if spec.control else ({}, True)
+    tolerance = float(spec.tolerance(config))
+    within = bool(worst.max_residual <= tolerance)  # false for NaN
     return SuiteResult(
-        name=name,
-        trials=trials,
-        max_residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-        witness=witness if residual > tolerance else None,
-        details=details or {},
+        name=spec.name,
+        trials=spec.trials(config) if spec.trials else worst.count,
+        max_residual=float(worst.max_residual),
+        tolerance=tolerance,
+        passed=within and bool(control_ok),
+        witness=None if within else {"component": worst.component,
+                                     "inputs": serialize_element(worst.inputs)},
+        details=(worst.maxima if len(worst.maxima) > 1 else {}) | notes | extra,
     )
 
 
-# ---------------------------------------------------------------------------
-# suite runners
-# ---------------------------------------------------------------------------
-
-def run_gk_jacobi(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    gk = make_gk(_algebra(config), config.k)
-    worst, inputs = jacobi_sweep(gk, rng, config.trials)
-    return _result(config, "gk-jacobi", config.trials, worst, config.tol_exact,
-                   witness={"inputs": serialize_graded(inputs)} if inputs else None)
+def _zero(config: RunConfig) -> float:
+    return 0.0
 
 
-def run_pkg_jacobi(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    pkg = make_pkg(_algebra(config), config.k, config.degree)
-    worst, inputs = jacobi_sweep(pkg, rng, config.trials)
-    return _result(config, "pkg-jacobi", config.trials, worst, config.tol_exact,
-                   witness={"inputs": serialize_graded(inputs)} if inputs else None)
+# -- coherence of the models and their morphisms -------------------------------
+
+MUTATION_FLOOR = 1e-2
 
 
-def _hom_suite(name: str, pick, config: RunConfig, rng: np.random.Generator,
-               mutation_floor: float = 1e-2) -> SuiteResult:
-    bundle = _bundle(config)
-    hom = pick(bundle)
-    report = hom_residuals(hom, rng, config.trials)
-    control = hom_residuals(zeroed_phi2(hom), rng, min(config.trials, 50))
-    details = {
-        "chain": report.chain,
-        "homo1": report.homo1,
-        "homo2": report.homo2,
-        "homo3": report.homo3,
-        "mutation_residual": control.max_residual,
-        "mutation_floor": mutation_floor,
-    }
-    residual = report.max_residual
-    passed = residual <= config.tol_exact and control.max_residual > mutation_floor
-    witness = None
-    if residual > config.tol_exact:
-        key = max(("chain", "homo1", "homo2", "homo3"),
-                  key=lambda k: getattr(report, k))
-        witness = {"component": key,
-                   "inputs": serialize_element(report.worst_inputs[key])}
-    result = _result(config, name, config.trials, residual, config.tol_exact,
-                     witness=witness, details=details)
-    result.passed = passed
-    return result
+def _jacobi_sample(model: str, config, rng):
+    return jacobi_samples(getattr(config.models, model), rng, config.trials)
 
 
-def run_phi_hom(config, rng):
-    return _hom_suite("phi-hom", lambda b: b.phi, config, rng)
+def _jacobi_evaluate(model: str, config, inputs):
+    return {"jacobi": generalized_jacobi_residual(getattr(config.models, model), inputs)}
 
 
-def run_psi_hom(config, rng):
-    return _hom_suite("psi-hom", lambda b: b.psi, config, rng)
+def _hom_sample(hom: str, config, rng):
+    return hom_samples(getattr(config.models, hom), rng, config.trials)
 
 
-def run_lambda_hom(config, rng):
-    result = _hom_suite("lambda-hom", lambda b: b.lam, config, rng)
-    bundle = _bundle(config)
-    result.details["forced_corrector"] = lambda2_forced_residual(bundle, rng)
-    return result
+def _hom_evaluate(hom: str, config, inputs):
+    return hom_residuals_once(getattr(config.models, hom), *inputs)
 
 
-def run_tau_2hom(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    bundle = _bundle(config)
-    report = two_hom_residual(bundle.tau, rng, config.trials)
-    details = {
-        "homotopy0": report.homotopy0,
-        "homotopy1": report.homotopy1,
-        "coherence": report.coherence,
-    }
-    witness = None
-    if report.max_residual > config.tol_exact:
-        key = max(("homotopy0", "homotopy1", "coherence"),
-                  key=lambda k: getattr(report, k))
-        witness = {"component": key,
-                   "inputs": serialize_element(report.worst_inputs[key])}
-    return _result(config, "tau-2hom", config.trials, report.max_residual,
-                   config.tol_exact, witness=witness, details=details)
+def _mutation_control(hom: str, config, rng):
+    """The same laws with the bracket corrector zeroed must fail."""
+    mutant = zeroed_phi2(getattr(config.models, hom))
+    residual = hom_residuals(mutant, rng, min(config.trials, 50)).max_residual
+    return ({"mutation_residual": residual, "mutation_floor": MUTATION_FLOOR},
+            residual > MUTATION_FLOOR)
 
 
-def run_exactness(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    g = _algebra(config)
-    reports = [exactness_check(g, config.k, d) for d in range(2, config.degree + 1)]
-    failed = [r for r in reports if not r.passed]
-    details = {
-        f"degree_{r.degree}": {
-            "dim_paths": r.dim_paths,
-            "dim_loops": r.dim_loops,
-            "rank_endpoint": r.rank_endpoint,
-            "nullity_endpoint": r.nullity_endpoint,
-            "rank_loop_inclusion": r.rank_loop_inclusion,
-            "passed": r.passed,
-        }
-        for r in reports
-    }
-    residual = 1.0 if failed else 0.0
-    return _result(config, "exactness", len(reports), residual, 0.0,
-                   witness={"failed_degrees": [r.degree for r in failed]} if failed else None,
-                   details=details)
+def _lambda_control(config, rng):
+    details, ok = _mutation_control("lam", config, rng)
+    return details | {"forced_corrector": lambda2_forced_residual(config.models, rng)}, ok
 
 
-def run_equivalence(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    bundle = _bundle(config)
-    report = equivalence_report(bundle, rng, config.trials)
-    universality = universality_sweep(rng, count=20, degree=8)
-    details = {
-        "round_trip_identity": report.round_trip_identity,
-        "retraction": report.retraction,
-        "trivializer": report.trivializer,
-        "splitting_integral_deviation": universality,
-    }
-    residual = max(report.max_residual, universality)
-    return _result(config, "equivalence", config.trials, residual,
-                   config.tol_exact, details=details)
+def _tau_sample(config, rng):
+    return two_hom_samples(config.models.tau, rng, config.trials)
 
 
-def run_omega_cocycle(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    g = _algebra(config)
-    worst, witness_inputs = 0.0, None
-    for _ in range(config.trials):
-        loops = [random_path(g, rng, config.degree, LOOP) for _ in range(3)]
-        r = kacmoody.omega_cocycle_residual(*loops, config.k)
-        if r > worst:
-            worst, witness_inputs = r, loops
-    # worked fixture: quadratic against cubic bump in one coordinate at level 1
+def _tau_evaluate(config, inputs):
+    return two_hom_residuals_once(config.models.tau, *inputs)
+
+
+def _exactness_sample(config, rng):
+    return range(2, config.degree + 1)
+
+
+def _exactness_evaluate(config, degree):
+    r = exactness_check(config.presentation, config.k, degree)
+    return {"exactness": 0.0 if r.passed else 1.0,
+            NOTES: {f"degree_{r.degree}": {
+                "dim_paths": r.dim_paths,
+                "dim_loops": r.dim_loops,
+                "rank_endpoint": r.rank_endpoint,
+                "nullity_endpoint": r.nullity_endpoint,
+                "rank_loop_inclusion": r.rank_loop_inclusion,
+                "passed": r.passed,
+            }}}
+
+
+UNIVERSALITY = "splitting_integral_deviation"
+
+
+def _equivalence_sample(config, rng):
+    yield from equivalence_samples(config.models, rng, config.trials)
+    for f in splitting_samples(rng):
+        yield (UNIVERSALITY, f)
+
+
+def _equivalence_evaluate(config, inputs):
+    if inputs[0] == UNIVERSALITY:
+        return {UNIVERSALITY: splitting_deviation(inputs[1])}
+    return equivalence_residuals(config.models, inputs)
+
+
+# -- the centrally extended loop algebra ---------------------------------------
+
+def _omega_sample(config, rng):
+    return random_elements(rng, config.trials, (config.models.el.space0,) * 3)
+
+
+def _omega_evaluate(config, loops):
+    return {"cocycle": kacmoody.omega_cocycle_residual(*loops, config.k)}
+
+
+def _omega_fixture(config, rng):
+    """Worked value: quadratic against cubic bump in one coordinate at level 1."""
+    g = config.presentation
     f = PolyPath(g, np.array([[0.0, 1.0, -1.0]] + [[0.0, 0.0, 0.0]] * (g.dim - 1)), LOOP)
     h = PolyPath(g, np.array([[0.0, 0.0, 1.0, -1.0]] + [[0.0] * 4] * (g.dim - 1)), LOOP)
     fixture = kacmoody.omega(f, h, 1.0)
-    details = {"fixture_value": fixture, "fixture_expected": 1.0 / 30.0,
-               "fixture_deviation": abs(fixture - 1.0 / 30.0)}
-    return _result(config, "omega-cocycle", config.trials, worst, config.tol_exact,
-                   witness={"inputs": serialize_element(witness_inputs)}
-                   if witness_inputs else None,
-                   details=details)
+    return {"fixture_value": fixture, "fixture_expected": 1.0 / 30.0,
+            "fixture_deviation": abs(fixture - 1.0 / 30.0)}, True
 
 
-def run_extended_jacobi(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    g = _algebra(config)
-    worst, witness_inputs = 0.0, None
-    for _ in range(config.trials):
-        vs = [CentralVector(random_path(g, rng, config.degree, LOOP),
-                            float(rng.uniform(-1, 1))) for _ in range(3)]
-        r = kacmoody.extended_jacobi_residual(*vs, config.k)
-        if r > worst:
-            worst, witness_inputs = r, vs
-    return _result(config, "extended-jacobi", config.trials, worst, config.tol_exact,
-                   witness={"inputs": serialize_element(witness_inputs)}
-                   if witness_inputs else None)
+def _extended_sample(config, rng):
+    return random_elements(rng, config.trials, (config.models.pkg.space1,) * 3)
 
 
-def run_dalpha_action(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    g = _algebra(config)
-    worst, witness_inputs = 0.0, None
-    parts = {"action": 0.0, "derivation": 0.0, "projection": 0.0, "loop_bracket": 0.0}
-    for _ in range(config.trials):
-        p1 = random_path(g, rng, config.degree)
-        p2 = random_path(g, rng, config.degree)
-        loop = random_path(g, rng, config.degree, LOOP)
-        v = CentralVector(random_path(g, rng, config.degree, LOOP),
-                          float(rng.uniform(-1, 1)))
-        w = CentralVector(random_path(g, rng, config.degree, LOOP),
-                          float(rng.uniform(-1, 1)))
-        sample = {
-            "action": kacmoody.dalpha_action_residual(p1, p2, v, config.k),
-            "derivation": kacmoody.dalpha_derivation_residual(p1, v, w, config.k),
-            "projection": kacmoody.dalpha_equivariance_residual(p1, v, config.k),
-            "loop_bracket": kacmoody.dalpha_matches_central_bracket_residual(
-                loop, v, config.k),
-        }
-        for key, value in sample.items():
-            parts[key] = max(parts[key], value)
-        top = max(sample.values())
-        if top > worst:
-            worst, witness_inputs = top, [p1, p2, loop, v, w]
-    return _result(config, "dalpha-action", config.trials, worst, config.tol_exact,
-                   witness={"inputs": serialize_element(witness_inputs)}
-                   if witness_inputs else None,
-                   details=parts)
+def _extended_evaluate(config, vs):
+    return {"jacobi": kacmoody.extended_jacobi_residual(*vs, config.k)}
 
 
-# -- group-scale suites ------------------------------------------------------
+def _dalpha_sample(config, rng):
+    """(p1, p2, loop, v, w): two based paths, a loop and two central vectors."""
+    pkg, el = config.models.pkg, config.models.el
+    return random_elements(rng, config.trials, (pkg.space0, pkg.space0, el.space0,
+                                                pkg.space1, pkg.space1))
+
+
+def _dalpha_evaluate(config, inputs):
+    p1, p2, loop, v, w = inputs
+    return {
+        "action": kacmoody.dalpha_action_residual(p1, p2, v, config.k),
+        "derivation": kacmoody.dalpha_derivation_residual(p1, v, w, config.k),
+        "projection": kacmoody.dalpha_equivariance_residual(p1, v, config.k),
+        "loop_bracket": kacmoody.dalpha_matches_central_bracket_residual(
+            loop, v, config.k),
+    }
+
+
+# -- group-scale suites: one smooth fixture each, sampled on the config's grid --
 
 KAPPA_AMPLITUDE = 0.8
 CONJ_PATH_AMPLITUDE = 0.6
@@ -374,202 +371,230 @@ ADOMEGA_PATH_AMPLITUDE = 0.5
 ADOMEGA_LOOP_AMPLITUDE = 0.6
 
 
-def _kappa_fixtures(rng: np.random.Generator, count: int = 3):
-    return [su2grid.random_loop_field_coeffs(rng, amplitude=KAPPA_AMPLITUDE)
+def _su2_layer(config) -> LieAlgebraPresentation:
+    g = config.presentation
+    if g.dim != 3:
+        raise InputError("group-level suites support only the bundled 3-dimensional presentations")
+    su2grid.validate_pairing_scale(g)
+    return g
+
+
+def _loop_fields(rng, count: int) -> list[np.ndarray]:
+    return [su2grid.random_loop_field_coeffs(rng, amplitude=KAPPA_AMPLITUDE).coeffs
             for _ in range(count)]
 
 
-def run_kappa_cocycle(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    _require_su2_matrix_layer(config)
-    specs = _kappa_fixtures(rng)
-    fields = [s.sample(config.nt, config.ntheta) for s in specs]
-    residual = su2grid.kappa_cocycle_residual(*fields, config.k)
-    witness = {"fields": [s.coeffs.tolist() for s in specs],
-               "nt": config.nt, "ntheta": config.ntheta}
-    return _result(config, "kappa-cocycle", 1, residual, config.tol_quad,
-                   witness=witness)
+def _sampled_fields(config, coeffs) -> list:
+    return [su2grid.LoopFieldCoeffs(c).sample(config.nt, config.ntheta) for c in coeffs]
 
 
-def _adomega_fixture(g, rng: np.random.Generator, degree: int):
-    path_spec = su2grid.random_group_path_coeffs(rng, amplitude=ADOMEGA_PATH_AMPLITUDE)
-    xi = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, degree, LOOP)
-    eta = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, degree, LOOP)
-    return path_spec, xi, eta
+def _kappa_cocycle_sample(config, rng):
+    _su2_layer(config)
+    yield _loop_fields(rng, 3)
 
 
-def run_ad_omega(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    g = _require_su2_matrix_layer(config)
-    path_spec, xi, eta = _adomega_fixture(g, rng, config.degree)
-    p = path_spec.sample(config.ntheta)
-    residual = su2grid.ad_omega_identity_residual(p, xi, eta, config.k)
-    witness = {"path": path_spec.coeffs.tolist(),
-               "xi": serialize_element(xi), "eta": serialize_element(eta),
-               "ntheta": config.ntheta}
-    return _result(config, "ad-omega", 1, residual, config.tol_quad,
-                   witness=witness)
+def _kappa_cocycle_evaluate(config, fields):
+    return {"cocycle": su2grid.kappa_cocycle_residual(*_sampled_fields(config, fields),
+                                                      config.k)}
 
 
-def run_kappa_conjugation(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    _require_su2_matrix_layer(config)
-    path_spec = su2grid.random_group_path_coeffs(rng, amplitude=CONJ_PATH_AMPLITUDE)
-    f_specs = _kappa_fixtures(rng, count=2)
-    p = path_spec.sample(config.ntheta)
-    f1, f2 = (s.sample(config.nt, config.ntheta) for s in f_specs)
-    residual = su2grid.kappa_conjugation_identity_residual(p, f1, f2, config.k)
-    witness = {"path": path_spec.coeffs.tolist(),
-               "fields": [s.coeffs.tolist() for s in f_specs],
-               "nt": config.nt, "ntheta": config.ntheta}
-    return _result(config, "kappa-conjugation", 1, residual, config.tol_quad,
-                   witness=witness)
+def _ad_omega_sample(config, rng):
+    g = _su2_layer(config)
+    path = su2grid.random_group_path_coeffs(rng, amplitude=ADOMEGA_PATH_AMPLITUDE).coeffs
+    xi = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, config.degree, LOOP)
+    eta = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, config.degree, LOOP)
+    yield [path, xi, eta]
 
 
-# -- finite crossed-module suites ---------------------------------------------
-
-def _bundled_crossed_modules() -> list[twogroups.FiniteCrossedModule]:
-    q8 = twogroups.quaternion_group()
-    s3 = twogroups.symmetric_group_3()
-    return [
-        twogroups.conjugation_module(twogroups.cyclic_group(5)),
-        twogroups.conjugation_module(s3),
-        twogroups.conjugation_module(q8),
-        twogroups.trivial_action_module(s3, twogroups.cyclic_group(3)),
-        twogroups.inclusion_module(q8, [0, 1, 2, 3], name="Z4<i>"),
-    ]
+def _ad_omega_evaluate(config, inputs):
+    path, xi, eta = inputs
+    p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
+    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, config.k)}
 
 
-def run_crossed_axioms(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    violations: dict[str, list[str]] = {}
-    modules = _bundled_crossed_modules()
-    for cm in modules:
-        bad = cm.violations()
-        if bad:
-            violations[cm.name] = bad[:5]
-    residual = float(sum(len(v) for v in violations.values()))
-    return _result(config, "crossed-axioms", len(modules), residual, 0.0,
-                   witness={"violations": violations} if violations else None,
-                   details={"modules": [cm.name for cm in modules]})
+def _kappa_conjugation_sample(config, rng):
+    _su2_layer(config)
+    path = su2grid.random_group_path_coeffs(rng, amplitude=CONJ_PATH_AMPLITUDE).coeffs
+    yield [path, *_loop_fields(rng, 2)]
 
 
-def run_two_group_axioms(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    violations: dict[str, list[str]] = {}
-    modules = _bundled_crossed_modules()
-    for cm in modules:
-        grp = twogroups.FiniteTwoGroup(cm)
-        bad = grp.violations()
-        if cm.name.startswith("conj["):
-            bad += twogroups.unique_morphism_count_violations(grp)
-        if bad:
-            violations[cm.name] = bad[:5]
-    residual = float(sum(len(v) for v in violations.values()))
-    return _result(config, "two-group-axioms", len(modules), residual, 0.0,
-                   witness={"violations": violations} if violations else None,
-                   details={"modules": [cm.name for cm in modules]})
+def _kappa_conjugation_evaluate(config, inputs):
+    path, *fields = inputs
+    p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
+    return {"conjugation": su2grid.kappa_conjugation_identity_residual(
+        p, *_sampled_fields(config, fields), config.k)}
 
 
-def run_strict_exactness(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    q8 = twogroups.quaternion_group()
-    s3 = twogroups.symmetric_group_3()
-    cases = {
-        "kernel-inclusion[Q8]": twogroups.kernel_inclusion_pair(q8, [0, 1, 2, 3]),
-        "collapse[S3]": twogroups.indiscrete_collapse_pair(s3),
-        "identity[Z4]": twogroups.identity_kernel_pair(twogroups.cyclic_group(4)),
-    }
-    details = {}
-    failures = []
-    for name, (iota, pi) in cases.items():
-        record = twogroups.strict_kernel_exactness(iota, pi)
-        details[name] = {
-            "kernel_objects": record.kernel_objects,
-            "kernel_morphisms": record.kernel_morphisms,
-            "image_objects": record.image_objects,
-            "image_morphisms": record.image_morphisms,
-            "passed": record.passed,
-        }
-        if not record.passed:
-            failures.append(name)
-    residual = float(len(failures))
-    return _result(config, "strict-exactness", len(cases), residual, 0.0,
-                   witness={"failures": failures} if failures else None,
-                   details=details)
+# -- finite crossed-module suites: one bundled fixture per trial ----------------
+
+CROSSED_MODULES: dict[str, Callable[[], twogroups.FiniteCrossedModule]] = {
+    "conj[Z5]": lambda: twogroups.conjugation_module(twogroups.cyclic_group(5)),
+    "conj[S3]": lambda: twogroups.conjugation_module(twogroups.symmetric_group_3()),
+    "conj[Q8]": lambda: twogroups.conjugation_module(twogroups.quaternion_group()),
+    "trivial[S3,Z3]": lambda: twogroups.trivial_action_module(
+        twogroups.symmetric_group_3(), twogroups.cyclic_group(3)),
+    "incl[Z4<i><Q8]": lambda: twogroups.inclusion_module(
+        twogroups.quaternion_group(), [0, 1, 2, 3], name="Z4<i>"),
+}
+
+STRICT_PAIRS = {
+    "kernel-inclusion[Q8]": lambda: twogroups.kernel_inclusion_pair(
+        twogroups.quaternion_group(), [0, 1, 2, 3]),
+    "collapse[S3]": lambda: twogroups.indiscrete_collapse_pair(twogroups.symmetric_group_3()),
+    "identity[Z4]": lambda: twogroups.identity_kernel_pair(twogroups.cyclic_group(4)),
+}
+
+
+def _module_sample(config, rng):
+    return list(CROSSED_MODULES)
+
+
+def _violations(name: str, bad: list[str]) -> dict:
+    return {"violations": float(len(bad)), NOTES: {name: bad[:5]} if bad else {}}
+
+
+def _crossed_evaluate(config, name):
+    return _violations(name, CROSSED_MODULES[name]().violations())
+
+
+def _two_group_evaluate(config, name):
+    grp = twogroups.FiniteTwoGroup(CROSSED_MODULES[name]())
+    bad = grp.violations()
+    if name.startswith("conj["):
+        bad += twogroups.unique_morphism_count_violations(grp)
+    return _violations(name, bad)
+
+
+def _module_names(config, rng):
+    return {"modules": list(CROSSED_MODULES)}, True
+
+
+def _strict_sample(config, rng):
+    return list(STRICT_PAIRS)
+
+
+def _strict_evaluate(config, name):
+    record = twogroups.strict_kernel_exactness(*STRICT_PAIRS[name]())
+    return {"exactness": 0.0 if record.passed else 1.0,
+            NOTES: {name: {
+                "kernel_objects": record.kernel_objects,
+                "kernel_morphisms": record.kernel_morphisms,
+                "image_objects": record.image_objects,
+                "image_morphisms": record.image_morphisms,
+                "passed": record.passed,
+            }}}
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    ordinal: int
-    runner: Callable[[RunConfig, np.random.Generator], SuiteResult]
-    identity: str
-
-
-REGISTRY: dict[str, SuiteSpec] = {
-    "gk-jacobi": SuiteSpec(0, run_gk_jacobi,
+REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
+    SuiteSpec(
+        "gk-jacobi", 0,
         "graded Jacobi identity of the skeletal model: for n inputs, "
         "sum over unshuffles of chi(sigma) (-1)^(i(j-1)) l_j(l_i(...), ...) = 0; "
-        "at n = 4 this is the closedness of the 3-form B(x, [y, z])."),
-    "pkg-jacobi": SuiteSpec(1, run_pkg_jacobi,
+        "at n = 4 this is the closedness of the 3-form B(x, [y, z]).",
+        partial(_jacobi_sample, "gk"), partial(_jacobi_evaluate, "gk"),
+        trials=attrgetter("trials")),
+    SuiteSpec(
+        "pkg-jacobi", 1,
         "graded Jacobi identity of the path model; the mixed-degree cases "
         "encode that the twisted action of based paths on centrally extended "
-        "loops is an action by derivations."),
-    "phi-hom": SuiteSpec(2, run_phi_hom,
+        "loops is an action by derivations.",
+        partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
+        trials=attrgetter("trials")),
+    SuiteSpec(
+        "phi-hom", 2,
         "coherence of the endpoint homomorphism: d(phi2(x,y)) = phi0(l2(x,y)) "
         "- l2(phi0 x, phi0 y); phi2(x, dh) = phi1(l2(x,h)) - l2(phi0 x, phi1 h); "
-        "and the six-term corrector law against both Jacobiators."),
-    "psi-hom": SuiteSpec(3, run_psi_hom,
+        "and the six-term corrector law against both Jacobiators.",
+        partial(_hom_sample, "phi"), partial(_hom_evaluate, "phi"),
+        control=partial(_mutation_control, "phi")),
+    SuiteSpec(
+        "psi-hom", 3,
         "coherence of the splitting homomorphism x -> x f; its six-term law "
-        "reduces to the universal value -1/6 of the integral of f (f - f^2)'."),
-    "lambda-hom": SuiteSpec(4, run_lambda_hom,
+        "reduces to the universal value -1/6 of the integral of f (f - f^2)'.",
+        partial(_hom_sample, "psi"), partial(_hom_evaluate, "psi"),
+        control=partial(_mutation_control, "psi")),
+    SuiteSpec(
+        "lambda-hom", 4,
         "coherence of the loop inclusion; its six-term law is exactly the "
         "2-cocycle condition of the loop cocycle, and its corrector is forced "
-        "by the mixed-degree law."),
-    "tau-2hom": SuiteSpec(5, run_tau_2hom,
+        "by the mixed-degree law.",
+        partial(_hom_sample, "lam"), partial(_hom_evaluate, "lam"),
+        control=_lambda_control),
+    SuiteSpec(
+        "tau-2hom", 5,
         "the retraction p -> p - p(2 pi) f is a homotopy from (splitting o "
         "endpoint) to the identity: d tau = id0 - round_trip0, tau d = id1 - "
         "round_trip1, and from2(x,y) - to2(x,y) = l2(from0 x, tau y) + "
-        "l2(tau x, to0 y) - tau(l2(x,y))."),
-    "exactness": SuiteSpec(6, run_exactness,
+        "l2(tau x, to0 y) - tau(l2(x,y)).",
+        _tau_sample, _tau_evaluate),
+    SuiteSpec(
+        "exactness", 6,
         "exact rank check that the loop inclusion hits precisely the kernel "
-        "of endpoint evaluation, on objects and directions, degree by degree."),
-    "equivalence": SuiteSpec(7, run_equivalence,
+        "of endpoint evaluation, on objects and directions, degree by degree.",
+        _exactness_sample, _exactness_evaluate, tolerance=_zero),
+    SuiteSpec(
+        "equivalence", 7,
         "(endpoint o splitting) is the identity of the skeletal model with "
         "vanishing corrector; the retraction homotopy certifies the other "
-        "composite; the indiscrete model is trivialized by tau(x) = x."),
-    "omega-cocycle": SuiteSpec(8, run_omega_cocycle,
+        "composite; the indiscrete model is trivialized by tau(x) = x.",
+        _equivalence_sample, _equivalence_evaluate, trials=attrgetter("trials")),
+    SuiteSpec(
+        "omega-cocycle", 8,
         "loop cocycle omega(f,g) = 2k integral B(f, g') satisfies "
-        "omega([f,g],h) + omega([g,h],f) + omega([h,f],g) = 0."),
-    "extended-jacobi": SuiteSpec(9, run_extended_jacobi,
+        "omega([f,g],h) + omega([g,h],f) + omega([h,f],g) = 0.",
+        _omega_sample, _omega_evaluate, control=_omega_fixture),
+    SuiteSpec(
+        "extended-jacobi", 9,
         "the twisted bracket [(f,a),(g,b)] = ([f,g], omega(f,g)) on loops + "
-        "center satisfies the Jacobi identity."),
-    "dalpha-action": SuiteSpec(10, run_dalpha_action,
+        "center satisfies the Jacobi identity.",
+        _extended_sample, _extended_evaluate),
+    SuiteSpec(
+        "dalpha-action", 10,
         "the lifted action ([p,l], 2k integral B(p, l')) is a Lie algebra "
         "action by derivations of the twisted bracket, compatible with the "
-        "projection to loops."),
-    "kappa-cocycle": SuiteSpec(11, run_kappa_cocycle,
+        "projection to loops.",
+        _dalpha_sample, _dalpha_evaluate),
+    SuiteSpec(
+        "kappa-cocycle", 11,
         "the exponentiated double-integral cocycle on paths of loops "
         "satisfies kappa(f,g) kappa(fg,h) = kappa(g,h) kappa(f,gh); verified "
-        "by second-order quadrature."),
-    "ad-omega": SuiteSpec(12, run_ad_omega,
+        "by second-order quadrature.",
+        _kappa_cocycle_sample, _kappa_cocycle_evaluate, tolerance=attrgetter("tol_quad")),
+    SuiteSpec(
+        "ad-omega", 12,
         "conjugation invariance of the loop cocycle: omega(Ad(p) xi, Ad(p) "
         "eta) - omega(xi, eta) = k beta_p([xi, eta]) with beta_p(xi) = "
-        "-2 integral B(xi, p^-1 p')."),
-    "kappa-conjugation": SuiteSpec(13, run_kappa_conjugation,
+        "-2 integral B(xi, p^-1 p').",
+        _ad_omega_sample, _ad_omega_evaluate, tolerance=attrgetter("tol_quad")),
+    SuiteSpec(
+        "kappa-conjugation", 13,
         "conjugation rule for the exponentiated cocycle: kappa(p f1 p^-1, "
-        "p f2 p^-1) = kappa(f1,f2) exp(ik integral of beta_p corrections)."),
-    "crossed-axioms": SuiteSpec(14, run_crossed_axioms,
+        "p f2 p^-1) = kappa(f1,f2) exp(ik integral of beta_p corrections).",
+        _kappa_conjugation_sample, _kappa_conjugation_evaluate,
+        tolerance=attrgetter("tol_quad")),
+    SuiteSpec(
+        "crossed-axioms", 14,
         "boundary and action compatibility of the bundled finite crossed "
         "modules: partial(alpha(g) h) = g partial(h) g^-1 and "
-        "alpha(partial h1) h2 = h1 h2 h1^-1, exhaustively."),
-    "two-group-axioms": SuiteSpec(15, run_two_group_axioms,
+        "alpha(partial h1) h2 = h1 h2 h1^-1, exhaustively.",
+        _module_sample, _crossed_evaluate, tolerance=_zero, control=_module_names),
+    SuiteSpec(
+        "two-group-axioms", 15,
         "category axioms of the 2-group built on each crossed module: "
         "source/target/identity are homomorphisms, composition is defined "
-        "exactly on matching pairs, units/associativity/interchange hold."),
-    "strict-exactness": SuiteSpec(16, run_strict_exactness,
+        "exactly on matching pairs, units/associativity/interchange hold.",
+        _module_sample, _two_group_evaluate, tolerance=_zero, control=_module_names),
+    SuiteSpec(
+        "strict-exactness", 16,
         "image-equals-kernel on objects and morphisms for composable strict "
         "homomorphism pairs: subgroup inclusion vs quotient, indiscrete "
-        "collapse, and the identity."),
-}
+        "collapse, and the identity.",
+        _strict_sample, _strict_evaluate, tolerance=_zero),
+)}
 
 
 def describe(name: str) -> str:
@@ -587,16 +612,7 @@ def run(config: RunConfig) -> dict:
     config.validate()
     names = config.resolve_suites()
     start = time.perf_counter()
-
-    def one(name: str) -> SuiteResult:
-        return REGISTRY[name].runner(config, _suite_rng(config, name))
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, names))
-    else:
-        results = [one(name) for name in names]
-
+    results = [REGISTRY[name].runner(config, _suite_rng(config, name)) for name in names]
     passed = sum(1 for r in results if r.passed)
     report = {
         "config": asdict(config) | {"suites": list(config.suites)},
@@ -628,57 +644,14 @@ def strip_wall_time(report: dict) -> dict:
 
 def replay_suite(name: str, witness: dict, config: RunConfig) -> float:
     """Re-evaluate a recorded worst-case witness and return its residual."""
-    g = _algebra(config)
-    if name in ("gk-jacobi", "pkg-jacobi"):
-        structure = make_gk(g, config.k) if name == "gk-jacobi" \
-            else make_pkg(g, config.k, config.degree)
-        from .linfty import generalized_jacobi_residual
-        return generalized_jacobi_residual(
-            structure, deserialize_graded(witness["inputs"], g))
-    if name in ("phi-hom", "psi-hom", "lambda-hom"):
-        bundle = _bundle(config)
-        hom = {"phi-hom": bundle.phi, "psi-hom": bundle.psi,
-               "lambda-hom": bundle.lam}[name]
-        from .linfty import hom_residuals_once
-        x, y, z, h = deserialize_element(witness["inputs"], g)
-        return max(hom_residuals_once(hom, x, y, z, h).values())
-    if name == "tau-2hom":
-        bundle = _bundle(config)
-        from .linfty import two_hom_residuals_once
-        x, y, h = deserialize_element(witness["inputs"], g)
-        return max(two_hom_residuals_once(bundle.tau, x, y, h).values())
-    if name == "omega-cocycle":
-        f, q, h = deserialize_element(witness["inputs"], g)
-        return kacmoody.omega_cocycle_residual(f, q, h, config.k)
-    if name == "extended-jacobi":
-        a, b, c = deserialize_element(witness["inputs"], g)
-        return kacmoody.extended_jacobi_residual(a, b, c, config.k)
-    if name == "dalpha-action":
-        p1, p2, loop, v, w = deserialize_element(witness["inputs"], g)
-        return max(
-            kacmoody.dalpha_action_residual(p1, p2, v, config.k),
-            kacmoody.dalpha_derivation_residual(p1, v, w, config.k),
-            kacmoody.dalpha_equivariance_residual(p1, v, config.k),
-            kacmoody.dalpha_matches_central_bracket_residual(loop, v, config.k),
-        )
-    if name == "kappa-cocycle":
-        specs = [su2grid.LoopFieldCoeffs(np.asarray(c)) for c in witness["fields"]]
-        fields = [s.sample(witness["nt"], witness["ntheta"]) for s in specs]
-        return su2grid.kappa_cocycle_residual(*fields, config.k)
-    if name == "ad-omega":
-        p = su2grid.GroupPathCoeffs(np.asarray(witness["path"])).sample(witness["ntheta"])
-        xi = deserialize_element(witness["xi"], g)
-        eta = deserialize_element(witness["eta"], g)
-        return su2grid.ad_omega_identity_residual(p, xi, eta, config.k)
-    if name == "kappa-conjugation":
-        p = su2grid.GroupPathCoeffs(np.asarray(witness["path"])).sample(witness["ntheta"])
-        specs = [su2grid.LoopFieldCoeffs(np.asarray(c)) for c in witness["fields"]]
-        f1, f2 = (s.sample(witness["nt"], witness["ntheta"]) for s in specs)
-        return su2grid.kappa_conjugation_identity_residual(p, f1, f2, config.k)
-    if name in ("crossed-axioms", "two-group-axioms", "strict-exactness", "exactness"):
-        rng = _suite_rng(config, name)
-        return REGISTRY[name].runner(config, rng).max_residual
-    raise InputError(f"suite {name!r} does not support replay")
+    if name not in REGISTRY:
+        raise InputError(f"unknown suite {name!r}")
+    try:
+        component, doc = witness["component"], witness["inputs"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed witness for suite {name!r}: {exc}") from exc
+    inputs = deserialize_element(doc, config.presentation)
+    return REGISTRY[name].evaluate(config, inputs)[component]
 
 
 def replay_report(path: str | Path) -> list[tuple[str, float]]:
@@ -694,6 +667,7 @@ def replay_report(path: str | Path) -> list[tuple[str, float]]:
         entries = doc["suites"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed report {path}: {exc}") from exc
+    config.validate()
     out = []
     for entry in entries:
         if entry.get("witness"):

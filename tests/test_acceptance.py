@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from lie2 import su2grid as sg
 from lie2.kacmoody import (
     dalpha_action_residual,
     dalpha_derivation_residual,
@@ -27,7 +26,7 @@ from lie2.models import (
     universality_sweep,
 )
 from lie2.paths import LOOP, CentralVector, PolyPath, random_path
-from lie2.suites import RunConfig, run, strip_wall_time
+from lie2.suites import REGISTRY, RunConfig, run, strip_wall_time
 
 SMOOTHSTEP = np.array([0.0, 0.0, 3.0, -2.0])
 LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -92,10 +91,10 @@ def test_criterion_4_equivalence():
     for f in (LINEAR_SPLITTING, SMOOTHSTEP):
         bundle = build_models(g, 1.0, f)
         report = equivalence_report(bundle, rng, 100)
-        worst_round_trip = max(worst_round_trip, report.round_trip_identity)
+        worst_round_trip = max(worst_round_trip, report.maxima["round_trip_identity"])
         worst_tau = max(worst_tau,
                         two_hom_residual(bundle.tau, rng, 200).max_residual)
-        worst_trivial = max(worst_trivial, report.trivializer)
+        worst_trivial = max(worst_trivial, report.maxima["trivializer"])
     elapsed = time.perf_counter() - start
     ok = (worst_round_trip <= 1e-12 and worst_tau <= 1e-10
           and worst_trivial == 0.0 and elapsed < 10.0)
@@ -150,28 +149,21 @@ def test_criterion_6_kac_moody_layer():
 
 
 def test_criterion_7_group_level_convergence():
-    g = su2()
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     sizes = (128, 256, 512)
 
-    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
-    kappa_res = [sg.kappa_cocycle_residual(*(s.sample(n, n) for s in specs), 1.0)
-                 for n in sizes]
+    # one fixture per identity, drawn in this order from the one generator
+    fixtures = {name: next(REGISTRY[name].sample(RunConfig(), rng))
+                for name in ("kappa-cocycle", "ad-omega", "kappa-conjugation")}
 
-    pspec = sg.random_group_path_coeffs(rng, amplitude=0.5)
-    xi = 0.6 * random_path(g, rng, 4, LOOP)
-    eta = 0.6 * random_path(g, rng, 4, LOOP)
-    ad_res = [sg.ad_omega_identity_residual(pspec.sample(n), xi, eta, 1.0)
-              for n in sizes]
+    def ladder(name):
+        return [residual for n in sizes for residual in REGISTRY[name].evaluate(
+            RunConfig(nt=n, ntheta=n), fixtures[name]).values()]
 
-    cspec = sg.random_group_path_coeffs(rng, amplitude=0.6)
-    fspecs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
-    conj_res = [
-        sg.kappa_conjugation_identity_residual(
-            cspec.sample(n), *(s.sample(n, n) for s in fspecs), 1.0)
-        for n in sizes
-    ]
+    kappa_res = ladder("kappa-cocycle")
+    ad_res = ladder("ad-omega")
+    conj_res = ladder("kappa-conjugation")
     elapsed = time.perf_counter() - start
 
     def second_order(r):
@@ -193,19 +185,11 @@ def test_criterion_7_group_level_convergence():
 
 
 def test_criterion_8_finite_two_groups():
-    from lie2.suites import (
-        run_crossed_axioms,
-        run_strict_exactness,
-        run_two_group_axioms,
-    )
     config = RunConfig()
     rng = np.random.default_rng(8)
     start = time.perf_counter()
-    results = [
-        run_crossed_axioms(config, rng),
-        run_two_group_axioms(config, rng),
-        run_strict_exactness(config, rng),
-    ]
+    results = [REGISTRY[name].runner(config, rng)
+               for name in ("crossed-axioms", "two-group-axioms", "strict-exactness")]
     elapsed = time.perf_counter() - start
     ok = all(r.passed and r.max_residual == 0.0 and r.tolerance == 0.0
              for r in results) and elapsed < 5.0

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from lie2 import kacmoody
 from lie2.cli import main
 from lie2.liealg import InputError
 from lie2.suites import (
@@ -27,6 +29,14 @@ def test_verify_low_degree_is_config_error(capsys):
     code = main(["verify", "--suite", "exactness", "--degree", "1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
+                                         ("--tol-quad", "nan"), ("--form-scale", "inf")])
+def test_non_finite_config_is_config_error(capsys, flag, value):
+    code = main(["verify", "--suite", "gk-jacobi", flag, value, *FAST])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):
@@ -98,7 +108,7 @@ def test_replay_covers_every_witness_family(tmp_path):
         "verify", "--tol-exact", "1e-30", "--tol-quad", "1e-30",
         "--suite", "gk-jacobi", "--suite", "pkg-jacobi",
         "--suite", "phi-hom", "--suite", "psi-hom", "--suite", "lambda-hom",
-        "--suite", "tau-2hom", "--suite", "omega-cocycle",
+        "--suite", "tau-2hom", "--suite", "equivalence", "--suite", "omega-cocycle",
         "--suite", "extended-jacobi", "--suite", "dalpha-action",
         "--suite", "kappa-cocycle", "--suite", "ad-omega",
         "--suite", "kappa-conjugation",
@@ -106,16 +116,37 @@ def test_replay_covers_every_witness_family(tmp_path):
     ])
     doc = json.loads(report_path.read_text())
     witnessed = {s["name"]: s for s in doc["suites"] if s["witness"]}
-    assert len(witnessed) == 12
+    assert len(witnessed) == 13
     for name, residual in replay_report(report_path):
-        reported = witnessed[name]["max_residual"]
-        if name in ("phi-hom", "psi-hom", "lambda-hom", "tau-2hom"):
-            # witnesses record the worst single component; replay returns the
-            # max over all components of that sample, so only a lower bound
-            # of the reported suite maximum is guaranteed
-            assert residual >= reported * (1 - 1e-9)
-        else:
-            assert residual == pytest.approx(reported, rel=1e-12)
+        assert residual == pytest.approx(witnessed[name]["max_residual"], rel=1e-12)
+
+
+def test_equivalence_failure_records_a_replayable_witness(tmp_path):
+    report_path = tmp_path / "equivalence.json"
+    code = main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
+                 "--report", str(report_path), *FAST])
+    assert code == 1
+    entry = json.loads(report_path.read_text())["suites"][0]
+    assert entry["witness"]["component"] in entry["details"]
+    [(name, residual)] = replay_report(report_path)
+    assert name == "equivalence"
+    assert residual == pytest.approx(entry["max_residual"], rel=1e-12)
+
+
+def test_nan_residual_fails_the_suite_and_is_the_witness(monkeypatch):
+    finite = kacmoody.omega_cocycle_residual
+    calls = []
+
+    def third_is_nan(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 3 else finite(*args)
+
+    monkeypatch.setattr(kacmoody, "omega_cocycle_residual", third_is_nan)
+    entry = run(RunConfig(trials=5, suites=("omega-cocycle",)))["suites"][0]
+    assert entry["passed"] is False
+    assert math.isnan(entry["max_residual"])
+    assert ([c["coeffs"] for c in entry["witness"]["inputs"]]
+            == [p.coeffs.tolist() for p in calls[2][:3]])
 
 
 def test_replay_report_without_witnesses(tmp_path, capsys):

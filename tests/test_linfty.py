@@ -134,7 +134,7 @@ def test_mutation_zeroed_corrector_fails_loudly(g, rng):
     bundle = build_models(g, 1.0)
     broken = zeroed_phi2(bundle.phi)
     report = hom_residuals(broken, rng, 100)
-    assert report.homo3 > 0.1
+    assert report.maxima["homo3"] > 0.1
 
 
 def test_categorical_view_strict_models(g, rng):

@@ -11,7 +11,6 @@ from lie2.paths import (
     TWO_PI,
     PolyPath,
     derivative,
-    endpoint,
     integral_pairing,
     pointwise_bracket,
     random_path,
@@ -40,7 +39,7 @@ def test_derivative_of_zero_path(g):
 
 def test_derivative_quadratic_endpoint(g):
     p = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), BASED)  # u^2 e1
-    assert np.allclose(endpoint(derivative(p)), [2.0 / TWO_PI, 0.0, 0.0])
+    assert np.allclose(derivative(p).endpoint(), [2.0 / TWO_PI, 0.0, 0.0])
 
 
 def test_pointwise_bracket_self_is_zero(g, rng):
@@ -89,11 +88,11 @@ def test_integral_pairing_zero(g, rng):
 
 
 def test_endpoint_examples(g, rng):
-    assert np.allclose(endpoint(random_path(g, rng, 5, LOOP)), 0.0, atol=1e-14)
-    assert np.allclose(endpoint(linear_path(g, np.array([2.0, 0.0, 1.0]))),
+    assert np.allclose(random_path(g, rng, 5, LOOP).endpoint(), 0.0, atol=1e-14)
+    assert np.allclose(linear_path(g, np.array([2.0, 0.0, 1.0])).endpoint(),
                        [2.0, 0.0, 1.0])
     bump = PolyPath(g, np.outer([1.0, 0, 0], [0.0, 1.0, -1.0]), LOOP)  # (u - u^2) e1
-    assert np.allclose(endpoint(bump), 0.0)
+    assert np.allclose(bump.endpoint(), 0.0)
 
 
 def test_universal_integral_linear():
@@ -154,6 +153,14 @@ def test_constructor_rejects_violations(g):
         PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0]), LOOP)  # nonzero at u = 1
     with pytest.raises(InputError):
         PolyPath(g, np.ones((2, 2)), FREE)  # wrong coordinate count
+
+
+def test_endpoint_check_is_relative_to_scale(g, rng):
+    # roundoff in the endpoint of a bracket grows with the coefficients
+    p, q = (100.0 * random_path(g, rng, 8, LOOP) for _ in range(2))
+    assert pointwise_bracket(p, q).kind == LOOP
+    with pytest.raises(InputError):
+        PolyPath(g, np.outer([1e4, 0, 0], [0.0, 1.0, -1.0 + 1e-6]), LOOP)
 
 
 def test_degree_grows_without_truncation(g, rng):
