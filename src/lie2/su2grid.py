@@ -2,6 +2,21 @@
 exponentiated double-integral cocycle, the boundary 1-form of the conjugation
 lift, and their defining identities by second-order quadrature.
 
+Representation.  A group sample is a unit quaternion q = (q0, q1, q2, q3),
+standing for the matrix q0 I - i q . sigma = q0 I + 2 q . X with the
+generators X_k = -(i/2) sigma_k, [X_i, X_j] = eps_ijk X_k.  Matrix products are
+Hamilton products, the inverse is the conjugate (q0, -q), and the identity is
+(1, 0, 0, 0).  Samples are real float64 arrays with the four components on the
+leading axis: (4, N + 1) for a path, (4, Nt + 1, Ntheta + 1) for a path of
+loops.
+
+Lie-algebra fields are coordinates in the X basis with the three components on
+the leading axis, so v . X is the pure quaternion v / 2.  The Maurer-Cartan
+form q^-1 dq (or dq q^-1) is 2 x the vector part of conj(q) dq (or dq conj(q));
+its scalar part is the non-skew remainder and is dropped.  The invariant
+pairing scale * Re tr(a b) of a . X and b . X is (-scale / 2) (a . b), so the
+default scale -2 makes the X_k orthonormal.
+
 Grids are uniform on [0, 2*pi] with N + 1 samples including both ends.
 Derivatives use central differences with one-sided second-order stencils at
 the boundaries; integrals use the trapezoid rule.  Both are O(h^2), which the
@@ -17,88 +32,74 @@ import numpy as np
 from .liealg import InputError, LieAlgebraPresentation
 from .paths import LOOP, TWO_PI, PolyPath, pointwise_bracket
 
-_SIGMA = np.array([
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-], dtype=complex)
-
-# generators X_i = -(i/2) sigma_i satisfy [X_i, X_j] = eps_ijk X_k
-GENERATORS = -0.5j * _SIGMA
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 DEFAULT_PAIRING_SCALE = -2.0  # <A, B> = -2 Re tr(AB) makes the X_i orthonormal
 
 
-def embed(v: np.ndarray) -> np.ndarray:
-    """Coordinates (..., 3) -> traceless skew-Hermitian matrices (..., 2, 2)."""
-    return np.einsum("...k,kij->...ij", np.asarray(v, dtype=float), GENERATORS)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the leading axis."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion product over the leading axis (the 2x2 matrix product)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+
+def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ad(q) on coordinates: the vector part of q (0, v) conj(q) for unit q."""
+    w = _cross(q[1:], v)
+    return v + 2.0 * (q[0] * w + _cross(q[1:], w))
+
+
+def _vector_form(q: np.ndarray, dq: np.ndarray, sign: float) -> np.ndarray:
+    """2 vec(conj(q) dq) for sign -1 (left form), 2 vec(dq conj(q)) for +1."""
+    return 2.0 * (q[0] * dq[1:] - dq[0] * q[1:] + sign * _cross(q[1:], dq[1:]))
 
 
 def exp_su2(v: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of embed(v): (v . sigma)^2 = |v|^2 gives
-    exp = cos(|v|/2) I - i sin(|v|/2) (unit v . sigma)."""
+    """Closed-form exponential of v . X for coordinates (3, ...):
+    (cos(|v|/2), sin(|v|/2) v / |v|)."""
     v = np.asarray(v, dtype=float)
-    alpha = np.linalg.norm(v, axis=-1)
+    alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
     half = 0.5 * alpha
     coef = np.where(alpha > 1e-12, np.sin(half) / np.where(alpha > 0, alpha, 1.0), 0.5)
-    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.cos(half)
-    out[..., 1, 1] = np.cos(half)
-    out += -1.0j * coef[..., None, None] * np.einsum("...k,kij->...ij", v, _SIGMA)
-    return out
+    return np.concatenate([np.cos(half)[None], coef * v])
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conjugate(np.swapaxes(m, -1, -2))
+def unitarize(q: np.ndarray) -> np.ndarray:
+    """Snap near-unit quaternions back onto SU(2) by normalization."""
+    return q / np.sqrt(np.einsum("k...,k...->...", q, q))
 
 
-def unitarize(m: np.ndarray) -> np.ndarray:
-    """Snap near-SU(2) matrices back onto the group: keep the (normalized)
-    first column, rebuild the second from it."""
-    a = m[..., 0, 0]
-    b = m[..., 1, 0]
-    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    a, b = a / norm, b / norm
-    out = np.empty_like(m)
-    out[..., 0, 0] = a
-    out[..., 1, 0] = b
-    out[..., 0, 1] = -np.conjugate(b)
-    out[..., 1, 1] = np.conjugate(a)
-    return out
-
-
-def unitary_drift(m: np.ndarray) -> float:
-    """max of |U+ U - I| and |det U - 1| over all samples."""
-    gram = np.einsum("...ij,...ik->...jk", np.conjugate(m), m)
-    gram[..., 0, 0] -= 1.0
-    gram[..., 1, 1] -= 1.0
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return float(max(np.abs(gram).max(), np.abs(det - 1.0).max()))
-
-
-def skew_project(m: np.ndarray) -> np.ndarray:
-    """Project onto traceless skew-Hermitian matrices."""
-    a = 0.5 * (m - dagger(m))
-    trace = (a[..., 0, 0] + a[..., 1, 1]).copy()
-    a[..., 0, 0] -= 0.5 * trace
-    a[..., 1, 1] -= 0.5 * trace
-    return a
+def unitary_drift(q: np.ndarray) -> float:
+    """max | |q|^2 - 1 | over all samples (= |U+ U - I| and |det U - 1|); NaN
+    if any sample is NaN."""
+    return float(np.abs(np.einsum("k...,k...->...", q, q) - 1.0).max())
 
 
 def pair_fields(a: np.ndarray, b: np.ndarray,
                 scale: float = DEFAULT_PAIRING_SCALE) -> np.ndarray:
-    """Pointwise invariant pairing scale * Re tr(a b)."""
-    return scale * np.real(np.einsum("...ij,...ji->...", a, b))
+    """Pointwise invariant pairing scale * Re tr((a . X)(b . X)) = (-scale/2) a . b
+    over the leading axis; the trailing axes broadcast."""
+    return -0.5 * scale * np.einsum("k...,k...->...", a, b)
 
 
 def validate_pairing_scale(g: LieAlgebraPresentation,
                            scale: float = DEFAULT_PAIRING_SCALE,
                            tol: float = 1e-12) -> None:
-    """The matrix pairing must reproduce the algebra form on embedded basis
-    vectors; the scale is configuration, not a hardcoded constant."""
-    basis = embed(np.eye(3))
-    got = np.array([[pair_fields(basis[i], basis[j], scale) for j in range(3)]
-                    for i in range(3)])
+    """The grid pairing must reproduce the algebra form on basis vectors; the
+    scale is configuration, not a hardcoded constant."""
+    basis = np.eye(3)
+    got = pair_fields(basis[:, :, None], basis[:, None, :], scale)
     if np.abs(got - g.form).max() > tol:
         raise InputError(
             f"pairing scale {scale} does not match the form of {g.name}"
@@ -126,68 +127,69 @@ def _trapz(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
 
 @dataclass(eq=False)
 class SampledGroupPath:
-    """Matrices at theta_j = 2*pi*j/N, based at the identity."""
+    """Quaternions at theta_j = 2*pi*j/N, based at the identity."""
 
-    samples: np.ndarray  # (N + 1, 2, 2) complex
+    samples: np.ndarray  # (4, N + 1) float
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.ndim != 3 or s.shape[1:] != (2, 2) or s.shape[0] < 5:
-            raise InputError("group path needs at least 5 samples of 2x2 matrices")
-        if np.abs(s[0] - np.eye(2)).max() != 0.0:
+        s = np.asarray(self.samples, dtype=float)
+        if s.ndim != 2 or s.shape[0] != 4 or s.shape[1] < 5:
+            raise InputError("group path needs at least 5 quaternion samples, shape (4, N + 1)")
+        if np.any(s[:, 0] != IDENTITY):
             raise InputError("group path must start exactly at the identity")
-        if unitary_drift(s) > 1e-10:
+        if not unitary_drift(s) <= 1e-10:
             raise InputError("group path samples drift off the unitary group")
         object.__setattr__(self, "samples", s)
 
     @property
     def n_theta(self) -> int:
-        return self.samples.shape[0] - 1
+        return self.samples.shape[1] - 1
 
 
 @dataclass(eq=False)
 class SampledPathOfLoops:
-    """Grid f[i, j] = f(t_i, theta_j), the identity along t = 0 and theta = 0."""
+    """Grid f[:, i, j] = f(t_i, theta_j), the identity along t = 0 and theta = 0."""
 
-    grid: np.ndarray  # (Nt + 1, Ntheta + 1, 2, 2) complex
+    grid: np.ndarray  # (4, Nt + 1, Ntheta + 1) float
 
     def __post_init__(self):
-        f = np.asarray(self.grid, dtype=complex)
-        if f.ndim != 4 or f.shape[2:] != (2, 2) or min(f.shape[:2]) < 5:
-            raise InputError("loop field needs at least a 5x5 grid of 2x2 matrices")
-        if np.abs(f[0] - np.eye(2)).max() != 0.0:
+        f = np.asarray(self.grid, dtype=float)
+        if f.ndim != 3 or f.shape[0] != 4 or min(f.shape[1:]) < 5:
+            raise InputError("loop field needs at least a 5x5 grid of quaternions, "
+                             "shape (4, Nt + 1, Ntheta + 1)")
+        if np.any(f[:, 0] != IDENTITY[:, None]):
             raise InputError("loop field must be the identity at t = 0")
-        if np.abs(f[:, 0] - np.eye(2)).max() != 0.0:
+        if np.any(f[:, :, 0] != IDENTITY[:, None]):
             raise InputError("loop field must be the identity at theta = 0")
-        if unitary_drift(f) > 1e-10:
+        if not unitary_drift(f) <= 1e-10:
             raise InputError("loop field samples drift off the unitary group")
         object.__setattr__(self, "grid", f)
 
     @property
     def n_t(self) -> int:
-        return self.grid.shape[0] - 1
+        return self.grid.shape[1] - 1
 
     @property
     def n_theta(self) -> int:
-        return self.grid.shape[1] - 1
+        return self.grid.shape[2] - 1
 
 
 def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
     if a.grid.shape != b.grid.shape:
         raise InputError("grid mismatch in pointwise product")
-    return SampledPathOfLoops(unitarize(a.grid @ b.grid))
+    return SampledPathOfLoops(unitarize(_hamilton(a.grid, b.grid)))
 
 
 def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOfLoops:
-    """p f p^-1 pointwise in theta, constant in t; p must share the theta grid."""
+    """p f p^-1 pointwise in theta, constant in t; p must share the theta grid.
+
+    The scalar part is invariant and the vector part rotates, so the identity
+    boundaries stay exact."""
     if p.n_theta != f.n_theta:
         raise InputError("grid mismatch between conjugator and field")
-    q = p.samples[None, :, :, :]
-    grid = unitarize(q @ f.grid @ dagger(q))
-    # the boundaries are the identity up to roundoff; snap them exactly
-    grid[0] = np.eye(2)
-    grid[:, 0] = np.eye(2)
-    return SampledPathOfLoops(grid)
+    q = p.samples[:, None, :]
+    grid = np.concatenate([f.grid[:1], _rotate(q, f.grid[1:])])
+    return SampledPathOfLoops(unitarize(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +197,18 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 # ---------------------------------------------------------------------------
 
 def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
-    """f^-1 df/dt on the grid, projected to the traceless skew-Hermitian
-    subspace (second-order stencils)."""
+    """Coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
+    (second-order stencils)."""
     if f.n_t < 4:
         raise InputError("need at least 5 samples along t")
     h = TWO_PI / f.n_t
-    df = _diff(f.grid, axis=0, h=h)
-    return skew_project(dagger(f.grid) @ df)
+    return _vector_form(f.grid, _diff(f.grid, axis=1, h=h), -1.0)
 
 
 def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
-    """(d f / d theta) f^-1 along the last grid axis."""
-    df = _diff(f, axis=-3, h=h)
-    return skew_project(df @ dagger(f))
+    """Coordinates of (d f / d theta) f^-1 along the last axis of a
+    quaternion array (4, ..., Ntheta + 1)."""
+    return _vector_form(f, _diff(f, axis=-1, h=h), 1.0)
 
 
 def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float,
@@ -239,31 +240,24 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray,
            pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float | np.ndarray:
     """-2 * integral over theta of <xi(theta), p^-1 p'(theta)>.
 
-    xi may carry leading batch axes (e.g. one loop per t sample).
+    xi is a coordinate field (3, ..., Ntheta + 1); the middle axes are batch
+    axes (e.g. one loop per t sample).
     """
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape[-3] != p.n_theta + 1:
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1] != p.n_theta + 1:
         raise InputError("grid mismatch between 1-form argument and base path")
     h = TWO_PI / p.n_theta
-    dp = _diff(p.samples, axis=0, h=h)
-    a = skew_project(dagger(p.samples) @ dp)
+    a = _vector_form(p.samples, _diff(p.samples, axis=1, h=h), -1.0)
     integrand = pair_fields(xi, a, pairing_scale)
     value = -2.0 * _trapz(integrand, h, axis=-1)
     return float(value) if np.ndim(value) == 0 else value
 
 
-def sample_loop_matrices(xi: PolyPath, n_theta: int) -> np.ndarray:
-    """Evaluate a polynomial loop on the grid and embed it into matrices."""
-    if xi.kind != LOOP:
-        raise InputError("expected a loop")
-    u = np.linspace(0.0, 1.0, n_theta + 1)
-    return embed(xi.eval_grid(u))
-
-
 def omega_quadrature(xi: np.ndarray, eta: np.ndarray, k: float, h: float,
                      pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
-    """2k * integral of <xi, d eta / d theta> by trapezoid + stencils."""
-    deta = _diff(eta, axis=-3, h=h)
+    """2k * integral of <xi, d eta / d theta> by trapezoid + stencils, for
+    coordinate fields (3, Ntheta + 1)."""
+    deta = _diff(eta, axis=-1, h=h)
     return float(2.0 * k * _trapz(pair_fields(xi, deta, pairing_scale), h, axis=-1))
 
 
@@ -278,17 +272,17 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
     sign of the right-hand side; the refinement suite confirms the orientation
     by convergence to zero.
     """
+    if xi.kind != LOOP or eta.kind != LOOP:
+        raise InputError("expected a loop")
     n = p.n_theta
     h = TWO_PI / n
-    xi_m = sample_loop_matrices(xi, n)
-    eta_m = sample_loop_matrices(eta, n)
+    u = np.linspace(0.0, 1.0, n + 1)
+    xi_c = xi.eval_grid(u).T
+    eta_c = eta.eval_grid(u).T
     q = p.samples
-    ad_xi = q @ xi_m @ dagger(q)
-    ad_eta = q @ eta_m @ dagger(q)
-    lhs = omega_quadrature(ad_xi, ad_eta, k, h, pairing_scale) \
-        - omega_quadrature(xi_m, eta_m, k, h, pairing_scale)
-    bracket_m = sample_loop_matrices(pointwise_bracket(xi, eta), n)
-    rhs = k * beta_p(p, bracket_m, pairing_scale)
+    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), k, h, pairing_scale) \
+        - omega_quadrature(xi_c, eta_c, k, h, pairing_scale)
+    rhs = k * beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T, pairing_scale)
     return abs(lhs - rhs)
 
 
@@ -335,9 +329,9 @@ class GroupPathCoeffs:
         u = np.linspace(0.0, 1.0, n_theta + 1)
         modes = self.coeffs.shape[1]
         powers = u[:, None] ** (np.arange(modes)[None, :] + 1)
-        w = powers @ np.asarray(self.coeffs, dtype=float).T
+        w = np.asarray(self.coeffs, dtype=float) @ powers.T
         samples = exp_su2(w)
-        samples[0] = np.eye(2)
+        samples[:, 0] = IDENTITY
         return SampledGroupPath(samples)
 
 
@@ -374,10 +368,10 @@ class LoopFieldCoeffs:
         theta = np.linspace(0.0, TWO_PI, n_theta + 1)
         t_basis = s[:, None] ** (np.arange(mt)[None, :] + 1)  # (Nt+1, mt)
         th_basis = _theta_loop_basis(theta, mn)
-        v = np.einsum("kmn,im,jn->ijk", c, t_basis, th_basis)
+        v = np.einsum("kmn,im,jn->kij", c, t_basis, th_basis)
         grid = exp_su2(v)
-        grid[0] = np.eye(2)
-        grid[:, 0] = np.eye(2)
+        grid[:, 0] = IDENTITY[:, None]
+        grid[:, :, 0] = IDENTITY[:, None]
         return SampledPathOfLoops(grid)
 
 

@@ -160,17 +160,29 @@ def serialize_element(v) -> dict | list | float:
     raise TypeError(f"cannot serialize witness element of type {type(v)!r}")
 
 
+def _finite(value, what: str) -> np.ndarray:
+    """A witness's numbers enter here: real and finite, or an input error."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"witness {what} is not numeric: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InputError(f"witness {what} is not finite")
+    return arr
+
+
 def deserialize_element(doc, algebra: LieAlgebraPresentation):
     if isinstance(doc, list):
         return [deserialize_element(x, algebra) for x in doc]
     if doc["type"] == "path":
-        return PolyPath(algebra, np.asarray(doc["coeffs"]), doc["kind"])
+        return PolyPath(algebra, _finite(doc["coeffs"], "path coefficients"), doc["kind"])
     if doc["type"] == "central":
-        return CentralVector(deserialize_element(doc["loop"], algebra), doc["c"])
+        return CentralVector(deserialize_element(doc["loop"], algebra),
+                             float(_finite(doc["c"], "central term")))
     if doc["type"] == "vector":
-        return np.asarray(doc["value"], dtype=float)
+        return _finite(doc["value"], "vector")
     if doc["type"] == "real":
-        return float(doc["value"])
+        return float(_finite(doc["value"], "real"))
     if doc["type"] == "int":
         return int(doc["value"])
     if doc["type"] == "name":

@@ -121,6 +121,40 @@ def test_replay_covers_every_witness_family(tmp_path):
         assert residual == pytest.approx(witnessed[name]["max_residual"], rel=1e-12)
 
 
+def _elements(doc):
+    if isinstance(doc, list):
+        for x in doc:
+            yield from _elements(x)
+    else:
+        yield doc
+        if doc["type"] == "central":
+            yield from _elements(doc["loop"])
+
+
+def _poison(value, bad):
+    """The same nesting with its first number replaced by ``bad``."""
+    return [_poison(value[0], bad), *value[1:]] if isinstance(value, list) else bad
+
+
+@pytest.mark.parametrize("suite, element_type, key, bad", [
+    ("omega-cocycle", "path", "coeffs", math.nan), ("extended-jacobi", "central", "c", math.inf),
+    ("kappa-cocycle", "vector", "value", math.nan), ("psi-hom", "real", "value", -math.inf),
+    ("omega-cocycle", "path", "coeffs", "x")])
+def test_replay_rejects_non_finite_witness_numbers(tmp_path, capsys, suite,
+                                                   element_type, key, bad):
+    report_path = tmp_path / "forced.json"
+    main(["verify", "--suite", suite, "--tol-exact", "1e-300", "--tol-quad", "1e-300",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    inputs = doc["suites"][0]["witness"]["inputs"]
+    element = next(e for e in _elements(inputs) if e["type"] == element_type)
+    element[key] = _poison(element[key], bad)
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 2
+    assert "error: witness" in capsys.readouterr().err
+
+
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     report_path = tmp_path / "equivalence.json"
     code = main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
