@@ -74,23 +74,24 @@ class LieAlgebraPresentation:
         if np.abs(t + t.transpose(0, 2, 1)).max() > tol:
             raise InputError(f"{self.name}: form not invariant")
 
+    def _vectors(self, *args) -> list[np.ndarray]:
+        """Arguments as float arrays (..., dim); only the last axis is checked."""
+        out = [np.asarray(a, dtype=float) for a in args]
+        if any(a.shape[-1:] != (self.dim,) for a in out):
+            raise InputError(f"arguments must have length {self.dim} on the last axis")
+        return out
+
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise InputError(f"bracket arguments must have length {self.dim}")
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
+        x, y = self._vectors(x, y)
+        return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
 
-    def pair(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise InputError(f"pairing arguments must have length {self.dim}")
-        return float(x @ self.form @ y)
+    def pair(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        x, y = self._vectors(x, y)
+        return np.einsum("...i,ij,...j->...", x, self.form, y)
 
-    def nu(self, x, y, z) -> float:
+    def nu(self, x, y, z) -> float | np.ndarray:
         """Canonical 3-form B(x, [y, z])."""
-        return self.pair(np.asarray(x, dtype=float), self.bracket(y, z))
+        return self.pair(x, self.bracket(y, z))
 
     def scaled(self, form_scale: float) -> "LieAlgebraPresentation":
         """Same bracket with the invariant form multiplied by form_scale."""

@@ -14,7 +14,6 @@ hand-derived specialization of the identity is transcribed anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -26,7 +25,7 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
-    random_path,
+    projected_path,
     zero_central,
     zero_path,
 )
@@ -39,72 +38,100 @@ Graded = tuple[int, Any]
 # element spaces
 # ---------------------------------------------------------------------------
 
-class CoordSpace:
-    """R^n with the euclidean norm."""
+# trials drawn and evaluated together by random_elements; larger blocks gain
+# little speed and raise peak memory
+TRIAL_BLOCK = 25
+
+
+class _Space:
+    """A space makes its elements from ``width`` uniform numbers per trial,
+    an array (*batch, width), with ``element``."""
+
+    width: int
+
+    def random(self, rng: np.random.Generator):
+        """One element, of batch shape ()."""
+        return self.element(rng.uniform(-1.0, 1.0, self.width))
+
+
+class CoordSpace(_Space):
+    """R^n with the euclidean norm; an element is an array (*batch, n)."""
 
     def __init__(self, dim: int):
         self.dim = dim
+        self.width = dim
 
     def zero(self):
         return np.zeros(self.dim)
 
-    def norm(self, v) -> float:
-        return float(np.linalg.norm(v))
+    def norm(self, v):
+        return np.linalg.norm(v, axis=-1)
 
-    def random(self, rng: np.random.Generator):
-        return rng.uniform(-1.0, 1.0, self.dim)
+    def element(self, u: np.ndarray):
+        return u
 
 
-class RealLine:
+class RealLine(_Space):
+    """R; an element is a float or an array (*batch,)."""
+
+    width = 1
+
     def zero(self):
         return 0.0
 
-    def norm(self, v) -> float:
-        return abs(float(v))
+    def norm(self, v):
+        return np.abs(v)
 
-    def random(self, rng: np.random.Generator):
-        return float(rng.uniform(-1.0, 1.0))
+    def element(self, u: np.ndarray):
+        return u[..., 0]
 
 
-class PathSpace:
+class PathSpace(_Space):
     def __init__(self, algebra: LieAlgebraPresentation, kind: str = BASED, degree: int = 4):
         self.algebra = algebra
         self.kind = kind
         self.degree = degree
+        self.width = algebra.dim * (degree + 1)
 
     def zero(self):
         return zero_path(self.algebra, self.kind)
 
-    def norm(self, v: PolyPath) -> float:
+    def norm(self, v: PolyPath):
         return v.norm()
 
-    def random(self, rng: np.random.Generator):
-        return random_path(self.algebra, rng, self.degree, self.kind)
+    def element(self, u: np.ndarray) -> PolyPath:
+        coeffs = u.reshape(u.shape[:-1] + (self.algebra.dim, self.degree + 1))
+        return projected_path(self.algebra, coeffs, self.kind)
 
 
-class CentralSpace:
+class CentralSpace(_Space):
     def __init__(self, algebra: LieAlgebraPresentation, degree: int = 4):
-        self.algebra = algebra
-        self.degree = degree
+        self.loops = PathSpace(algebra, LOOP, degree)
+        self.width = self.loops.width + 1
 
     def zero(self):
-        return zero_central(self.algebra)
+        return zero_central(self.loops.algebra)
 
-    def norm(self, v: CentralVector) -> float:
+    def norm(self, v: CentralVector):
         return v.norm()
 
-    def random(self, rng: np.random.Generator):
-        return CentralVector(
-            random_path(self.algebra, rng, self.degree, LOOP),
-            float(rng.uniform(-1.0, 1.0)),
-        )
+    def element(self, u: np.ndarray) -> CentralVector:
+        return CentralVector(self.loops.element(u[..., :-1]), u[..., -1])
 
 
 def random_elements(rng: np.random.Generator, trials: int,
                     spaces: Sequence) -> Iterator[tuple]:
-    """One random element of each space per trial, drawn in that order."""
-    for _ in range(trials):
-        yield tuple(space.random(rng) for space in spaces)
+    """One random element of each space per trial, drawn in that order.
+
+    Trials come in blocks of ``TRIAL_BLOCK``: one ``rng.uniform`` call draws
+    a whole block, trial after trial and within a trial space after space, so
+    the numbers are those of drawing each element on its own.  Each yielded
+    tuple holds one batched element per space."""
+    edges = np.cumsum([space.width for space in spaces])
+    for start in range(0, trials, TRIAL_BLOCK):
+        u = rng.uniform(-1.0, 1.0, (min(TRIAL_BLOCK, trials - start), edges[-1]))
+        yield tuple(space.element(np.ascontiguousarray(cols)) for space, cols
+                    in zip(spaces, np.split(u, edges[:-1], axis=1)))
 
 
 def relative(residual_norm: float, input_norms: Sequence[float]) -> float:
@@ -231,11 +258,14 @@ def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
 
 def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator, trials: int,
                    max_n: int = 4) -> Iterator[list[Graded]]:
-    """Random graded inputs of every signature, trial after trial."""
+    """Random graded inputs of every signature, one block of trials at a time;
+    within a trial the elements are drawn signature after signature."""
     signatures = all_signatures(max_n)
-    for _ in range(trials):
+    slots = [L.space(d) for sig in signatures for d in sig]
+    for block in random_elements(rng, trials, slots):
+        elements = iter(block)
         for sig in signatures:
-            yield [(d, L.space(d).random(rng)) for d in sig]
+            yield [(d, next(elements)) for d in sig]
 
 
 def jacobi_sweep(
@@ -244,10 +274,11 @@ def jacobi_sweep(
     trials: int,
     max_n: int = 4,
 ) -> tuple[float, list[Graded] | None]:
-    """Max relative Jacobi residual over random trials of every signature."""
+    """Max relative Jacobi residual over random trials of every signature,
+    with the inputs of the trial that holds it."""
     worst = worst_case(jacobi_samples(L, rng, trials, max_n),
                        lambda inputs: {"jacobi": generalized_jacobi_residual(L, inputs)})
-    return worst.max_residual, worst.inputs
+    return worst.max_residual, worst.witness
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +466,13 @@ def categorical_view_check(L: TwoTermLInfinity, rng: np.random.Generator,
         return (L.l2_00(z, m[0]), L.l2_01(z, m[1]))
 
     def mor_norm(m):
-        return math.hypot(s0.norm(m[0]), s1.norm(m[1]))
+        return np.hypot(s0.norm(m[0]), s1.norm(m[1]))
 
     def mor_sub(a, b):
         return (a[0] - b[0], a[1] - b[1])
 
     worst = WorstCase()
-    for _ in range(trials):
-        x = s0.random(rng)
-        z = s0.random(rng)
-        fv, gv, hv = (s1.random(rng) for _ in range(3))
+    for x, z, fv, gv, hv in random_elements(rng, trials, (s0, s0, s1, s1, s1)):
         f = (x, fv)
         g = (tgt(f), gv)
         k = (tgt(g), hv)

@@ -140,13 +140,13 @@ def make_psi(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING, *,
     f_minus_f2[: len(f)] += f
 
     def psi0(x) -> PolyPath:
-        return PolyPath(g, np.outer(x, f), BASED)
+        return PolyPath(g, np.asarray(x)[..., :, None] * f, BASED)
 
     def psi1(c: float) -> CentralVector:
         return CentralVector(zero_path(g, LOOP), c)
 
     def psi2(x1, x2) -> CentralVector:
-        loop = PolyPath(g, np.outer(g.bracket(x1, x2), f_minus_f2), LOOP)
+        loop = PolyPath(g, g.bracket(x1, x2)[..., :, None] * f_minus_f2, LOOP)
         return CentralVector(loop, 0.0)
 
     return LInftyHom(gk, pkg, psi0, psi1, psi2, name="splitting")
@@ -181,10 +181,9 @@ def make_tau(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING, *,
     psi = psi if psi is not None else make_psi(g, k, f, gk=phi.dst, pkg=pkg, degree=degree)
 
     def tau(p: PolyPath) -> CentralVector:
-        d = max(p.degree, len(f) - 1)
-        c = np.zeros((g.dim, d + 1))
-        c[:, : p.degree + 1] += p.coeffs
-        c[:, : len(f)] -= np.outer(p.endpoint(), f)
+        c = np.zeros(p.coeffs.shape[:-1] + (max(p.degree + 1, len(f)),))
+        c[..., : p.degree + 1] += p.coeffs
+        c[..., : len(f)] -= p.endpoint()[..., :, None] * f
         return CentralVector(PolyPath(g, c, LOOP), 0.0)
 
     return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau,

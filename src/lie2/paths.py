@@ -1,10 +1,15 @@
 """Exact polynomial model of based paths and loops on [0, 2*pi].
 
 A path is a coefficient matrix over the rescaled variable u = theta / (2*pi),
-coordinate i being sum_d coeffs[i, d] * u**d.  All factors of 2*pi live in the
-derivative (1 / 2*pi) and the definite integral (* 2*pi); products and
+coordinate i being sum_d coeffs[..., i, d] * u**d.  All factors of 2*pi live in
+the derivative (1 / 2*pi) and the definite integral (* 2*pi); products and
 brackets grow the degree and are never truncated, so every algebraic identity
 below holds to floating-point roundoff.
+
+Every carrier has leading trial axes: ``PolyPath.coeffs`` is
+``(*batch, dim, degree + 1)`` and ``CentralVector.c`` is a float or
+``(*batch,)``.  One element is batch shape ``()``; operations broadcast over
+the batch, and whatever they return per trial (pairings, norms) has its shape.
 """
 
 from __future__ import annotations
@@ -32,56 +37,72 @@ def _join_kind(a: str, b: str) -> str:
 
 
 def _off_zero(values: np.ndarray, coeffs: np.ndarray) -> bool:
-    """Whether endpoint values exceed roundoff relative to the coefficients:
-    1e-12 * max(1, max|coeffs|), the second bound only computed when needed."""
-    err = np.abs(values).max(initial=0.0)
-    return err > 1e-12 and err > 1e-12 * np.abs(coeffs).max()
+    """Whether the endpoint values (*batch, dim) of some trial exceed roundoff
+    relative to its coefficients, 1e-12 * max(1, max|coeffs|), or are NaN.
+    The relative bound is only computed when the absolute one fails."""
+    err = np.abs(values).max(axis=-1)
+    if (err <= 1e-12).all():
+        return False
+    scale = np.abs(coeffs).max(axis=(-2, -1))
+    return not (err <= 1e-12 * np.maximum(scale, 1.0)).all()
+
+
+def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """Coefficients zero-padded along the last axis to ``width`` terms."""
+    if coeffs.shape[-1] == width:
+        return coeffs
+    out = np.zeros(coeffs.shape[:-1] + (width,))
+    out[..., : coeffs.shape[-1]] = coeffs
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PolyPath:
     algebra: LieAlgebraPresentation
-    coeffs: np.ndarray  # (dim, degree + 1)
+    coeffs: np.ndarray  # (*batch, dim, degree + 1)
     kind: str = FREE
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        if coeffs.shape[0] != self.algebra.dim:
+        if coeffs.shape[-2] != self.algebra.dim:
             raise InputError(
-                f"path has {coeffs.shape[0]} coordinates, algebra has {self.algebra.dim}"
+                f"path has {coeffs.shape[-2]} coordinates, algebra has {self.algebra.dim}"
             )
         object.__setattr__(self, "coeffs", coeffs)
         if self.kind not in (BASED, LOOP, FREE):
             raise InputError(f"unknown path kind {self.kind!r}")
-        if self.kind in (BASED, LOOP) and _off_zero(coeffs[:, 0], coeffs):
+        if self.kind in (BASED, LOOP) and _off_zero(coeffs[..., 0], coeffs):
             raise InputError("based path must vanish at theta = 0")
-        if self.kind == LOOP and _off_zero(coeffs.sum(axis=1), coeffs):
+        if self.kind == LOOP and _off_zero(coeffs.sum(axis=-1), coeffs):
             raise InputError("loop must vanish at theta = 2*pi")
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.coeffs.shape[-1] - 1
+
+    def __getitem__(self, index) -> "PolyPath":
+        """The trials selected by indexing the batch axes."""
+        return PolyPath(self.algebra, self.coeffs[index], self.kind)
 
     def eval(self, u: float) -> np.ndarray:
-        powers = u ** np.arange(self.coeffs.shape[1])
+        powers = u ** np.arange(self.coeffs.shape[-1])
         return self.coeffs @ powers
 
     def eval_grid(self, u: np.ndarray) -> np.ndarray:
-        """Values at many u's at once, shape (len(u), dim)."""
-        powers = np.asarray(u)[:, None] ** np.arange(self.coeffs.shape[1])[None, :]
-        return powers @ self.coeffs.T
+        """Values at many u's at once, shape (*batch, len(u), dim)."""
+        powers = np.asarray(u)[:, None] ** np.arange(self.coeffs.shape[-1])[None, :]
+        return powers @ np.swapaxes(self.coeffs, -1, -2)
 
     def endpoint(self) -> np.ndarray:
-        return self.coeffs.sum(axis=1)
+        return self.coeffs.sum(axis=-1)
 
     def __add__(self, other: "PolyPath") -> "PolyPath":
         if other.algebra != self.algebra:
             raise InputError("path addition across different algebras")
-        d = max(self.degree, other.degree)
-        c = np.zeros((self.algebra.dim, d + 1))
-        c[:, : self.degree + 1] += self.coeffs
-        c[:, : other.degree + 1] += other.coeffs
-        return PolyPath(self.algebra, c, _join_kind(self.kind, other.kind))
+        width = max(self.degree, other.degree) + 1
+        return PolyPath(self.algebra,
+                        _padded(self.coeffs, width) + _padded(other.coeffs, width),
+                        _join_kind(self.kind, other.kind))
 
     def __neg__(self) -> "PolyPath":
         return PolyPath(self.algebra, -self.coeffs, self.kind)
@@ -94,15 +115,15 @@ class PolyPath:
 
     __rmul__ = __mul__
 
-    def l2_norm_sq(self) -> float:
+    def l2_norm_sq(self) -> float | np.ndarray:
         """Integral over u in [0,1] of |p(u)|^2 (coordinate-wise squares)."""
         d = self.degree
         hilbert = 1.0 / (np.arange(d + 1)[:, None] + np.arange(d + 1)[None, :] + 1.0)
-        val = float(np.einsum("ia,ab,ib->", self.coeffs, hilbert, self.coeffs))
-        return max(val, 0.0)
+        val = np.einsum("...ia,ab,...ib->...", self.coeffs, hilbert, self.coeffs)
+        return np.maximum(val, 0.0)
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.l2_norm_sq()))
+    def norm(self) -> float | np.ndarray:
+        return np.sqrt(self.l2_norm_sq())
 
 
 def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
@@ -112,9 +133,22 @@ def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
 def derivative(p: PolyPath) -> PolyPath:
     """d/d theta: differentiate in u and divide by 2*pi.  No endpoint guarantees."""
     if p.degree == 0:
-        return PolyPath(p.algebra, np.zeros((p.algebra.dim, 1)), FREE)
-    c = p.coeffs[:, 1:] * np.arange(1, p.degree + 1)[None, :] / TWO_PI
+        return PolyPath(p.algebra, np.zeros_like(p.coeffs), FREE)
+    c = p.coeffs[..., 1:] * np.arange(1, p.degree + 1) / TWO_PI
     return PolyPath(p.algebra, c, FREE)
+
+
+def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
+    """out[..., s] = sum over a + b = s of t[..., a, b].
+
+    Each row a is padded with m zeros and the rows are re-cut at width
+    n + m - 1, which shifts row a right by a; summing the rows then adds
+    along the anti-diagonals."""
+    m, n = t.shape[-2:]
+    padded = np.zeros(t.shape[:-1] + (n + m,))
+    padded[..., :n] = t
+    flat = padded.reshape(t.shape[:-2] + (m * (n + m),))[..., : m * (n + m - 1)]
+    return flat.reshape(t.shape[:-2] + (m, n + m - 1)).sum(axis=-2)
 
 
 def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
@@ -122,27 +156,22 @@ def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     if p.algebra != q.algebra:
         raise InputError("pointwise bracket across different algebras")
     g = p.algebra
-    # contract q with the structure tensor first, then convolve coordinates
-    t = np.einsum("ijk,jb->ikb", g.structure, q.coeffs)
-    out = np.zeros((g.dim, p.degree + q.degree + 1))
-    for i in range(g.dim):
-        for k in range(g.dim):
-            if np.any(t[i, k]):
-                out[k] += np.convolve(p.coeffs[i], t[i, k])
+    # products of every coefficient pair, then collected by total degree
+    terms = np.einsum("ijk,...ia,...jb->...kab", g.structure, p.coeffs, q.coeffs)
     if p.kind in (BASED, LOOP) and q.kind in (BASED, LOOP):
         kind = LOOP if LOOP in (p.kind, q.kind) else BASED
     else:
         kind = FREE
-    return PolyPath(g, out, kind)
+    return PolyPath(g, _antidiagonal_sums(terms), kind)
 
 
-def integral_pairing(p: PolyPath, q: PolyPath) -> float:
+def integral_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     """Exact integral over [0, 2*pi] of B(p(theta), q(theta))."""
     if p.algebra != q.algebra:
         raise InputError("integral pairing across different algebras")
     dp, dq = p.degree, q.degree
     moments = TWO_PI / (np.arange(dp + 1)[:, None] + np.arange(dq + 1)[None, :] + 1.0)
-    return float(np.einsum("ia,ij,jb,ab->", p.coeffs, p.algebra.form, q.coeffs, moments))
+    return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, q.coeffs, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +221,18 @@ def universal_integral(f) -> float:
     return float((integrand / (np.arange(len(integrand)) + 1.0)).sum())
 
 
+def projected_path(algebra: LieAlgebraPresentation, coeffs: np.ndarray,
+                   kind: str = BASED) -> PolyPath:
+    """A path of the given kind from free coefficients (*batch, dim, degree + 1):
+    the constant term is zeroed for based paths, and a loop's linear term
+    absorbs its value at theta = 2*pi.  ``coeffs`` is changed in place."""
+    if kind in (BASED, LOOP):
+        coeffs[..., 0] = 0.0
+    if kind == LOOP:
+        coeffs[..., 1] -= coeffs.sum(axis=-1)
+    return PolyPath(algebra, coeffs, kind)
+
+
 def random_path(
     algebra: LieAlgebraPresentation,
     rng: np.random.Generator,
@@ -199,12 +240,8 @@ def random_path(
     kind: str = BASED,
 ) -> PolyPath:
     """Coefficients iid uniform on [-1, 1], projected to the endpoint constraints."""
-    c = rng.uniform(-1.0, 1.0, size=(algebra.dim, degree + 1))
-    if kind in (BASED, LOOP):
-        c[:, 0] = 0.0
-    if kind == LOOP:
-        c[:, 1] -= c.sum(axis=1)
-    return PolyPath(algebra, c, kind)
+    return projected_path(algebra, rng.uniform(-1.0, 1.0, size=(algebra.dim, degree + 1)),
+                          kind)
 
 
 def random_splitting(rng: np.random.Generator, degree: int) -> np.ndarray:
@@ -221,15 +258,19 @@ def random_splitting(rng: np.random.Generator, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CentralVector:
-    """A loop together with a central coordinate."""
+    """A loop together with a central coordinate, per trial."""
 
     loop: PolyPath
-    c: float
+    c: float | np.ndarray  # a float or (*batch,)
 
     def __post_init__(self):
         if self.loop.kind != LOOP:
             raise InputError("central vector requires a loop component")
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=float)[()])
+
+    def __getitem__(self, index) -> "CentralVector":
+        """The trials selected by indexing the batch axes."""
+        return CentralVector(self.loop[index], self.c[index])
 
     def __add__(self, other: "CentralVector") -> "CentralVector":
         return CentralVector(self.loop + other.loop, self.c + other.c)
@@ -245,8 +286,8 @@ class CentralVector:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return float(np.hypot(self.loop.norm(), self.c))
+    def norm(self) -> float | np.ndarray:
+        return np.hypot(self.loop.norm(), self.c)
 
 
 def zero_central(algebra: LieAlgebraPresentation) -> CentralVector:

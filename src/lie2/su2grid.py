@@ -216,24 +216,39 @@ def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float,
     """exp(2ik * double integral of <f^-1 df/dt, (dg/dtheta) g^-1>)."""
     if f.grid.shape != g.grid.shape:
         raise InputError("grid mismatch in cocycle evaluation")
-    ht = TWO_PI / f.n_t
-    htheta = TWO_PI / f.n_theta
-    a = maurer_cartan_t(f)
-    c = maurer_cartan_theta_right(g.grid, htheta)
-    integrand = pair_fields(a, c, pairing_scale)
-    total = _trapz(_trapz(integrand, htheta, axis=1), ht, axis=0)
+    return _kappa(maurer_cartan_t(f), _mc_theta(g), k, pairing_scale)
+
+
+def _mc_theta(g: SampledPathOfLoops) -> np.ndarray:
+    return maurer_cartan_theta_right(g.grid, TWO_PI / g.n_theta)
+
+
+def _kappa(mc_t: np.ndarray, mc_theta: np.ndarray, k: float,
+           pairing_scale: float) -> complex:
+    """kappa from the t-form of its first and the theta-form of its second
+    argument, both (3, Nt + 1, Ntheta + 1)."""
+    n_t, n_theta = mc_t.shape[1] - 1, mc_t.shape[2] - 1
+    integrand = pair_fields(mc_t, mc_theta, pairing_scale)
+    total = _trapz(_trapz(integrand, TWO_PI / n_theta, axis=1), TWO_PI / n_t, axis=0)
     return complex(np.exp(2.0j * k * total))
 
 
 def kappa_cocycle_residual(f: SampledPathOfLoops, g: SampledPathOfLoops,
                            h: SampledPathOfLoops, k: float,
                            pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
-    """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|."""
-    fg = product_field(f, g)
-    gh = product_field(g, h)
-    lhs = kappa(f, g, k, pairing_scale) * kappa(fg, h, k, pairing_scale)
-    rhs = kappa(g, h, k, pairing_scale) * kappa(f, gh, k, pairing_scale)
-    return abs(lhs - rhs)
+    """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|.
+
+    The forms of f and h appear twice and are computed once; each is dropped,
+    like the products fg and gh, as soon as its last factor is known, so few
+    grids are alive at a time."""
+    mc_h = _mc_theta(h)
+    kappa_fg_h = _kappa(maurer_cartan_t(product_field(f, g)), mc_h, k, pairing_scale)
+    kappa_g_h = _kappa(maurer_cartan_t(g), mc_h, k, pairing_scale)
+    del mc_h
+    mc_f = maurer_cartan_t(f)
+    kappa_f_g = _kappa(mc_f, _mc_theta(g), k, pairing_scale)
+    kappa_f_gh = _kappa(mc_f, _mc_theta(product_field(g, h)), k, pairing_scale)
+    return abs(kappa_f_g * kappa_fg_h - kappa_g_h * kappa_f_gh)
 
 
 def beta_p(p: SampledGroupPath, xi: np.ndarray,
@@ -304,14 +319,17 @@ def kappa_conjugation_identity_residual(
     if f1.grid.shape != f2.grid.shape:
         raise InputError("grid mismatch between the two loop fields")
     ht = TWO_PI / f1.n_t
-    f12 = product_field(f1, f2)
+    mc_f1 = maurer_cartan_t(f1)  # in kappa(f1, f2) and in the correction
+    kappa_f1_f2 = _kappa(mc_f1, _mc_theta(f2), k, pairing_scale)
+    beta_f1 = beta_p(p, mc_f1, pairing_scale)
+    del mc_f1
     lhs = kappa(conjugate_field(p, f1), conjugate_field(p, f2), k, pairing_scale)
     correction = (
-        beta_p(p, maurer_cartan_t(f12), pairing_scale)
-        - beta_p(p, maurer_cartan_t(f1), pairing_scale)
+        beta_p(p, maurer_cartan_t(product_field(f1, f2)), pairing_scale)
+        - beta_f1
         - beta_p(p, maurer_cartan_t(f2), pairing_scale)
     )
-    rhs = kappa(f1, f2, k, pairing_scale) * np.exp(1.0j * k * _trapz(correction, ht))
+    rhs = kappa_f1_f2 * np.exp(1.0j * k * _trapz(correction, ht))
     return abs(lhs - complex(rhs))
 
 

@@ -1,11 +1,12 @@
 """Named verification suites, deterministic configuration, and reports.
 
 Each suite is stated once, as a ``SuiteSpec``: ``sample`` yields the inputs of
-one trial at a time and ``evaluate`` maps them to ``{component: residual}``.
-One generic runner, ``_drive``, folds every suite's trials through
-``WorstCase``, so any NaN residual fails the suite; it writes the witness of a
-failing suite as ``{"component", "inputs"}``, and replay evaluates the
-recorded inputs again.
+one block of trials at a time and ``evaluate`` maps them to
+``{component: residual}``, one residual per trial of the block.  One generic
+runner, ``_drive``, folds every suite's blocks through ``WorstCase``, so any
+NaN residual fails the suite; it writes the witness of a failing suite as
+``{"component", "inputs"}`` holding the one trial with the maximum, and replay
+evaluates those inputs again, as a block of shape ().
 
 Every suite draws from its own generator seeded by (config.seed, ordinal), so
 a report depends only on the configuration, never on execution order.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
@@ -32,6 +33,7 @@ from .linfty import (
     hom_residuals_once,
     hom_samples,
     jacobi_samples,
+    jacobi_sweep,
     random_elements,
     two_hom_residuals_once,
     two_hom_samples,
@@ -51,6 +53,8 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
+    integral_pairing,
+    pointwise_bracket,
     random_path,
     validate_splitting,
 )
@@ -146,7 +150,7 @@ def serialize_element(v) -> dict | list | float:
     if isinstance(v, PolyPath):
         return {"type": "path", "kind": v.kind, "coeffs": v.coeffs.tolist()}
     if isinstance(v, CentralVector):
-        return {"type": "central", "loop": serialize_element(v.loop), "c": v.c}
+        return {"type": "central", "loop": serialize_element(v.loop), "c": float(v.c)}
     if isinstance(v, np.ndarray):
         return {"type": "vector", "value": v.tolist()}
     if isinstance(v, (float, np.floating)):
@@ -201,12 +205,15 @@ NOTES = "details"  # evaluate's entry for report details that are not residuals
 class SuiteSpec:
     """One suite, stated once.
 
-    ``sample(config, rng)`` yields the inputs of one trial at a time;
-    ``evaluate(config, inputs)`` returns ``{component: residual}`` and may add
-    report details under ``NOTES``.  The optional ``control(config, rng)``
-    runs after the trials on the same generator and returns
-    ``(details, ok)``; a false ``ok`` fails the suite.  The reported trial
-    count is the number of samples unless ``trials(config)`` says otherwise.
+    ``sample(config, rng)`` yields the inputs of one block of trials at a
+    time (the polynomial suites draw ``linfty.TRIAL_BLOCK`` trials per block,
+    the others one); ``evaluate(config, inputs)`` returns
+    ``{component: residual}``, each residual an array over the block or a
+    number, and may add report details under ``NOTES``.  The optional
+    ``control(config, rng)`` runs after the trials on the same generator and
+    returns ``(details, ok)``; a false ``ok`` fails the suite.  The reported
+    trial count is the number of trials folded unless ``trials(config)`` says
+    otherwise.
     ``runner`` is ``_drive`` bound to this spec.
     """
 
@@ -228,8 +235,9 @@ class SuiteSpec:
 
 
 def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    """Stream the trials through one ``WorstCase``; a suite that checks more
-    than one component reports the maximum of each in its details."""
+    """Stream the blocks through one ``WorstCase``; a suite that checks more
+    than one component reports the maximum of each in its details.  Only a
+    failing suite slices its witness trial out of the block."""
     worst, notes = WorstCase(), {}
     for inputs in spec.sample(config, rng):
         residuals = spec.evaluate(config, inputs)
@@ -246,7 +254,7 @@ def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> Suit
         tolerance=tolerance,
         passed=within and bool(control_ok),
         witness=None if within else {"component": worst.component,
-                                     "inputs": serialize_element(worst.inputs)},
+                                     "inputs": serialize_element(worst.witness)},
         details=(worst.maxima if len(worst.maxima) > 1 else {}) | notes | extra,
     )
 
@@ -266,6 +274,23 @@ def _jacobi_sample(model: str, config, rng):
 
 def _jacobi_evaluate(model: str, config, inputs):
     return {"jacobi": generalized_jacobi_residual(getattr(config.models, model), inputs)}
+
+
+def _pkg_control(config, rng):
+    """The path model whose twisted action drops the derivative,
+    ([p, l], 2k integral B(p, l)), must fail the Jacobi identity.  (Dropping
+    the central term instead would not: every twist 2k' integral B(p, l') is
+    itself a valid action.)"""
+    pkg, k = config.models.pkg, config.k
+
+    def act(p, v):
+        return CentralVector(pointwise_bracket(p, v.loop),
+                             2.0 * k * integral_pairing(p, v.loop))
+
+    mutant = replace(pkg, l2_01=act, name=f"{pkg.name}[no derivative]")
+    residual = jacobi_sweep(mutant, rng, min(config.trials, 50))[0]
+    return ({"mutation_residual": residual, "mutation_floor": MUTATION_FLOOR},
+            residual > MUTATION_FLOOR)
 
 
 def _hom_sample(hom: str, config, rng):
@@ -515,7 +540,7 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "encode that the twisted action of based paths on centrally extended "
         "loops is an action by derivations.",
         partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
-        trials=attrgetter("trials")),
+        control=_pkg_control, trials=attrgetter("trials")),
     SuiteSpec(
         "phi-hom", 2,
         "coherence of the endpoint homomorphism: d(phi2(x,y)) = phi0(l2(x,y)) "

@@ -1,0 +1,180 @@
+"""The trial axis of the polynomial carriers: block draws equal per-trial
+draws, a trial evaluated alone equals its row of the block bit for bit, and
+the block fold keeps the first trial holding the maximum."""
+
+import math
+
+import numpy as np
+import pytest
+
+from lie2.linfty import (
+    TRIAL_BLOCK,
+    CentralSpace,
+    CoordSpace,
+    PathSpace,
+    RealLine,
+    hom_samples,
+    jacobi_samples,
+    two_hom_samples,
+)
+from lie2.models import build_models, equivalence_samples
+from lie2.paths import LOOP, CentralVector, PolyPath, pointwise_bracket, random_path
+from lie2.suites import REGISTRY, RunConfig
+from lie2.worstcase import WorstCase, largest, trial
+
+POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
+                     "tau-2hom", "equivalence", "omega-cocycle", "extended-jacobi",
+                     "dalpha-action")
+TRIALS = TRIAL_BLOCK + 5  # a full block and a partial one
+
+
+def draw(space, rng):
+    """One element drawn on its own, as the per-trial samplers drew it."""
+    if isinstance(space, CoordSpace):
+        return rng.uniform(-1.0, 1.0, space.dim)
+    if isinstance(space, RealLine):
+        return float(rng.uniform(-1.0, 1.0))
+    if isinstance(space, CentralSpace):
+        return (draw(space.loops, rng), float(rng.uniform(-1.0, 1.0)))
+    c = rng.uniform(-1.0, 1.0, size=(space.algebra.dim, space.degree + 1))
+    c[:, 0] = 0.0
+    if space.kind == LOOP:
+        c[:, 1] -= c.sum(axis=1)
+    return c
+
+
+def numbers(element):
+    """The arrays an element is made of, for exact comparison."""
+    if isinstance(element, PolyPath):
+        return [element.coeffs]
+    if isinstance(element, CentralVector):
+        return [element.loop.coeffs, np.asarray(element.c)]
+    if isinstance(element, tuple):
+        return [np.asarray(x) for x in element]
+    return [np.asarray(element)]
+
+
+def assert_block_matches(blocks, spaces_of, rng):
+    """Every trial of every block equals the elements drawn one at a time."""
+    trials = 0
+    for block in blocks:
+        elements = [x for x in block if not isinstance(x, str)]
+        rows = len(numbers(elements[0])[0])
+        for r in range(rows):
+            for space, element in zip(spaces_of(block), elements):
+                for got, want in zip(numbers(element[r]), numbers(draw(space, rng))):
+                    assert np.array_equal(got, want)
+        trials += rows
+    return trials
+
+
+@pytest.fixture
+def bundle(g):
+    return build_models(g, 1.0, np.array([0.0, 0.0, 3.0, -2.0]))
+
+
+def test_jacobi_block_draws_equal_per_trial_draws(bundle):
+    for L in (bundle.gk, bundle.pkg):
+        samples = jacobi_samples(L, np.random.default_rng(1), TRIALS)
+        reference = np.random.default_rng(1)
+        trials = 0
+        for block_start in range(0, TRIALS, TRIAL_BLOCK):
+            # one block: every signature, trial after trial
+            block = [next(samples) for _ in range(30)]
+            rows = min(TRIAL_BLOCK, TRIALS - block_start)
+            for r in range(rows):
+                for inputs in block:
+                    for d, element in inputs:
+                        for got, want in zip(numbers(element[r]),
+                                             numbers(draw(L.space(d), reference))):
+                            assert np.array_equal(got, want)
+            trials += rows
+        assert trials == TRIALS and next(samples, None) is None
+
+
+@pytest.mark.parametrize("hom", ["phi", "psi", "lam"])
+def test_hom_block_draws_equal_per_trial_draws(bundle, hom):
+    src = getattr(bundle, hom).src
+    spaces = (src.space0, src.space0, src.space0, src.space1)
+    rng, reference = np.random.default_rng(2), np.random.default_rng(2)
+    blocks = hom_samples(getattr(bundle, hom), rng, TRIALS)
+    assert assert_block_matches(blocks, lambda b: spaces, reference) == TRIALS
+    assert rng.uniform() == reference.uniform()
+
+
+def test_two_hom_and_equivalence_block_draws_equal_per_trial_draws(bundle):
+    src = bundle.tau.from_hom.src
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    blocks = two_hom_samples(bundle.tau, rng, TRIALS)
+    assert assert_block_matches(blocks, lambda b: (src.space0, src.space0, src.space1),
+                                reference) == TRIALS
+    structures = {"round_trip_identity": bundle.gk, "retraction": bundle.pkg,
+                  "trivializer": bundle.trivializer.from_hom.src}
+
+    def spaces(block):
+        L = structures[block[0]]
+        return (L.space0, L.space0, L.space1)
+
+    blocks = equivalence_samples(bundle, rng, TRIALS)
+    assert assert_block_matches(blocks, spaces, reference) == 3 * TRIALS
+    assert rng.uniform() == reference.uniform()
+
+
+def test_dalpha_block_draws_equal_per_trial_draws():
+    config = RunConfig(trials=TRIALS)
+    pkg, el = config.models.pkg, config.models.el
+    spaces = (pkg.space0, pkg.space0, el.space0, pkg.space1, pkg.space1)
+    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+    blocks = REGISTRY["dalpha-action"].sample(config, rng)
+    assert assert_block_matches(blocks, lambda b: spaces, reference) == TRIALS
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_SUITES)
+def test_a_trial_alone_equals_its_row_of_the_block(name):
+    # replay evaluates a witness trial alone and must reproduce its residual
+    config = RunConfig(k=-1.0, splitting="0,0,3,-2", trials=TRIAL_BLOCK)
+    spec = REGISTRY[name]
+    checked = 0
+    for inputs in spec.sample(config, np.random.default_rng(5)):
+        residuals = spec.evaluate(config, inputs)
+        if np.broadcast_shapes(*map(np.shape, residuals.values())) == ():
+            continue  # unbatched (splitting functions) or zero by degree
+        for r in range(TRIAL_BLOCK):
+            alone = spec.evaluate(config, trial(inputs, r))
+            for component, value in residuals.items():
+                assert np.shape(alone[component]) == ()
+                assert np.broadcast_to(value, (TRIAL_BLOCK,))[r] == alone[component]
+                checked += 1
+    assert checked >= TRIAL_BLOCK
+
+
+def test_bracket_of_a_batch_broadcasts_against_one_path(g, rng):
+    block = PathSpace(g, LOOP, 4).element(rng.uniform(-1, 1, (7, 15)))
+    one = random_path(g, rng, 3)
+    out = pointwise_bracket(block, one)
+    assert out.coeffs.shape == (7, 3, 8) and out.kind == LOOP
+    for r in range(7):
+        assert np.array_equal(out.coeffs[r], pointwise_bracket(block[r], one).coeffs)
+
+
+def test_worst_case_keeps_the_first_trial_and_counts_trials():
+    worst = WorstCase()
+    worst.add({"a": np.array([0.1, 0.3, 0.3]), "b": 0.2}, "first")
+    assert (worst.max_residual, worst.component, worst.row, worst.count) == (0.3, "a", 1, 3)
+    worst.add({"a": np.array([0.3, 0.0]), "b": np.array([0.0, 0.3])}, "tie")
+    assert (worst.inputs, worst.row) == ("first", 1)
+    block = (np.array([[1.0, 2.0], [3.0, 4.0]]), "law")
+    worst.add({"a": np.array([0.5, math.nan]), "b": np.array([math.nan, 0.0])}, block)
+    assert (worst.inputs, worst.row, worst.component) == (block, 0, "b")
+    assert math.isnan(worst.maxima["a"]) and math.isnan(worst.maxima["b"])
+    worst.add({"a": 7.0, "b": math.nan}, "later")
+    assert worst.inputs is block and worst.count == 8
+    vector, law = worst.witness
+    assert vector.tolist() == [1.0, 2.0] and law == "law"
+
+
+def test_largest_is_element_wise_and_keeps_nan():
+    out = largest(np.array([1.0, 2.0, 0.0]), np.array([3.0, math.nan, -1.0]), 0.5)
+    assert out[0] == 3.0 and math.isnan(out[1]) and out[2] == 0.5
+    assert math.isnan(largest(0.0, math.nan))
+

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from lie2 import kacmoody
+from lie2 import kacmoody, suites
 from lie2.cli import main
 from lie2.liealg import InputError
 from lie2.suites import (
@@ -169,18 +170,31 @@ def test_equivalence_failure_records_a_replayable_witness(tmp_path):
 
 def test_nan_residual_fails_the_suite_and_is_the_witness(monkeypatch):
     finite = kacmoody.omega_cocycle_residual
-    calls = []
+    blocks = []
 
-    def third_is_nan(*args):
-        calls.append(args)
-        return math.nan if len(calls) == 3 else finite(*args)
+    def row_two_is_nan(*args):
+        blocks.append(args)
+        residuals = np.array(finite(*args))
+        residuals[2] = math.nan
+        return residuals
 
-    monkeypatch.setattr(kacmoody, "omega_cocycle_residual", third_is_nan)
+    monkeypatch.setattr(kacmoody, "omega_cocycle_residual", row_two_is_nan)
     entry = run(RunConfig(trials=5, suites=("omega-cocycle",)))["suites"][0]
+    assert len(blocks) == 1
     assert entry["passed"] is False
     assert math.isnan(entry["max_residual"])
     assert ([c["coeffs"] for c in entry["witness"]["inputs"]]
-            == [p.coeffs.tolist() for p in calls[2][:3]])
+            == [p.coeffs[2].tolist() for p in blocks[0][:3]])
+
+
+def test_pkg_jacobi_fails_when_its_control_cannot(monkeypatch):
+    # the derivative-dropping mutant of the twisted action must fail
+    config = RunConfig(trials=10, suites=("pkg-jacobi",))
+    details = run(config)["suites"][0]["details"]
+    assert details["mutation_residual"] > details["mutation_floor"]
+    monkeypatch.setattr(suites, "jacobi_sweep", lambda *args: (0.0, None))
+    entry = run(config)["suites"][0]
+    assert entry["passed"] is False and entry["max_residual"] <= entry["tolerance"]
 
 
 def test_replay_report_without_witnesses(tmp_path, capsys):

@@ -155,6 +155,15 @@ def test_constructor_rejects_violations(g):
         PolyPath(g, np.ones((2, 2)), FREE)  # wrong coordinate count
 
 
+def test_constructor_rejects_nan_endpoints(g):
+    with pytest.raises(InputError):
+        PolyPath(g, np.full((3, 3), np.nan), LOOP)
+    block = np.zeros((4, 3, 3))
+    block[2, 1, 0] = np.nan  # one trial of a block of based paths
+    with pytest.raises(InputError):
+        PolyPath(g, block, BASED)
+
+
 def test_endpoint_check_is_relative_to_scale(g, rng):
     # roundoff in the endpoint of a bracket grows with the coefficients
     p, q = (100.0 * random_path(g, rng, 8, LOOP) for _ in range(2))
