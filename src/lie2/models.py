@@ -8,7 +8,7 @@ centrally extended loops).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -302,26 +302,26 @@ def equivalence_report(bundle: ModelBundle, rng: np.random.Generator,
 # exactness at finite polynomial degree
 # ---------------------------------------------------------------------------
 
-def _fraction_rank(matrix: list[list[Fraction]]) -> int:
-    """Row reduction over exact rationals."""
+def _integer_rank(matrix: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix by fraction-free (Bareiss) elimination.
+    Entries below the k-th pivot are (k+1)-minors of the input up to a sign per
+    row, so every division is exact; a row with 0 in the pivot column is only
+    scaled by p / prev, and is left alone when that is +1 or -1."""
     m = [row[:] for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1, 1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top, p = m[rank][col:], m[rank][col]
+        rescale = abs(p) != abs(prev)
+        for r in range(rank + 1, len(m)):
+            a = m[r][col]
+            if a or rescale:
+                m[r][col:] = [(p * x - a * y) // prev for x, y in zip(m[r][col:], top)]
+        rank, prev = rank + 1, p
+        if rank == len(m):
             break
     return rank
 
@@ -361,8 +361,8 @@ def exactness_check(g: LieAlgebraPresentation, k: float, degree: int) -> Exactne
     degree.
 
     Coordinates: a based path of degree <= D is the integer-indexed vector of
-    coefficients (i, d), d = 1..D.  Loops are spanned by u^d - u per
-    coordinate (d >= 2).  All ranks are computed over exact rationals.
+    coefficients (i, d), d = 1..D; loops are spanned by u^d - u (d >= 2) per
+    coordinate.  Ranks are exact over Q, by fraction-free integer elimination.
     """
     if degree < 2:
         raise InputError("exactness check needs polynomial degree >= 2")
@@ -374,39 +374,39 @@ def exactness_check(g: LieAlgebraPresentation, k: float, degree: int) -> Exactne
         return i * D + (d - 1)
 
     # endpoint evaluation: coefficient sums per coordinate
-    endpoint_rows = [[Fraction(0)] * dim_paths for _ in range(n)]
+    endpoint_rows = [[0] * dim_paths for _ in range(n)]
     for i in range(n):
         for d in range(1, D + 1):
-            endpoint_rows[i][flat(i, d)] = Fraction(1)
+            endpoint_rows[i][flat(i, d)] = 1
 
     # loop basis u^d - u, one per coordinate and degree 2..D
-    loop_cols: list[list[Fraction]] = []
+    loop_cols: list[list[int]] = []
     for i in range(n):
         for d in range(2, D + 1):
-            col = [Fraction(0)] * dim_paths
-            col[flat(i, d)] = Fraction(1)
-            col[flat(i, 1)] = Fraction(-1)
+            col = [0] * dim_paths
+            col[flat(i, d)] = 1
+            col[flat(i, 1)] = -1
             loop_cols.append(col)
 
     killed = all(
-        sum(row[c] * col[c] for c in range(dim_paths)) == 0
+        sum(map(mul, row, col)) == 0
         for row in endpoint_rows
         for col in loop_cols
     )
-    rank_endpoint = _fraction_rank(endpoint_rows)
+    rank_endpoint = _integer_rank(endpoint_rows)
     nullity_endpoint = dim_paths - rank_endpoint
-    rank_loops = _fraction_rank(loop_cols)  # rows = columns of the inclusion
+    rank_loops = _integer_rank(loop_cols)  # rows = columns of the inclusion
 
     objects_exact = killed and rank_loops == nullity_endpoint
 
     # direction level: the central lift l -> (l, 0) against the central
     # coordinate (l, c) -> c; the kernel is the c = 0 slice, which is the
     # image of the lift by construction.  Encoded as exact integer ranks.
-    lift_cols = [[Fraction(1 if r == c else 0) for r in range(dim_loops + 1)]
+    lift_cols = [[int(r == c) for r in range(dim_loops + 1)]
                  for c in range(dim_loops)]
-    central_row = [[Fraction(0)] * dim_loops + [Fraction(1)]]
-    rank_lift = _fraction_rank(lift_cols)
-    rank_central = _fraction_rank(central_row)
+    central_row = [[0] * dim_loops + [1]]
+    rank_lift = _integer_rank(lift_cols)
+    rank_central = _integer_rank(central_row)
     central_kills_lift = all(col[-1] == 0 for col in lift_cols)
     morphisms_exact = (
         central_kills_lift

@@ -38,13 +38,15 @@ def _join_kind(a: str, b: str) -> str:
 
 def _off_zero(values: np.ndarray, coeffs: np.ndarray) -> bool:
     """Whether the endpoint values (*batch, dim) of some trial exceed roundoff
-    relative to its coefficients, 1e-12 * max(1, max|coeffs|), or are NaN.
-    The relative bound is only computed when the absolute one fails."""
+    relative to its coefficients, 1e-12 * max(1, max|coeffs|), or are NaN,
+    or its coefficients are not finite.  The relative bound is only computed
+    when the absolute one fails, which it does for every loop with an
+    infinite coefficient: its endpoint sum is not finite."""
     err = np.abs(values).max(axis=-1)
     if (err <= 1e-12).all():
         return False
     scale = np.abs(coeffs).max(axis=(-2, -1))
-    return not (err <= 1e-12 * np.maximum(scale, 1.0)).all()
+    return not (np.isfinite(scale) & (err <= 1e-12 * np.maximum(scale, 1.0))).all()
 
 
 def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:

@@ -315,9 +315,17 @@ class FiniteTwoGroup:
         """m1 o m2 (m2 first); defined iff source(m1) = target(m2)."""
         if not self.composable(m1, m2):
             raise InputError(f"morphisms {m1}, {m2} are not composable")
-        p1, h1 = self.pair(m1)
-        p2, h2 = self.pair(m2)
-        return self.morphism(p2, self.cm.H.mul(h1, h2))
+        return int(self._composite(m1, m2))
+
+    def _composite(self, m1, m2):
+        """(p1, h1) o (p2, h2) = (p2, h1 h2) without the composability check,
+        element-wise over integer arrays of morphisms."""
+        nH = self.cm.H.order
+        return m2 - m2 % nH + self.cm.H.table[m1 % nH, m2 % nH]
+
+    def _composable_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every composable (m1, m2), in row-major order of (m1, m2)."""
+        return np.nonzero(self.source[:, None] == self.target[None, :])
 
     def mor_identity(self) -> int:
         return self.morphism(self.cm.G.identity, self.cm.H.identity)
@@ -344,44 +352,38 @@ class FiniteTwoGroup:
                               table[self.unit[:, None], self.unit[None, :]]):
             out.append("identity-assignment is not a homomorphism")
 
-        comp_pairs = [(m1, m2) for m1 in range(nM) for m2 in range(nM)
-                      if s[m1] == t[m2]]
-        for m1, m2 in comp_pairs:
-            c = self.compose(m1, m2)
-            if s[c] != s[m2] or t[c] != t[m1]:
-                out.append(f"composite of ({m1}, {m2}) has wrong endpoints")
-                break
-        for m in range(nM):
-            if self.compose(m, int(self.unit[s[m]])) != m:
-                out.append(f"right unit law fails at {m}")
-                break
-            if self.compose(int(self.unit[t[m]]), m) != m:
-                out.append(f"left unit law fails at {m}")
-                break
-        for m1, m2 in comp_pairs:
-            for m3 in range(nM):
-                if s[m2] == t[m3]:
-                    if self.compose(self.compose(m1, m2), m3) != \
-                            self.compose(m1, self.compose(m2, m3)):
-                        out.append("composition is not associative")
-                        break
+        # A law that composes a pair which is not composable fails.
+        a1, a2 = self._composable_pairs()
+        comp_of = self._composite(a1, a2)
+        wrong = np.flatnonzero((s[comp_of] != s[a2]) | (t[comp_of] != t[a1]))
+        if wrong.size:
+            out.append(f"composite of ({a1[wrong[0]]}, {a2[wrong[0]]}) has wrong endpoints")
+        m = np.arange(nM)
+        right_unit, left_unit = self.unit[s], self.unit[t]
+        right_bad = (s != t[right_unit]) | (self._composite(m, right_unit) != m)
+        left_bad = (s[left_unit] != t) | (self._composite(left_unit, m) != m)
+        first = np.flatnonzero(right_bad | left_bad)
+        if first.size:
+            side = "right" if right_bad[first[0]] else "left"
+            out.append(f"{side} unit law fails at {first[0]}")
+        # associativity over (m1, m2) composable x every m3 with s[m2] = t[m3]
+        m3 = m[None, :]
+        after = s[a2][:, None] == t[m3]
+        c12_3 = self._composite(comp_of[:, None], m3)
+        c23 = self._composite(a2[:, None], m3)
+        c1_23 = self._composite(a1[:, None], c23)
+        broken = after & ((s[comp_of][:, None] != t[m3]) | (s[a1][:, None] != t[c23])
+                          | (c12_3 != c1_23))
+        out += ["composition is not associative"] * int(broken.any(axis=1).sum())
 
         # interchange, vectorized over all pairs of composable pairs
-        a1 = np.array([m1 for m1, _ in comp_pairs])
-        a2 = np.array([m2 for _, m2 in comp_pairs])
-        comp_of = np.array([self.compose(m1, m2) for m1, m2 in comp_pairs])
         left = table[comp_of[:, None], comp_of[None, :]]
         prod1 = table[a1[:, None], a1[None, :]]
         prod2 = table[a2[:, None], a2[None, :]]
         if not np.array_equal(s[prod1], t[prod2]):
             out.append("products of composable pairs fail to stay composable")
-        else:
-            p2, _ = np.divmod(prod2, cm.H.order)
-            h1 = np.mod(prod1, cm.H.order)
-            h2 = np.mod(prod2, cm.H.order)
-            right = p2 * cm.H.order + cm.H.table[h1, h2]
-            if not np.array_equal(left, right):
-                out.append("interchange law fails")
+        elif not np.array_equal(left, self._composite(prod1, prod2)):
+            out.append("interchange law fails")
         return out
 
     def validate(self) -> None:
@@ -445,12 +447,11 @@ class TwoGroupHom:
             out.append("target squares do not commute")
         if not np.array_equal(f1[src.unit], dst.unit[f0]):
             out.append("identity squares do not commute")
-        for m1 in range(src.n_morphisms):
-            for m2 in range(src.n_morphisms):
-                if src.source[m1] == src.target[m2]:
-                    if f1[src.compose(m1, m2)] != dst.compose(int(f1[m1]), int(f1[m2])):
-                        out.append("composition is not preserved")
-                        return out
+        a1, a2 = src._composable_pairs()
+        b1, b2 = f1[a1], f1[a2]
+        if not (np.array_equal(dst.source[b1], dst.target[b2])
+                and np.array_equal(f1[src._composite(a1, a2)], dst._composite(b1, b2))):
+            out.append("composition is not preserved")
         return out
 
     def validate(self) -> None:

@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lie2.liealg import InputError
 from lie2.linfty import hom_residuals, jacobi_sweep, two_hom_residual
 from lie2.models import (
     LINEAR_SPLITTING,
+    _integer_rank,
     build_models,
     equivalence_report,
     exactness_check,
@@ -186,11 +191,11 @@ def test_trivializer_on_vector_model_is_exact(g, rng):
 
 
 def test_exactness_all_degrees(g):
-    for degree in range(2, 7):
+    for degree in range(2, 21):
         report = exactness_check(g, 1.0, degree)
         assert report.passed
         assert report.dim_loops == 3 * (degree - 1)
-        assert report.nullity_endpoint == report.rank_loop_inclusion
+        assert report.nullity_endpoint == report.rank_loop_inclusion == 3 * (degree - 1)
         assert report.rank_endpoint == 3
         assert report.phi1_surjective and report.lambda1_injective
 
@@ -198,6 +203,49 @@ def test_exactness_all_degrees(g):
 def test_exactness_rejects_low_degree(g):
     with pytest.raises(InputError):
         exactness_check(g, 1.0, 1)
+
+
+def fraction_rank(matrix: list[list[int]]) -> int:
+    """Reference rank: Gauss-Jordan elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+entries = st.one_of(st.integers(-2, 2), st.integers(-10**9, 10**9))
+integer_matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+    lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@given(integer_matrices)
+def test_integer_rank_matches_fraction_oracle(matrix):
+    assert _integer_rank(matrix) == fraction_rank(matrix)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_integer_rank_of_deficient_products(seed):
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = rng.integers(1, 9), rng.integers(0, 5), rng.integers(1, 9)
+    a = rng.integers(-3, 4, size=(rows, inner))
+    b = rng.integers(-3, 4, size=(inner, cols))
+    product = (a @ b).tolist()
+    # duplicate, negated and zero rows add no rank
+    matrix = product + product[:2] + [[-v for v in product[0]], [0] * int(cols)]
+    rank = _integer_rank(matrix)
+    assert rank == fraction_rank(matrix) <= inner
+    assert _integer_rank([list(col) for col in zip(*matrix)]) == rank
 
 
 def test_universality_sweep(rng):

@@ -158,6 +158,8 @@ def test_constructor_rejects_violations(g):
 def test_constructor_rejects_nan_endpoints(g):
     with pytest.raises(InputError):
         PolyPath(g, np.full((3, 3), np.nan), LOOP)
+    with pytest.raises(InputError):  # an infinite max|coeffs| is no bound
+        PolyPath(g, np.full((3, 3), np.inf), LOOP)
     block = np.zeros((4, 3, 3))
     block[2, 1, 0] = np.nan  # one trial of a block of based paths
     with pytest.raises(InputError):

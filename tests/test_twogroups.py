@@ -7,6 +7,7 @@ from lie2.liealg import InputError
 from lie2.twogroups import (
     FiniteCrossedModule,
     FiniteGroup,
+    FiniteTwoGroup,
     TwoGroupHom,
     build_two_group,
     conjugation_module,
@@ -102,6 +103,56 @@ def test_two_group_axioms_exhaustive():
         inclusion_module(quaternion_group(), [0, 1, 2, 3]),
     ):
         assert build_two_group(cm).violations() == []
+
+
+def loop_law_violations(grp):
+    """Reference: the unit and associativity laws as scalar loops."""
+    out = []
+    s, t, nM = grp.source, grp.target, grp.n_morphisms
+
+    def compose(m1, m2):
+        assert s[m1] == t[m2]
+        (_, h1), (p2, h2) = grp.pair(m1), grp.pair(m2)
+        return grp.morphism(p2, grp.cm.H.mul(h1, h2))
+
+    for m in range(nM):
+        if compose(m, int(grp.unit[s[m]])) != m:
+            out.append(f"right unit law fails at {m}")
+            break
+        if compose(int(grp.unit[t[m]]), m) != m:
+            out.append(f"left unit law fails at {m}")
+            break
+    for m1 in range(nM):
+        for m2 in range(nM):
+            if s[m1] == t[m2] and any(
+                    compose(compose(m1, m2), m3) != compose(m1, compose(m2, m3))
+                    for m3 in range(nM) if s[m2] == t[m3]):
+                out.append("composition is not associative")
+    return out
+
+
+@pytest.mark.parametrize("entry, first", [
+    ((0, 0), "right unit law fails at 0"),  # both sides fail at 0; right is checked first
+    ((0, 1), "left unit law fails at 1"),
+    ((1, 0), "right unit law fails at 1"),
+    ((1, 2), "composition is not associative"),
+    ((2, 2), "composition is not associative"),
+])
+def test_unit_and_associativity_laws_fail_on_a_tampered_table(entry, first):
+    # trivial boundary: every composite exists, so the reference loop never raises
+    grp = FiniteTwoGroup(trivial_action_module(cyclic_group(2), cyclic_group(3)))
+    assert grp.violations() == []
+    grp.cm.H.table[entry] = (grp.cm.H.table[entry] + 1) % 3
+    laws = [v for v in grp.violations() if "unit law" in v or "associative" in v]
+    assert laws[0] == first
+    assert laws == loop_law_violations(grp)
+
+
+def test_identity_with_wrong_endpoints_fails_the_unit_law():
+    grp = FiniteTwoGroup(conjugation_module(cyclic_group(3)))
+    grp.unit[2] = grp.morphism(0, 0)  # the identity of object 0 stands in for 2
+    # m = (0, 2) ends at 2; unit o m is m by the formula but is not composable
+    assert "left unit law fails at 2" in grp.violations()
 
 
 def test_indiscrete_two_group_has_unique_morphisms():
@@ -209,6 +260,14 @@ def test_bad_hom_rejected():
     assert scrambled.violations() != []
     with pytest.raises(InputError):
         scrambled.validate()
+
+
+def test_hom_that_breaks_composition_is_caught():
+    grp = build_two_group(trivial_action_module(cyclic_group(2), cyclic_group(3)))
+    mor_map = np.arange(grp.n_morphisms)
+    mor_map[grp.morphism(0, 1)] = grp.morphism(0, 0)  # (0, 1) o (0, 1) = (0, 2)
+    hom = TwoGroupHom(grp, grp, np.arange(grp.n_objects), mor_map)
+    assert "composition is not preserved" in hom.violations()
 
 
 def test_group_json_roundtrip(tmp_path):
