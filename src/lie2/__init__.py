@@ -38,7 +38,7 @@ from .models import (
 from .paths import (
     CentralVector,
     PolyPath,
-    derivative,
+    derivative_pairing,
     integral_pairing,
     pointwise_bracket,
     universal_integral,

@@ -3,19 +3,9 @@ and the lifted action of based paths, all in the exact polynomial model."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .liealg import InputError
 from .linfty import relative
-from .paths import (
-    BASED,
-    LOOP,
-    CentralVector,
-    PolyPath,
-    derivative,
-    integral_pairing,
-    pointwise_bracket,
-)
+from .paths import LOOP, CentralVector, PolyPath, derivative_pairing, pointwise_bracket
 
 
 def omega(f: PolyPath, g: PolyPath, k: float) -> float:
@@ -23,9 +13,7 @@ def omega(f: PolyPath, g: PolyPath, k: float) -> float:
     the boundary term B(f, g) vanishes at both ends of a loop."""
     if f.kind != LOOP or g.kind != LOOP:
         raise InputError("the loop cocycle is defined on loops")
-    if f.algebra != g.algebra:
-        raise InputError("loop cocycle across different algebras")
-    return 2.0 * k * integral_pairing(f, derivative(g))
+    return 2.0 * k * derivative_pairing(f, g)
 
 
 def omega_cocycle_residual(f: PolyPath, g: PolyPath, h: PolyPath, k: float) -> float:
@@ -61,12 +49,8 @@ def extended_jacobi_residual(a: CentralVector, b: CentralVector,
 def dalpha(p: PolyPath, v: CentralVector, k: float) -> CentralVector:
     """Differential of the conjugation action of based paths on the central
     extension: ([p, l], 2k * integral of B(p, l'))."""
-    if p.kind not in (BASED, LOOP):
-        raise InputError("the action is defined for based paths")
-    return CentralVector(
-        pointwise_bracket(p, v.loop),
-        2.0 * k * integral_pairing(p, derivative(v.loop)),
-    )
+    return CentralVector(pointwise_bracket(p, v.loop),
+                         2.0 * k * derivative_pairing(p, v.loop))
 
 
 def dalpha_action_residual(p1: PolyPath, p2: PolyPath, v: CentralVector,

@@ -13,6 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .kacmoody import dalpha, omega
 from .liealg import InputError, LieAlgebraPresentation
 from .linfty import (
     CentralSpace,
@@ -33,8 +34,7 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
-    derivative,
-    integral_pairing,
+    derivative_pairing,
     pointwise_bracket,
     random_splitting,
     universal_integral,
@@ -63,21 +63,14 @@ def make_gk(g: LieAlgebraPresentation, k: float) -> TwoTermLInfinity:
 
 def make_pkg(g: LieAlgebraPresentation, k: float, degree: int = 4) -> TwoTermLInfinity:
     """Strict path model: based paths in degree 0, centrally extended loops in
-    degree 1; the degree-mixing bracket twists by 2k * integral of B(p, l')."""
-
-    def act(p: PolyPath, v: CentralVector) -> CentralVector:
-        return CentralVector(
-            pointwise_bracket(p, v.loop),
-            2.0 * k * integral_pairing(p, derivative(v.loop)),
-        )
-
+    degree 1; the degree-mixing bracket is the level-k action dalpha."""
     return TwoTermLInfinity(
         name=f"paths[{g.name},k={k:g}]",
         space0=PathSpace(g, BASED, degree),
         space1=CentralSpace(g, degree),
         d=lambda v: v.loop,
         l2_00=pointwise_bracket,
-        l2_01=act,
+        l2_01=lambda p, v: dalpha(p, v, k),
         l3=None,
     )
 
@@ -114,15 +107,14 @@ def make_el_vectors(g: LieAlgebraPresentation) -> TwoTermLInfinity:
 def make_phi(g: LieAlgebraPresentation, k: float, *, pkg=None, gk=None,
              degree: int = 4) -> LInftyHom:
     """Path model -> skeletal model: endpoint on objects, central coordinate
-    on directions, and the skew boundary-corrected pairing as corrector."""
+    on directions, and the skew boundary-corrected pairing as corrector
+    k * integral of (B(p1, p2') - B(p1', p2)); the second term is
+    derivative_pairing(p2, p1) because the form is symmetric."""
     pkg = pkg if pkg is not None else make_pkg(g, k, degree)
     gk = gk if gk is not None else make_gk(g, k)
 
     def phi2(p1: PolyPath, p2: PolyPath) -> float:
-        return k * (
-            integral_pairing(p1, derivative(p2))
-            - integral_pairing(derivative(p1), p2)
-        )
+        return k * (derivative_pairing(p1, p2) - derivative_pairing(p2, p1))
 
     return LInftyHom(pkg, gk, lambda p: p.endpoint(), lambda v: v.c, phi2,
                      name="endpoint")
@@ -160,10 +152,7 @@ def make_lambda(g: LieAlgebraPresentation, k: float, *, el=None, pkg=None,
     pkg = pkg if pkg is not None else make_pkg(g, k, degree)
 
     def lam2(l1: PolyPath, l2: PolyPath) -> CentralVector:
-        return CentralVector(
-            zero_path(g, LOOP),
-            -2.0 * k * integral_pairing(l1, derivative(l2)),
-        )
+        return CentralVector(zero_path(g, LOOP), -omega(l1, l2, k))
 
     return LInftyHom(el, pkg,
                      lambda l: l,

@@ -1,10 +1,14 @@
 """Exact polynomial model of based paths and loops on [0, 2*pi].
 
 A path is a coefficient matrix over the rescaled variable u = theta / (2*pi),
-coordinate i being sum_d coeffs[..., i, d] * u**d.  All factors of 2*pi live in
-the derivative (1 / 2*pi) and the definite integral (* 2*pi); products and
-brackets grow the degree and are never truncated, so every algebraic identity
-below holds to floating-point roundoff.
+coordinate i being sum_d coeffs[..., i, d] * u**d.  Every path is based (it
+vanishes at theta = 0) and a loop is a based path that also vanishes at
+theta = 2*pi, so the two kinds nest: loop inside based.  The only factor of
+2*pi is the one of the plain integral pairing; in the derivative pairing the
+2*pi of d theta cancels the 1 / (2*pi) of d / d theta, so its moments are
+rational.
+Products and brackets grow the degree and are never truncated, so every
+algebraic identity below holds to floating-point roundoff.
 
 Every carrier has leading trial axes: ``PolyPath.coeffs`` is
 ``(*batch, dim, degree + 1)`` and ``CentralVector.c`` is a float or
@@ -22,31 +26,20 @@ from .liealg import InputError, LieAlgebraPresentation
 
 TWO_PI = 2.0 * np.pi
 
-# kind lattice: a loop is in particular based, a based path is a path
+# kind lattice: a loop is in particular a based path
 BASED = "based"
 LOOP = "loop"
-FREE = "free"
-
-
-def _join_kind(a: str, b: str) -> str:
-    if a == LOOP and b == LOOP:
-        return LOOP
-    if a in (BASED, LOOP) and b in (BASED, LOOP):
-        return BASED
-    return FREE
 
 
 def _off_zero(values: np.ndarray, coeffs: np.ndarray) -> bool:
     """Whether the endpoint values (*batch, dim) of some trial exceed roundoff
-    relative to its coefficients, 1e-12 * max(1, max|coeffs|), or are NaN,
-    or its coefficients are not finite.  The relative bound is only computed
-    when the absolute one fails, which it does for every loop with an
-    infinite coefficient: its endpoint sum is not finite."""
+    relative to its finite coefficients, 1e-12 * max(1, max|coeffs|).  The
+    relative bound is only computed when the absolute one fails."""
     err = np.abs(values).max(axis=-1)
     if (err <= 1e-12).all():
         return False
     scale = np.abs(coeffs).max(axis=(-2, -1))
-    return not (np.isfinite(scale) & (err <= 1e-12 * np.maximum(scale, 1.0))).all()
+    return not (err <= 1e-12 * np.maximum(scale, 1.0)).all()
 
 
 def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:
@@ -62,7 +55,7 @@ def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:
 class PolyPath:
     algebra: LieAlgebraPresentation
     coeffs: np.ndarray  # (*batch, dim, degree + 1)
-    kind: str = FREE
+    kind: str
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -71,9 +64,11 @@ class PolyPath:
                 f"path has {coeffs.shape[-2]} coordinates, algebra has {self.algebra.dim}"
             )
         object.__setattr__(self, "coeffs", coeffs)
-        if self.kind not in (BASED, LOOP, FREE):
+        if self.kind not in (BASED, LOOP):
             raise InputError(f"unknown path kind {self.kind!r}")
-        if self.kind in (BASED, LOOP) and _off_zero(coeffs[..., 0], coeffs):
+        if not np.isfinite(coeffs).all():
+            raise InputError("path coefficients must be finite")
+        if _off_zero(coeffs[..., 0], coeffs):
             raise InputError("based path must vanish at theta = 0")
         if self.kind == LOOP and _off_zero(coeffs.sum(axis=-1), coeffs):
             raise InputError("loop must vanish at theta = 2*pi")
@@ -104,7 +99,7 @@ class PolyPath:
         width = max(self.degree, other.degree) + 1
         return PolyPath(self.algebra,
                         _padded(self.coeffs, width) + _padded(other.coeffs, width),
-                        _join_kind(self.kind, other.kind))
+                        LOOP if self.kind == other.kind == LOOP else BASED)
 
     def __neg__(self) -> "PolyPath":
         return PolyPath(self.algebra, -self.coeffs, self.kind)
@@ -132,14 +127,6 @@ def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
     return PolyPath(algebra, np.zeros((algebra.dim, 1)), kind)
 
 
-def derivative(p: PolyPath) -> PolyPath:
-    """d/d theta: differentiate in u and divide by 2*pi.  No endpoint guarantees."""
-    if p.degree == 0:
-        return PolyPath(p.algebra, np.zeros_like(p.coeffs), FREE)
-    c = p.coeffs[..., 1:] * np.arange(1, p.degree + 1) / TWO_PI
-    return PolyPath(p.algebra, c, FREE)
-
-
 def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
     """out[..., s] = sum over a + b = s of t[..., a, b].
 
@@ -160,10 +147,7 @@ def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     g = p.algebra
     # products of every coefficient pair, then collected by total degree
     terms = np.einsum("ijk,...ia,...jb->...kab", g.structure, p.coeffs, q.coeffs)
-    if p.kind in (BASED, LOOP) and q.kind in (BASED, LOOP):
-        kind = LOOP if LOOP in (p.kind, q.kind) else BASED
-    else:
-        kind = FREE
+    kind = LOOP if LOOP in (p.kind, q.kind) else BASED
     return PolyPath(g, _antidiagonal_sums(terms), kind)
 
 
@@ -173,6 +157,18 @@ def integral_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
         raise InputError("integral pairing across different algebras")
     dp, dq = p.degree, q.degree
     moments = TWO_PI / (np.arange(dp + 1)[:, None] + np.arange(dq + 1)[None, :] + 1.0)
+    return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, q.coeffs, moments)
+
+
+def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
+    """Exact integral over [0, 2*pi] of B(p(theta), q'(theta)), which is
+    sum over a, b of B(p_a, q_b) * b / (a + b): rational for rational
+    coefficients."""
+    if p.algebra != q.algebra:
+        raise InputError("derivative pairing across different algebras")
+    a = np.arange(p.degree + 1)[:, None]
+    b = np.arange(q.degree + 1)[None, :]
+    moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1
     return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, q.coeffs, moments)
 
 
@@ -215,12 +211,9 @@ def universal_integral(f) -> float:
     else:
         poly = np.atleast_1d(np.asarray(f, dtype=float))
     validate_splitting(poly)
-    g = np.zeros(2 * len(poly) - 1)
-    g[: len(poly)] += poly
-    g -= np.convolve(poly, poly)
-    gp = g[1:] * np.arange(1, len(g))  # d/du; the 2*pi's cancel against d theta
-    integrand = np.convolve(poly, gp)
-    return float((integrand / (np.arange(len(integrand)) + 1.0)).sum())
+    f_minus_f2 = -np.convolve(poly, poly)
+    f_minus_f2[: len(poly)] += poly
+    return float(derivative_pairing(scalar_path(poly), scalar_path(f_minus_f2)))
 
 
 def projected_path(algebra: LieAlgebraPresentation, coeffs: np.ndarray,

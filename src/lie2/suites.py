@@ -365,13 +365,19 @@ def _omega_evaluate(config, loops):
 
 
 def _omega_fixture(config, rng):
-    """Worked value: quadratic against cubic bump in one coordinate at level 1."""
+    """Worked value at level 1, so the control does not vanish with k: the
+    bump (u - u^2) e_i against (u^2 - u^3) e_j gives B_ij / 30.  (i, j) is the
+    largest entry of the form, so the value is not 0 for any nonzero form, and
+    the deviation is gated relative to it."""
     g = config.presentation
-    f = PolyPath(g, np.array([[0.0, 1.0, -1.0]] + [[0.0, 0.0, 0.0]] * (g.dim - 1)), LOOP)
-    h = PolyPath(g, np.array([[0.0, 0.0, 1.0, -1.0]] + [[0.0] * 4] * (g.dim - 1)), LOOP)
+    i, j = np.unravel_index(np.argmax(np.abs(g.form)), g.form.shape)
+    f = PolyPath(g, np.outer(np.eye(g.dim)[i], [0.0, 1.0, -1.0]), LOOP)
+    h = PolyPath(g, np.outer(np.eye(g.dim)[j], [0.0, 0.0, 1.0, -1.0]), LOOP)
     fixture = kacmoody.omega(f, h, 1.0)
-    return {"fixture_value": fixture, "fixture_expected": 1.0 / 30.0,
-            "fixture_deviation": abs(fixture - 1.0 / 30.0)}, True
+    expected = g.form[i, j] / 30.0
+    deviation = abs(fixture - expected)
+    return {"fixture_value": fixture, "fixture_expected": expected,
+            "fixture_deviation": deviation}, deviation <= config.tol_exact * abs(expected)
 
 
 def _extended_sample(config, rng):

@@ -330,10 +330,6 @@ class FiniteTwoGroup:
     def mor_identity(self) -> int:
         return self.morphism(self.cm.G.identity, self.cm.H.identity)
 
-    def mor_inverse(self, m: int) -> int:
-        inv = np.nonzero(self.mor_table[m] == self.mor_identity())[0]
-        return int(inv[0])
-
     # -- exhaustive axioms ---------------------------------------------------
 
     def violations(self) -> list[str]:

@@ -156,6 +156,19 @@ def test_replay_rejects_non_finite_witness_numbers(tmp_path, capsys, suite,
     assert "error: witness" in capsys.readouterr().err
 
 
+def test_replay_rejects_a_free_path_witness(tmp_path, capsys):
+    # every path is based, so "free" is an unknown kind
+    report_path = tmp_path / "forced.json"
+    main(["verify", "--suite", "omega-cocycle", "--tol-exact", "1e-300",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    next(_elements(doc["suites"][0]["witness"]["inputs"]))["kind"] = "free"
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 2
+    assert "unknown path kind 'free'" in capsys.readouterr().err
+
+
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     report_path = tmp_path / "equivalence.json"
     code = main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
@@ -195,6 +208,28 @@ def test_pkg_jacobi_fails_when_its_control_cannot(monkeypatch):
     monkeypatch.setattr(suites, "jacobi_sweep", lambda *args: (0.0, None))
     entry = run(config)["suites"][0]
     assert entry["passed"] is False and entry["max_residual"] <= entry["tolerance"]
+
+
+def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch):
+    # half the cocycle is still a cocycle, but not the 1/30 of the worked value
+    config = RunConfig(trials=10, suites=("omega-cocycle",))
+    assert run(config)["suites"][0]["passed"] is True
+    omega = kacmoody.omega
+    monkeypatch.setattr(kacmoody, "omega", lambda f, g, k: 0.5 * omega(f, g, k))
+    entry = run(config)["suites"][0]
+    assert entry["max_residual"] <= entry["tolerance"]
+    assert entry["details"]["fixture_deviation"] == pytest.approx(1.0 / 60.0)
+    assert entry["passed"] is False
+
+
+@pytest.mark.parametrize("algebra, form_scale, expected", [
+    ("su2", 1.0, 1.0 / 30.0), ("sl2", 1.0, 2.0 / 30.0), ("su2", 1e9, 1e9 / 30.0)])
+def test_omega_fixture_follows_the_form(algebra, form_scale, expected):
+    # B(h, h) = 2 in sl2; a large form scale must not fail a correct cocycle
+    config = RunConfig(algebra=algebra, form_scale=form_scale)
+    details, ok = suites._omega_fixture(config, None)
+    assert details["fixture_expected"] == pytest.approx(expected, rel=1e-15)
+    assert ok
 
 
 def test_replay_report_without_witnesses(tmp_path, capsys):

@@ -111,13 +111,6 @@ def test_dalpha_on_central_element(g, rng):
     assert dalpha(p, center, 1.0).norm() == 0.0
 
 
-def test_dalpha_rejects_free_paths(g, rng):
-    from lie2.paths import derivative
-    free = derivative(random_path(g, rng, 4))
-    with pytest.raises(InputError):
-        dalpha(free, CentralVector(zero_path(g, LOOP), 0.0), 1.0)
-
-
 def test_dalpha_matches_pkg_action(g, rng):
     pkg = make_pkg(g, 2.0, 4)
     p = random_path(g, rng, 4)

@@ -1,16 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2.liealg import InputError
+from lie2.liealg import InputError, sl2, su2
 from lie2.paths import (
     BASED,
-    FREE,
     LOOP,
     TWO_PI,
     PolyPath,
-    derivative,
+    derivative_pairing,
     integral_pairing,
     pointwise_bracket,
     random_path,
@@ -24,22 +25,6 @@ from lie2.paths import (
 
 def linear_path(g, x):
     return PolyPath(g, np.outer(x, [0.0, 1.0]), BASED)
-
-
-def test_derivative_of_linear_path_is_constant(g):
-    p = linear_path(g, np.array([1.0, 2.0, 3.0]))
-    dp = derivative(p)
-    assert dp.degree == 0
-    assert np.allclose(dp.coeffs[:, 0], np.array([1.0, 2.0, 3.0]) / TWO_PI)
-
-
-def test_derivative_of_zero_path(g):
-    assert derivative(zero_path(g)).norm() == 0.0
-
-
-def test_derivative_quadratic_endpoint(g):
-    p = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), BASED)  # u^2 e1
-    assert np.allclose(derivative(p).endpoint(), [2.0 / TWO_PI, 0.0, 0.0])
 
 
 def test_pointwise_bracket_self_is_zero(g, rng):
@@ -123,15 +108,76 @@ def test_universal_integral_rejects_bad_endpoints():
 
 def test_integration_by_parts_based(g, rng):
     p, q = random_path(g, rng, 5), random_path(g, rng, 4)
-    lhs = integral_pairing(p, derivative(q)) + integral_pairing(derivative(p), q)
+    lhs = derivative_pairing(p, q) + derivative_pairing(q, p)
     assert lhs == pytest.approx(g.pair(p.endpoint(), q.endpoint()), abs=1e-13)
 
 
 def test_integration_by_parts_loop(g, rng):
     p = random_path(g, rng, 5)
     loop = random_path(g, rng, 5, LOOP)
-    assert integral_pairing(p, derivative(loop)) == \
-        pytest.approx(-integral_pairing(derivative(p), loop), abs=1e-13)
+    assert derivative_pairing(p, loop) == \
+        pytest.approx(-derivative_pairing(loop, p), abs=1e-13)
+
+
+def fraction_derivative_pairing(form, p, q):
+    """sum over i, j, a, b of B_ij p_ia q_jb * b / (a + b) in exact rationals,
+    for one trial; also the scale sum of |B_ij p_ia q_jb|."""
+    total, scale = Fraction(0), Fraction(0)
+    for (i, a), pa in np.ndenumerate(p):
+        for (j, b), qb in np.ndenumerate(q):
+            term = Fraction(form[i, j]) * int(pa) * int(qb)
+            scale += abs(term)
+            if b:
+                total += term * Fraction(b, a + b)
+    return total, scale
+
+
+@pytest.mark.parametrize("algebra", [su2, sl2])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_derivative_pairing_matches_rational_oracle(algebra, batch):
+    g = algebra()
+    rng = np.random.default_rng(7)
+    for dp in range(7):
+        for dq in range(7):
+            pc = rng.integers(-9, 10, size=batch + (g.dim, dp + 1)).astype(float)
+            qc = rng.integers(-9, 10, size=batch + (g.dim, dq + 1)).astype(float)
+            pc[..., 0] = qc[..., 0] = 0.0
+            got = np.asarray(derivative_pairing(PolyPath(g, pc, BASED),
+                                                PolyPath(g, qc, BASED)))
+            assert got.shape == batch
+            for t in np.ndindex(batch):
+                exact, scale = fraction_derivative_pairing(g.form, pc[t], qc[t])
+                assert abs(Fraction(float(got[t])) - exact) <= 1e-14 * scale
+
+
+def differentiate_then_pair(p, q):
+    """Reference: integral of B(p, q') as the plain integral pairing of p
+    against the theta-derivative of q.  The derivative, whose coefficients
+    carry 1 / (2*pi), is no based path, so the pairing's einsum is spelt out
+    on coefficient arrays here."""
+    dq = q.coeffs[..., 1:] * np.arange(1, q.degree + 1) / TWO_PI
+    moments = TWO_PI / (np.arange(p.degree + 1)[:, None]
+                        + np.arange(dq.shape[-1])[None, :] + 1.0)
+    return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, dq, moments)
+
+
+def test_derivative_pairing_matches_differentiate_then_pair(rng):
+    for g in (su2(), sl2()):
+        for dp, dq, kind in [(0, 3, BASED), (3, 0, BASED), (5, 4, BASED), (3, 6, LOOP),
+                              (6, 2, LOOP)]:
+            p = random_path(g, rng, dp)
+            q = random_path(g, rng, dq, kind)
+            assert derivative_pairing(p, q) == \
+                pytest.approx(differentiate_then_pair(p, q), rel=1e-13, abs=1e-13)
+        block = [PolyPath(g, rng.uniform(-1, 1, (4, g.dim, 5)) * [0, 1, 1, 1, 1], BASED)
+                 for _ in range(2)]
+        np.testing.assert_allclose(derivative_pairing(*block), differentiate_then_pair(*block),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_derivative_pairing_rejects_cross_algebra(rng):
+    with pytest.raises(InputError):
+        derivative_pairing(random_path(su2(), rng, 3), random_path(sl2(), rng, 3))
 
 
 def test_norm_positive_definite(g, rng):
@@ -152,7 +198,7 @@ def test_constructor_rejects_violations(g):
     with pytest.raises(InputError):
         PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0]), LOOP)  # nonzero at u = 1
     with pytest.raises(InputError):
-        PolyPath(g, np.ones((2, 2)), FREE)  # wrong coordinate count
+        PolyPath(g, np.zeros((2, 2)), BASED)  # wrong coordinate count
 
 
 def test_constructor_rejects_nan_endpoints(g):
@@ -160,6 +206,14 @@ def test_constructor_rejects_nan_endpoints(g):
         PolyPath(g, np.full((3, 3), np.nan), LOOP)
     with pytest.raises(InputError):  # an infinite max|coeffs| is no bound
         PolyPath(g, np.full((3, 3), np.inf), LOOP)
+    c = np.zeros((3, 3))
+    c[0, 1] = np.inf  # a based path is not only its constant term
+    with pytest.raises(InputError):
+        PolyPath(g, c, BASED)
+    c = np.zeros((3, 3))
+    c[1, 1] = np.nan  # nor is a loop only its end values
+    with pytest.raises(InputError):
+        PolyPath(g, c, LOOP)
     block = np.zeros((4, 3, 3))
     block[2, 1, 0] = np.nan  # one trial of a block of based paths
     with pytest.raises(InputError):
@@ -192,10 +246,9 @@ small_coeffs = st.lists(
 @settings(max_examples=50)
 @given(small_coeffs, small_coeffs)
 def test_addition_linear_in_evaluation(ca, cb):
-    from lie2.liealg import su2
     g = su2()
-    a = PolyPath(g, np.array([ca, [0.0] * len(ca), [0.0] * len(ca)]))
-    b = PolyPath(g, np.array([cb, [0.0] * len(cb), [0.0] * len(cb)]))
+    a = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0] + ca), BASED)
+    b = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0] + cb), BASED)
     u = 0.625
     assert np.allclose((a + b).eval(u), a.eval(u) + b.eval(u))
     assert np.allclose((a - b).eval(u), a.eval(u) - b.eval(u))

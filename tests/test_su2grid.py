@@ -3,7 +3,7 @@ import pytest
 
 from lie2 import su2grid as sg
 from lie2.liealg import InputError
-from lie2.paths import LOOP, TWO_PI, PolyPath, derivative, integral_pairing, random_path
+from lie2.paths import BASED, LOOP, TWO_PI, PolyPath, derivative_pairing, random_path
 from lie2.suites import RunConfig, run
 
 # -- the 2x2 complex matrix picture, kept here as the oracle of the quaternion layer
@@ -231,9 +231,7 @@ def test_beta_p_closed_form_oracle(g, rng):
     p = sg.SampledGroupPath(sg.exp_su2(x0[:, None] * s_val[None, :]))
     xi = 0.3 * random_path(g, rng, 4, LOOP)
     numeric = sg.beta_p(p, xi.eval_grid(u).T)
-    s_prime_u = s_poly[1:] * np.arange(1, 5)
-    oracle = -2.0 * integral_pairing(
-        xi, PolyPath(g, np.outer(x0, s_prime_u) / TWO_PI))
+    oracle = -2.0 * derivative_pairing(xi, PolyPath(g, np.outer(x0, s_poly), BASED))
     assert numeric == pytest.approx(oracle, abs=1e-6)
 
 
@@ -335,7 +333,7 @@ def test_embedding_consistency_small_amplitude(g, rng):
     # deviation controlled by eps^2 * (C eps + quadrature)
     xi = random_path(g, rng, 4, LOOP)
     eta = random_path(g, rng, 4, LOOP)
-    exact = 2.0 * integral_pairing(xi, derivative(eta))
+    exact = 2.0 * derivative_pairing(xi, eta)
     n = 1024
     h = TWO_PI / n
     u = np.linspace(0.0, 1.0, n + 1)
