@@ -189,6 +189,8 @@ def scalar_path(poly, kind: str = BASED) -> PolyPath:
 def validate_splitting(poly: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """A splitting function interpolates 0 -> 1 across the interval."""
     poly = np.atleast_1d(np.asarray(poly, dtype=float))
+    if not np.isfinite(poly).all():
+        raise InputError(f"splitting function {poly.tolist()} has non-finite coefficients")
     if abs(poly[0]) > tol:
         raise InputError("splitting function must vanish at theta = 0")
     if abs(poly.sum() - 1.0) > tol:

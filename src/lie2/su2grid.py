@@ -21,6 +21,19 @@ Grids are uniform on [0, 2*pi] with N + 1 samples including both ends.
 Derivatives use central differences with one-sided second-order stencils at
 the boundaries; integrals use the trapezoid rule.  Both are O(h^2), which the
 convergence suites verify by refinement.
+
+Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
+within one t-row, or a 3-point stencil along t, and the theta-trapezoid
+reduces each row on its own.  So the two kappa residuals stream over blocks of
+at most ``BLOCK_POINTS`` grid points (31 t-rows at Ntheta = 512): a block forms
+the products, conjugates, Maurer-Cartan forms and pairings of its rows and
+reduces them to per-row theta-integrals, and the t-trapezoid runs once over
+the assembled row integrals.  The t-stencils of a block read a window of the
+input rows with a 1-row halo on each side, or the 3 end rows where the
+one-sided stencil applies; the identity-boundary and unitarity checks run on
+every block.  The public kernels (``product_field``, ``conjugate_field``,
+``maurer_cartan_t``, ``kappa``, ``beta_p``) are the same row kernels applied
+to all rows, so a streamed residual is bitwise equal to their composition.
 """
 
 from __future__ import annotations
@@ -36,22 +49,30 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 DEFAULT_PAIRING_SCALE = -2.0  # <A, B> = -2 Re tr(AB) makes the X_i orthonormal
 
+# grid points per streamed block of t-rows: its intermediates stay in a few MiB
+# of cache rather than streaming whole grids through memory
+BLOCK_POINTS = 1 << 14
+
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the leading axis."""
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    out = np.empty((3, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i, ...])
+        out[i, ...] -= a[k] * b[j]
+    return out
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion product over the leading axis (the 2x2 matrix product)."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+    out = np.empty((4, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    out[0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    out[1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    out[2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    out[3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return out
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -62,7 +83,13 @@ def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _vector_form(q: np.ndarray, dq: np.ndarray, sign: float) -> np.ndarray:
     """2 vec(conj(q) dq) for sign -1 (left form), 2 vec(dq conj(q)) for +1."""
-    return 2.0 * (q[0] * dq[1:] - dq[0] * q[1:] + sign * _cross(q[1:], dq[1:]))
+    out = q[0] * dq[1:]
+    out -= dq[0] * q[1:]
+    cross = _cross(q[1:], dq[1:])
+    cross *= sign
+    out += cross
+    out *= 2.0
+    return out
 
 
 def exp_su2(v: np.ndarray) -> np.ndarray:
@@ -72,7 +99,10 @@ def exp_su2(v: np.ndarray) -> np.ndarray:
     alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
     half = 0.5 * alpha
     coef = np.where(alpha > 1e-12, np.sin(half) / np.where(alpha > 0, alpha, 1.0), 0.5)
-    return np.concatenate([np.cos(half)[None], coef * v])
+    out = np.empty((4, *v.shape[1:]))
+    np.cos(half, out=out[0, ...])
+    np.multiply(coef, v, out=out[1:])
+    return out
 
 
 def unitarize(q: np.ndarray) -> np.ndarray:
@@ -106,19 +136,77 @@ def validate_pairing_scale(g: LieAlgebraPresentation,
         )
 
 
+def _diff_rows(w: np.ndarray, i0: int, i1: int, start: bool, end: bool,
+               h: float) -> np.ndarray:
+    """Second-order derivative along axis 0 at rows i0..i1-1 of the window w:
+    central inside, one-sided at row 0 when w starts the axis (start) and at
+    its last row when w ends it (end)."""
+    out = np.empty_like(w[i0:i1])
+    c0, c1 = i0 + start, i1 - end
+    central = out[c0 - i0:c1 - i0]
+    np.subtract(w[c0 + 1:c1 + 1], w[c0 - 1:c1 - 1], out=central)
+    central /= 2.0 * h
+    if start:
+        out[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+    if end:
+        out[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
+    return out
+
+
 def _diff(samples: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order derivative along an axis: central interior, one-sided ends."""
     s = np.moveaxis(samples, axis, 0)
-    out = np.empty_like(s)
-    out[1:-1] = (s[2:] - s[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h)
-    out[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(_diff_rows(s, 0, len(s), True, True, h), 0, axis)
 
 
 def _trapz(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     v = np.moveaxis(values, axis, -1)
     return h * (v[..., 1:-1].sum(axis=-1) + 0.5 * (v[..., 0] + v[..., -1]))
+
+
+# ---------------------------------------------------------------------------
+# blocks of t-rows
+# ---------------------------------------------------------------------------
+
+class _Block:
+    """Rows lo..hi-1 of a grid of n t-rows, and the window a..b-1 of rows their
+    t-stencils read: a 1-row halo, or the 3 end rows of the one-sided stencil."""
+
+    def __init__(self, lo: int, hi: int, n: int):
+        self.lo, self.hi, self.n = lo, hi, n
+        a, b = max(lo - 1, 0), min(hi + 1, n)
+        self.a = min(a, n - 3) if hi == n else a
+        self.b = max(b, 3) if lo == 0 else b
+
+    def rows(self, grid: np.ndarray) -> np.ndarray:
+        return grid[:, self.lo:self.hi]
+
+    def window(self, grid: np.ndarray) -> np.ndarray:
+        return grid[:, self.a:self.b]
+
+    def t_form(self, window: np.ndarray, h: float) -> np.ndarray:
+        """Coordinates of q^-1 dq/dt on the block's rows from quaternion
+        samples (4, b - a, Ntheta + 1) of its window."""
+        i0, i1 = self.lo - self.a, self.hi - self.a
+        dq = _diff_rows(np.moveaxis(window, 1, 0), i0, i1, self.lo == 0, self.hi == self.n, h)
+        return _vector_form(window[:, i0:i1], np.moveaxis(dq, 0, 1), -1.0)
+
+
+def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
+    step = max(1, BLOCK_POINTS // n_cols)
+    return [_Block(lo, min(lo + step, n_rows), n_rows) for lo in range(0, n_rows, step)]
+
+
+def _check_loop_rows(f: np.ndarray, at_t0: bool) -> np.ndarray:
+    """Rows of a loop field: the identity at theta = 0 (and at t = 0 when the
+    rows start there), unitary to 1e-10."""
+    if at_t0 and np.any(f[:, 0] != IDENTITY[:, None]):
+        raise InputError("loop field must be the identity at t = 0")
+    if np.any(f[:, :, 0] != IDENTITY[:, None]):
+        raise InputError("loop field must be the identity at theta = 0")
+    if not unitary_drift(f) <= 1e-10:
+        raise InputError("loop field samples drift off the unitary group")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +245,7 @@ class SampledPathOfLoops:
         if f.ndim != 3 or f.shape[0] != 4 or min(f.shape[1:]) < 5:
             raise InputError("loop field needs at least a 5x5 grid of quaternions, "
                              "shape (4, Nt + 1, Ntheta + 1)")
-        if np.any(f[:, 0] != IDENTITY[:, None]):
-            raise InputError("loop field must be the identity at t = 0")
-        if np.any(f[:, :, 0] != IDENTITY[:, None]):
-            raise InputError("loop field must be the identity at theta = 0")
-        if not unitary_drift(f) <= 1e-10:
-            raise InputError("loop field samples drift off the unitary group")
+        _check_loop_rows(f, True)
         object.__setattr__(self, "grid", f)
 
     @property
@@ -180,16 +263,26 @@ def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOf
     return SampledPathOfLoops(unitarize(_hamilton(a.grid, b.grid)))
 
 
+def _conjugate(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1)."""
+    out = np.empty_like(f)
+    out[0] = f[0]
+    out[1:] = _rotate(q, f[1:])
+    return unitarize(out)
+
+
 def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOfLoops:
     """p f p^-1 pointwise in theta, constant in t; p must share the theta grid.
 
     The scalar part is invariant and the vector part rotates, so the identity
     boundaries stay exact."""
+    _check_conjugator(p, f)
+    return SampledPathOfLoops(_conjugate(p.samples[:, None, :], f.grid))
+
+
+def _check_conjugator(p: SampledGroupPath, f: SampledPathOfLoops) -> None:
     if p.n_theta != f.n_theta:
         raise InputError("grid mismatch between conjugator and field")
-    q = p.samples[:, None, :]
-    grid = np.concatenate([f.grid[:1], _rotate(q, f.grid[1:])])
-    return SampledPathOfLoops(unitarize(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +292,7 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
     """Coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
     (second-order stencils)."""
-    if f.n_t < 4:
-        raise InputError("need at least 5 samples along t")
-    h = TWO_PI / f.n_t
-    return _vector_form(f.grid, _diff(f.grid, axis=1, h=h), -1.0)
+    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid, TWO_PI / f.n_t)
 
 
 def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
@@ -211,44 +301,64 @@ def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
     return _vector_form(f, _diff(f, axis=-1, h=h), 1.0)
 
 
+def _theta_integrals(a: np.ndarray, b: np.ndarray, scale: float, h: float) -> np.ndarray:
+    """Theta-trapezoid of <a, b> on each row of two coordinate fields
+    (3, rows, Ntheta + 1)."""
+    return _trapz(pair_fields(a, b, scale), h)
+
+
+def _exp_cocycle(row_integrals: np.ndarray, k: float, h: float) -> complex:
+    """exp(2ik * the t-trapezoid of the per-row theta-integrals)."""
+    return complex(np.exp(2.0j * k * _trapz(row_integrals, h)))
+
+
 def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float,
           pairing_scale: float = DEFAULT_PAIRING_SCALE) -> complex:
     """exp(2ik * double integral of <f^-1 df/dt, (dg/dtheta) g^-1>)."""
     if f.grid.shape != g.grid.shape:
         raise InputError("grid mismatch in cocycle evaluation")
-    return _kappa(maurer_cartan_t(f), _mc_theta(g), k, pairing_scale)
-
-
-def _mc_theta(g: SampledPathOfLoops) -> np.ndarray:
-    return maurer_cartan_theta_right(g.grid, TWO_PI / g.n_theta)
-
-
-def _kappa(mc_t: np.ndarray, mc_theta: np.ndarray, k: float,
-           pairing_scale: float) -> complex:
-    """kappa from the t-form of its first and the theta-form of its second
-    argument, both (3, Nt + 1, Ntheta + 1)."""
-    n_t, n_theta = mc_t.shape[1] - 1, mc_t.shape[2] - 1
-    integrand = pair_fields(mc_t, mc_theta, pairing_scale)
-    total = _trapz(_trapz(integrand, TWO_PI / n_theta, axis=1), TWO_PI / n_t, axis=0)
-    return complex(np.exp(2.0j * k * total))
+    h_theta = TWO_PI / g.n_theta
+    rows = _theta_integrals(maurer_cartan_t(f), maurer_cartan_theta_right(g.grid, h_theta),
+                            pairing_scale, h_theta)
+    return _exp_cocycle(rows, k, TWO_PI / f.n_t)
 
 
 def kappa_cocycle_residual(f: SampledPathOfLoops, g: SampledPathOfLoops,
                            h: SampledPathOfLoops, k: float,
                            pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
-    """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|.
-
-    The forms of f and h appear twice and are computed once; each is dropped,
-    like the products fg and gh, as soon as its last factor is known, so few
-    grids are alive at a time."""
-    mc_h = _mc_theta(h)
-    kappa_fg_h = _kappa(maurer_cartan_t(product_field(f, g)), mc_h, k, pairing_scale)
-    kappa_g_h = _kappa(maurer_cartan_t(g), mc_h, k, pairing_scale)
-    del mc_h
-    mc_f = maurer_cartan_t(f)
-    kappa_f_g = _kappa(mc_f, _mc_theta(g), k, pairing_scale)
-    kappa_f_gh = _kappa(mc_f, _mc_theta(product_field(g, h)), k, pairing_scale)
+    """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|, streamed over blocks
+    of t-rows: each block forms the products fg and gh and the forms of its
+    rows and keeps only the row integrals of the four pairings."""
+    if not f.grid.shape == g.grid.shape == h.grid.shape:
+        raise InputError("grid mismatch in pointwise product")
+    ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
+    rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
+    for blk in _blocks(*f.grid.shape[1:]):
+        f_win, g_win = blk.window(f.grid), blk.window(g.grid)
+        g_rows, h_rows = blk.rows(g.grid), blk.rows(h.grid)
+        fg_win = _check_loop_rows(unitarize(_hamilton(f_win, g_win)), blk.a == 0)
+        gh_rows = _check_loop_rows(unitarize(_hamilton(g_rows, h_rows)), blk.lo == 0)
+        mc_f = blk.t_form(f_win, ht)
+        mc_h = maurer_cartan_theta_right(h_rows, hth)
+        out = rows[:, blk.lo:blk.hi]
+        out[0] = _theta_integrals(mc_f, maurer_cartan_theta_right(g_rows, hth),
+                                  pairing_scale, hth)
+        out[1] = _theta_integrals(blk.t_form(fg_win, ht), mc_h, pairing_scale, hth)
+        out[2] = _theta_integrals(blk.t_form(g_win, ht), mc_h, pairing_scale, hth)
+        out[3] = _theta_integrals(mc_f, maurer_cartan_theta_right(gh_rows, hth),
+                                  pairing_scale, hth)
+    kappa_f_g, kappa_fg_h, kappa_g_h, kappa_f_gh = (_exp_cocycle(r, k, ht) for r in rows)
     return abs(kappa_f_g * kappa_fg_h - kappa_g_h * kappa_f_gh)
+
+
+def _base_form(p: SampledGroupPath) -> np.ndarray:
+    """Coordinates (3, Ntheta + 1) of p^-1 dp/dtheta."""
+    return _vector_form(p.samples, _diff(p.samples, axis=1, h=TWO_PI / p.n_theta), -1.0)
+
+
+def _beta_rows(form: np.ndarray, xi: np.ndarray, scale: float, h: float) -> np.ndarray:
+    """beta_p(xi) from the base path's form: -2 * theta-trapezoid of <xi, form>."""
+    return -2.0 * _trapz(pair_fields(xi, form, scale), h)
 
 
 def beta_p(p: SampledGroupPath, xi: np.ndarray,
@@ -261,10 +371,7 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != p.n_theta + 1:
         raise InputError("grid mismatch between 1-form argument and base path")
-    h = TWO_PI / p.n_theta
-    a = _vector_form(p.samples, _diff(p.samples, axis=1, h=h), -1.0)
-    integrand = pair_fields(xi, a, pairing_scale)
-    value = -2.0 * _trapz(integrand, h, axis=-1)
+    value = _beta_rows(_base_form(p), xi, pairing_scale, TWO_PI / p.n_theta)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -314,22 +421,33 @@ def kappa_conjugation_identity_residual(
         = kappa(f1, f2) * exp(ik * integral over t of
               beta_p(mc(f1 f2)) - beta_p(mc(f1)) - beta_p(mc(f2)))
 
-    where mc is the t-direction Maurer-Cartan form.
+    where mc is the t-direction Maurer-Cartan form.  Streamed over blocks of
+    t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
     """
     if f1.grid.shape != f2.grid.shape:
         raise InputError("grid mismatch between the two loop fields")
-    ht = TWO_PI / f1.n_t
-    mc_f1 = maurer_cartan_t(f1)  # in kappa(f1, f2) and in the correction
-    kappa_f1_f2 = _kappa(mc_f1, _mc_theta(f2), k, pairing_scale)
-    beta_f1 = beta_p(p, mc_f1, pairing_scale)
-    del mc_f1
-    lhs = kappa(conjugate_field(p, f1), conjugate_field(p, f2), k, pairing_scale)
-    correction = (
-        beta_p(p, maurer_cartan_t(product_field(f1, f2)), pairing_scale)
-        - beta_f1
-        - beta_p(p, maurer_cartan_t(f2), pairing_scale)
-    )
-    rhs = kappa_f1_f2 * np.exp(1.0j * k * _trapz(correction, ht))
+    _check_conjugator(p, f1)
+    ht, hth = TWO_PI / f1.n_t, TWO_PI / f1.n_theta
+    form = _base_form(p)
+    q = p.samples[:, None, :]
+    rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
+    for blk in _blocks(*f1.grid.shape[1:]):
+        f1_win, f2_win = blk.window(f1.grid), blk.window(f2.grid)
+        f2_rows = blk.rows(f2.grid)
+        c1_win = _check_loop_rows(_conjugate(q, f1_win), blk.a == 0)
+        c2_rows = _check_loop_rows(_conjugate(q, f2_rows), blk.lo == 0)
+        f12_win = _check_loop_rows(unitarize(_hamilton(f1_win, f2_win)), blk.a == 0)
+        mc_f1 = blk.t_form(f1_win, ht)
+        out = rows[:, blk.lo:blk.hi]
+        out[0] = _theta_integrals(blk.t_form(c1_win, ht),
+                                  maurer_cartan_theta_right(c2_rows, hth), pairing_scale, hth)
+        out[1] = _theta_integrals(mc_f1, maurer_cartan_theta_right(f2_rows, hth),
+                                  pairing_scale, hth)
+        out[2] = (_beta_rows(form, blk.t_form(f12_win, ht), pairing_scale, hth)
+                  - _beta_rows(form, mc_f1, pairing_scale, hth)
+                  - _beta_rows(form, blk.t_form(f2_win, ht), pairing_scale, hth))
+    lhs = _exp_cocycle(rows[0], k, ht)
+    rhs = _exp_cocycle(rows[1], k, ht) * np.exp(1.0j * k * _trapz(rows[2], ht))
     return abs(lhs - complex(rhs))
 
 
@@ -385,9 +503,10 @@ class LoopFieldCoeffs:
         s = np.linspace(0.0, 1.0, n_t + 1)
         theta = np.linspace(0.0, TWO_PI, n_theta + 1)
         t_basis = s[:, None] ** (np.arange(mt)[None, :] + 1)  # (Nt+1, mt)
-        th_basis = _theta_loop_basis(theta, mn)
-        v = np.einsum("kmn,im,jn->kij", c, t_basis, th_basis)
-        grid = exp_su2(v)
+        theta_part = c @ _theta_loop_basis(theta, mn).T  # (3, mt, Ntheta+1)
+        grid = np.empty((4, n_t + 1, n_theta + 1))
+        for blk in _blocks(n_t + 1, n_theta + 1):
+            grid[:, blk.lo:blk.hi] = exp_su2(t_basis[blk.lo:blk.hi] @ theta_part)
         grid[:, 0] = IDENTITY[:, None]
         grid[:, :, 0] = IDENTITY[:, None]
         return SampledPathOfLoops(grid)

@@ -55,6 +55,12 @@ def test_verify_bad_splitting(capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_non_finite_splitting(capsys):
+    code = main(["verify", "--suite", "psi-hom", "--splitting", "nan,nan"])
+    assert code == 2
+    assert "splitting function [nan, nan] has non-finite coefficients" in capsys.readouterr().err
+
+
 def test_non_integer_level_warns(capsys):
     code = main(["verify", "--suite", "gk-jacobi", "--k", "0.5", *FAST])
     assert code == 0

@@ -238,6 +238,12 @@ def test_random_splitting_is_admissible(rng):
         validate_splitting(random_splitting(rng, 8))
 
 
+@pytest.mark.parametrize("poly", [[np.nan, np.nan, np.nan], [0.0, np.inf, 1.0], [0.0, 1.0, np.nan]])
+def test_validate_splitting_rejects_non_finite_coefficients(poly):
+    with pytest.raises(InputError, match="non-finite"):
+        validate_splitting(poly)
+
+
 small_coeffs = st.lists(
     st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=2, max_size=5
 )

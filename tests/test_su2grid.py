@@ -362,3 +362,87 @@ def test_quadrature_residuals_match_the_matrix_implementation(n):
     report = run(RunConfig(nt=n, ntheta=n, suites=tuple(golden)))
     got = {s["name"]: s["max_residual"] for s in report["suites"]}
     assert got == pytest.approx(golden, rel=1e-9)
+
+
+# -- row-block streaming ---------------------------------------------------------
+
+def _cocycle_by_composition(f, g, h, k):
+    fg, gh = sg.product_field(f, g), sg.product_field(g, h)
+    return abs(sg.kappa(f, g, k) * sg.kappa(fg, h, k) - sg.kappa(g, h, k) * sg.kappa(f, gh, k))
+
+
+def _conjugation_by_composition(p, f1, f2, k):
+    lhs = sg.kappa(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2), k)
+    correction = (sg.beta_p(p, sg.maurer_cartan_t(sg.product_field(f1, f2)))
+                  - sg.beta_p(p, sg.maurer_cartan_t(f1))
+                  - sg.beta_p(p, sg.maurer_cartan_t(f2)))
+    rhs = sg.kappa(f1, f2, k) * np.exp(1.0j * k * sg._trapz(correction, TWO_PI / f1.n_t))
+    return abs(lhs - complex(rhs))
+
+
+def _streamed_grids():
+    """(nt, ntheta): square, not square with a partial last block, the minimum
+    RunConfig grid, and grids whose last block holds 1, 2 and 3 rows, so the
+    one-sided end stencil reads rows of the block before."""
+    ntheta = 1023
+    rows = sg.BLOCK_POINTS // (ntheta + 1)
+    return [(256, 256), (300, 96), (8, 8)] + [(2 * rows + last - 1, ntheta)
+                                              for last in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
+def test_streamed_residuals_equal_the_full_grid_composition(rng, nt, ntheta):
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(nt, ntheta) for _ in range(3)]
+    p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
+    cocycle = sg.kappa_cocycle_residual(*fs, 1.0)
+    assert cocycle > 0.0
+    assert cocycle == _cocycle_by_composition(*fs, 1.0)
+    conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+    assert conjugation > 0.0
+    assert conjugation == _conjugation_by_composition(p, fs[0], fs[1], 1.0)
+
+
+def test_blocks_partition_the_rows_and_window_their_stencils():
+    for n_rows, n_cols in [(5, 5), (9, 9), (257, 257), (131, 97), (301, 97), (33, 1024),
+                           (34, 1024), (35, 1024), (5, 20000)]:
+        blocks = sg._blocks(n_rows, n_cols)
+        assert [b.lo for b in blocks[1:]] == [b.hi for b in blocks[:-1]]
+        assert (blocks[0].lo, blocks[-1].hi) == (0, n_rows)
+        for b in blocks:
+            assert (b.hi - b.lo) * n_cols <= max(sg.BLOCK_POINTS, n_cols)
+            reads = {r + d for r in range(b.lo, b.hi) for d in (-1, 1)
+                     if 0 < r < n_rows - 1}
+            reads |= {0, 1, 2} if b.lo == 0 else set()
+            reads |= {n_rows - 3, n_rows - 2, n_rows - 1} if b.hi == n_rows else set()
+            assert set(range(b.a, b.b)) == reads | set(range(b.lo, b.hi))
+    assert len(sg._blocks(301, 97)) == 2 and len(sg._blocks(257, 257)) == 5
+
+
+@pytest.mark.parametrize("residual, kernel, operand", [
+    ("cocycle", "_hamilton", 0),  # f g
+    ("cocycle", "_hamilton", 1),  # g h
+    ("conjugation", "_hamilton", 0),  # f1 f2
+    ("conjugation", "_rotate", 0),  # p f1 p^-1
+    ("conjugation", "_rotate", 1),  # p f2 p^-1
+])
+def test_streamed_products_are_checked_on_every_block(rng, monkeypatch, residual, kernel,
+                                                      operand):
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(300, 96) for _ in range(3)]
+    p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(96)
+    assert [(b.a, b.b) for b in sg._blocks(301, 97)] == [(0, 169), (167, 301)]
+    real = getattr(sg, kernel)
+
+    def poisoned(a, b):
+        # a NaN in one computed field, in the last block only
+        out = real(a, b)
+        field = b if kernel == "_rotate" else a
+        if np.shares_memory(field, fs[operand].grid) and field.shape[1] < 150:
+            out[:, -1, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(sg, kernel, poisoned)
+    with pytest.raises(InputError, match="drift"):
+        if residual == "cocycle":
+            sg.kappa_cocycle_residual(*fs, 1.0)
+        else:
+            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
