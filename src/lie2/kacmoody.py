@@ -23,7 +23,7 @@ def omega_cocycle_residual(f: PolyPath, g: PolyPath, h: PolyPath, k: float) -> f
         + omega(pointwise_bracket(g, h), f, k)
         + omega(pointwise_bracket(h, f), g, k)
     )
-    return relative(abs(total), [f.norm(), g.norm(), h.norm()])
+    return relative(abs(total), [f.norm(), g.norm(), h.norm()], f.algebra.form_scale)
 
 
 def extended_bracket(a: CentralVector, b: CentralVector, k: float) -> CentralVector:
@@ -43,7 +43,8 @@ def extended_jacobi_residual(a: CentralVector, b: CentralVector,
         + extended_bracket(extended_bracket(b, c, k), a, k)
         + extended_bracket(extended_bracket(c, a, k), b, k)
     )
-    return relative(total.norm(), [a.norm(), b.norm(), c.norm()])
+    return relative(total.norm(), [a.norm(), b.norm(), c.norm()],
+                    a.loop.algebra.form_scale)
 
 
 def dalpha(p: PolyPath, v: CentralVector, k: float) -> CentralVector:
@@ -59,7 +60,8 @@ def dalpha_action_residual(p1: PolyPath, p2: PolyPath, v: CentralVector,
     dalpha([p1, p2]) v - (dalpha(p1) dalpha(p2) - dalpha(p2) dalpha(p1)) v."""
     lhs = dalpha(pointwise_bracket(p1, p2), v, k)
     rhs = dalpha(p1, dalpha(p2, v, k), k) - dalpha(p2, dalpha(p1, v, k), k)
-    return relative((lhs - rhs).norm(), [p1.norm(), p2.norm(), v.norm()])
+    return relative((lhs - rhs).norm(), [p1.norm(), p2.norm(), v.norm()],
+                    p1.algebra.form_scale)
 
 
 def dalpha_derivation_residual(p: PolyPath, a: CentralVector, b: CentralVector,
@@ -68,7 +70,8 @@ def dalpha_derivation_residual(p: PolyPath, a: CentralVector, b: CentralVector,
     lhs = dalpha(p, extended_bracket(a, b, k), k)
     rhs = extended_bracket(dalpha(p, a, k), b, k) \
         + extended_bracket(a, dalpha(p, b, k), k)
-    return relative((lhs - rhs).norm(), [p.norm(), a.norm(), b.norm()])
+    return relative((lhs - rhs).norm(), [p.norm(), a.norm(), b.norm()],
+                    p.algebra.form_scale)
 
 
 def dalpha_equivariance_residual(p: PolyPath, v: CentralVector, k: float) -> float:
@@ -77,7 +80,7 @@ def dalpha_equivariance_residual(p: PolyPath, v: CentralVector, k: float) -> flo
     action with the projection)."""
     lhs = dalpha(p, v, k).loop
     rhs = pointwise_bracket(p, v.loop)
-    return relative((lhs - rhs).norm(), [p.norm(), v.norm()])
+    return relative((lhs - rhs).norm(), [p.norm(), v.norm()], p.algebra.form_scale)
 
 
 def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
@@ -89,4 +92,4 @@ def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
         raise InputError("expected a loop")
     lhs = dalpha(l, v, k)
     rhs = extended_bracket(CentralVector(l, 0.0), v, k)
-    return relative((lhs - rhs).norm(), [l.norm(), v.norm()])
+    return relative((lhs - rhs).norm(), [l.norm(), v.norm()], l.algebra.form_scale)

@@ -26,6 +26,9 @@ class LieAlgebraPresentation:
     dim: int
     structure: np.ndarray  # (n, n, n), c[i, j, k]
     form: np.ndarray  # (n, n), symmetric invariant
+    # the factor the form was rescaled by from its bundled or file values;
+    # residuals of terms the form enters are taken relative to it
+    form_scale: float = 1.0
 
     def __eq__(self, other):
         # structural: two loads of the same table interoperate (names aside)
@@ -100,6 +103,7 @@ class LieAlgebraPresentation:
             dim=self.dim,
             structure=self.structure,
             form=form_scale * self.form,
+            form_scale=self.form_scale * form_scale,
         )
 
 
@@ -200,6 +204,6 @@ def load_presentation(source: str | Path, form_scale: float = 1.0,
     if form.shape != (n, n):
         raise InputError(f"form must be {n}x{n}")
     form = 0.5 * (form + form.T) * form_scale
-    g = LieAlgebraPresentation(name, n, c, form)
+    g = LieAlgebraPresentation(name, n, c, form, form_scale)
     g.validate(tol=tol)
     return g

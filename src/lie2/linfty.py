@@ -38,9 +38,10 @@ Graded = tuple[int, Any]
 # element spaces
 # ---------------------------------------------------------------------------
 
-# trials drawn and evaluated together by random_elements; larger blocks gain
-# little speed and raise peak memory
-TRIAL_BLOCK = 25
+# uniform numbers random_elements draws per block (512 KiB of float64): a block
+# holds max(1, BLOCK_NUMBERS // width) trials, so it is sized by the memory its
+# elements and their intermediates take, not by a trial count
+BLOCK_NUMBERS = 1 << 16
 
 
 class _Space:
@@ -123,23 +124,28 @@ def random_elements(rng: np.random.Generator, trials: int,
                     spaces: Sequence) -> Iterator[tuple]:
     """One random element of each space per trial, drawn in that order.
 
-    Trials come in blocks of ``TRIAL_BLOCK``: one ``rng.uniform`` call draws
-    a whole block, trial after trial and within a trial space after space, so
-    the numbers are those of drawing each element on its own.  Each yielded
-    tuple holds one batched element per space."""
+    A block holds ``max(1, BLOCK_NUMBERS // width)`` trials, ``width`` being
+    the numbers one trial takes.  One ``rng.uniform`` call draws a whole
+    block, trial after trial and within a trial space after space, so the
+    numbers are those of drawing each element on its own.  Each yielded tuple
+    holds one batched element per space, made from a view of its columns."""
     edges = np.cumsum([space.width for space in spaces])
-    for start in range(0, trials, TRIAL_BLOCK):
-        u = rng.uniform(-1.0, 1.0, (min(TRIAL_BLOCK, trials - start), edges[-1]))
-        yield tuple(space.element(np.ascontiguousarray(cols)) for space, cols
+    step = max(1, BLOCK_NUMBERS // int(edges[-1]))
+    for start in range(0, trials, step):
+        u = rng.uniform(-1.0, 1.0, (min(step, trials - start), edges[-1]))
+        yield tuple(space.element(cols) for space, cols
                     in zip(spaces, np.split(u, edges[:-1], axis=1)))
 
 
-def relative(residual_norm: float, input_norms: Sequence[float]) -> float:
-    """Residual scaled by 1 + prod(1 + |x_i|), stable under degree growth."""
+def relative(residual_norm: float, input_norms: Sequence[float],
+             form_scale: float = 1.0) -> float:
+    """Residual scaled by 1 + prod(1 + |x_i|), stable under degree growth, and
+    by the invariant form's scale where it exceeds 1: the terms the form
+    enters, and their roundoff, grow with it."""
     denom = 1.0
     for nv in input_norms:
         denom *= 1.0 + nv
-    return residual_norm / (1.0 + denom)
+    return residual_norm / ((1.0 + denom) * max(1.0, abs(form_scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +157,8 @@ class TwoTermLInfinity:
     """Chain complex space1 -> space0 with a graded bracket and Jacobiator.
 
     All maps act on raw elements; degree dispatch happens in the checker.
-    ``l3 = None`` means the structure is strict.
+    ``l3 = None`` means the structure is strict.  ``form_scale`` is that of
+    the invariant form the brackets carry, which residuals are relative to.
     """
 
     name: str
@@ -161,6 +168,7 @@ class TwoTermLInfinity:
     l2_00: Callable[[Any, Any], Any]
     l2_01: Callable[[Any, Any], Any]
     l3: Callable[[Any, Any, Any], Any] | None = None
+    form_scale: float = 1.0
 
     def space(self, degree: int):
         if degree == 0:
@@ -244,7 +252,7 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
             coeff = float(chi(degrees, sigma)) * (-1.0) ** (i * (j - 1))
             acc = acc + coeff * val
     norms = [L.space(d).norm(v) for d, v in inputs]
-    return relative(space.norm(acc), norms)
+    return relative(space.norm(acc), norms, L.form_scale)
 
 
 def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
@@ -332,19 +340,20 @@ def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
     on one sample (x, y, z in degree 0, h in degree 1)."""
     src, dst = hom.src, hom.dst
     n0, n1 = dst.space0.norm, dst.space1.norm
+    scale = dst.form_scale
     nx, ny, nz = (src.space0.norm(v) for v in (x, y, z))
     nh = src.space1.norm(h)
 
     chain = dst.d(hom.phi1(h)) - hom.phi0(src.d(h))
-    r_chain = relative(n0(chain), [nh])
+    r_chain = relative(n0(chain), [nh], scale)
 
     one = dst.d(hom.phi2(x, y)) - hom.phi0(src.l2_00(x, y)) \
         + dst.l2_00(hom.phi0(x), hom.phi0(y))
-    r_one = relative(n0(one), [nx, ny])
+    r_one = relative(n0(one), [nx, ny], scale)
 
     two = hom.phi2(x, src.d(h)) - hom.phi1(src.l2_01(x, h)) \
         + dst.l2_01(hom.phi0(x), hom.phi1(h))
-    r_two = relative(n1(two), [nx, nh])
+    r_two = relative(n1(two), [nx, nh], scale)
 
     lhs = dst.l3_or_zero(hom.phi0(x), hom.phi0(y), hom.phi0(z)) \
         - hom.phi1(src.l3_or_zero(x, y, z))
@@ -354,7 +363,7 @@ def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
         + dst.l2_01(hom.phi0(x), hom.phi2(y, z)) \
         + dst.l2_01(hom.phi0(y), hom.phi2(z, x)) \
         + dst.l2_01(hom.phi0(z), hom.phi2(x, y))
-    r_three = relative(n1(lhs - rhs), [nx, ny, nz])
+    r_three = relative(n1(lhs - rhs), [nx, ny, nz], scale)
 
     return {"chain": r_chain, "homo1": r_one, "homo2": r_two, "homo3": r_three}
 
@@ -403,20 +412,21 @@ def two_hom_residuals_once(homotopy: ChainHomotopy, x, y, h) -> dict[str, float]
     phi, psi = homotopy.from_hom, homotopy.to_hom
     src, dst = phi.src, phi.dst
     tau = homotopy.tau
+    scale = dst.form_scale
     nx, ny = src.space0.norm(x), src.space0.norm(y)
     nh = src.space1.norm(h)
 
     h0 = dst.d(tau(x)) - (psi.phi0(x) - phi.phi0(x))
-    r0 = relative(dst.space0.norm(h0), [nx])
+    r0 = relative(dst.space0.norm(h0), [nx], scale)
 
     h1 = tau(src.d(h)) - (psi.phi1(h) - phi.phi1(h))
-    r1 = relative(dst.space1.norm(h1), [nh])
+    r1 = relative(dst.space1.norm(h1), [nh], scale)
 
     lhs = phi.phi2(x, y) - psi.phi2(x, y)
     rhs = dst.l2_01(phi.phi0(x), tau(y)) \
         - dst.l2_01(psi.phi0(y), tau(x)) \
         - tau(src.l2_00(x, y))
-    r2 = relative(dst.space1.norm(lhs - rhs), [nx, ny])
+    r2 = relative(dst.space1.norm(lhs - rhs), [nx, ny], scale)
 
     return {"homotopy0": r0, "homotopy1": r1, "coherence": r2}
 
@@ -488,10 +498,12 @@ def categorical_view_check(L: TwoTermLInfinity, rng: np.random.Generator,
             ),
         ]
         for m in checks:
-            worst.add({"category": relative(mor_norm(m), norms)})
+            worst.add({"category": relative(mor_norm(m), norms, L.form_scale)})
 
         # source/target are bracket homomorphisms
         bm = bracket_with_identity(z, f)
-        worst.add({"source": relative(s0.norm(src(bm) - L.l2_00(z, src(f))), norms),
-                   "target": relative(s0.norm(tgt(bm) - L.l2_00(z, tgt(f))), norms)})
+        worst.add({"source": relative(s0.norm(src(bm) - L.l2_00(z, src(f))), norms,
+                                      L.form_scale),
+                   "target": relative(s0.norm(tgt(bm) - L.l2_00(z, tgt(f))), norms,
+                                      L.form_scale)})
     return worst.max_residual

@@ -58,6 +58,7 @@ def make_gk(g: LieAlgebraPresentation, k: float) -> TwoTermLInfinity:
         l2_00=g.bracket,
         l2_01=lambda x, c: 0.0,
         l3=lambda x, y, z: k * g.nu(x, y, z),
+        form_scale=g.form_scale,
     )
 
 
@@ -72,6 +73,7 @@ def make_pkg(g: LieAlgebraPresentation, k: float, degree: int = 4) -> TwoTermLIn
         l2_00=pointwise_bracket,
         l2_01=lambda p, v: dalpha(p, v, k),
         l3=None,
+        form_scale=g.form_scale,
     )
 
 
@@ -245,7 +247,8 @@ def lambda2_forced_residual(bundle: ModelBundle, rng: np.random.Generator,
         l1, l2 = pair
         forced = lam.phi1(el.l2_01(l1, l2)) - bundle.pkg.l2_01(lam.phi0(l1), lam.phi1(l2))
         diff = lam.phi2(l1, l2) - forced
-        return {"forced": relative(diff.norm(), [el.space0.norm(l1), el.space0.norm(l2)])}
+        return {"forced": relative(diff.norm(), [el.space0.norm(l1), el.space0.norm(l2)],
+                                   lam.dst.form_scale)}
 
     return worst_case(random_elements(rng, trials, (el.space0, el.space0)),
                       residual).max_residual
@@ -274,9 +277,9 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
         gk, rt = bundle.gk, bundle.phi_psi
         x, y, c = args
         nx, ny = gk.space0.norm(x), gk.space0.norm(y)
-        return {law: largest(relative(gk.space0.norm(rt.phi0(x) - x), [nx]),
-                             relative(abs(rt.phi1(c) - c), [abs(c)]),
-                             relative(abs(rt.phi2(x, y)), [nx, ny]))}
+        return {law: largest(relative(gk.space0.norm(rt.phi0(x) - x), [nx], gk.form_scale),
+                             relative(abs(rt.phi1(c) - c), [abs(c)], gk.form_scale),
+                             relative(abs(rt.phi2(x, y)), [nx, ny], gk.form_scale))}
     homotopy = bundle.tau if law == "retraction" else bundle.trivializer
     return {law: largest(*two_hom_residuals_once(homotopy, *args).values())}
 

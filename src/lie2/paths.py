@@ -14,6 +14,16 @@ Every carrier has leading trial axes: ``PolyPath.coeffs`` is
 ``(*batch, dim, degree + 1)`` and ``CentralVector.c`` is a float or
 ``(*batch,)``.  One element is batch shape ``()``; operations broadcast over
 the batch, and whatever they return per trial (pairings, norms) has its shape.
+The kernels are batched matmuls: numpy runs a multi-operand ``einsum`` as one
+loop without BLAS.
+
+Paths are checked where they enter: ``PolyPath(...)``, ``projected_path``,
+``scalar_path`` and ``zero_path`` reject a wrong coordinate count, an unknown
+kind, non-finite coefficients and broken endpoint constraints.  A path derived
+from checked paths (bracket, sum, negation, scalar multiple, batch selection)
+takes its kind from theirs through the lattice and is not checked again, so a
+NaN scalar gives a NaN path, which the residual it reaches carries to the
+suite's running maximum.
 """
 
 from __future__ import annotations
@@ -51,6 +61,13 @@ def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _derived(algebra: LieAlgebraPresentation, coeffs: np.ndarray, kind: str) -> "PolyPath":
+    """A path computed from checked paths, built without the entry checks."""
+    path = object.__new__(PolyPath)
+    path.__dict__.update(algebra=algebra, coeffs=coeffs, kind=kind)
+    return path
+
+
 @dataclass(frozen=True, eq=False)
 class PolyPath:
     algebra: LieAlgebraPresentation
@@ -79,7 +96,7 @@ class PolyPath:
 
     def __getitem__(self, index) -> "PolyPath":
         """The trials selected by indexing the batch axes."""
-        return PolyPath(self.algebra, self.coeffs[index], self.kind)
+        return _derived(self.algebra, self.coeffs[index], self.kind)
 
     def eval(self, u: float) -> np.ndarray:
         powers = u ** np.arange(self.coeffs.shape[-1])
@@ -97,18 +114,18 @@ class PolyPath:
         if other.algebra != self.algebra:
             raise InputError("path addition across different algebras")
         width = max(self.degree, other.degree) + 1
-        return PolyPath(self.algebra,
+        return _derived(self.algebra,
                         _padded(self.coeffs, width) + _padded(other.coeffs, width),
                         LOOP if self.kind == other.kind == LOOP else BASED)
 
     def __neg__(self) -> "PolyPath":
-        return PolyPath(self.algebra, -self.coeffs, self.kind)
+        return _derived(self.algebra, -self.coeffs, self.kind)
 
     def __sub__(self, other: "PolyPath") -> "PolyPath":
         return self + (-other)
 
     def __mul__(self, scalar: float) -> "PolyPath":
-        return PolyPath(self.algebra, float(scalar) * self.coeffs, self.kind)
+        return _derived(self.algebra, float(scalar) * self.coeffs, self.kind)
 
     __rmul__ = __mul__
 
@@ -116,7 +133,7 @@ class PolyPath:
         """Integral over u in [0,1] of |p(u)|^2 (coordinate-wise squares)."""
         d = self.degree
         hilbert = 1.0 / (np.arange(d + 1)[:, None] + np.arange(d + 1)[None, :] + 1.0)
-        val = np.einsum("...ia,ab,...ib->...", self.coeffs, hilbert, self.coeffs)
+        val = ((self.coeffs @ hilbert) * self.coeffs).sum(axis=(-2, -1))
         return np.maximum(val, 0.0)
 
     def norm(self) -> float | np.ndarray:
@@ -128,27 +145,33 @@ def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
 
 
 def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
-    """out[..., s] = sum over a + b = s of t[..., a, b].
-
-    Each row a is padded with m zeros and the rows are re-cut at width
-    n + m - 1, which shifts row a right by a; summing the rows then adds
-    along the anti-diagonals."""
+    """out[..., s] = sum over a + b = s of t[..., a, b]: the flattened (a, b)
+    axes times the 0/1 matrix of a + b = s."""
     m, n = t.shape[-2:]
-    padded = np.zeros(t.shape[:-1] + (n + m,))
-    padded[..., :n] = t
-    flat = padded.reshape(t.shape[:-2] + (m * (n + m),))[..., : m * (n + m - 1)]
-    return flat.reshape(t.shape[:-2] + (m, n + m - 1)).sum(axis=-2)
+    total_degree = (np.arange(m)[:, None] + np.arange(n)).reshape(-1, 1)
+    collect = (total_degree == np.arange(m + n - 1)).astype(float)
+    return t.reshape(t.shape[:-2] + (m * n,)) @ collect
 
 
 def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     """[p, q](theta) = [p(theta), q(theta)]; degree adds, based/loop preserved."""
     if p.algebra != q.algebra:
         raise InputError("pointwise bracket across different algebras")
-    g = p.algebra
-    # products of every coefficient pair, then collected by total degree
-    terms = np.einsum("ijk,...ia,...jb->...kab", g.structure, p.coeffs, q.coeffs)
+    g, n = p.algebra, p.algebra.dim
+    # left[..., a, k, j] = sum_i p_ia c_ijk; against q_jb it gives the products
+    # terms[..., k, a, b] of every coefficient pair, collected by total degree
+    left = np.swapaxes(p.coeffs, -1, -2) @ g.structure.transpose(0, 2, 1).reshape(n, n * n)
+    left = np.swapaxes(left.reshape(left.shape[:-1] + (n, n)), -3, -2)
+    terms = left @ q.coeffs[..., None, :, :]
     kind = LOOP if LOOP in (p.kind, q.kind) else BASED
-    return PolyPath(g, _antidiagonal_sums(terms), kind)
+    return _derived(g, _antidiagonal_sums(terms), kind)
+
+
+def _pairing(p: PolyPath, q: PolyPath, moments: np.ndarray) -> float | np.ndarray:
+    """sum over i, j, a, b of p_ia B_ij q_jb moments_ab.  Contracting q with
+    the moments first keeps the roundoff of cancelling sums (the -1/6 of
+    ``universal_integral``) at about that of a plain einsum."""
+    return (p.coeffs * (p.algebra.form @ (q.coeffs @ moments.T))).sum(axis=(-2, -1))
 
 
 def integral_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
@@ -157,7 +180,7 @@ def integral_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
         raise InputError("integral pairing across different algebras")
     dp, dq = p.degree, q.degree
     moments = TWO_PI / (np.arange(dp + 1)[:, None] + np.arange(dq + 1)[None, :] + 1.0)
-    return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, q.coeffs, moments)
+    return _pairing(p, q, moments)
 
 
 def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
@@ -169,7 +192,7 @@ def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     a = np.arange(p.degree + 1)[:, None]
     b = np.arange(q.degree + 1)[None, :]
     moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1
-    return np.einsum("...ia,ij,...jb,ab->...", p.coeffs, p.algebra.form, q.coeffs, moments)
+    return _pairing(p, q, moments)
 
 
 # ---------------------------------------------------------------------------

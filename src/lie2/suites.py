@@ -206,8 +206,9 @@ class SuiteSpec:
     """One suite, stated once.
 
     ``sample(config, rng)`` yields the inputs of one block of trials at a
-    time (the polynomial suites draw ``linfty.TRIAL_BLOCK`` trials per block,
-    the others one); ``evaluate(config, inputs)`` returns
+    time (the polynomial suites draw as many trials per block as fit in
+    ``linfty.BLOCK_NUMBERS`` uniform numbers, the others one);
+    ``evaluate(config, inputs)`` returns
     ``{component: residual}``, each residual an array over the block or a
     number, and may add report details under ``NOTES``.  The optional
     ``control(config, rng)`` runs after the trials on the same generator and

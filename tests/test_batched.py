@@ -1,20 +1,24 @@
-"""The trial axis of the polynomial carriers: block draws equal per-trial
-draws, a trial evaluated alone equals its row of the block bit for bit, and
-the block fold keeps the first trial holding the maximum."""
+"""The trial axis of the polynomial carriers: blocks are sized by the
+``BLOCK_NUMBERS`` budget, block draws equal per-trial draws, a trial evaluated
+alone equals its row of the block bit for bit, and the block fold keeps the
+first trial holding the maximum."""
 
 import math
 
 import numpy as np
 import pytest
 
+from lie2 import linfty
 from lie2.linfty import (
-    TRIAL_BLOCK,
+    BLOCK_NUMBERS,
     CentralSpace,
     CoordSpace,
     PathSpace,
     RealLine,
+    all_signatures,
     hom_samples,
     jacobi_samples,
+    random_elements,
     two_hom_samples,
 )
 from lie2.models import build_models, equivalence_samples
@@ -25,7 +29,7 @@ from lie2.worstcase import WorstCase, largest, trial
 POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
                      "tau-2hom", "equivalence", "omega-cocycle", "extended-jacobi",
                      "dalpha-action")
-TRIALS = TRIAL_BLOCK + 5  # a full block and a partial one
+TRIALS = 30  # one partial block of every sampler but the Jacobi ones
 
 
 def draw(space, rng):
@@ -74,22 +78,42 @@ def bundle(g):
 
 
 def test_jacobi_block_draws_equal_per_trial_draws(bundle):
-    for L in (bundle.gk, bundle.pkg):
-        samples = jacobi_samples(L, np.random.default_rng(1), TRIALS)
+    signatures = all_signatures()
+    # gk (width 196) in one partial block; pkg (width 1519) in two full blocks
+    # and a partial one
+    for L, step, full_blocks in [(bundle.gk, 334, 0), (bundle.pkg, 43, 2)]:
+        width = sum(L.space(d).width for sig in signatures for d in sig)
+        assert max(1, BLOCK_NUMBERS // width) == step  # the budget rule
+        samples = jacobi_samples(L, np.random.default_rng(1), full_blocks * step + 5)
         reference = np.random.default_rng(1)
-        trials = 0
-        for block_start in range(0, TRIALS, TRIAL_BLOCK):
+        sizes = []
+        while (first := next(samples, None)) is not None:
             # one block: every signature, trial after trial
-            block = [next(samples) for _ in range(30)]
-            rows = min(TRIAL_BLOCK, TRIALS - block_start)
+            block = [first] + [next(samples) for _ in signatures[1:]]
+            rows = len(numbers(block[0][0][1])[0])
             for r in range(rows):
                 for inputs in block:
                     for d, element in inputs:
                         for got, want in zip(numbers(element[r]),
                                              numbers(draw(L.space(d), reference))):
                             assert np.array_equal(got, want)
-            trials += rows
-        assert trials == TRIALS and next(samples, None) is None
+            sizes.append(rows)
+        assert sizes == [step] * full_blocks + [5]
+
+
+@pytest.mark.parametrize("budget", [BLOCK_NUMBERS, 1000, 1])
+def test_no_block_draws_more_than_the_budget_unless_it_is_one_trial(
+        bundle, monkeypatch, budget):
+    monkeypatch.setattr(linfty, "BLOCK_NUMBERS", budget)
+    for spaces in [(bundle.pkg.space0,) * 3 + (bundle.pkg.space1,),
+                   [bundle.pkg.space(d) for sig in all_signatures() for d in sig]]:
+        width = sum(space.width for space in spaces)
+        step = max(1, budget // width)
+        trials = 2 * step + 1
+        sizes = [len(numbers(block[0])[0])
+                 for block in random_elements(np.random.default_rng(6), trials, spaces)]
+        assert sizes == [step, step, 1]
+        assert all(rows * width <= budget or rows == 1 for rows in sizes)
 
 
 @pytest.mark.parametrize("hom", ["phi", "psi", "lam"])
@@ -132,20 +156,21 @@ def test_dalpha_block_draws_equal_per_trial_draws():
 @pytest.mark.parametrize("name", POLYNOMIAL_SUITES)
 def test_a_trial_alone_equals_its_row_of_the_block(name):
     # replay evaluates a witness trial alone and must reproduce its residual
-    config = RunConfig(k=-1.0, splitting="0,0,3,-2", trials=TRIAL_BLOCK)
+    config = RunConfig(k=-1.0, splitting="0,0,3,-2", trials=TRIALS)
     spec = REGISTRY[name]
     checked = 0
     for inputs in spec.sample(config, np.random.default_rng(5)):
         residuals = spec.evaluate(config, inputs)
-        if np.broadcast_shapes(*map(np.shape, residuals.values())) == ():
+        shape = np.broadcast_shapes(*map(np.shape, residuals.values()))
+        if shape == ():
             continue  # unbatched (splitting functions) or zero by degree
-        for r in range(TRIAL_BLOCK):
+        for r in range(shape[0]):
             alone = spec.evaluate(config, trial(inputs, r))
             for component, value in residuals.items():
                 assert np.shape(alone[component]) == ()
-                assert np.broadcast_to(value, (TRIAL_BLOCK,))[r] == alone[component]
+                assert np.broadcast_to(value, shape)[r] == alone[component]
                 checked += 1
-    assert checked >= TRIAL_BLOCK
+    assert checked >= TRIALS
 
 
 def test_bracket_of_a_batch_broadcasts_against_one_path(g, rng):

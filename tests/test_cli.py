@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lie2 import kacmoody, suites
+from lie2 import kacmoody, models, suites
 from lie2.cli import main
 from lie2.liealg import InputError
 from lie2.suites import (
@@ -18,6 +19,9 @@ from lie2.suites import (
 )
 
 FAST = ["--trials", "5", "--nt", "32", "--ntheta", "32"]
+POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
+                     "tau-2hom", "equivalence", "omega-cocycle", "extended-jacobi",
+                     "dalpha-action")
 
 
 def test_verify_single_suite_strict_level(capsys):
@@ -206,6 +210,25 @@ def test_nan_residual_fails_the_suite_and_is_the_witness(monkeypatch):
             == [p.coeffs[2].tolist() for p in blocks[0][:3]])
 
 
+@pytest.mark.parametrize("suite, maker, operation", [("lambda-hom", "make_lambda", "phi0"),
+                                                     ("pkg-jacobi", "make_pkg", "l2_00")])
+def test_a_nan_intermediate_path_fails_its_suite(monkeypatch, suite, maker, operation):
+    # paths derived from checked paths are not checked again, so a NaN scalar
+    # multiple must reach the running maximum as a NaN residual and fail
+    make = getattr(models, maker)
+
+    def poisoned(*args, **kwargs):
+        built = make(*args, **kwargs)
+        op = getattr(built, operation)
+        return replace(built, **{operation: lambda *xs: op(*xs) * math.nan})
+
+    monkeypatch.setattr(models, maker, poisoned)
+    entry = run(RunConfig(trials=10, suites=(suite,)))["suites"][0]
+    assert entry["passed"] is False
+    assert math.isnan(entry["max_residual"])
+    assert entry["witness"] is not None
+
+
 def test_pkg_jacobi_fails_when_its_control_cannot(monkeypatch):
     # the derivative-dropping mutant of the twisted action must fail
     config = RunConfig(trials=10, suites=("pkg-jacobi",))
@@ -236,6 +259,14 @@ def test_omega_fixture_follows_the_form(algebra, form_scale, expected):
     details, ok = suites._omega_fixture(config, None)
     assert details["fixture_expected"] == pytest.approx(expected, rel=1e-15)
     assert ok
+
+
+def test_polynomial_suites_pass_at_a_large_form_scale():
+    # every identity is invariant under rescaling the form; the terms the form
+    # enters grow with it, and residuals are relative to its scale
+    report = run(RunConfig(trials=20, form_scale=1e6, suites=POLYNOMIAL_SUITES))
+    assert [s["name"] for s in report["suites"] if not s["passed"]] == []
+    assert report["summary"]["passed"] == 10
 
 
 def test_replay_report_without_witnesses(tmp_path, capsys):

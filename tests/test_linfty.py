@@ -49,6 +49,14 @@ def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng):
         assert lhs == pytest.approx(relative(ce, norms), rel=1e-10)
 
 
+def test_relative_divides_by_the_form_scale_only_above_one():
+    plain = relative(0.3, [1.0, 2.0])
+    assert plain == 0.3 / (1.0 + 2.0 * 3.0)
+    for small in (1.0, -1.0, 0.5, 0.0):
+        assert relative(0.3, [1.0, 2.0], small) == plain
+    assert relative(0.3, [1.0, 2.0], -1e6) == pytest.approx(plain / 1e6, rel=1e-15)
+
+
 def test_rejects_too_many_inputs(g, rng):
     gk = make_gk(g, 1.0)
     with pytest.raises(InputError):

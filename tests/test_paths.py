@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,13 @@ from lie2.liealg import InputError, sl2, su2
 from lie2.paths import (
     BASED,
     LOOP,
+    SCALAR_LINE,
     TWO_PI,
     PolyPath,
     derivative_pairing,
     integral_pairing,
     pointwise_bracket,
+    projected_path,
     random_path,
     random_splitting,
     scalar_path,
@@ -21,6 +24,7 @@ from lie2.paths import (
     validate_splitting,
     zero_path,
 )
+from lie2.suites import deserialize_element
 
 
 def linear_path(g, x):
@@ -55,6 +59,21 @@ def test_pointwise_bracket_kinds(g, rng):
     assert pointwise_bracket(based, based).kind == BASED
     assert pointwise_bracket(based, loop).kind == LOOP
     assert pointwise_bracket(loop, loop).kind == LOOP
+
+
+def test_derived_paths_carry_kind_through_the_lattice(g, rng):
+    # derived paths skip the entry checks, so their kinds must be right by
+    # construction: a loop only where both summands, or one bracket factor, are
+    based = PolyPath(g, rng.uniform(-1, 1, (4, 3, 5)) * [0, 1, 1, 1, 1], BASED)
+    loop = random_path(g, rng, 3, LOOP)
+    derived = {BASED: [based + based, based + loop, loop + based, -based, 2.0 * based,
+                       based[1], based - loop],
+               LOOP: [loop + loop, -loop, loop * 3.0, loop - loop, loop[()],
+                      pointwise_bracket(based, loop) + loop]}
+    for kind, paths in derived.items():
+        for p in paths:
+            assert p.kind == kind
+            PolyPath(g, p.coeffs, kind)  # the entry checks agree
 
 
 def test_integral_pairing_monomial(g):
@@ -180,6 +199,61 @@ def test_derivative_pairing_rejects_cross_algebra(rng):
         derivative_pairing(random_path(su2(), rng, 3), random_path(sl2(), rng, 3))
 
 
+# The einsum definitions the matmul kernels replaced, kept as their reference.
+
+def einsum_bracket(structure, p, q):
+    terms = np.einsum("ijk,...ia,...jb->...kab", structure, p, q)
+    out = np.zeros(terms.shape[:-2] + (terms.shape[-2] + terms.shape[-1] - 1,))
+    for a in range(terms.shape[-2]):
+        for b in range(terms.shape[-1]):
+            out[..., a + b] += terms[..., a, b]
+    return out
+
+
+def einsum_integral_pairing(form, p, q):
+    moments = TWO_PI / (np.arange(p.shape[-1])[:, None] + np.arange(q.shape[-1]) + 1.0)
+    return np.einsum("...ia,ij,...jb,ab->...", p, form, q, moments)
+
+
+def einsum_derivative_pairing(form, p, q):
+    a, b = np.arange(p.shape[-1])[:, None], np.arange(q.shape[-1])[None, :]
+    return np.einsum("...ia,ij,...jb,ab->...", p, form, q, b / np.maximum(a + b, 1))
+
+
+def einsum_l2_norm_sq(p):
+    d = np.arange(p.shape[-1])
+    return np.einsum("...ia,ab,...ib->...", p, 1.0 / (d[:, None] + d + 1.0), p)
+
+
+def assert_pinned(got, reference, operands, batch):
+    """got equals reference to 1e-13 of the same sum over the absolute values
+    of the operands, which bounds the size of every term it adds."""
+    scale = reference(*(np.abs(x) for x in operands))
+    assert np.shape(got) == batch + np.shape(scale)[len(batch):]
+    assert (np.abs(got - reference(*operands)) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("algebra", [su2, sl2, lambda: SCALAR_LINE],
+                         ids=["su2", "sl2", "scalar"])
+@pytest.mark.parametrize("p_batch, q_batch", [((), ()), ((7,), (7,)), ((2, 3), (2, 3)),
+                                              ((), (7,)), ((2, 3), ())])
+def test_matmul_kernels_match_their_einsum_definitions(algebra, p_batch, q_batch):
+    g = algebra()
+    rng = np.random.default_rng(8)
+    pc = rng.uniform(-1, 1, p_batch + (g.dim, 5)) * [0, 1, 1, 1, 1]
+    qc = rng.uniform(-1, 1, q_batch + (g.dim, 4)) * [0, 1, 1, 1]
+    p, q = PolyPath(g, pc, BASED), PolyPath(g, qc, BASED)
+    batch = np.broadcast_shapes(p_batch, q_batch)
+    assert_pinned(pointwise_bracket(p, q).coeffs, einsum_bracket, (g.structure, pc, qc),
+                  batch)
+    assert_pinned(integral_pairing(p, q), einsum_integral_pairing, (g.form, pc, qc), batch)
+    assert_pinned(derivative_pairing(p, q), einsum_derivative_pairing, (g.form, pc, qc),
+                  batch)
+    assert_pinned(derivative_pairing(q, p), einsum_derivative_pairing, (g.form, qc, pc),
+                  batch)
+    assert_pinned(p.l2_norm_sq(), einsum_l2_norm_sq, (pc,), p_batch)
+
+
 def test_norm_positive_definite(g, rng):
     p = random_path(g, rng, 6)
     assert p.norm() > 0.0
@@ -218,6 +292,18 @@ def test_constructor_rejects_nan_endpoints(g):
     block[2, 1, 0] = np.nan  # one trial of a block of based paths
     with pytest.raises(InputError):
         PolyPath(g, block, BASED)
+
+
+def test_entry_points_reject_non_finite_coefficients(g):
+    # only derived paths skip the checks; every way in still runs them
+    with pytest.raises(InputError, match="finite"):
+        projected_path(g, np.full((2, 3, 4), np.nan), LOOP)
+    with pytest.raises(InputError, match="finite"):
+        scalar_path([0.0, np.inf])
+    doc = {"type": "path", "kind": "based", "coeffs": [[0.0, math.nan]] * 3}
+    with pytest.raises(InputError, match="finite"):
+        deserialize_element(doc, g)
+    assert zero_path(g).kind == LOOP and not zero_path(g).coeffs.any()
 
 
 def test_endpoint_check_is_relative_to_scale(g, rng):
