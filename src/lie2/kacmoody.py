@@ -5,7 +5,14 @@ from __future__ import annotations
 
 from .liealg import InputError
 from .linfty import relative
-from .paths import LOOP, CentralVector, PolyPath, derivative_pairing, pointwise_bracket
+from .paths import (
+    LOOP,
+    CentralVector,
+    PolyPath,
+    _derived_central,
+    derivative_pairing,
+    pointwise_bracket,
+)
 
 
 def omega(f: PolyPath, g: PolyPath, k: float) -> float:
@@ -31,7 +38,7 @@ def extended_bracket(a: CentralVector, b: CentralVector, k: float) -> CentralVec
     bracket to zero."""
     if a.loop.algebra != b.loop.algebra:
         raise InputError("extended bracket across different algebras")
-    return CentralVector(pointwise_bracket(a.loop, b.loop), omega(a.loop, b.loop, k))
+    return _derived_central(pointwise_bracket(a.loop, b.loop), omega(a.loop, b.loop, k))
 
 
 def extended_jacobi_residual(a: CentralVector, b: CentralVector,
@@ -50,8 +57,8 @@ def extended_jacobi_residual(a: CentralVector, b: CentralVector,
 def dalpha(p: PolyPath, v: CentralVector, k: float) -> CentralVector:
     """Differential of the conjugation action of based paths on the central
     extension: ([p, l], 2k * integral of B(p, l'))."""
-    return CentralVector(pointwise_bracket(p, v.loop),
-                         2.0 * k * derivative_pairing(p, v.loop))
+    return _derived_central(pointwise_bracket(p, v.loop),
+                            2.0 * k * derivative_pairing(p, v.loop))
 
 
 def dalpha_action_residual(p1: PolyPath, p2: PolyPath, v: CentralVector,

@@ -290,24 +290,32 @@ class CentralVector:
 
     def __getitem__(self, index) -> "CentralVector":
         """The trials selected by indexing the batch axes."""
-        return CentralVector(self.loop[index], self.c[index])
+        return _derived_central(self.loop[index], self.c[index])
 
     def __add__(self, other: "CentralVector") -> "CentralVector":
-        return CentralVector(self.loop + other.loop, self.c + other.c)
+        return _derived_central(self.loop + other.loop, self.c + other.c)
 
     def __neg__(self) -> "CentralVector":
-        return CentralVector(-self.loop, -self.c)
+        return _derived_central(-self.loop, -self.c)
 
     def __sub__(self, other: "CentralVector") -> "CentralVector":
         return self + (-other)
 
     def __mul__(self, scalar: float) -> "CentralVector":
-        return CentralVector(self.loop * scalar, self.c * float(scalar))
+        return _derived_central(self.loop * scalar, self.c * float(scalar))
 
     __rmul__ = __mul__
 
     def norm(self) -> float | np.ndarray:
         return np.hypot(self.loop.norm(), self.c)
+
+
+def _derived_central(loop: PolyPath, c: float | np.ndarray) -> CentralVector:
+    """A central vector computed from checked ones (its loop a loop, its c a
+    float64 scalar or array), built without the entry checks."""
+    v = object.__new__(CentralVector)
+    v.__dict__.update(loop=loop, c=c)
+    return v
 
 
 def zero_central(algebra: LieAlgebraPresentation) -> CentralVector:

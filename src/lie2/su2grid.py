@@ -22,6 +22,14 @@ Derivatives use central differences with one-sided second-order stencils at
 the boundaries; integrals use the trapezoid rule.  Both are O(h^2), which the
 convergence suites verify by refinement.
 
+Kernel arithmetic.  The stencils give raw differences (2h x the derivative)
+and each Maurer-Cartan form is scaled once, by 1/h.  The theta-stencil works
+on the last axis in place, with no transpose.  ``exp_su2`` goes through the
+half-angle tangent: numpy's float64 tan is a SIMD loop where sin and cos are
+scalar libm calls (2.3 against 20-22 ns per element, numpy 2.4 on a Xeon).
+Products add their terms into the output with one scratch row; no row
+reduction goes through BLAS, whose summation order depends on the block shape.
+
 Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
 within one t-row, or a 3-point stencil along t, and the theta-trapezoid
 reduces each row on its own.  So the two kappa residuals stream over blocks of
@@ -54,66 +62,82 @@ DEFAULT_PAIRING_SCALE = -2.0  # <A, B> = -2 Re tr(AB) makes the X_i orthonormal
 BLOCK_POINTS = 1 << 14
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the leading axis."""
-    out = np.empty((3, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+# the terms of the quaternion product, in the form of ``_products``
+_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _products(terms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component i = the sum of sign * a[j] * b[k] over the terms (j, k, sign)
+    of terms[i] in order, the first sign +1; in place, with one scratch row."""
+    out = np.empty((len(terms), *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    scratch = np.empty(out.shape[1:])
+    for i, ((j, k, _), *rest) in enumerate(terms):
         np.multiply(a[j], b[k], out=out[i, ...])
-        out[i, ...] -= a[k] * b[j]
+        for j, k, sign in rest:
+            np.multiply(a[j], b[k], out=scratch)
+            (np.add if sign > 0 else np.subtract)(out[i, ...], scratch, out=out[i, ...])
     return out
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion product over the leading axis (the 2x2 matrix product)."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    out = np.empty((4, *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
-    out[0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    out[1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    out[2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    out[3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return out
+    return _products(_HAMILTON, a, b)
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ad(q) on coordinates: the vector part of q (0, v) conj(q) for unit q."""
-    w = _cross(q[1:], v)
-    return v + 2.0 * (q[0] * w + _cross(q[1:], w))
+    """Ad(q) on coordinates: the vector part of q (0, v) conj(q) for unit q,
+    R v with R = (1 - 2|x|^2) I + 2 x x^T + 2 q0 [x]_cross, x the vector part."""
+    x, twice_q0 = q[1:], 2.0 * q[0]
+    r = 2.0 * x[:, None] * x[None, :]
+    for i, j, k in _CYCLIC:
+        r[i, i] = 1.0 - 2.0 * (x[j] * x[j] + x[k] * x[k])
+        r[i, k] += twice_q0 * x[j]
+        r[i, j] -= twice_q0 * x[k]
+    rows = [[(3 * i + j, j, 1) for j in range(3)] for i in range(3)]
+    return _products(rows, r.reshape(9, *r.shape[2:]), v)
 
 
-def _vector_form(q: np.ndarray, dq: np.ndarray, sign: float) -> np.ndarray:
-    """2 vec(conj(q) dq) for sign -1 (left form), 2 vec(dq conj(q)) for +1."""
-    out = q[0] * dq[1:]
-    out -= dq[0] * q[1:]
-    cross = _cross(q[1:], dq[1:])
-    cross *= sign
-    out += cross
-    out *= 2.0
+def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float) -> np.ndarray:
+    """Maurer-Cartan coordinates q0 d - d0 q + sign q x d over h from
+    quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) / h for
+    sign -1 (left form), vec(diff conj(q)) / h for +1 (right form)."""
+    out = _products([((0, i + 1, 1), (i + 1, 0, -1), (j + 1, k + 1, sign), (k + 1, j + 1, -sign))
+                     for i, j, k in _CYCLIC], q, diff)
+    out *= 1.0 / h
     return out
 
 
 def exp_su2(v: np.ndarray) -> np.ndarray:
     """Closed-form exponential of v . X for coordinates (3, ...):
-    (cos(|v|/2), sin(|v|/2) v / |v|)."""
+    (cos(|v|/2), sin(|v|/2) v / |v|), by the half-angle tangent
+    tau = tan(|v|/4): cos(|v|/2) = (1 - tau^2) / (1 + tau^2) and
+    sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|)."""
     v = np.asarray(v, dtype=float)
     alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
-    half = 0.5 * alpha
-    coef = np.where(alpha > 1e-12, np.sin(half) / np.where(alpha > 0, alpha, 1.0), 0.5)
+    tau = np.tan(0.25 * alpha)
+    denom = 1.0 + tau * tau
     out = np.empty((4, *v.shape[1:]))
-    np.cos(half, out=out[0, ...])
+    np.divide(2.0 - denom, denom, out=out[0, ...])
+    with np.errstate(invalid="ignore"):  # 0 / 0 at v = 0, replaced by the limit
+        coef = np.where(alpha > 1e-12, tau / (denom * (0.5 * alpha)), 0.5)
     np.multiply(coef, v, out=out[1:])
     return out
 
 
 def unitarize(q: np.ndarray) -> np.ndarray:
     """Snap near-unit quaternions back onto SU(2) by normalization."""
-    return q / np.sqrt(np.einsum("k...,k...->...", q, q))
+    return q * (1.0 / np.sqrt(np.einsum("k...,k...->...", q, q)))
 
 
 def unitary_drift(q: np.ndarray) -> float:
     """max | |q|^2 - 1 | over all samples (= |U+ U - I| and |det U - 1|); NaN
     if any sample is NaN."""
-    return float(np.abs(np.einsum("k...,k...->...", q, q) - 1.0).max())
+    norm2 = np.einsum("k...,k...->...", q, q)
+    return float(np.maximum(norm2.max() - 1.0, 1.0 - norm2.min()))
 
 
 def pair_fields(a: np.ndarray, b: np.ndarray,
@@ -136,27 +160,30 @@ def validate_pairing_scale(g: LieAlgebraPresentation,
         )
 
 
-def _diff_rows(w: np.ndarray, i0: int, i1: int, start: bool, end: bool,
-               h: float) -> np.ndarray:
-    """Second-order derivative along axis 0 at rows i0..i1-1 of the window w:
-    central inside, one-sided at row 0 when w starts the axis (start) and at
-    its last row when w ends it (end)."""
-    out = np.empty_like(w[i0:i1])
+def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) -> np.ndarray:
+    """Raw second-order differences (2h x the derivative) along axis 1 at rows
+    i0..i1-1 of the window w: central inside, one-sided at row 0 when w starts
+    the axis (start) and at its last row when w ends it (end)."""
+    out = np.empty((w.shape[0], i1 - i0, *w.shape[2:]), w.dtype)
     c0, c1 = i0 + start, i1 - end
-    central = out[c0 - i0:c1 - i0]
-    np.subtract(w[c0 + 1:c1 + 1], w[c0 - 1:c1 - 1], out=central)
-    central /= 2.0 * h
+    np.subtract(w[:, c0 + 1:c1 + 1], w[:, c0 - 1:c1 - 1], out=out[:, c0 - i0:c1 - i0])
     if start:
-        out[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+        out[:, 0] = -3.0 * w[:, 0] + 4.0 * w[:, 1] - w[:, 2]
     if end:
-        out[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
+        out[:, -1] = 3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]
     return out
 
 
-def _diff(samples: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order derivative along an axis: central interior, one-sided ends."""
-    s = np.moveaxis(samples, axis, 0)
-    return np.moveaxis(_diff_rows(s, 0, len(s), True, True, h), 0, axis)
+def _last_differences(f: np.ndarray) -> np.ndarray:
+    """Raw second-order differences along the last axis, one-sided at both ends.
+    The central ones run over the last two axes merged (contiguous rows); the
+    ends then overwrite the values that straddle two rows."""
+    out = np.empty(f.shape, f.dtype)
+    merged, merged_out = f.reshape(*f.shape[:-2], -1), out.reshape(*f.shape[:-2], -1)
+    np.subtract(merged[..., 2:], merged[..., :-2], out=merged_out[..., 1:-1])
+    out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
+    out[..., -1] = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]
+    return out
 
 
 def _trapz(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
@@ -188,8 +215,8 @@ class _Block:
         """Coordinates of q^-1 dq/dt on the block's rows from quaternion
         samples (4, b - a, Ntheta + 1) of its window."""
         i0, i1 = self.lo - self.a, self.hi - self.a
-        dq = _diff_rows(np.moveaxis(window, 1, 0), i0, i1, self.lo == 0, self.hi == self.n, h)
-        return _vector_form(window[:, i0:i1], np.moveaxis(dq, 0, 1), -1.0)
+        diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n)
+        return _vector_form(window[:, i0:i1], diff, -1.0, h)
 
 
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
@@ -298,7 +325,7 @@ def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
 def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
     """Coordinates of (d f / d theta) f^-1 along the last axis of a
     quaternion array (4, ..., Ntheta + 1)."""
-    return _vector_form(f, _diff(f, axis=-1, h=h), 1.0)
+    return _vector_form(f, _last_differences(f), 1.0, h)
 
 
 def _theta_integrals(a: np.ndarray, b: np.ndarray, scale: float, h: float) -> np.ndarray:
@@ -353,7 +380,7 @@ def kappa_cocycle_residual(f: SampledPathOfLoops, g: SampledPathOfLoops,
 
 def _base_form(p: SampledGroupPath) -> np.ndarray:
     """Coordinates (3, Ntheta + 1) of p^-1 dp/dtheta."""
-    return _vector_form(p.samples, _diff(p.samples, axis=1, h=TWO_PI / p.n_theta), -1.0)
+    return _vector_form(p.samples, _last_differences(p.samples), -1.0, TWO_PI / p.n_theta)
 
 
 def _beta_rows(form: np.ndarray, xi: np.ndarray, scale: float, h: float) -> np.ndarray:
@@ -379,7 +406,7 @@ def omega_quadrature(xi: np.ndarray, eta: np.ndarray, k: float, h: float,
                      pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
     """2k * integral of <xi, d eta / d theta> by trapezoid + stencils, for
     coordinate fields (3, Ntheta + 1)."""
-    deta = _diff(eta, axis=-1, h=h)
+    deta = _last_differences(eta) / (2.0 * h)
     return float(2.0 * k * _trapz(pair_fields(xi, deta, pairing_scale), h, axis=-1))
 
 

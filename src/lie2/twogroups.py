@@ -36,21 +36,23 @@ class FiniteGroup:
         if t.min() < 0 or t.max() >= n:
             raise InputError("group table entries out of range")
         object.__setattr__(self, "table", t)
-        ident = [e for e in range(n) if all(t[e, x] == x and t[x, e] == x for x in range(n))]
+        idx = np.arange(n)
+        ident = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
         if len(ident) != 1:
             raise InputError(f"{self.name}: table has no unique identity")
-        self.identity = ident[0]
-        inv = np.full(n, -1, dtype=int)
-        for a in range(n):
-            where = np.nonzero(t[a] == self.identity)[0]
-            if len(where) != 1 or t[where[0], a] != self.identity:
-                raise InputError(f"{self.name}: element {a} lacks a two-sided inverse")
-            inv[a] = where[0]
+        self.identity = int(ident[0])
+        # a's inverse is the one b with a b = e, and b a = e must hold too
+        is_e = t == self.identity
+        inv = is_e.argmax(axis=1)
+        bad = np.flatnonzero((is_e.sum(axis=1) != 1) | (t[inv, idx] != self.identity))
+        if bad.size:
+            raise InputError(f"{self.name}: element {bad[0]} lacks a two-sided inverse")
         self.inverse = inv
-        # associativity, exhaustive
-        for a, b in itertools.product(range(n), repeat=2):
-            if not np.array_equal(t[t[a, b]], t[a, t[b]]):
-                raise InputError(f"{self.name}: associativity fails at ({a}, {b})")
+        # associativity, exhaustive: (a b) c against a (b c) over (b, c), row by row
+        for a in range(n):
+            bad = np.flatnonzero((t[t[a]] != t[a, t]).any(axis=1))
+            if bad.size:
+                raise InputError(f"{self.name}: associativity fails at ({a}, {bad[0]})")
 
     @property
     def order(self) -> int:
@@ -147,35 +149,39 @@ class FiniteCrossedModule:
             raise InputError("partial must list one image per element of H")
         if alpha.shape != (self.G.order, self.H.order):
             raise InputError("alpha must be a |G| x |H| table")
+        if partial.min() < 0 or partial.max() >= self.G.order:
+            raise InputError("partial entries out of range")
+        if alpha.min() < 0 or alpha.max() >= self.H.order:
+            raise InputError("alpha entries out of range")
         object.__setattr__(self, "partial", partial)
         object.__setattr__(self, "alpha", alpha)
 
     def violations(self) -> list[str]:
-        out = []
         G, H, d, a = self.G, self.H, self.partial, self.alpha
-        for h1, h2 in itertools.product(range(H.order), repeat=2):
-            if d[H.mul(h1, h2)] != G.mul(int(d[h1]), int(d[h2])):
-                out.append(f"partial not a homomorphism at ({h1}, {h2})")
-        for g in range(G.order):
-            if sorted(a[g]) != list(range(H.order)):
+        g_idx, h_idx = np.arange(G.order), np.arange(H.order)
+        out = [f"partial not a homomorphism at ({h1}, {h2})"
+               for h1, h2 in np.argwhere(d[H.table] != G.table[d[:, None], d[None, :]])]
+        # alpha(g)(h1 h2) against alpha(g)(h1) alpha(g)(h2), axes (g, h1, h2)
+        hom_bad = a[:, H.table] != H.table[a[:, :, None], a[:, None, :]]
+        not_bijective = (np.sort(a, axis=1) != h_idx).any(axis=1)
+        for g in g_idx:
+            if not_bijective[g]:
                 out.append(f"alpha({g}) is not a bijection")
-            for h1, h2 in itertools.product(range(H.order), repeat=2):
-                if a[g, H.mul(h1, h2)] != H.mul(int(a[g, h1]), int(a[g, h2])):
-                    out.append(f"alpha({g}) not a homomorphism at ({h1}, {h2})")
-                    break
-        for g1, g2 in itertools.product(range(G.order), repeat=2):
-            if not np.array_equal(a[G.mul(g1, g2)], a[g1][a[g2]]):
-                out.append(f"alpha not an action at ({g1}, {g2})")
-        if not np.array_equal(a[G.identity], np.arange(H.order)):
+            if hom_bad[g].any():
+                h1, h2 = np.argwhere(hom_bad[g])[0]
+                out.append(f"alpha({g}) not a homomorphism at ({h1}, {h2})")
+        # alpha(g1 g2) against alpha(g1) after alpha(g2), axes (g1, g2, h)
+        action_bad = (a[G.table] != a[g_idx[:, None, None], a[None, :, :]]).any(axis=2)
+        out += [f"alpha not an action at ({g1}, {g2})" for g1, g2 in np.argwhere(action_bad)]
+        if not np.array_equal(a[G.identity], h_idx):
             out.append("alpha(identity) is not the identity")
-        for g in range(G.order):
-            for h in range(H.order):
-                if d[a[g, h]] != G.conj(g, int(d[h])):
-                    out.append(f"equivariance fails at (g={g}, h={h})")
-        for h1 in range(H.order):
-            for h2 in range(H.order):
-                if a[int(d[h1]), h2] != H.conj(h1, h2):
-                    out.append(f"conjugation law fails at (h1={h1}, h2={h2})")
+        # partial(alpha(g)(h)) against g partial(h) g^-1, axes (g, h)
+        conj_d = G.table[G.table[g_idx[:, None], d[None, :]], G.inverse[:, None]]
+        out += [f"equivariance fails at (g={g}, h={h})" for g, h in np.argwhere(d[a] != conj_d)]
+        # alpha(partial(h1))(h2) against h1 h2 h1^-1, axes (h1, h2)
+        conj_h = H.table[H.table, H.inverse[:, None]]
+        out += [f"conjugation law fails at (h1={h1}, h2={h2})"
+                for h1, h2 in np.argwhere(a[d] != conj_h)]
         return out
 
     def validate(self) -> None:
@@ -188,16 +194,15 @@ class FiniteCrossedModule:
 def conjugation_module(G: FiniteGroup) -> FiniteCrossedModule:
     """(G, G, identity, conjugation): generates the 2-group with exactly one
     morphism between any two objects."""
-    alpha = np.array([[G.conj(g, h) for h in range(G.order)] for g in range(G.order)])
+    alpha = G.table[G.table, G.inverse[:, None]]  # (g h) g^-1
     return FiniteCrossedModule(f"conj[{G.name}]", G, G,
                                np.arange(G.order), alpha)
 
 
 def trivial_action_module(G: FiniteGroup, H: FiniteGroup) -> FiniteCrossedModule:
     """Trivial boundary and trivial action; requires H abelian."""
-    for a, b in itertools.product(range(H.order), repeat=2):
-        if H.mul(a, b) != H.mul(b, a):
-            raise InputError("trivial-action module needs an abelian direction group")
+    if not np.array_equal(H.table, H.table.T):
+        raise InputError("trivial-action module needs an abelian direction group")
     return FiniteCrossedModule(
         f"trivial[{G.name},{H.name}]", G, H,
         np.full(H.order, G.identity, dtype=int),

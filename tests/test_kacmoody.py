@@ -13,6 +13,7 @@ from lie2.kacmoody import (
     omega_cocycle_residual,
 )
 from lie2.liealg import InputError, LieAlgebraPresentation
+from lie2.linfty import CentralSpace
 from lie2.models import make_pkg
 from lie2.paths import BASED, LOOP, CentralVector, PolyPath, random_path, zero_path
 
@@ -158,3 +159,30 @@ def test_residuals_level_independent_after_normalization(g, rng):
     r1 = dalpha_action_residual(p1, p2, v, 1.0)
     r5 = dalpha_action_residual(p1, p2, v, 5.0)
     assert r5 <= 10 * r1 + 1e-12
+
+
+def test_derived_central_vectors_skip_the_entry_check(g, rng, monkeypatch):
+    # sums, negation, multiples, batch selection, the twisted bracket and
+    # dalpha derive from checked vectors; the entry points keep the check
+    space = CentralSpace(g)
+    a = space.element(rng.uniform(-1, 1, (5, space.width)))
+    b = CentralVector(random_path(g, rng, 4, LOOP), 0.3)
+    p = random_path(g, rng, 4)
+    checked = []
+    real = CentralVector.__post_init__
+    monkeypatch.setattr(CentralVector, "__post_init__",
+                        lambda self: checked.append(real(self)))
+    derived = [a + a, -a, a * 2.0, 2.0 * a, a - a, a[1:3], a[2], b + b,
+               extended_bracket(a, a, 1.0), extended_bracket(b, b, 1.0),
+               dalpha(p, a, 1.0), dalpha(p, b, 1.0)]
+    assert checked == []
+    for v in derived:
+        assert v.loop.kind == LOOP
+        assert isinstance(v.c, (np.floating, np.ndarray)) and v.c.dtype == np.float64
+        again = CentralVector(v.loop, v.c)  # the entry check agrees
+        assert np.array_equal(again.c, v.c)
+    assert len(checked) == len(derived)
+    space.element(rng.uniform(-1, 1, (2, space.width)))
+    assert len(checked) == len(derived) + 1
+    with pytest.raises(InputError):
+        CentralVector(random_path(g, rng, 4, BASED), 0.0)

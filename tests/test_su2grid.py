@@ -90,8 +90,9 @@ def test_maurer_cartan_forms_match_skew_projected_products(rng):
     f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(16, 20)
     m = to_matrix(f.grid)
     ht, htheta = TWO_PI / 16, TWO_PI / 20
-    left = skew_project(dagger(m) @ sg._diff(m, axis=0, h=ht))
-    right = skew_project(sg._diff(m, axis=1, h=htheta) @ dagger(m))
+    # np.gradient at edge_order 2 is the same stencil: central inside, one-sided ends
+    left = skew_project(dagger(m) @ np.gradient(m, ht, axis=0, edge_order=2))
+    right = skew_project(np.gradient(m, htheta, axis=1, edge_order=2) @ dagger(m))
     assert np.abs(embed(sg.maurer_cartan_t(f)) - left).max() <= 1e-14
     assert np.abs(embed(sg.maurer_cartan_theta_right(f.grid, htheta)) - right).max() <= 1e-14
 
@@ -138,6 +139,37 @@ def test_exp_su2_half_turn():
     # exp(pi * X3) = -i sigma3: purely imaginary diagonal
     u = sg.exp_su2(np.array([0.0, 0.0, np.pi]))
     assert np.allclose(to_matrix(u), np.diag([-1.0j, 1.0j]), atol=1e-15)
+
+
+EDGE_NORMS = [0.0, 1e-300, 1e-12, 2e-12, 1.0, np.pi, np.nextafter(TWO_PI, 0.0), TWO_PI,
+              np.nextafter(TWO_PI, 7.0), 2.0 * TWO_PI, 50.0, 1e6]
+
+
+@pytest.mark.parametrize("norm", EDGE_NORMS)
+def test_exp_su2_matches_the_closed_form_at_edge_norms(rng, norm):
+    # the half-angle tangent tan(|v|/4) has its pole at |v| = 2 pi; along the
+    # axes |v| is exact, so the closed form is evaluated at the same angle
+    axes = np.hstack([np.eye(3), -np.eye(3)])
+    v, unit = norm * axes, axes
+    if norm <= 50.0:
+        d = rng.normal(size=(3, 4))
+        d /= np.linalg.norm(d, axis=0)
+        v, unit = np.hstack([v, norm * d]), np.hstack([unit, d])
+    q = sg.exp_su2(v)
+    closed = np.vstack([np.full((1, v.shape[1]), np.cos(norm / 2)), np.sin(norm / 2) * unit])
+    assert np.abs(q - closed).max() <= 1e-14
+    assert sg.unitary_drift(q) <= 1e-13
+
+
+def test_a_nan_component_makes_the_loop_field_raise(rng):
+    v = rng.uniform(-1.0, 1.0, (3, 9, 9))
+    v[1, 4, 4] = np.nan
+    grid = sg.exp_su2(v)
+    assert np.isnan(grid[[0, 2], 4, 4]).all()  # the scalar part and the NaN component
+    grid[:, 0] = sg.IDENTITY[:, None]
+    grid[:, :, 0] = sg.IDENTITY[:, None]
+    with pytest.raises(InputError, match="drift"):
+        sg.SampledPathOfLoops(grid)
 
 
 def test_unitarize_recovers_from_drift(rng):
@@ -205,7 +237,7 @@ def test_maurer_cartan_skew_projection_residual(rng):
     f = spec.sample(64, 16)
     h = TWO_PI / 64
     conj = f.grid * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
-    raw = sg._hamilton(conj, sg._diff(f.grid, axis=1, h=h))
+    raw = sg._hamilton(conj, np.gradient(f.grid, h, axis=1, edge_order=2))
     assert np.abs(raw[0]).max() <= 5e-3  # O(h^2) before projection
 
 
@@ -355,10 +387,27 @@ GOLDEN_QUADRATURE_RESIDUALS = {
           "kappa-conjugation": 6.030942077105622e-05},
 }
 
+# the finer rungs of the perfbench quad-ladder, recorded with the sin/cos
+# exponential and the moveaxis theta-stencil that the present kernels replaced
+GOLDEN_LADDER_RESIDUALS = {
+    256: {"kappa-cocycle": 5.926225635607962e-06, "ad-omega": 4.679911476943022e-06,
+          "kappa-conjugation": 1.505561830130946e-05},
+    512: {"kappa-cocycle": 1.521649090482504e-06, "ad-omega": 1.1700509607026621e-06,
+          "kappa-conjugation": 3.7609380711137756e-06},
+}
+
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_QUADRATURE_RESIDUALS))
 def test_quadrature_residuals_match_the_matrix_implementation(n):
     golden = GOLDEN_QUADRATURE_RESIDUALS[n]
+    report = run(RunConfig(nt=n, ntheta=n, suites=tuple(golden)))
+    got = {s["name"]: s["max_residual"] for s in report["suites"]}
+    assert got == pytest.approx(golden, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_LADDER_RESIDUALS))
+def test_ladder_residuals_move_by_roundoff_only(n):
+    golden = GOLDEN_LADDER_RESIDUALS[n]
     report = run(RunConfig(nt=n, ntheta=n, suites=tuple(golden)))
     got = {s["name"]: s["max_residual"] for s in report["suites"]}
     assert got == pytest.approx(golden, rel=1e-9)

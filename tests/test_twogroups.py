@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +82,124 @@ def test_tampered_module_is_caught():
     assert broken.violations() != []
     with pytest.raises(InputError):
         build_two_group(broken)
+
+
+# -- the vectorized table checks against their scalar-loop definitions -------
+
+def loop_group_error(name, t):
+    """Reference: the identity, inverse and associativity checks of a group
+    table as scalar loops; the first error message, or None."""
+    n = len(t)
+    ident = [e for e in range(n) if all(t[e, x] == x and t[x, e] == x for x in range(n))]
+    if len(ident) != 1:
+        return f"{name}: table has no unique identity"
+    for a in range(n):
+        where = np.nonzero(t[a] == ident[0])[0]
+        if len(where) != 1 or t[where[0], a] != ident[0]:
+            return f"{name}: element {a} lacks a two-sided inverse"
+    for a, b in itertools.product(range(n), repeat=2):
+        if not np.array_equal(t[t[a, b]], t[a, t[b]]):
+            return f"{name}: associativity fails at ({a}, {b})"
+    return None
+
+
+def loop_module_violations(cm):
+    """Reference: the crossed-module laws as scalar loops, in report order."""
+    out = []
+    G, H, d, a = cm.G, cm.H, cm.partial, cm.alpha
+    for h1, h2 in itertools.product(range(H.order), repeat=2):
+        if d[H.mul(h1, h2)] != G.mul(int(d[h1]), int(d[h2])):
+            out.append(f"partial not a homomorphism at ({h1}, {h2})")
+    for g in range(G.order):
+        if sorted(a[g]) != list(range(H.order)):
+            out.append(f"alpha({g}) is not a bijection")
+        for h1, h2 in itertools.product(range(H.order), repeat=2):
+            if a[g, H.mul(h1, h2)] != H.mul(int(a[g, h1]), int(a[g, h2])):
+                out.append(f"alpha({g}) not a homomorphism at ({h1}, {h2})")
+                break
+    for g1, g2 in itertools.product(range(G.order), repeat=2):
+        if not np.array_equal(a[G.mul(g1, g2)], a[g1][a[g2]]):
+            out.append(f"alpha not an action at ({g1}, {g2})")
+    if not np.array_equal(a[G.identity], np.arange(H.order)):
+        out.append("alpha(identity) is not the identity")
+    for g in range(G.order):
+        for h in range(H.order):
+            if d[a[g, h]] != G.conj(g, int(d[h])):
+                out.append(f"equivariance fails at (g={g}, h={h})")
+    for h1 in range(H.order):
+        for h2 in range(H.order):
+            if a[int(d[h1]), h2] != H.conj(h1, h2):
+                out.append(f"conjugation law fails at (h1={h1}, h2={h2})")
+    return out
+
+
+def tampered_tables(t, rng):
+    """Copies of a group table with one or two entries set at random, two
+    rows swapped, or two non-identity entries of a row swapped (which keeps
+    the identity and the inverses and breaks associativity)."""
+    n = len(t)
+    for _ in range(12):
+        bad = t.copy()
+        for _ in range(rng.integers(1, 3)):
+            bad[rng.integers(n), rng.integers(n)] = rng.integers(n)
+        yield bad
+        bad = t.copy()
+        r = rng.choice(n, 2, replace=False)
+        bad[r] = bad[r[::-1]]
+        yield bad
+        a = rng.integers(1, n)
+        cols = [b for b in range(1, n) if t[a, b] != 0]
+        b, c = rng.choice(cols, 2, replace=False)
+        bad = t.copy()
+        bad[a, [b, c]] = bad[a, [c, b]]
+        yield bad
+
+
+def test_group_checks_match_the_loop_reference_on_tampered_tables(rng):
+    seen = set()
+    for group in (cyclic_group(5), symmetric_group_3(), quaternion_group()):
+        assert loop_group_error(group.name, group.table) is None
+        for bad in tampered_tables(group.table, rng):
+            try:
+                FiniteGroup(group.name, bad)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == loop_group_error(group.name, bad)
+            seen.add(got and next(law for law in ("identity", "inverse", "associativity")
+                                  if law in got))
+    assert seen == {None, "identity", "inverse", "associativity"}
+
+
+def test_crossed_module_violations_match_the_loop_reference_on_tampered_tables(rng):
+    modules = [conjugation_module(symmetric_group_3()), conjugation_module(quaternion_group()),
+               trivial_action_module(symmetric_group_3(), cyclic_group(3)),
+               inclusion_module(quaternion_group(), [0, 1, 2, 3])]
+    kinds = set()
+    for cm in modules:
+        nG, nH = cm.G.order, cm.H.order
+        for _ in range(15):
+            partial, alpha = cm.partial.copy(), cm.alpha.copy()
+            for _ in range(rng.integers(1, 4)):
+                alpha[rng.integers(nG), rng.integers(nH)] = rng.integers(nH)
+            if rng.uniform() < 0.5:
+                partial[rng.integers(nH)] = rng.integers(nG)
+            if rng.uniform() < 0.3:
+                g = rng.integers(nG)
+                alpha[g] = np.roll(alpha[g], 1)
+            bad = FiniteCrossedModule("tampered", cm.G, cm.H, partial, alpha)
+            got = bad.violations()
+            assert got == loop_module_violations(bad)
+            kinds |= {re.sub(r"\d+", "#", v) for v in got}
+    assert len(kinds) == 7  # every law fails somewhere
+
+
+def test_crossed_module_entries_must_be_in_range():
+    cm = conjugation_module(symmetric_group_3())
+    with pytest.raises(InputError, match="partial entries"):
+        FiniteCrossedModule("bad", cm.G, cm.H, cm.partial + 6, cm.alpha)
+    with pytest.raises(InputError, match="alpha entries"):
+        FiniteCrossedModule("bad", cm.G, cm.H, cm.partial, cm.alpha - 1)
 
 
 def test_trivial_action_module_needs_abelian_directions():
