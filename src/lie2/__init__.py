@@ -15,17 +15,13 @@ from .linfty import (
     ChainHomotopy,
     LInftyHom,
     TwoTermLInfinity,
-    categorical_view_check,
     compose,
     generalized_jacobi_residual,
-    hom_residuals,
     identity_hom,
-    two_hom_residual,
 )
 from .models import (
     ModelBundle,
     build_models,
-    equivalence_report,
     exactness_check,
     make_el,
     make_gk,

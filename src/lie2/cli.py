@@ -7,7 +7,6 @@ Exit codes: 0 all suites passed, 1 at least one residual failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -34,8 +33,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="tolerance for quadrature-based identities")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite name (repeatable); default all")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; suites run one after another")
     parser.add_argument("--form-scale", type=float, default=1.0,
                         help="scalar rescaling of the invariant form")
     parser.add_argument("--report", type=Path, default=None,
@@ -55,7 +52,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tol_exact=args.tol_exact,
         tol_quad=args.tol_quad,
         suites=tuple(args.suite) if args.suite else ("all",),
-        jobs=args.jobs,
         form_scale=args.form_scale,
     )
 

@@ -29,8 +29,6 @@ from .paths import (
     zero_central,
     zero_path,
 )
-from .worstcase import WorstCase, worst_case
-
 Graded = tuple[int, Any]
 
 
@@ -276,19 +274,6 @@ def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator, trials: int,
             yield [(d, next(elements)) for d in sig]
 
 
-def jacobi_sweep(
-    L: TwoTermLInfinity,
-    rng: np.random.Generator,
-    trials: int,
-    max_n: int = 4,
-) -> tuple[float, list[Graded] | None]:
-    """Max relative Jacobi residual over random trials of every signature,
-    with the inputs of the trial that holds it."""
-    worst = worst_case(jacobi_samples(L, rng, trials, max_n),
-                       lambda inputs: {"jacobi": generalized_jacobi_residual(L, inputs)})
-    return worst.max_residual, worst.witness
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 # ---------------------------------------------------------------------------
@@ -374,11 +359,6 @@ def hom_samples(hom: LInftyHom, rng: np.random.Generator, trials: int) -> Iterat
     return random_elements(rng, trials, (src.space0, src.space0, src.space0, src.space1))
 
 
-def hom_residuals(hom: LInftyHom, rng: np.random.Generator, trials: int) -> WorstCase:
-    return worst_case(hom_samples(hom, rng, trials),
-                      lambda inputs: hom_residuals_once(hom, *inputs))
-
-
 # ---------------------------------------------------------------------------
 # 2-homomorphisms (chain homotopies between homomorphisms)
 # ---------------------------------------------------------------------------
@@ -436,74 +416,3 @@ def two_hom_samples(homotopy: ChainHomotopy, rng: np.random.Generator,
     """(x, y, h): two objects and one direction of the source."""
     src = homotopy.from_hom.src
     return random_elements(rng, trials, (src.space0, src.space0, src.space1))
-
-
-def two_hom_residual(homotopy: ChainHomotopy, rng: np.random.Generator,
-                     trials: int) -> WorstCase:
-    return worst_case(two_hom_samples(homotopy, rng, trials),
-                      lambda inputs: two_hom_residuals_once(homotopy, *inputs))
-
-
-# ---------------------------------------------------------------------------
-# the categorical (2-vector-space) view of a strict structure
-# ---------------------------------------------------------------------------
-
-def categorical_view_check(L: TwoTermLInfinity, rng: np.random.Generator,
-                           trials: int = 20) -> float:
-    """Rebuild the category structure from the chain complex and measure how
-    far composition, units, and the bracket functor are from their laws.
-
-    Morphisms are pairs (source object, arrow part); the bracket of an
-    identity morphism on z with a morphism f is
-    (l2(z, source f), l2(z, arrow f)).  Exact for strict structures.
-    """
-    s0, s1 = L.space0, L.space1
-
-    def src(m):
-        return m[0]
-
-    def tgt(m):
-        return m[0] + L.d(m[1])
-
-    def ident(x):
-        return (x, s1.zero())
-
-    def comp(g, f):
-        # defined when src(g) = tgt(f); composite keeps f's source
-        return (f[0], f[1] + g[1])
-
-    def bracket_with_identity(z, m):
-        return (L.l2_00(z, m[0]), L.l2_01(z, m[1]))
-
-    def mor_norm(m):
-        return np.hypot(s0.norm(m[0]), s1.norm(m[1]))
-
-    def mor_sub(a, b):
-        return (a[0] - b[0], a[1] - b[1])
-
-    worst = WorstCase()
-    for x, z, fv, gv, hv in random_elements(rng, trials, (s0, s0, s1, s1, s1)):
-        f = (x, fv)
-        g = (tgt(f), gv)
-        k = (tgt(g), hv)
-        norms = [s0.norm(x), s0.norm(z), s1.norm(fv), s1.norm(gv), s1.norm(hv)]
-
-        checks = [
-            mor_sub(comp(f, ident(src(f))), f),
-            mor_sub(comp(ident(tgt(f)), f), f),
-            mor_sub(comp(k, comp(g, f)), comp(comp(k, g), f)),
-            mor_sub(
-                bracket_with_identity(z, comp(g, f)),
-                comp(bracket_with_identity(z, g), bracket_with_identity(z, f)),
-            ),
-        ]
-        for m in checks:
-            worst.add({"category": relative(mor_norm(m), norms, L.form_scale)})
-
-        # source/target are bracket homomorphisms
-        bm = bracket_with_identity(z, f)
-        worst.add({"source": relative(s0.norm(src(bm) - L.l2_00(z, src(f))), norms,
-                                      L.form_scale),
-                   "target": relative(s0.norm(tgt(bm) - L.l2_00(z, tgt(f))), norms,
-                                      L.form_scale)})
-    return worst.max_residual

@@ -41,7 +41,7 @@ from .paths import (
     validate_splitting,
     zero_path,
 )
-from .worstcase import WorstCase, largest, worst_case
+from .worstcase import largest
 
 LINEAR_SPLITTING = np.array([0.0, 1.0])
 
@@ -233,28 +233,6 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
 
 
 # ---------------------------------------------------------------------------
-# forced-corrector property of the loop inclusion
-# ---------------------------------------------------------------------------
-
-def lambda2_forced_residual(bundle: ModelBundle, rng: np.random.Generator,
-                            trials: int = 20) -> float:
-    """The degree-mixing coherence law determines the corrector of the loop
-    inclusion uniquely (its source differential is the identity); solve for it
-    from the law and compare with the closed form."""
-    lam, el = bundle.lam, bundle.el
-
-    def residual(pair):
-        l1, l2 = pair
-        forced = lam.phi1(el.l2_01(l1, l2)) - bundle.pkg.l2_01(lam.phi0(l1), lam.phi1(l2))
-        diff = lam.phi2(l1, l2) - forced
-        return {"forced": relative(diff.norm(), [el.space0.norm(l1), el.space0.norm(l2)],
-                                   lam.dst.form_scale)}
-
-    return worst_case(random_elements(rng, trials, (el.space0, el.space0)),
-                      residual).max_residual
-
-
-# ---------------------------------------------------------------------------
 # equivalence data
 # ---------------------------------------------------------------------------
 
@@ -282,12 +260,6 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
                              relative(abs(rt.phi2(x, y)), [nx, ny], gk.form_scale))}
     homotopy = bundle.tau if law == "retraction" else bundle.trivializer
     return {law: largest(*two_hom_residuals_once(homotopy, *args).values())}
-
-
-def equivalence_report(bundle: ModelBundle, rng: np.random.Generator,
-                       trials: int = 50) -> WorstCase:
-    return worst_case(equivalence_samples(bundle, rng, trials),
-                      lambda inputs: equivalence_residuals(bundle, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +392,6 @@ def exactness_check(g: LieAlgebraPresentation, k: float, degree: int) -> Exactne
         phi0_surjective=rank_endpoint == n,
         phi1_surjective=rank_central == 1,
     )
-
-
-def universality_sweep(rng: np.random.Generator, count: int = 20,
-                       degree: int = 8) -> float:
-    """Max deviation of the splitting integral from -1/6 over random
-    admissible splitting functions."""
-    return worst_case(splitting_samples(rng, count, degree),
-                      lambda f: {"deviation": splitting_deviation(f)}).max_residual
 
 
 def splitting_samples(rng: np.random.Generator, count: int = 20,

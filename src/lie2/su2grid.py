@@ -111,16 +111,18 @@ def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float) -> np.n
     return out
 
 
-def exp_su2(v: np.ndarray) -> np.ndarray:
+def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Closed-form exponential of v . X for coordinates (3, ...):
     (cos(|v|/2), sin(|v|/2) v / |v|), by the half-angle tangent
     tau = tan(|v|/4): cos(|v|/2) = (1 - tau^2) / (1 + tau^2) and
-    sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|)."""
+    sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|).  Written into ``out``,
+    of shape (4, ...), when given."""
     v = np.asarray(v, dtype=float)
     alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
     tau = np.tan(0.25 * alpha)
     denom = 1.0 + tau * tau
-    out = np.empty((4, *v.shape[1:]))
+    if out is None:
+        out = np.empty((4, *v.shape[1:]))
     np.divide(2.0 - denom, denom, out=out[0, ...])
     with np.errstate(invalid="ignore"):  # 0 / 0 at v = 0, replaced by the limit
         coef = np.where(alpha > 1e-12, tau / (denom * (0.5 * alpha)), 0.5)
@@ -533,7 +535,7 @@ class LoopFieldCoeffs:
         theta_part = c @ _theta_loop_basis(theta, mn).T  # (3, mt, Ntheta+1)
         grid = np.empty((4, n_t + 1, n_theta + 1))
         for blk in _blocks(n_t + 1, n_theta + 1):
-            grid[:, blk.lo:blk.hi] = exp_su2(t_basis[blk.lo:blk.hi] @ theta_part)
+            exp_su2(t_basis[blk.lo:blk.hi] @ theta_part, out=grid[:, blk.lo:blk.hi])
         grid[:, 0] = IDENTITY[:, None]
         grid[:, :, 0] = IDENTITY[:, None]
         return SampledPathOfLoops(grid)

@@ -6,7 +6,9 @@ one block of trials at a time and ``evaluate`` maps them to
 runner, ``_drive``, folds every suite's blocks through ``WorstCase``, so any
 NaN residual fails the suite; it writes the witness of a failing suite as
 ``{"component", "inputs"}`` holding the one trial with the maximum, and replay
-evaluates those inputs again, as a block of shape ().
+evaluates those inputs again, as a block of shape ().  A negative control
+folds the suite's own spec again, on a bundle with one model mutated, and
+fails the suite unless the mutant breaks the laws.
 
 Every suite draws from its own generator seeded by (config.seed, ordinal), so
 a report depends only on the configuration, never on execution order.
@@ -29,11 +31,9 @@ from . import kacmoody, su2grid, twogroups
 from .liealg import InputError, LieAlgebraPresentation, load_presentation
 from .linfty import (
     generalized_jacobi_residual,
-    hom_residuals,
     hom_residuals_once,
     hom_samples,
     jacobi_samples,
-    jacobi_sweep,
     random_elements,
     two_hom_residuals_once,
     two_hom_samples,
@@ -45,7 +45,6 @@ from .models import (
     equivalence_residuals,
     equivalence_samples,
     exactness_check,
-    lambda2_forced_residual,
     splitting_deviation,
     splitting_samples,
 )
@@ -76,7 +75,6 @@ class RunConfig:
     tol_exact: float = 1e-10
     tol_quad: float = 1e-3
     suites: tuple[str, ...] = ("all",)
-    jobs: int = 1  # accepted for old reports and scripts; suites run one after another
     form_scale: float = 1.0
 
     def splitting_coeffs(self) -> np.ndarray:
@@ -121,8 +119,6 @@ class RunConfig:
             raise InputError("polynomial degree must be at least 2")
         if self.nt < 8 or self.ntheta < 8:
             raise InputError("grids need at least 8 intervals per axis")
-        if self.jobs < 1:
-            raise InputError("jobs must be at least 1")
         self.splitting_coeffs()
         self.resolve_suites()
         self.presentation  # loads and validates the algebra
@@ -235,16 +231,23 @@ class SuiteSpec:
             object.__setattr__(self, "runner", runner)
 
 
-def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    """Stream the blocks through one ``WorstCase``; a suite that checks more
-    than one component reports the maximum of each in its details.  Only a
-    failing suite slices its witness trial out of the block."""
+def _fold(spec: SuiteSpec, config: RunConfig,
+          rng: np.random.Generator) -> tuple[WorstCase, dict]:
+    """Stream the blocks through one ``WorstCase``; also returns the notes."""
     worst, notes = WorstCase(), {}
     for inputs in spec.sample(config, rng):
         residuals = spec.evaluate(config, inputs)
         if NOTES in residuals:
             notes.update(residuals.pop(NOTES))
         worst.add(residuals, inputs)
+    return worst, notes
+
+
+def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
+    """Fold the blocks; a suite that checks more than one component reports
+    the maximum of each in its details.  Only a failing suite slices its
+    witness trial out of the block."""
+    worst, notes = _fold(spec, config, rng)
     extra, control_ok = spec.control(config, rng) if spec.control else ({}, True)
     tolerance = float(spec.tolerance(config))
     within = bool(worst.max_residual <= tolerance)  # false for NaN
@@ -277,23 +280,6 @@ def _jacobi_evaluate(model: str, config, inputs):
     return {"jacobi": generalized_jacobi_residual(getattr(config.models, model), inputs)}
 
 
-def _pkg_control(config, rng):
-    """The path model whose twisted action drops the derivative,
-    ([p, l], 2k integral B(p, l)), must fail the Jacobi identity.  (Dropping
-    the central term instead would not: every twist 2k' integral B(p, l') is
-    itself a valid action.)"""
-    pkg, k = config.models.pkg, config.k
-
-    def act(p, v):
-        return CentralVector(pointwise_bracket(p, v.loop),
-                             2.0 * k * integral_pairing(p, v.loop))
-
-    mutant = replace(pkg, l2_01=act, name=f"{pkg.name}[no derivative]")
-    residual = jacobi_sweep(mutant, rng, min(config.trials, 50))[0]
-    return ({"mutation_residual": residual, "mutation_floor": MUTATION_FLOOR},
-            residual > MUTATION_FLOOR)
-
-
 def _hom_sample(hom: str, config, rng):
     return hom_samples(getattr(config.models, hom), rng, config.trials)
 
@@ -302,17 +288,42 @@ def _hom_evaluate(hom: str, config, inputs):
     return hom_residuals_once(getattr(config.models, hom), *inputs)
 
 
-def _mutation_control(hom: str, config, rng):
-    """The same laws with the bracket corrector zeroed must fail."""
-    mutant = zeroed_phi2(getattr(config.models, hom))
-    residual = hom_residuals(mutant, rng, min(config.trials, 50)).max_residual
+def _drop_derivative(models: ModelBundle) -> ModelBundle:
+    """The path model whose twisted action drops the derivative,
+    ([p, l], 2k integral B(p, l)).  (Dropping the central term instead would
+    not break the Jacobi identity: every twist 2k' integral B(p, l') is itself
+    a valid action.)"""
+    pkg, k = models.pkg, models.k
+
+    def act(p, v):
+        return CentralVector(pointwise_bracket(p, v.loop),
+                             2.0 * k * integral_pairing(p, v.loop))
+
+    return replace(models, pkg=replace(pkg, l2_01=act, name=f"{pkg.name}[no derivative]"))
+
+
+def _zero_corrector(hom: str) -> Callable[[ModelBundle], ModelBundle]:
+    """The homomorphism with its bracket corrector zeroed."""
+    return lambda models: replace(models, **{hom: zeroed_phi2(getattr(models, hom))})
+
+
+# suite -> the mutation of the bundle that must fail its laws
+MUTATIONS: dict[str, Callable[[ModelBundle], ModelBundle]] = {
+    "pkg-jacobi": _drop_derivative,
+    "phi-hom": _zero_corrector("phi"),
+    "psi-hom": _zero_corrector("psi"),
+    "lambda-hom": _zero_corrector("lam"),
+}
+
+
+def _mutation_control(suite: str, config, rng):
+    """Fold the suite's own spec over min(trials, 50) trials of the mutated
+    bundle, on the suite's generator; the mutant must fail."""
+    mutant = replace(config, trials=min(config.trials, 50))
+    mutant.__dict__["models"] = MUTATIONS[suite](config.models)  # fills the models cache
+    residual = _fold(REGISTRY[suite], mutant, rng)[0].max_residual
     return ({"mutation_residual": residual, "mutation_floor": MUTATION_FLOOR},
             residual > MUTATION_FLOOR)
-
-
-def _lambda_control(config, rng):
-    details, ok = _mutation_control("lam", config, rng)
-    return details | {"forced_corrector": lambda2_forced_residual(config.models, rng)}, ok
 
 
 def _tau_sample(config, rng):
@@ -547,27 +558,27 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "encode that the twisted action of based paths on centrally extended "
         "loops is an action by derivations.",
         partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
-        control=_pkg_control, trials=attrgetter("trials")),
+        control=partial(_mutation_control, "pkg-jacobi"), trials=attrgetter("trials")),
     SuiteSpec(
         "phi-hom", 2,
         "coherence of the endpoint homomorphism: d(phi2(x,y)) = phi0(l2(x,y)) "
         "- l2(phi0 x, phi0 y); phi2(x, dh) = phi1(l2(x,h)) - l2(phi0 x, phi1 h); "
         "and the six-term corrector law against both Jacobiators.",
         partial(_hom_sample, "phi"), partial(_hom_evaluate, "phi"),
-        control=partial(_mutation_control, "phi")),
+        control=partial(_mutation_control, "phi-hom")),
     SuiteSpec(
         "psi-hom", 3,
         "coherence of the splitting homomorphism x -> x f; its six-term law "
         "reduces to the universal value -1/6 of the integral of f (f - f^2)'.",
         partial(_hom_sample, "psi"), partial(_hom_evaluate, "psi"),
-        control=partial(_mutation_control, "psi")),
+        control=partial(_mutation_control, "psi-hom")),
     SuiteSpec(
         "lambda-hom", 4,
         "coherence of the loop inclusion; its six-term law is exactly the "
         "2-cocycle condition of the loop cocycle, and its corrector is forced "
         "by the mixed-degree law.",
         partial(_hom_sample, "lam"), partial(_hom_evaluate, "lam"),
-        control=_lambda_control),
+        control=partial(_mutation_control, "lambda-hom")),
     SuiteSpec(
         "tau-2hom", 5,
         "the retraction p -> p - p(2 pi) f is a homotopy from (splitting o "
@@ -706,6 +717,7 @@ def replay_report(path: str | Path) -> list[tuple[str, float]]:
         raise InputError(f"cannot read report {path}: {exc}") from exc
     try:
         cfg_doc = dict(doc["config"])
+        cfg_doc.pop("jobs", None)  # a setting of older reports that did nothing
         cfg_doc["suites"] = tuple(cfg_doc.get("suites", ("all",)))
         config = RunConfig(**cfg_doc)
         entries = doc["suites"]

@@ -10,9 +10,7 @@ is checked exhaustively with zero tolerance.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -109,22 +107,6 @@ def quaternion_group() -> FiniteGroup:
         for b in range(8):
             table[a, b] = names.index(mul(names[a], names[b]))
     return FiniteGroup("Q8", table)
-
-
-def load_group(path: str | Path) -> FiniteGroup:
-    """Read a {order, table} JSON document (row-major, 0-based)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        order = int(doc["order"])
-        table = np.asarray(doc["table"], dtype=int).reshape(order, order)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read group table {path}: {exc}") from exc
-    return FiniteGroup(doc.get("name", path.stem), table)
-
-
-def dump_group(g: FiniteGroup) -> dict:
-    return {"name": g.name, "order": g.order, "table": g.table.reshape(-1).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -236,36 +218,6 @@ def inclusion_module(G: FiniteGroup, members: list[int],
         f"incl[{H.name}<{G.name}]", G, H,
         np.array(members, dtype=int), alpha,
     )
-
-
-def load_crossed_module(path: str | Path) -> FiniteCrossedModule:
-    """Read a {G, H, partial, alpha} JSON fixture."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        G = FiniteGroup(doc["G"].get("name", "G"),
-                        np.asarray(doc["G"]["table"], dtype=int).reshape(
-                            int(doc["G"]["order"]), -1))
-        H = FiniteGroup(doc["H"].get("name", "H"),
-                        np.asarray(doc["H"]["table"], dtype=int).reshape(
-                            int(doc["H"]["order"]), -1))
-        partial = np.asarray(doc["partial"], dtype=int)
-        alpha = np.asarray(doc["alpha"], dtype=int)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read crossed module {path}: {exc}") from exc
-    cm = FiniteCrossedModule(doc.get("name", path.stem), G, H, partial, alpha)
-    cm.validate()
-    return cm
-
-
-def dump_crossed_module(cm: FiniteCrossedModule) -> dict:
-    return {
-        "name": cm.name,
-        "G": dump_group(cm.G),
-        "H": dump_group(cm.H),
-        "partial": cm.partial.tolist(),
-        "alpha": cm.alpha.tolist(),
-    }
 
 
 # ---------------------------------------------------------------------------

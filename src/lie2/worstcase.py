@@ -1,4 +1,4 @@
-"""The one running maximum every sweep and suite reduces its residuals with.
+"""The one running maximum every suite reduces its residuals with.
 
 Residuals arrive a block of trials at a time as ``{component: residual}``,
 each residual an array over the block's trials (or a number the whole block
@@ -10,7 +10,7 @@ NaN residual can never be dropped by a comparison that is false for NaN.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Callable, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class WorstCase:
     @property
     def witness(self) -> Any:
         return self.inputs if self.row is None else trial(self.inputs, self.row)
-
-
-def worst_case(samples: Iterable, evaluate: Callable[[Any], dict]) -> WorstCase:
-    """Fold ``evaluate(sample)`` over a stream of samples, one block at a time."""
-    worst = WorstCase()
-    for inputs in samples:
-        worst.add(evaluate(inputs), inputs)
-    return worst
 
 
 def largest(*values):

@@ -5,7 +5,6 @@ line printed per criterion.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import time
 
 import numpy as np
-import pytest
 
 from lie2.kacmoody import (
     dalpha_action_residual,
@@ -15,21 +14,13 @@ from lie2.kacmoody import (
     omega_cocycle_residual,
 )
 from lie2.liealg import su2
-from lie2.linfty import hom_residuals, jacobi_sweep, two_hom_residual, zeroed_phi2
-from lie2.models import (
-    LINEAR_SPLITTING,
-    build_models,
-    equivalence_report,
-    exactness_check,
-    make_gk,
-    make_pkg,
-    universality_sweep,
-)
+from lie2.linfty import hom_residuals_once, hom_samples, zeroed_phi2
+from lie2.models import build_models, exactness_check, splitting_deviation, splitting_samples
 from lie2.paths import LOOP, CentralVector, PolyPath, random_path
 from lie2.suites import REGISTRY, RunConfig, run, strip_wall_time
 from lie2.worstcase import largest
 
-SMOOTHSTEP = np.array([0.0, 0.0, 3.0, -2.0])
+SPLITTINGS = ("linear", "0,0,3,-2")  # the linear one and the smoothstep 3u^2 - 2u^3
 LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
@@ -40,7 +31,8 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_universal_integral():
     start = time.perf_counter()
-    worst = universality_sweep(np.random.default_rng(1), count=20, degree=8)
+    worst = largest(*(splitting_deviation(f)
+                      for f in splitting_samples(np.random.default_rng(1), 20, 8)))
     elapsed = time.perf_counter() - start
     _report("criterion-1", worst <= 1e-12 and elapsed < 1.0,
             f"splitting integral within {worst:.2e} of -1/6 over 20 random "
@@ -48,13 +40,11 @@ def test_criterion_1_universal_integral():
 
 
 def test_criterion_2_generalized_jacobi():
-    g = su2()
-    rng = np.random.default_rng(2)
     start = time.perf_counter()
     worst = 0.0
     for k in LEVELS:
-        worst = largest(worst, jacobi_sweep(make_gk(g, k), rng, 200)[0])
-        worst = largest(worst, jacobi_sweep(make_pkg(g, k, 4), rng, 200)[0])
+        config = RunConfig(k=k, trials=200, seed=2, suites=("gk-jacobi", "pkg-jacobi"))
+        worst = largest(worst, *(s["max_residual"] for s in run(config)["suites"]))
     elapsed = time.perf_counter() - start
     _report("criterion-2", worst <= 1e-10 and elapsed < 30.0,
             f"graded Jacobi residual {worst:.2e} over all signatures n <= 4, "
@@ -62,18 +52,19 @@ def test_criterion_2_generalized_jacobi():
 
 
 def test_criterion_3_homomorphism_coherence():
-    g = su2()
     rng = np.random.default_rng(3)
     start = time.perf_counter()
     worst = 0.0
     for k in LEVELS:
-        for f in (LINEAR_SPLITTING, SMOOTHSTEP):
-            bundle = build_models(g, k, f)
-            for hom in (bundle.phi, bundle.psi, bundle.lam):
-                worst = largest(worst, hom_residuals(hom, rng, 200).max_residual)
-    bundle = build_models(g, 1.0)
-    floors = [hom_residuals(zeroed_phi2(h), rng, 100).max_residual
-              for h in (bundle.phi, bundle.psi, bundle.lam)]
+        for f in SPLITTINGS:
+            config = RunConfig(k=k, splitting=f, trials=200, seed=3,
+                               suites=("phi-hom", "psi-hom", "lambda-hom"))
+            worst = largest(worst, *(s["max_residual"] for s in run(config)["suites"]))
+    bundle = build_models(su2(), 1.0)
+    floors = []
+    for h in (bundle.phi, bundle.psi, bundle.lam):
+        residuals = hom_residuals_once(zeroed_phi2(h), *next(hom_samples(h, rng, 100)))
+        floors.append(largest(*residuals.values()).max())
     elapsed = time.perf_counter() - start
     floor = np.min(floors)  # NaN if any control is NaN
     ok = worst <= 1e-10 and floor > 1e-2 and elapsed < 30.0
@@ -84,19 +75,17 @@ def test_criterion_3_homomorphism_coherence():
 
 
 def test_criterion_4_equivalence():
-    g = su2()
-    rng = np.random.default_rng(4)
     start = time.perf_counter()
     worst_round_trip = 0.0
     worst_tau = 0.0
     worst_trivial = 0.0
-    for f in (LINEAR_SPLITTING, SMOOTHSTEP):
-        bundle = build_models(g, 1.0, f)
-        report = equivalence_report(bundle, rng, 100)
-        worst_round_trip = largest(worst_round_trip, report.maxima["round_trip_identity"])
-        worst_tau = largest(worst_tau,
-                            two_hom_residual(bundle.tau, rng, 200).max_residual)
-        worst_trivial = largest(worst_trivial, report.maxima["trivializer"])
+    for f in SPLITTINGS:
+        config = RunConfig(splitting=f, trials=100, seed=4, suites=("equivalence",))
+        maxima = run(config)["suites"][0]["details"]
+        worst_round_trip = largest(worst_round_trip, maxima["round_trip_identity"])
+        worst_trivial = largest(worst_trivial, maxima["trivializer"])
+        config = RunConfig(splitting=f, trials=200, seed=4, suites=("tau-2hom",))
+        worst_tau = largest(worst_tau, run(config)["suites"][0]["max_residual"])
     elapsed = time.perf_counter() - start
     ok = (worst_round_trip <= 1e-12 and worst_tau <= 1e-10
           and worst_trivial == 0.0 and elapsed < 10.0)

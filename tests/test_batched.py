@@ -182,7 +182,7 @@ def test_bracket_of_a_batch_broadcasts_against_one_path(g, rng):
         assert np.array_equal(out.coeffs[r], pointwise_bracket(block[r], one).coeffs)
 
 
-def test_worst_case_keeps_the_first_trial_and_counts_trials():
+def test_running_maximum_keeps_the_first_trial_and_counts_trials():
     worst = WorstCase()
     worst.add({"a": np.array([0.1, 0.3, 0.3]), "b": 0.2}, "first")
     assert (worst.max_residual, worst.component, worst.row, worst.count) == (0.3, "a", 1, 3)

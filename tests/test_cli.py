@@ -229,13 +229,29 @@ def test_a_nan_intermediate_path_fails_its_suite(monkeypatch, suite, maker, oper
     assert entry["witness"] is not None
 
 
-def test_pkg_jacobi_fails_when_its_control_cannot(monkeypatch):
-    # the derivative-dropping mutant of the twisted action must fail
-    config = RunConfig(trials=10, suites=("pkg-jacobi",))
+# mutation_residual of each control at RunConfig(), as first reported
+DEFAULT_MUTATION_RESIDUALS = {"pkg-jacobi": 2.0483506366167687,
+                              "phi-hom": 1.4384172074031423,
+                              "psi-hom": 0.10239511632039594,
+                              "lambda-hom": 0.05872254090581991}
+
+
+def test_mutation_residuals_at_the_defaults_are_pinned():
+    report = run(RunConfig(suites=tuple(DEFAULT_MUTATION_RESIDUALS)))
+    assert {s["name"]: s["details"]["mutation_residual"] for s in report["suites"]} \
+        == DEFAULT_MUTATION_RESIDUALS
+
+
+@pytest.mark.parametrize("suite", sorted(suites.MUTATIONS))
+def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite):
+    # with the mutation replaced by the identity the control folds the
+    # correct bundle, which passes its laws, so the suite must fail
+    config = RunConfig(trials=10, suites=(suite,))
     details = run(config)["suites"][0]["details"]
     assert details["mutation_residual"] > details["mutation_floor"]
-    monkeypatch.setattr(suites, "jacobi_sweep", lambda *args: (0.0, None))
+    monkeypatch.setitem(suites.MUTATIONS, suite, lambda models: models)
     entry = run(config)["suites"][0]
+    assert entry["details"]["mutation_residual"] <= entry["details"]["mutation_floor"]
     assert entry["passed"] is False and entry["max_residual"] <= entry["tolerance"]
 
 
@@ -286,13 +302,16 @@ def test_run_is_deterministic_modulo_wall_time():
     assert a == b
 
 
-def test_jobs_do_not_change_the_report():
-    serial = RunConfig(trials=5, nt=32, ntheta=32,
-                       suites=("gk-jacobi", "pkg-jacobi", "omega-cocycle"))
-    parallel = RunConfig(trials=5, nt=32, ntheta=32, jobs=3,
-                         suites=("gk-jacobi", "pkg-jacobi", "omega-cocycle"))
-    assert strip_wall_time(run(serial))["suites"] == \
-        strip_wall_time(run(parallel))["suites"]
+def test_replay_drops_the_jobs_setting_of_older_reports(tmp_path):
+    report_path = tmp_path / "old.json"
+    main(["verify", "--suite", "omega-cocycle", "--tol-exact", "1e-30",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    doc["config"]["jobs"] = 1
+    report_path.write_text(json.dumps(doc))
+    [(name, residual)] = replay_report(report_path)
+    assert name == "omega-cocycle"
+    assert residual == pytest.approx(doc["suites"][0]["max_residual"], rel=1e-12)
 
 
 def test_config_validation_errors():

@@ -3,18 +3,17 @@ import pytest
 
 from lie2.liealg import InputError, LieAlgebraPresentation, ce_three_cocycle_residual
 from lie2.linfty import (
-    categorical_view_check,
     compose,
     generalized_jacobi_residual,
-    hom_residuals,
     hom_residuals_once,
+    hom_samples,
     identity_hom,
-    jacobi_sweep,
     relative,
-    two_hom_residual,
     two_hom_residuals_once,
+    two_hom_samples,
 )
-from lie2.models import build_models, make_el, make_gk, make_pkg
+from lie2.models import build_models, make_gk, make_pkg
+from lie2.suites import RunConfig, run
 
 
 def test_n1_residual_vanishes_by_grading(g, rng):
@@ -69,9 +68,9 @@ def test_rejects_bad_degree_tags(g, rng):
         generalized_jacobi_residual(gk, [(2, rng.uniform(-1, 1, 3))])
 
 
-def test_jacobi_sweep_gk_and_pkg(g, rng):
-    assert jacobi_sweep(make_gk(g, -1.0), rng, 25)[0] <= 1e-12
-    assert jacobi_sweep(make_pkg(g, -1.0, 4), rng, 25)[0] <= 1e-12
+def test_jacobi_suites_gk_and_pkg():
+    report = run(RunConfig(k=-1.0, trials=25, suites=("gk-jacobi", "pkg-jacobi")))
+    assert all(s["max_residual"] <= 1e-12 for s in report["suites"])
 
 
 def test_antisymmetry_spot_checks(g, rng):
@@ -86,8 +85,9 @@ def test_antisymmetry_spot_checks(g, rng):
 
 def test_identity_hom_has_zero_residuals(g, rng):
     pkg = make_pkg(g, 1.0, 4)
-    report = hom_residuals(identity_hom(pkg), rng, 10)
-    assert report.max_residual == 0.0
+    hom = identity_hom(pkg)
+    residuals = hom_residuals_once(hom, *next(hom_samples(hom, rng, 10)))
+    assert all(np.all(r == 0.0) for r in residuals.values())
 
 
 def test_compose_with_identity_agrees(g, rng):
@@ -127,7 +127,8 @@ def test_zero_homotopy_between_equal_homs(g, rng):
     pkg = make_pkg(g, 1.0, 4)
     ident = identity_hom(pkg)
     tau = ChainHomotopy(ident, ident, lambda x: pkg.space1.zero())
-    assert two_hom_residual(tau, rng, 10).max_residual == 0.0
+    residuals = two_hom_residuals_once(tau, *next(two_hom_samples(tau, rng, 10)))
+    assert all(np.all(r == 0.0) for r in residuals.values())
 
 
 def test_homotopy_requires_parallel_homs(g):
@@ -141,13 +142,8 @@ def test_mutation_zeroed_corrector_fails_loudly(g, rng):
     from lie2.linfty import zeroed_phi2
     bundle = build_models(g, 1.0)
     broken = zeroed_phi2(bundle.phi)
-    report = hom_residuals(broken, rng, 100)
-    assert report.maxima["homo3"] > 0.1
-
-
-def test_categorical_view_strict_models(g, rng):
-    assert categorical_view_check(make_pkg(g, 1.0, 4), rng, 15) <= 1e-14
-    assert categorical_view_check(make_el(g, 4), rng, 15) <= 1e-14
+    residuals = hom_residuals_once(broken, *next(hom_samples(broken, rng, 100)))
+    assert residuals["homo3"].max() > 0.1
 
 
 def test_categorical_unit_law_concrete(g, rng):

@@ -6,14 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lie2.liealg import InputError
-from lie2.linfty import hom_residuals, jacobi_sweep, two_hom_residual
+from lie2.linfty import (
+    compose,
+    generalized_jacobi_residual,
+    jacobi_samples,
+    two_hom_residuals_once,
+    two_hom_samples,
+)
 from lie2.models import (
-    LINEAR_SPLITTING,
     _integer_rank,
     build_models,
-    equivalence_report,
     exactness_check,
-    lambda2_forced_residual,
     make_el,
     make_el_vectors,
     make_gk,
@@ -21,13 +24,16 @@ from lie2.models import (
     make_pkg,
     make_psi,
     make_tau,
+    splitting_deviation,
+    splitting_samples,
     trivializing_homotopy,
-    universality_sweep,
 )
-from lie2.linfty import compose, two_hom_residuals_once
 from lie2.paths import BASED, LOOP, CentralVector, PolyPath, random_path
+from lie2.suites import RunConfig, run
+from lie2.worstcase import largest
 
 SMOOTHSTEP = np.array([0.0, 0.0, 3.0, -2.0])  # 3u^2 - 2u^3
+SPLITTINGS = ("linear", "0,0,3,-2")  # the same two, as RunConfig.splitting
 
 
 def test_gk_level_zero_is_strict(g, rng):
@@ -63,13 +69,17 @@ def test_el_differential_is_identity(g, rng):
     el = make_el(g, 4)
     h = el.space1.random(rng)
     assert (el.d(h) - h).norm() == 0.0
-    assert jacobi_sweep(el, rng, 10)[0] <= 1e-13
+    assert all(np.all(generalized_jacobi_residual(el, inputs) <= 1e-13)
+               for inputs in jacobi_samples(el, rng, 10))
 
 
 def test_every_registered_model_passes_jacobi_at_depth(g, rng):
     # all three registered structures, every signature, 200 seeded trials
-    for structure in (make_gk(g, 1.0), make_pkg(g, 1.0, 4), make_el(g, 4)):
-        assert jacobi_sweep(structure, rng, 200)[0] <= 1e-10
+    report = run(RunConfig(trials=200, suites=("gk-jacobi", "pkg-jacobi")))
+    assert all(s["max_residual"] <= 1e-10 for s in report["suites"])
+    el = make_el(g, 4)
+    assert all(np.all(generalized_jacobi_residual(el, inputs) <= 1e-10)
+               for inputs in jacobi_samples(el, rng, 200))
 
 
 def test_phi_endpoint_formulas(g, rng):
@@ -138,8 +148,11 @@ def test_lambda_corrector_on_equal_loops(g, rng):
     assert bundle.lam.phi2(loop, loop).norm() <= 1e-14
 
 
-def test_lambda_corrector_forced_by_mixed_law(g, rng):
-    assert lambda2_forced_residual(build_models(g, 1.0), rng) <= 1e-14
+def test_lambda_corrector_forced_by_mixed_law():
+    # the source differential is the identity, so the degree-mixing law homo2
+    # solves for the corrector; it must match the closed form
+    details = run(RunConfig(trials=20, suites=("lambda-hom",)))["suites"][0]["details"]
+    assert details["homo2"] <= 1e-14
 
 
 def test_tau_sends_paths_to_loops(g, rng):
@@ -157,27 +170,25 @@ def test_tau_kills_multiples_of_the_splitting(g, rng):
     assert tau.tau(p).norm() <= 1e-15
 
 
-def test_hom_residuals_all_levels_and_splittings(g, rng):
+def test_hom_residuals_all_levels_and_splittings():
+    laws = ("phi-hom", "psi-hom", "lambda-hom", "tau-2hom")
     for k in (-1.0, 2.0):
-        for f in (LINEAR_SPLITTING, SMOOTHSTEP):
-            bundle = build_models(g, k, f)
-            for hom in (bundle.phi, bundle.psi, bundle.lam):
-                assert hom_residuals(hom, rng, 40).max_residual <= 1e-12
-            assert two_hom_residual(bundle.tau, rng, 40).max_residual <= 1e-12
+        for splitting in SPLITTINGS:
+            report = run(RunConfig(k=k, splitting=splitting, trials=40, suites=laws))
+            assert all(s["max_residual"] <= 1e-12 for s in report["suites"])
 
 
-def test_tau_coherence_invariant_under_splitting_change(g, rng):
-    r_linear = two_hom_residual(build_models(g, 1.0, LINEAR_SPLITTING).tau, rng, 30)
-    r_smooth = two_hom_residual(build_models(g, 1.0, SMOOTHSTEP).tau, rng, 30)
-    assert r_linear.maxima["coherence"] <= 1e-12
-    assert r_smooth.maxima["coherence"] <= 1e-12
+def test_tau_coherence_invariant_under_splitting_change():
+    for splitting in SPLITTINGS:
+        config = RunConfig(splitting=splitting, trials=30, suites=("tau-2hom",))
+        assert run(config)["suites"][0]["details"]["coherence"] <= 1e-12
 
 
-def test_equivalence_report(g, rng):
-    report = equivalence_report(build_models(g, 1.0), rng, 30)
-    assert report.maxima["round_trip_identity"] <= 1e-13
-    assert report.maxima["retraction"] <= 1e-12
-    assert report.maxima["trivializer"] == 0.0
+def test_equivalence_laws_at_level_one():
+    maxima = run(RunConfig(trials=30, suites=("equivalence",)))["suites"][0]["details"]
+    assert maxima["round_trip_identity"] <= 1e-13
+    assert maxima["retraction"] <= 1e-12
+    assert maxima["trivializer"] == 0.0
 
 
 def test_trivializer_on_vector_model_is_exact(g, rng):
@@ -248,8 +259,8 @@ def test_integer_rank_of_deficient_products(seed):
     assert _integer_rank([list(col) for col in zip(*matrix)]) == rank
 
 
-def test_universality_sweep(rng):
-    assert universality_sweep(rng, count=20, degree=8) <= 1e-12
+def test_splitting_integral_is_universal(rng):
+    assert all(splitting_deviation(f) <= 1e-12 for f in splitting_samples(rng, 20, 8))
 
 
 def test_round_trip_zero_corrector_is_exact_zero(g, rng):
@@ -301,4 +312,5 @@ def test_whiskering_by_identities_preserves_homotopy(g, rng):
         bundle.tau.tau,
     )
     for homotopy in (left, right):
-        assert two_hom_residual(homotopy, rng, 20).max_residual <= 1e-12
+        inputs = next(two_hom_samples(homotopy, rng, 20))
+        assert largest(*two_hom_residuals_once(homotopy, *inputs).values()).max() <= 1e-12

@@ -1,5 +1,4 @@
 import itertools
-import json
 import re
 
 import numpy as np
@@ -14,14 +13,10 @@ from lie2.twogroups import (
     build_two_group,
     conjugation_module,
     cyclic_group,
-    dump_crossed_module,
-    dump_group,
     identity_kernel_pair,
     inclusion_module,
     indiscrete_collapse_pair,
     kernel_inclusion_pair,
-    load_crossed_module,
-    load_group,
     quaternion_group,
     quotient_group,
     strict_kernel,
@@ -388,29 +383,3 @@ def test_hom_that_breaks_composition_is_caught():
     mor_map[grp.morphism(0, 1)] = grp.morphism(0, 0)  # (0, 1) o (0, 1) = (0, 2)
     hom = TwoGroupHom(grp, grp, np.arange(grp.n_objects), mor_map)
     assert "composition is not preserved" in hom.violations()
-
-
-def test_group_json_roundtrip(tmp_path):
-    q8 = quaternion_group()
-    path = tmp_path / "q8.json"
-    path.write_text(json.dumps(dump_group(q8)))
-    loaded = load_group(path)
-    assert np.array_equal(loaded.table, q8.table)
-
-
-def test_crossed_module_json_roundtrip(tmp_path):
-    cm = inclusion_module(quaternion_group(), [0, 1, 2, 3])
-    path = tmp_path / "cm.json"
-    path.write_text(json.dumps(dump_crossed_module(cm)))
-    loaded = load_crossed_module(path)
-    assert loaded.violations() == []
-    assert np.array_equal(loaded.partial, cm.partial)
-
-
-def test_malformed_fixture_rejected(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("{not json")
-    with pytest.raises(InputError):
-        load_group(path)
-    with pytest.raises(InputError):
-        load_crossed_module(path)
