@@ -60,6 +60,14 @@ from .paths import (
 from .worstcase import WorstCase
 
 LINEAR = "linear"
+# exactness ranks every degree from 2 to the configured one: at 64 it and the
+# ten polynomial suites pass in about 10 s on 2 vCPUs, and the cost grows
+# without bound past it
+MAX_DEGREE = 64
+# the level-k terms have size about |k| max(1, |form_scale|): at 1e12 their
+# float64 roundoff is about 1e-4, six orders above tol_exact, and near 1e308
+# they overflow to NaN
+MAX_SCALED_LEVEL = 1e12
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,13 @@ class RunConfig:
             raise InputError("seed must be a non-negative integer")
         if self.tol_exact <= 0 or self.tol_quad <= 0:
             raise InputError("tolerances must be positive")
-        if self.degree < 2:
-            raise InputError("polynomial degree must be at least 2")
+        if not 2 <= self.degree <= MAX_DEGREE:
+            raise InputError(f"polynomial degree must lie in [2, {MAX_DEGREE}], "
+                             f"got {self.degree}")
+        if abs(self.k) * max(1.0, abs(self.form_scale)) > MAX_SCALED_LEVEL:
+            raise InputError(f"level too large for float64 residuals: |k| max(1, "
+                             f"|form_scale|) must not exceed {MAX_SCALED_LEVEL:g}, "
+                             f"got k = {self.k:g}, form_scale = {self.form_scale:g}")
         if self.nt < 8 or self.ntheta < 8:
             raise InputError("grids need at least 8 intervals per axis")
         self.splitting_coeffs()
@@ -243,6 +256,10 @@ def _fold(spec: SuiteSpec, config: RunConfig,
     return worst, notes
 
 
+def _trial_count(spec: SuiteSpec, config: RunConfig, worst: WorstCase) -> int:
+    return spec.trials(config) if spec.trials else worst.count
+
+
 def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
     """Fold the blocks; a suite that checks more than one component reports
     the maximum of each in its details.  Only a failing suite slices its
@@ -253,7 +270,7 @@ def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> Suit
     within = bool(worst.max_residual <= tolerance)  # false for NaN
     return SuiteResult(
         name=spec.name,
-        trials=spec.trials(config) if spec.trials else worst.count,
+        trials=_trial_count(spec, config, worst),
         max_residual=float(worst.max_residual),
         tolerance=tolerance,
         passed=within and bool(control_ok),
@@ -318,12 +335,15 @@ MUTATIONS: dict[str, Callable[[ModelBundle], ModelBundle]] = {
 
 def _mutation_control(suite: str, config, rng):
     """Fold the suite's own spec over min(trials, 50) trials of the mutated
-    bundle, on the suite's generator; the mutant must fail."""
+    bundle, on the suite's generator; the mutant must fail.  The details give
+    its residual, the floor it must exceed and the trials it folded."""
     mutant = replace(config, trials=min(config.trials, 50))
     mutant.__dict__["models"] = MUTATIONS[suite](config.models)  # fills the models cache
-    residual = _fold(REGISTRY[suite], mutant, rng)[0].max_residual
-    return ({"mutation_residual": residual, "mutation_floor": MUTATION_FLOOR},
-            residual > MUTATION_FLOOR)
+    spec = REGISTRY[suite]
+    worst = _fold(spec, mutant, rng)[0]
+    return ({"mutation_residual": worst.max_residual, "mutation_floor": MUTATION_FLOOR,
+             "mutation_trials": _trial_count(spec, mutant, worst)},
+            worst.max_residual > MUTATION_FLOOR)
 
 
 def _tau_sample(config, rng):

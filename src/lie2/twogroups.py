@@ -142,7 +142,7 @@ class FiniteCrossedModule:
         G, H, d, a = self.G, self.H, self.partial, self.alpha
         g_idx, h_idx = np.arange(G.order), np.arange(H.order)
         out = [f"partial not a homomorphism at ({h1}, {h2})"
-               for h1, h2 in np.argwhere(d[H.table] != G.table[d[:, None], d[None, :]])]
+               for h1, h2 in np.argwhere(d[H.table] != G.table[d][:, d])]
         # alpha(g)(h1 h2) against alpha(g)(h1) alpha(g)(h2), axes (g, h1, h2)
         hom_bad = a[:, H.table] != H.table[a[:, :, None], a[:, None, :]]
         not_bijective = (np.sort(a, axis=1) != h_idx).any(axis=1)
@@ -247,8 +247,8 @@ class FiniteTwoGroup:
         self.target = cm.G.table[cm.partial[h], p]
         self.unit = np.arange(nG) * nH + cm.H.identity
         # (p1, h1)(p2, h2) = (p1 p2, h1 * alpha(p1)(h2))
-        pp = cm.G.table[p[:, None], p[None, :]]
-        hh = cm.H.table[h[:, None], cm.alpha[p[:, None], h[None, :]]]
+        pp = cm.G.table[p][:, p]
+        hh = np.take_along_axis(cm.H.table[h], cm.alpha[p][:, h], axis=1)
         self.mor_table = pp * nH + hh
 
     @property
@@ -290,19 +290,13 @@ class FiniteTwoGroup:
     # -- exhaustive axioms ---------------------------------------------------
 
     def violations(self) -> list[str]:
-        out = []
-        cm = self.cm
-        nM = self.n_morphisms
-        s, t, table = self.source, self.target, self.mor_table
-
-        st_prod = cm.G.table[s[:, None], s[None, :]]
-        if not np.array_equal(s[table], st_prod):
+        out, nM, G = [], self.n_morphisms, self.cm.G.table
+        s, t, table, unit = self.source, self.target, self.mor_table, self.unit
+        if not np.array_equal(s[table], G[s][:, s]):
             out.append("source is not a homomorphism")
-        tt_prod = cm.G.table[t[:, None], t[None, :]]
-        if not np.array_equal(t[table], tt_prod):
+        if not np.array_equal(t[table], G[t][:, t]):
             out.append("target is not a homomorphism")
-        if not np.array_equal(self.unit[cm.G.table],
-                              table[self.unit[:, None], self.unit[None, :]]):
+        if not np.array_equal(unit[G], table[unit][:, unit]):
             out.append("identity-assignment is not a homomorphism")
 
         # A law that composes a pair which is not composable fails.
@@ -312,30 +306,36 @@ class FiniteTwoGroup:
         if wrong.size:
             out.append(f"composite of ({a1[wrong[0]]}, {a2[wrong[0]]}) has wrong endpoints")
         m = np.arange(nM)
-        right_unit, left_unit = self.unit[s], self.unit[t]
+        right_unit, left_unit = unit[s], unit[t]
         right_bad = (s != t[right_unit]) | (self._composite(m, right_unit) != m)
         left_bad = (s[left_unit] != t) | (self._composite(left_unit, m) != m)
         first = np.flatnonzero(right_bad | left_bad)
         if first.size:
             side = "right" if right_bad[first[0]] else "left"
             out.append(f"{side} unit law fails at {first[0]}")
-        # associativity over (m1, m2) composable x every m3 with s[m2] = t[m3]
-        m3 = m[None, :]
-        after = s[a2][:, None] == t[m3]
-        c12_3 = self._composite(comp_of[:, None], m3)
-        c23 = self._composite(a2[:, None], m3)
-        c1_23 = self._composite(a1[:, None], c23)
-        broken = after & ((s[comp_of][:, None] != t[m3]) | (s[a1][:, None] != t[c23])
-                          | (c12_3 != c1_23))
-        out += ["composition is not associative"] * int(broken.any(axis=1).sum())
+        # comp[m1, m2] = m1 o m2 where composable, else the sentinel nM (also all
+        # of row and column nM), in the smallest dtype holding (nM + 1)^2, so
+        # the flat indices of the interchange gather fit it too
+        dt = np.min_scalar_type((nM + 1) ** 2)
+        comp = np.full((nM + 1, nM + 1), nM, dtype=dt)
+        comp[a1, a2] = comp_of = comp_of.astype(dt)
+        # associativity over the composable triples: pair i = (a1, a2) meets
+        # every pair j = (a2, m3); pairs run in order of their first morphism
+        start = np.searchsorted(a1, a2)
+        runs = np.searchsorted(a1, a2, side="right") - start
+        i = np.repeat(np.arange(a1.size), runs)
+        j = np.arange(i.size) - np.repeat(np.cumsum(runs) - runs - start, runs)
+        lhs = comp[comp_of[i], a2[j]]
+        broken = (lhs != comp[a1[i], comp_of[j]]) | (lhs == nM)
+        out += ["composition is not associative"] * np.unique(i[broken]).size
 
-        # interchange, vectorized over all pairs of composable pairs
-        left = table[comp_of[:, None], comp_of[None, :]]
-        prod1 = table[a1[:, None], a1[None, :]]
-        prod2 = table[a2[:, None], a2[None, :]]
-        if not np.array_equal(s[prod1], t[prod2]):
+        # interchange over all pairs of composable pairs:
+        # (m1 o m2)(m3 o m4) = (m1 m3) o (m2 m4)
+        T = table.astype(dt)
+        right = comp.ravel()[T[a1][:, a1] * (nM + 1) + T[a2][:, a2]]
+        if (right == nM).any():
             out.append("products of composable pairs fail to stay composable")
-        elif not np.array_equal(left, self._composite(prod1, prod2)):
+        elif not np.array_equal(T[comp_of][:, comp_of], right):
             out.append("interchange law fails")
         return out
 
@@ -358,8 +358,7 @@ def unique_morphism_count_violations(grp: FiniteTwoGroup) -> list[str]:
     """For the conjugation module there is exactly one morphism between any
     ordered pair of objects."""
     counts = np.zeros((grp.n_objects, grp.n_objects), dtype=int)
-    for m in range(grp.n_morphisms):
-        counts[grp.source[m], grp.target[m]] += 1
+    np.add.at(counts, (grp.source, grp.target), 1)
     if np.all(counts == 1):
         return []
     return [f"morphism count matrix is not constant 1 (min {counts.min()}, max {counts.max()})"]
@@ -390,9 +389,9 @@ class TwoGroupHom:
     def violations(self) -> list[str]:
         out = []
         src, dst, f0, f1 = self.src, self.dst, self.obj_map, self.mor_map
-        if not np.array_equal(f0[src.obj_table], dst.obj_table[f0[:, None], f0[None, :]]):
+        if not np.array_equal(f0[src.obj_table], dst.obj_table[f0][:, f0]):
             out.append("object map is not a homomorphism")
-        if not np.array_equal(f1[src.mor_table], dst.mor_table[f1[:, None], f1[None, :]]):
+        if not np.array_equal(f1[src.mor_table], dst.mor_table[f1][:, f1]):
             out.append("morphism map is not a homomorphism")
         if not np.array_equal(f0[src.source], dst.source[f1]):
             out.append("source squares do not commute")

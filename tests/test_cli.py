@@ -36,6 +36,30 @@ def test_verify_low_degree_is_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_degree_past_the_bound_is_config_error(capsys):
+    # exactness ranks every degree up to --degree; past MAX_DEGREE it would
+    # run for minutes, so the config is refused before any suite runs
+    RunConfig(degree=suites.MAX_DEGREE).validate()
+    code = main(["verify", "--suite", "exactness", "--degree", "65"])
+    assert code == 2
+    assert "error: polynomial degree must lie in [2, 64], got 65" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--k", "1e308"], ["--k=-2e12"],
+                                   ["--k", "1e7", "--form-scale", "1e6"],
+                                   ["--k", "1e-3", "--form-scale", "1e300"]])
+def test_level_float64_cannot_judge_is_config_error(capsys, flags):
+    # at --k 1e308 the level-k terms overflow and the residuals read NaN
+    code = main(["verify", *flags])
+    assert code == 2
+    assert "must not exceed 1e+12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, form_scale", [(1e12, 1.0), (-1e6, 1e6), (1.0, 1e6), (1e12, 0.5)])
+def test_levels_up_to_the_bound_are_accepted(k, form_scale):
+    RunConfig(k=k, form_scale=form_scale).validate()
+
+
 @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
                                          ("--tol-quad", "nan"), ("--form-scale", "inf")])
 def test_non_finite_config_is_config_error(capsys, flag, value):
@@ -240,6 +264,7 @@ def test_mutation_residuals_at_the_defaults_are_pinned():
     report = run(RunConfig(suites=tuple(DEFAULT_MUTATION_RESIDUALS)))
     assert {s["name"]: s["details"]["mutation_residual"] for s in report["suites"]} \
         == DEFAULT_MUTATION_RESIDUALS
+    assert [s["details"]["mutation_trials"] for s in report["suites"]] == [50] * 4
 
 
 @pytest.mark.parametrize("suite", sorted(suites.MUTATIONS))
@@ -249,6 +274,7 @@ def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite):
     config = RunConfig(trials=10, suites=(suite,))
     details = run(config)["suites"][0]["details"]
     assert details["mutation_residual"] > details["mutation_floor"]
+    assert details["mutation_trials"] == 10
     monkeypatch.setitem(suites.MUTATIONS, suite, lambda models: models)
     entry = run(config)["suites"][0]
     assert entry["details"]["mutation_residual"] <= entry["details"]["mutation_floor"]

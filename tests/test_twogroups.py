@@ -221,28 +221,53 @@ def test_two_group_axioms_exhaustive():
 
 
 def loop_law_violations(grp):
-    """Reference: the unit and associativity laws as scalar loops."""
-    out = []
-    s, t, nM = grp.source, grp.target, grp.n_morphisms
+    """Reference: every law of ``FiniteTwoGroup.violations`` as scalar loops
+    over Python ints, in report order.  Associativity runs over the composable
+    triples and interchange over all pairs of composable pairs; a composite
+    that does not exist is None and breaks the law it enters."""
+    s, t, unit = grp.source.tolist(), grp.target.tolist(), grp.unit.tolist()
+    T, G, H = grp.mor_table.tolist(), grp.cm.G.table.tolist(), grp.cm.H.table.tolist()
+    nH, nM = len(H), grp.n_morphisms
 
     def compose(m1, m2):
-        assert s[m1] == t[m2]
-        (_, h1), (p2, h2) = grp.pair(m1), grp.pair(m2)
-        return grp.morphism(p2, grp.cm.H.mul(h1, h2))
+        if m1 is None or m2 is None or s[m1] != t[m2]:
+            return None
+        (_, h1), (p2, h2) = divmod(m1, nH), divmod(m2, nH)
+        return p2 * nH + H[h1][h2]
 
+    out = []
+    every = list(itertools.product(range(nM), repeat=2))
+    if any(s[T[a][b]] != G[s[a]][s[b]] for a, b in every):
+        out.append("source is not a homomorphism")
+    if any(t[T[a][b]] != G[t[a]][t[b]] for a, b in every):
+        out.append("target is not a homomorphism")
+    if any(unit[G[x][y]] != T[unit[x]][unit[y]]
+           for x, y in itertools.product(range(len(G)), repeat=2)):
+        out.append("identity-assignment is not a homomorphism")
+    pairs = [(m1, m2) for m1, m2 in every if s[m1] == t[m2]]
+    for m1, m2 in pairs:
+        c = compose(m1, m2)
+        if s[c] != s[m2] or t[c] != t[m1]:
+            out.append(f"composite of ({m1}, {m2}) has wrong endpoints")
+            break
     for m in range(nM):
-        if compose(m, int(grp.unit[s[m]])) != m:
+        if compose(m, unit[s[m]]) != m:
             out.append(f"right unit law fails at {m}")
             break
-        if compose(int(grp.unit[t[m]]), m) != m:
+        if compose(unit[t[m]], m) != m:
             out.append(f"left unit law fails at {m}")
             break
-    for m1 in range(nM):
-        for m2 in range(nM):
-            if s[m1] == t[m2] and any(
-                    compose(compose(m1, m2), m3) != compose(m1, compose(m2, m3))
-                    for m3 in range(nM) if s[m2] == t[m3]):
-                out.append("composition is not associative")
+    for m1, m2 in pairs:
+        triples = [(compose(compose(m1, m2), m3), compose(m1, compose(m2, m3)))
+                   for m3 in range(nM) if s[m2] == t[m3]]
+        if any(lhs is None or lhs != rhs for lhs, rhs in triples):
+            out.append("composition is not associative")
+    quads = list(itertools.product(pairs, repeat=2))
+    if any(s[T[m1][m3]] != t[T[m2][m4]] for (m1, m2), (m3, m4) in quads):
+        out.append("products of composable pairs fail to stay composable")
+    elif any(T[compose(m1, m2)][compose(m3, m4)] != compose(T[m1][m3], T[m2][m4])
+             for (m1, m2), (m3, m4) in quads):
+        out.append("interchange law fails")
     return out
 
 
@@ -254,13 +279,56 @@ def loop_law_violations(grp):
     ((2, 2), "composition is not associative"),
 ])
 def test_unit_and_associativity_laws_fail_on_a_tampered_table(entry, first):
-    # trivial boundary: every composite exists, so the reference loop never raises
     grp = FiniteTwoGroup(trivial_action_module(cyclic_group(2), cyclic_group(3)))
     assert grp.violations() == []
     grp.cm.H.table[entry] = (grp.cm.H.table[entry] + 1) % 3
     laws = [v for v in grp.violations() if "unit law" in v or "associative" in v]
     assert laws[0] == first
-    assert laws == loop_law_violations(grp)
+    assert grp.violations() == loop_law_violations(grp)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: conjugation_module(symmetric_group_3()),
+    lambda: inclusion_module(quaternion_group(), [0, 1, 2, 3]),
+    lambda: trivial_action_module(symmetric_group_3(), cyclic_group(3)),
+], ids=["conj[S3]", "incl[Z4<Q8]", "trivial[S3,Z3]"])
+def test_two_group_laws_match_the_loop_reference_on_tampered_tables(make, rng):
+    # composability is partial in all three; one entry of the direction table,
+    # the morphism table or the source map is set at random, or a product is
+    # replaced by another morphism with the same target (in the trivial module
+    # that keeps both endpoints, so only the interchange law can see it)
+    grp = FiniteTwoGroup(make())
+    assert loop_law_violations(grp) == grp.violations() == []
+    kinds = set()
+    for _ in range(12):
+        grp = FiniteTwoGroup(make())
+        nH, nM, tab = grp.cm.H.order, grp.n_morphisms, grp.mor_table
+        x, y = rng.integers(nM, size=2)
+        how = rng.integers(4)
+        if how == 0:
+            grp.cm.H.table[tuple(rng.integers(nH, size=2))] = rng.integers(nH)
+        elif how == 1:
+            tab[x, y] = rng.integers(nM)
+        elif how == 2:
+            tab[x, y] = rng.choice(np.flatnonzero(grp.target == grp.target[tab[x, y]]))
+        else:
+            grp.source[x] = rng.integers(grp.n_objects)
+        got = grp.violations()
+        assert got == loop_law_violations(grp)
+        kinds |= {re.sub(r"\d+", "#", v) for v in got}
+    assert {"composition is not associative", "interchange law fails",
+            "products of composable pairs fail to stay composable"} <= kinds
+
+
+def test_a_triple_with_neither_composite_defined_breaks_associativity():
+    # with the source of morphism 0 moved to object 1, some composable
+    # triples have neither (m1 o m2) o m3 nor m1 o (m2 o m3) defined; two of
+    # the four pairs that break the law do so only on such triples
+    grp = FiniteTwoGroup(trivial_action_module(cyclic_group(2), cyclic_group(3)))
+    grp.source[0] = 1
+    got = grp.violations()
+    assert got.count("composition is not associative") == 4
+    assert got == loop_law_violations(grp)
 
 
 def test_identity_with_wrong_endpoints_fails_the_unit_law():
