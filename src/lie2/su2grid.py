@@ -42,10 +42,17 @@ one-sided stencil applies; the identity-boundary and unitarity checks run on
 every block.  The public kernels (``product_field``, ``conjugate_field``,
 ``maurer_cartan_t``, ``kappa``, ``beta_p``) are the same row kernels applied
 to all rows, so a streamed residual is bitwise equal to their composition.
+The residuals read a loop field only through ``windows(blocks)``, its samples
+on each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
+``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples and checks each
+row once, copying the rows a window shares with the one before.  So a residual
+on streamed fields holds O(``BLOCK_POINTS``) samples per field and never a
+full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,11 +214,9 @@ class _Block:
         self.a = min(a, n - 3) if hi == n else a
         self.b = max(b, 3) if lo == 0 else b
 
-    def rows(self, grid: np.ndarray) -> np.ndarray:
-        return grid[:, self.lo:self.hi]
-
-    def window(self, grid: np.ndarray) -> np.ndarray:
-        return grid[:, self.a:self.b]
+    def inner(self, window: np.ndarray) -> np.ndarray:
+        """The block's own rows lo..hi-1 of its window."""
+        return window[:, self.lo - self.a:self.hi - self.a]
 
     def t_form(self, window: np.ndarray, h: float) -> np.ndarray:
         """Coordinates of q^-1 dq/dt on the block's rows from quaternion
@@ -224,6 +229,10 @@ class _Block:
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
     step = max(1, BLOCK_POINTS // n_cols)
     return [_Block(lo, min(lo + step, n_rows), n_rows) for lo in range(0, n_rows, step)]
+
+
+def _same_grid(*fields) -> bool:
+    return len({(f.n_t, f.n_theta) for f in fields}) == 1
 
 
 def _check_loop_rows(f: np.ndarray, at_t0: bool) -> np.ndarray:
@@ -284,6 +293,48 @@ class SampledPathOfLoops:
     @property
     def n_theta(self) -> int:
         return self.grid.shape[2] - 1
+
+    def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
+        return (self.grid[:, blk.a:blk.b] for blk in blocks)
+
+
+@dataclass(eq=False)
+class StreamedPathOfLoops:
+    """A ``LoopFieldCoeffs`` field bound to a grid, sampled a window of t-rows
+    at a time and checked there as a ``SampledPathOfLoops`` is on entry."""
+
+    t_basis: np.ndarray  # (Nt + 1, t_modes): (t/2pi)^(m+1)
+    theta_part: np.ndarray  # (3, t_modes, Ntheta + 1): sum_n coeffs[k, m, n] B_n(theta)
+
+    @property
+    def n_t(self) -> int:
+        return self.t_basis.shape[0] - 1
+
+    @property
+    def n_theta(self) -> int:
+        return self.theta_part.shape[2] - 1
+
+    def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
+        """Each block's window in turn, every row sampled, pinned and checked
+        once: the rows a window shares with the one before, at most its last
+        3, are copied from it."""
+        tail, tail_a = np.empty((4, 0, self.n_theta + 1)), 0
+        for blk in blocks:
+            win = np.empty((4, blk.b - blk.a, self.n_theta + 1))
+            kept = tail_a + tail.shape[1] - blk.a
+            win[:, :kept] = tail[:, blk.a - tail_a:]
+            a, fresh = blk.a + kept, win[:, kept:]
+            if a < blk.b:
+                exp_su2(self.t_basis[a:blk.b] @ self.theta_part, out=fresh)
+                if a == 0:
+                    fresh[:, 0] = IDENTITY[:, None]
+                fresh[:, :, 0] = IDENTITY[:, None]
+                _check_loop_rows(fresh, a == 0)
+            tail, tail_a = win[:, -3:].copy(), blk.b - 3
+            yield win
+
+
+LoopField = SampledPathOfLoops | StreamedPathOfLoops
 
 
 def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
@@ -352,19 +403,18 @@ def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float,
     return _exp_cocycle(rows, k, TWO_PI / f.n_t)
 
 
-def kappa_cocycle_residual(f: SampledPathOfLoops, g: SampledPathOfLoops,
-                           h: SampledPathOfLoops, k: float,
+def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float,
                            pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
     """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|, streamed over blocks
     of t-rows: each block forms the products fg and gh and the forms of its
     rows and keeps only the row integrals of the four pairings."""
-    if not f.grid.shape == g.grid.shape == h.grid.shape:
+    if not _same_grid(f, g, h):
         raise InputError("grid mismatch in pointwise product")
     ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
-    for blk in _blocks(*f.grid.shape[1:]):
-        f_win, g_win = blk.window(f.grid), blk.window(g.grid)
-        g_rows, h_rows = blk.rows(g.grid), blk.rows(h.grid)
+    blocks = _blocks(f.n_t + 1, f.n_theta + 1)
+    for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
+        g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
         fg_win = _check_loop_rows(unitarize(_hamilton(f_win, g_win)), blk.a == 0)
         gh_rows = _check_loop_rows(unitarize(_hamilton(g_rows, h_rows)), blk.lo == 0)
         mc_f = blk.t_form(f_win, ht)
@@ -439,8 +489,8 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
 
 def kappa_conjugation_identity_residual(
     p: SampledGroupPath,
-    f1: SampledPathOfLoops,
-    f2: SampledPathOfLoops,
+    f1: LoopField,
+    f2: LoopField,
     k: float,
     pairing_scale: float = DEFAULT_PAIRING_SCALE,
 ) -> float:
@@ -453,16 +503,16 @@ def kappa_conjugation_identity_residual(
     where mc is the t-direction Maurer-Cartan form.  Streamed over blocks of
     t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
     """
-    if f1.grid.shape != f2.grid.shape:
+    if not _same_grid(f1, f2):
         raise InputError("grid mismatch between the two loop fields")
     _check_conjugator(p, f1)
     ht, hth = TWO_PI / f1.n_t, TWO_PI / f1.n_theta
     form = _base_form(p)
     q = p.samples[:, None, :]
     rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
-    for blk in _blocks(*f1.grid.shape[1:]):
-        f1_win, f2_win = blk.window(f1.grid), blk.window(f2.grid)
-        f2_rows = blk.rows(f2.grid)
+    blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
+    for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
+        f2_rows = blk.inner(f2_win)
         c1_win = _check_loop_rows(_conjugate(q, f1_win), blk.a == 0)
         c2_rows = _check_loop_rows(_conjugate(q, f2_rows), blk.lo == 0)
         f12_win = _check_loop_rows(unitarize(_hamilton(f1_win, f2_win)), blk.a == 0)
@@ -526,18 +576,22 @@ class LoopFieldCoeffs:
 
     coeffs: np.ndarray  # (3, t_modes, theta_modes)
 
-    def sample(self, n_t: int, n_theta: int) -> SampledPathOfLoops:
+    def stream(self, n_t: int, n_theta: int) -> StreamedPathOfLoops:
+        if min(n_t, n_theta) < 4:
+            raise InputError("loop field needs at least a 5x5 grid of quaternions")
         c = np.asarray(self.coeffs, dtype=float)
         _, mt, mn = c.shape
         s = np.linspace(0.0, 1.0, n_t + 1)
         theta = np.linspace(0.0, TWO_PI, n_theta + 1)
-        t_basis = s[:, None] ** (np.arange(mt)[None, :] + 1)  # (Nt+1, mt)
-        theta_part = c @ _theta_loop_basis(theta, mn).T  # (3, mt, Ntheta+1)
+        return StreamedPathOfLoops(s[:, None] ** (np.arange(mt)[None, :] + 1),
+                                   c @ _theta_loop_basis(theta, mn).T)
+
+    def sample(self, n_t: int, n_theta: int) -> SampledPathOfLoops:
+        """The full grid, assembled from the windows of ``stream``."""
         grid = np.empty((4, n_t + 1, n_theta + 1))
-        for blk in _blocks(n_t + 1, n_theta + 1):
-            exp_su2(t_basis[blk.lo:blk.hi] @ theta_part, out=grid[:, blk.lo:blk.hi])
-        grid[:, 0] = IDENTITY[:, None]
-        grid[:, :, 0] = IDENTITY[:, None]
+        blocks = _blocks(n_t + 1, n_theta + 1)
+        for blk, win in zip(blocks, self.stream(n_t, n_theta).windows(blocks)):
+            grid[:, blk.lo:blk.hi] = blk.inner(win)
         return SampledPathOfLoops(grid)
 
 

@@ -68,6 +68,10 @@ MAX_DEGREE = 64
 # float64 roundoff is about 1e-4, six orders above tol_exact, and near 1e308
 # they overflow to NaN
 MAX_SCALED_LEVEL = 1e12
+# the three quadrature suites take 0.5 microseconds per grid point on square
+# grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
+# about 11 s; the time grows with the grid
+MAX_GRID_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,9 @@ class RunConfig:
                              f"got k = {self.k:g}, form_scale = {self.form_scale:g}")
         if self.nt < 8 or self.ntheta < 8:
             raise InputError("grids need at least 8 intervals per axis")
+        if (self.nt + 1) * (self.ntheta + 1) > MAX_GRID_POINTS:
+            raise InputError(f"grid too large: (nt + 1)(ntheta + 1) must not exceed "
+                             f"{MAX_GRID_POINTS}, got {(self.nt + 1) * (self.ntheta + 1)}")
         self.splitting_coeffs()
         self.resolve_suites()
         self.presentation  # loads and validates the algebra
@@ -446,12 +453,15 @@ ADOMEGA_PATH_AMPLITUDE = 0.5
 ADOMEGA_LOOP_AMPLITUDE = 0.6
 
 
-def _su2_layer(config) -> LieAlgebraPresentation:
+def _su2_layer(config) -> float:
+    """The grid pairing scale of the presentation, -2 form_scale, checked
+    against its form (the indefinite form of sl2 has none)."""
     g = config.presentation
     if g.dim != 3:
         raise InputError("group-level suites support only the bundled 3-dimensional presentations")
-    su2grid.validate_pairing_scale(g)
-    return g
+    scale = -2.0 * g.form_scale
+    su2grid.validate_pairing_scale(g, scale)
+    return scale
 
 
 def _loop_fields(rng, count: int) -> list[np.ndarray]:
@@ -460,7 +470,7 @@ def _loop_fields(rng, count: int) -> list[np.ndarray]:
 
 
 def _sampled_fields(config, coeffs) -> list:
-    return [su2grid.LoopFieldCoeffs(c).sample(config.nt, config.ntheta) for c in coeffs]
+    return [su2grid.LoopFieldCoeffs(c).stream(config.nt, config.ntheta) for c in coeffs]
 
 
 def _kappa_cocycle_sample(config, rng):
@@ -470,11 +480,12 @@ def _kappa_cocycle_sample(config, rng):
 
 def _kappa_cocycle_evaluate(config, fields):
     return {"cocycle": su2grid.kappa_cocycle_residual(*_sampled_fields(config, fields),
-                                                      config.k)}
+                                                      config.k, _su2_layer(config))}
 
 
 def _ad_omega_sample(config, rng):
-    g = _su2_layer(config)
+    _su2_layer(config)
+    g = config.presentation
     path = su2grid.random_group_path_coeffs(rng, amplitude=ADOMEGA_PATH_AMPLITUDE).coeffs
     xi = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, config.degree, LOOP)
     eta = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, config.degree, LOOP)
@@ -484,7 +495,8 @@ def _ad_omega_sample(config, rng):
 def _ad_omega_evaluate(config, inputs):
     path, xi, eta = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
-    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, config.k)}
+    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, config.k,
+                                                             _su2_layer(config))}
 
 
 def _kappa_conjugation_sample(config, rng):
@@ -497,7 +509,7 @@ def _kappa_conjugation_evaluate(config, inputs):
     path, *fields = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
     return {"conjugation": su2grid.kappa_conjugation_identity_residual(
-        p, *_sampled_fields(config, fields), config.k)}
+        p, *_sampled_fields(config, fields), config.k, _su2_layer(config))}
 
 
 # -- finite crossed-module suites: one bundled fixture per trial ----------------

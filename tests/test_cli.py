@@ -45,6 +45,42 @@ def test_verify_degree_past_the_bound_is_config_error(capsys):
     assert "error: polynomial degree must lie in [2, 64], got 65" in capsys.readouterr().err
 
 
+def test_verify_grid_past_the_bound_is_config_error(capsys):
+    # the three quadrature suites take up to about 11 s at MAX_GRID_POINTS, and
+    # the time grows with the grid, so a larger one is refused before any sampling
+    for nt, ntheta in [(40, 16385), (768, 768), (2048, 2048), (2895, 2895), (8, 932066)]:
+        RunConfig(nt=nt, ntheta=ntheta).validate()
+    with pytest.raises(InputError, match="must not exceed 8388608, got 8388612"):
+        RunConfig(nt=8, ntheta=932067).validate()
+    code = main(["verify", "--suite", "kappa-cocycle", "--nt", "4096", "--ntheta", "4096"])
+    assert code == 2
+    assert "error: grid too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form_scale", ["2", "0.5"])
+def test_default_suites_pass_at_other_form_scales(capsys, form_scale):
+    # the grid pairing is taken from the presentation, -2 form_scale
+    assert main(["verify", "--form-scale", form_scale]) == 0
+    assert "17/17 suites passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25)])
+def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(k, form_scale):
+    # every quadrature term is the level times the pairing, and both factors
+    # are powers of 2 here, so the residuals equal those at level k form_scale
+    quad = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
+    scaled = run(RunConfig(k=k, form_scale=form_scale, nt=64, ntheta=64, suites=quad))
+    unit = run(RunConfig(k=k * form_scale, nt=64, ntheta=64, suites=quad))
+    assert ([s["max_residual"] for s in scaled["suites"]]
+            == [s["max_residual"] for s in unit["suites"]])
+
+
+def test_quadrature_suites_refuse_a_form_without_a_grid_pairing(capsys):
+    code = main(["verify", "--algebra", "sl2", "--suite", "kappa-cocycle"])
+    assert code == 2
+    assert "pairing scale -2.0 does not match the form of sl2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--k", "1e308"], ["--k=-2e12"],
                                    ["--k", "1e7", "--form-scale", "1e6"],
                                    ["--k", "1e-3", "--form-scale", "1e300"]])

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lie2 import su2grid as sg
 from lie2.liealg import InputError
 from lie2.paths import BASED, LOOP, TWO_PI, PolyPath, derivative_pairing, random_path
-from lie2.suites import RunConfig, run
+from lie2.suites import REGISTRY, RunConfig, run
 
 # -- the 2x2 complex matrix picture, kept here as the oracle of the quaternion layer
 
@@ -431,24 +433,81 @@ def _conjugation_by_composition(p, f1, f2, k):
 
 def _streamed_grids():
     """(nt, ntheta): square, not square with a partial last block, the minimum
-    RunConfig grid, and grids whose last block holds 1, 2 and 3 rows, so the
-    one-sided end stencil reads rows of the block before."""
+    RunConfig grid, grids whose last block holds 1, 2 and 3 rows, so the
+    one-sided end stencil reads rows of the block before, and one-row blocks."""
     ntheta = 1023
     rows = sg.BLOCK_POINTS // (ntheta + 1)
     return [(256, 256), (300, 96), (8, 8)] + [(2 * rows + last - 1, ntheta)
-                                              for last in (1, 2, 3)]
+                                              for last in (1, 2, 3)] + [(40, 16385)]
 
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
 def test_streamed_residuals_equal_the_full_grid_composition(rng, nt, ntheta):
-    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(nt, ntheta) for _ in range(3)]
+    # on sampled grids and on coefficient fields sampled a window at a time
+    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
+    fs = [s.sample(nt, ntheta) for s in specs]
+    streamed = [s.stream(nt, ntheta) for s in specs]
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
     cocycle = sg.kappa_cocycle_residual(*fs, 1.0)
     assert cocycle > 0.0
     assert cocycle == _cocycle_by_composition(*fs, 1.0)
+    assert sg.kappa_cocycle_residual(*streamed, 1.0) == cocycle
     conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
     assert conjugation > 0.0
     assert conjugation == _conjugation_by_composition(p, fs[0], fs[1], 1.0)
+    assert sg.kappa_conjugation_identity_residual(p, *streamed[:2], 1.0) == conjugation
+    blocks = sg._blocks(nt + 1, ntheta + 1)  # the grid's windows are the stream's
+    for a, b in zip(streamed[0].windows(blocks), fs[0].windows(blocks)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
+def test_a_stream_samples_each_row_once(rng, monkeypatch, nt, ntheta):
+    rows, real = [], sg.exp_su2
+    monkeypatch.setattr(sg, "exp_su2", lambda v, out=None: rows.append(v.shape[1]) or real(v, out))
+    blocks = sg._blocks(nt + 1, ntheta + 1)
+    windows = list(sg.random_loop_field_coeffs(rng).stream(nt, ntheta).windows(blocks))
+    assert [w.shape[1] for w in windows] == [b.b - b.a for b in blocks]
+    assert sum(rows) == nt + 1
+
+
+@pytest.mark.parametrize("residual, position", [("cocycle", 0), ("cocycle", 1), ("cocycle", 2),
+                                                ("conjugation", 0), ("conjugation", 1)])
+def test_nan_coefficients_raise_the_same_error_from_the_stream(rng, residual, position):
+    bad = sg.LoopFieldCoeffs(np.full((3, 2, 2), np.nan))
+    with pytest.raises(InputError) as sampled:
+        bad.sample(64, 48)
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).stream(64, 48) for _ in range(3)]
+    fs[position] = bad.stream(64, 48)
+    p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(48)
+    with pytest.raises(InputError) as streamed:
+        if residual == "cocycle":
+            sg.kappa_cocycle_residual(*fs, 1.0)
+        else:
+            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+    assert str(streamed.value) == str(sampled.value)
+    with pytest.raises(InputError, match="5x5"):
+        bad.stream(3, 48)
+
+
+@pytest.mark.parametrize("suite", ["kappa-cocycle", "kappa-conjugation"])
+def test_streamed_suites_hold_no_full_grid(suite):
+    # the suite path samples each field a block at a time: past the row
+    # integrals and the fields' t-bases (under 16 float64 per t-row) the peak
+    # does not grow with nt, and it stays far below one full grid (4 (Ntheta +
+    # 1) float64 per t-row)
+    spec, peaks = REGISTRY[suite], {}
+    for nt in (256, 2048):
+        config = RunConfig(nt=nt, ntheta=256)
+        [inputs] = spec.sample(config, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            spec.evaluate(config, inputs)
+            peaks[nt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2048] - peaks[256]) <= 16 * 8 * (2048 - 256)
+    assert peaks[2048] < 4 * 2049 * 257 * 8
 
 
 def test_blocks_partition_the_rows_and_window_their_stencils():
