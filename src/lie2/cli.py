@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 from .liealg import InputError
-from .suites import RunConfig, describe, replay_report, report_json, run
+from .replay import replay_report
+from .suites import RunConfig, describe, report_json, run
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

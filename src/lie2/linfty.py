@@ -122,17 +122,37 @@ def random_elements(rng: np.random.Generator, trials: int,
                     spaces: Sequence) -> Iterator[tuple]:
     """One random element of each space per trial, drawn in that order.
 
-    A block holds ``max(1, BLOCK_NUMBERS // width)`` trials, ``width`` being
-    the numbers one trial takes.  One ``rng.uniform`` call draws a whole
-    block, trial after trial and within a trial space after space, so the
-    numbers are those of drawing each element on its own.  Each yielded tuple
-    holds one batched element per space, made from a view of its columns."""
-    edges = np.cumsum([space.width for space in spaces])
-    step = max(1, BLOCK_NUMBERS // int(edges[-1]))
+    A block holds ``step = max(1, BLOCK_NUMBERS // width)`` trials, ``width``
+    being the numbers one trial takes.  Its numbers are drawn trial after
+    trial and within a trial space after space, so they are those of drawing
+    each element on its own.  They are drawn ``max(1, step // 8)`` trials at
+    a time, each slice gathered straight into one buffer per distinct space,
+    ``(trials, slots, width)``, so a block's numbers are held about once.
+    Each distinct space then makes one batched element from its buffer, with
+    one projection and one entry check, and each slot of the yielded tuple is
+    that element's batch slice ``[:, slot]``."""
+    ranges: dict = {}  # each distinct space: the column range of each of its slots
+    where = []  # each slot: its space and its position among that space's slots
+    width = 0
+    for space in spaces:
+        where.append((space, len(ranges.setdefault(space, []))))
+        ranges[space].append(np.arange(width, width + space.width))
+        width += space.width
+    columns = {space: np.concatenate(r) for space, r in ranges.items()}
+    step = max(1, BLOCK_NUMBERS // width)
+    chunk = max(1, step // 8)
     for start in range(0, trials, step):
-        u = rng.uniform(-1.0, 1.0, (min(step, trials - start), edges[-1]))
-        yield tuple(space.element(cols) for space, cols
-                    in zip(spaces, np.split(u, edges[:-1], axis=1)))
+        rows = min(step, trials - start)
+        buffers = {space: np.empty((rows, len(cols) // space.width, space.width))
+                   for space, cols in columns.items()}
+        for first in range(0, rows, chunk):
+            u = rng.uniform(-1.0, 1.0, (min(chunk, rows - first), width))
+            for space, cols in columns.items():  # "clip" writes to out unbuffered
+                np.take(u, cols, axis=1, mode="clip",
+                        out=buffers[space][first:first + len(u)].reshape(len(u), -1))
+        del u  # not held while the block is evaluated
+        elements = {space: space.element(buf) for space, buf in buffers.items()}
+        yield tuple(elements[space][:, slot] for space, slot in where)
 
 
 def relative(residual_norm: float, input_norms: Sequence[float],

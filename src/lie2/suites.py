@@ -22,7 +22,6 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -159,7 +158,8 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# witness serialization (coefficient formats of the owning modules)
+# witness serialization (coefficient formats of the owning modules; read
+# back by ``lie2.replay``)
 # ---------------------------------------------------------------------------
 
 def serialize_element(v) -> dict | list | float:
@@ -178,36 +178,6 @@ def serialize_element(v) -> dict | list | float:
     if isinstance(v, (tuple, list)):
         return [serialize_element(x) for x in v]
     raise TypeError(f"cannot serialize witness element of type {type(v)!r}")
-
-
-def _finite(value, what: str) -> np.ndarray:
-    """A witness's numbers enter here: real and finite, or an input error."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"witness {what} is not numeric: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise InputError(f"witness {what} is not finite")
-    return arr
-
-
-def deserialize_element(doc, algebra: LieAlgebraPresentation):
-    if isinstance(doc, list):
-        return [deserialize_element(x, algebra) for x in doc]
-    if doc["type"] == "path":
-        return PolyPath(algebra, _finite(doc["coeffs"], "path coefficients"), doc["kind"])
-    if doc["type"] == "central":
-        return CentralVector(deserialize_element(doc["loop"], algebra),
-                             float(_finite(doc["c"], "central term")))
-    if doc["type"] == "vector":
-        return _finite(doc["value"], "vector")
-    if doc["type"] == "real":
-        return float(_finite(doc["value"], "real"))
-    if doc["type"] == "int":
-        return int(doc["value"])
-    if doc["type"] == "name":
-        return str(doc["value"])
-    raise InputError(f"unknown witness element type {doc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,42 +693,3 @@ def strip_wall_time(report: dict) -> dict:
     clone = json.loads(json.dumps(report))
     clone["summary"].pop("wall_time_s", None)
     return clone
-
-
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
-
-def replay_suite(name: str, witness: dict, config: RunConfig) -> float:
-    """Re-evaluate a recorded worst-case witness and return its residual."""
-    if name not in REGISTRY:
-        raise InputError(f"unknown suite {name!r}")
-    try:
-        component, doc = witness["component"], witness["inputs"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed witness for suite {name!r}: {exc}") from exc
-    inputs = deserialize_element(doc, config.presentation)
-    return REGISTRY[name].evaluate(config, inputs)[component]
-
-
-def replay_report(path: str | Path) -> list[tuple[str, float]]:
-    """Re-run every witness recorded in a report; returns (suite, residual)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read report {path}: {exc}") from exc
-    try:
-        cfg_doc = dict(doc["config"])
-        cfg_doc.pop("jobs", None)  # a setting of older reports that did nothing
-        cfg_doc["suites"] = tuple(cfg_doc.get("suites", ("all",)))
-        config = RunConfig(**cfg_doc)
-        entries = doc["suites"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed report {path}: {exc}") from exc
-    config.validate()
-    out = []
-    for entry in entries:
-        if entry.get("witness"):
-            out.append((entry["name"], replay_suite(entry["name"],
-                                                    entry["witness"], config)))
-    return out

@@ -4,6 +4,7 @@ alone equals its row of the block bit for bit, and the block fold keeps the
 first trial holding the maximum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,68 @@ def test_largest_is_element_wise_and_keeps_nan():
     assert out[0] == 3.0 and math.isnan(out[1]) and out[2] == 0.5
     assert math.isnan(largest(0.0, math.nan))
 
+
+
+def pkg_slots(bundle):
+    """The slots of one pkg-jacobi trial: 98 elements of two distinct spaces."""
+    return [bundle.pkg.space(d) for sig in all_signatures() for d in sig]
+
+
+@pytest.mark.parametrize("budget, trials", [
+    (BLOCK_NUMBERS, 43),  # one block of 43 trials: sub-blocks of 5, the last of 3
+    (BLOCK_NUMBERS, 87),  # two full blocks and a block of one trial
+    (1, 3),  # blocks of one trial, each drawn in one sub-block
+])
+def test_sub_block_draws_equal_one_whole_block_draw(bundle, monkeypatch, budget, trials):
+    monkeypatch.setattr(linfty, "BLOCK_NUMBERS", budget)
+    slots = pkg_slots(bundle)
+    edges = np.cumsum([space.width for space in slots])
+    step = max(1, budget // int(edges[-1]))
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = 0
+    for block in random_elements(rng, trials, slots):
+        whole = reference.uniform(-1.0, 1.0, (min(step, trials - drawn), edges[-1]))
+        for space, element, cols in zip(slots, block, np.split(whole, edges[:-1], axis=1)):
+            for got, want in zip(numbers(element), numbers(space.element(cols.copy()))):
+                assert got.shape == want.shape and np.array_equal(got, want)
+        drawn += len(whole)
+    assert drawn == trials
+    assert rng.uniform() == reference.uniform()
+
+
+def test_a_block_makes_one_checked_element_per_distinct_space(bundle, monkeypatch):
+    counts = {"projected_path": 0, "PolyPath": 0, "CentralVector": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linfty, "projected_path",
+                        counting("projected_path", linfty.projected_path))
+    monkeypatch.setattr(PolyPath, "__post_init__",
+                        counting("PolyPath", PolyPath.__post_init__))
+    monkeypatch.setattr(CentralVector, "__post_init__",
+                        counting("CentralVector", CentralVector.__post_init__))
+    slots = pkg_slots(bundle)
+    assert len(slots) == 98 and len(set(map(id, slots))) == 2
+    block = next(random_elements(np.random.default_rng(8), 43, slots))
+    assert len(block) == 98
+    # the based paths, and the loops of the central vectors
+    assert counts == {"projected_path": 2, "PolyPath": 2, "CentralVector": 1}
+
+
+def test_drawing_a_block_holds_its_numbers_about_once(bundle):
+    # a pkg-jacobi block of 43 trials holds 43 * 1519 numbers, within the
+    # budget; gathering them from one whole-block draw would hold them twice
+    slots = pkg_slots(bundle)
+    next(random_elements(np.random.default_rng(9), 43, slots))  # warm caches
+    tracemalloc.start()
+    try:
+        block = next(random_elements(np.random.default_rng(9), 43, slots))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) == 98
+    assert peak < 1.75 * 8 * BLOCK_NUMBERS

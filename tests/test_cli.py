@@ -8,12 +8,11 @@ import pytest
 from lie2 import kacmoody, models, suites
 from lie2.cli import main
 from lie2.liealg import InputError
+from lie2.replay import replay_report, replay_suite
 from lie2.suites import (
     REGISTRY,
     RunConfig,
     describe,
-    replay_report,
-    replay_suite,
     run,
     strip_wall_time,
 )
@@ -237,6 +236,59 @@ def test_replay_rejects_a_free_path_witness(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(report_path)]) == 2
     assert "unknown path kind 'free'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def failing_report(tmp_path_factory):
+    """A report whose gk-jacobi and omega-cocycle entries hold witnesses that
+    replay."""
+    report_path = tmp_path_factory.mktemp("replay") / "failing.json"
+    assert main(["verify", "--suite", "gk-jacobi", "--suite", "omega-cocycle",
+                 "--tol-exact", "1e-300", "--report", str(report_path), *FAST]) == 1
+    assert [name for name, _ in replay_report(report_path)] == ["gk-jacobi", "omega-cocycle"]
+    return report_path.read_text()
+
+
+def _witness(doc, entry):
+    return doc["suites"][entry]["witness"]
+
+
+def _first_int(inputs):
+    return next(e for e in _elements(inputs) if e["type"] == "int")
+
+
+MALFORMED = {
+    "unreported component": lambda d: _witness(d, 0).update(component="nonesuch"),
+    "details as component": lambda d: _witness(d, 0).update(component="details"),
+    "element without type": lambda d: next(_elements(_witness(d, 1)["inputs"])).pop("type"),
+    "int that is not one": lambda d: _first_int(_witness(d, 0)["inputs"]).update(value="x"),
+    "real that is a list": lambda d: _first_int(_witness(d, 0)["inputs"]).update(
+        type="real", value=[1.0, 2.0]),
+    "vector of the wrong length": lambda d: next(
+        e for e in _elements(_witness(d, 0)["inputs"]) if e["type"] == "vector"
+    ).update(value=[1.0, 2.0]),
+    "level not a number": lambda d: d["config"].update(k="abc"),
+    "trials as a string": lambda d: d["config"].update(trials="5"),
+    "level past float64": lambda d: d["config"].update(k=10**400),
+    "unknown config entry": lambda d: d["config"].update(colour="red"),
+    "no omega-cocycle inputs": lambda d: _witness(d, 1).update(inputs=[]),
+    "entry without a name": lambda d: d["suites"][0].pop("name"),
+    "suites as an object": lambda d: d.update(suites={"gk-jacobi": d["suites"][0]}),
+    "config suites as a string": lambda d: d["config"].update(suites="omega-cocycle"),
+    "witness as a list": lambda d: d["suites"][1].update(witness=[]),
+}
+
+
+@pytest.mark.parametrize("tamper", MALFORMED.values(), ids=MALFORMED.keys())
+def test_replay_of_a_malformed_report_exits_2(failing_report, tmp_path, capsys, tamper):
+    doc = json.loads(failing_report)
+    tamper(doc)
+    report_path = tmp_path / "tampered.json"
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):

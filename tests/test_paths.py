@@ -24,7 +24,7 @@ from lie2.paths import (
     validate_splitting,
     zero_path,
 )
-from lie2.suites import deserialize_element
+from lie2.replay import deserialize_element
 
 
 def linear_path(g, x):
