@@ -11,7 +11,7 @@ import numpy as np
 
 from lie2 import su2
 from lie2.kacmoody import omega
-from lie2.models import make_phi, make_pkg
+from lie2.models import build_models
 from lie2.paths import (
     BASED,
     LOOP,
@@ -40,13 +40,14 @@ def main() -> None:
     print(f"\nloop cocycle on bump pair: {omega(f, h, 1.0):.15f}"
           f"  (expected 1/30 = {1 / 30:.15f})")
 
-    phi = make_phi(g, 1.0)
+    models = build_models(g, 1.0)
+    phi = models.phi
     p1 = PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0]), BASED)
     p2 = PolyPath(g, np.outer([1, 0, 0], [0.0, 0.0, 1.0]), BASED)
     print(f"endpoint corrector phi2(u e1, u^2 e1): {phi.phi2(p1, p2):.15f}"
           f"  (expected 1/3)")
 
-    pkg = make_pkg(g, 1.0)
+    pkg = models.pkg
     loop = PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0, -1.0]), LOOP)
     act = pkg.l2_01(p1, CentralVector(loop, 0.0))
     print(f"twisted action coefficient: {act.c:.15f}  (expected -1/3)")

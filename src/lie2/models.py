@@ -8,7 +8,6 @@ centrally extended loops).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +34,7 @@ from .paths import (
     CentralVector,
     PolyPath,
     derivative_pairing,
+    f_minus_f2,
     pointwise_bracket,
     random_splitting,
     universal_integral,
@@ -106,14 +106,12 @@ def make_el_vectors(g: LieAlgebraPresentation) -> TwoTermLInfinity:
     )
 
 
-def make_phi(g: LieAlgebraPresentation, k: float, *, pkg=None, gk=None,
-             degree: int = 4) -> LInftyHom:
+def make_phi(g: LieAlgebraPresentation, k: float, *, pkg: TwoTermLInfinity,
+             gk: TwoTermLInfinity) -> LInftyHom:
     """Path model -> skeletal model: endpoint on objects, central coordinate
     on directions, and the skew boundary-corrected pairing as corrector
     k * integral of (B(p1, p2') - B(p1', p2)); the second term is
     derivative_pairing(p2, p1) because the form is symmetric."""
-    pkg = pkg if pkg is not None else make_pkg(g, k, degree)
-    gk = gk if gk is not None else make_gk(g, k)
 
     def phi2(p1: PolyPath, p2: PolyPath) -> float:
         return k * (derivative_pairing(p1, p2) - derivative_pairing(p2, p1))
@@ -122,16 +120,12 @@ def make_phi(g: LieAlgebraPresentation, k: float, *, pkg=None, gk=None,
                      name="endpoint")
 
 
-def make_psi(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING, *,
-             gk=None, pkg=None, degree: int = 4) -> LInftyHom:
-    """Skeletal model -> path model along a splitting function f with
-    f(0) = 0, f(2*pi) = 1: x goes to the path x*f, the corrector is the loop
-    [x1, x2] * (f - f^2)."""
-    f = validate_splitting(f)
-    gk = gk if gk is not None else make_gk(g, k)
-    pkg = pkg if pkg is not None else make_pkg(g, k, degree)
-    f_minus_f2 = -np.convolve(f, f)
-    f_minus_f2[: len(f)] += f
+def make_psi(g: LieAlgebraPresentation, k: float, f: np.ndarray, *,
+             gk: TwoTermLInfinity, pkg: TwoTermLInfinity) -> LInftyHom:
+    """Skeletal model -> path model along a validated splitting function f
+    with f(0) = 0, f(2*pi) = 1: x goes to the path x*f, the corrector is the
+    loop [x1, x2] * (f - f^2)."""
+    profile = f_minus_f2(f)
 
     def psi0(x) -> PolyPath:
         return PolyPath(g, np.asarray(x)[..., :, None] * f, BASED)
@@ -140,18 +134,16 @@ def make_psi(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING, *,
         return CentralVector(zero_path(g, LOOP), c)
 
     def psi2(x1, x2) -> CentralVector:
-        loop = PolyPath(g, g.bracket(x1, x2)[..., :, None] * f_minus_f2, LOOP)
+        loop = PolyPath(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP)
         return CentralVector(loop, 0.0)
 
     return LInftyHom(gk, pkg, psi0, psi1, psi2, name="splitting")
 
 
-def make_lambda(g: LieAlgebraPresentation, k: float, *, el=None, pkg=None,
-                degree: int = 4) -> LInftyHom:
+def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
+                pkg: TwoTermLInfinity) -> LInftyHom:
     """Indiscrete loop model -> path model: inclusion on objects, central lift
     on directions, corrector landing purely in the center."""
-    el = el if el is not None else make_el(g, degree)
-    pkg = pkg if pkg is not None else make_pkg(g, k, degree)
 
     def lam2(l1: PolyPath, l2: PolyPath) -> CentralVector:
         return CentralVector(zero_path(g, LOOP), -omega(l1, l2, k))
@@ -162,20 +154,13 @@ def make_lambda(g: LieAlgebraPresentation, k: float, *, el=None, pkg=None,
                      lam2, name="loop-inclusion")
 
 
-def make_tau(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING, *,
-             pkg=None, phi=None, psi=None, degree: int = 4) -> ChainHomotopy:
+def make_tau(g: LieAlgebraPresentation, k: float, *, pkg: TwoTermLInfinity,
+             phi: LInftyHom, psi: LInftyHom) -> ChainHomotopy:
     """Homotopy from (splitting o endpoint) to the identity of the path
-    model: a path p is retracted onto the loop p - p(2*pi) * f."""
-    f = validate_splitting(f)
-    pkg = pkg if pkg is not None else make_pkg(g, k, degree)
-    phi = phi if phi is not None else make_phi(g, k, pkg=pkg, degree=degree)
-    psi = psi if psi is not None else make_psi(g, k, f, gk=phi.dst, pkg=pkg, degree=degree)
+    model: a path p is retracted onto the loop p - psi0(phi0(p))."""
 
     def tau(p: PolyPath) -> CentralVector:
-        c = np.zeros(p.coeffs.shape[:-1] + (max(p.degree + 1, len(f)),))
-        c[..., : p.degree + 1] += p.coeffs
-        c[..., : len(f)] -= p.endpoint()[..., :, None] * f
-        return CentralVector(PolyPath(g, c, LOOP), 0.0)
+        return CentralVector(PolyPath(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP), 0.0)
 
     return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau,
                          name="retraction")
@@ -223,7 +208,7 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
     phi = make_phi(g, k, pkg=pkg, gk=gk)
     psi = make_psi(g, k, f, gk=gk, pkg=pkg)
     lam = make_lambda(g, k, el=el, pkg=pkg)
-    tau = make_tau(g, k, f, pkg=pkg, phi=phi, psi=psi)
+    tau = make_tau(g, k, pkg=pkg, phi=phi, psi=psi)
     return ModelBundle(
         algebra=g, k=k, splitting=f, degree=degree,
         gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,
@@ -290,108 +275,71 @@ def _integer_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+def _matrix(image) -> np.ndarray:
+    """The images of a batch of basis elements as the rows of a float matrix:
+    a path's coefficients highest degree first, so that the loop basis
+    u^d - u is already in echelon form, and a central coordinate last."""
+    if isinstance(image, CentralVector):
+        loop = _matrix(image.loop)
+        return np.column_stack([loop, np.broadcast_to(image.c, len(loop))])
+    if isinstance(image, PolyPath):
+        image = image.coeffs[..., ::-1]
+    return np.reshape(image, (len(image), -1))
+
+
+def _exact_rank(image) -> int:
+    """Rank over Q of the images.  A float is a dyadic rational, so a row
+    times the largest denominator of its entries is an exact integer row: a
+    non-integral image is ranked, not rounded."""
+    m = _matrix(image)
+    if (m == np.round(m)).all() and (np.abs(m) < 2.0 ** 62).all():
+        return _integer_rank(m.astype(np.int64).tolist())
+    rows = []
+    for row in m.tolist():
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = max(d for _, d in ratios)
+        rows.append([n * (scale // d) for n, d in ratios])
+    return _integer_rank(rows)
+
+
 @dataclass
 class ExactnessReport:
-    degree: int
     dim_paths: int
     dim_loops: int
     rank_endpoint: int
     nullity_endpoint: int
     rank_loop_inclusion: int
-    loops_killed_exactly: bool
-    objects_exact: bool
-    morphisms_exact: bool
-    lambda0_injective: bool
-    lambda1_injective: bool
-    phi0_surjective: bool
-    phi1_surjective: bool
-
-    @property
-    def passed(self) -> bool:
-        return all([
-            self.loops_killed_exactly,
-            self.objects_exact,
-            self.morphisms_exact,
-            self.lambda0_injective,
-            self.lambda1_injective,
-            self.phi0_surjective,
-            self.phi1_surjective,
-        ])
+    passed: bool
 
 
-def exactness_check(g: LieAlgebraPresentation, k: float, degree: int) -> ExactnessReport:
-    """Exact rank verification that the loop inclusion hits precisely the
-    kernel of endpoint evaluation, in the ambient space of paths of bounded
-    degree.
+def exactness_check(models: ModelBundle, degree: int) -> ExactnessReport:
+    """Exact ranks showing that the bundle's loop inclusion lam hits precisely
+    the kernel of its endpoint evaluation phi, on objects (loops -> based
+    paths -> algebra) and on directions (loops -> central vectors -> center),
+    among polynomials of degree <= ``degree``.
 
-    Coordinates: a based path of degree <= D is the integer-indexed vector of
-    coefficients (i, d), d = 1..D; loops are spanned by u^d - u (d >= 2) per
-    coordinate.  Ranks are exact over Q, by fraction-free integer elimination.
+    The maps act on the batched images of a basis, ``element`` of the
+    identity, and a space's dimension is the rank of its basis images.  At
+    each level lam is injective, phi is surjective, phi o lam is exactly 0 and
+    rank lam = dim - rank phi, so by rank-nullity im lam = ker phi.
     """
     if degree < 2:
         raise InputError("exactness check needs polynomial degree >= 2")
-    n, D = g.dim, degree
-    dim_paths = n * D
-    dim_loops = n * (D - 1)
-
-    def flat(i: int, d: int) -> int:
-        return i * D + (d - 1)
-
-    # endpoint evaluation: coefficient sums per coordinate
-    endpoint_rows = [[0] * dim_paths for _ in range(n)]
-    for i in range(n):
-        for d in range(1, D + 1):
-            endpoint_rows[i][flat(i, d)] = 1
-
-    # loop basis u^d - u, one per coordinate and degree 2..D
-    loop_cols: list[list[int]] = []
-    for i in range(n):
-        for d in range(2, D + 1):
-            col = [0] * dim_paths
-            col[flat(i, d)] = 1
-            col[flat(i, 1)] = -1
-            loop_cols.append(col)
-
-    killed = all(
-        sum(map(mul, row, col)) == 0
-        for row in endpoint_rows
-        for col in loop_cols
-    )
-    rank_endpoint = _integer_rank(endpoint_rows)
+    g, phi, lam = models.algebra, models.phi, models.lam
+    based, loops, central = (space.element(np.eye(space.width)) for space in (
+        PathSpace(g, BASED, degree), PathSpace(g, LOOP, degree), CentralSpace(g, degree)))
+    dim_paths, dim_loops, dim_central = map(_exact_rank, (based, loops, central))
+    rank_endpoint, rank_central = _exact_rank(phi.phi0(based)), _exact_rank(phi.phi1(central))
+    included, lifted = lam.phi0(loops), lam.phi1(loops)
+    rank_inclusion, rank_lift = _exact_rank(included), _exact_rank(lifted)
     nullity_endpoint = dim_paths - rank_endpoint
-    rank_loops = _integer_rank(loop_cols)  # rows = columns of the inclusion
-
-    objects_exact = killed and rank_loops == nullity_endpoint
-
-    # direction level: the central lift l -> (l, 0) against the central
-    # coordinate (l, c) -> c; the kernel is the c = 0 slice, which is the
-    # image of the lift by construction.  Encoded as exact integer ranks.
-    lift_cols = [[int(r == c) for r in range(dim_loops + 1)]
-                 for c in range(dim_loops)]
-    central_row = [[0] * dim_loops + [1]]
-    rank_lift = _integer_rank(lift_cols)
-    rank_central = _integer_rank(central_row)
-    central_kills_lift = all(col[-1] == 0 for col in lift_cols)
-    morphisms_exact = (
-        central_kills_lift
-        and rank_lift == (dim_loops + 1) - rank_central
-    )
-
-    return ExactnessReport(
-        degree=D,
-        dim_paths=dim_paths,
-        dim_loops=dim_loops,
-        rank_endpoint=rank_endpoint,
-        nullity_endpoint=nullity_endpoint,
-        rank_loop_inclusion=rank_loops,
-        loops_killed_exactly=killed,
-        objects_exact=objects_exact,
-        morphisms_exact=morphisms_exact,
-        lambda0_injective=rank_loops == dim_loops,
-        lambda1_injective=rank_lift == dim_loops,
-        phi0_surjective=rank_endpoint == n,
-        phi1_surjective=rank_central == 1,
-    )
+    passed = (not (np.any(phi.phi0(included)) or np.any(phi.phi1(lifted)))
+              and rank_inclusion == dim_loops == nullity_endpoint
+              and rank_lift == dim_loops == dim_central - rank_central
+              and rank_endpoint == phi.dst.space0.width
+              and rank_central == phi.dst.space1.width)
+    return ExactnessReport(dim_paths, dim_loops, rank_endpoint, nullity_endpoint,
+                           rank_inclusion, passed)
 
 
 def splitting_samples(rng: np.random.Generator, count: int = 20,

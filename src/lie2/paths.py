@@ -221,6 +221,13 @@ def validate_splitting(poly: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return poly
 
 
+def f_minus_f2(f: np.ndarray) -> np.ndarray:
+    """The u-coefficients of f - f^2, for 1-d u-coefficients f."""
+    out = -np.convolve(f, f)
+    out[: len(f)] += f
+    return out
+
+
 def universal_integral(f) -> float:
     """Exact integral over [0, 2*pi] of f * (f - f^2)' for admissible f.
 
@@ -236,9 +243,7 @@ def universal_integral(f) -> float:
     else:
         poly = np.atleast_1d(np.asarray(f, dtype=float))
     validate_splitting(poly)
-    f_minus_f2 = -np.convolve(poly, poly)
-    f_minus_f2[: len(poly)] += poly
-    return float(derivative_pairing(scalar_path(poly), scalar_path(f_minus_f2)))
+    return float(derivative_pairing(scalar_path(poly), scalar_path(f_minus_f2(poly))))
 
 
 def projected_path(algebra: LieAlgebraPresentation, coeffs: np.ndarray,

@@ -60,7 +60,7 @@ from .worstcase import WorstCase
 
 LINEAR = "linear"
 # exactness ranks every degree from 2 to the configured one: at 64 it and the
-# ten polynomial suites pass in about 10 s on 2 vCPUs, and the cost grows
+# ten polynomial suites pass in about 6 s on 2 vCPUs, and the cost grows
 # without bound past it
 MAX_DEGREE = 64
 # the level-k terms have size about |k| max(1, |form_scale|): at 1e12 their
@@ -71,6 +71,10 @@ MAX_SCALED_LEVEL = 1e12
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
 # about 11 s; the time grows with the grid
 MAX_GRID_POINTS = 1 << 23
+# a block of the kappa suites holds at least one t-row of ntheta + 1 points, so
+# their memory grows by about 1.5 KB per theta sample: peak RSS 86 MiB at 2^15
+# with nt = 8, 185 MiB at 100000
+MAX_NTHETA = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,8 @@ class RunConfig:
         if (self.nt + 1) * (self.ntheta + 1) > MAX_GRID_POINTS:
             raise InputError(f"grid too large: (nt + 1)(ntheta + 1) must not exceed "
                              f"{MAX_GRID_POINTS}, got {(self.nt + 1) * (self.ntheta + 1)}")
+        if self.ntheta > MAX_NTHETA:
+            raise InputError(f"ntheta must not exceed {MAX_NTHETA}, got {self.ntheta}")
         self.splitting_coeffs()
         self.resolve_suites()
         self.presentation  # loads and validates the algebra
@@ -336,16 +342,8 @@ def _exactness_sample(config, rng):
 
 
 def _exactness_evaluate(config, degree):
-    r = exactness_check(config.presentation, config.k, degree)
-    return {"exactness": 0.0 if r.passed else 1.0,
-            NOTES: {f"degree_{r.degree}": {
-                "dim_paths": r.dim_paths,
-                "dim_loops": r.dim_loops,
-                "rank_endpoint": r.rank_endpoint,
-                "nullity_endpoint": r.nullity_endpoint,
-                "rank_loop_inclusion": r.rank_loop_inclusion,
-                "passed": r.passed,
-            }}}
+    r = exactness_check(config.models, degree)
+    return {"exactness": 0.0 if r.passed else 1.0, NOTES: {f"degree_{degree}": asdict(r)}}
 
 
 UNIVERSALITY = "splitting_integral_deviation"

@@ -99,7 +99,8 @@ def test_criterion_4_equivalence():
 def test_criterion_5_exactness():
     g = su2()
     start = time.perf_counter()
-    ok = all(exactness_check(g, 1.0, d).passed for d in range(2, 7))
+    models = build_models(g, 1.0)
+    ok = all(exactness_check(models, d).passed for d in range(2, 7))
     elapsed = time.perf_counter() - start
     _report("criterion-5", ok and elapsed < 5.0,
             f"loop image equals endpoint kernel by exact ranks for degrees "

@@ -47,13 +47,24 @@ def test_verify_degree_past_the_bound_is_config_error(capsys):
 def test_verify_grid_past_the_bound_is_config_error(capsys):
     # the three quadrature suites take up to about 11 s at MAX_GRID_POINTS, and
     # the time grows with the grid, so a larger one is refused before any sampling
-    for nt, ntheta in [(40, 16385), (768, 768), (2048, 2048), (2895, 2895), (8, 932066)]:
+    for nt, ntheta in [(40, 16385), (768, 768), (2048, 2048), (2895, 2895), (254, 32768)]:
         RunConfig(nt=nt, ntheta=ntheta).validate()
     with pytest.raises(InputError, match="must not exceed 8388608, got 8388612"):
         RunConfig(nt=8, ntheta=932067).validate()
+    with pytest.raises(InputError, match="ntheta must not exceed 32768, got 932066"):
+        RunConfig(nt=8, ntheta=932066).validate()
     code = main(["verify", "--suite", "kappa-cocycle", "--nt", "4096", "--ntheta", "4096"])
     assert code == 2
     assert "error: grid too large" in capsys.readouterr().err
+
+
+def test_verify_ntheta_past_the_bound_is_config_error(capsys):
+    # the kappa suites' memory grows with ntheta whatever nt is, so a finer
+    # theta grid is refused even where the grid has few points
+    RunConfig(nt=8, ntheta=suites.MAX_NTHETA).validate()
+    code = main(["verify", "--suite", "kappa-cocycle", "--nt", "8", "--ntheta", "32769"])
+    assert code == 2
+    assert "error: ntheta must not exceed 32768, got 32769" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("form_scale", ["2", "0.5"])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lie2.liealg import InputError
+from lie2.liealg import InputError, load_presentation
 from lie2.linfty import (
     compose,
     generalized_jacobi_residual,
@@ -20,10 +21,7 @@ from lie2.models import (
     make_el,
     make_el_vectors,
     make_gk,
-    make_phi,
     make_pkg,
-    make_psi,
-    make_tau,
     splitting_deviation,
     splitting_samples,
     trivializing_homotopy,
@@ -83,7 +81,7 @@ def test_every_registered_model_passes_jacobi_at_depth(g, rng):
 
 
 def test_phi_endpoint_formulas(g, rng):
-    phi = make_phi(g, 1.0)
+    phi = build_models(g, 1.0).phi
     x = rng.uniform(-1, 1, 3)
     p = PolyPath(g, np.outer(x, [0.0, 1.0]), BASED)
     assert np.allclose(phi.phi0(p), x)
@@ -91,7 +89,7 @@ def test_phi_endpoint_formulas(g, rng):
 
 
 def test_phi_corrector_worked_value(g):
-    phi = make_phi(g, 1.0)
+    phi = build_models(g, 1.0).phi
     p1 = PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0]), BASED)  # u e1
     p2 = PolyPath(g, np.outer([0, 1, 0], [0.0, 0.0, 1.0]), BASED)  # u^2 e2
     # B(e1, e2) = 0 here, so take parallel directions to see the integral
@@ -101,7 +99,7 @@ def test_phi_corrector_worked_value(g):
 
 
 def test_psi_corrector_is_a_loop(g, rng):
-    psi = make_psi(g, 1.0, SMOOTHSTEP)
+    psi = build_models(g, 1.0, SMOOTHSTEP).psi
     x1, x2 = rng.uniform(-1, 1, (2, 3))
     out = psi.phi2(x1, x2)
     assert out.loop.kind == LOOP
@@ -111,7 +109,7 @@ def test_psi_corrector_is_a_loop(g, rng):
 
 
 def test_psi_linear_splitting_formula(g):
-    psi = make_psi(g, 1.0)
+    psi = build_models(g, 1.0).psi
     e = np.eye(3)
     out = psi.phi2(e[0], e[1])
     expected = np.outer(e[2], [0.0, 1.0, -1.0])  # [e1,e2] (u - u^2)
@@ -156,7 +154,7 @@ def test_lambda_corrector_forced_by_mixed_law():
 
 
 def test_tau_sends_paths_to_loops(g, rng):
-    tau = make_tau(g, 1.0)
+    tau = build_models(g, 1.0).tau
     p = random_path(g, rng, 5)
     out = tau.tau(p)
     assert out.loop.kind == LOOP
@@ -164,7 +162,7 @@ def test_tau_sends_paths_to_loops(g, rng):
 
 
 def test_tau_kills_multiples_of_the_splitting(g, rng):
-    tau = make_tau(g, 1.0, SMOOTHSTEP)
+    tau = build_models(g, 1.0, SMOOTHSTEP).tau
     x = rng.uniform(-1, 1, 3)
     p = PolyPath(g, np.outer(x, SMOOTHSTEP), BASED)
     assert tau.tau(p).norm() <= 1e-15
@@ -201,19 +199,41 @@ def test_trivializer_on_vector_model_is_exact(g, rng):
         assert max(res.values()) == 0.0
 
 
-def test_exactness_all_degrees(g):
+@pytest.mark.parametrize("algebra", ["su2", "so3", "sl2"])
+def test_exactness_all_degrees(algebra):
+    models = build_models(load_presentation(algebra), 1.0)
+    n = models.algebra.dim
     for degree in range(2, 21):
-        report = exactness_check(g, 1.0, degree)
+        report = exactness_check(models, degree)
         assert report.passed
-        assert report.dim_loops == 3 * (degree - 1)
-        assert report.nullity_endpoint == report.rank_loop_inclusion == 3 * (degree - 1)
-        assert report.rank_endpoint == 3
-        assert report.phi1_surjective and report.lambda1_injective
+        assert report.dim_paths == n * degree
+        assert report.dim_loops == report.nullity_endpoint == n * (degree - 1)
+        assert report.rank_loop_inclusion == n * (degree - 1)
+        assert report.rank_endpoint == n
+
+
+@pytest.mark.parametrize("degree", [2, 4, 20])
+def test_exactness_fails_for_endpoint_at_one_half(g, degree):
+    # evaluation at u = 1/2 is still onto the algebra, but it no longer kills
+    # the loops u^d - u; its images are not integral, so they are ranked exactly
+    models = build_models(g, 1.0)
+    mutant = replace(models, phi=replace(models.phi, phi0=lambda p: p.eval(0.5)))
+    assert exactness_check(models, degree).passed
+    assert not exactness_check(mutant, degree).passed
+
+
+@pytest.mark.parametrize("lift", [lambda l: CentralVector(l, 1.0),
+                                  lambda l: CentralVector(0.0 * l, 0.0)],
+                         ids=["off-the-kernel-of-phi1", "not-injective"])
+def test_exactness_checks_the_directions(g, lift):
+    models = build_models(g, 1.0)
+    mutant = replace(models, lam=replace(models.lam, phi1=lift))
+    assert not exactness_check(mutant, 4).passed
 
 
 def test_exactness_rejects_low_degree(g):
     with pytest.raises(InputError):
-        exactness_check(g, 1.0, 1)
+        exactness_check(build_models(g, 1.0), 1)
 
 
 def fraction_rank(matrix: list[list[int]]) -> int:

@@ -14,6 +14,7 @@ from lie2.paths import (
     TWO_PI,
     PolyPath,
     derivative_pairing,
+    f_minus_f2,
     integral_pairing,
     pointwise_bracket,
     projected_path,
@@ -97,6 +98,12 @@ def test_endpoint_examples(g, rng):
                        [2.0, 0.0, 1.0])
     bump = PolyPath(g, np.outer([1.0, 0, 0], [0.0, 1.0, -1.0]), LOOP)  # (u - u^2) e1
     assert np.allclose(bump.endpoint(), 0.0)
+
+
+def test_f_minus_f2_smoothstep():
+    # (3u^2 - 2u^3) - (9u^4 - 12u^5 + 4u^6)
+    assert f_minus_f2(np.array([0.0, 0.0, 3.0, -2.0])).tolist() == \
+        [0.0, 0.0, 3.0, -2.0, -9.0, 12.0, -4.0]
 
 
 def test_universal_integral_linear():
