@@ -36,9 +36,10 @@ Graded = tuple[int, Any]
 # element spaces
 # ---------------------------------------------------------------------------
 
-# uniform numbers random_elements draws per block (512 KiB of float64): a block
-# holds max(1, BLOCK_NUMBERS // width) trials, so it is sized by the memory its
-# elements and their intermediates take, not by a trial count
+# uniform numbers random_elements builds into elements per block (512 KiB of
+# float64): a block holds max(1, BLOCK_NUMBERS // built width) trials, so it is
+# sized by the memory its elements and their intermediates take, not by a
+# trial count
 BLOCK_NUMBERS = 1 << 16
 
 
@@ -122,25 +123,36 @@ def random_elements(rng: np.random.Generator, trials: int,
                     spaces: Sequence) -> Iterator[tuple]:
     """One random element of each space per trial, drawn in that order.
 
-    A block holds ``step = max(1, BLOCK_NUMBERS // width)`` trials, ``width``
-    being the numbers one trial takes.  Its numbers are drawn trial after
-    trial and within a trial space after space, so they are those of drawing
-    each element on its own.  They are drawn ``max(1, step // 8)`` trials at
-    a time, each slice gathered straight into one buffer per distinct space,
-    ``(trials, slots, width)``, so a block's numbers are held about once.
-    Each distinct space then makes one batched element from its buffer, with
-    one projection and one entry check, and each slot of the yielded tuple is
-    that element's batch slice ``[:, slot]``."""
+    A slot given as an int instead of a space stands for that many numbers
+    that are drawn in their place and skipped: no element is built from them
+    and the yielded tuples leave them out.
+
+    A block holds ``step = max(1, BLOCK_NUMBERS // built)`` trials, ``built``
+    being the numbers one trial builds into elements.  Its numbers are drawn
+    trial after trial and within a trial slot after slot, so they are those
+    of drawing each element on its own.  They are drawn an eighth of
+    ``min(step, BLOCK_NUMBERS // width)`` trials at a time (at least one),
+    ``width`` counting the skipped numbers too, so a slice never holds more
+    than an eighth of the budget unless it is one trial.  Each slice is
+    gathered straight into one buffer per distinct space,
+    ``(trials, slots, width)``, so a block's built numbers are held about
+    once.  Each distinct space then makes one batched element from its
+    buffer, with one projection and one entry check, and each slot of the
+    yielded tuple is that element's batch slice ``[:, slot]``."""
     ranges: dict = {}  # each distinct space: the column range of each of its slots
-    where = []  # each slot: its space and its position among that space's slots
+    where = []  # each built slot: its space and its position among that space's slots
     width = 0
     for space in spaces:
+        if isinstance(space, int):
+            width += space
+            continue
         where.append((space, len(ranges.setdefault(space, []))))
         ranges[space].append(np.arange(width, width + space.width))
         width += space.width
     columns = {space: np.concatenate(r) for space, r in ranges.items()}
-    step = max(1, BLOCK_NUMBERS // width)
-    chunk = max(1, step // 8)
+    built = sum(len(cols) for cols in columns.values())
+    step = max(1, BLOCK_NUMBERS // max(1, built))
+    chunk = max(1, min(step, BLOCK_NUMBERS // max(1, width)) // 8)
     for start in range(0, trials, step):
         rows = min(step, trials - start)
         buffers = {space: np.empty((rows, len(cols) // space.width, space.width))
@@ -238,8 +250,8 @@ class TwoTermLInfinity:
 def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -> float:
     """Relative norm of the generalized Jacobi expression on graded inputs.
 
-    Accepts 1 <= n <= 4 inputs tagged with degrees in {0, 1}.  Signatures for
-    which every term necessarily lands outside degrees {0, 1} return 0.
+    Accepts 1 <= n <= 4 inputs tagged with degrees in {0, 1}.  Signatures
+    without a ``jacobi_target`` return 0.
     """
     from .signs import chi, unshuffles
 
@@ -249,8 +261,8 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
     degrees = [a[0] for a in inputs]
     if any(d not in (0, 1) for d in degrees):
         raise InputError("degree tags must be 0 or 1")
-    target = sum(degrees) + n - 3
-    if target not in (0, 1):
+    target = jacobi_target(degrees)
+    if target is None:
         return 0.0
     space = L.space(target)
     acc = space.zero()
@@ -273,6 +285,15 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
     return relative(space.norm(acc), norms, L.form_scale)
 
 
+def jacobi_target(degrees: Sequence[int]) -> int | None:
+    """Degree of the generalized Jacobi expression on inputs of these degrees,
+    sum(degrees) + n - 3, or None where it lies outside {0, 1}: there the
+    expression is 0 by degree reasons alone, and such a signature is dead.
+    Of the 30 signatures of 1..4 inputs, 8 are live."""
+    target = sum(degrees) + len(degrees) - 3
+    return target if target in (0, 1) else None
+
+
 def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
     """Every degree signature of length 1..max_n over {0, 1}."""
     out: list[tuple[int, ...]] = []
@@ -284,13 +305,17 @@ def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
 
 def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator, trials: int,
                    max_n: int = 4) -> Iterator[list[Graded]]:
-    """Random graded inputs of every signature, one block of trials at a time;
-    within a trial the elements are drawn signature after signature."""
+    """Random graded inputs of every live signature, one block of trials at a
+    time.  Within a trial the numbers are drawn signature after signature,
+    over all of them: a dead signature's numbers are drawn, not built, so the
+    live elements are those of drawing every signature's elements."""
     signatures = all_signatures(max_n)
-    slots = [L.space(d) for sig in signatures for d in sig]
+    live = [sig for sig in signatures if jacobi_target(sig) is not None]
+    slots = [L.space(d) if sig in live else L.space(d).width
+             for sig in signatures for d in sig]
     for block in random_elements(rng, trials, slots):
         elements = iter(block)
-        for sig in signatures:
+        for sig in live:
             yield [(d, next(elements)) for d in sig]
 
 

@@ -106,8 +106,7 @@ def make_el_vectors(g: LieAlgebraPresentation) -> TwoTermLInfinity:
     )
 
 
-def make_phi(g: LieAlgebraPresentation, k: float, *, pkg: TwoTermLInfinity,
-             gk: TwoTermLInfinity) -> LInftyHom:
+def make_phi(k: float, *, pkg: TwoTermLInfinity, gk: TwoTermLInfinity) -> LInftyHom:
     """Path model -> skeletal model: endpoint on objects, central coordinate
     on directions, and the skew boundary-corrected pairing as corrector
     k * integral of (B(p1, p2') - B(p1', p2)); the second term is
@@ -120,7 +119,7 @@ def make_phi(g: LieAlgebraPresentation, k: float, *, pkg: TwoTermLInfinity,
                      name="endpoint")
 
 
-def make_psi(g: LieAlgebraPresentation, k: float, f: np.ndarray, *,
+def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
              gk: TwoTermLInfinity, pkg: TwoTermLInfinity) -> LInftyHom:
     """Skeletal model -> path model along a validated splitting function f
     with f(0) = 0, f(2*pi) = 1: x goes to the path x*f, the corrector is the
@@ -154,7 +153,7 @@ def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
                      lam2, name="loop-inclusion")
 
 
-def make_tau(g: LieAlgebraPresentation, k: float, *, pkg: TwoTermLInfinity,
+def make_tau(g: LieAlgebraPresentation, *, pkg: TwoTermLInfinity,
              phi: LInftyHom, psi: LInftyHom) -> ChainHomotopy:
     """Homotopy from (splitting o endpoint) to the identity of the path
     model: a path p is retracted onto the loop p - psi0(phi0(p))."""
@@ -205,10 +204,10 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
     gk = make_gk(g, k)
     pkg = make_pkg(g, k, degree)
     el = make_el(g, degree)
-    phi = make_phi(g, k, pkg=pkg, gk=gk)
-    psi = make_psi(g, k, f, gk=gk, pkg=pkg)
+    phi = make_phi(k, pkg=pkg, gk=gk)
+    psi = make_psi(g, f, gk=gk, pkg=pkg)
     lam = make_lambda(g, k, el=el, pkg=pkg)
-    tau = make_tau(g, k, pkg=pkg, phi=phi, psi=psi)
+    tau = make_tau(g, pkg=pkg, phi=phi, psi=psi)
     return ModelBundle(
         algebra=g, k=k, splitting=f, degree=degree,
         gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,

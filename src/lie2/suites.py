@@ -145,8 +145,14 @@ class RunConfig:
         if self.ntheta > MAX_NTHETA:
             raise InputError(f"ntheta must not exceed {MAX_NTHETA}, got {self.ntheta}")
         self.splitting_coeffs()
-        self.resolve_suites()
+        names = self.resolve_suites()
         self.presentation  # loads and validates the algebra
+        if any(name in GRID_SUITES for name in names):
+            try:
+                _su2_layer(self)
+            except InputError as exc:
+                raise InputError(f"{', '.join(GRID_SUITES[:-1])} and {GRID_SUITES[-1]} "
+                                 f"need the grid pairing: {exc}") from exc
 
 
 @dataclass
@@ -198,8 +204,10 @@ class SuiteSpec:
     """One suite, stated once.
 
     ``sample(config, rng)`` yields the inputs of one block of trials at a
-    time (the polynomial suites draw as many trials per block as fit in
-    ``linfty.BLOCK_NUMBERS`` uniform numbers, the others one);
+    time (the polynomial suites take as many trials per block as build at
+    most ``linfty.BLOCK_NUMBERS`` uniform numbers into elements, and the
+    Jacobi suites yield each block once per live signature; the others take
+    one trial);
     ``evaluate(config, inputs)`` returns
     ``{component: residual}``, each residual an array over the block or a
     number, and may add report details under ``NOTES``.  The optional
@@ -421,6 +429,10 @@ ADOMEGA_PATH_AMPLITUDE = 0.5
 ADOMEGA_LOOP_AMPLITUDE = 0.6
 
 
+# the suites that pair su(2)-valued fields sampled on the config's grid
+GRID_SUITES = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
+
+
 def _su2_layer(config) -> float:
     """The grid pairing scale of the presentation, -2 form_scale, checked
     against its form (the indefinite form of sl2 has none)."""
@@ -442,7 +454,6 @@ def _sampled_fields(config, coeffs) -> list:
 
 
 def _kappa_cocycle_sample(config, rng):
-    _su2_layer(config)
     yield _loop_fields(rng, 3)
 
 
@@ -452,7 +463,6 @@ def _kappa_cocycle_evaluate(config, fields):
 
 
 def _ad_omega_sample(config, rng):
-    _su2_layer(config)
     g = config.presentation
     path = su2grid.random_group_path_coeffs(rng, amplitude=ADOMEGA_PATH_AMPLITUDE).coeffs
     xi = ADOMEGA_LOOP_AMPLITUDE * random_path(g, rng, config.degree, LOOP)
@@ -468,7 +478,6 @@ def _ad_omega_evaluate(config, inputs):
 
 
 def _kappa_conjugation_sample(config, rng):
-    _su2_layer(config)
     path = su2grid.random_group_path_coeffs(rng, amplitude=CONJ_PATH_AMPLITUDE).coeffs
     yield [path, *_loop_fields(rng, 2)]
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lie2 import linfty
+from lie2 import linfty, suites
 from lie2.linfty import (
     BLOCK_NUMBERS,
     CentralSpace,
@@ -17,20 +17,22 @@ from lie2.linfty import (
     PathSpace,
     RealLine,
     all_signatures,
+    generalized_jacobi_residual,
     hom_samples,
     jacobi_samples,
+    jacobi_target,
     random_elements,
     two_hom_samples,
 )
 from lie2.models import build_models, equivalence_samples
 from lie2.paths import LOOP, CentralVector, PolyPath, pointwise_bracket, random_path
-from lie2.suites import REGISTRY, RunConfig
+from lie2.suites import REGISTRY, RunConfig, run
 from lie2.worstcase import WorstCase, largest, trial
 
 POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
                      "tau-2hom", "equivalence", "omega-cocycle", "extended-jacobi",
                      "dalpha-action")
-TRIALS = 30  # one partial block of every sampler but the Jacobi ones
+TRIALS = 30  # one partial block of every sampler
 
 
 def draw(space, rng):
@@ -78,43 +80,79 @@ def bundle(g):
     return build_models(g, 1.0, np.array([0.0, 0.0, 3.0, -2.0]))
 
 
+def stacked(draws):
+    """Per-trial draws of one slot, stacked along a leading trial axis."""
+    return [np.stack(parts) for parts in zip(*map(numbers, draws))]
+
+
 def test_jacobi_block_draws_equal_per_trial_draws(bundle):
+    # only the 8 live signatures are built, and a block holds
+    # max(1, BLOCK_NUMBERS // built) trials, built counting their numbers only:
+    # gk builds 52 of its 196 numbers a trial, pkg 337 of its 1519
     signatures = all_signatures()
-    # gk (width 196) in one partial block; pkg (width 1519) in two full blocks
-    # and a partial one
-    for L, step, full_blocks in [(bundle.gk, 334, 0), (bundle.pkg, 43, 2)]:
-        width = sum(L.space(d).width for sig in signatures for d in sig)
-        assert max(1, BLOCK_NUMBERS // width) == step  # the budget rule
-        samples = jacobi_samples(L, np.random.default_rng(1), full_blocks * step + 5)
-        reference = np.random.default_rng(1)
+    live = [sig for sig in signatures if jacobi_target(sig) is not None]
+    assert (len(signatures), len(live)) == (30, 8)
+    for L, built, step in [(bundle.gk, 52, 1260), (bundle.pkg, 337, 194)]:
+        assert sum(L.space(d).width for sig in live for d in sig) == built
+        assert max(1, BLOCK_NUMBERS // built) == step  # the budget rule
+        rng, reference = np.random.default_rng(1), np.random.default_rng(1)
+        samples = jacobi_samples(L, rng, step + 5)
         sizes = []
         while (first := next(samples, None)) is not None:
-            # one block: every signature, trial after trial
-            block = [first] + [next(samples) for _ in signatures[1:]]
-            rows = len(numbers(block[0][0][1])[0])
-            for r in range(rows):
-                for inputs in block:
-                    for d, element in inputs:
-                        for got, want in zip(numbers(element[r]),
-                                             numbers(draw(L.space(d), reference))):
-                            assert np.array_equal(got, want)
+            # one block: every live signature, in order
+            block = [first] + [next(samples) for _ in live[1:]]
+            assert [tuple(d for d, _ in inputs) for inputs in block] == live
+            rows = len(numbers(first[0][1])[0])
+            want = {sig: [[] for _ in sig] for sig in live}
+            for _ in range(rows):  # every signature, trial after trial
+                for sig in signatures:
+                    for slot, d in enumerate(sig):
+                        element = draw(L.space(d), reference)  # a dead one is dropped
+                        if sig in want:
+                            want[sig][slot].append(element)
+            for sig, inputs in zip(live, block):
+                for (d, element), drawn in zip(inputs, want[sig]):
+                    for got, expected in zip(numbers(element), stacked(drawn)):
+                        assert np.array_equal(got, expected)
             sizes.append(rows)
-        assert sizes == [step] * full_blocks + [5]
+        assert sizes == [step, 5]
+        assert rng.uniform() == reference.uniform()  # dead numbers were consumed
+
+
+@pytest.mark.parametrize("name", ["gk-jacobi", "pkg-jacobi"])
+def test_jacobi_suites_evaluate_only_live_signatures(monkeypatch, name):
+    evaluated = []
+
+    def counting(L, inputs):
+        evaluated.append(tuple(d for d, _ in inputs))
+        return generalized_jacobi_residual(L, inputs)
+
+    monkeypatch.setattr(suites, "generalized_jacobi_residual", counting)
+    report = run(RunConfig(suites=(name,), trials=60))
+    assert report["summary"]["all_passed"]
+    # target degree sum(degrees) + n - 3 in {0, 1}: 3 signatures of two
+    # inputs, 4 of three and 1 of four
+    assert evaluated and all(sum(sig) + len(sig) - 3 in (0, 1) for sig in evaluated)
+    assert len(set(evaluated)) == 8
+    blocks = 2 if name == "pkg-jacobi" else 1  # the trials, then the control's
+    assert len(evaluated) == 8 * blocks
 
 
 @pytest.mark.parametrize("budget", [BLOCK_NUMBERS, 1000, 1])
 def test_no_block_draws_more_than_the_budget_unless_it_is_one_trial(
         bundle, monkeypatch, budget):
     monkeypatch.setattr(linfty, "BLOCK_NUMBERS", budget)
+    # the budget counts built numbers; an int slot is drawn but not built
     for spaces in [(bundle.pkg.space0,) * 3 + (bundle.pkg.space1,),
-                   [bundle.pkg.space(d) for sig in all_signatures() for d in sig]]:
-        width = sum(space.width for space in spaces)
-        step = max(1, budget // width)
+                   [bundle.pkg.space(d) for sig in all_signatures() for d in sig],
+                   [bundle.pkg.space0, 1000, bundle.pkg.space1, 7]]:
+        built = sum(space.width for space in spaces if not isinstance(space, int))
+        step = max(1, budget // built)
         trials = 2 * step + 1
         sizes = [len(numbers(block[0])[0])
                  for block in random_elements(np.random.default_rng(6), trials, spaces)]
         assert sizes == [step, step, 1]
-        assert all(rows * width <= budget or rows == 1 for rows in sizes)
+        assert all(rows * built <= budget or rows == 1 for rows in sizes)
 
 
 @pytest.mark.parametrize("hom", ["phi", "psi", "lam"])
@@ -164,7 +202,7 @@ def test_a_trial_alone_equals_its_row_of_the_block(name):
         residuals = spec.evaluate(config, inputs)
         shape = np.broadcast_shapes(*map(np.shape, residuals.values()))
         if shape == ():
-            continue  # unbatched (splitting functions) or zero by degree
+            continue  # unbatched (splitting functions)
         for r in range(shape[0]):
             alone = spec.evaluate(config, trial(inputs, r))
             for component, value in residuals.items():
@@ -207,7 +245,8 @@ def test_largest_is_element_wise_and_keeps_nan():
 
 
 def pkg_slots(bundle):
-    """The slots of one pkg-jacobi trial: 98 elements of two distinct spaces."""
+    """Every slot of the 30 signatures of a pkg-jacobi trial, all built: 98
+    elements of two distinct spaces."""
     return [bundle.pkg.space(d) for sig in all_signatures() for d in sig]
 
 
@@ -257,15 +296,19 @@ def test_a_block_makes_one_checked_element_per_distinct_space(bundle, monkeypatc
 
 
 def test_drawing_a_block_holds_its_numbers_about_once(bundle):
-    # a pkg-jacobi block of 43 trials holds 43 * 1519 numbers, within the
-    # budget; gathering them from one whole-block draw would hold them twice
-    slots = pkg_slots(bundle)
-    next(random_elements(np.random.default_rng(9), 43, slots))  # warm caches
-    tracemalloc.start()
-    try:
-        block = next(random_elements(np.random.default_rng(9), 43, slots))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(block) == 98
-    assert peak < 1.75 * 8 * BLOCK_NUMBERS
+    # a pkg-jacobi block of 194 trials builds 194 * 337 numbers, within the
+    # budget, and skips the other 1182 of each trial's 1519; gathering them
+    # from one whole-block draw would hold the block's numbers four times over.
+    # With every slot built, 43 trials fill the budget.
+    live = [bundle.pkg.space(d) if jacobi_target(sig) is not None
+            else bundle.pkg.space(d).width for sig in all_signatures() for d in sig]
+    for slots, trials, built in [(live, 194, 22), (pkg_slots(bundle), 43, 98)]:
+        next(random_elements(np.random.default_rng(9), trials, slots))  # warm caches
+        tracemalloc.start()
+        try:
+            block = next(random_elements(np.random.default_rng(9), trials, slots))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == built
+        assert peak < 1.75 * 8 * BLOCK_NUMBERS

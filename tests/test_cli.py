@@ -91,6 +91,15 @@ def test_quadrature_suites_refuse_a_form_without_a_grid_pairing(capsys):
     assert "pairing scale -2.0 does not match the form of sl2" in capsys.readouterr().err
 
 
+def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
+    # the default suite list includes the quadrature suites
+    code = main(["verify", "--algebra", "sl2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert ("kappa-cocycle, ad-omega and kappa-conjugation need the grid pairing: "
+            "pairing scale -2.0 does not match the form of sl2") in err
+
+
 @pytest.mark.parametrize("flags", [["--k", "1e308"], ["--k=-2e12"],
                                    ["--k", "1e7", "--form-scale", "1e6"],
                                    ["--k", "1e-3", "--form-scale", "1e300"]])
