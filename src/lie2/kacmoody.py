@@ -4,7 +4,7 @@ and the lifted action of based paths, all in the exact polynomial model."""
 from __future__ import annotations
 
 from .liealg import InputError
-from .linfty import relative
+from .linfty import law_residual
 from .paths import (
     LOOP,
     CentralVector,
@@ -24,13 +24,10 @@ def omega(f: PolyPath, g: PolyPath, k: float) -> float:
 
 
 def omega_cocycle_residual(f: PolyPath, g: PolyPath, h: PolyPath, k: float) -> float:
-    """Relative size of omega([f,g],h) + omega([g,h],f) + omega([h,f],g)."""
-    total = (
-        omega(pointwise_bracket(f, g), h, k)
-        + omega(pointwise_bracket(g, h), f, k)
-        + omega(pointwise_bracket(h, f), g, k)
-    )
-    return relative(abs(total), [f.norm(), g.norm(), h.norm()], f.algebra.form_scale)
+    """``law_residual`` of omega([f,g],h) + omega([g,h],f) + omega([h,f],g)."""
+    terms = [omega(pointwise_bracket(f, g), h, k), omega(pointwise_bracket(g, h), f, k),
+             omega(pointwise_bracket(h, f), g, k)]
+    return law_residual(terms, abs, [f.norm(), g.norm(), h.norm()])
 
 
 def extended_bracket(a: CentralVector, b: CentralVector, k: float) -> CentralVector:
@@ -45,13 +42,10 @@ def extended_jacobi_residual(a: CentralVector, b: CentralVector,
                              c: CentralVector, k: float) -> float:
     """Jacobi defect of the twisted bracket; equals the cocycle defect on the
     central coordinate and the pointwise Jacobi defect on the loop part."""
-    total = (
-        extended_bracket(extended_bracket(a, b, k), c, k)
-        + extended_bracket(extended_bracket(b, c, k), a, k)
-        + extended_bracket(extended_bracket(c, a, k), b, k)
-    )
-    return relative(total.norm(), [a.norm(), b.norm(), c.norm()],
-                    a.loop.algebra.form_scale)
+    terms = [extended_bracket(extended_bracket(a, b, k), c, k),
+             extended_bracket(extended_bracket(b, c, k), a, k),
+             extended_bracket(extended_bracket(c, a, k), b, k)]
+    return law_residual(terms, CentralVector.norm, [a.norm(), b.norm(), c.norm()])
 
 
 def dalpha(p: PolyPath, v: CentralVector, k: float) -> CentralVector:
@@ -65,29 +59,26 @@ def dalpha_action_residual(p1: PolyPath, p2: PolyPath, v: CentralVector,
                            k: float) -> float:
     """How far dalpha is from a Lie algebra action:
     dalpha([p1, p2]) v - (dalpha(p1) dalpha(p2) - dalpha(p2) dalpha(p1)) v."""
-    lhs = dalpha(pointwise_bracket(p1, p2), v, k)
-    rhs = dalpha(p1, dalpha(p2, v, k), k) - dalpha(p2, dalpha(p1, v, k), k)
-    return relative((lhs - rhs).norm(), [p1.norm(), p2.norm(), v.norm()],
-                    p1.algebra.form_scale)
+    terms = [dalpha(pointwise_bracket(p1, p2), v, k), -dalpha(p1, dalpha(p2, v, k), k),
+             dalpha(p2, dalpha(p1, v, k), k)]
+    return law_residual(terms, CentralVector.norm, [p1.norm(), p2.norm(), v.norm()])
 
 
 def dalpha_derivation_residual(p: PolyPath, a: CentralVector, b: CentralVector,
                                k: float) -> float:
     """How far dalpha(p) is from a derivation of the twisted bracket."""
-    lhs = dalpha(p, extended_bracket(a, b, k), k)
-    rhs = extended_bracket(dalpha(p, a, k), b, k) \
-        + extended_bracket(a, dalpha(p, b, k), k)
-    return relative((lhs - rhs).norm(), [p.norm(), a.norm(), b.norm()],
-                    p.algebra.form_scale)
+    terms = [dalpha(p, extended_bracket(a, b, k), k),
+             -extended_bracket(dalpha(p, a, k), b, k),
+             -extended_bracket(a, dalpha(p, b, k), k)]
+    return law_residual(terms, CentralVector.norm, [p.norm(), a.norm(), b.norm()])
 
 
 def dalpha_equivariance_residual(p: PolyPath, v: CentralVector, k: float) -> float:
     """Projecting to the loop then acting by the pointwise bracket agrees with
     acting first and then projecting (infinitesimal compatibility of the
     action with the projection)."""
-    lhs = dalpha(p, v, k).loop
-    rhs = pointwise_bracket(p, v.loop)
-    return relative((lhs - rhs).norm(), [p.norm(), v.norm()], p.algebra.form_scale)
+    terms = [dalpha(p, v, k).loop, -pointwise_bracket(p, v.loop)]
+    return law_residual(terms, PolyPath.norm, [p.norm(), v.norm()])
 
 
 def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
@@ -97,6 +88,5 @@ def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
     act on itself through the projection)."""
     if l.kind != LOOP:
         raise InputError("expected a loop")
-    lhs = dalpha(l, v, k)
-    rhs = extended_bracket(CentralVector(l, 0.0), v, k)
-    return relative((lhs - rhs).norm(), [l.norm(), v.norm()], l.algebra.form_scale)
+    terms = [dalpha(l, v, k), -extended_bracket(CentralVector(l, 0.0), v, k)]
+    return law_residual(terms, CentralVector.norm, [l.norm(), v.norm()])

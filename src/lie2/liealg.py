@@ -27,7 +27,7 @@ class LieAlgebraPresentation:
     structure: np.ndarray  # (n, n, n), c[i, j, k]
     form: np.ndarray  # (n, n), symmetric invariant
     # the factor the form was rescaled by from its bundled or file values;
-    # residuals of terms the form enters are taken relative to it
+    # the grid pairing of the quadrature suites follows it
     form_scale: float = 1.0
 
     def __eq__(self, other):

@@ -14,6 +14,7 @@ hand-derived specialization of the identity is transcribed anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -167,15 +168,21 @@ def random_elements(rng: np.random.Generator, trials: int,
         yield tuple(elements[space][:, slot] for space, slot in where)
 
 
-def relative(residual_norm: float, input_norms: Sequence[float],
-             form_scale: float = 1.0) -> float:
-    """Residual scaled by 1 + prod(1 + |x_i|), stable under degree growth, and
-    by the invariant form's scale where it exceeds 1: the terms the form
-    enters, and their roundoff, grow with it."""
-    denom = 1.0
-    for nv in input_norms:
-        denom *= 1.0 + nv
-    return residual_norm / ((1.0 + denom) * max(1.0, abs(form_scale)))
+def law_residual(terms: Sequence, norm: Callable[[Any], Any],
+                 input_norms: Sequence) -> float | np.ndarray:
+    """Size of a law stated as the signed terms that must cancel,
+
+        ||sum t_i|| / (1 + prod(1 + |x_i|) + sum ||t_i||).
+
+    The float error of the sum is of order eps * sum ||t_i||, so a law that
+    holds reads roundoff at any scale of its inputs, level or form.  The input
+    term is a floor, so a law whose terms are all roundoff does not read about
+    1.  ``norm`` is that of the space the terms lie in.  A NaN or infinite
+    term gives NaN; a law with no terms is 0."""
+    if not terms:
+        return 0.0
+    floor = math.prod(1.0 + nv for nv in input_norms)
+    return norm(sum(terms[1:], terms[0])) / (1.0 + floor + sum(norm(t) for t in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +194,7 @@ class TwoTermLInfinity:
     """Chain complex space1 -> space0 with a graded bracket and Jacobiator.
 
     All maps act on raw elements; degree dispatch happens in the checker.
-    ``l3 = None`` means the structure is strict.  ``form_scale`` is that of
-    the invariant form the brackets carry, which residuals are relative to.
+    ``l3 = None`` means the structure is strict.
     """
 
     name: str
@@ -198,7 +204,6 @@ class TwoTermLInfinity:
     l2_00: Callable[[Any, Any], Any]
     l2_01: Callable[[Any, Any], Any]
     l3: Callable[[Any, Any, Any], Any] | None = None
-    form_scale: float = 1.0
 
     def space(self, degree: int):
         if degree == 0:
@@ -248,7 +253,8 @@ class TwoTermLInfinity:
 
 
 def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -> float:
-    """Relative norm of the generalized Jacobi expression on graded inputs.
+    """``law_residual`` of the generalized Jacobi expression on graded inputs,
+    its terms the nonvanishing l_j(l_i(...), ...) with their signs.
 
     Accepts 1 <= n <= 4 inputs tagged with degrees in {0, 1}.  Signatures
     without a ``jacobi_target`` return 0.
@@ -264,8 +270,7 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
     target = jacobi_target(degrees)
     if target is None:
         return 0.0
-    space = L.space(target)
-    acc = space.zero()
+    terms = []
     for i in range(1, n + 1):
         j = n + 1 - i
         if i > 3 or j > 3:
@@ -280,9 +285,9 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
             deg, val = term
             assert deg == target
             coeff = float(chi(degrees, sigma)) * (-1.0) ** (i * (j - 1))
-            acc = acc + coeff * val
+            terms.append(coeff * val)
     norms = [L.space(d).norm(v) for d, v in inputs]
-    return relative(space.norm(acc), norms, L.form_scale)
+    return law_residual(terms, L.space(target).norm, norms)
 
 
 def jacobi_target(degrees: Sequence[int]) -> int | None:
@@ -366,36 +371,27 @@ def zeroed_phi2(hom: LInftyHom) -> LInftyHom:
 
 
 def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
-    """Relative residuals of the chain-map square and the three coherence laws
-    on one sample (x, y, z in degree 0, h in degree 1)."""
+    """``law_residual`` of the chain-map square and the three coherence laws
+    on one sample (x, y, z in degree 0, h in degree 1).  The images the laws
+    share are computed once."""
     src, dst = hom.src, hom.dst
     n0, n1 = dst.space0.norm, dst.space1.norm
-    scale = dst.form_scale
     nx, ny, nz = (src.space0.norm(v) for v in (x, y, z))
     nh = src.space1.norm(h)
+    px, py, pz, ph = hom.phi0(x), hom.phi0(y), hom.phi0(z), hom.phi1(h)
+    xy, yz, zx = src.l2_00(x, y), src.l2_00(y, z), src.l2_00(z, x)
+    c_xy, c_yz, c_zx = hom.phi2(x, y), hom.phi2(y, z), hom.phi2(z, x)
 
-    chain = dst.d(hom.phi1(h)) - hom.phi0(src.d(h))
-    r_chain = relative(n0(chain), [nh], scale)
-
-    one = dst.d(hom.phi2(x, y)) - hom.phi0(src.l2_00(x, y)) \
-        + dst.l2_00(hom.phi0(x), hom.phi0(y))
-    r_one = relative(n0(one), [nx, ny], scale)
-
-    two = hom.phi2(x, src.d(h)) - hom.phi1(src.l2_01(x, h)) \
-        + dst.l2_01(hom.phi0(x), hom.phi1(h))
-    r_two = relative(n1(two), [nx, nh], scale)
-
-    lhs = dst.l3_or_zero(hom.phi0(x), hom.phi0(y), hom.phi0(z)) \
-        - hom.phi1(src.l3_or_zero(x, y, z))
-    rhs = hom.phi2(x, src.l2_00(y, z)) \
-        + hom.phi2(y, src.l2_00(z, x)) \
-        + hom.phi2(z, src.l2_00(x, y)) \
-        + dst.l2_01(hom.phi0(x), hom.phi2(y, z)) \
-        + dst.l2_01(hom.phi0(y), hom.phi2(z, x)) \
-        + dst.l2_01(hom.phi0(z), hom.phi2(x, y))
-    r_three = relative(n1(lhs - rhs), [nx, ny, nz], scale)
-
-    return {"chain": r_chain, "homo1": r_one, "homo2": r_two, "homo3": r_three}
+    chain = [dst.d(ph), -hom.phi0(src.d(h))]
+    one = [dst.d(c_xy), -hom.phi0(xy), dst.l2_00(px, py)]
+    two = [hom.phi2(x, src.d(h)), -hom.phi1(src.l2_01(x, h)), dst.l2_01(px, ph)]
+    three = [dst.l3_or_zero(px, py, pz), -hom.phi1(src.l3_or_zero(x, y, z)),
+             -hom.phi2(x, yz), -hom.phi2(y, zx), -hom.phi2(z, xy),
+             -dst.l2_01(px, c_yz), -dst.l2_01(py, c_zx), -dst.l2_01(pz, c_xy)]
+    return {"chain": law_residual(chain, n0, [nh]),
+            "homo1": law_residual(one, n0, [nx, ny]),
+            "homo2": law_residual(two, n1, [nx, nh]),
+            "homo3": law_residual(three, n1, [nx, ny, nz])}
 
 
 def hom_samples(hom: LInftyHom, rng: np.random.Generator, trials: int) -> Iterator[tuple]:
@@ -434,26 +430,22 @@ class ChainHomotopy:
 
 
 def two_hom_residuals_once(homotopy: ChainHomotopy, x, y, h) -> dict[str, float]:
+    """``law_residual`` of the two homotopy laws and the coherence law on one
+    sample (x, y in degree 0, h in degree 1)."""
     phi, psi = homotopy.from_hom, homotopy.to_hom
     src, dst = phi.src, phi.dst
     tau = homotopy.tau
-    scale = dst.form_scale
     nx, ny = src.space0.norm(x), src.space0.norm(y)
     nh = src.space1.norm(h)
+    tx, ty, fx = tau(x), tau(y), phi.phi0(x)
 
-    h0 = dst.d(tau(x)) - (psi.phi0(x) - phi.phi0(x))
-    r0 = relative(dst.space0.norm(h0), [nx], scale)
-
-    h1 = tau(src.d(h)) - (psi.phi1(h) - phi.phi1(h))
-    r1 = relative(dst.space1.norm(h1), [nh], scale)
-
-    lhs = phi.phi2(x, y) - psi.phi2(x, y)
-    rhs = dst.l2_01(phi.phi0(x), tau(y)) \
-        - dst.l2_01(psi.phi0(y), tau(x)) \
-        - tau(src.l2_00(x, y))
-    r2 = relative(dst.space1.norm(lhs - rhs), [nx, ny], scale)
-
-    return {"homotopy0": r0, "homotopy1": r1, "coherence": r2}
+    h0 = [dst.d(tx), -psi.phi0(x), fx]
+    h1 = [tau(src.d(h)), -psi.phi1(h), phi.phi1(h)]
+    coherence = [phi.phi2(x, y), -psi.phi2(x, y), -dst.l2_01(fx, ty),
+                 dst.l2_01(psi.phi0(y), tx), tau(src.l2_00(x, y))]
+    return {"homotopy0": law_residual(h0, dst.space0.norm, [nx]),
+            "homotopy1": law_residual(h1, dst.space1.norm, [nh]),
+            "coherence": law_residual(coherence, dst.space1.norm, [nx, ny])}
 
 
 def two_hom_samples(homotopy: ChainHomotopy, rng: np.random.Generator,

@@ -24,8 +24,8 @@ from .linfty import (
     TwoTermLInfinity,
     compose,
     identity_hom,
+    law_residual,
     random_elements,
-    relative,
     two_hom_residuals_once,
 )
 from .paths import (
@@ -58,7 +58,6 @@ def make_gk(g: LieAlgebraPresentation, k: float) -> TwoTermLInfinity:
         l2_00=g.bracket,
         l2_01=lambda x, c: 0.0,
         l3=lambda x, y, z: k * g.nu(x, y, z),
-        form_scale=g.form_scale,
     )
 
 
@@ -73,7 +72,6 @@ def make_pkg(g: LieAlgebraPresentation, k: float, degree: int = 4) -> TwoTermLIn
         l2_00=pointwise_bracket,
         l2_01=lambda p, v: dalpha(p, v, k),
         l3=None,
-        form_scale=g.form_scale,
     )
 
 
@@ -106,16 +104,19 @@ def make_el_vectors(g: LieAlgebraPresentation) -> TwoTermLInfinity:
     )
 
 
+def endpoint_corrector_terms(k: float, p1: PolyPath, p2: PolyPath) -> list:
+    """The two pairings k * integral of B(p1, p2') and -k * integral of
+    B(p1', p2) that the corrector of ``make_phi`` sums; the second is
+    derivative_pairing(p2, p1) because the form is symmetric."""
+    return [k * derivative_pairing(p1, p2), -k * derivative_pairing(p2, p1)]
+
+
 def make_phi(k: float, *, pkg: TwoTermLInfinity, gk: TwoTermLInfinity) -> LInftyHom:
     """Path model -> skeletal model: endpoint on objects, central coordinate
-    on directions, and the skew boundary-corrected pairing as corrector
-    k * integral of (B(p1, p2') - B(p1', p2)); the second term is
-    derivative_pairing(p2, p1) because the form is symmetric."""
-
-    def phi2(p1: PolyPath, p2: PolyPath) -> float:
-        return k * (derivative_pairing(p1, p2) - derivative_pairing(p2, p1))
-
-    return LInftyHom(pkg, gk, lambda p: p.endpoint(), lambda v: v.c, phi2,
+    on directions, and the skew boundary-corrected pairing
+    ``endpoint_corrector_terms`` as corrector."""
+    return LInftyHom(pkg, gk, lambda p: p.endpoint(), lambda v: v.c,
+                     lambda p1, p2: sum(endpoint_corrector_terms(k, p1, p2)),
                      name="endpoint")
 
 
@@ -236,12 +237,17 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
     """Residual of the law an ``equivalence_samples`` item is tagged with."""
     law, *args = inputs
     if law == "round_trip_identity":
-        gk, rt = bundle.gk, bundle.phi_psi
+        gk, rt, phi, psi = bundle.gk, bundle.phi_psi, bundle.phi, bundle.psi
         x, y, c = args
-        nx, ny = gk.space0.norm(x), gk.space0.norm(y)
-        return {law: largest(relative(gk.space0.norm(rt.phi0(x) - x), [nx], gk.form_scale),
-                             relative(abs(rt.phi1(c) - c), [abs(c)], gk.form_scale),
-                             relative(abs(rt.phi2(x, y)), [nx, ny], gk.form_scale))}
+        n0, n1 = gk.space0.norm, gk.space1.norm
+        nx, ny = n0(x), n0(y)
+        # rt.phi2(x, y) = phi2(psi0 x, psi0 y) + phi1(psi2(x, y)), whose two
+        # pairings cancel inside phi2: they are the law's terms
+        corrector = [*endpoint_corrector_terms(bundle.k, psi.phi0(x), psi.phi0(y)),
+                     phi.phi1(psi.phi2(x, y))]
+        return {law: largest(law_residual([rt.phi0(x), -x], n0, [nx]),
+                             law_residual([rt.phi1(c), -c], n1, [n1(c)]),
+                             law_residual(corrector, n1, [nx, ny]))}
     homotopy = bundle.tau if law == "retraction" else bundle.trivializer
     return {law: largest(*two_hom_residuals_once(homotopy, *args).values())}
 

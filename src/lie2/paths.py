@@ -29,6 +29,7 @@ suite's running maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +67,16 @@ def _derived(algebra: LieAlgebraPresentation, coeffs: np.ndarray, kind: str) -> 
     path = object.__new__(PolyPath)
     path.__dict__.update(algebra=algebra, coeffs=coeffs, kind=kind)
     return path
+
+
+@lru_cache(maxsize=None)
+def _hilbert(degree: int) -> np.ndarray:
+    """The moments 1 / (a + b + 1) of u^a u^b on [0, 1], one read-only
+    matrix per degree."""
+    a = np.arange(degree + 1)
+    hilbert = 1.0 / (a[:, None] + a[None, :] + 1.0)
+    hilbert.flags.writeable = False
+    return hilbert
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +142,7 @@ class PolyPath:
 
     def l2_norm_sq(self) -> float | np.ndarray:
         """Integral over u in [0,1] of |p(u)|^2 (coordinate-wise squares)."""
-        d = self.degree
-        hilbert = 1.0 / (np.arange(d + 1)[:, None] + np.arange(d + 1)[None, :] + 1.0)
-        val = ((self.coeffs @ hilbert) * self.coeffs).sum(axis=(-2, -1))
+        val = ((self.coeffs @ _hilbert(self.degree)) * self.coeffs).sum(axis=(-2, -1))
         return np.maximum(val, 0.0)
 
     def norm(self) -> float | np.ndarray:

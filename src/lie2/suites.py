@@ -63,9 +63,10 @@ LINEAR = "linear"
 # ten polynomial suites pass in about 6 s on 2 vCPUs, and the cost grows
 # without bound past it
 MAX_DEGREE = 64
-# the level-k terms have size about |k| max(1, |form_scale|): at 1e12 their
-# float64 roundoff is about 1e-4, six orders above tol_exact, and near 1e308
-# they overflow to NaN
+# the polynomial residuals are sized by the terms their laws cancel and pass
+# up to |k| = 1e300; the quadrature suites exponentiate the phase 2k A, |A| up
+# to 0.55 |form_scale| on their fixtures, whose float64 rounding alone is 1.2e-4
+# at 1e12 and reaches tol_quad near 1e13; near 1e308 the level-k terms overflow
 MAX_SCALED_LEVEL = 1e12
 # the three quadrature suites take 0.5 microseconds per grid point on square
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and

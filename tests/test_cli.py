@@ -110,9 +110,23 @@ def test_level_float64_cannot_judge_is_config_error(capsys, flags):
     assert "must not exceed 1e+12" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k, form_scale", [(1e12, 1.0), (-1e6, 1e6), (1.0, 1e6), (1e12, 0.5)])
+# (k, form scale) corners up to the level bound; (1, 1e6) is
+# test_polynomial_suites_pass_at_a_large_form_scale's
+LEVEL_CORNERS = [(1e12, 1.0), (-1e6, 1e6), (1e12, 0.5), (1e9, 1e-3), (-1e9, 1e-3), (1e9, 1.0)]
+
+
+@pytest.mark.parametrize("k, form_scale", [*LEVEL_CORNERS, (1.0, 1e6)])
 def test_levels_up_to_the_bound_are_accepted(k, form_scale):
     RunConfig(k=k, form_scale=form_scale).validate()
+
+
+@pytest.mark.parametrize("k, form_scale", LEVEL_CORNERS)
+def test_polynomial_suites_pass_at_levels_up_to_the_bound(k, form_scale):
+    # each residual is sized by the terms its law cancels, which grow with
+    # |k| and the form, so a level the bound admits reads roundoff
+    report = run(RunConfig(k=k, form_scale=form_scale, trials=5, suites=POLYNOMIAL_SUITES))
+    assert [s["name"] for s in report["suites"] if not s["passed"]] == []
+    assert report["summary"]["passed"] == 10
 
 
 @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
@@ -361,11 +375,12 @@ def test_a_nan_intermediate_path_fails_its_suite(monkeypatch, suite, maker, oper
     assert entry["witness"] is not None
 
 
-# mutation_residual of each control at RunConfig(), as first reported
-DEFAULT_MUTATION_RESIDUALS = {"pkg-jacobi": 2.0483506366167687,
-                              "phi-hom": 1.4384172074031423,
-                              "psi-hom": 0.10239511632039594,
-                              "lambda-hom": 0.05872254090581991}
+# mutation_residual of each control at RunConfig(), as reported once every
+# polynomial residual was sized by the terms its law cancels (law_residual)
+DEFAULT_MUTATION_RESIDUALS = {"pkg-jacobi": 0.6716173048134894,
+                              "phi-hom": 0.589897907148967,
+                              "psi-hom": 0.09288422526958676,
+                              "lambda-hom": 0.05224052358080662}
 
 
 def test_mutation_residuals_at_the_defaults_are_pinned():
@@ -413,7 +428,7 @@ def test_omega_fixture_follows_the_form(algebra, form_scale, expected):
 
 def test_polynomial_suites_pass_at_a_large_form_scale():
     # every identity is invariant under rescaling the form; the terms the form
-    # enters grow with it, and residuals are relative to its scale
+    # enters grow with it, and each residual is sized by its law's terms
     report = run(RunConfig(trials=20, form_scale=1e6, suites=POLYNOMIAL_SUITES))
     assert [s["name"] for s in report["suites"] if not s["passed"]] == []
     assert report["summary"]["passed"] == 10

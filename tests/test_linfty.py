@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lie2 import linfty
 from lie2.liealg import InputError, LieAlgebraPresentation, ce_three_cocycle_residual
 from lie2.linfty import (
     compose,
@@ -8,7 +9,7 @@ from lie2.linfty import (
     hom_residuals_once,
     hom_samples,
     identity_hom,
-    relative,
+    law_residual,
     two_hom_residuals_once,
     two_hom_samples,
 )
@@ -28,32 +29,57 @@ def test_n3_all_objects_is_jacobi(g, rng):
     assert generalized_jacobi_residual(gk, inputs) <= 1e-14
 
 
-def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng):
+def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng, monkeypatch):
     # run on a 6-dimensional algebra with a non-invariant form so both sides
     # are genuinely nonzero (in dim 3 every alternating 4-form vanishes); the
     # unshuffle-orientation sum equals the alternating 1-based-index sum up
-    # to one global sign, so magnitudes must agree exactly
+    # to one global sign, so the magnitude of the sum of the Jacobi terms
+    # must agree exactly, and the residual is law_residual of those terms
     form = np.eye(6)
     form[0, 4] = form[4, 0] = 0.7
     form[1, 1] = 2.0
     broken = LieAlgebraPresentation("noninv6", 6, g6.structure, form)
     gk = make_gk(broken, 1.0)
+    laws = []
+    monkeypatch.setattr(linfty, "law_residual",
+                        lambda *law: laws.append(law) or law_residual(*law))
     for _ in range(20):
         vs = rng.uniform(-1, 1, (4, 6))
-        inputs = [(0, v) for v in vs]
-        lhs = generalized_jacobi_residual(gk, inputs)
-        norms = [float(np.linalg.norm(v)) for v in vs]
+        lhs = generalized_jacobi_residual(gk, [(0, v) for v in vs])
+        terms, norm, norms = laws.pop()
         ce = ce_three_cocycle_residual(broken, *vs)
         assert ce > 1e-3  # non-vacuous comparison
-        assert lhs == pytest.approx(relative(ce, norms), rel=1e-10)
+        assert abs(sum(terms)) == pytest.approx(ce, rel=1e-10)
+        assert norms == pytest.approx([np.linalg.norm(v) for v in vs], rel=1e-15)
+        assert lhs == law_residual(terms, abs, norms)
+        assert lhs == pytest.approx(ce / (1.0 + np.prod(1.0 + np.array(norms))
+                                          + sum(abs(t) for t in terms)), rel=1e-10)
 
 
-def test_relative_divides_by_the_form_scale_only_above_one():
-    plain = relative(0.3, [1.0, 2.0])
-    assert plain == 0.3 / (1.0 + 2.0 * 3.0)
-    for small in (1.0, -1.0, 0.5, 0.0):
-        assert relative(0.3, [1.0, 2.0], small) == plain
-    assert relative(0.3, [1.0, 2.0], -1e6) == pytest.approx(plain / 1e6, rel=1e-15)
+def test_law_residual_is_the_sum_over_the_terms_and_the_inputs():
+    assert law_residual([3.0, -1.0], abs, [1.0, 2.0]) == 2.0 / (1.0 + 2.0 * 3.0 + 4.0)
+    vectors = [np.array([3.0, 4.0]), np.array([0.0, -4.0])]
+    assert law_residual(vectors, linfty.CoordSpace(2).norm, [0.5]) == 3.0 / (1.0 + 1.5 + 9.0)
+    assert law_residual([], abs, [1.0]) == 0.0
+
+
+def test_law_residual_reads_roundoff_at_any_scale_of_the_terms():
+    # the input term is a floor: terms that are all roundoff do not read about 1
+    assert law_residual([1e-17, 0.0], abs, [1.0]) < 1e-17
+    for scale in (1.0, 1e6, 1e12, 1e300):
+        terms = [0.1 * scale, 0.2 * scale, -0.3 * scale]
+        assert law_residual(terms, abs, [1.0]) < 1e-16
+    batch = np.array([1e-3, 1e9])
+    assert np.all(law_residual([batch, -batch], abs, [batch]) == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_law_residual_of_a_nan_or_infinite_term_is_nan(bad):
+    assert np.isnan(law_residual([bad, 1.0], abs, [1.0]))
+    assert np.isnan(law_residual([1.0, bad, -bad], abs, [1.0]))
+    with np.errstate(invalid="ignore"):
+        batched = law_residual([np.array([1.0, bad]), np.array([-1.0, 2.0])], abs, [1.0])
+    assert batched[0] == 0.0 and np.isnan(batched[1])
 
 
 def test_rejects_too_many_inputs(g, rng):
