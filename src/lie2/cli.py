@@ -7,6 +7,7 @@ Exit codes: 0 all suites passed, 1 at least one residual failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
+    # argparse's own pattern for negative numbers has no exponent, so it takes
+    # '-1e12' for an option; read '-' followed by a digit as a value instead
+    p_verify._negative_number_matcher = re.compile(r"-\.?\d")
     _add_config_flags(p_verify)
 
     p_describe = sub.add_parser("describe", help="print what a suite checks")

@@ -193,7 +193,7 @@ def law_residual(terms: Sequence, norm: Callable[[Any], Any],
 class TwoTermLInfinity:
     """Chain complex space1 -> space0 with a graded bracket and Jacobiator.
 
-    All maps act on raw elements; degree dispatch happens in the checker.
+    All maps act on raw elements; ``apply_l`` dispatches on degree tags.
     ``l3 = None`` means the structure is strict.
     """
 
@@ -217,39 +217,23 @@ class TwoTermLInfinity:
             return self.space1.zero()
         return self.l3(x, y, z)
 
-    # graded dispatch; None encodes a term that vanishes by degree reasons
-    def apply_l1(self, a: Graded) -> Graded | None:
-        deg, v = a
-        if deg == 1:
-            return (0, self.d(v))
-        return None
-
-    def apply_l2(self, a: Graded, b: Graded) -> Graded | None:
-        (da, va), (db, vb) = a, b
-        if da == 0 and db == 0:
-            return (0, self.l2_00(va, vb))
-        if da == 0 and db == 1:
-            return (1, self.l2_01(va, vb))
-        if da == 1 and db == 0:
+    def apply_l(self, args: Sequence[Graded]) -> Graded | None:
+        """l_n on n = len(args) graded inputs; None for a term that vanishes by
+        degree reasons, as every l_n with n >= 4 does in a two-term structure."""
+        v = [val for _, val in args]
+        degrees = tuple(deg for deg, _ in args)
+        if degrees == (1,):
+            return (0, self.d(v[0]))
+        if degrees == (0, 0):
+            return (0, self.l2_00(v[0], v[1]))
+        if degrees == (0, 1):
+            return (1, self.l2_01(v[0], v[1]))
+        if degrees == (1, 0):
             # graded antisymmetry: swapping a degree-1 past a degree-0 flips sign
-            return (1, -1.0 * self.l2_01(vb, va))
+            return (1, -1.0 * self.l2_01(v[1], v[0]))
+        if degrees == (0, 0, 0) and self.l3 is not None:
+            return (1, self.l3(v[0], v[1], v[2]))
         return None
-
-    def apply_l3(self, a: Graded, b: Graded, c: Graded) -> Graded | None:
-        if self.l3 is None:
-            return None
-        if a[0] == 0 and b[0] == 0 and c[0] == 0:
-            return (1, self.l3(a[1], b[1], c[1]))
-        return None
-
-    def apply_l(self, arity: int, args: Sequence[Graded]) -> Graded | None:
-        if arity == 1:
-            return self.apply_l1(args[0])
-        if arity == 2:
-            return self.apply_l2(args[0], args[1])
-        if arity == 3:
-            return self.apply_l3(args[0], args[1], args[2])
-        return None  # arity >= 4 vanishes in a two-term structure
 
 
 def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -> float:
@@ -276,10 +260,10 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
         if i > 3 or j > 3:
             continue  # quaternary and higher operations vanish here
         for sigma in unshuffles(i, n):
-            first = L.apply_l(i, [inputs[s] for s in sigma[:i]])
+            first = L.apply_l([inputs[s] for s in sigma[:i]])
             if first is None:
                 continue
-            term = L.apply_l(j, [first] + [inputs[s] for s in sigma[i:]])
+            term = L.apply_l([first] + [inputs[s] for s in sigma[i:]])
             if term is None:
                 continue
             deg, val = term

@@ -185,8 +185,6 @@ class ModelBundle:
 
     algebra: LieAlgebraPresentation
     k: float
-    splitting: np.ndarray
-    degree: int
     gk: TwoTermLInfinity
     pkg: TwoTermLInfinity
     el: TwoTermLInfinity
@@ -195,7 +193,6 @@ class ModelBundle:
     lam: LInftyHom
     tau: ChainHomotopy
     phi_psi: LInftyHom  # skeletal -> skeletal, should be the identity
-    psi_phi: LInftyHom  # path -> path, homotopic to the identity via tau
     trivializer: ChainHomotopy  # zero => identity on the indiscrete vector model
 
 
@@ -210,10 +207,8 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
     lam = make_lambda(g, k, el=el, pkg=pkg)
     tau = make_tau(g, pkg=pkg, phi=phi, psi=psi)
     return ModelBundle(
-        algebra=g, k=k, splitting=f, degree=degree,
-        gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,
-        phi_psi=compose(phi, psi), psi_phi=compose(psi, phi),
-        trivializer=trivializing_homotopy(make_el_vectors(g)),
+        algebra=g, k=k, gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,
+        phi_psi=compose(phi, psi), trivializer=trivializing_homotopy(make_el_vectors(g)),
     )
 
 

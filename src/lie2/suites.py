@@ -540,14 +540,7 @@ def _strict_sample(config, rng):
 
 def _strict_evaluate(config, name):
     record = twogroups.strict_kernel_exactness(*STRICT_PAIRS[name]())
-    return {"exactness": 0.0 if record.passed else 1.0,
-            NOTES: {name: {
-                "kernel_objects": record.kernel_objects,
-                "kernel_morphisms": record.kernel_morphisms,
-                "image_objects": record.image_objects,
-                "image_morphisms": record.image_morphisms,
-                "passed": record.passed,
-            }}}
+    return {"exactness": 0.0 if record.passed else 1.0, NOTES: {name: asdict(record)}}
 
 
 # ---------------------------------------------------------------------------

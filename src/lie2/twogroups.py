@@ -69,44 +69,21 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group_3() -> FiniteGroup:
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.zeros((6, 6), dtype=int)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[tuple(pa[pb[i]] for i in range(3))]
-    return FiniteGroup("S3", table)
+    """Permutations of (0, 1, 2) in lexicographic order; (a b)(i) = a(b(i))."""
+    perms = np.array(sorted(itertools.permutations(range(3))))
+    code = perms @ [9, 3, 1]  # increasing, as the order is lexicographic
+    return FiniteGroup("S3", np.searchsorted(code, perms[:, perms] @ [9, 3, 1]))
 
 
 def quaternion_group() -> FiniteGroup:
-    """Units {1, -1, i, -i, j, -j, k, -k} in that order."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def mul(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        rules = {
-            ("1", "1"): (1, "1"),
-            ("1", "i"): (1, "i"), ("i", "1"): (1, "i"),
-            ("1", "j"): (1, "j"), ("j", "1"): (1, "j"),
-            ("1", "k"): (1, "k"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-        }
-        s, unit = rules[(a, b)]
-        sign *= s
-        return unit if sign == 1 else "-" + unit
-
-    table = np.zeros((8, 8), dtype=int)
-    for a in range(8):
-        for b in range(8):
-            table[a, b] = names.index(mul(names[a], names[b]))
-    return FiniteGroup("Q8", table)
+    """Units {1, -1, i, -i, j, -j, k, -k} in that order: element 2a + s is
+    (-1)^s e_a for the basis units (e_0, e_1, e_2, e_3) = (1, i, j, k)."""
+    # e_a e_b = sign * e_c written as sign * (c + 1)
+    hamilton = np.array([[1, 2, 3, 4], [2, -1, 4, -3], [3, -4, -1, 2], [4, 3, -2, -1]])
+    a, s = np.divmod(np.arange(8), 2)
+    signed = hamilton[a[:, None], a[None, :]]
+    negative = (signed < 0) ^ s[:, None] ^ s[None, :]
+    return FiniteGroup("Q8", 2 * (np.abs(signed) - 1) + negative)
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +172,19 @@ def trivial_action_module(G: FiniteGroup, H: FiniteGroup) -> FiniteCrossedModule
 def inclusion_module(G: FiniteGroup, members: list[int],
                      name: str = "") -> FiniteCrossedModule:
     """Normal subgroup inclusion with the conjugation action."""
-    members = list(members)
-    pos = {m: i for i, m in enumerate(members)}
-    if G.identity not in pos:
+    members = np.array(members, dtype=int)
+    pos = np.full(G.order, -1)  # pos[g] = index of g among the members, or -1
+    pos[members] = np.arange(members.size)
+    if pos[G.identity] < 0:
         raise InputError("subgroup must contain the identity")
-    sub_table = np.zeros((len(members), len(members)), dtype=int)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            prod = G.mul(a, b)
-            if prod not in pos:
-                raise InputError("member list is not closed under the product")
-            sub_table[i, j] = pos[prod]
+    sub_table = pos[G.table[np.ix_(members, members)]]
+    if (sub_table < 0).any():
+        raise InputError("member list is not closed under the product")
     H = FiniteGroup(name or f"sub[{G.name}]", sub_table)
-    alpha = np.zeros((G.order, H.order), dtype=int)
-    for g in range(G.order):
-        for i, h in enumerate(members):
-            c = G.conj(g, h)
-            if c not in pos:
-                raise InputError("subgroup is not normal")
-            alpha[g, i] = pos[c]
-    return FiniteCrossedModule(
-        f"incl[{H.name}<{G.name}]", G, H,
-        np.array(members, dtype=int), alpha,
-    )
+    alpha = pos[G.table[G.table[:, members], G.inverse[:, None]]]  # (g h) g^-1
+    if (alpha < 0).any():
+        raise InputError("subgroup is not normal")
+    return FiniteCrossedModule(f"incl[{H.name}<{G.name}]", G, H, members, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +381,8 @@ class TwoGroupHom:
 
 def strict_kernel(pi: TwoGroupHom) -> tuple[set[int], set[int]]:
     """Objects and morphisms mapped to the identity object / morphism."""
-    e_obj = pi.dst.cm.G.identity
-    e_mor = pi.dst.mor_identity()
-    objs = {p for p in range(pi.src.n_objects) if pi.obj_map[p] == e_obj}
-    mors = {m for m in range(pi.src.n_morphisms) if pi.mor_map[m] == e_mor}
-    return objs, mors
+    return (set(np.flatnonzero(pi.obj_map == pi.dst.cm.G.identity).tolist()),
+            set(np.flatnonzero(pi.mor_map == pi.dst.mor_identity()).tolist()))
 
 
 @dataclass
@@ -427,12 +391,7 @@ class ExactnessRecord:
     kernel_morphisms: int
     image_objects: int
     image_morphisms: int
-    objects_exact: bool
-    morphisms_exact: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.objects_exact and self.morphisms_exact
+    passed: bool
 
 
 def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessRecord:
@@ -443,16 +402,9 @@ def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessReco
     iota.validate()
     pi.validate()
     ker_obj, ker_mor = strict_kernel(pi)
-    im_obj = {int(v) for v in iota.obj_map}
-    im_mor = {int(v) for v in iota.mor_map}
-    return ExactnessRecord(
-        kernel_objects=len(ker_obj),
-        kernel_morphisms=len(ker_mor),
-        image_objects=len(im_obj),
-        image_morphisms=len(im_mor),
-        objects_exact=im_obj == ker_obj,
-        morphisms_exact=im_mor == ker_mor,
-    )
+    im_obj, im_mor = set(iota.obj_map.tolist()), set(iota.mor_map.tolist())
+    return ExactnessRecord(len(ker_obj), len(ker_mor), len(im_obj), len(im_mor),
+                           passed=im_obj == ker_obj and im_mor == ker_mor)
 
 
 # ---------------------------------------------------------------------------
@@ -465,64 +417,40 @@ def trivial_two_group() -> FiniteTwoGroup:
 
 def quotient_group(G: FiniteGroup, members: list[int]) -> tuple[FiniteGroup, np.ndarray]:
     """G / N for a normal subgroup given by its member list; returns the
-    quotient and the projection map."""
-    members_set = set(members)
-    cosets: list[set[int]] = []
-    proj = np.full(G.order, -1, dtype=int)
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        coset = {G.mul(g, n) for n in members_set}
-        for x in coset:
-            if proj[x] >= 0:
-                raise InputError("member list does not induce a partition")
-            proj[x] = len(cosets)
-        cosets.append(coset)
-    reps = [min(c) for c in cosets]
-    table = np.zeros((len(cosets), len(cosets)), dtype=int)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            table[a, b] = proj[G.mul(ra, rb)]
-    q = FiniteGroup(f"{G.name}/N", table)
-    return q, proj
+    quotient, whose elements are the cosets numbered by least element, and
+    the projection map."""
+    # row g is the coset g N, sorted, so unique rows come in order of least element
+    cosets, proj = np.unique(np.sort(G.table[:, members], axis=1), axis=0,
+                             return_inverse=True)
+    if not np.array_equal(np.sort(cosets, axis=None), np.arange(G.order)):
+        raise InputError("member list does not induce a partition")
+    if G.identity not in members:  # else g N need not contain g
+        raise InputError("subgroup must contain the identity")
+    reps = cosets[:, 0]
+    return FiniteGroup(f"{G.name}/N", proj[G.table[np.ix_(reps, reps)]]), proj
+
+
+def _identity_hom(grp: FiniteTwoGroup) -> TwoGroupHom:
+    return TwoGroupHom(grp, grp, np.arange(grp.n_objects), np.arange(grp.n_morphisms),
+                       name="identity")
 
 
 def kernel_inclusion_pair(G: FiniteGroup, members: list[int]
                           ) -> tuple[TwoGroupHom, TwoGroupHom]:
-    """The finite analogue of loops -> paths -> group: a 2-group built on a
-    normal-subgroup inclusion, projected onto the discrete quotient; its
-    strict kernel is the sub-2-group on the subgroup's objects."""
+    """The finite analogue of loops -> paths -> group: the 2-group of a
+    normal-subgroup inclusion N -> G, projected onto the discrete quotient
+    G / N; its strict kernel is the conjugation 2-group of N, included on
+    objects by N -> G and on morphisms (n, h) -> (n, h)."""
     cm = inclusion_module(G, members)
     total = build_two_group(cm)
-
     q, proj = quotient_group(G, members)
     discrete = build_two_group(trivial_action_module(q, cyclic_group(1)))
-    obj_map = proj.copy()
-    mor_map = np.array([
-        discrete.morphism(int(proj[total.pair(m)[0]]), 0)
-        for m in range(total.n_morphisms)
-    ])
-    pi = TwoGroupHom(total, discrete, obj_map, mor_map, name="quotient")
+    pi = TwoGroupHom(total, discrete, proj, proj[total.source], name="quotient")
 
-    # kernel sub-2-group: same direction group over the subgroup's objects
-    sub_alpha = cm.alpha[np.array(members, dtype=int)]
-    pos = {m: i for i, m in enumerate(members)}
-    sub_objects = FiniteGroup(
-        f"N<{G.name}>",
-        np.array([[pos[G.mul(a, b)] for b in members] for a in members]),
-    )
-    sub_partial = np.array([pos[int(cm.partial[h])] for h in range(cm.H.order)])
-    kernel_cm = FiniteCrossedModule(
-        f"kernel[{cm.name}]", sub_objects, cm.H, sub_partial, sub_alpha,
-    )
-    kernel = build_two_group(kernel_cm)
-    members_arr = np.array(members, dtype=int)
-    k_obj_map = members_arr.copy()
-    k_mor_map = np.array([
-        total.morphism(int(members_arr[kernel.pair(m)[0]]), kernel.pair(m)[1])
-        for m in range(kernel.n_morphisms)
-    ])
-    iota = TwoGroupHom(kernel, total, k_obj_map, k_mor_map, name="kernel-inclusion")
+    kernel = build_two_group(conjugation_module(cm.H))
+    n = cm.H.order
+    mor_map = cm.partial[kernel.source] * n + np.arange(kernel.n_morphisms) % n
+    iota = TwoGroupHom(kernel, total, cm.partial, mor_map, name="kernel-inclusion")
     return iota, pi
 
 
@@ -530,37 +458,16 @@ def indiscrete_collapse_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
     """Identity into the indiscrete 2-group followed by the collapse onto the
     one-object, one-morphism 2-group; the kernel of the collapse is everything."""
     total = build_two_group(conjugation_module(G))
-    point = trivial_two_group()
-    pi = TwoGroupHom(
-        total, point,
-        np.zeros(total.n_objects, dtype=int),
-        np.zeros(total.n_morphisms, dtype=int),
-        name="collapse",
-    )
-    iota = TwoGroupHom(
-        total, total,
-        np.arange(total.n_objects),
-        np.arange(total.n_morphisms),
-        name="identity",
-    )
-    return iota, pi
+    pi = TwoGroupHom(total, trivial_two_group(),
+                     np.zeros(total.n_objects, dtype=int),
+                     np.zeros(total.n_morphisms, dtype=int), name="collapse")
+    return _identity_hom(total), pi
 
 
 def identity_kernel_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
     """Trivial 2-group into any 2-group followed by its identity; the kernel
     of the identity is trivial."""
     total = build_two_group(conjugation_module(G))
-    point = trivial_two_group()
-    iota = TwoGroupHom(
-        point, total,
-        np.array([total.cm.G.identity]),
-        np.array([total.mor_identity()]),
-        name="unit",
-    )
-    pi = TwoGroupHom(
-        total, total,
-        np.arange(total.n_objects),
-        np.arange(total.n_morphisms),
-        name="identity",
-    )
-    return iota, pi
+    iota = TwoGroupHom(trivial_two_group(), total, np.array([total.cm.G.identity]),
+                       np.array([total.mor_identity()]), name="unit")
+    return iota, _identity_hom(total)

@@ -137,6 +137,17 @@ def test_non_finite_config_is_config_error(capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--k", "-1e12"], ["--k", "-1e3", "--form-scale", "-1e-3"]])
+def test_negative_numbers_with_an_exponent_are_values(capsys, flags):
+    assert main(["verify", "--suite", "gk-jacobi", *flags, *FAST]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_a_negative_tolerance_reaches_config_validation(capsys):
+    assert main(["verify", "--suite", "gk-jacobi", "--tol-exact", "-1e-3"]) == 2
+    assert "error: tolerances must be positive" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nonesuch"])
     assert code == 2

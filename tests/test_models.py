@@ -303,10 +303,10 @@ def test_round_trip_zero_corrector_is_exact_zero(g, rng):
 def test_psi_phi_composite_formulas(g, rng):
     bundle = build_models(g, 1.0)
     p = random_path(g, rng, 4)
-    out0 = bundle.psi_phi.phi0(p)
+    out0 = bundle.tau.from_hom.phi0(p)
     assert np.allclose(out0.endpoint(), p.endpoint(), atol=1e-14)
     v = bundle.pkg.space1.random(rng)
-    out1 = bundle.psi_phi.phi1(v)
+    out1 = bundle.tau.from_hom.phi1(v)
     assert out1.loop.norm() == 0.0
     assert out1.c == v.c
 
@@ -317,7 +317,7 @@ def test_psi_phi_corrector_loop_part(g, rng):
     f = SMOOTHSTEP
     bundle = build_models(g, 1.0, f)
     p1, p2 = random_path(g, rng, 4), random_path(g, rng, 4)
-    out = bundle.psi_phi.phi2(p1, p2)
+    out = bundle.tau.from_hom.phi2(p1, p2)
     f_minus_f2 = -np.convolve(f, f)
     f_minus_f2[: len(f)] += f
     expected_loop = PolyPath(

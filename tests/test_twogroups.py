@@ -51,6 +51,24 @@ def test_quaternion_relations():
     assert q8.mul(j, i) == q8.mul(minus, k)
 
 
+def hamilton_product(p, q):
+    """Quaternion product of (w, x, y, z) = w + x i + y j + z k."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def test_quaternion_table_is_quaternion_arithmetic():
+    # element 2a + s is (-1)^s times the a-th unit of (1, i, j, k)
+    units = [tuple((-1) ** s * int(a == b) for b in range(4))
+             for a in range(4) for s in range(2)]
+    q8 = quaternion_group()
+    for x, y in itertools.product(range(8), repeat=2):
+        assert units[q8.mul(x, y)] == hamilton_product(units[x], units[y])
+
+
 def test_group_table_validation_rejects_bad_tables():
     with pytest.raises(InputError):
         FiniteGroup("bad", np.array([[0, 1], [0, 1]]))  # no inverse structure
@@ -390,6 +408,31 @@ def test_quotient_group():
     assert q.order == 2
     assert proj[0] == proj[2]
     assert proj[4] != proj[0]
+
+
+@pytest.mark.parametrize("group, members, message", [
+    (cyclic_group(5), [0, 1], "does not induce a partition"),
+    (cyclic_group(4), [0, 1], "does not induce a partition"),
+    (cyclic_group(4), [1], "must contain the identity"),
+    (symmetric_group_3(), [0, 1], "S3/N: "),  # 1 is the transposition (0 2 1)
+], ids=["Z5-not-closed", "Z4-not-closed", "Z4-without-identity", "S3-not-normal"])
+def test_quotient_group_rejects_a_member_list_that_is_not_a_normal_subgroup(
+        group, members, message):
+    with pytest.raises(InputError, match=message):
+        quotient_group(group, members)
+
+
+def test_kernel_of_the_quotient_is_the_conjugation_two_group_of_the_subgroup():
+    members = [0, 1, 4, 5]  # {1, -1, j, -j}
+    iota, _ = kernel_inclusion_pair(quaternion_group(), members)
+    sub = inclusion_module(quaternion_group(), members).H
+    conj = build_two_group(conjugation_module(sub))
+    for table in ("obj_table", "mor_table", "source", "target", "unit"):
+        assert np.array_equal(getattr(iota.src, table), getattr(conj, table))
+    assert iota.obj_map.tolist() == members
+    for m in range(iota.src.n_morphisms):  # (n, h) -> (n, h)
+        p, h = iota.src.pair(m)
+        assert iota.dst.pair(iota.mor_map[m]) == (members[p], h)
 
 
 def test_strict_kernel_of_quotient():
