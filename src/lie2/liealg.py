@@ -3,7 +3,9 @@
 A presentation is the tensor c with [e_i, e_j] = sum_k c[i, j, k] e_k together
 with an invariant symmetric bilinear form B.  The canonical 3-form is
 nu(x, y, z) = B(x, [y, z]); invariance of B makes nu totally antisymmetric and
-closed for the alternating-sum differential implemented below.
+closed for the alternating-sum differential implemented below.  A presentation
+keeps no record of a factor its form was rescaled by; the SU(2) grid layer
+checks the configured one against the form.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ class LieAlgebraPresentation:
     dim: int
     structure: np.ndarray  # (n, n, n), c[i, j, k]
     form: np.ndarray  # (n, n), symmetric invariant
-    # the factor the form was rescaled by from its bundled or file values;
-    # the grid pairing of the quadrature suites follows it
-    form_scale: float = 1.0
 
     def __eq__(self, other):
         # structural: two loads of the same table interoperate (names aside)
@@ -103,7 +102,6 @@ class LieAlgebraPresentation:
             dim=self.dim,
             structure=self.structure,
             form=form_scale * self.form,
-            form_scale=self.form_scale * form_scale,
         )
 
 
@@ -204,6 +202,6 @@ def load_presentation(source: str | Path, form_scale: float = 1.0,
     if form.shape != (n, n):
         raise InputError(f"form must be {n}x{n}")
     form = 0.5 * (form + form.T) * form_scale
-    g = LieAlgebraPresentation(name, n, c, form, form_scale)
+    g = LieAlgebraPresentation(name, n, c, form)
     g.validate(tol=tol)
     return g

@@ -283,22 +283,22 @@ def jacobi_target(degrees: Sequence[int]) -> int | None:
     return target if target in (0, 1) else None
 
 
-def all_signatures(max_n: int = 4) -> list[tuple[int, ...]]:
-    """Every degree signature of length 1..max_n over {0, 1}."""
+def all_signatures() -> list[tuple[int, ...]]:
+    """Every degree signature of length 1..4 over {0, 1}."""
     out: list[tuple[int, ...]] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for mask in range(2**n):
             out.append(tuple((mask >> a) & 1 for a in range(n)))
     return out
 
 
-def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator, trials: int,
-                   max_n: int = 4) -> Iterator[list[Graded]]:
+def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator,
+                   trials: int) -> Iterator[list[Graded]]:
     """Random graded inputs of every live signature, one block of trials at a
     time.  Within a trial the numbers are drawn signature after signature,
     over all of them: a dead signature's numbers are drawn, not built, so the
     live elements are those of drawing every signature's elements."""
-    signatures = all_signatures(max_n)
+    signatures = all_signatures()
     live = [sig for sig in signatures if jacobi_target(sig) is not None]
     slots = [L.space(d) if sig in live else L.space(d).width
              for sig in signatures for d in sig]

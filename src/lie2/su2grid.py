@@ -13,9 +13,11 @@ loops.
 Lie-algebra fields are coordinates in the X basis with the three components on
 the leading axis, so v . X is the pure quaternion v / 2.  The Maurer-Cartan
 form q^-1 dq (or dq q^-1) is 2 x the vector part of conj(q) dq (or dq conj(q));
-its scalar part is the non-skew remainder and is dropped.  The invariant
-pairing scale * Re tr(a b) of a . X and b . X is (-scale / 2) (a . b), so the
-default scale -2 makes the X_k orthonormal.
+its scalar part is the non-skew remainder and is dropped.  Fields are paired
+by the plain dot product a . b = -2 Re tr((a . X)(b . X)), in which the X_k
+are orthonormal.  A form s I multiplies every pairing by s, and every
+quadrature term is the level times a pairing, so the residuals take the one
+level k s (``grid_level``).
 
 Grids are uniform on [0, 2*pi] with N + 1 samples including both ends.
 Derivatives use central differences with one-sided second-order stencils at
@@ -38,16 +40,18 @@ the products, conjugates, Maurer-Cartan forms and pairings of its rows and
 reduces them to per-row theta-integrals, and the t-trapezoid runs once over
 the assembled row integrals.  The t-stencils of a block read a window of the
 input rows with a 1-row halo on each side, or the 3 end rows where the
-one-sided stencil applies; the identity-boundary and unitarity checks run on
-every block.  The public kernels (``product_field``, ``conjugate_field``,
-``maurer_cartan_t``, ``kappa``, ``beta_p``) are the same row kernels applied
-to all rows, so a streamed residual is bitwise equal to their composition.
-The residuals read a loop field only through ``windows(blocks)``, its samples
-on each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
+one-sided stencil applies.  The products and conjugates of checked rows are not
+checked again: they are unitarized and exactly the identity on the boundaries,
+so a check could only turn a NaN into an input error; the NaN reaches the
+residual instead.  The public kernels (``product_field``, ``conjugate_field``,
+``maurer_cartan_t``, ``kappa``, ``beta_p``) are the same row kernels applied to
+all rows, so a streamed residual is bitwise equal to their composition.  The
+residuals read a loop field only through ``windows(blocks)``, its samples on
+each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
 ``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples and checks each
 row once, copying the rows a window shares with the one before.  So a residual
-on streamed fields holds O(``BLOCK_POINTS``) samples per field and never a
-full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
+on streamed fields holds O(``BLOCK_POINTS``) samples per field and never a full
+grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ from .liealg import InputError, LieAlgebraPresentation
 from .paths import LOOP, TWO_PI, PolyPath, pointwise_bracket
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
-DEFAULT_PAIRING_SCALE = -2.0  # <A, B> = -2 Re tr(AB) makes the X_i orthonormal
 
 # grid points per streamed block of t-rows: its intermediates stay in a few MiB
 # of cache rather than streaming whole grids through memory
@@ -149,24 +151,23 @@ def unitary_drift(q: np.ndarray) -> float:
     return float(np.maximum(norm2.max() - 1.0, 1.0 - norm2.min()))
 
 
-def pair_fields(a: np.ndarray, b: np.ndarray,
-                scale: float = DEFAULT_PAIRING_SCALE) -> np.ndarray:
-    """Pointwise invariant pairing scale * Re tr((a . X)(b . X)) = (-scale/2) a . b
-    over the leading axis; the trailing axes broadcast."""
-    return -0.5 * scale * np.einsum("k...,k...->...", a, b)
+def pair_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise pairing a . b = -2 Re tr((a . X)(b . X)) over the leading
+    axis; the trailing axes broadcast."""
+    return np.einsum("k...,k...->...", a, b)
 
 
-def validate_pairing_scale(g: LieAlgebraPresentation,
-                           scale: float = DEFAULT_PAIRING_SCALE,
-                           tol: float = 1e-12) -> None:
-    """The grid pairing must reproduce the algebra form on basis vectors; the
-    scale is configuration, not a hardcoded constant."""
-    basis = np.eye(3)
-    got = pair_fields(basis[:, :, None], basis[:, None, :], scale)
-    if np.abs(got - g.form).max() > tol:
+def grid_level(g: LieAlgebraPresentation, k: float, form_scale: float) -> float:
+    """The level k * form_scale of the quadrature residuals, once the form is
+    checked to be form_scale * I to 1e-12: the pairing -2 form_scale Re tr(a b)
+    of the grid, which has none for an indefinite form such as sl2's."""
+    if g.dim != 3:
+        raise InputError("group-level suites support only the bundled 3-dimensional presentations")
+    if np.abs(g.form - form_scale * np.eye(3)).max() > 1e-12:
         raise InputError(
-            f"pairing scale {scale} does not match the form of {g.name}"
+            f"pairing scale {-2.0 * form_scale} does not match the form of {g.name}"
         )
+    return k * form_scale
 
 
 def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) -> np.ndarray:
@@ -235,18 +236,6 @@ def _same_grid(*fields) -> bool:
     return len({(f.n_t, f.n_theta) for f in fields}) == 1
 
 
-def _check_loop_rows(f: np.ndarray, at_t0: bool) -> np.ndarray:
-    """Rows of a loop field: the identity at theta = 0 (and at t = 0 when the
-    rows start there), unitary to 1e-10."""
-    if at_t0 and np.any(f[:, 0] != IDENTITY[:, None]):
-        raise InputError("loop field must be the identity at t = 0")
-    if np.any(f[:, :, 0] != IDENTITY[:, None]):
-        raise InputError("loop field must be the identity at theta = 0")
-    if not unitary_drift(f) <= 1e-10:
-        raise InputError("loop field samples drift off the unitary group")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # sampled carriers
 # ---------------------------------------------------------------------------
@@ -283,7 +272,12 @@ class SampledPathOfLoops:
         if f.ndim != 3 or f.shape[0] != 4 or min(f.shape[1:]) < 5:
             raise InputError("loop field needs at least a 5x5 grid of quaternions, "
                              "shape (4, Nt + 1, Ntheta + 1)")
-        _check_loop_rows(f, True)
+        if np.any(f[:, 0] != IDENTITY[:, None]):
+            raise InputError("loop field must be the identity at t = 0")
+        if np.any(f[:, :, 0] != IDENTITY[:, None]):
+            raise InputError("loop field must be the identity at theta = 0")
+        if not unitary_drift(f) <= 1e-10:
+            raise InputError("loop field samples drift off the unitary group")
         object.__setattr__(self, "grid", f)
 
     @property
@@ -301,7 +295,8 @@ class SampledPathOfLoops:
 @dataclass(eq=False)
 class StreamedPathOfLoops:
     """A ``LoopFieldCoeffs`` field bound to a grid, sampled a window of t-rows
-    at a time and checked there as a ``SampledPathOfLoops`` is on entry."""
+    at a time; each row is pinned to the identity at theta = 0 (and at t = 0)
+    and checked for unitary drift as it is sampled."""
 
     t_basis: np.ndarray  # (Nt + 1, t_modes): (t/2pi)^(m+1)
     theta_part: np.ndarray  # (3, t_modes, Ntheta + 1): sum_n coeffs[k, m, n] B_n(theta)
@@ -329,7 +324,8 @@ class StreamedPathOfLoops:
                 if a == 0:
                     fresh[:, 0] = IDENTITY[:, None]
                 fresh[:, :, 0] = IDENTITY[:, None]
-                _check_loop_rows(fresh, a == 0)
+                if not unitary_drift(fresh) <= 1e-10:
+                    raise InputError("loop field samples drift off the unitary group")
             tail, tail_a = win[:, -3:].copy(), blk.b - 3
             yield win
 
@@ -381,10 +377,10 @@ def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
     return _vector_form(f, _last_differences(f), 1.0, h)
 
 
-def _theta_integrals(a: np.ndarray, b: np.ndarray, scale: float, h: float) -> np.ndarray:
-    """Theta-trapezoid of <a, b> on each row of two coordinate fields
+def _theta_integrals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Theta-trapezoid of a . b on each row of two coordinate fields
     (3, rows, Ntheta + 1)."""
-    return _trapz(pair_fields(a, b, scale), h)
+    return _trapz(pair_fields(a, b), h)
 
 
 def _exp_cocycle(row_integrals: np.ndarray, k: float, h: float) -> complex:
@@ -392,19 +388,17 @@ def _exp_cocycle(row_integrals: np.ndarray, k: float, h: float) -> complex:
     return complex(np.exp(2.0j * k * _trapz(row_integrals, h)))
 
 
-def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float,
-          pairing_scale: float = DEFAULT_PAIRING_SCALE) -> complex:
+def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float) -> complex:
     """exp(2ik * double integral of <f^-1 df/dt, (dg/dtheta) g^-1>)."""
     if f.grid.shape != g.grid.shape:
         raise InputError("grid mismatch in cocycle evaluation")
     h_theta = TWO_PI / g.n_theta
-    rows = _theta_integrals(maurer_cartan_t(f), maurer_cartan_theta_right(g.grid, h_theta),
-                            pairing_scale, h_theta)
+    right = maurer_cartan_theta_right(g.grid, h_theta)
+    rows = _theta_integrals(maurer_cartan_t(f), right, h_theta)
     return _exp_cocycle(rows, k, TWO_PI / f.n_t)
 
 
-def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float,
-                           pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
+def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float) -> float:
     """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|, streamed over blocks
     of t-rows: each block forms the products fg and gh and the forms of its
     rows and keeps only the row integrals of the four pairings."""
@@ -415,17 +409,15 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float,
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
     for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
         g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
-        fg_win = _check_loop_rows(unitarize(_hamilton(f_win, g_win)), blk.a == 0)
-        gh_rows = _check_loop_rows(unitarize(_hamilton(g_rows, h_rows)), blk.lo == 0)
+        fg_win = unitarize(_hamilton(f_win, g_win))
+        gh_rows = unitarize(_hamilton(g_rows, h_rows))
         mc_f = blk.t_form(f_win, ht)
         mc_h = maurer_cartan_theta_right(h_rows, hth)
         out = rows[:, blk.lo:blk.hi]
-        out[0] = _theta_integrals(mc_f, maurer_cartan_theta_right(g_rows, hth),
-                                  pairing_scale, hth)
-        out[1] = _theta_integrals(blk.t_form(fg_win, ht), mc_h, pairing_scale, hth)
-        out[2] = _theta_integrals(blk.t_form(g_win, ht), mc_h, pairing_scale, hth)
-        out[3] = _theta_integrals(mc_f, maurer_cartan_theta_right(gh_rows, hth),
-                                  pairing_scale, hth)
+        out[0] = _theta_integrals(mc_f, maurer_cartan_theta_right(g_rows, hth), hth)
+        out[1] = _theta_integrals(blk.t_form(fg_win, ht), mc_h, hth)
+        out[2] = _theta_integrals(blk.t_form(g_win, ht), mc_h, hth)
+        out[3] = _theta_integrals(mc_f, maurer_cartan_theta_right(gh_rows, hth), hth)
     kappa_f_g, kappa_fg_h, kappa_g_h, kappa_f_gh = (_exp_cocycle(r, k, ht) for r in rows)
     return abs(kappa_f_g * kappa_fg_h - kappa_g_h * kappa_f_gh)
 
@@ -435,13 +427,12 @@ def _base_form(p: SampledGroupPath) -> np.ndarray:
     return _vector_form(p.samples, _last_differences(p.samples), -1.0, TWO_PI / p.n_theta)
 
 
-def _beta_rows(form: np.ndarray, xi: np.ndarray, scale: float, h: float) -> np.ndarray:
-    """beta_p(xi) from the base path's form: -2 * theta-trapezoid of <xi, form>."""
-    return -2.0 * _trapz(pair_fields(xi, form, scale), h)
+def _beta_rows(form: np.ndarray, xi: np.ndarray, h: float) -> np.ndarray:
+    """beta_p(xi) from the base path's form: -2 * theta-trapezoid of xi . form."""
+    return -2.0 * _trapz(pair_fields(xi, form), h)
 
 
-def beta_p(p: SampledGroupPath, xi: np.ndarray,
-           pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float | np.ndarray:
+def beta_p(p: SampledGroupPath, xi: np.ndarray) -> float | np.ndarray:
     """-2 * integral over theta of <xi(theta), p^-1 p'(theta)>.
 
     xi is a coordinate field (3, ..., Ntheta + 1); the middle axes are batch
@@ -450,21 +441,19 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != p.n_theta + 1:
         raise InputError("grid mismatch between 1-form argument and base path")
-    value = _beta_rows(_base_form(p), xi, pairing_scale, TWO_PI / p.n_theta)
+    value = _beta_rows(_base_form(p), xi, TWO_PI / p.n_theta)
     return float(value) if np.ndim(value) == 0 else value
 
 
-def omega_quadrature(xi: np.ndarray, eta: np.ndarray, k: float, h: float,
-                     pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
-    """2k * integral of <xi, d eta / d theta> by trapezoid + stencils, for
+def omega_quadrature(xi: np.ndarray, eta: np.ndarray, k: float, h: float) -> float:
+    """2k * integral of xi . d eta / d theta by trapezoid + stencils, for
     coordinate fields (3, Ntheta + 1)."""
     deta = _last_differences(eta) / (2.0 * h)
-    return float(2.0 * k * _trapz(pair_fields(xi, deta, pairing_scale), h, axis=-1))
+    return float(2.0 * k * _trapz(pair_fields(xi, deta), h, axis=-1))
 
 
 def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
-                               k: float,
-                               pairing_scale: float = DEFAULT_PAIRING_SCALE) -> float:
+                               k: float) -> float:
     """Quadrature defect of the conjugation-invariance identity of the loop
     cocycle: omega(Ad(p) xi, Ad(p) eta) - omega(xi, eta) = k * beta_p([xi, eta]).
 
@@ -481,19 +470,14 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
     xi_c = xi.eval_grid(u).T
     eta_c = eta.eval_grid(u).T
     q = p.samples
-    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), k, h, pairing_scale) \
-        - omega_quadrature(xi_c, eta_c, k, h, pairing_scale)
-    rhs = k * beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T, pairing_scale)
+    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), k, h) \
+        - omega_quadrature(xi_c, eta_c, k, h)
+    rhs = k * beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T)
     return abs(lhs - rhs)
 
 
-def kappa_conjugation_identity_residual(
-    p: SampledGroupPath,
-    f1: LoopField,
-    f2: LoopField,
-    k: float,
-    pairing_scale: float = DEFAULT_PAIRING_SCALE,
-) -> float:
+def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField, f2: LoopField,
+                                        k: float) -> float:
     """Defect of the conjugation rule for the exponentiated cocycle:
 
     kappa(p f1 p^-1, p f2 p^-1)
@@ -513,18 +497,17 @@ def kappa_conjugation_identity_residual(
     blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
     for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
         f2_rows = blk.inner(f2_win)
-        c1_win = _check_loop_rows(_conjugate(q, f1_win), blk.a == 0)
-        c2_rows = _check_loop_rows(_conjugate(q, f2_rows), blk.lo == 0)
-        f12_win = _check_loop_rows(unitarize(_hamilton(f1_win, f2_win)), blk.a == 0)
+        c1_win = _conjugate(q, f1_win)
+        c2_rows = _conjugate(q, f2_rows)
+        f12_win = unitarize(_hamilton(f1_win, f2_win))
         mc_f1 = blk.t_form(f1_win, ht)
         out = rows[:, blk.lo:blk.hi]
         out[0] = _theta_integrals(blk.t_form(c1_win, ht),
-                                  maurer_cartan_theta_right(c2_rows, hth), pairing_scale, hth)
-        out[1] = _theta_integrals(mc_f1, maurer_cartan_theta_right(f2_rows, hth),
-                                  pairing_scale, hth)
-        out[2] = (_beta_rows(form, blk.t_form(f12_win, ht), pairing_scale, hth)
-                  - _beta_rows(form, mc_f1, pairing_scale, hth)
-                  - _beta_rows(form, blk.t_form(f2_win, ht), pairing_scale, hth))
+                                  maurer_cartan_theta_right(c2_rows, hth), hth)
+        out[1] = _theta_integrals(mc_f1, maurer_cartan_theta_right(f2_rows, hth), hth)
+        out[2] = (_beta_rows(form, blk.t_form(f12_win, ht), hth)
+                  - _beta_rows(form, mc_f1, hth)
+                  - _beta_rows(form, blk.t_form(f2_win, ht), hth))
     lhs = _exp_cocycle(rows[0], k, ht)
     rhs = _exp_cocycle(rows[1], k, ht) * np.exp(1.0j * k * _trapz(rows[2], ht))
     return abs(lhs - complex(rhs))
@@ -595,14 +578,9 @@ class LoopFieldCoeffs:
         return SampledPathOfLoops(grid)
 
 
-def random_group_path_coeffs(rng: np.random.Generator, modes: int = 3,
-                             amplitude: float = 1.0) -> GroupPathCoeffs:
-    return GroupPathCoeffs(amplitude * rng.uniform(-1.0, 1.0, size=(3, modes)))
+def random_group_path_coeffs(rng: np.random.Generator, amplitude: float = 1.0) -> GroupPathCoeffs:
+    return GroupPathCoeffs(amplitude * rng.uniform(-1.0, 1.0, size=(3, 3)))
 
 
-def random_loop_field_coeffs(rng: np.random.Generator, t_modes: int = 2,
-                             theta_modes: int = 2,
-                             amplitude: float = 1.0) -> LoopFieldCoeffs:
-    return LoopFieldCoeffs(
-        amplitude * rng.uniform(-1.0, 1.0, size=(3, t_modes, theta_modes))
-    )
+def random_loop_field_coeffs(rng: np.random.Generator, amplitude: float = 1.0) -> LoopFieldCoeffs:
+    return LoopFieldCoeffs(amplitude * rng.uniform(-1.0, 1.0, size=(3, 2, 2)))

@@ -64,9 +64,10 @@ LINEAR = "linear"
 # without bound past it
 MAX_DEGREE = 64
 # the polynomial residuals are sized by the terms their laws cancel and pass
-# up to |k| = 1e300; the quadrature suites exponentiate the phase 2k A, |A| up
-# to 0.55 |form_scale| on their fixtures, whose float64 rounding alone is 1.2e-4
-# at 1e12 and reaches tol_quad near 1e13; near 1e308 the level-k terms overflow
+# up to |k| = 1e300; the quadrature suites run at the one level k form_scale
+# and exponentiate its phase 2 k form_scale A, |A| up to 0.55 on their fixtures
+# at unit pairing, whose float64 rounding alone is 1.2e-4 at a level of 1e12
+# and reaches tol_quad near 1e13; near 1e308 the level-k terms overflow
 MAX_SCALED_LEVEL = 1e12
 # the three quadrature suites take 0.5 microseconds per grid point on square
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
@@ -435,14 +436,9 @@ GRID_SUITES = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
 
 
 def _su2_layer(config) -> float:
-    """The grid pairing scale of the presentation, -2 form_scale, checked
-    against its form (the indefinite form of sl2 has none)."""
-    g = config.presentation
-    if g.dim != 3:
-        raise InputError("group-level suites support only the bundled 3-dimensional presentations")
-    scale = -2.0 * g.form_scale
-    su2grid.validate_pairing_scale(g, scale)
-    return scale
+    """The one level k * form_scale of the quadrature suites, checked against
+    the presentation's form."""
+    return su2grid.grid_level(config.presentation, config.k, config.form_scale)
 
 
 def _loop_fields(rng, count: int) -> list[np.ndarray]:
@@ -460,7 +456,7 @@ def _kappa_cocycle_sample(config, rng):
 
 def _kappa_cocycle_evaluate(config, fields):
     return {"cocycle": su2grid.kappa_cocycle_residual(*_sampled_fields(config, fields),
-                                                      config.k, _su2_layer(config))}
+                                                      _su2_layer(config))}
 
 
 def _ad_omega_sample(config, rng):
@@ -474,8 +470,7 @@ def _ad_omega_sample(config, rng):
 def _ad_omega_evaluate(config, inputs):
     path, xi, eta = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
-    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, config.k,
-                                                             _su2_layer(config))}
+    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, _su2_layer(config))}
 
 
 def _kappa_conjugation_sample(config, rng):
@@ -487,7 +482,7 @@ def _kappa_conjugation_evaluate(config, inputs):
     path, *fields = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
     return {"conjugation": su2grid.kappa_conjugation_identity_residual(
-        p, *_sampled_fields(config, fields), config.k, _su2_layer(config))}
+        p, *_sampled_fields(config, fields), _su2_layer(config))}
 
 
 # -- finite crossed-module suites: one bundled fixture per trial ----------------

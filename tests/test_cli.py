@@ -74,10 +74,11 @@ def test_default_suites_pass_at_other_form_scales(capsys, form_scale):
     assert "17/17 suites passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25)])
+@pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25), (1.0, 3.0)])
 def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(k, form_scale):
-    # every quadrature term is the level times the pairing, and both factors
-    # are powers of 2 here, so the residuals equal those at level k form_scale
+    # the grid pairs coordinates by their dot product and every quadrature
+    # term takes the one level k form_scale, so the residuals equal those at
+    # that level, also where the scale is no power of 2
     quad = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
     scaled = run(RunConfig(k=k, form_scale=form_scale, nt=64, ntheta=64, suites=quad))
     unit = run(RunConfig(k=k * form_scale, nt=64, ntheta=64, suites=quad))

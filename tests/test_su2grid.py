@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lie2 import su2grid as sg
-from lie2.liealg import InputError
+from lie2.liealg import InputError, sl2
 from lie2.paths import BASED, LOOP, TWO_PI, PolyPath, derivative_pairing, random_path
 from lie2.suites import REGISTRY, RunConfig, run
 
@@ -115,9 +115,14 @@ def test_generator_commutators(g):
 
 
 def test_pairing_scale_matches_form(g):
-    sg.validate_pairing_scale(g)
-    with pytest.raises(InputError):
-        sg.validate_pairing_scale(g, scale=-1.0)
+    # the grid pairs coordinates by their dot product, so a form s I is
+    # carried by the one level k s
+    assert sg.grid_level(g, 3.0, 1.0) == 3.0
+    assert sg.grid_level(g.scaled(2.0), 3.0, 2.0) == 6.0
+    with pytest.raises(InputError, match="pairing scale -2.0 does not match the form of sl2"):
+        sg.grid_level(sl2(), 3.0, 1.0)
+    with pytest.raises(InputError, match="pairing scale -4.0 does not match the form of su2"):
+        sg.grid_level(g, 3.0, 2.0)
 
 
 def test_embed_respects_bracket(g, rng):
@@ -526,6 +531,22 @@ def test_blocks_partition_the_rows_and_window_their_stencils():
     assert len(sg._blocks(301, 97)) == 2 and len(sg._blocks(257, 257)) == 5
 
 
+def _poison_last_block(monkeypatch, kernel, is_operand):
+    """Put a NaN into one computed product or conjugate, in the last of the two
+    blocks of a 301-row grid only: the kernel's output where the field it reads
+    passes is_operand."""
+    real = getattr(sg, kernel)
+
+    def poisoned(a, b):
+        out = real(a, b)
+        field = b if kernel == "_rotate" else a
+        if is_operand(field) and field.shape[1] < 150:
+            out[:, -1, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(sg, kernel, poisoned)
+
+
 @pytest.mark.parametrize("residual, kernel, operand", [
     ("cocycle", "_hamilton", 0),  # f g
     ("cocycle", "_hamilton", 1),  # g h
@@ -533,24 +554,25 @@ def test_blocks_partition_the_rows_and_window_their_stencils():
     ("conjugation", "_rotate", 0),  # p f1 p^-1
     ("conjugation", "_rotate", 1),  # p f2 p^-1
 ])
-def test_streamed_products_are_checked_on_every_block(rng, monkeypatch, residual, kernel,
-                                                      operand):
+def test_a_nan_in_a_streamed_product_reaches_the_residual(rng, monkeypatch, residual, kernel,
+                                                         operand):
+    # products and conjugates of checked rows are not checked again
     fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(300, 96) for _ in range(3)]
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(96)
     assert [(b.a, b.b) for b in sg._blocks(301, 97)] == [(0, 169), (167, 301)]
-    real = getattr(sg, kernel)
+    _poison_last_block(monkeypatch, kernel,
+                       lambda field: np.shares_memory(field, fs[operand].grid))
+    if residual == "cocycle":
+        value = sg.kappa_cocycle_residual(*fs, 1.0)
+    else:
+        value = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+    assert np.isnan(value)
 
-    def poisoned(a, b):
-        # a NaN in one computed field, in the last block only
-        out = real(a, b)
-        field = b if kernel == "_rotate" else a
-        if np.shares_memory(field, fs[operand].grid) and field.shape[1] < 150:
-            out[:, -1, 5] = np.nan
-        return out
 
-    monkeypatch.setattr(sg, kernel, poisoned)
-    with pytest.raises(InputError, match="drift"):
-        if residual == "cocycle":
-            sg.kappa_cocycle_residual(*fs, 1.0)
-        else:
-            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+def test_a_nan_in_a_streamed_product_fails_the_suite(monkeypatch):
+    _poison_last_block(monkeypatch, "_hamilton", lambda field: True)
+    entry = run(RunConfig(nt=300, ntheta=96, suites=("kappa-cocycle",)))["suites"][0]
+    assert entry["passed"] is False
+    assert np.isnan(entry["max_residual"])
+    assert entry["witness"]["component"] == "cocycle"
+    assert len(entry["witness"]["inputs"]) == 3
