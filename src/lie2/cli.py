@@ -35,8 +35,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="tolerance for quadrature-based identities")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite name (repeatable); default all")
-    parser.add_argument("--form-scale", type=float, default=1.0,
-                        help="scalar rescaling of the invariant form")
     parser.add_argument("--report", type=Path, default=None,
                         help="write the JSON report here")
 
@@ -54,7 +52,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tol_exact=args.tol_exact,
         tol_quad=args.tol_quad,
         suites=tuple(args.suite) if args.suite else ("all",),
-        form_scale=args.form_scale,
     )
 
 
@@ -114,7 +111,10 @@ def main(argv: list[str] | None = None) -> int:
         report = run(config)
         _print_table(report)
         if args.report is not None:
-            args.report.write_text(report_json(report), encoding="utf-8")
+            try:
+                args.report.write_text(report_json(report), encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot write report {args.report}: {exc}") from exc
             print(f"report written to {args.report}")
         return 0 if report["summary"]["all_passed"] else 1
     except InputError as exc:

@@ -3,9 +3,10 @@
 A presentation is the tensor c with [e_i, e_j] = sum_k c[i, j, k] e_k together
 with an invariant symmetric bilinear form B.  The canonical 3-form is
 nu(x, y, z) = B(x, [y, z]); invariance of B makes nu totally antisymmetric and
-closed for the alternating-sum differential implemented below.  A presentation
-keeps no record of a factor its form was rescaled by; the SU(2) grid layer
-checks the configured one against the form.
+closed for the alternating-sum differential implemented below.  The level k
+of an extension multiplies the form the presentation carries; a form other
+than a bundled one, such as c I, comes from an algebra file, and the SU(2)
+grid layer reads its scale c off it.  Structure and form must be finite.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class LieAlgebraPresentation:
             raise InputError(f"structure tensor must be {(self.dim,) * 3}")
         if form.shape != (self.dim, self.dim):
             raise InputError(f"form must be {(self.dim, self.dim)}")
+        # a NaN passes every "> tol" check of validate, so it is refused here
+        if not (np.isfinite(structure).all() and np.isfinite(form).all()):
+            raise InputError(f"{self.name}: structure and form must be finite")
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "form", form)
 
@@ -94,15 +98,6 @@ class LieAlgebraPresentation:
     def nu(self, x, y, z) -> float | np.ndarray:
         """Canonical 3-form B(x, [y, z])."""
         return self.pair(x, self.bracket(y, z))
-
-    def scaled(self, form_scale: float) -> "LieAlgebraPresentation":
-        """Same bracket with the invariant form multiplied by form_scale."""
-        return LieAlgebraPresentation(
-            name=f"{self.name}*{form_scale:g}",
-            dim=self.dim,
-            structure=self.structure,
-            form=form_scale * self.form,
-        )
 
 
 def ce_three_cocycle_residual(g: LieAlgebraPresentation, w, x, y, z) -> float:
@@ -156,20 +151,18 @@ def sl2() -> LieAlgebraPresentation:
 _BUNDLED = {"su2": su2, "so3": so3, "sl2": sl2}
 
 
-def load_presentation(source: str | Path, form_scale: float = 1.0,
-                      tol: float = 1e-12) -> LieAlgebraPresentation:
+def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     """Resolve a bundled name or load a JSON structure-constants file.
 
     File schema: ``name``, ``dim``, ``structure`` as a list of
     [i, j, k, value] with 1-based indices (only i < j entries required; the
     loader antisymmetrizes), optional ``form`` as an n x n row-major array
-    (default identity).
+    (default identity).  A file's table is checked to 1e-12, a bundled one
+    exactly.
     """
     key = str(source)
     if key in _BUNDLED:
         g = _BUNDLED[key]()
-        if form_scale != 1.0:
-            g = g.scaled(form_scale)
         g.validate(tol=0.0)
         return g
     path = Path(source)
@@ -182,8 +175,9 @@ def load_presentation(source: str | Path, form_scale: float = 1.0,
     try:
         name = str(doc["name"])
         n = int(doc["dim"])
-        entries = doc["structure"]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = list(doc["structure"])
+        form = np.asarray(doc["form"], dtype=float) if "form" in doc else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed algebra file {path}: {exc}") from exc
     if n <= 0:
         raise InputError("dim must be positive")
@@ -191,17 +185,16 @@ def load_presentation(source: str | Path, form_scale: float = 1.0,
     for entry in entries:
         try:
             i, j, k, value = entry
-        except (TypeError, ValueError) as exc:
+            i, j, k, value = int(i) - 1, int(j) - 1, int(k) - 1, float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad structure entry {entry!r}") from exc
-        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError(f"structure entry {entry!r} out of range")
-        c[i, j, k] = float(value)
-        c[j, i, k] = -float(value)
-    form = np.asarray(doc.get("form", np.eye(n)), dtype=float)
+        c[i, j, k] = value
+        c[j, i, k] = -value
+    form = np.eye(n) if form is None else form
     if form.shape != (n, n):
         raise InputError(f"form must be {n}x{n}")
-    form = 0.5 * (form + form.T) * form_scale
-    g = LieAlgebraPresentation(name, n, c, form)
-    g.validate(tol=tol)
+    g = LieAlgebraPresentation(name, n, c, 0.5 * (form + form.T))
+    g.validate(tol=1e-12)
     return g

@@ -129,6 +129,12 @@ def _report_config(doc) -> RunConfig:
         raise InputError("report config is not an object")
     doc = {key: value for key, value in doc.items()
            if key != "jobs"}  # a setting of older reports that did nothing
+    # older reports carry a form scale, 1.0 unless it was set; a scale now
+    # comes from the algebra file's form
+    scale = doc.pop("form_scale", 1.0)
+    if isinstance(scale, bool) or scale != 1.0:
+        raise InputError(f"report config form_scale = {scale!r} is no longer supported; "
+                         "put the scale into the algebra file's form")
     suites = doc.get("suites", ["all"])
     if not isinstance(suites, list) or not all(isinstance(n, str) for n in suites):
         raise InputError(f"report config suites {suites!r} is not a list of names")

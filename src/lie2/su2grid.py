@@ -15,9 +15,9 @@ the leading axis, so v . X is the pure quaternion v / 2.  The Maurer-Cartan
 form q^-1 dq (or dq q^-1) is 2 x the vector part of conj(q) dq (or dq conj(q));
 its scalar part is the non-skew remainder and is dropped.  Fields are paired
 by the plain dot product a . b = -2 Re tr((a . X)(b . X)), in which the X_k
-are orthonormal.  A form s I multiplies every pairing by s, and every
+are orthonormal.  A form c I multiplies every pairing by c, and every
 quadrature term is the level times a pairing, so the residuals take the one
-level k s (``grid_level``).
+level k c (``grid_level``).
 
 Grids are uniform on [0, 2*pi] with N + 1 samples including both ends.
 Derivatives use central differences with one-sided second-order stencils at
@@ -157,17 +157,16 @@ def pair_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("k...,k...->...", a, b)
 
 
-def grid_level(g: LieAlgebraPresentation, k: float, form_scale: float) -> float:
-    """The level k * form_scale of the quadrature residuals, once the form is
-    checked to be form_scale * I to 1e-12: the pairing -2 form_scale Re tr(a b)
-    of the grid, which has none for an indefinite form such as sl2's."""
+def grid_level(g: LieAlgebraPresentation, k: float) -> float:
+    """The level k c of the quadrature residuals for a form c I, checked to
+    1e-12: the grid pairs fields by -2 Re tr(a b), so the form's scale c rides
+    on the level.  An indefinite form such as sl2's is no multiple of I."""
     if g.dim != 3:
-        raise InputError("group-level suites support only the bundled 3-dimensional presentations")
-    if np.abs(g.form - form_scale * np.eye(3)).max() > 1e-12:
-        raise InputError(
-            f"pairing scale {-2.0 * form_scale} does not match the form of {g.name}"
-        )
-    return k * form_scale
+        raise InputError("group-level suites support only 3-dimensional presentations")
+    c = float(g.form[0, 0])
+    if np.abs(g.form - c * np.eye(3)).max() > 1e-12:
+        raise InputError(f"the form of {g.name} is not a multiple of the identity")
+    return k * c
 
 
 def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) -> np.ndarray:

@@ -64,11 +64,11 @@ LINEAR = "linear"
 # without bound past it
 MAX_DEGREE = 64
 # the polynomial residuals are sized by the terms their laws cancel and pass
-# up to |k| = 1e300; the quadrature suites run at the one level k form_scale
-# and exponentiate its phase 2 k form_scale A, |A| up to 0.55 on their fixtures
-# at unit pairing, whose float64 rounding alone is 1.2e-4 at a level of 1e12
-# and reaches tol_quad near 1e13; near 1e308 the level-k terms overflow
-MAX_SCALED_LEVEL = 1e12
+# up to |k| = 1e300; the quadrature suites exponentiate the phase 2 k c A of a
+# form c I, |A| up to 0.55 on their fixtures, whose float64 rounding alone is
+# 1.2e-4 at a level k c of 1e12 and reaches tol_quad near 1e13; near 1e308 the
+# level-k terms overflow
+MAX_LEVEL = 1e12
 # the three quadrature suites take 0.5 microseconds per grid point on square
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
 # about 11 s; the time grows with the grid
@@ -92,7 +92,6 @@ class RunConfig:
     tol_exact: float = 1e-10
     tol_quad: float = 1e-3
     suites: tuple[str, ...] = ("all",)
-    form_scale: float = 1.0
 
     def splitting_coeffs(self) -> np.ndarray:
         if self.splitting == LINEAR:
@@ -105,7 +104,7 @@ class RunConfig:
 
     @cached_property
     def presentation(self) -> LieAlgebraPresentation:
-        return load_presentation(self.algebra, form_scale=self.form_scale)
+        return load_presentation(self.algebra)
 
     @cached_property
     def models(self) -> ModelBundle:
@@ -123,9 +122,8 @@ class RunConfig:
         return names
 
     def validate(self) -> None:
-        if not all(math.isfinite(v) for v in
-                   (self.k, self.tol_exact, self.tol_quad, self.form_scale)):
-            raise InputError("k, the tolerances and form_scale must be finite")
+        if not all(math.isfinite(v) for v in (self.k, self.tol_exact, self.tol_quad)):
+            raise InputError("k and the tolerances must be finite")
         if self.trials <= 0:
             raise InputError("trials must be positive")
         if self.seed < 0:
@@ -135,10 +133,9 @@ class RunConfig:
         if not 2 <= self.degree <= MAX_DEGREE:
             raise InputError(f"polynomial degree must lie in [2, {MAX_DEGREE}], "
                              f"got {self.degree}")
-        if abs(self.k) * max(1.0, abs(self.form_scale)) > MAX_SCALED_LEVEL:
-            raise InputError(f"level too large for float64 residuals: |k| max(1, "
-                             f"|form_scale|) must not exceed {MAX_SCALED_LEVEL:g}, "
-                             f"got k = {self.k:g}, form_scale = {self.form_scale:g}")
+        if abs(self.k) > MAX_LEVEL:
+            raise InputError(f"level too large for float64 residuals: |k| must not "
+                             f"exceed {MAX_LEVEL:g}, got k = {self.k:g}")
         if self.nt < 8 or self.ntheta < 8:
             raise InputError("grids need at least 8 intervals per axis")
         if (self.nt + 1) * (self.ntheta + 1) > MAX_GRID_POINTS:
@@ -436,9 +433,8 @@ GRID_SUITES = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
 
 
 def _su2_layer(config) -> float:
-    """The one level k * form_scale of the quadrature suites, checked against
-    the presentation's form."""
-    return su2grid.grid_level(config.presentation, config.k, config.form_scale)
+    """The one level k c of the quadrature suites, c read off the form c I."""
+    return su2grid.grid_level(config.presentation, config.k)
 
 
 def _loop_fields(rng, count: int) -> list[np.ndarray]:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,17 @@ def g6():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture
+def su2_file(tmp_path):
+    """Writes su2's table with the form c I to a file and returns its path: a
+    form other than I comes from an algebra file."""
+    def write(c: float) -> str:
+        path = tmp_path / f"su2-form-{c:g}.json"
+        path.write_text(json.dumps({
+            "name": f"su2*{c:g}", "dim": 3,
+            "structure": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]],
+            "form": (c * np.eye(3)).tolist()}))
+        return str(path)
+    return write

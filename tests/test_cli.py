@@ -68,19 +68,19 @@ def test_verify_ntheta_past_the_bound_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("form_scale", ["2", "0.5"])
-def test_default_suites_pass_at_other_form_scales(capsys, form_scale):
-    # the grid pairing is taken from the presentation, -2 form_scale
-    assert main(["verify", "--form-scale", form_scale]) == 0
+def test_default_suites_pass_at_other_form_scales(capsys, su2_file, form_scale):
+    # the grid level is k c for a form c I read from the algebra file
+    assert main(["verify", "--algebra", su2_file(float(form_scale))]) == 0
     assert "17/17 suites passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25), (1.0, 3.0)])
-def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(k, form_scale):
+def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(su2_file, k, form_scale):
     # the grid pairs coordinates by their dot product and every quadrature
-    # term takes the one level k form_scale, so the residuals equal those at
-    # that level, also where the scale is no power of 2
+    # term takes the one level k c of a form c I, so a file with that form has
+    # su2's residuals at level k c, also where c is no power of 2
     quad = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
-    scaled = run(RunConfig(k=k, form_scale=form_scale, nt=64, ntheta=64, suites=quad))
+    scaled = run(RunConfig(algebra=su2_file(form_scale), k=k, nt=64, ntheta=64, suites=quad))
     unit = run(RunConfig(k=k * form_scale, nt=64, ntheta=64, suites=quad))
     assert ([s["max_residual"] for s in scaled["suites"]]
             == [s["max_residual"] for s in unit["suites"]])
@@ -89,7 +89,7 @@ def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(k, form_s
 def test_quadrature_suites_refuse_a_form_without_a_grid_pairing(capsys):
     code = main(["verify", "--algebra", "sl2", "--suite", "kappa-cocycle"])
     assert code == 2
-    assert "pairing scale -2.0 does not match the form of sl2" in capsys.readouterr().err
+    assert "the form of sl2 is not a multiple of the identity" in capsys.readouterr().err
 
 
 def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
@@ -98,12 +98,11 @@ def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert ("kappa-cocycle, ad-omega and kappa-conjugation need the grid pairing: "
-            "pairing scale -2.0 does not match the form of sl2") in err
+            "the form of sl2 is not a multiple of the identity") in err
 
 
 @pytest.mark.parametrize("flags", [["--k", "1e308"], ["--k=-2e12"],
-                                   ["--k", "1e7", "--form-scale", "1e6"],
-                                   ["--k", "1e-3", "--form-scale", "1e300"]])
+                                   ["--k", "1e13"], ["--k", "-1.0000001e12"]])
 def test_level_float64_cannot_judge_is_config_error(capsys, flags):
     # at --k 1e308 the level-k terms overflow and the residuals read NaN
     code = main(["verify", *flags])
@@ -111,37 +110,54 @@ def test_level_float64_cannot_judge_is_config_error(capsys, flags):
     assert "must not exceed 1e+12" in capsys.readouterr().err
 
 
-# (k, form scale) corners up to the level bound; (1, 1e6) is
-# test_polynomial_suites_pass_at_a_large_form_scale's
+# (k, form scale c) corners up to the level bound, the form c I read from an
+# algebra file; (1, 1e6) is test_polynomial_suites_pass_at_a_large_form_scale's
 LEVEL_CORNERS = [(1e12, 1.0), (-1e6, 1e6), (1e12, 0.5), (1e9, 1e-3), (-1e9, 1e-3), (1e9, 1.0)]
 
 
 @pytest.mark.parametrize("k, form_scale", [*LEVEL_CORNERS, (1.0, 1e6)])
-def test_levels_up_to_the_bound_are_accepted(k, form_scale):
-    RunConfig(k=k, form_scale=form_scale).validate()
+def test_levels_up_to_the_bound_are_accepted(su2_file, k, form_scale):
+    RunConfig(algebra=su2_file(form_scale), k=k).validate()
 
 
 @pytest.mark.parametrize("k, form_scale", LEVEL_CORNERS)
-def test_polynomial_suites_pass_at_levels_up_to_the_bound(k, form_scale):
+def test_polynomial_suites_pass_at_levels_up_to_the_bound(su2_file, k, form_scale):
     # each residual is sized by the terms its law cancels, which grow with
     # |k| and the form, so a level the bound admits reads roundoff
-    report = run(RunConfig(k=k, form_scale=form_scale, trials=5, suites=POLYNOMIAL_SUITES))
+    report = run(RunConfig(algebra=su2_file(form_scale), k=k, trials=5,
+                           suites=POLYNOMIAL_SUITES))
     assert [s["name"] for s in report["suites"] if not s["passed"]] == []
     assert report["summary"]["passed"] == 10
 
 
 @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
-                                         ("--tol-quad", "nan"), ("--form-scale", "inf")])
+                                         ("--tol-quad", "nan")])
 def test_non_finite_config_is_config_error(capsys, flag, value):
     code = main(["verify", "--suite", "gk-jacobi", flag, value, *FAST])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--k", "-1e12"], ["--k", "-1e3", "--form-scale", "-1e-3"]])
+@pytest.mark.parametrize("flags", [["--k", "-1e12"], ["--k", "-.5e3"]])
 def test_negative_numbers_with_an_exponent_are_values(capsys, flags):
     assert main(["verify", "--suite", "gk-jacobi", *flags, *FAST]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_the_form_scale_flag_is_gone(capsys):
+    # a non-unit form comes from the algebra file; the level is k alone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--form-scale", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --form-scale 2" in capsys.readouterr().err
+
+
+def test_verify_report_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
+    report_path = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--suite", "gk-jacobi", "--report", str(report_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report {report_path}: ")
+    assert "Traceback" not in err
 
 
 def test_a_negative_tolerance_reaches_config_validation(capsys):
@@ -430,18 +446,18 @@ def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch):
 
 @pytest.mark.parametrize("algebra, form_scale, expected", [
     ("su2", 1.0, 1.0 / 30.0), ("sl2", 1.0, 2.0 / 30.0), ("su2", 1e9, 1e9 / 30.0)])
-def test_omega_fixture_follows_the_form(algebra, form_scale, expected):
-    # B(h, h) = 2 in sl2; a large form scale must not fail a correct cocycle
-    config = RunConfig(algebra=algebra, form_scale=form_scale)
+def test_omega_fixture_follows_the_form(su2_file, algebra, form_scale, expected):
+    # B(h, h) = 2 in sl2; a large form must not fail a correct cocycle
+    config = RunConfig(algebra=algebra if form_scale == 1.0 else su2_file(form_scale))
     details, ok = suites._omega_fixture(config, None)
     assert details["fixture_expected"] == pytest.approx(expected, rel=1e-15)
     assert ok
 
 
-def test_polynomial_suites_pass_at_a_large_form_scale():
+def test_polynomial_suites_pass_at_a_large_form_scale(su2_file):
     # every identity is invariant under rescaling the form; the terms the form
     # enters grow with it, and each residual is sized by its law's terms
-    report = run(RunConfig(trials=20, form_scale=1e6, suites=POLYNOMIAL_SUITES))
+    report = run(RunConfig(algebra=su2_file(1e6), trials=20, suites=POLYNOMIAL_SUITES))
     assert [s["name"] for s in report["suites"] if not s["passed"]] == []
     assert report["summary"]["passed"] == 10
 
@@ -473,6 +489,28 @@ def test_replay_drops_the_jobs_setting_of_older_reports(tmp_path):
     [(name, residual)] = replay_report(report_path)
     assert name == "omega-cocycle"
     assert residual == pytest.approx(doc["suites"][0]["max_residual"], rel=1e-12)
+
+
+def test_replay_drops_the_unit_form_scale_of_older_reports(failing_report, tmp_path):
+    # every report written while the form scale was a setting carries 1.0
+    doc = json.loads(failing_report)
+    doc["config"]["form_scale"] = 1.0
+    report_path = tmp_path / "old.json"
+    report_path.write_text(json.dumps(doc))
+    rows = replay_report(report_path)
+    report_path.write_text(failing_report)
+    assert rows == replay_report(report_path)
+
+
+def test_replay_refuses_an_older_report_at_another_form_scale(failing_report, tmp_path, capsys):
+    doc = json.loads(failing_report)
+    doc["config"]["form_scale"] = 2.0
+    report_path = tmp_path / "old.json"
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report config form_scale = 2.0 ") and "Traceback" not in err
 
 
 def test_config_validation_errors():

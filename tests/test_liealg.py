@@ -139,7 +139,8 @@ def test_loader_roundtrip(tmp_path):
     g = load_presentation(path)
     assert np.allclose(g.structure, su2().structure)
     assert np.allclose(g.form, np.eye(3))
-    assert np.array_equal(load_presentation(path, form_scale=3.0).form, 3.0 * np.eye(3))
+    path.write_text(json.dumps({**doc, "form": (3.0 * np.eye(3)).tolist()}))
+    assert np.array_equal(load_presentation(path).form, 3.0 * np.eye(3))
 
 
 def test_loader_rejects_non_jacobi(tmp_path):
@@ -151,12 +152,37 @@ def test_loader_rejects_non_jacobi(tmp_path):
         load_presentation(path)
 
 
-def test_form_scale_only_rescales_form(g):
-    scaled = g.scaled(0.25)
-    scaled.validate(tol=0.0)
-    assert np.allclose(scaled.form, 0.25 * np.eye(3))
-    assert np.allclose(scaled.structure, g.structure)
-    assert np.array_equal(scaled.scaled(8.0).form, 2.0 * g.form)
+SU2_TABLE = '[[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]'
+BAD_FILES = {
+    "structure not a list": '{"name": "x", "dim": 3, "structure": 5}',
+    "entry value not a number": '{"name": "x", "dim": 3, "structure": [[1, 2, 3, "abc"]]}',
+    "entry index not a number": '{"name": "x", "dim": 3, "structure": [[1, "b", 3, 1.0]]}',
+    "form not numeric": '{"name": "x", "dim": 3, "structure": %s, "form": "abc"}' % SU2_TABLE,
+    "ragged form": '{"name": "x", "dim": 3, "structure": [], "form": [[1, 0, 0], [0, 1]]}',
+    "dim past float64": '{"name": "x", "dim": 1e400, "structure": []}',
+    "structure past float64": '{"name": "x", "dim": 3, "structure": [[1, 2, 3, 1e400]]}',
+    "infinite structure": '{"name": "x", "dim": 3, "structure": [[1, 2, 3, Infinity]]}',
+    "NaN structure": '{"name": "x", "dim": 3, "structure": [[1, 2, 3, NaN]]}',
+    "form past float64": '{"name": "x", "dim": 3, "structure": %s, '
+                         '"form": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}' % SU2_TABLE,
+    "NaN form": '{"name": "x", "dim": 3, "structure": %s, '
+                '"form": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}' % SU2_TABLE,
+}
+
+
+@pytest.mark.parametrize("text", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_loader_refuses_a_malformed_or_non_finite_file(tmp_path, text):
+    # a NaN compares false with every tolerance, so it would pass validate and
+    # reach the suites as a nan residual
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        load_presentation(path)
+
+
+def test_presentations_are_finite(g):
+    with pytest.raises(InputError, match="structure and form must be finite"):
+        LieAlgebraPresentation("x", 3, g.structure, np.diag([1.0, np.nan, 1.0]))
 
 
 coords = st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),

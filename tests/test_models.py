@@ -190,12 +190,12 @@ def test_equivalence_laws_at_level_one():
 
 
 @pytest.mark.parametrize("splitting", SPLITTINGS)
-def test_round_trip_corrector_is_sized_by_its_two_pairings(splitting):
+def test_round_trip_corrector_is_sized_by_its_two_pairings(su2_file, splitting):
     # phi2(psi0 x, psi0 y) vanishes because its two pairings, each about
-    # k form_scale B(x, y) / 2, cancel; stated as one term, sized by the
-    # inputs alone, the roundoff of that cancellation read about 2e-5
+    # k B(x, y) / 2 for the form B = 1e3 I, cancel; stated as one term, sized
+    # by the inputs alone, the roundoff of that cancellation read about 2e-5
     # (linear) and 7e-5 (smoothstep) here
-    config = RunConfig(k=1e9, form_scale=1e3, splitting=splitting, trials=30,
+    config = RunConfig(algebra=su2_file(1e3), k=1e9, splitting=splitting, trials=30,
                        suites=("equivalence",))
     assert run(config)["suites"][0]["details"]["round_trip_identity"] <= 1e-14
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,14 +116,16 @@ def test_generator_commutators(g):
 
 
 def test_pairing_scale_matches_form(g):
-    # the grid pairs coordinates by their dot product, so a form s I is
-    # carried by the one level k s
-    assert sg.grid_level(g, 3.0, 1.0) == 3.0
-    assert sg.grid_level(g.scaled(2.0), 3.0, 2.0) == 6.0
-    with pytest.raises(InputError, match="pairing scale -2.0 does not match the form of sl2"):
-        sg.grid_level(sl2(), 3.0, 1.0)
-    with pytest.raises(InputError, match="pairing scale -4.0 does not match the form of su2"):
-        sg.grid_level(g, 3.0, 2.0)
+    # the grid pairs coordinates by their dot product, so a form c I is
+    # carried by the one level k c
+    assert sg.grid_level(g, 3.0) == 3.0
+    assert sg.grid_level(replace(g, form=-0.5 * g.form), 3.0) == -1.5
+    with pytest.raises(InputError, match="the form of sl2 is not a multiple of the identity"):
+        sg.grid_level(sl2(), 3.0)
+    off = g.form.copy()
+    off[2, 2] += 1e-9
+    with pytest.raises(InputError, match="the form of su2 is not a multiple of the identity"):
+        sg.grid_level(replace(g, form=off), 3.0)
 
 
 def test_embed_respects_bracket(g, rng):
