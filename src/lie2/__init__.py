@@ -35,7 +35,6 @@ from .paths import (
     CentralVector,
     PolyPath,
     derivative_pairing,
-    integral_pairing,
     pointwise_bracket,
     universal_integral,
 )

@@ -348,12 +348,6 @@ def compose(outer: LInftyHom, inner: LInftyHom) -> LInftyHom:
     )
 
 
-def zeroed_phi2(hom: LInftyHom) -> LInftyHom:
-    """Mutation control: same chain map with the bracket corrector removed."""
-    return LInftyHom(hom.src, hom.dst, hom.phi0, hom.phi1,
-                     lambda x, y: hom.dst.space1.zero(), name=f"{hom.name}[phi2=0]")
-
-
 def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
     """``law_residual`` of the chain-map square and the three coherence laws
     on one sample (x, y, z in degree 0, h in degree 1).  The images the laws

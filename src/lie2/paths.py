@@ -3,10 +3,9 @@
 A path is a coefficient matrix over the rescaled variable u = theta / (2*pi),
 coordinate i being sum_d coeffs[..., i, d] * u**d.  Every path is based (it
 vanishes at theta = 0) and a loop is a based path that also vanishes at
-theta = 2*pi, so the two kinds nest: loop inside based.  The only factor of
-2*pi is the one of the plain integral pairing; in the derivative pairing the
-2*pi of d theta cancels the 1 / (2*pi) of d / d theta, so its moments are
-rational.
+theta = 2*pi, so the two kinds nest: loop inside based.  No factor of 2*pi
+appears: in the derivative pairing the 2*pi of d theta cancels the
+1 / (2*pi) of d / d theta, so its moments are rational.
 Products and brackets grow the degree and are never truncated, so every
 algebraic identity below holds to floating-point roundoff.
 
@@ -34,8 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .liealg import InputError, LieAlgebraPresentation
-
-TWO_PI = 2.0 * np.pi
 
 # kind lattice: a loop is in particular a based path
 BASED = "based"
@@ -176,32 +173,18 @@ def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     return _derived(g, _antidiagonal_sums(terms), kind)
 
 
-def _pairing(p: PolyPath, q: PolyPath, moments: np.ndarray) -> float | np.ndarray:
-    """sum over i, j, a, b of p_ia B_ij q_jb moments_ab.  Contracting q with
-    the moments first keeps the roundoff of cancelling sums (the -1/6 of
-    ``universal_integral``) at about that of a plain einsum."""
-    return (p.coeffs * (p.algebra.form @ (q.coeffs @ moments.T))).sum(axis=(-2, -1))
-
-
-def integral_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
-    """Exact integral over [0, 2*pi] of B(p(theta), q(theta))."""
-    if p.algebra != q.algebra:
-        raise InputError("integral pairing across different algebras")
-    dp, dq = p.degree, q.degree
-    moments = TWO_PI / (np.arange(dp + 1)[:, None] + np.arange(dq + 1)[None, :] + 1.0)
-    return _pairing(p, q, moments)
-
-
 def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     """Exact integral over [0, 2*pi] of B(p(theta), q'(theta)), which is
     sum over a, b of B(p_a, q_b) * b / (a + b): rational for rational
-    coefficients."""
+    coefficients.  Contracting q with the moments first keeps the roundoff of
+    cancelling sums (the -1/6 of ``universal_integral``) at about that of a
+    plain einsum."""
     if p.algebra != q.algebra:
         raise InputError("derivative pairing across different algebras")
     a = np.arange(p.degree + 1)[:, None]
     b = np.arange(q.degree + 1)[None, :]
     moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1
-    return _pairing(p, q, moments)
+    return (p.coeffs * (p.algebra.form @ (q.coeffs @ moments.T))).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

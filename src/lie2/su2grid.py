@@ -1,6 +1,7 @@
 """Sampled SU(2)-valued paths and paths of loops: Maurer-Cartan forms, the
-exponentiated double-integral cocycle, the boundary 1-form of the conjugation
-lift, and their defining identities by second-order quadrature.
+double integral in the exponent of the cocycle kappa, the boundary 1-form of
+the conjugation lift, and their defining identities by second-order
+quadrature, at unit level.
 
 Representation.  A group sample is a unit quaternion q = (q0, q1, q2, q3),
 standing for the matrix q0 I - i q . sigma = q0 I + 2 q . X with the
@@ -15,9 +16,16 @@ the leading axis, so v . X is the pure quaternion v / 2.  The Maurer-Cartan
 form q^-1 dq (or dq q^-1) is 2 x the vector part of conj(q) dq (or dq conj(q));
 its scalar part is the non-skew remainder and is dropped.  Fields are paired
 by the plain dot product a . b = -2 Re tr((a . X)(b . X)), in which the X_k
-are orthonormal.  A form c I multiplies every pairing by c, and every
-quadrature term is the level times a pairing, so the residuals take the one
-level k c (``grid_level``).
+are orthonormal.
+
+No level.  The level k and the scale c of a form c I (every invariant form on
+su(2)'s table is one) multiply every quadrature term alike, outside the laws:
+kappa = exp(2ik c A) with A the real double integral ``kappa_exponent``, whose
+cocycle identity holds before it is exponentiated, and omega is linear in k c.
+So each residual is the defect of its identity at unit level, in the X
+pairing, and reads neither k nor c; at level k and form c I the exponentiated
+defect is at most |k c| times it.  ``check_grid_algebra`` refuses any bracket
+but su(2)'s.
 
 Grids are uniform on [0, 2*pi] with N + 1 samples including both ends.
 Derivatives use central differences with one-sided second-order stencils at
@@ -44,8 +52,9 @@ one-sided stencil applies.  The products and conjugates of checked rows are not
 checked again: they are unitarized and exactly the identity on the boundaries,
 so a check could only turn a NaN into an input error; the NaN reaches the
 residual instead.  The public kernels (``product_field``, ``conjugate_field``,
-``maurer_cartan_t``, ``kappa``, ``beta_p``) are the same row kernels applied to
-all rows, so a streamed residual is bitwise equal to their composition.  The
+``maurer_cartan_t``, ``kappa_exponent``, ``beta_p``) are the same row kernels
+applied to all rows, so a streamed residual is bitwise equal to their
+composition.  The
 residuals read a loop field only through ``windows(blocks)``, its samples on
 each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
 ``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples and checks each
@@ -61,9 +70,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import InputError, LieAlgebraPresentation
-from .paths import LOOP, TWO_PI, PolyPath, pointwise_bracket
+from .liealg import InputError, LieAlgebraPresentation, su2
+from .paths import LOOP, PolyPath, pointwise_bracket
 
+TWO_PI = 2.0 * np.pi
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 # grid points per streamed block of t-rows: its intermediates stay in a few MiB
@@ -157,16 +167,12 @@ def pair_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("k...,k...->...", a, b)
 
 
-def grid_level(g: LieAlgebraPresentation, k: float) -> float:
-    """The level k c of the quadrature residuals for a form c I, checked to
-    1e-12: the grid pairs fields by -2 Re tr(a b), so the form's scale c rides
-    on the level.  An indefinite form such as sl2's is no multiple of I."""
-    if g.dim != 3:
-        raise InputError("group-level suites support only 3-dimensional presentations")
-    c = float(g.form[0, 0])
-    if np.abs(g.form - c * np.eye(3)).max() > 1e-12:
-        raise InputError(f"the form of {g.name} is not a multiple of the identity")
-    return k * c
+def check_grid_algebra(g: LieAlgebraPresentation) -> None:
+    """Refuse a presentation whose bracket is not su(2)'s epsilon table, to
+    1e-12: the grid samples SU(2).  Every invariant form on that table is c I,
+    and the residuals read no form, so the form is not checked."""
+    if g.dim != 3 or np.abs(g.structure - su2().structure).max() > 1e-12:
+        raise InputError(f"the bracket of {g.name} is not su(2)'s epsilon table")
 
 
 def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) -> np.ndarray:
@@ -382,25 +388,24 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     return _trapz(pair_fields(a, b), h)
 
 
-def _exp_cocycle(row_integrals: np.ndarray, k: float, h: float) -> complex:
-    """exp(2ik * the t-trapezoid of the per-row theta-integrals)."""
-    return complex(np.exp(2.0j * k * _trapz(row_integrals, h)))
-
-
-def kappa(f: SampledPathOfLoops, g: SampledPathOfLoops, k: float) -> complex:
-    """exp(2ik * double integral of <f^-1 df/dt, (dg/dtheta) g^-1>)."""
+def kappa_exponent(f: SampledPathOfLoops, g: SampledPathOfLoops) -> float:
+    """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
+    kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form."""
     if f.grid.shape != g.grid.shape:
         raise InputError("grid mismatch in cocycle evaluation")
     h_theta = TWO_PI / g.n_theta
     right = maurer_cartan_theta_right(g.grid, h_theta)
     rows = _theta_integrals(maurer_cartan_t(f), right, h_theta)
-    return _exp_cocycle(rows, k, TWO_PI / f.n_t)
+    return float(_trapz(rows, TWO_PI / f.n_t))
 
 
-def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float) -> float:
-    """|kappa(f,g) kappa(fg,h) - kappa(g,h) kappa(f,gh)|, streamed over blocks
-    of t-rows: each block forms the products fg and gh and the forms of its
-    rows and keeps only the row integrals of the four pairings."""
+def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
+    """2|D|, D = A(f,g) + A(fg,h) - A(g,h) - A(f,gh): the cocycle defect of
+    kappa at unit level.  At level k and form c I, |kappa(f,g) kappa(fg,h) -
+    kappa(g,h) kappa(f,gh)| = 2|sin(k c D)| is at most |k c| times this.
+    Streamed over blocks of t-rows: each block forms the products fg and gh
+    and the forms of its rows and keeps only the row integrals of the four
+    pairings."""
     if not _same_grid(f, g, h):
         raise InputError("grid mismatch in pointwise product")
     ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
@@ -417,8 +422,8 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField, k: float) -
         out[1] = _theta_integrals(blk.t_form(fg_win, ht), mc_h, hth)
         out[2] = _theta_integrals(blk.t_form(g_win, ht), mc_h, hth)
         out[3] = _theta_integrals(mc_f, maurer_cartan_theta_right(gh_rows, hth), hth)
-    kappa_f_g, kappa_fg_h, kappa_g_h, kappa_f_gh = (_exp_cocycle(r, k, ht) for r in rows)
-    return abs(kappa_f_g * kappa_fg_h - kappa_g_h * kappa_f_gh)
+    a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r, ht)) for r in rows)
+    return 2.0 * abs(a_f_g + a_fg_h - a_g_h - a_f_gh)
 
 
 def _base_form(p: SampledGroupPath) -> np.ndarray:
@@ -444,17 +449,18 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def omega_quadrature(xi: np.ndarray, eta: np.ndarray, k: float, h: float) -> float:
-    """2k * integral of xi . d eta / d theta by trapezoid + stencils, for
-    coordinate fields (3, Ntheta + 1)."""
+def omega_quadrature(xi: np.ndarray, eta: np.ndarray, h: float) -> float:
+    """2 * integral of xi . d eta / d theta by trapezoid + stencils, the loop
+    cocycle omega at unit level, for coordinate fields (3, Ntheta + 1)."""
     deta = _last_differences(eta) / (2.0 * h)
-    return float(2.0 * k * _trapz(pair_fields(xi, deta), h, axis=-1))
+    return float(2.0 * _trapz(pair_fields(xi, deta), h, axis=-1))
 
 
-def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
-                               k: float) -> float:
+def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath) -> float:
     """Quadrature defect of the conjugation-invariance identity of the loop
-    cocycle: omega(Ad(p) xi, Ad(p) eta) - omega(xi, eta) = k * beta_p([xi, eta]).
+    cocycle at unit level: omega(Ad(p) xi, Ad(p) eta) - omega(xi, eta) =
+    beta_p([xi, eta]).  Both sides are linear in the level, so at level k and
+    form c I the defect is |k c| times this.
 
     The boundary 1-form convention: for a left-invariant 1-form the exterior
     derivative pairs as d beta (xi, eta) = -beta([xi, eta]), which fixes the
@@ -469,22 +475,23 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath,
     xi_c = xi.eval_grid(u).T
     eta_c = eta.eval_grid(u).T
     q = p.samples
-    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), k, h) \
-        - omega_quadrature(xi_c, eta_c, k, h)
-    rhs = k * beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T)
+    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), h) \
+        - omega_quadrature(xi_c, eta_c, h)
+    rhs = beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T)
     return abs(lhs - rhs)
 
 
-def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField, f2: LoopField,
-                                        k: float) -> float:
-    """Defect of the conjugation rule for the exponentiated cocycle:
+def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
+                                        f2: LoopField) -> float:
+    """|2 (A(p f1 p^-1, p f2 p^-1) - A(f1, f2)) - C|, the defect at unit level
+    of the conjugation rule for the cocycle,
 
-    kappa(p f1 p^-1, p f2 p^-1)
-        = kappa(f1, f2) * exp(ik * integral over t of
-              beta_p(mc(f1 f2)) - beta_p(mc(f1)) - beta_p(mc(f2)))
+    kappa(p f1 p^-1, p f2 p^-1) = kappa(f1, f2) * exp(ik C),
+    C = integral over t of beta_p(mc(f1 f2)) - beta_p(mc(f1)) - beta_p(mc(f2)),
 
-    where mc is the t-direction Maurer-Cartan form.  Streamed over blocks of
-    t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
+    where mc is the t-direction Maurer-Cartan form.  The exponentiated defect
+    at level k and form c I is at most |k c| times this.  Streamed over blocks
+    of t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
     """
     if not _same_grid(f1, f2):
         raise InputError("grid mismatch between the two loop fields")
@@ -507,9 +514,8 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField, f2: 
         out[2] = (_beta_rows(form, blk.t_form(f12_win, ht), hth)
                   - _beta_rows(form, mc_f1, hth)
                   - _beta_rows(form, blk.t_form(f2_win, ht), hth))
-    lhs = _exp_cocycle(rows[0], k, ht)
-    rhs = _exp_cocycle(rows[1], k, ht) * np.exp(1.0j * k * _trapz(rows[2], ht))
-    return abs(lhs - complex(rhs))
+    a_conj, a, correction = (float(_trapz(r, ht)) for r in rows)
+    return abs(2.0 * (a_conj - a) - correction)
 
 
 # ---------------------------------------------------------------------------

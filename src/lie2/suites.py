@@ -36,7 +36,6 @@ from .linfty import (
     random_elements,
     two_hom_residuals_once,
     two_hom_samples,
-    zeroed_phi2,
 )
 from .models import (
     ModelBundle,
@@ -51,7 +50,6 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
-    integral_pairing,
     pointwise_bracket,
     random_path,
     validate_splitting,
@@ -63,11 +61,10 @@ LINEAR = "linear"
 # ten polynomial suites pass in about 6 s on 2 vCPUs, and the cost grows
 # without bound past it
 MAX_DEGREE = 64
-# the polynomial residuals are sized by the terms their laws cancel and pass
-# up to |k| = 1e300; the quadrature suites exponentiate the phase 2 k c A of a
-# form c I, |A| up to 0.55 on their fixtures, whose float64 rounding alone is
-# 1.2e-4 at a level k c of 1e12 and reaches tol_quad near 1e13; near 1e308 the
-# level-k terms overflow
+# the level enters only the polynomial suites (the quadrature suites report
+# their defects at unit level), whose residuals are sized by the terms their
+# laws cancel and pass up to |k| = 1e300; near 1e308 the level-k terms
+# overflow.  The bound is the largest level the tests run them at
 MAX_LEVEL = 1e12
 # the three quadrature suites take 0.5 microseconds per grid point on square
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
@@ -148,10 +145,10 @@ class RunConfig:
         self.presentation  # loads and validates the algebra
         if any(name in GRID_SUITES for name in names):
             try:
-                _su2_layer(self)
+                su2grid.check_grid_algebra(self.presentation)
             except InputError as exc:
                 raise InputError(f"{', '.join(GRID_SUITES[:-1])} and {GRID_SUITES[-1]} "
-                                 f"need the grid pairing: {exc}") from exc
+                                 f"sample SU(2): {exc}") from exc
 
 
 @dataclass
@@ -295,31 +292,34 @@ def _hom_evaluate(hom: str, config, inputs):
     return hom_residuals_once(getattr(config.models, hom), *inputs)
 
 
-def _drop_derivative(models: ModelBundle) -> ModelBundle:
-    """The path model whose twisted action drops the derivative,
-    ([p, l], 2k integral B(p, l)).  (Dropping the central term instead would
-    not break the Jacobi identity: every twist 2k' integral B(p, l') is itself
-    a valid action.)"""
-    pkg, k = models.pkg, models.k
-
-    def act(p, v):
-        return CentralVector(pointwise_bracket(p, v.loop),
-                             2.0 * k * integral_pairing(p, v.loop))
-
-    return replace(models, pkg=replace(pkg, l2_01=act, name=f"{pkg.name}[no derivative]"))
+def _double_bracket(models: ModelBundle) -> ModelBundle:
+    """The path model with its bracket of paths doubled.  Twice a bracket is a
+    bracket, but the differential no longer intertwines it with the action,
+    d(l2(p, v)) = [p, dv] against l2(p, dv) = 2 [p, dv]: the mutant fails
+    outside the level term, at any k and degree."""
+    pkg = models.pkg
+    return replace(models, pkg=replace(pkg, l2_00=lambda p, q: 2.0 * pointwise_bracket(p, q),
+                                       name=f"{pkg.name}[2 bracket]"))
 
 
-def _zero_corrector(hom: str) -> Callable[[ModelBundle], ModelBundle]:
-    """The homomorphism with its bracket corrector zeroed."""
-    return lambda models: replace(models, **{hom: zeroed_phi2(getattr(models, hom))})
+def _double_objects(hom: str) -> Callable[[ModelBundle], ModelBundle]:
+    """The homomorphism with its object map doubled: images of brackets grow
+    by 2 and brackets of images by 4, so the law d phi2(x, y) = phi0([x, y]) -
+    [phi0 x, phi0 y] fails by 3 [phi0 x, phi0 y] - phi0([x, y]), in which no
+    level term appears, at any k and degree."""
+    def mutate(models: ModelBundle) -> ModelBundle:
+        h = getattr(models, hom)
+        return replace(models, **{hom: replace(h, phi0=lambda x: 2.0 * h.phi0(x),
+                                               name=f"{h.name}[2 phi0]")})
+    return mutate
 
 
 # suite -> the mutation of the bundle that must fail its laws
 MUTATIONS: dict[str, Callable[[ModelBundle], ModelBundle]] = {
-    "pkg-jacobi": _drop_derivative,
-    "phi-hom": _zero_corrector("phi"),
-    "psi-hom": _zero_corrector("psi"),
-    "lambda-hom": _zero_corrector("lam"),
+    "pkg-jacobi": _double_bracket,
+    "phi-hom": _double_objects("phi"),
+    "psi-hom": _double_objects("psi"),
+    "lambda-hom": _double_objects("lam"),
 }
 
 
@@ -428,13 +428,9 @@ ADOMEGA_PATH_AMPLITUDE = 0.5
 ADOMEGA_LOOP_AMPLITUDE = 0.6
 
 
-# the suites that pair su(2)-valued fields sampled on the config's grid
+# the suites that pair su(2)-valued fields sampled on the config's grid; they
+# report their defects at unit level, so they read neither k nor the form
 GRID_SUITES = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
-
-
-def _su2_layer(config) -> float:
-    """The one level k c of the quadrature suites, c read off the form c I."""
-    return su2grid.grid_level(config.presentation, config.k)
 
 
 def _loop_fields(rng, count: int) -> list[np.ndarray]:
@@ -451,8 +447,7 @@ def _kappa_cocycle_sample(config, rng):
 
 
 def _kappa_cocycle_evaluate(config, fields):
-    return {"cocycle": su2grid.kappa_cocycle_residual(*_sampled_fields(config, fields),
-                                                      _su2_layer(config))}
+    return {"cocycle": su2grid.kappa_cocycle_residual(*_sampled_fields(config, fields))}
 
 
 def _ad_omega_sample(config, rng):
@@ -466,7 +461,7 @@ def _ad_omega_sample(config, rng):
 def _ad_omega_evaluate(config, inputs):
     path, xi, eta = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
-    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta, _su2_layer(config))}
+    return {"invariance": su2grid.ad_omega_identity_residual(p, xi, eta)}
 
 
 def _kappa_conjugation_sample(config, rng):
@@ -478,7 +473,7 @@ def _kappa_conjugation_evaluate(config, inputs):
     path, *fields = inputs
     p = su2grid.GroupPathCoeffs(path).sample(config.ntheta)
     return {"conjugation": su2grid.kappa_conjugation_identity_residual(
-        p, *_sampled_fields(config, fields), _su2_layer(config))}
+        p, *_sampled_fields(config, fields))}
 
 
 # -- finite crossed-module suites: one bundled fixture per trial ----------------
@@ -609,20 +604,25 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         _dalpha_sample, _dalpha_evaluate),
     SuiteSpec(
         "kappa-cocycle", 11,
-        "the exponentiated double-integral cocycle on paths of loops "
-        "satisfies kappa(f,g) kappa(fg,h) = kappa(g,h) kappa(f,gh); verified "
-        "by second-order quadrature.",
+        "the double integral A in the exponent of the cocycle kappa = "
+        "exp(2ik A) on paths of loops satisfies A(f,g) + A(fg,h) = A(g,h) + "
+        "A(f,gh); verified by second-order quadrature at unit level as "
+        "2|defect|, of which the defect of kappa at level k and form c I is at "
+        "most |k c| times.",
         _kappa_cocycle_sample, _kappa_cocycle_evaluate, tolerance=attrgetter("tol_quad")),
     SuiteSpec(
         "ad-omega", 12,
         "conjugation invariance of the loop cocycle: omega(Ad(p) xi, Ad(p) "
         "eta) - omega(xi, eta) = k beta_p([xi, eta]) with beta_p(xi) = "
-        "-2 integral B(xi, p^-1 p').",
+        "-2 integral B(xi, p^-1 p'); both sides are linear in k, so it is "
+        "checked at unit level.",
         _ad_omega_sample, _ad_omega_evaluate, tolerance=attrgetter("tol_quad")),
     SuiteSpec(
         "kappa-conjugation", 13,
-        "conjugation rule for the exponentiated cocycle: kappa(p f1 p^-1, "
-        "p f2 p^-1) = kappa(f1,f2) exp(ik integral of beta_p corrections).",
+        "conjugation rule for the cocycle: kappa(p f1 p^-1, p f2 p^-1) = "
+        "kappa(f1,f2) exp(ik C), C the integral of the beta_p corrections, "
+        "checked on the exponents at unit level: 2 A(p f1 p^-1, p f2 p^-1) "
+        "= 2 A(f1,f2) + C.",
         _kappa_conjugation_sample, _kappa_conjugation_evaluate,
         tolerance=attrgetter("tol_quad")),
     SuiteSpec(

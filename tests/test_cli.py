@@ -69,16 +69,33 @@ def test_verify_ntheta_past_the_bound_is_config_error(capsys):
 
 @pytest.mark.parametrize("form_scale", ["2", "0.5"])
 def test_default_suites_pass_at_other_form_scales(capsys, su2_file, form_scale):
-    # the grid level is k c for a form c I read from the algebra file
+    # the quadrature suites read no form, and the polynomial ones size each
+    # residual by the terms its law cancels
     assert main(["verify", "--algebra", su2_file(float(form_scale))]) == 0
     assert "17/17 suites passed" in capsys.readouterr().out
 
 
+def test_quadrature_residuals_read_neither_the_level_nor_the_form(su2_file):
+    # each quadrature suite reports its defect at unit level in the grid's X
+    # pairing, so its residual is the same bits at every level and on every
+    # form c I, also where c is no power of 2
+    def residuals(**config):
+        report = run(RunConfig(nt=64, ntheta=64, suites=suites.GRID_SUITES, **config))
+        return [s["max_residual"] for s in report["suites"]]
+
+    unit = residuals()
+    assert all(r > 0.0 for r in unit)
+    for k in (0.0, 1.0, -4.0, 1e9):
+        assert residuals(k=k) == unit
+    for c in (2.0, 0.5, 3.0):
+        assert residuals(algebra=su2_file(c), k=-4.0) == unit
+
+
 @pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25), (1.0, 3.0)])
 def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(su2_file, k, form_scale):
-    # the grid pairs coordinates by their dot product and every quadrature
-    # term takes the one level k c of a form c I, so a file with that form has
-    # su2's residuals at level k c, also where c is no power of 2
+    # the exponentiated defect at level k on a form c I is bounded through the
+    # one product k c, so a file with that form has su2's residuals at level
+    # k c, also where c is no power of 2
     quad = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
     scaled = run(RunConfig(algebra=su2_file(form_scale), k=k, nt=64, ntheta=64, suites=quad))
     unit = run(RunConfig(k=k * form_scale, nt=64, ntheta=64, suites=quad))
@@ -86,10 +103,37 @@ def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(su2_file,
             == [s["max_residual"] for s in unit["suites"]])
 
 
+@pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "1e-3"], ["--degree", "2"],
+                                   ["--k", "1e9"]], ids=lambda flags: "=".join(flags)[2:])
+def test_every_suite_passes_off_the_defaults(capsys, tmp_path, flags):
+    # no check has a factor k in its defect: at k = 0 the quadrature defects
+    # are still nonzero, and every control still breaks its laws
+    path = tmp_path / "r.json"
+    assert main(["verify", *flags, "--report", str(path)]) == 0
+    assert "17/17 suites passed" in capsys.readouterr().out
+    for entry in json.loads(path.read_text())["suites"]:
+        if entry["name"] in suites.GRID_SUITES:
+            assert entry["max_residual"] > 0.0
+        if entry["name"] in suites.MUTATIONS:
+            assert entry["details"]["mutation_residual"] > entry["details"]["mutation_floor"]
+
+
 def test_quadrature_suites_refuse_a_form_without_a_grid_pairing(capsys):
+    # sl2's bracket is not su(2)'s, so the SU(2) grid does not sample its group
     code = main(["verify", "--algebra", "sl2", "--suite", "kappa-cocycle"])
     assert code == 2
-    assert "the form of sl2 is not a multiple of the identity" in capsys.readouterr().err
+    assert "the bracket of sl2 is not su(2)'s epsilon table" in capsys.readouterr().err
+
+
+def test_quadrature_suites_refuse_an_abelian_algebra(capsys, tmp_path):
+    # the grid samples SU(2), so its verdicts would say nothing of the file
+    path = tmp_path / "abelian3.json"
+    path.write_text(json.dumps({"name": "abelian3", "dim": 3, "structure": []}))
+    code = main(["verify", "--algebra", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "the bracket of abelian3 is not su(2)'s epsilon table" in err
+    assert main(["verify", "--algebra", str(path), "--suite", "gk-jacobi"]) == 0
 
 
 def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
@@ -97,8 +141,8 @@ def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
     code = main(["verify", "--algebra", "sl2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert ("kappa-cocycle, ad-omega and kappa-conjugation need the grid pairing: "
-            "the form of sl2 is not a multiple of the identity") in err
+    assert ("kappa-cocycle, ad-omega and kappa-conjugation sample SU(2): "
+            "the bracket of sl2 is not su(2)'s epsilon table") in err
 
 
 @pytest.mark.parametrize("flags", [["--k", "1e308"], ["--k=-2e12"],
@@ -403,12 +447,13 @@ def test_a_nan_intermediate_path_fails_its_suite(monkeypatch, suite, maker, oper
     assert entry["witness"] is not None
 
 
-# mutation_residual of each control at RunConfig(), as reported once every
-# polynomial residual was sized by the terms its law cancels (law_residual)
-DEFAULT_MUTATION_RESIDUALS = {"pkg-jacobi": 0.6716173048134894,
-                              "phi-hom": 0.589897907148967,
-                              "psi-hom": 0.09288422526958676,
-                              "lambda-hom": 0.05224052358080662}
+# mutation_residual of each control at RunConfig(), as reported once the
+# mutants were taken outside the level term (the bracket of paths doubled, the
+# object map of each homomorphism doubled)
+DEFAULT_MUTATION_RESIDUALS = {"pkg-jacobi": 0.19989280461098632,
+                              "phi-hom": 0.7220061264605032,
+                              "psi-hom": 0.10259202240773767,
+                              "lambda-hom": 0.14819216286703354}
 
 
 def test_mutation_residuals_at_the_defaults_are_pinned():
@@ -418,11 +463,15 @@ def test_mutation_residuals_at_the_defaults_are_pinned():
     assert [s["details"]["mutation_trials"] for s in report["suites"]] == [50] * 4
 
 
-@pytest.mark.parametrize("suite", sorted(suites.MUTATIONS))
-def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite):
+@pytest.mark.parametrize("suite, changes", [
+    pytest.param(suite, changes, id=suite + tag) for suite in sorted(suites.MUTATIONS)
+    for tag, changes in [("", {}), ("-k=0", {"k": 0.0}), ("-degree=2", {"degree": 2})]])
+def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite, changes):
     # with the mutation replaced by the identity the control folds the
-    # correct bundle, which passes its laws, so the suite must fail
-    config = RunConfig(trials=10, suites=(suite,))
+    # correct bundle, which passes its laws, so the suite must fail; the
+    # mutants lie outside the level term, so they break the laws at k = 0 and
+    # at degree 2, where every loop is a multiple of u - u^2, too
+    config = RunConfig(trials=10, suites=(suite,), **changes)
     details = run(config)["suites"][0]["details"]
     assert details["mutation_residual"] > details["mutation_floor"]
     assert details["mutation_trials"] == 10

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lie2.liealg import (
+    MAX_DIM,
     InputError,
     LieAlgebraPresentation,
     ce_three_cocycle_residual,
@@ -178,6 +180,28 @@ def test_loader_refuses_a_malformed_or_non_finite_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InputError):
         load_presentation(path)
+
+
+@pytest.mark.parametrize("dim", [0, -3, MAX_DIM + 1, 10_000_000])
+def test_loader_refuses_a_dim_past_the_bound_before_allocating(tmp_path, dim):
+    # a structure tensor of dim 1e7 would take 8e21 bytes: the loader refuses
+    # the dim before it allocates anything of that size
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "dim": dim, "structure": []}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"dim must lie in \\[1, {MAX_DIM}\\], got {dim}"):
+            load_presentation(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_loader_accepts_a_dim_at_the_bound(tmp_path):
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"name": "abelian", "dim": MAX_DIM, "structure": []}))
+    assert load_presentation(path).dim == MAX_DIM
 
 
 def test_presentations_are_finite(g):

@@ -11,11 +11,9 @@ from lie2.paths import (
     BASED,
     LOOP,
     SCALAR_LINE,
-    TWO_PI,
     PolyPath,
     derivative_pairing,
     f_minus_f2,
-    integral_pairing,
     pointwise_bracket,
     projected_path,
     random_path,
@@ -75,21 +73,6 @@ def test_derived_paths_carry_kind_through_the_lattice(g, rng):
         for p in paths:
             assert p.kind == kind
             PolyPath(g, p.coeffs, kind)  # the entry checks agree
-
-
-def test_integral_pairing_monomial(g):
-    p = linear_path(g, np.array([1.0, 0.0, 0.0]))
-    assert integral_pairing(p, p) == pytest.approx(TWO_PI / 3.0)
-
-
-def test_integral_pairing_orthogonal_directions(g):
-    p = linear_path(g, np.array([1.0, 0.0, 0.0]))
-    q = linear_path(g, np.array([0.0, 1.0, 0.0]))
-    assert integral_pairing(p, q) == 0.0
-
-
-def test_integral_pairing_zero(g, rng):
-    assert integral_pairing(zero_path(g), random_path(g, rng, 4)) == 0.0
 
 
 def test_endpoint_examples(g, rng):
@@ -176,6 +159,9 @@ def test_derivative_pairing_matches_rational_oracle(algebra, batch):
                 assert abs(Fraction(float(got[t])) - exact) <= 1e-14 * scale
 
 
+TWO_PI = 2.0 * np.pi
+
+
 def differentiate_then_pair(p, q):
     """Reference: integral of B(p, q') as the plain integral pairing of p
     against the theta-derivative of q.  The derivative, whose coefficients
@@ -217,11 +203,6 @@ def einsum_bracket(structure, p, q):
     return out
 
 
-def einsum_integral_pairing(form, p, q):
-    moments = TWO_PI / (np.arange(p.shape[-1])[:, None] + np.arange(q.shape[-1]) + 1.0)
-    return np.einsum("...ia,ij,...jb,ab->...", p, form, q, moments)
-
-
 def einsum_derivative_pairing(form, p, q):
     a, b = np.arange(p.shape[-1])[:, None], np.arange(q.shape[-1])[None, :]
     return np.einsum("...ia,ij,...jb,ab->...", p, form, q, b / np.maximum(a + b, 1))
@@ -253,7 +234,6 @@ def test_matmul_kernels_match_their_einsum_definitions(algebra, p_batch, q_batch
     batch = np.broadcast_shapes(p_batch, q_batch)
     assert_pinned(pointwise_bracket(p, q).coeffs, einsum_bracket, (g.structure, pc, qc),
                   batch)
-    assert_pinned(integral_pairing(p, q), einsum_integral_pairing, (g.form, pc, qc), batch)
     assert_pinned(derivative_pairing(p, q), einsum_derivative_pairing, (g.form, pc, qc),
                   batch)
     assert_pinned(derivative_pairing(q, p), einsum_derivative_pairing, (g.form, qc, pc),

@@ -1,12 +1,11 @@
 import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from lie2 import su2grid as sg
-from lie2.liealg import InputError, sl2
-from lie2.paths import BASED, LOOP, TWO_PI, PolyPath, derivative_pairing, random_path
+from lie2.liealg import InputError, LieAlgebraPresentation, sl2, so3
+from lie2.paths import BASED, LOOP, PolyPath, derivative_pairing, random_path
+from lie2.su2grid import TWO_PI
 from lie2.suites import REGISTRY, RunConfig, run
 
 # -- the 2x2 complex matrix picture, kept here as the oracle of the quaternion layer
@@ -116,16 +115,22 @@ def test_generator_commutators(g):
 
 
 def test_pairing_scale_matches_form(g):
-    # the grid pairs coordinates by their dot product, so a form c I is
-    # carried by the one level k c
-    assert sg.grid_level(g, 3.0) == 3.0
-    assert sg.grid_level(replace(g, form=-0.5 * g.form), 3.0) == -1.5
-    with pytest.raises(InputError, match="the form of sl2 is not a multiple of the identity"):
-        sg.grid_level(sl2(), 3.0)
-    off = g.form.copy()
-    off[2, 2] += 1e-9
-    with pytest.raises(InputError, match="the form of su2 is not a multiple of the identity"):
-        sg.grid_level(replace(g, form=off), 3.0)
+    # the grid pairs coordinates by their dot product and the residuals are
+    # defects at unit level, so any form on su(2)'s table (c I) is accepted
+    # unread; only the bracket is checked, to 1e-12
+    for algebra in (g, so3(), LieAlgebraPresentation("su2*-0.5", 3, g.structure, -0.5 * g.form)):
+        assert sg.check_grid_algebra(algebra) is None
+    near = g.structure.copy()
+    near[0, 1, 2] += 1e-13
+    sg.check_grid_algebra(LieAlgebraPresentation("near", 3, near, g.form))
+    off = g.structure.copy()
+    off[0, 1, 2] += 1e-9
+    abelian = LieAlgebraPresentation("abelian3", 3, np.zeros((3, 3, 3)), np.eye(3))
+    for algebra in (sl2(), abelian, LieAlgebraPresentation("off", 3, off, g.form),
+                    LieAlgebraPresentation("z1", 1, np.zeros((1, 1, 1)), np.eye(1))):
+        with pytest.raises(InputError,
+                           match=f"the bracket of {algebra.name} is not su\\(2\\)'s epsilon table"):
+            sg.check_grid_algebra(algebra)
 
 
 def test_embed_respects_bracket(g, rng):
@@ -281,23 +286,24 @@ def test_kappa_trivial_inputs(rng):
     n = 32
     ident = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
     f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa(f, ident, 1.0) == pytest.approx(1.0)
-    assert sg.kappa(ident, f, 1.0) == pytest.approx(1.0)
-    assert sg.kappa(f, f, 0.0) == pytest.approx(1.0)
+    # the Maurer-Cartan forms of the identity are exactly 0
+    assert sg.kappa_exponent(f, ident) == 0.0
+    assert sg.kappa_exponent(ident, f) == 0.0
+    assert sg.kappa_exponent(f, f) != 0.0
 
 
 def test_kappa_matches_refined_grid(rng):
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.5) for _ in range(2)]
-    coarse = sg.kappa(specs[0].sample(192, 192), specs[1].sample(192, 192), 1.0)
-    fine = sg.kappa(specs[0].sample(768, 768), specs[1].sample(768, 768), 1.0)
-    assert abs(coarse - fine) <= 1e-4
+    coarse = sg.kappa_exponent(specs[0].sample(192, 192), specs[1].sample(192, 192))
+    fine = sg.kappa_exponent(specs[0].sample(768, 768), specs[1].sample(768, 768))
+    assert 2.0 * abs(coarse - fine) <= 1e-4
 
 
 def test_kappa_grid_mismatch(rng):
     f = sg.random_loop_field_coeffs(rng).sample(16, 16)
     h = sg.random_loop_field_coeffs(rng).sample(16, 32)
     with pytest.raises(InputError):
-        sg.kappa(f, h, 1.0)
+        sg.kappa_exponent(f, h)
     with pytest.raises(InputError):
         sg.product_field(f, h)
     with pytest.raises(InputError):
@@ -306,7 +312,7 @@ def test_kappa_grid_mismatch(rng):
 
 def test_kappa_cocycle_second_order(rng):
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
-    res = [sg.kappa_cocycle_residual(*(s.sample(n, n) for s in specs), 1.0)
+    res = [sg.kappa_cocycle_residual(*(s.sample(n, n) for s in specs))
            for n in (64, 128, 256)]
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
@@ -317,7 +323,7 @@ def test_kappa_cocycle_trivial_entry(rng):
     ident = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
     f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
     h = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_cocycle_residual(f, ident, h, 1.0) <= 1e-12
+    assert sg.kappa_cocycle_residual(f, ident, h) <= 1e-12
 
 
 def test_ad_omega_trivial_cases(g, rng):
@@ -325,16 +331,16 @@ def test_ad_omega_trivial_cases(g, rng):
     ident = sg.SampledGroupPath(identity_grid(n + 1))
     xi = random_path(g, rng, 4, LOOP)
     eta = random_path(g, rng, 4, LOOP)
-    assert sg.ad_omega_identity_residual(ident, xi, eta, 1.0) <= 1e-14
+    assert sg.ad_omega_identity_residual(ident, xi, eta) <= 1e-14
     p = sg.random_group_path_coeffs(rng, amplitude=0.5).sample(n)
-    assert sg.ad_omega_identity_residual(p, xi, xi, 1.0) <= 1e-14
+    assert sg.ad_omega_identity_residual(p, xi, xi) <= 1e-14
 
 
 def test_ad_omega_second_order(g, rng):
     spec = sg.random_group_path_coeffs(rng, amplitude=0.5)
     xi = 0.6 * random_path(g, rng, 4, LOOP)
     eta = 0.6 * random_path(g, rng, 4, LOOP)
-    res = [sg.ad_omega_identity_residual(spec.sample(n), xi, eta, 1.0)
+    res = [sg.ad_omega_identity_residual(spec.sample(n), xi, eta)
            for n in (128, 256, 512)]
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
@@ -346,7 +352,7 @@ def test_kappa_conjugation_trivial_conjugator(rng):
     ident = sg.SampledGroupPath(identity_grid(n + 1))
     f1 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
     f2 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_conjugation_identity_residual(ident, f1, f2, 1.0) <= 1e-12
+    assert sg.kappa_conjugation_identity_residual(ident, f1, f2) <= 1e-12
 
 
 def test_kappa_conjugation_trivial_field(rng):
@@ -354,7 +360,7 @@ def test_kappa_conjugation_trivial_field(rng):
     ident_field = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(n)
     f1 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_conjugation_identity_residual(p, f1, ident_field, 1.0) <= 1e-12
+    assert sg.kappa_conjugation_identity_residual(p, f1, ident_field) <= 1e-12
 
 
 def test_kappa_conjugation_second_order(rng):
@@ -364,7 +370,7 @@ def test_kappa_conjugation_second_order(rng):
     for n in (64, 128, 256):
         p = pspec.sample(n)
         f1, f2 = (s.sample(n, n) for s in fspecs)
-        res.append(sg.kappa_conjugation_identity_residual(p, f1, f2, 1.0))
+        res.append(sg.kappa_conjugation_identity_residual(p, f1, f2))
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
 
@@ -425,18 +431,19 @@ def test_ladder_residuals_move_by_roundoff_only(n):
 
 # -- row-block streaming ---------------------------------------------------------
 
-def _cocycle_by_composition(f, g, h, k):
+def _cocycle_by_composition(f, g, h):
     fg, gh = sg.product_field(f, g), sg.product_field(g, h)
-    return abs(sg.kappa(f, g, k) * sg.kappa(fg, h, k) - sg.kappa(g, h, k) * sg.kappa(f, gh, k))
+    a = sg.kappa_exponent
+    return 2.0 * abs(a(f, g) + a(fg, h) - a(g, h) - a(f, gh))
 
 
-def _conjugation_by_composition(p, f1, f2, k):
-    lhs = sg.kappa(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2), k)
-    correction = (sg.beta_p(p, sg.maurer_cartan_t(sg.product_field(f1, f2)))
-                  - sg.beta_p(p, sg.maurer_cartan_t(f1))
-                  - sg.beta_p(p, sg.maurer_cartan_t(f2)))
-    rhs = sg.kappa(f1, f2, k) * np.exp(1.0j * k * sg._trapz(correction, TWO_PI / f1.n_t))
-    return abs(lhs - complex(rhs))
+def _conjugation_by_composition(p, f1, f2):
+    conj = sg.kappa_exponent(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2))
+    rows = (sg.beta_p(p, sg.maurer_cartan_t(sg.product_field(f1, f2)))
+            - sg.beta_p(p, sg.maurer_cartan_t(f1))
+            - sg.beta_p(p, sg.maurer_cartan_t(f2)))
+    correction = float(sg._trapz(rows, TWO_PI / f1.n_t))
+    return abs(2.0 * (conj - sg.kappa_exponent(f1, f2)) - correction)
 
 
 def _streamed_grids():
@@ -456,14 +463,14 @@ def test_streamed_residuals_equal_the_full_grid_composition(rng, nt, ntheta):
     fs = [s.sample(nt, ntheta) for s in specs]
     streamed = [s.stream(nt, ntheta) for s in specs]
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
-    cocycle = sg.kappa_cocycle_residual(*fs, 1.0)
+    cocycle = sg.kappa_cocycle_residual(*fs)
     assert cocycle > 0.0
-    assert cocycle == _cocycle_by_composition(*fs, 1.0)
-    assert sg.kappa_cocycle_residual(*streamed, 1.0) == cocycle
-    conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+    assert cocycle == _cocycle_by_composition(*fs)
+    assert sg.kappa_cocycle_residual(*streamed) == cocycle
+    conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
     assert conjugation > 0.0
-    assert conjugation == _conjugation_by_composition(p, fs[0], fs[1], 1.0)
-    assert sg.kappa_conjugation_identity_residual(p, *streamed[:2], 1.0) == conjugation
+    assert conjugation == _conjugation_by_composition(p, fs[0], fs[1])
+    assert sg.kappa_conjugation_identity_residual(p, *streamed[:2]) == conjugation
     blocks = sg._blocks(nt + 1, ntheta + 1)  # the grid's windows are the stream's
     for a, b in zip(streamed[0].windows(blocks), fs[0].windows(blocks)):
         assert np.array_equal(a, b)
@@ -490,9 +497,9 @@ def test_nan_coefficients_raise_the_same_error_from_the_stream(rng, residual, po
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(48)
     with pytest.raises(InputError) as streamed:
         if residual == "cocycle":
-            sg.kappa_cocycle_residual(*fs, 1.0)
+            sg.kappa_cocycle_residual(*fs)
         else:
-            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
     assert str(streamed.value) == str(sampled.value)
     with pytest.raises(InputError, match="5x5"):
         bad.stream(3, 48)
@@ -566,9 +573,9 @@ def test_a_nan_in_a_streamed_product_reaches_the_residual(rng, monkeypatch, resi
     _poison_last_block(monkeypatch, kernel,
                        lambda field: np.shares_memory(field, fs[operand].grid))
     if residual == "cocycle":
-        value = sg.kappa_cocycle_residual(*fs, 1.0)
+        value = sg.kappa_cocycle_residual(*fs)
     else:
-        value = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1], 1.0)
+        value = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
     assert np.isnan(value)
 
 
