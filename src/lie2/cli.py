@@ -17,42 +17,55 @@ from .suites import RunConfig, describe, report_json, run
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algebra", default="su2",
-                        help="bundled name (su2, so3, sl2) or JSON file path")
-    parser.add_argument("--k", type=float, default=1.0, help="extension level")
-    parser.add_argument("--degree", type=int, default=4,
-                        help="base polynomial degree of sampled paths")
-    parser.add_argument("--splitting", default="linear",
-                        help="'linear' or comma-separated u-coefficients")
-    parser.add_argument("--nt", type=int, default=256, help="grid intervals in t")
-    parser.add_argument("--ntheta", type=int, default=256,
-                        help="grid intervals in theta")
-    parser.add_argument("--seed", type=int, default=20240601)
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--tol-exact", type=float, default=1e-10,
+    """One flag per ``RunConfig`` field; the defaults are ``RunConfig``'s, so
+    a flag that is not given is left out of the namespace."""
+    parser.add_argument("--algebra", help="bundled name (su2, so3, sl2) or JSON file path")
+    parser.add_argument("--k", type=float, help="extension level")
+    parser.add_argument("--degree", type=int, help="base polynomial degree of sampled paths")
+    parser.add_argument("--splitting", help="'linear' or comma-separated u-coefficients")
+    parser.add_argument("--nt", type=int, help="grid intervals in t")
+    parser.add_argument("--ntheta", type=int, help="grid intervals in theta")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--tol-exact", type=float,
                         help="tolerance for exact-arithmetic identities")
-    parser.add_argument("--tol-quad", type=float, default=1e-3,
+    parser.add_argument("--tol-quad", type=float,
                         help="tolerance for quadrature-based identities")
-    parser.add_argument("--suite", action="append", default=None,
+    parser.add_argument("--suite", dest="suites", action="append", metavar="SUITE",
                         help="suite name (repeatable); default all")
-    parser.add_argument("--report", type=Path, default=None,
-                        help="write the JSON report here")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        algebra=args.algebra,
-        k=args.k,
-        degree=args.degree,
-        splitting=args.splitting,
-        nt=args.nt,
-        ntheta=args.ntheta,
-        seed=args.seed,
-        trials=args.trials,
-        tol_exact=args.tol_exact,
-        tol_quad=args.tol_quad,
-        suites=tuple(args.suite) if args.suite else ("all",),
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "report")}
+    if "suites" in given:
+        given["suites"] = tuple(given["suites"])
+    return RunConfig(**given)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lie2",
+        description="certify the algebraic identities of the path/loop "
+                    "models of categorified Lie algebras",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_verify = sub.add_parser("verify", help="run verification suites",
+                              argument_default=argparse.SUPPRESS)
+    # argparse's own pattern for negative numbers has no exponent, so it takes
+    # '-1e12' for an option; read '-' followed by a digit as a value instead
+    p_verify._negative_number_matcher = re.compile(r"-\.?\d")
+    _add_config_flags(p_verify)
+    p_verify.add_argument("--report", type=Path, default=None,
+                          help="write the JSON report here")
+
+    p_describe = sub.add_parser("describe", help="print what a suite checks")
+    p_describe.add_argument("suite_name", metavar="SUITE")
+
+    p_replay = sub.add_parser("replay", help="re-evaluate witnesses from a report")
+    p_replay.add_argument("--report", type=Path, required=True)
+    return parser
 
 
 def _print_table(report: dict) -> None:
@@ -68,26 +81,7 @@ def _print_table(report: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lie2",
-        description="certify the algebraic identities of the path/loop "
-                    "models of categorified Lie algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    # argparse's own pattern for negative numbers has no exponent, so it takes
-    # '-1e12' for an option; read '-' followed by a digit as a value instead
-    p_verify._negative_number_matcher = re.compile(r"-\.?\d")
-    _add_config_flags(p_verify)
-
-    p_describe = sub.add_parser("describe", help="print what a suite checks")
-    p_describe.add_argument("suite_name", metavar="SUITE")
-
-    p_replay = sub.add_parser("replay", help="re-evaluate witnesses from a report")
-    p_replay.add_argument("--report", type=Path, required=True)
-
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "describe":

@@ -158,15 +158,23 @@ def sl2() -> LieAlgebraPresentation:
 _BUNDLED = {"su2": su2, "so3": so3, "sl2": sl2}
 
 
+def _integer(value, what: str) -> int:
+    """A dim or an index of an algebra file: a JSON number with an integral
+    value.  A bool, a string or a fraction is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     """Resolve a bundled name or load a JSON structure-constants file.
 
-    File schema: ``name``, ``dim`` (at most ``MAX_DIM``; refused before
-    anything is allocated), ``structure`` as a list of
-    [i, j, k, value] with 1-based indices (only i < j entries required; the
-    loader antisymmetrizes), optional ``form`` as an n x n row-major array
-    (default identity).  A file's table is checked to 1e-12, a bundled one
-    exactly.
+    File schema: ``name``, ``dim`` (an integer, at most ``MAX_DIM``; refused
+    before anything is allocated), ``structure`` as a list of [i, j, k, value]
+    with 1-based integer indices (only i < j entries required; the loader
+    antisymmetrizes), optional ``form`` as an n x n row-major array (default
+    identity).  A file's table is checked to 1e-12, a bundled one exactly.
     """
     key = str(source)
     if key in _BUNDLED:
@@ -182,20 +190,22 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
         raise InputError(f"cannot read algebra file {path}: {exc}") from exc
     try:
         name = str(doc["name"])
-        n = int(doc["dim"])
+        dim = doc["dim"]
         entries = list(doc["structure"])
         form = np.asarray(doc["form"], dtype=float) if "form" in doc else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed algebra file {path}: {exc}") from exc
+    n = _integer(dim, "dim")
     if not 0 < n <= MAX_DIM:
         raise InputError(f"dim must lie in [1, {MAX_DIM}], got {n}")
     c = np.zeros((n, n, n))
     for entry in entries:
         try:
             i, j, k, value = entry
-            i, j, k, value = int(i) - 1, int(j) - 1, int(k) - 1, float(value)
+            value = float(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad structure entry {entry!r}") from exc
+        i, j, k = (_integer(x, f"index in structure entry {entry!r}") - 1 for x in (i, j, k))
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError(f"structure entry {entry!r} out of range")
         c[i, j, k] = value

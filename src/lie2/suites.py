@@ -6,9 +6,11 @@ one block of trials at a time and ``evaluate`` maps them to
 runner, ``_drive``, folds every suite's blocks through ``WorstCase``, so any
 NaN residual fails the suite; it writes the witness of a failing suite as
 ``{"component", "inputs"}`` holding the one trial with the maximum, and replay
-evaluates those inputs again, as a block of shape ().  A negative control
-folds the suite's own spec again, on a bundle with one model mutated, and
-fails the suite unless the mutant breaks the laws.
+evaluates those inputs again, as a block of shape ().  A suite whose spec
+states a ``mutant`` also folds its own spec again, on the bundle with that one
+model mutated, and fails unless the mutant breaks the laws.  So every FAIL is
+a residual over its tolerance, with a witness that replays to it, or a mutant
+that did not break its laws.
 
 Every suite draws from its own generator seeded by (config.seed, ordinal), so
 a report depends only on the configuration, never on execution order.
@@ -207,10 +209,10 @@ class SuiteSpec:
     ``evaluate(config, inputs)`` returns
     ``{component: residual}``, each residual an array over the block or a
     number, and may add report details under ``NOTES``.  The optional
-    ``control(config, rng)`` runs after the trials on the same generator and
-    returns ``(details, ok)``; a false ``ok`` fails the suite.  The reported
-    trial count is the number of trials folded unless ``trials(config)`` says
-    otherwise.
+    ``mutant`` maps the config's models to a bundle that must break the
+    suite's laws: after the trials, ``_mutation_control`` folds the spec over
+    the mutated bundle on the same generator.  The reported trial count is
+    the number of trials folded unless ``trials(config)`` says otherwise.
     ``runner`` is ``_drive`` bound to this spec.
     """
 
@@ -220,7 +222,7 @@ class SuiteSpec:
     sample: Callable[[RunConfig, np.random.Generator], Iterable]
     evaluate: Callable[[RunConfig, Any], dict]
     tolerance: Callable[[RunConfig], float] = attrgetter("tol_exact")
-    control: Callable[[RunConfig, np.random.Generator], tuple[dict, bool]] | None = None
+    mutant: Callable[[ModelBundle], ModelBundle] | None = None
     trials: Callable[[RunConfig], int] | None = None
     runner: Callable[[RunConfig, np.random.Generator], SuiteResult] | None = None
 
@@ -252,7 +254,7 @@ def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> Suit
     the maximum of each in its details.  Only a failing suite slices its
     witness trial out of the block."""
     worst, notes = _fold(spec, config, rng)
-    extra, control_ok = spec.control(config, rng) if spec.control else ({}, True)
+    extra, control_ok = _mutation_control(spec, config, rng) if spec.mutant else ({}, True)
     tolerance = float(spec.tolerance(config))
     within = bool(worst.max_residual <= tolerance)  # false for NaN
     return SuiteResult(
@@ -314,25 +316,15 @@ def _double_objects(hom: str) -> Callable[[ModelBundle], ModelBundle]:
     return mutate
 
 
-# suite -> the mutation of the bundle that must fail its laws
-MUTATIONS: dict[str, Callable[[ModelBundle], ModelBundle]] = {
-    "pkg-jacobi": _double_bracket,
-    "phi-hom": _double_objects("phi"),
-    "psi-hom": _double_objects("psi"),
-    "lambda-hom": _double_objects("lam"),
-}
-
-
-def _mutation_control(suite: str, config, rng):
-    """Fold the suite's own spec over min(trials, 50) trials of the mutated
-    bundle, on the suite's generator; the mutant must fail.  The details give
+def _mutation_control(spec: SuiteSpec, config, rng):
+    """Fold the spec over min(trials, 50) trials of the bundle its mutant
+    makes, on the suite's generator; the mutant must fail.  The details give
     its residual, the floor it must exceed and the trials it folded."""
-    mutant = replace(config, trials=min(config.trials, 50))
-    mutant.__dict__["models"] = MUTATIONS[suite](config.models)  # fills the models cache
-    spec = REGISTRY[suite]
-    worst = _fold(spec, mutant, rng)[0]
+    mutated = replace(config, trials=min(config.trials, 50))
+    mutated.__dict__["models"] = spec.mutant(config.models)  # fills the models cache
+    worst = _fold(spec, mutated, rng)[0]
     return ({"mutation_residual": worst.max_residual, "mutation_floor": MUTATION_FLOOR,
-             "mutation_trials": _trial_count(spec, mutant, worst)},
+             "mutation_trials": _trial_count(spec, mutated, worst)},
             worst.max_residual > MUTATION_FLOOR)
 
 
@@ -374,24 +366,22 @@ def _omega_sample(config, rng):
     return random_elements(rng, config.trials, (config.models.el.space0,) * 3)
 
 
-def _omega_evaluate(config, loops):
-    return {"cocycle": kacmoody.omega_cocycle_residual(*loops, config.k)}
-
-
-def _omega_fixture(config, rng):
-    """Worked value at level 1, so the control does not vanish with k: the
-    bump (u - u^2) e_i against (u^2 - u^3) e_j gives B_ij / 30.  (i, j) is the
-    largest entry of the form, so the value is not 0 for any nonzero form, and
-    the deviation is gated relative to it."""
-    g = config.presentation
+def _omega_worked_value(g) -> float:
+    """Relative deviation of the worked value at level 1 from B_ij / 30: the
+    bump (u - u^2) e_i against (u^2 - u^3) e_j, (i, j) the largest entry of
+    the form, so the value is not 0 for any nonzero form (on the zero form it
+    is 0, and so is the deviation)."""
     i, j = np.unravel_index(np.argmax(np.abs(g.form)), g.form.shape)
     f = PolyPath(g, np.outer(np.eye(g.dim)[i], [0.0, 1.0, -1.0]), LOOP)
     h = PolyPath(g, np.outer(np.eye(g.dim)[j], [0.0, 0.0, 1.0, -1.0]), LOOP)
-    fixture = kacmoody.omega(f, h, 1.0)
     expected = g.form[i, j] / 30.0
-    deviation = abs(fixture - expected)
-    return {"fixture_value": fixture, "fixture_expected": expected,
-            "fixture_deviation": deviation}, deviation <= config.tol_exact * abs(expected)
+    deviation = abs(kacmoody.omega(f, h, 1.0) - expected)
+    return deviation / abs(expected) if deviation else 0.0
+
+
+def _omega_evaluate(config, loops):
+    return {"cocycle": kacmoody.omega_cocycle_residual(*loops, config.k),
+            "worked_value": _omega_worked_value(config.presentation)}
 
 
 def _extended_sample(config, rng):
@@ -516,10 +506,6 @@ def _two_group_evaluate(config, name):
     return _violations(name, bad)
 
 
-def _module_names(config, rng):
-    return {"modules": list(CROSSED_MODULES)}, True
-
-
 def _strict_sample(config, rng):
     return list(STRICT_PAIRS)
 
@@ -547,27 +533,27 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "encode that the twisted action of based paths on centrally extended "
         "loops is an action by derivations.",
         partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
-        control=partial(_mutation_control, "pkg-jacobi"), trials=attrgetter("trials")),
+        mutant=_double_bracket, trials=attrgetter("trials")),
     SuiteSpec(
         "phi-hom", 2,
         "coherence of the endpoint homomorphism: d(phi2(x,y)) = phi0(l2(x,y)) "
         "- l2(phi0 x, phi0 y); phi2(x, dh) = phi1(l2(x,h)) - l2(phi0 x, phi1 h); "
         "and the six-term corrector law against both Jacobiators.",
         partial(_hom_sample, "phi"), partial(_hom_evaluate, "phi"),
-        control=partial(_mutation_control, "phi-hom")),
+        mutant=_double_objects("phi")),
     SuiteSpec(
         "psi-hom", 3,
         "coherence of the splitting homomorphism x -> x f; its six-term law "
         "reduces to the universal value -1/6 of the integral of f (f - f^2)'.",
         partial(_hom_sample, "psi"), partial(_hom_evaluate, "psi"),
-        control=partial(_mutation_control, "psi-hom")),
+        mutant=_double_objects("psi")),
     SuiteSpec(
         "lambda-hom", 4,
         "coherence of the loop inclusion; its six-term law is exactly the "
         "2-cocycle condition of the loop cocycle, and its corrector is forced "
         "by the mixed-degree law.",
         partial(_hom_sample, "lam"), partial(_hom_evaluate, "lam"),
-        control=partial(_mutation_control, "lambda-hom")),
+        mutant=_double_objects("lam")),
     SuiteSpec(
         "tau-2hom", 5,
         "the retraction p -> p - p(2 pi) f is a homotopy from (splitting o "
@@ -589,8 +575,10 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
     SuiteSpec(
         "omega-cocycle", 8,
         "loop cocycle omega(f,g) = 2k integral B(f, g') satisfies "
-        "omega([f,g],h) + omega([g,h],f) + omega([h,f],g) = 0.",
-        _omega_sample, _omega_evaluate, control=_omega_fixture),
+        "omega([f,g],h) + omega([g,h],f) + omega([h,f],g) = 0; its worked "
+        "value omega_1((u - u^2) e_i, (u^2 - u^3) e_j) = B_ij / 30, (i, j) the "
+        "largest entry of the form, pins its normalization.",
+        _omega_sample, _omega_evaluate),
     SuiteSpec(
         "extended-jacobi", 9,
         "the twisted bracket [(f,a),(g,b)] = ([f,g], omega(f,g)) on loops + "
@@ -630,13 +618,13 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "boundary and action compatibility of the bundled finite crossed "
         "modules: partial(alpha(g) h) = g partial(h) g^-1 and "
         "alpha(partial h1) h2 = h1 h2 h1^-1, exhaustively.",
-        _module_sample, _crossed_evaluate, tolerance=_zero, control=_module_names),
+        _module_sample, _crossed_evaluate, tolerance=_zero),
     SuiteSpec(
         "two-group-axioms", 15,
         "category axioms of the 2-group built on each crossed module: "
         "source/target/identity are homomorphisms, composition is defined "
         "exactly on matching pairs, units/associativity/interchange hold.",
-        _module_sample, _two_group_evaluate, tolerance=_zero, control=_module_names),
+        _module_sample, _two_group_evaluate, tolerance=_zero),
     SuiteSpec(
         "strict-exactness", 16,
         "image-equals-kernel on objects and morphisms for composable strict "

@@ -17,7 +17,7 @@ from lie2.liealg import su2
 from lie2.linfty import hom_residuals_once, hom_samples
 from lie2.models import build_models, exactness_check, splitting_deviation, splitting_samples
 from lie2.paths import LOOP, CentralVector, PolyPath, random_path
-from lie2.suites import MUTATIONS, REGISTRY, RunConfig, run, strip_wall_time
+from lie2.suites import REGISTRY, RunConfig, run, strip_wall_time
 from lie2.worstcase import largest
 
 SPLITTINGS = ("linear", "0,0,3,-2")  # the linear one and the smoothstep 3u^2 - 2u^3
@@ -64,7 +64,7 @@ def test_criterion_3_homomorphism_coherence():
     for k in LEVELS:
         bundle = build_models(su2(), k)
         for suite, hom in (("phi-hom", "phi"), ("psi-hom", "psi"), ("lambda-hom", "lam")):
-            h = getattr(MUTATIONS[suite](bundle), hom)
+            h = getattr(REGISTRY[suite].mutant(bundle), hom)
             residuals = hom_residuals_once(h, *next(hom_samples(h, rng, 100)))
             floors.append(largest(*residuals.values()).max())
     elapsed = time.perf_counter() - start

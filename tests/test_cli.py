@@ -1,12 +1,12 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lie2 import kacmoody, models, suites
-from lie2.cli import main
+from lie2.cli import _config_from_args, _parser, main
 from lie2.liealg import InputError
 from lie2.replay import replay_report, replay_suite
 from lie2.suites import (
@@ -87,20 +87,9 @@ def test_quadrature_residuals_read_neither_the_level_nor_the_form(su2_file):
     assert all(r > 0.0 for r in unit)
     for k in (0.0, 1.0, -4.0, 1e9):
         assert residuals(k=k) == unit
-    for c in (2.0, 0.5, 3.0):
-        assert residuals(algebra=su2_file(c), k=-4.0) == unit
-
-
-@pytest.mark.parametrize("k, form_scale", [(0.5, 2.0), (2.0, 0.5), (-4.0, 0.25), (1.0, 3.0)])
-def test_quadrature_residuals_depend_on_the_level_times_the_form_scale(su2_file, k, form_scale):
-    # the exponentiated defect at level k on a form c I is bounded through the
-    # one product k c, so a file with that form has su2's residuals at level
-    # k c, also where c is no power of 2
-    quad = ("kappa-cocycle", "ad-omega", "kappa-conjugation")
-    scaled = run(RunConfig(algebra=su2_file(form_scale), k=k, nt=64, ntheta=64, suites=quad))
-    unit = run(RunConfig(k=k * form_scale, nt=64, ntheta=64, suites=quad))
-    assert ([s["max_residual"] for s in scaled["suites"]]
-            == [s["max_residual"] for s in unit["suites"]])
+    for k, c in [(-4.0, 2.0), (-4.0, 0.5), (-4.0, 3.0),
+                 (0.5, 2.0), (2.0, 0.5), (-4.0, 0.25), (1.0, 3.0)]:
+        assert residuals(algebra=su2_file(c), k=k) == unit
 
 
 @pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "1e-3"], ["--degree", "2"],
@@ -114,11 +103,11 @@ def test_every_suite_passes_off_the_defaults(capsys, tmp_path, flags):
     for entry in json.loads(path.read_text())["suites"]:
         if entry["name"] in suites.GRID_SUITES:
             assert entry["max_residual"] > 0.0
-        if entry["name"] in suites.MUTATIONS:
+        if REGISTRY[entry["name"]].mutant:
             assert entry["details"]["mutation_residual"] > entry["details"]["mutation_floor"]
 
 
-def test_quadrature_suites_refuse_a_form_without_a_grid_pairing(capsys):
+def test_quadrature_suites_refuse_a_bracket_other_than_su2s(capsys):
     # sl2's bracket is not su(2)'s, so the SU(2) grid does not sample its group
     code = main(["verify", "--algebra", "sl2", "--suite", "kappa-cocycle"])
     assert code == 2
@@ -136,7 +125,7 @@ def test_quadrature_suites_refuse_an_abelian_algebra(capsys, tmp_path):
     assert main(["verify", "--algebra", str(path), "--suite", "gk-jacobi"]) == 0
 
 
-def test_a_form_without_a_grid_pairing_is_refused_before_any_suite_runs(capsys):
+def test_a_bracket_other_than_su2s_is_refused_before_any_suite_runs(capsys):
     # the default suite list includes the quadrature suites
     code = main(["verify", "--algebra", "sl2"])
     out, err = capsys.readouterr()
@@ -463,8 +452,17 @@ def test_mutation_residuals_at_the_defaults_are_pinned():
     assert [s["details"]["mutation_trials"] for s in report["suites"]] == [50] * 4
 
 
+def _identity_mutants(monkeypatch):
+    # a copied runner would still close over the old spec, so it is rebuilt
+    for name, spec in REGISTRY.items():
+        if spec.mutant:
+            monkeypatch.setitem(REGISTRY, name, replace(spec, mutant=lambda models: models,
+                                                        runner=None))
+
+
 @pytest.mark.parametrize("suite, changes", [
-    pytest.param(suite, changes, id=suite + tag) for suite in sorted(suites.MUTATIONS)
+    pytest.param(suite, changes, id=suite + tag)
+    for suite in sorted(name for name, spec in REGISTRY.items() if spec.mutant)
     for tag, changes in [("", {}), ("-k=0", {"k": 0.0}), ("-degree=2", {"degree": 2})]])
 def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite, changes):
     # with the mutation replaced by the identity the control folds the
@@ -475,32 +473,96 @@ def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite, changes):
     details = run(config)["suites"][0]["details"]
     assert details["mutation_residual"] > details["mutation_floor"]
     assert details["mutation_trials"] == 10
-    monkeypatch.setitem(suites.MUTATIONS, suite, lambda models: models)
+    _identity_mutants(monkeypatch)
     entry = run(config)["suites"][0]
     assert entry["details"]["mutation_residual"] <= entry["details"]["mutation_floor"]
     assert entry["passed"] is False and entry["max_residual"] <= entry["tolerance"]
 
 
-def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch):
+def _halve_omega(monkeypatch):
     # half the cocycle is still a cocycle, but not the 1/30 of the worked value
-    config = RunConfig(trials=10, suites=("omega-cocycle",))
-    assert run(config)["suites"][0]["passed"] is True
     omega = kacmoody.omega
     monkeypatch.setattr(kacmoody, "omega", lambda f, g, k: 0.5 * omega(f, g, k))
+
+
+def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch):
+    # the worked value is a component of the suite's own evaluate, so a wrong
+    # normalization fails with a witness that replays to the reported residual
+    config = RunConfig(trials=10, suites=("omega-cocycle",))
+    assert run(config)["suites"][0]["passed"] is True
+    _halve_omega(monkeypatch)
     entry = run(config)["suites"][0]
-    assert entry["max_residual"] <= entry["tolerance"]
-    assert entry["details"]["fixture_deviation"] == pytest.approx(1.0 / 60.0)
     assert entry["passed"] is False
+    assert entry["max_residual"] == entry["details"]["worked_value"] == pytest.approx(0.5)
+    assert entry["details"]["cocycle"] <= entry["tolerance"]
+    assert entry["witness"]["component"] == "worked_value"
+    assert replay_suite("omega-cocycle", entry["witness"], config) == entry["max_residual"]
 
 
 @pytest.mark.parametrize("algebra, form_scale, expected", [
     ("su2", 1.0, 1.0 / 30.0), ("sl2", 1.0, 2.0 / 30.0), ("su2", 1e9, 1e9 / 30.0)])
-def test_omega_fixture_follows_the_form(su2_file, algebra, form_scale, expected):
-    # B(h, h) = 2 in sl2; a large form must not fail a correct cocycle
-    config = RunConfig(algebra=algebra if form_scale == 1.0 else su2_file(form_scale))
-    details, ok = suites._omega_fixture(config, None)
-    assert details["fixture_expected"] == pytest.approx(expected, rel=1e-15)
-    assert ok
+def test_omega_fixture_follows_the_form(monkeypatch, su2_file, algebra, form_scale, expected):
+    # B(h, h) = 2 in sl2; the deviation is relative to B_ij / 30, so a large
+    # form does not fail a correct cocycle
+    config = RunConfig(algebra=algebra if form_scale == 1.0 else su2_file(form_scale),
+                       trials=5, suites=("omega-cocycle",))
+    entry = run(config)["suites"][0]
+    assert entry["passed"] and entry["details"]["worked_value"] <= 1e-14
+    # a cocycle that gives the expected value on every pair deviates by 0
+    monkeypatch.setattr(kacmoody, "omega", lambda f, g, k: expected)
+    assert suites._omega_worked_value(config.presentation) <= 1e-15
+
+
+def test_omega_worked_value_on_the_zero_form_is_zero(tmp_path):
+    # the zero form is invariant; its cocycle and worked value are exactly 0
+    path = tmp_path / "su2-zero.json"
+    path.write_text(json.dumps({"name": "su2*0", "dim": 3,
+                                "structure": [[1, 2, 3, 1], [2, 3, 1, 1], [3, 1, 2, 1]],
+                                "form": np.zeros((3, 3)).tolist()}))
+    entry = run(RunConfig(algebra=str(path), trials=5, suites=("omega-cocycle",)))["suites"][0]
+    assert entry["passed"] and entry["details"]["worked_value"] == 0.0
+
+
+FAILING_RUNS = {
+    "impossible-tolerances": ({"tol_exact": 1e-20, "tol_quad": 1e-9}, None),
+    "omega-halved": ({}, _halve_omega),
+    "identity-mutants": ({}, _identity_mutants),
+}
+
+
+@pytest.mark.parametrize("changes, tamper", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
+def test_every_failing_suite_has_a_witness_or_a_mutant_that_held(monkeypatch, changes, tamper):
+    # a FAIL is a residual over its tolerance, whose witness replays to the
+    # reported maximum, or a mutant whose residual did not exceed its floor
+    if tamper:
+        tamper(monkeypatch)
+    config = RunConfig(trials=10, nt=32, ntheta=32, **changes)
+    failing = [s for s in run(config)["suites"] if not s["passed"]]
+    assert failing
+    for entry in failing:
+        details = entry["details"]
+        if entry["witness"] is not None:
+            assert replay_suite(entry["name"], entry["witness"], config) \
+                == entry["max_residual"], entry["name"]
+        else:
+            assert details.get("mutation_residual", math.inf) <= details.get(
+                "mutation_floor", -math.inf), entry
+
+
+def test_every_config_field_has_a_verify_flag_with_no_default_of_its_own():
+    assert _config_from_args(_parser().parse_args(["verify"])) == RunConfig()
+    given = {"algebra": "so3", "k": -2.0, "degree": 5, "splitting": "0,0,3,-2", "nt": 64,
+             "ntheta": 32, "seed": 7, "trials": 9, "tol_exact": 1e-9, "tol_quad": 1e-2,
+             "suites": ("gk-jacobi", "exactness")}
+    assert {f.name for f in fields(RunConfig)} == set(given)
+    assert all(given[name] != getattr(RunConfig(), name) for name in given)
+    argv = ["verify"]
+    for name, value in given.items():
+        if name == "suites":
+            argv += [arg for suite in value for arg in ("--suite", suite)]
+        else:
+            argv += [f"--{name.replace('_', '-')}={value}"]
+    assert _config_from_args(_parser().parse_args(argv)) == RunConfig(**given)
 
 
 def test_polynomial_suites_pass_at_a_large_form_scale(su2_file):

@@ -143,6 +143,10 @@ def test_loader_roundtrip(tmp_path):
     assert np.allclose(g.form, np.eye(3))
     path.write_text(json.dumps({**doc, "form": (3.0 * np.eye(3)).tolist()}))
     assert np.array_equal(load_presentation(path).form, 3.0 * np.eye(3))
+    # a dim or an index written as an integral float is that integer
+    path.write_text(json.dumps({**doc, "dim": 3.0, "structure": [
+        [1.0, 2.0, 3.0, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}))
+    assert load_presentation(path) == su2()
 
 
 def test_loader_rejects_non_jacobi(tmp_path):
@@ -202,6 +206,28 @@ def test_loader_accepts_a_dim_at_the_bound(tmp_path):
     path = tmp_path / "abelian.json"
     path.write_text(json.dumps({"name": "abelian", "dim": MAX_DIM, "structure": []}))
     assert load_presentation(path).dim == MAX_DIM
+
+
+# a dim or an index is an integral number: int() would truncate 3.7 to 3 and
+# 1.5 to 1, and read "3" and true as numbers, so each of these files would
+# load as a table it does not state
+NON_INTEGERS = {
+    "dim a fraction": {"dim": 3.7},
+    "dim a string": {"dim": "3"},
+    "dim a bool": {"dim": True, "structure": []},
+    "index a fraction": {"structure": [[1.5, 2, 3, 1], [2, 3, 1, 1], [3, 1, 2, 1]]},
+    "index a string": {"structure": [["1", 2, 3, 1], [2, 3, 1, 1], [3, 1, 2, 1]]},
+    "index a bool": {"structure": [[True, 2, 3, 1], [2, 3, 1, 1], [3, 1, 2, 1]]},
+}
+
+
+@pytest.mark.parametrize("changes", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_loader_refuses_a_dim_or_index_that_is_not_an_integer(tmp_path, changes):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"name": "x", "dim": 3, "structure": json.loads(SU2_TABLE),
+                                **changes}))
+    with pytest.raises(InputError, match="must be an integer, got "):
+        load_presentation(path)
 
 
 def test_presentations_are_finite(g):
