@@ -167,6 +167,17 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float:
+    """A structure value or a form entry of an algebra file: a JSON number.
+    A bool or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} is past float64: {value!r}") from exc
+
+
 def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     """Resolve a bundled name or load a JSON structure-constants file.
 
@@ -174,7 +185,8 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     before anything is allocated), ``structure`` as a list of [i, j, k, value]
     with 1-based integer indices (only i < j entries required; the loader
     antisymmetrizes), optional ``form`` as an n x n row-major array (default
-    identity).  A file's table is checked to 1e-12, a bundled one exactly.
+    identity).  Values and form entries are JSON numbers, not strings or
+    bools.  A file's table is checked to 1e-12, a bundled one exactly.
     """
     key = str(source)
     if key in _BUNDLED:
@@ -192,8 +204,7 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
         name = str(doc["name"])
         dim = doc["dim"]
         entries = list(doc["structure"])
-        form = np.asarray(doc["form"], dtype=float) if "form" in doc else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra file {path}: {exc}") from exc
     n = _integer(dim, "dim")
     if not 0 < n <= MAX_DIM:
@@ -202,17 +213,19 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     for entry in entries:
         try:
             i, j, k, value = entry
-            value = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad structure entry {entry!r}") from exc
+        value = _number(value, f"value in structure entry {entry!r}")
         i, j, k = (_integer(x, f"index in structure entry {entry!r}") - 1 for x in (i, j, k))
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError(f"structure entry {entry!r} out of range")
         c[i, j, k] = value
         c[j, i, k] = -value
-    form = np.eye(n) if form is None else form
-    if form.shape != (n, n):
+    rows = doc.get("form", np.eye(n).tolist())
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
         raise InputError(f"form must be {n}x{n}")
+    form = np.array([[_number(x, "form entry") for x in row] for row in rows])
     g = LieAlgebraPresentation(name, n, c, 0.5 * (form + form.T))
     g.validate(tol=1e-12)
     return g

@@ -39,6 +39,11 @@ half-angle tangent: numpy's float64 tan is a SIMD loop where sin and cos are
 scalar libm calls (2.3 against 20-22 ns per element, numpy 2.4 on a Xeon).
 Products add their terms into the output with one scratch row; no row
 reduction goes through BLAS, whose summation order depends on the block shape.
+Products and conjugates of samples are used as they come, not re-projected
+onto SU(2): at the suites' amplitudes those of unit samples are unit to a
+few ulps (at most 1.3e-15 at 512 x 512 over five seeds; the input checks
+allow 1e-10).  Each kernel writes into an
+``out`` array (and its scratch row) when given one and allocates otherwise.
 
 Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
 within one t-row, or a 3-point stencil along t, and the theta-trapezoid
@@ -48,23 +53,27 @@ the products, conjugates, Maurer-Cartan forms and pairings of its rows and
 reduces them to per-row theta-integrals, and the t-trapezoid runs once over
 the assembled row integrals.  The t-stencils of a block read a window of the
 input rows with a 1-row halo on each side, or the 3 end rows where the
-one-sided stencil applies.  The products and conjugates of checked rows are not
-checked again: they are unitarized and exactly the identity on the boundaries,
-so a check could only turn a NaN into an input error; the NaN reaches the
-residual instead.  The public kernels (``product_field``, ``conjugate_field``,
+one-sided stencil applies.  A residual allocates one set of block buffers per
+call, each sized by its largest block (``_Buffers``: a product or conjugate,
+two or three forms, their differences and a scratch row), and every block's
+kernels write into views of it.  The products and conjugates of checked rows
+are not checked again: their boundaries are exactly the identity, so a check
+could only turn a NaN into an input error; the NaN reaches the residual
+instead.  The public kernels (``product_field``, ``conjugate_field``,
 ``maurer_cartan_t``, ``kappa_exponent``, ``beta_p``) are the same row kernels
 applied to all rows, so a streamed residual is bitwise equal to their
-composition.  The
-residuals read a loop field only through ``windows(blocks)``, its samples on
-each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
-``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples and checks each
-row once, copying the rows a window shares with the one before.  So a residual
-on streamed fields holds O(``BLOCK_POINTS``) samples per field and never a full
-grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
+composition.  The residuals read a loop field only through
+``windows(blocks)``, its samples on each block's window in turn: a
+``SampledPathOfLoops`` slices its grid, and a ``StreamedPathOfLoops``
+(``LoopFieldCoeffs.stream``) samples and checks each row once into one window
+buffer, moving the rows a window shares with the one before to its front.  So
+a residual on streamed fields holds O(``BLOCK_POINTS``) samples per field and
+never a full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -87,27 +96,42 @@ _HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
              ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
              ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# a 3x3 matrix, flattened on the leading axis, times a vector
+_MATRIX_ROWS = tuple(tuple((3 * i + j, j, 1) for j in range(3)) for i in range(3))
+# the vector parts of conj(q) d (sign -1) and d conj(q) (sign +1)
+_FORM_TERMS = {sign: tuple(((0, i + 1, 1), (i + 1, 0, -1), (j + 1, k + 1, sign),
+                            (k + 1, j + 1, -sign)) for i, j, k in _CYCLIC)
+               for sign in (-1.0, 1.0)}
 
 
-def _products(terms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _products(terms, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Component i = the sum of sign * a[j] * b[k] over the terms (j, k, sign)
-    of terms[i] in order, the first sign +1; in place, with one scratch row."""
-    out = np.empty((len(terms), *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
-    scratch = np.empty(out.shape[1:])
+    of terms[i] in order, the first sign +1; written into ``out`` with one
+    ``scratch`` row, each allocated when not given."""
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    if out is None:
+        out = np.empty((len(terms), *shape))
+    if scratch is None:
+        scratch = np.empty(shape)
+    a, b = list(a), list(b)  # the components' views, made once
     for i, ((j, k, _), *rest) in enumerate(terms):
-        np.multiply(a[j], b[k], out=out[i, ...])
+        row = out[i, ...]
+        np.multiply(a[j], b[k], out=row)
         for j, k, sign in rest:
             np.multiply(a[j], b[k], out=scratch)
-            (np.add if sign > 0 else np.subtract)(out[i, ...], scratch, out=out[i, ...])
+            (np.add if sign > 0 else np.subtract)(row, scratch, out=row)
     return out
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Quaternion product over the leading axis (the 2x2 matrix product)."""
-    return _products(_HAMILTON, a, b)
+    return _products(_HAMILTON, a, b, out, scratch)
 
 
-def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _rotate(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     """Ad(q) on coordinates: the vector part of q (0, v) conj(q) for unit q,
     R v with R = (1 - 2|x|^2) I + 2 x x^T + 2 q0 [x]_cross, x the vector part."""
     x, twice_q0 = q[1:], 2.0 * q[0]
@@ -116,16 +140,15 @@ def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
         r[i, i] = 1.0 - 2.0 * (x[j] * x[j] + x[k] * x[k])
         r[i, k] += twice_q0 * x[j]
         r[i, j] -= twice_q0 * x[k]
-    rows = [[(3 * i + j, j, 1) for j in range(3)] for i in range(3)]
-    return _products(rows, r.reshape(9, *r.shape[2:]), v)
+    return _products(_MATRIX_ROWS, r.reshape(9, *r.shape[2:]), v, out, scratch)
 
 
-def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float) -> np.ndarray:
+def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float,
+                 out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Maurer-Cartan coordinates q0 d - d0 q + sign q x d over h from
     quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) / h for
     sign -1 (left form), vec(diff conj(q)) / h for +1 (right form)."""
-    out = _products([((0, i + 1, 1), (i + 1, 0, -1), (j + 1, k + 1, sign), (k + 1, j + 1, -sign))
-                     for i, j, k in _CYCLIC], q, diff)
+    out = _products(_FORM_TERMS[sign], q, diff, out, scratch)
     out *= 1.0 / h
     return out
 
@@ -135,7 +158,7 @@ def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     (cos(|v|/2), sin(|v|/2) v / |v|), by the half-angle tangent
     tau = tan(|v|/4): cos(|v|/2) = (1 - tau^2) / (1 + tau^2) and
     sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|).  Written into ``out``,
-    of shape (4, ...), when given."""
+    of shape (4, ...), when given; v may be ``out[1:]``."""
     v = np.asarray(v, dtype=float)
     alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
     tau = np.tan(0.25 * alpha)
@@ -147,11 +170,6 @@ def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         coef = np.where(alpha > 1e-12, tau / (denom * (0.5 * alpha)), 0.5)
     np.multiply(coef, v, out=out[1:])
     return out
-
-
-def unitarize(q: np.ndarray) -> np.ndarray:
-    """Snap near-unit quaternions back onto SU(2) by normalization."""
-    return q * (1.0 / np.sqrt(np.einsum("k...,k...->...", q, q)))
 
 
 def unitary_drift(q: np.ndarray) -> float:
@@ -175,11 +193,14 @@ def check_grid_algebra(g: LieAlgebraPresentation) -> None:
         raise InputError(f"the bracket of {g.name} is not su(2)'s epsilon table")
 
 
-def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) -> np.ndarray:
+def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Raw second-order differences (2h x the derivative) along axis 1 at rows
     i0..i1-1 of the window w: central inside, one-sided at row 0 when w starts
-    the axis (start) and at its last row when w ends it (end)."""
-    out = np.empty((w.shape[0], i1 - i0, *w.shape[2:]), w.dtype)
+    the axis (start) and at its last row when w ends it (end).  Written into
+    ``out`` when given."""
+    if out is None:
+        out = np.empty((w.shape[0], i1 - i0, *w.shape[2:]), w.dtype)
     c0, c1 = i0 + start, i1 - end
     np.subtract(w[:, c0 + 1:c1 + 1], w[:, c0 - 1:c1 - 1], out=out[:, c0 - i0:c1 - i0])
     if start:
@@ -189,11 +210,13 @@ def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool) ->
     return out
 
 
-def _last_differences(f: np.ndarray) -> np.ndarray:
+def _last_differences(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Raw second-order differences along the last axis, one-sided at both ends.
     The central ones run over the last two axes merged (contiguous rows); the
-    ends then overwrite the values that straddle two rows."""
-    out = np.empty(f.shape, f.dtype)
+    ends then overwrite the values that straddle two rows.  Written into
+    ``out``, whose last two axes must merge without a copy, when given."""
+    if out is None:
+        out = np.empty(f.shape, f.dtype)
     merged, merged_out = f.reshape(*f.shape[:-2], -1), out.reshape(*f.shape[:-2], -1)
     np.subtract(merged[..., 2:], merged[..., :-2], out=merged_out[..., 1:-1])
     out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
@@ -201,8 +224,8 @@ def _last_differences(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trapz(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    v = np.moveaxis(values, axis, -1)
+def _trapz(v: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid rule along the last axis."""
     return h * (v[..., 1:-1].sum(axis=-1) + 0.5 * (v[..., 0] + v[..., -1]))
 
 
@@ -224,17 +247,66 @@ class _Block:
         """The block's own rows lo..hi-1 of its window."""
         return window[:, self.lo - self.a:self.hi - self.a]
 
-    def t_form(self, window: np.ndarray, h: float) -> np.ndarray:
+    def t_form(self, window: np.ndarray, h: float, out: np.ndarray | None = None,
+               diff: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
         """Coordinates of q^-1 dq/dt on the block's rows from quaternion
-        samples (4, b - a, Ntheta + 1) of its window."""
+        samples (4, b - a, Ntheta + 1) of its window; written into ``out``
+        through the differences ``diff`` when given."""
         i0, i1 = self.lo - self.a, self.hi - self.a
-        diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n)
-        return _vector_form(window[:, i0:i1], diff, -1.0, h)
+        diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n, diff)
+        return _vector_form(window[:, i0:i1], diff, -1.0, h, out, scratch)
 
 
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
     step = max(1, BLOCK_POINTS // n_cols)
     return [_Block(lo, min(lo + step, n_rows), n_rows) for lo in range(0, n_rows, step)]
+
+
+class _Buffers:
+    """The block buffers of one residual call, allocated once and each sized
+    by its largest block: a product or conjugate of windows, ``forms``
+    Maurer-Cartan forms of block rows, the differences a form is made from
+    and one scratch row.  A block's kernels write into views of its own
+    shape; only its pairings allocate, one (rows, Ntheta + 1) array each."""
+
+    def __init__(self, blocks: list[_Block], cols: int, forms: int):
+        window = max(b.b - b.a for b in blocks) * cols
+        rows = max(b.hi - b.lo for b in blocks) * cols
+        self.cols = cols
+        self.product = np.empty(4 * window)
+        self.forms = np.empty((forms, 3 * rows))
+        self.diff = np.empty(4 * rows)
+        self.scratch = np.empty(window)
+
+    def _view(self, flat: np.ndarray, *shape: int) -> np.ndarray:
+        """The first elements of a flat buffer as a contiguous (*shape, cols) array."""
+        return flat[:math.prod(shape) * self.cols].reshape(*shape, self.cols)
+
+    def hamilton(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a b (``_hamilton``) in the product buffer."""
+        rows = a.shape[1]
+        return _hamilton(a, b, out=self._view(self.product, 4, rows),
+                         scratch=self._view(self.scratch, rows))
+
+    def conjugate(self, q: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """q f q^-1 (``_conjugate``) in the product buffer."""
+        rows = f.shape[1]
+        return _conjugate(q, f, out=self._view(self.product, 4, rows),
+                          scratch=self._view(self.scratch, rows))
+
+    def t_form(self, blk: _Block, window: np.ndarray, h: float, slot: int) -> np.ndarray:
+        """``blk.t_form`` of a window in form buffer ``slot``."""
+        rows = blk.hi - blk.lo
+        return blk.t_form(window, h, out=self._view(self.forms[slot], 3, rows),
+                          diff=self._view(self.diff, 4, rows),
+                          scratch=self._view(self.scratch, rows))
+
+    def right_form(self, q: np.ndarray, h: float, slot: int) -> np.ndarray:
+        """``maurer_cartan_theta_right`` of rows q in form buffer ``slot``."""
+        rows = q.shape[1]
+        diff = _last_differences(q, self._view(self.diff, 4, rows))
+        return _vector_form(q, diff, 1.0, h, self._view(self.forms[slot], 3, rows),
+                            self._view(self.scratch, rows))
 
 
 def _same_grid(*fields) -> bool:
@@ -316,22 +388,25 @@ class StreamedPathOfLoops:
 
     def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
         """Each block's window in turn, every row sampled, pinned and checked
-        once: the rows a window shares with the one before, at most its last
-        3, are copied from it."""
-        tail, tail_a = np.empty((4, 0, self.n_theta + 1)), 0
+        once.  The windows share one buffer sized by the largest, so each is
+        valid until the next is drawn: the rows a window shares with the one
+        before, at most its last 3, are moved to the front."""
+        buf = np.empty((4, max(b.b - b.a for b in blocks), self.n_theta + 1))
+        prev_a = prev_b = 0
         for blk in blocks:
-            win = np.empty((4, blk.b - blk.a, self.n_theta + 1))
-            kept = tail_a + tail.shape[1] - blk.a
-            win[:, :kept] = tail[:, blk.a - tail_a:]
+            kept = prev_b - blk.a
+            buf[:, :kept] = buf[:, blk.a - prev_a:prev_b - prev_a]
+            win = buf[:, :blk.b - blk.a]
             a, fresh = blk.a + kept, win[:, kept:]
             if a < blk.b:
-                exp_su2(self.t_basis[a:blk.b] @ self.theta_part, out=fresh)
+                v = np.matmul(self.t_basis[a:blk.b], self.theta_part, out=fresh[1:])
+                exp_su2(v, out=fresh)
                 if a == 0:
                     fresh[:, 0] = IDENTITY[:, None]
                 fresh[:, :, 0] = IDENTITY[:, None]
                 if not unitary_drift(fresh) <= 1e-10:
                     raise InputError("loop field samples drift off the unitary group")
-            tail, tail_a = win[:, -3:].copy(), blk.b - 3
+            prev_a, prev_b = blk.a, blk.b
             yield win
 
 
@@ -341,15 +416,18 @@ LoopField = SampledPathOfLoops | StreamedPathOfLoops
 def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
     if a.grid.shape != b.grid.shape:
         raise InputError("grid mismatch in pointwise product")
-    return SampledPathOfLoops(unitarize(_hamilton(a.grid, b.grid)))
+    return SampledPathOfLoops(_hamilton(a.grid, b.grid))
 
 
-def _conjugate(q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1)."""
-    out = np.empty_like(f)
+def _conjugate(q: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1),
+    written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(f)
     out[0] = f[0]
-    out[1:] = _rotate(q, f[1:])
-    return unitarize(out)
+    _rotate(q, f[1:], out=out[1:], scratch=scratch)
+    return out
 
 
 def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOfLoops:
@@ -405,23 +483,22 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
     kappa(g,h) kappa(f,gh)| = 2|sin(k c D)| is at most |k c| times this.
     Streamed over blocks of t-rows: each block forms the products fg and gh
     and the forms of its rows and keeps only the row integrals of the four
-    pairings."""
+    pairings.  The six forms take turns in three buffers."""
     if not _same_grid(f, g, h):
         raise InputError("grid mismatch in pointwise product")
     ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
+    buf = _Buffers(blocks, f.n_theta + 1, forms=3)
     for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
         g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
-        fg_win = unitarize(_hamilton(f_win, g_win))
-        gh_rows = unitarize(_hamilton(g_rows, h_rows))
-        mc_f = blk.t_form(f_win, ht)
-        mc_h = maurer_cartan_theta_right(h_rows, hth)
         out = rows[:, blk.lo:blk.hi]
-        out[0] = _theta_integrals(mc_f, maurer_cartan_theta_right(g_rows, hth), hth)
-        out[1] = _theta_integrals(blk.t_form(fg_win, ht), mc_h, hth)
-        out[2] = _theta_integrals(blk.t_form(g_win, ht), mc_h, hth)
-        out[3] = _theta_integrals(mc_f, maurer_cartan_theta_right(gh_rows, hth), hth)
+        mc_f = buf.t_form(blk, f_win, ht, 0)
+        out[0] = _theta_integrals(mc_f, buf.right_form(g_rows, hth, 1), hth)
+        mc_h = buf.right_form(h_rows, hth, 1)
+        out[1] = _theta_integrals(buf.t_form(blk, buf.hamilton(f_win, g_win), ht, 2), mc_h, hth)
+        out[2] = _theta_integrals(buf.t_form(blk, g_win, ht, 2), mc_h, hth)
+        out[3] = _theta_integrals(mc_f, buf.right_form(buf.hamilton(g_rows, h_rows), hth, 1), hth)
     a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r, ht)) for r in rows)
     return 2.0 * abs(a_f_g + a_fg_h - a_g_h - a_f_gh)
 
@@ -453,7 +530,7 @@ def omega_quadrature(xi: np.ndarray, eta: np.ndarray, h: float) -> float:
     """2 * integral of xi . d eta / d theta by trapezoid + stencils, the loop
     cocycle omega at unit level, for coordinate fields (3, Ntheta + 1)."""
     deta = _last_differences(eta) / (2.0 * h)
-    return float(2.0 * _trapz(pair_fields(xi, deta), h, axis=-1))
+    return float(2.0 * _trapz(pair_fields(xi, deta), h))
 
 
 def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath) -> float:
@@ -501,19 +578,18 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
     q = p.samples[:, None, :]
     rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
     blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
+    buf = _Buffers(blocks, f1.n_theta + 1, forms=2)
     for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
         f2_rows = blk.inner(f2_win)
-        c1_win = _conjugate(q, f1_win)
-        c2_rows = _conjugate(q, f2_rows)
-        f12_win = unitarize(_hamilton(f1_win, f2_win))
-        mc_f1 = blk.t_form(f1_win, ht)
         out = rows[:, blk.lo:blk.hi]
-        out[0] = _theta_integrals(blk.t_form(c1_win, ht),
-                                  maurer_cartan_theta_right(c2_rows, hth), hth)
-        out[1] = _theta_integrals(mc_f1, maurer_cartan_theta_right(f2_rows, hth), hth)
-        out[2] = (_beta_rows(form, blk.t_form(f12_win, ht), hth)
+        out[0] = _theta_integrals(buf.t_form(blk, buf.conjugate(q, f1_win), ht, 0),
+                                  buf.right_form(buf.conjugate(q, f2_rows), hth, 1), hth)
+        mc_f1 = buf.t_form(blk, f1_win, ht, 0)
+        out[1] = _theta_integrals(mc_f1, buf.right_form(f2_rows, hth, 1), hth)
+        # each beta term is reduced to its rows before the next form takes buffer 1
+        out[2] = (_beta_rows(form, buf.t_form(blk, buf.hamilton(f1_win, f2_win), ht, 1), hth)
                   - _beta_rows(form, mc_f1, hth)
-                  - _beta_rows(form, blk.t_form(f2_win, ht), hth))
+                  - _beta_rows(form, buf.t_form(blk, f2_win, ht, 1), hth))
     a_conj, a, correction = (float(_trapz(r, ht)) for r in rows)
     return abs(2.0 * (a_conj - a) - correction)
 

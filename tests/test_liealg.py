@@ -230,6 +230,29 @@ def test_loader_refuses_a_dim_or_index_that_is_not_an_integer(tmp_path, changes)
         load_presentation(path)
 
 
+# a structure value or a form entry is a JSON number: float() and
+# np.asarray(dtype=float) would read "1" and true as 1.0, so each of these
+# files would load as su(2) with the identity form
+SU2_FORM = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+NON_NUMBERS = {
+    "value a string": {"structure": [[1, 2, 3, "1"], [2, 3, 1, 1], [3, 1, 2, 1]]},
+    "value a bool": {"structure": [[1, 2, 3, 1], [2, 3, 1, True], [3, 1, 2, 1]]},
+    "form entry a string": {"form": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "form entry a bool": {"form": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+}
+
+
+@pytest.mark.parametrize("changes", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+def test_loader_refuses_a_value_or_form_entry_that_is_not_a_number(tmp_path, changes):
+    path = tmp_path / "x.json"
+    doc = {"name": "x", "dim": 3, "structure": json.loads(SU2_TABLE), "form": SU2_FORM}
+    path.write_text(json.dumps(doc))
+    assert load_presentation(path) == su2()
+    path.write_text(json.dumps({**doc, **changes}))
+    with pytest.raises(InputError, match="must be a number, got "):
+        load_presentation(path)
+
+
 def test_presentations_are_finite(g):
     with pytest.raises(InputError, match="structure and form must be finite"):
         LieAlgebraPresentation("x", 3, g.structure, np.diag([1.0, np.nan, 1.0]))
