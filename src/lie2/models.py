@@ -7,8 +7,9 @@ centrally extended loops).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -251,28 +252,32 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
 # exactness at finite polynomial degree
 # ---------------------------------------------------------------------------
 
-def _integer_rank(matrix: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix by fraction-free (Bareiss) elimination.
-    Entries below the k-th pivot are (k+1)-minors of the input up to a sign per
-    row, so every division is exact; a row with 0 in the pivot column is only
-    scaled by p / prev, and is left alone when that is +1 or -1."""
-    m = [row[:] for row in matrix]
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top, p = m[rank][col:], m[rank][col]
-        rescale = abs(p) != abs(prev)
-        for r in range(rank + 1, len(m)):
-            a = m[r][col]
-            if a or rescale:
-                m[r][col:] = [(p * x - a * y) // prev for x, y in zip(m[r][col:], top)]
-        rank, prev = rank + 1, p
-        if rank == len(m):
-            break
-    return rank
+def _integer_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of integer rows given as {column: nonzero entry}, by sparse
+    fraction-free elimination.  Each row is reduced against the pivot rows,
+    keyed by their leading column: while its leading column holds a pivot p
+    where the row holds a, the row becomes p * row - a * pivot, divided by the
+    gcd of its entries.  It becomes a pivot once its leading column is free,
+    and vanishes if it lies in the span of the pivots."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, a = pivot[lead], row[lead]
+            reduced = {j: p * x for j, x in row.items()}
+            for j, y in pivot.items():
+                x = reduced.get(j, 0) - a * y
+                if x:
+                    reduced[j] = x
+                else:
+                    del reduced[j]
+            gcd = math.gcd(*reduced.values())
+            row = {j: x // gcd for j, x in reduced.items()} if gcd > 1 else reduced
+    return len(pivots)
 
 
 def _matrix(image) -> np.ndarray:
@@ -287,19 +292,28 @@ def _matrix(image) -> np.ndarray:
     return np.reshape(image, (len(image), -1))
 
 
+def _integer_row(row: dict[int, float]) -> dict[int, int]:
+    """A float row times the largest denominator of its entries: a float is a
+    dyadic rational, so this is an exact integer row."""
+    ratios = {j: x.as_integer_ratio() for j, x in row.items()}
+    scale = max(d for _, d in ratios.values())
+    return {j: n * (scale // d) for j, (n, d) in ratios.items()}
+
+
 def _exact_rank(image) -> int:
-    """Rank over Q of the images.  A float is a dyadic rational, so a row
-    times the largest denominator of its entries is an exact integer row: a
-    non-integral image is ranked, not rounded."""
+    """Rank over Q of the images, by sparse fraction-free elimination
+    (``_integer_rank``) on the nonzeros of their matrix.  Integral entries
+    are taken as integers; otherwise each row is scaled by ``_integer_row``,
+    so a non-integral image is ranked, not rounded."""
     m = _matrix(image)
-    if (m == np.round(m)).all() and (np.abs(m) < 2.0 ** 62).all():
-        return _integer_rank(m.astype(np.int64).tolist())
-    rows = []
-    for row in m.tolist():
-        ratios = [x.as_integer_ratio() for x in row]
-        scale = max(d for _, d in ratios)
-        rows.append([n * (scale // d) for n, d in ratios])
-    return _integer_rank(rows)
+    r, c = np.nonzero(m)
+    x = m[r, c]
+    integral = (x == np.round(x)).all() and (np.abs(x) < 2.0 ** 62).all()
+    entries = (x.astype(np.int64) if integral else x).tolist()
+    rows: dict[int, dict] = {}
+    for i, j, v in zip(r.tolist(), c.tolist(), entries):
+        rows.setdefault(i, {})[j] = v
+    return _integer_rank(rows.values() if integral else map(_integer_row, rows.values()))
 
 
 @dataclass

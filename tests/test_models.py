@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lie2.liealg import InputError, load_presentation
@@ -15,6 +15,7 @@ from lie2.linfty import (
     two_hom_samples,
 )
 from lie2.models import (
+    _exact_rank,
     _integer_rank,
     build_models,
     exactness_check,
@@ -265,6 +266,11 @@ def fraction_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+def sparse(matrix: list[list]) -> list[dict]:
+    """The rows of a matrix as {column: nonzero entry}, the form _integer_rank takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
 entries = st.one_of(st.integers(-2, 2), st.integers(-10**9, 10**9))
 integer_matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
     lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
@@ -273,7 +279,7 @@ integer_matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
 
 @given(integer_matrices)
 def test_integer_rank_matches_fraction_oracle(matrix):
-    assert _integer_rank(matrix) == fraction_rank(matrix)
+    assert _integer_rank(sparse(matrix)) == fraction_rank(matrix)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -285,9 +291,58 @@ def test_integer_rank_of_deficient_products(seed):
     product = (a @ b).tolist()
     # duplicate, negated and zero rows add no rank
     matrix = product + product[:2] + [[-v for v in product[0]], [0] * int(cols)]
-    rank = _integer_rank(matrix)
+    rank = _integer_rank(sparse(matrix))
     assert rank == fraction_rank(matrix) <= inner
-    assert _integer_rank([list(col) for col in zip(*matrix)]) == rank
+    assert _integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
+
+
+def matrices_of(values, rows: st.SearchStrategy, cols: st.SearchStrategy):
+    return st.tuples(rows, cols).flatmap(
+        lambda shape: st.lists(st.lists(st.sampled_from(values), min_size=shape[1],
+                                        max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+# mostly zeros, like the basis images exactness ranks, with entries past int64
+SPARSE_ENTRIES = [0] * 8 + [1, -1, 10**9, -10**9, 2**62 + 1, -(2**70) - 3]
+sparse_matrices = matrices_of(SPARSE_ENTRIES, st.integers(0, 12), st.integers(0, 12))
+
+
+@given(sparse_matrices)
+def test_integer_rank_of_sparse_matrices(matrix):
+    # a zero column in front and a zero row last add no rank
+    width = len(matrix[0]) if matrix else 0
+    padded = [[0, *row] for row in matrix] + [[0] * (width + 1)]
+    rank = fraction_rank(matrix)
+    assert _integer_rank(sparse(matrix)) == rank
+    assert _integer_rank(sparse(padded)) == rank
+    assert _integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
+
+
+# a non-integral dyadic entry, or an integral one at or past 2^62, sends the
+# whole matrix through _integer_row; the others are taken as int64
+DYADIC_ENTRIES = [0.0] * 6 + [1.0, -1.0, 0.1, -1 / 3, 2.0**-40, 2.0**62, -(2.0**70), 1e9]
+float_matrices = matrices_of(DYADIC_ENTRIES, st.integers(1, 10), st.integers(1, 10))
+
+
+@given(float_matrices)
+@example([[0.1, -1 / 3, 2.0**-40], [1.0, 0.0, 2.0**62]])
+@example([[2.0**62, -(2.0**70)]])  # both rows integral, one past int64
+def test_exact_rank_of_dyadic_floats(matrix):
+    # a row times 2^-40 is an exact multiple of it and adds no rank
+    m = np.array(matrix + [[x * 2.0**-40 for x in matrix[0]]])
+    assert _exact_rank(m) == fraction_rank(m.tolist())
+
+
+@pytest.mark.parametrize("k", [1.0, 0.0, -2.0])
+@pytest.mark.parametrize("algebra", ["su2", "sl2"])
+def test_exactness_closed_form(algebra, k):
+    # on a 3-dimensional algebra, based paths of degree <= D have dimension 3D,
+    # loops 3(D - 1), and the endpoint is onto the algebra
+    models = build_models(load_presentation(algebra), k)
+    for degree in range(2, 21):
+        n = 3 * (degree - 1)
+        assert astuple(exactness_check(models, degree)) == (3 * degree, n, 3, n, n, True)
 
 
 def test_splitting_integral_is_universal(rng):
