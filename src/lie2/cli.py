@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .liealg import InputError
 from .replay import replay_report
-from .suites import RunConfig, describe, report_json, run
+from .suites import MAX_DEGREE, RunConfig, describe, report_json, run
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -22,7 +22,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algebra", help="bundled name (su2, so3, sl2) or JSON file path")
     parser.add_argument("--k", type=float, help="extension level")
     parser.add_argument("--degree", type=int, help="base polynomial degree of sampled paths")
-    parser.add_argument("--splitting", help="'linear' or comma-separated u-coefficients")
+    parser.add_argument("--splitting", help="'linear' or comma-separated u-coefficients, "
+                        f"at most {MAX_DEGREE + 1}")
     parser.add_argument("--nt", type=int, help="grid intervals in t")
     parser.add_argument("--ntheta", type=int, help="grid intervals in theta")
     parser.add_argument("--seed", type=int)

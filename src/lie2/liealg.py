@@ -184,8 +184,9 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
     File schema: ``name``, ``dim`` (an integer, at most ``MAX_DIM``; refused
     before anything is allocated), ``structure`` as a list of [i, j, k, value]
     with 1-based integer indices (only i < j entries required; the loader
-    antisymmetrizes), optional ``form`` as an n x n row-major array (default
-    identity).  Values and form entries are JSON numbers, not strings or
+    antisymmetrizes), optional ``form`` as a symmetric n x n row-major array
+    (default identity), taken as written: an asymmetric form is refused, not
+    symmetrized.  Values and form entries are JSON numbers, not strings or
     bools.  A file's table is checked to 1e-12, a bundled one exactly.
     """
     key = str(source)
@@ -226,6 +227,6 @@ def load_presentation(source: str | Path) -> LieAlgebraPresentation:
             and all(isinstance(row, list) and len(row) == n for row in rows)):
         raise InputError(f"form must be {n}x{n}")
     form = np.array([[_number(x, "form entry") for x in row] for row in rows])
-    g = LieAlgebraPresentation(name, n, c, 0.5 * (form + form.T))
+    g = LieAlgebraPresentation(name, n, c, form)
     g.validate(tol=1e-12)
     return g

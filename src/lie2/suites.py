@@ -61,7 +61,11 @@ from .worstcase import WorstCase
 LINEAR = "linear"
 # exactness ranks every degree from 2 to the configured one: at 64 it passes
 # in about 0.1 s, and with the ten polynomial suites in about 4 s, on 2 Xeon
-# vCPUs (Python 3.11, numpy 2.4); the cost grows without bound past it
+# vCPUs (Python 3.11, numpy 2.4); the cost grows without bound past it.  It
+# bounds the splitting's degree d too (at most MAX_DEGREE + 1 coefficients):
+# psi-hom brackets two paths of degree d through a (d+1)^2 x (2d+1) matrix, so
+# the memory grows as d^3; a degree-64 splitting passes all 17 suites at the
+# defaults in 1.4 s and 65 MiB peak RSS
 MAX_DEGREE = 64
 # the level enters only the polynomial suites (the quadrature suites report
 # their defects at unit level), whose residuals are sized by the terms their
@@ -142,7 +146,10 @@ class RunConfig:
                              f"{MAX_GRID_POINTS}, got {(self.nt + 1) * (self.ntheta + 1)}")
         if self.ntheta > MAX_NTHETA:
             raise InputError(f"ntheta must not exceed {MAX_NTHETA}, got {self.ntheta}")
-        self.splitting_coeffs()
+        count = self.splitting_coeffs().size
+        if count > MAX_DEGREE + 1:
+            raise InputError(f"the splitting takes at most {MAX_DEGREE + 1} coefficients "
+                             f"(degree {MAX_DEGREE}), got {count}")
         names = self.resolve_suites()
         self.presentation  # loads and validates the algebra
         if any(name in GRID_SUITES for name in names):
@@ -511,8 +518,17 @@ def _strict_sample(config, rng):
 
 
 def _strict_evaluate(config, name):
-    record = twogroups.strict_kernel_exactness(*STRICT_PAIRS[name]())
-    return {"exactness": 0.0 if record.passed else 1.0, NOTES: {name: asdict(record)}}
+    """One count of every law of the pair: the crossed-module and 2-group laws
+    of each distinct 2-group, both homomorphisms' laws, and image = kernel."""
+    iota, pi = STRICT_PAIRS[name]()
+    record = twogroups.strict_kernel_exactness(iota, pi)
+    groups = {id(g): g for g in (iota.src, iota.dst, pi.dst)}.values()
+    bad = [f"{g.cm.name}: {v}" for g in groups for v in g.cm.violations() + g.violations()]
+    bad += [f"{h.name}: {v}" for h in (iota, pi) for v in h.violations()]
+    if not record.passed:
+        bad.append("image is not the kernel")
+    details = asdict(record) | ({"violations": bad[:5]} if bad else {})
+    return {"exactness": float(len(bad)), NOTES: {name: details}}
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +645,8 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "strict-exactness", 16,
         "image-equals-kernel on objects and morphisms for composable strict "
         "homomorphism pairs: subgroup inclusion vs quotient, indiscrete "
-        "collapse, and the identity.",
+        "collapse, and the identity; with the laws of the pair's 2-groups and "
+        "homomorphisms, one count of violations per pair.",
         _strict_sample, _strict_evaluate, tolerance=_zero),
 )}
 

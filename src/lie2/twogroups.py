@@ -1,10 +1,14 @@
 """Finite crossed modules and the strict 2-groups they generate.
 
 Everything here is exact integer table arithmetic: groups are multiplication
-tables, morphisms of the 2-group are pairs (object, direction) indexed as
-p * |H| + h, and every axiom - homomorphism properties of source / target /
-identity, composability, associativity, units, interchange, kernel exactness -
-is checked exhaustively with zero tolerance.
+tables, and morphisms of the 2-group are pairs (object, direction) indexed as
+p * |H| + h.  The constructors refuse malformed tables (shapes, ranges, and a
+group table's identity, inverses and associativity) with ``InputError``.
+Every law of a crossed module, a 2-group or a homomorphism - source / target
+/ identity homomorphisms, composability, associativity, units, interchange,
+preservation of composition - is reported by ``violations``, exhaustively and
+with zero tolerance, never raised; exactness is image = kernel, an
+``ExactnessRecord``.
 """
 
 from __future__ import annotations
@@ -143,12 +147,6 @@ class FiniteCrossedModule:
                 for h1, h2 in np.argwhere(a[d] != conj_h)]
         return out
 
-    def validate(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise InputError(f"{self.name}: {bad[0]} (+{len(bad) - 1} more)"
-                             if len(bad) > 1 else f"{self.name}: {bad[0]}")
-
 
 def conjugation_module(G: FiniteGroup) -> FiniteCrossedModule:
     """(G, G, identity, conjugation): generates the 2-group with exactly one
@@ -198,7 +196,6 @@ class FiniteTwoGroup:
     (p1, h1) o (p2, h2) = (p2, h1 h2) exactly when p1 = partial(h2) p2."""
 
     cm: FiniteCrossedModule
-    obj_table: np.ndarray = field(init=False)
     mor_table: np.ndarray = field(init=False)
     source: np.ndarray = field(init=False)
     target: np.ndarray = field(init=False)
@@ -207,7 +204,6 @@ class FiniteTwoGroup:
     def __post_init__(self):
         cm = self.cm
         nG, nH = cm.G.order, cm.H.order
-        self.obj_table = cm.G.table
         p = np.repeat(np.arange(nG), nH)
         h = np.tile(np.arange(nH), nG)
         self.source = p
@@ -306,20 +302,6 @@ class FiniteTwoGroup:
             out.append("interchange law fails")
         return out
 
-    def validate(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise InputError(f"2-group of {self.cm.name}: {bad[0]}")
-
-
-def build_two_group(cm: FiniteCrossedModule) -> FiniteTwoGroup:
-    """Validate the crossed module, construct its 2-group, and verify every
-    category and interchange axiom exhaustively."""
-    cm.validate()
-    grp = FiniteTwoGroup(cm)
-    grp.validate()
-    return grp
-
 
 def unique_morphism_count_violations(grp: FiniteTwoGroup) -> list[str]:
     """For the conjugation module there is exactly one morphism between any
@@ -356,7 +338,7 @@ class TwoGroupHom:
     def violations(self) -> list[str]:
         out = []
         src, dst, f0, f1 = self.src, self.dst, self.obj_map, self.mor_map
-        if not np.array_equal(f0[src.obj_table], dst.obj_table[f0][:, f0]):
+        if not np.array_equal(f0[src.cm.G.table], dst.cm.G.table[f0][:, f0]):
             out.append("object map is not a homomorphism")
         if not np.array_equal(f1[src.mor_table], dst.mor_table[f1][:, f1]):
             out.append("morphism map is not a homomorphism")
@@ -372,11 +354,6 @@ class TwoGroupHom:
                 and np.array_equal(f1[src._composite(a1, a2)], dst._composite(b1, b2))):
             out.append("composition is not preserved")
         return out
-
-    def validate(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise InputError(f"2-group homomorphism {self.name}: {bad[0]}")
 
 
 def strict_kernel(pi: TwoGroupHom) -> tuple[set[int], set[int]]:
@@ -395,12 +372,11 @@ class ExactnessRecord:
 
 
 def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessRecord:
-    """For a composable pair iota, pi of strict homomorphisms, check
-    image(iota) = kernel(pi) on objects and on morphisms, exactly."""
+    """For a composable pair iota, pi of strict homomorphisms, compare
+    image(iota) with kernel(pi) on objects and on morphisms, exactly; the
+    laws of the pair are their ``violations``."""
     if iota.dst is not pi.src:
         raise InputError("homomorphisms are not composable")
-    iota.validate()
-    pi.validate()
     ker_obj, ker_mor = strict_kernel(pi)
     im_obj, im_mor = set(iota.obj_map.tolist()), set(iota.mor_map.tolist())
     return ExactnessRecord(len(ker_obj), len(ker_mor), len(im_obj), len(im_mor),
@@ -410,10 +386,6 @@ def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessReco
 # ---------------------------------------------------------------------------
 # standard exact sequences at finite scale
 # ---------------------------------------------------------------------------
-
-def trivial_two_group() -> FiniteTwoGroup:
-    return build_two_group(conjugation_module(cyclic_group(1)))
-
 
 def quotient_group(G: FiniteGroup, members: list[int]) -> tuple[FiniteGroup, np.ndarray]:
     """G / N for a normal subgroup given by its member list; returns the
@@ -442,12 +414,12 @@ def kernel_inclusion_pair(G: FiniteGroup, members: list[int]
     G / N; its strict kernel is the conjugation 2-group of N, included on
     objects by N -> G and on morphisms (n, h) -> (n, h)."""
     cm = inclusion_module(G, members)
-    total = build_two_group(cm)
+    total = FiniteTwoGroup(cm)
     q, proj = quotient_group(G, members)
-    discrete = build_two_group(trivial_action_module(q, cyclic_group(1)))
+    discrete = FiniteTwoGroup(trivial_action_module(q, cyclic_group(1)))
     pi = TwoGroupHom(total, discrete, proj, proj[total.source], name="quotient")
 
-    kernel = build_two_group(conjugation_module(cm.H))
+    kernel = FiniteTwoGroup(conjugation_module(cm.H))
     n = cm.H.order
     mor_map = cm.partial[kernel.source] * n + np.arange(kernel.n_morphisms) % n
     iota = TwoGroupHom(kernel, total, cm.partial, mor_map, name="kernel-inclusion")
@@ -457,8 +429,8 @@ def kernel_inclusion_pair(G: FiniteGroup, members: list[int]
 def indiscrete_collapse_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
     """Identity into the indiscrete 2-group followed by the collapse onto the
     one-object, one-morphism 2-group; the kernel of the collapse is everything."""
-    total = build_two_group(conjugation_module(G))
-    pi = TwoGroupHom(total, trivial_two_group(),
+    total = FiniteTwoGroup(conjugation_module(G))
+    pi = TwoGroupHom(total, FiniteTwoGroup(conjugation_module(cyclic_group(1))),
                      np.zeros(total.n_objects, dtype=int),
                      np.zeros(total.n_morphisms, dtype=int), name="collapse")
     return _identity_hom(total), pi
@@ -467,7 +439,8 @@ def indiscrete_collapse_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
 def identity_kernel_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
     """Trivial 2-group into any 2-group followed by its identity; the kernel
     of the identity is trivial."""
-    total = build_two_group(conjugation_module(G))
-    iota = TwoGroupHom(trivial_two_group(), total, np.array([total.cm.G.identity]),
+    total = FiniteTwoGroup(conjugation_module(G))
+    iota = TwoGroupHom(FiniteTwoGroup(conjugation_module(cyclic_group(1))), total,
+                       np.array([total.cm.G.identity]),
                        np.array([total.mor_identity()]), name="unit")
     return iota, _identity_hom(total)

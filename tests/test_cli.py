@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lie2 import kacmoody, models, suites
+from lie2 import kacmoody, models, suites, twogroups
 from lie2.cli import _config_from_args, _parser, main
 from lie2.liealg import InputError
 from lie2.replay import replay_report, replay_suite
@@ -42,6 +42,18 @@ def test_verify_degree_past_the_bound_is_config_error(capsys):
     code = main(["verify", "--suite", "exactness", "--degree", "65"])
     assert code == 2
     assert "error: polynomial degree must lie in [2, 64], got 65" in capsys.readouterr().err
+
+
+def test_verify_splitting_past_the_degree_bound_is_config_error(capsys):
+    # psi-hom brackets paths of the splitting's degree d, whose memory grows
+    # as d^3, so a splitting of degree past MAX_DEGREE is refused too
+    def splitting(count):
+        return ",".join(["0"] * (count - 1) + ["1"])
+    RunConfig(splitting=splitting(suites.MAX_DEGREE + 1)).validate()
+    code = main(["verify", "--suite", "psi-hom", "--splitting", splitting(66)])
+    assert code == 2
+    assert ("error: the splitting takes at most 65 coefficients (degree 64), got 66"
+            in capsys.readouterr().err)
 
 
 def test_verify_grid_past_the_bound_is_config_error(capsys):
@@ -523,10 +535,43 @@ def test_omega_worked_value_on_the_zero_form_is_zero(tmp_path):
     assert entry["passed"] and entry["details"]["worked_value"] == 0.0
 
 
+def _break_strict_pair(monkeypatch):
+    # identity[Z4] becomes a unit followed by a self-map of trivial[Z2,Z3]
+    # that sends (0, 1) to (0, 0): the composite (0, 1) o (0, 1) = (0, 2) maps
+    # to (0, 2), but the composite of the images is (0, 0)
+    grp = twogroups.FiniteTwoGroup(twogroups.trivial_action_module(
+        twogroups.cyclic_group(2), twogroups.cyclic_group(3)))
+    point = twogroups.FiniteTwoGroup(twogroups.conjugation_module(twogroups.cyclic_group(1)))
+    mor_map = np.arange(grp.n_morphisms)
+    mor_map[grp.morphism(0, 1)] = grp.morphism(0, 0)
+    unit = twogroups.TwoGroupHom(point, grp, [0], [0], name="unit")
+    broken = twogroups.TwoGroupHom(grp, grp, np.arange(grp.n_objects), mor_map, name="broken")
+    monkeypatch.setitem(suites.STRICT_PAIRS, "identity[Z4]", lambda: (unit, broken))
+
+
+def test_strict_pair_with_a_broken_law_fails_with_its_violations(monkeypatch, tmp_path, capsys):
+    # a law of a bundled pair is a residual, not an input error: the suite
+    # fails (exit 1), its details list the violations, and the witness replays
+    _break_strict_pair(monkeypatch)
+    report_path = tmp_path / "r.json"
+    code = main(["verify", "--suite", "strict-exactness", "--report", str(report_path)])
+    assert code == 1
+    entry = json.loads(report_path.read_text())["suites"][0]
+    assert entry["passed"] is False and entry["witness"]["component"] == "exactness"
+    violations = entry["details"]["identity[Z4]"]["violations"]
+    assert "broken: composition is not preserved" in violations
+    assert entry["max_residual"] == len(violations)
+    assert "violations" not in entry["details"]["collapse[S3]"]
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 0
+    assert f"replayed residual {entry['max_residual']:.6e}" in capsys.readouterr().out
+
+
 FAILING_RUNS = {
     "impossible-tolerances": ({"tol_exact": 1e-20, "tol_quad": 1e-9}, None),
     "omega-halved": ({}, _halve_omega),
     "identity-mutants": ({}, _identity_mutants),
+    "broken-strict-pair": ({}, _break_strict_pair),
 }
 
 

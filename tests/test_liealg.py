@@ -173,6 +173,8 @@ BAD_FILES = {
                          '"form": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}' % SU2_TABLE,
     "NaN form": '{"name": "x", "dim": 3, "structure": %s, '
                 '"form": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}' % SU2_TABLE,
+    # refused as written, not symmetrized into a form the file does not state
+    "asymmetric form": '{"name": "x", "dim": 2, "structure": [], "form": [[1, 3], [0, 1]]}',
 }
 
 
