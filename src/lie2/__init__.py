@@ -5,7 +5,6 @@ modules, and second-order group-scale quadrature."""
 from .liealg import (
     InputError,
     LieAlgebraPresentation,
-    ce_three_cocycle_residual,
     load_presentation,
     sl2,
     so3,

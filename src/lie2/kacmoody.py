@@ -3,10 +3,8 @@ and the lifted action of based paths, all in the exact polynomial model."""
 
 from __future__ import annotations
 
-from .liealg import InputError
 from .linfty import law_residual
 from .paths import (
-    LOOP,
     CentralVector,
     PolyPath,
     _derived_central,
@@ -18,8 +16,6 @@ from .paths import (
 def omega(f: PolyPath, g: PolyPath, k: float) -> float:
     """Level-k loop cocycle 2k * integral of B(f, g'); antisymmetric because
     the boundary term B(f, g) vanishes at both ends of a loop."""
-    if f.kind != LOOP or g.kind != LOOP:
-        raise InputError("the loop cocycle is defined on loops")
     return 2.0 * k * derivative_pairing(f, g)
 
 
@@ -33,8 +29,6 @@ def omega_cocycle_residual(f: PolyPath, g: PolyPath, h: PolyPath, k: float) -> f
 def extended_bracket(a: CentralVector, b: CentralVector, k: float) -> CentralVector:
     """Bracket on loops + center: ([f, g], omega_k(f, g)); central elements
     bracket to zero."""
-    if a.loop.algebra != b.loop.algebra:
-        raise InputError("extended bracket across different algebras")
     return _derived_central(pointwise_bracket(a.loop, b.loop), omega(a.loop, b.loop, k))
 
 
@@ -86,7 +80,5 @@ def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
     """For a loop acting, the action coincides with the twisted bracket
     against the zero-center lift (infinitesimal form of letting the extension
     act on itself through the projection)."""
-    if l.kind != LOOP:
-        raise InputError("expected a loop")
     terms = [dalpha(l, v, k), -extended_bracket(CentralVector(l, 0.0), v, k)]
     return law_residual(terms, CentralVector.norm, [l.norm(), v.norm()])

@@ -3,15 +3,13 @@
 A presentation is the tensor c with [e_i, e_j] = sum_k c[i, j, k] e_k together
 with an invariant symmetric bilinear form B.  The canonical 3-form is
 nu(x, y, z) = B(x, [y, z]); invariance of B makes nu totally antisymmetric and
-closed for the alternating-sum differential implemented below.  The level k
-of an extension multiplies the form the presentation carries; a form other
-than a bundled one, such as c I, comes from an algebra file.  Structure and
-form must be finite.
+closed for the Chevalley-Eilenberg differential.  The level k of an extension
+multiplies the form the presentation carries; a form other than a bundled one,
+such as c I, comes from an algebra file.  Structure and form must be finite.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,19 +34,6 @@ class LieAlgebraPresentation:
     dim: int
     structure: np.ndarray  # (n, n, n), c[i, j, k]
     form: np.ndarray  # (n, n), symmetric invariant
-
-    def __eq__(self, other):
-        # structural: two loads of the same table interoperate (names aside)
-        if self is other:
-            return True
-        if not isinstance(other, LieAlgebraPresentation):
-            return NotImplemented
-        return (self.dim == other.dim
-                and np.array_equal(self.structure, other.structure)
-                and np.array_equal(self.form, other.form))
-
-    def __hash__(self):
-        return object.__hash__(self)
 
     def __post_init__(self):
         structure = np.asarray(self.structure, dtype=float)
@@ -87,40 +72,15 @@ class LieAlgebraPresentation:
         if np.abs(t + t.transpose(0, 2, 1)).max() > tol:
             raise InputError(f"{self.name}: form not invariant")
 
-    def _vectors(self, *args) -> list[np.ndarray]:
-        """Arguments as float arrays (..., dim); only the last axis is checked."""
-        out = [np.asarray(a, dtype=float) for a in args]
-        if any(a.shape[-1:] != (self.dim,) for a in out):
-            raise InputError(f"arguments must have length {self.dim} on the last axis")
-        return out
-
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x, y = self._vectors(x, y)
         return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-        x, y = self._vectors(x, y)
         return np.einsum("...i,ij,...j->...", x, self.form, y)
 
     def nu(self, x, y, z) -> float | np.ndarray:
         """Canonical 3-form B(x, [y, z])."""
         return self.pair(x, self.bracket(y, z))
-
-
-def ce_three_cocycle_residual(g: LieAlgebraPresentation, w, x, y, z) -> float:
-    """Absolute value of the alternating-sum differential of nu on (w,x,y,z).
-
-    Convention: d nu (v1..v4) = sum_{i<j} (-1)^(i+j) nu([v_i, v_j], rest...),
-    with 1-based exponents and the remaining arguments kept in order.
-    Vanishes whenever the form is invariant.
-    """
-    v = [np.asarray(a, dtype=float) for a in (w, x, y, z)]
-    total = 0.0
-    for i, j in itertools.combinations(range(4), 2):
-        rest = [v[m] for m in range(4) if m not in (i, j)]
-        sign = -1.0 if (i + j + 2) % 2 else 1.0  # (i+1)+(j+1)
-        total += sign * g.nu(g.bracket(v[i], v[j]), rest[0], rest[1])
-    return abs(total)
 
 
 def _cyclic_structure(n: int = 3) -> np.ndarray:

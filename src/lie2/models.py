@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .kacmoody import dalpha, omega
-from .liealg import InputError, LieAlgebraPresentation
+from .liealg import LieAlgebraPresentation
 from .linfty import (
     CentralSpace,
     ChainHomotopy,
@@ -337,8 +337,6 @@ def exactness_check(models: ModelBundle, degree: int) -> ExactnessReport:
     each level lam is injective, phi is surjective, phi o lam is exactly 0 and
     rank lam = dim - rank phi, so by rank-nullity im lam = ker phi.
     """
-    if degree < 2:
-        raise InputError("exactness check needs polynomial degree >= 2")
     g, phi, lam = models.algebra, models.phi, models.lam
     based, loops, central = (space.element(np.eye(space.width)) for space in (
         PathSpace(g, BASED, degree), PathSpace(g, LOOP, degree), CentralSpace(g, degree)))

@@ -119,8 +119,6 @@ class PolyPath:
         return self.coeffs.sum(axis=-1)
 
     def __add__(self, other: "PolyPath") -> "PolyPath":
-        if other.algebra != self.algebra:
-            raise InputError("path addition across different algebras")
         width = max(self.degree, other.degree) + 1
         return _derived(self.algebra,
                         _padded(self.coeffs, width) + _padded(other.coeffs, width),
@@ -161,8 +159,6 @@ def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
 
 def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     """[p, q](theta) = [p(theta), q(theta)]; degree adds, based/loop preserved."""
-    if p.algebra != q.algebra:
-        raise InputError("pointwise bracket across different algebras")
     g, n = p.algebra, p.algebra.dim
     # left[..., a, k, j] = sum_i p_ia c_ijk; against q_jb it gives the products
     # terms[..., k, a, b] of every coefficient pair, collected by total degree
@@ -179,8 +175,6 @@ def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     coefficients.  Contracting q with the moments first keeps the roundoff of
     cancelling sums (the -1/6 of ``universal_integral``) at about that of a
     plain einsum."""
-    if p.algebra != q.algebra:
-        raise InputError("derivative pairing across different algebras")
     a = np.arange(p.degree + 1)[:, None]
     b = np.arange(q.degree + 1)[None, :]
     moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1

@@ -4,9 +4,10 @@ evaluated again.
 A report comes from outside the program, so it is checked where it enters.
 Its config entries must have the types of ``RunConfig``'s defaults, its
 suites must be a list of named entries, every witness element must carry a
-known type and the entries of that type, the inputs must have the form of a
-trial the suite samples at that config, and the component must be one the
-suite reports.  Anything else is an ``InputError``, exit code 2 from the CLI.
+known type and the entries of that type (a central element's loop a path),
+the inputs must have the form of a trial the suite samples at that config,
+and the component must be one the suite reports.  Anything else is an
+``InputError``, exit code 2 from the CLI.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ def deserialize_element(doc, algebra: LieAlgebraPresentation):
     if doc["type"] == "path":
         return PolyPath(algebra, _finite(doc["coeffs"], "path coefficients"), doc["kind"])
     if doc["type"] == "central":
-        return CentralVector(deserialize_element(doc["loop"], algebra),
-                             _scalar(doc["c"], "central term"))
+        loop = deserialize_element(doc["loop"], algebra)
+        if not isinstance(loop, PolyPath):
+            raise InputError("witness central element's loop is not a path element")
+        return CentralVector(loop, _scalar(doc["c"], "central term"))
     if doc["type"] == "vector":
         return _finite(doc["value"], "vector")
     if doc["type"] == "real":

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import InputError, LieAlgebraPresentation, su2
-from .paths import LOOP, PolyPath, pointwise_bracket
+from .paths import PolyPath, pointwise_bracket
 
 TWO_PI = 2.0 * np.pi
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -309,10 +309,6 @@ class _Buffers:
                             self._view(self.scratch, rows))
 
 
-def _same_grid(*fields) -> bool:
-    return len({(f.n_t, f.n_theta) for f in fields}) == 1
-
-
 # ---------------------------------------------------------------------------
 # sampled carriers
 # ---------------------------------------------------------------------------
@@ -414,8 +410,6 @@ LoopField = SampledPathOfLoops | StreamedPathOfLoops
 
 
 def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
-    if a.grid.shape != b.grid.shape:
-        raise InputError("grid mismatch in pointwise product")
     return SampledPathOfLoops(_hamilton(a.grid, b.grid))
 
 
@@ -435,13 +429,7 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 
     The scalar part is invariant and the vector part rotates, so the identity
     boundaries stay exact."""
-    _check_conjugator(p, f)
     return SampledPathOfLoops(_conjugate(p.samples[:, None, :], f.grid))
-
-
-def _check_conjugator(p: SampledGroupPath, f: SampledPathOfLoops) -> None:
-    if p.n_theta != f.n_theta:
-        raise InputError("grid mismatch between conjugator and field")
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +457,6 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 def kappa_exponent(f: SampledPathOfLoops, g: SampledPathOfLoops) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
     kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form."""
-    if f.grid.shape != g.grid.shape:
-        raise InputError("grid mismatch in cocycle evaluation")
     h_theta = TWO_PI / g.n_theta
     right = maurer_cartan_theta_right(g.grid, h_theta)
     rows = _theta_integrals(maurer_cartan_t(f), right, h_theta)
@@ -484,8 +470,6 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
     Streamed over blocks of t-rows: each block forms the products fg and gh
     and the forms of its rows and keeps only the row integrals of the four
     pairings.  The six forms take turns in three buffers."""
-    if not _same_grid(f, g, h):
-        raise InputError("grid mismatch in pointwise product")
     ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
@@ -519,9 +503,6 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray) -> float | np.ndarray:
     xi is a coordinate field (3, ..., Ntheta + 1); the middle axes are batch
     axes (e.g. one loop per t sample).
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != p.n_theta + 1:
-        raise InputError("grid mismatch between 1-form argument and base path")
     value = _beta_rows(_base_form(p), xi, TWO_PI / p.n_theta)
     return float(value) if np.ndim(value) == 0 else value
 
@@ -544,8 +525,6 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath)
     sign of the right-hand side; the refinement suite confirms the orientation
     by convergence to zero.
     """
-    if xi.kind != LOOP or eta.kind != LOOP:
-        raise InputError("expected a loop")
     n = p.n_theta
     h = TWO_PI / n
     u = np.linspace(0.0, 1.0, n + 1)
@@ -570,9 +549,6 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
     at level k and form c I is at most |k c| times this.  Streamed over blocks
     of t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
     """
-    if not _same_grid(f1, f2):
-        raise InputError("grid mismatch between the two loop fields")
-    _check_conjugator(p, f1)
     ht, hth = TWO_PI / f1.n_t, TWO_PI / f1.n_theta
     form = _base_form(p)
     q = p.samples[:, None, :]

@@ -332,6 +332,10 @@ class TwoGroupHom:
             raise InputError("object map has the wrong length")
         if mor_map.shape != (self.src.n_morphisms,):
             raise InputError("morphism map has the wrong length")
+        if obj_map.min() < 0 or obj_map.max() >= self.dst.n_objects:
+            raise InputError("object map entries out of range")
+        if mor_map.min() < 0 or mor_map.max() >= self.dst.n_morphisms:
+            raise InputError("morphism map entries out of range")
         object.__setattr__(self, "obj_map", obj_map)
         object.__setattr__(self, "mor_map", mor_map)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -25,6 +26,31 @@ def g6():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture
+def draw(rng):
+    """One element of a space, of batch shape (), from the test's generator."""
+    return lambda space: space.element(rng.uniform(-1.0, 1.0, space.width))
+
+
+@pytest.fixture
+def ce_residual():
+    """Absolute value of the alternating-sum differential of nu on (w,x,y,z).
+
+    Convention: d nu (v1..v4) = sum_{i<j} (-1)^(i+j) nu([v_i, v_j], rest...),
+    with 1-based exponents and the remaining arguments kept in order.
+    Vanishes whenever the form is invariant.
+    """
+    def residual(g: LieAlgebraPresentation, w, x, y, z) -> float:
+        v = [np.asarray(a, dtype=float) for a in (w, x, y, z)]
+        total = 0.0
+        for i, j in itertools.combinations(range(4), 2):
+            rest = [v[m] for m in range(4) if m not in (i, j)]
+            sign = -1.0 if (i + j + 2) % 2 else 1.0  # (i+1)+(j+1)
+            total += sign * g.nu(g.bracket(v[i], v[j]), rest[0], rest[1])
+        return abs(total)
+    return residual
 
 
 @pytest.fixture

@@ -175,6 +175,15 @@ def test_polynomial_suites_pass_at_levels_up_to_the_bound(su2_file, k, form_scal
     assert report["summary"]["passed"] == 10
 
 
+@pytest.mark.parametrize("tol_exact, passed", [(1e-10, 1), (1e-300, 0)])
+def test_summary_counts_the_suites_that_passed_and_failed(tol_exact, passed):
+    report = run(RunConfig(tol_exact=tol_exact, trials=5, suites=("gk-jacobi",)))
+    assert report["suites"][0]["passed"] == bool(passed)
+    summary = report["summary"]
+    assert (summary["total"], summary["passed"], summary["failed"]) == (1, passed, 1 - passed)
+    assert summary["all_passed"] == bool(passed)
+
+
 @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
                                          ("--tol-quad", "nan")])
 def test_non_finite_config_is_config_error(capsys, flag, value):
@@ -343,6 +352,21 @@ def test_replay_rejects_a_free_path_witness(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(report_path)]) == 2
     assert "unknown path kind 'free'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loop", [[], {"type": "real", "value": 0.0}])
+def test_replay_rejects_a_central_witness_whose_loop_is_not_a_path(tmp_path, capsys, loop):
+    report_path = tmp_path / "forced.json"
+    main(["verify", "--suite", "extended-jacobi", "--tol-exact", "1e-300",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    next(e for e in _elements(doc["suites"][0]["witness"]["inputs"])
+         if e["type"] == "central")["loop"] = loop
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness central element's loop ") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

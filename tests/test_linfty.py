@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lie2 import linfty
-from lie2.liealg import InputError, LieAlgebraPresentation, ce_three_cocycle_residual
+from lie2.liealg import InputError, LieAlgebraPresentation
 from lie2.linfty import (
     compose,
     generalized_jacobi_residual,
@@ -19,10 +19,10 @@ from lie2.models import build_models, make_gk, make_pkg
 from lie2.suites import RunConfig, run
 
 
-def test_n1_residual_vanishes_by_grading(g, rng):
+def test_n1_residual_vanishes_by_grading(g, draw):
     gk = make_gk(g, 1.0)
     for deg in (0, 1):
-        assert generalized_jacobi_residual(gk, [(deg, gk.space(deg).random(rng))]) == 0.0
+        assert generalized_jacobi_residual(gk, [(deg, draw(gk.space(deg)))]) == 0.0
 
 
 def test_n3_all_objects_is_jacobi(g, rng):
@@ -31,7 +31,7 @@ def test_n3_all_objects_is_jacobi(g, rng):
     assert generalized_jacobi_residual(gk, inputs) <= 1e-14
 
 
-def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng, monkeypatch):
+def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng, monkeypatch, ce_residual):
     # run on a 6-dimensional algebra with a non-invariant form so both sides
     # are genuinely nonzero (in dim 3 every alternating 4-form vanishes); the
     # unshuffle-orientation sum equals the alternating 1-based-index sum up
@@ -49,7 +49,7 @@ def test_n4_matches_alternating_cocycle_sum_up_to_global_sign(g6, rng, monkeypat
         vs = rng.uniform(-1, 1, (4, 6))
         lhs = generalized_jacobi_residual(gk, [(0, v) for v in vs])
         terms, norm, norms = laws.pop()
-        ce = ce_three_cocycle_residual(broken, *vs)
+        ce = ce_residual(broken, *vs)
         assert ce > 1e-3  # non-vacuous comparison
         assert abs(sum(terms)) == pytest.approx(ce, rel=1e-10)
         assert norms == pytest.approx([np.linalg.norm(v) for v in vs], rel=1e-15)
@@ -84,26 +84,14 @@ def test_law_residual_of_a_nan_or_infinite_term_is_nan(bad):
     assert batched[0] == 0.0 and np.isnan(batched[1])
 
 
-def test_rejects_too_many_inputs(g, rng):
-    gk = make_gk(g, 1.0)
-    with pytest.raises(InputError):
-        generalized_jacobi_residual(gk, [(0, rng.uniform(-1, 1, 3))] * 5)
-
-
-def test_rejects_bad_degree_tags(g, rng):
-    gk = make_gk(g, 1.0)
-    with pytest.raises(InputError):
-        generalized_jacobi_residual(gk, [(2, rng.uniform(-1, 1, 3))])
-
-
 def test_jacobi_suites_gk_and_pkg():
     report = run(RunConfig(k=-1.0, trials=25, suites=("gk-jacobi", "pkg-jacobi")))
     assert all(s["max_residual"] <= 1e-12 for s in report["suites"])
 
 
-def test_antisymmetry_spot_checks(g, rng):
+def test_antisymmetry_spot_checks(g, rng, draw):
     pkg = make_pkg(g, 1.0, 4)
-    x, y = pkg.space0.random(rng), pkg.space0.random(rng)
+    x, y = draw(pkg.space0), draw(pkg.space0)
     assert (pkg.l2_00(x, y) + pkg.l2_00(y, x)).norm() <= 1e-15
     gk = make_gk(g, 1.5)
     a, b, c = (rng.uniform(-1, 1, 3) for _ in range(3))
@@ -118,27 +106,27 @@ def test_identity_hom_has_zero_residuals(g, rng):
     assert all(np.all(r == 0.0) for r in residuals.values())
 
 
-def test_compose_with_identity_agrees(g, rng):
+def test_compose_with_identity_agrees(g, draw):
     bundle = build_models(g, 1.0)
     left = compose(identity_hom(bundle.gk), bundle.phi)
     for _ in range(5):
-        p = bundle.pkg.space0.random(rng)
-        q = bundle.pkg.space0.random(rng)
-        v = bundle.pkg.space1.random(rng)
+        p = draw(bundle.pkg.space0)
+        q = draw(bundle.pkg.space0)
+        v = draw(bundle.pkg.space1)
         assert np.allclose(left.phi0(p), bundle.phi.phi0(p))
         assert left.phi1(v) == bundle.phi.phi1(v)
         assert left.phi2(p, q) == bundle.phi.phi2(p, q)
 
 
-def test_compose_is_associative_on_samples(g, rng):
+def test_compose_is_associative_on_samples(g, draw):
     bundle = build_models(g, 1.0)
     # endpoint o splitting o endpoint : paths -> skeletal, two bracketings
     a = compose(compose(bundle.phi, bundle.psi), bundle.phi)
     b = compose(bundle.phi, compose(bundle.psi, bundle.phi))
     for _ in range(10):
-        p = bundle.pkg.space0.random(rng)
-        q = bundle.pkg.space0.random(rng)
-        v = bundle.pkg.space1.random(rng)
+        p = draw(bundle.pkg.space0)
+        q = draw(bundle.pkg.space0)
+        v = draw(bundle.pkg.space1)
         assert np.allclose(a.phi0(p), b.phi0(p))
         assert a.phi1(v) == pytest.approx(b.phi1(v))
         assert a.phi2(p, q) == pytest.approx(b.phi2(p, q), abs=1e-12)
@@ -174,36 +162,36 @@ def test_mutation_zeroed_corrector_fails_loudly(g, rng):
     assert residuals["homo3"].max() > 0.1
 
 
-def test_categorical_unit_law_concrete(g, rng):
+def test_categorical_unit_law_concrete(g, draw):
     # composing a morphism with the identity at its source returns it
     pkg = make_pkg(g, 1.0, 4)
-    x = pkg.space0.random(rng)
-    fv = pkg.space1.random(rng)
+    x = draw(pkg.space0)
+    fv = draw(pkg.space1)
     composite = (x, pkg.space1.zero() + fv)
     assert (composite[0] - x).norm() == 0.0
     assert (composite[1] - fv).norm() == 0.0
 
 
-def test_hom_residuals_once_keys(g, rng):
+def test_hom_residuals_once_keys(g, draw):
     bundle = build_models(g, 1.0)
     res = hom_residuals_once(
         bundle.phi,
-        bundle.pkg.space0.random(rng),
-        bundle.pkg.space0.random(rng),
-        bundle.pkg.space0.random(rng),
-        bundle.pkg.space1.random(rng),
+        draw(bundle.pkg.space0),
+        draw(bundle.pkg.space0),
+        draw(bundle.pkg.space0),
+        draw(bundle.pkg.space1),
     )
     assert set(res) == {"chain", "homo1", "homo2", "homo3"}
     assert max(res.values()) <= 1e-12
 
 
-def test_two_hom_residuals_once_keys(g, rng):
+def test_two_hom_residuals_once_keys(g, draw):
     bundle = build_models(g, 1.0)
     res = two_hom_residuals_once(
         bundle.tau,
-        bundle.pkg.space0.random(rng),
-        bundle.pkg.space0.random(rng),
-        bundle.pkg.space1.random(rng),
+        draw(bundle.pkg.space0),
+        draw(bundle.pkg.space0),
+        draw(bundle.pkg.space1),
     )
     assert set(res) == {"homotopy0", "homotopy1", "coherence"}
     assert max(res.values()) <= 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lie2.liealg import InputError, load_presentation
+from lie2.liealg import load_presentation
 from lie2.linfty import (
     compose,
     generalized_jacobi_residual,
@@ -64,9 +64,9 @@ def test_pkg_action_on_central_element_vanishes(g, rng):
     assert out.norm() == 0.0
 
 
-def test_el_differential_is_identity(g, rng):
+def test_el_differential_is_identity(g, rng, draw):
     el = make_el(g, 4)
-    h = el.space1.random(rng)
+    h = draw(el.space1)
     assert (el.d(h) - h).norm() == 0.0
     assert all(np.all(generalized_jacobi_residual(el, inputs) <= 1e-13)
                for inputs in jacobi_samples(el, rng, 10))
@@ -117,33 +117,32 @@ def test_psi_linear_splitting_formula(g):
     assert np.allclose(out.loop.coeffs, expected)
 
 
-def test_lambda_image_in_kernel_of_endpoint(g, rng):
+def test_lambda_image_in_kernel_of_endpoint(g, draw):
     bundle = build_models(g, 1.0)
-    loop = bundle.el.space0.random(rng)
+    loop = draw(bundle.el.space0)
     assert np.allclose(bundle.phi.phi0(bundle.lam.phi0(loop)), 0.0, atol=1e-14)
     assert bundle.phi.phi1(bundle.lam.phi1(loop)) == 0.0
 
 
-def test_phi_after_lambda_is_zero_hom(g, rng):
+def test_phi_after_lambda_is_zero_hom(g, draw):
     bundle = build_models(g, 1.0)
     through = compose(bundle.phi, bundle.lam)
-    l1 = bundle.el.space0.random(rng)
-    l2 = bundle.el.space0.random(rng)
+    l1 = draw(bundle.el.space0)
+    l2 = draw(bundle.el.space0)
     assert np.allclose(through.phi0(l1), 0.0, atol=1e-14)
     assert through.phi1(l1) == 0.0
     assert through.phi2(l1, l2) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_lambda_corrector_is_central(g, rng):
+def test_lambda_corrector_is_central(g, draw):
     bundle = build_models(g, 1.0)
-    out = bundle.lam.phi2(bundle.el.space0.random(rng),
-                          bundle.el.space0.random(rng))
+    out = bundle.lam.phi2(draw(bundle.el.space0), draw(bundle.el.space0))
     assert out.loop.norm() == 0.0
 
 
-def test_lambda_corrector_on_equal_loops(g, rng):
+def test_lambda_corrector_on_equal_loops(g, draw):
     bundle = build_models(g, 1.0)
-    loop = bundle.el.space0.random(rng)
+    loop = draw(bundle.el.space0)
     assert bundle.lam.phi2(loop, loop).norm() <= 1e-14
 
 
@@ -201,13 +200,13 @@ def test_round_trip_corrector_is_sized_by_its_two_pairings(su2_file, splitting):
     assert run(config)["suites"][0]["details"]["round_trip_identity"] <= 1e-14
 
 
-def test_trivializer_on_vector_model_is_exact(g, rng):
+def test_trivializer_on_vector_model_is_exact(g, draw):
     el = make_el_vectors(g)
     triv = trivializing_homotopy(el)
     for _ in range(20):
         res = two_hom_residuals_once(
-            triv, el.space0.random(rng), el.space0.random(rng),
-            el.space1.random(rng))
+            triv, draw(el.space0), draw(el.space0),
+            draw(el.space1))
         assert max(res.values()) == 0.0
 
 
@@ -222,6 +221,16 @@ def test_exactness_all_degrees(algebra):
         assert report.dim_loops == report.nullity_endpoint == n * (degree - 1)
         assert report.rank_loop_inclusion == n * (degree - 1)
         assert report.rank_endpoint == n
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_exactness_suite_checks_every_degree_from_2_to_the_config_degree(degree):
+    entry = run(RunConfig(degree=degree, suites=("exactness",)))["suites"][0]
+    assert entry["passed"] and entry["trials"] == degree - 1
+    records = {key: record for key, record in entry["details"].items()
+               if key.startswith("degree_")}
+    assert list(records) == [f"degree_{d}" for d in range(2, degree + 1)]
+    assert [r["dim_paths"] for r in records.values()] == [3 * d for d in range(2, degree + 1)]
 
 
 @pytest.mark.parametrize("degree", [2, 4, 20])
@@ -241,11 +250,6 @@ def test_exactness_checks_the_directions(g, lift):
     models = build_models(g, 1.0)
     mutant = replace(models, lam=replace(models.lam, phi1=lift))
     assert not exactness_check(mutant, 4).passed
-
-
-def test_exactness_rejects_low_degree(g):
-    with pytest.raises(InputError):
-        exactness_check(build_models(g, 1.0), 1)
 
 
 def fraction_rank(matrix: list[list[int]]) -> int:
@@ -355,12 +359,12 @@ def test_round_trip_zero_corrector_is_exact_zero(g, rng):
     assert abs(bundle.phi_psi.phi2(x1, x2)) <= 1e-14
 
 
-def test_psi_phi_composite_formulas(g, rng):
+def test_psi_phi_composite_formulas(g, rng, draw):
     bundle = build_models(g, 1.0)
     p = random_path(g, rng, 4)
     out0 = bundle.tau.from_hom.phi0(p)
     assert np.allclose(out0.endpoint(), p.endpoint(), atol=1e-14)
-    v = bundle.pkg.space1.random(rng)
+    v = draw(bundle.pkg.space1)
     out1 = bundle.tau.from_hom.phi1(v)
     assert out1.loop.norm() == 0.0
     assert out1.c == v.c

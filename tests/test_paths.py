@@ -187,11 +187,6 @@ def test_derivative_pairing_matches_differentiate_then_pair(rng):
                                    rtol=1e-13, atol=1e-13)
 
 
-def test_derivative_pairing_rejects_cross_algebra(rng):
-    with pytest.raises(InputError):
-        derivative_pairing(random_path(su2(), rng, 3), random_path(sl2(), rng, 3))
-
-
 # The einsum definitions the matmul kernels replaced, kept as their reference.
 
 def einsum_bracket(structure, p, q):

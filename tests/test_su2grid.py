@@ -286,17 +286,6 @@ def test_kappa_matches_refined_grid(rng):
     assert 2.0 * abs(coarse - fine) <= 1e-4
 
 
-def test_kappa_grid_mismatch(rng):
-    f = sg.random_loop_field_coeffs(rng).sample(16, 16)
-    h = sg.random_loop_field_coeffs(rng).sample(16, 32)
-    with pytest.raises(InputError):
-        sg.kappa_exponent(f, h)
-    with pytest.raises(InputError):
-        sg.product_field(f, h)
-    with pytest.raises(InputError):
-        sg.conjugate_field(sg.random_group_path_coeffs(rng).sample(32), f)
-
-
 def test_kappa_cocycle_second_order(rng):
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
     res = [sg.kappa_cocycle_residual(*(s.sample(n, n) for s in specs))

@@ -499,3 +499,15 @@ def test_hom_that_breaks_composition_is_caught():
     mor_map[grp.morphism(0, 1)] = grp.morphism(0, 0)  # (0, 1) o (0, 1) = (0, 2)
     hom = TwoGroupHom(grp, grp, np.arange(grp.n_objects), mor_map)
     assert "composition is not preserved" in hom.violations()
+
+
+def test_hom_entries_must_be_in_range():
+    grp = FiniteTwoGroup(conjugation_module(cyclic_group(3)))
+    objects, morphisms = np.arange(grp.n_objects), np.arange(grp.n_morphisms)
+    for bad in (np.r_[morphisms[:-1], grp.n_morphisms], np.r_[morphisms[:-1], -1]):
+        with pytest.raises(InputError, match="morphism map entries out of range"):
+            TwoGroupHom(grp, grp, objects, bad)
+    for bad in (np.r_[objects[:-1], grp.n_objects], np.r_[-1, objects[1:]]):
+        with pytest.raises(InputError, match="object map entries out of range"):
+            TwoGroupHom(grp, grp, bad, morphisms)
+    assert TwoGroupHom(grp, grp, objects, morphisms).violations() == []
