@@ -242,8 +242,10 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
     terms = []
     for i in range(1, n + 1):
         j = n + 1 - i
-        if i > 3 or j > 3:
-            continue  # quaternary and higher operations vanish here
+        if i > 3 or j > 3 or (j == 3 and L.l3 is None):
+            # quaternary and higher operations vanish here, and so does an
+            # unset l3: its terms are skipped before their inner l_i is made
+            continue
         for sigma in unshuffles(i, n):
             first = L.apply_l([inputs[s] for s in sigma[:i]])
             if first is None:

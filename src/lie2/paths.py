@@ -148,13 +148,21 @@ def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
     return PolyPath(algebra, np.zeros((algebra.dim, 1)), kind)
 
 
+@lru_cache(maxsize=None)
+def _collector(m: int, n: int) -> np.ndarray:
+    """The 0/1 matrix (m n, m + n - 1) of a + b = s over the flattened (a, b),
+    one read-only matrix per shape."""
+    total_degree = (np.arange(m)[:, None] + np.arange(n)).reshape(-1, 1)
+    collect = (total_degree == np.arange(m + n - 1)).astype(float)
+    collect.flags.writeable = False
+    return collect
+
+
 def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
     """out[..., s] = sum over a + b = s of t[..., a, b]: the flattened (a, b)
     axes times the 0/1 matrix of a + b = s."""
     m, n = t.shape[-2:]
-    total_degree = (np.arange(m)[:, None] + np.arange(n)).reshape(-1, 1)
-    collect = (total_degree == np.arange(m + n - 1)).astype(float)
-    return t.reshape(t.shape[:-2] + (m * n,)) @ collect
+    return t.reshape(t.shape[:-2] + (m * n,)) @ _collector(m, n)
 
 
 def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
@@ -169,15 +177,24 @@ def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
     return _derived(g, _antidiagonal_sums(terms), kind)
 
 
+@lru_cache(maxsize=None)
+def _derivative_moments(p_degree: int, q_degree: int) -> np.ndarray:
+    """The moments b / (a + b) of ``derivative_pairing`` at (a, b), one
+    read-only matrix per pair of degrees."""
+    a = np.arange(p_degree + 1)[:, None]
+    b = np.arange(q_degree + 1)[None, :]
+    moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1
+    moments.flags.writeable = False
+    return moments
+
+
 def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     """Exact integral over [0, 2*pi] of B(p(theta), q'(theta)), which is
     sum over a, b of B(p_a, q_b) * b / (a + b): rational for rational
     coefficients.  Contracting q with the moments first keeps the roundoff of
     cancelling sums (the -1/6 of ``universal_integral``) at about that of a
     plain einsum."""
-    a = np.arange(p.degree + 1)[:, None]
-    b = np.arange(q.degree + 1)[None, :]
-    moments = b / np.maximum(a + b, 1)  # the a = b = 0 term is 0 / 1
+    moments = _derivative_moments(p.degree, q.degree)
     return (p.coeffs * (p.algebra.form @ (q.coeffs @ moments.T))).sum(axis=(-2, -1))
 
 
@@ -215,20 +232,14 @@ def f_minus_f2(f: np.ndarray) -> np.ndarray:
 
 
 def universal_integral(f) -> float:
-    """Exact integral over [0, 2*pi] of f * (f - f^2)' for admissible f.
+    """Exact integral over [0, 2*pi] of f * (f - f^2)' for 1-d u-coefficients f.
 
-    f may be 1-d u-coefficients or a scalar PolyPath; its endpoints must be
-    f(0) = 0 and f(2*pi) = 1.  The value is -1/6 for every admissible f, but
-    it is computed here directly from the monomial rule rather than assumed,
-    so universality stays a checkable claim.
+    For an admissible f, f(0) = 0 and f(2*pi) = 1 (``validate_splitting``,
+    which checks a splitting where it enters), the value is -1/6, but it is
+    computed here directly from the monomial rule rather than assumed, so
+    universality stays a checkable claim.
     """
-    if isinstance(f, PolyPath):
-        if f.algebra.dim != 1:
-            raise InputError("universal integral expects a scalar path")
-        poly = f.coeffs[0]
-    else:
-        poly = np.atleast_1d(np.asarray(f, dtype=float))
-    validate_splitting(poly)
+    poly = np.atleast_1d(np.asarray(f, dtype=float))
     return float(derivative_pairing(scalar_path(poly), scalar_path(f_minus_f2(poly))))
 
 

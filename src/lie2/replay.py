@@ -5,9 +5,10 @@ A report comes from outside the program, so it is checked where it enters.
 Its config entries must have the types of ``RunConfig``'s defaults, its
 suites must be a list of named entries, every witness element must carry a
 known type and the entries of that type (a central element's loop a path),
-the inputs must have the form of a trial the suite samples at that config,
-and the component must be one the suite reports.  Anything else is an
-``InputError``, exit code 2 from the CLI.
+the inputs must have the form of a trial the suite samples at that config
+(a splitting in a universality witness also admissible, as the sampled ones
+are by construction), and the component must be one the suite reports.
+Anything else is an ``InputError``, exit code 2 from the CLI.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Any
 import numpy as np
 
 from .liealg import InputError, LieAlgebraPresentation
-from .paths import CentralVector, PolyPath
-from .suites import NOTES, REGISTRY, RunConfig
+from .paths import CentralVector, PolyPath, validate_splitting
+from .suites import NOTES, REGISTRY, UNIVERSALITY, RunConfig
 from .worstcase import trial
 
 
@@ -115,6 +116,8 @@ def replay_suite(name: str, witness: dict, config: RunConfig) -> float:
     inputs = deserialize_element(doc, config.presentation)
     if _form(inputs) not in _sampled_forms(name, config):
         raise InputError(f"witness inputs do not have the form of a trial of {name}")
+    if isinstance(inputs, list) and isinstance(inputs[0], str) and inputs[0] == UNIVERSALITY:
+        validate_splitting(inputs[1])
     residuals = REGISTRY[name].evaluate(config, inputs)
     residuals.pop(NOTES, None)
     if not isinstance(component, str) or component not in residuals:

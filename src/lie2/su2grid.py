@@ -32,43 +32,58 @@ Derivatives use central differences with one-sided second-order stencils at
 the boundaries; integrals use the trapezoid rule.  Both are O(h^2), which the
 convergence suites verify by refinement.
 
-Kernel arithmetic.  The stencils give raw differences (2h x the derivative)
-and each Maurer-Cartan form is scaled once, by 1/h.  The theta-stencil works
-on the last axis in place, with no transpose.  ``exp_su2`` goes through the
-half-angle tangent: numpy's float64 tan is a SIMD loop where sin and cos are
-scalar libm calls (2.3 against 20-22 ns per element, numpy 2.4 on a Xeon).
+Kernel arithmetic.  The stencils give raw differences (2h x the derivative).
+The two kappa residuals keep their Maurer-Cartan forms unscaled, the form at
+unit step: the t- and theta-steps of the trapezoids cancel the 1/h of the two
+forms, so A is the unit-step trapezoid double sum of raw_t . raw_theta and C is
+-2 times that of raw_t . raw_p.  The public kernels scale by 1/h unless given
+h = 1.  A pairing and its theta-trapezoid are one ``einsum``, which sums each
+component of each row over all columns, less half of the two end columns; it
+sums within one row, so a row's value does not depend on the block around it,
+and no (rows, Ntheta + 1) array of pointwise pairings is formed.  The
+theta-stencil works on the last axis in place, with no transpose.
+``exp_su2`` goes through the half-angle tangent: numpy's float64 tan is a SIMD
+loop where sin and cos are scalar libm calls (2.3 against 20-22 ns per
+element, numpy 2.4 on a Xeon); it reuses three temporaries of the sample shape.
 Products add their terms into the output with one scratch row; no row
 reduction goes through BLAS, whose summation order depends on the block shape.
 Products and conjugates of samples are used as they come, not re-projected
 onto SU(2): at the suites' amplitudes those of unit samples are unit to a
 few ulps (at most 1.3e-15 at 512 x 512 over five seeds; the input checks
-allow 1e-10).  Each kernel writes into an
-``out`` array (and its scratch row) when given one and allocates otherwise.
+allow 1e-10).  Each kernel writes into an ``out`` array (and its scratch row)
+when given one and allocates otherwise.
+
+Checks at entry.  ``SampledGroupPath`` and ``SampledPathOfLoops`` take user
+grids and check their samples' unitary drift.  The coefficient fixtures
+``GroupPathCoeffs`` and ``LoopFieldCoeffs`` check their coefficients instead,
+where they enter (``sample``, ``stream``): finite and at most ``MAX_COEFF`` in
+magnitude, so |v|^2 cannot overflow and ``exp_su2`` of every sample is unit to
+a few ulps.  A streamed row is therefore not checked again.
 
 Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
 within one t-row, or a 3-point stencil along t, and the theta-trapezoid
 reduces each row on its own.  So the two kappa residuals stream over blocks of
 at most ``BLOCK_POINTS`` grid points (31 t-rows at Ntheta = 512): a block forms
-the products, conjugates, Maurer-Cartan forms and pairings of its rows and
-reduces them to per-row theta-integrals, and the t-trapezoid runs once over
-the assembled row integrals.  The t-stencils of a block read a window of the
+the products, conjugates, unscaled Maurer-Cartan forms and pairings of its
+rows and reduces them to per-row theta-sums, and the t-trapezoid runs once
+over the assembled row sums.  The t-stencils of a block read a window of the
 input rows with a 1-row halo on each side, or the 3 end rows where the
 one-sided stencil applies.  A residual allocates one set of block buffers per
 call, each sized by its largest block (``_Buffers``: a product or conjugate,
-two or three forms, their differences and a scratch row), and every block's
-kernels write into views of it.  The products and conjugates of checked rows
-are not checked again: their boundaries are exactly the identity, so a check
-could only turn a NaN into an input error; the NaN reaches the residual
-instead.  The public kernels (``product_field``, ``conjugate_field``,
-``maurer_cartan_t``, ``kappa_exponent``, ``beta_p``) are the same row kernels
-applied to all rows, so a streamed residual is bitwise equal to their
-composition.  The residuals read a loop field only through
-``windows(blocks)``, its samples on each block's window in turn: a
-``SampledPathOfLoops`` slices its grid, and a ``StreamedPathOfLoops``
-(``LoopFieldCoeffs.stream``) samples and checks each row once into one window
-buffer, moving the rows a window shares with the one before to its front.  So
-a residual on streamed fields holds O(``BLOCK_POINTS``) samples per field and
-never a full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
+three forms, their differences and a scratch row), and every block's kernels
+write into views of it.  The products and conjugates of unit rows are not
+checked: their boundaries are exactly the identity, so a check could only
+turn a NaN into an input error; the NaN reaches the residual instead.  The
+public kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``
+at h = 1, ``kappa_exponent``, ``beta_p``) are the same row kernels applied to
+all rows, so a streamed residual is bitwise equal to their composition.  The
+residuals read a loop field only through ``windows(blocks)``, its samples on
+each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
+``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples each row once
+into one window buffer, moving the rows a window shares with the one before
+to its front.  So a residual on streamed fields holds O(``BLOCK_POINTS``)
+samples per field and never a full grid; ``LoopFieldCoeffs.sample`` assembles
+the same windows.
 """
 
 from __future__ import annotations
@@ -109,11 +124,10 @@ def _products(terms, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     """Component i = the sum of sign * a[j] * b[k] over the terms (j, k, sign)
     of terms[i] in order, the first sign +1; written into ``out`` with one
     ``scratch`` row, each allocated when not given."""
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
     if out is None:
-        out = np.empty((len(terms), *shape))
+        out = np.empty((len(terms), *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
     if scratch is None:
-        scratch = np.empty(shape)
+        scratch = np.empty(out.shape[1:])
     a, b = list(a), list(b)  # the components' views, made once
     for i, ((j, k, _), *rest) in enumerate(terms):
         row = out[i, ...]
@@ -147,9 +161,11 @@ def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float,
                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Maurer-Cartan coordinates q0 d - d0 q + sign q x d over h from
     quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) / h for
-    sign -1 (left form), vec(diff conj(q)) / h for +1 (right form)."""
+    sign -1 (left form), vec(diff conj(q)) / h for +1 (right form).  At the
+    unit step h = 1 the form is the raw one and is not scaled."""
     out = _products(_FORM_TERMS[sign], q, diff, out, scratch)
-    out *= 1.0 / h
+    if h != 1.0:
+        out *= 1.0 / h
     return out
 
 
@@ -158,16 +174,27 @@ def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     (cos(|v|/2), sin(|v|/2) v / |v|), by the half-angle tangent
     tau = tan(|v|/4): cos(|v|/2) = (1 - tau^2) / (1 + tau^2) and
     sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|).  Written into ``out``,
-    of shape (4, ...), when given; v may be ``out[1:]``."""
+    of shape (4, ...), when given; v may be ``out[1:]``.  Three arrays of
+    the sample shape are the only temporaries: |v|, tau and 1 + tau^2, the
+    last reused for the coefficient of v."""
     v = np.asarray(v, dtype=float)
-    alpha = np.sqrt(np.einsum("k...,k...->...", v, v))
-    tau = np.tan(0.25 * alpha)
-    denom = 1.0 + tau * tau
+    if v.ndim == 1:  # one vector: the in-place kernels below need an array axis
+        return exp_su2(v[:, None], None if out is None else out[:, None])[:, 0]
     if out is None:
         out = np.empty((4, *v.shape[1:]))
-    np.divide(2.0 - denom, denom, out=out[0, ...])
-    with np.errstate(invalid="ignore"):  # 0 / 0 at v = 0, replaced by the limit
-        coef = np.where(alpha > 1e-12, tau / (denom * (0.5 * alpha)), 0.5)
+    alpha = np.einsum("k...,k...->...", v, v)
+    np.sqrt(alpha, out=alpha)
+    tau = np.multiply(alpha, 0.25)
+    np.tan(tau, out=tau)
+    denom = np.multiply(tau, tau)
+    denom += 1.0
+    np.subtract(2.0, denom, out=out[0])
+    np.divide(out[0], denom, out=out[0])
+    alpha *= 0.5
+    alpha *= denom  # (1 + tau^2) |v| / 2, zero exactly where v is
+    coef = denom
+    coef.fill(0.5)  # the limit of sin(|v|/2) / |v| at v = 0
+    np.divide(tau, alpha, out=coef, where=alpha > 0.0)
     np.multiply(coef, v, out=out[1:])
     return out
 
@@ -249,9 +276,9 @@ class _Block:
 
     def t_form(self, window: np.ndarray, h: float, out: np.ndarray | None = None,
                diff: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """Coordinates of q^-1 dq/dt on the block's rows from quaternion
-        samples (4, b - a, Ntheta + 1) of its window; written into ``out``
-        through the differences ``diff`` when given."""
+        """Coordinates of q^-1 dq/dt at t-step h on the block's rows from
+        quaternion samples (4, b - a, Ntheta + 1) of its window; written into
+        ``out`` through the differences ``diff`` when given."""
         i0, i1 = self.lo - self.a, self.hi - self.a
         diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n, diff)
         return _vector_form(window[:, i0:i1], diff, -1.0, h, out, scratch)
@@ -265,9 +292,10 @@ def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
 class _Buffers:
     """The block buffers of one residual call, allocated once and each sized
     by its largest block: a product or conjugate of windows, ``forms``
-    Maurer-Cartan forms of block rows, the differences a form is made from
-    and one scratch row.  A block's kernels write into views of its own
-    shape; only its pairings allocate, one (rows, Ntheta + 1) array each."""
+    unscaled Maurer-Cartan forms of block rows, the differences a form is
+    made from and one scratch row.  A block's kernels write into views of its
+    own shape; only its pairings allocate, a few arrays of one number per
+    row."""
 
     def __init__(self, blocks: list[_Block], cols: int, forms: int):
         window = max(b.b - b.a for b in blocks) * cols
@@ -294,19 +322,20 @@ class _Buffers:
         return _conjugate(q, f, out=self._view(self.product, 4, rows),
                           scratch=self._view(self.scratch, rows))
 
-    def t_form(self, blk: _Block, window: np.ndarray, h: float, slot: int) -> np.ndarray:
-        """``blk.t_form`` of a window in form buffer ``slot``."""
+    def t_form(self, blk: _Block, window: np.ndarray, slot: int) -> np.ndarray:
+        """``blk.t_form`` of a window at the unit step in form buffer ``slot``."""
         rows = blk.hi - blk.lo
-        return blk.t_form(window, h, out=self._view(self.forms[slot], 3, rows),
+        return blk.t_form(window, 1.0, out=self._view(self.forms[slot], 3, rows),
                           diff=self._view(self.diff, 4, rows),
                           scratch=self._view(self.scratch, rows))
 
-    def right_form(self, q: np.ndarray, h: float, slot: int) -> np.ndarray:
-        """``maurer_cartan_theta_right`` of rows q in form buffer ``slot``."""
+    def right_form(self, q: np.ndarray, slot: int) -> np.ndarray:
+        """``maurer_cartan_theta_right`` of rows q at the unit step in form
+        buffer ``slot``."""
         rows = q.shape[1]
         diff = _last_differences(q, self._view(self.diff, 4, rows))
-        return _vector_form(q, diff, 1.0, h, self._view(self.forms[slot], 3, rows),
-                            self._view(self.scratch, rows))
+        return _vector_form(q, diff, 1.0, h=1.0, out=self._view(self.forms[slot], 3, rows),
+                            scratch=self._view(self.scratch, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +398,8 @@ class SampledPathOfLoops:
 class StreamedPathOfLoops:
     """A ``LoopFieldCoeffs`` field bound to a grid, sampled a window of t-rows
     at a time; each row is pinned to the identity at theta = 0 (and at t = 0)
-    and checked for unitary drift as it is sampled."""
+    as it is sampled.  Its coefficients were checked where they entered, so
+    its rows are unit to a few ulps and are not checked again."""
 
     t_basis: np.ndarray  # (Nt + 1, t_modes): (t/2pi)^(m+1)
     theta_part: np.ndarray  # (3, t_modes, Ntheta + 1): sum_n coeffs[k, m, n] B_n(theta)
@@ -383,10 +413,10 @@ class StreamedPathOfLoops:
         return self.theta_part.shape[2] - 1
 
     def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
-        """Each block's window in turn, every row sampled, pinned and checked
-        once.  The windows share one buffer sized by the largest, so each is
-        valid until the next is drawn: the rows a window shares with the one
-        before, at most its last 3, are moved to the front."""
+        """Each block's window in turn, every row sampled and pinned once.
+        The windows share one buffer sized by the largest, so each is valid
+        until the next is drawn: the rows a window shares with the one before,
+        at most its last 3, are moved to the front."""
         buf = np.empty((4, max(b.b - b.a for b in blocks), self.n_theta + 1))
         prev_a = prev_b = 0
         for blk in blocks:
@@ -400,8 +430,6 @@ class StreamedPathOfLoops:
                 if a == 0:
                     fresh[:, 0] = IDENTITY[:, None]
                 fresh[:, :, 0] = IDENTITY[:, None]
-                if not unitary_drift(fresh) <= 1e-10:
-                    raise InputError("loop field samples drift off the unitary group")
             prev_a, prev_b = blk.a, blk.b
             yield win
 
@@ -436,10 +464,11 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 # Maurer-Cartan data and the two defining integrals
 # ---------------------------------------------------------------------------
 
-def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
+def maurer_cartan_t(f: SampledPathOfLoops, h: float | None = None) -> np.ndarray:
     """Coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
-    (second-order stencils)."""
-    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid, TWO_PI / f.n_t)
+    (second-order stencils) at t-step h, by default the grid's; at h = 1 the
+    unscaled form of the residuals."""
+    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid, TWO_PI / f.n_t if h is None else h)
 
 
 def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
@@ -448,19 +477,27 @@ def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
     return _vector_form(f, _last_differences(f), 1.0, h)
 
 
-def _theta_integrals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """Theta-trapezoid of a . b on each row of two coordinate fields
-    (3, rows, Ntheta + 1)."""
-    return _trapz(pair_fields(a, b), h)
+def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit-step theta-trapezoid of a . b on each row of coordinate fields
+    (3, ..., Ntheta + 1), b's middle axes of size 1 or those of a: per
+    component the sum over all columns less half of the two end columns,
+    then the three components in order.  The column sum runs within one
+    row, so a row's value does not depend on the rows beside it."""
+    per_k = np.einsum("k...c,k...c->k...", a, b)
+    ends = a[..., 0] * b[..., 0]
+    ends += a[..., -1] * b[..., -1]
+    ends *= 0.5
+    per_k -= ends
+    return per_k[0] + per_k[1] + per_k[2]
 
 
 def kappa_exponent(f: SampledPathOfLoops, g: SampledPathOfLoops) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
-    kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form."""
-    h_theta = TWO_PI / g.n_theta
-    right = maurer_cartan_theta_right(g.grid, h_theta)
-    rows = _theta_integrals(maurer_cartan_t(f), right, h_theta)
-    return float(_trapz(rows, TWO_PI / f.n_t))
+    kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form.  The
+    t- and theta-steps of the trapezoids cancel the 1/h of the two forms,
+    so A is the unit-step double sum of the unscaled forms' pairing."""
+    right = maurer_cartan_theta_right(g.grid, 1.0)
+    return float(_trapz(_theta_integrals(maurer_cartan_t(f, 1.0), right), 1.0))
 
 
 def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
@@ -468,42 +505,43 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
     kappa at unit level.  At level k and form c I, |kappa(f,g) kappa(fg,h) -
     kappa(g,h) kappa(f,gh)| = 2|sin(k c D)| is at most |k c| times this.
     Streamed over blocks of t-rows: each block forms the products fg and gh
-    and the forms of its rows and keeps only the row integrals of the four
-    pairings.  The six forms take turns in three buffers."""
-    ht, hth = TWO_PI / f.n_t, TWO_PI / f.n_theta
+    and the unscaled forms of its rows and keeps only the row integrals of the
+    four pairings.  The six forms take turns in three buffers."""
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
     buf = _Buffers(blocks, f.n_theta + 1, forms=3)
     for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
         g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
         out = rows[:, blk.lo:blk.hi]
-        mc_f = buf.t_form(blk, f_win, ht, 0)
-        out[0] = _theta_integrals(mc_f, buf.right_form(g_rows, hth, 1), hth)
-        mc_h = buf.right_form(h_rows, hth, 1)
-        out[1] = _theta_integrals(buf.t_form(blk, buf.hamilton(f_win, g_win), ht, 2), mc_h, hth)
-        out[2] = _theta_integrals(buf.t_form(blk, g_win, ht, 2), mc_h, hth)
-        out[3] = _theta_integrals(mc_f, buf.right_form(buf.hamilton(g_rows, h_rows), hth, 1), hth)
-    a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r, ht)) for r in rows)
+        mc_f = buf.t_form(blk, f_win, 0)
+        out[0] = _theta_integrals(mc_f, buf.right_form(g_rows, 1))
+        mc_h = buf.right_form(h_rows, 1)
+        out[1] = _theta_integrals(buf.t_form(blk, buf.hamilton(f_win, g_win), 2), mc_h)
+        out[2] = _theta_integrals(buf.t_form(blk, g_win, 2), mc_h)
+        out[3] = _theta_integrals(mc_f, buf.right_form(buf.hamilton(g_rows, h_rows), 1))
+    a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r, 1.0)) for r in rows)
     return 2.0 * abs(a_f_g + a_fg_h - a_g_h - a_f_gh)
 
 
 def _base_form(p: SampledGroupPath) -> np.ndarray:
-    """Coordinates (3, Ntheta + 1) of p^-1 dp/dtheta."""
-    return _vector_form(p.samples, _last_differences(p.samples), -1.0, TWO_PI / p.n_theta)
+    """Unscaled coordinates (3, Ntheta + 1) of p^-1 dp/dtheta (unit step)."""
+    return _vector_form(p.samples, _last_differences(p.samples), -1.0, 1.0)
 
 
-def _beta_rows(form: np.ndarray, xi: np.ndarray, h: float) -> np.ndarray:
-    """beta_p(xi) from the base path's form: -2 * theta-trapezoid of xi . form."""
-    return -2.0 * _trapz(pair_fields(xi, form), h)
+def _beta_rows(form: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """beta_p(xi) from the base path's unscaled form: -2 * the unit-step
+    theta-trapezoid of xi . form, the theta-step cancelling the form's 1/h."""
+    return -2.0 * _theta_integrals(xi, form.reshape(3, *(1,) * (xi.ndim - 2), -1))
 
 
 def beta_p(p: SampledGroupPath, xi: np.ndarray) -> float | np.ndarray:
     """-2 * integral over theta of <xi(theta), p^-1 p'(theta)>.
 
     xi is a coordinate field (3, ..., Ntheta + 1); the middle axes are batch
-    axes (e.g. one loop per t sample).
+    axes (e.g. one loop per t sample).  At the unit t-step, xi = the unscaled
+    t-form of a loop field, the rows are those of the conjugation residual.
     """
-    value = _beta_rows(_base_form(p), xi, TWO_PI / p.n_theta)
+    value = _beta_rows(_base_form(p), xi)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -547,32 +585,50 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
 
     where mc is the t-direction Maurer-Cartan form.  The exponentiated defect
     at level k and form c I is at most |k c| times this.  Streamed over blocks
-    of t-rows like ``kappa_cocycle_residual``; the form of p is computed once.
+    of t-rows like ``kappa_cocycle_residual``, on unscaled forms; the form of
+    p is computed once, and beta_p, being linear, pairs it once with
+    mc(f1 f2) - mc(f1) - mc(f2).
     """
-    ht, hth = TWO_PI / f1.n_t, TWO_PI / f1.n_theta
     form = _base_form(p)
     q = p.samples[:, None, :]
     rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
     blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
-    buf = _Buffers(blocks, f1.n_theta + 1, forms=2)
+    buf = _Buffers(blocks, f1.n_theta + 1, forms=3)
     for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
         f2_rows = blk.inner(f2_win)
         out = rows[:, blk.lo:blk.hi]
-        out[0] = _theta_integrals(buf.t_form(blk, buf.conjugate(q, f1_win), ht, 0),
-                                  buf.right_form(buf.conjugate(q, f2_rows), hth, 1), hth)
-        mc_f1 = buf.t_form(blk, f1_win, ht, 0)
-        out[1] = _theta_integrals(mc_f1, buf.right_form(f2_rows, hth, 1), hth)
-        # each beta term is reduced to its rows before the next form takes buffer 1
-        out[2] = (_beta_rows(form, buf.t_form(blk, buf.hamilton(f1_win, f2_win), ht, 1), hth)
-                  - _beta_rows(form, mc_f1, hth)
-                  - _beta_rows(form, buf.t_form(blk, f2_win, ht, 1), hth))
-    a_conj, a, correction = (float(_trapz(r, ht)) for r in rows)
+        out[0] = _theta_integrals(buf.t_form(blk, buf.conjugate(q, f1_win), 0),
+                                  buf.right_form(buf.conjugate(q, f2_rows), 1))
+        mc_f1 = buf.t_form(blk, f1_win, 0)
+        out[1] = _theta_integrals(mc_f1, buf.right_form(f2_rows, 1))
+        combined = buf.t_form(blk, buf.hamilton(f1_win, f2_win), 2)
+        combined -= mc_f1
+        combined -= buf.t_form(blk, f2_win, 1)
+        out[2] = _beta_rows(form, combined)
+    a_conj, a, correction = (float(_trapz(r, 1.0)) for r in rows)
     return abs(2.0 * (a_conj - a) - correction)
 
 
 # ---------------------------------------------------------------------------
 # compact smooth fixtures (coefficients, samplable at any resolution)
 # ---------------------------------------------------------------------------
+
+# the largest coefficient magnitude a fixture takes: every basis function is
+# at most 1 in size, so a field's coordinates are at most modes x max|c| and
+# |v|^2 stays below 3 (modes max|c|)^2, 48 max|c|^2 for the 2 x 2 modes of the
+# suites' loop fields, far from overflow in ``exp_su2``
+MAX_COEFF = 1e150
+
+
+def _entry_coeffs(coeffs, what: str) -> np.ndarray:
+    """A fixture's coefficients as they enter: finite and at most
+    ``MAX_COEFF`` in magnitude, or an input error."""
+    c = np.asarray(coeffs, dtype=float)
+    if not np.abs(c).max() <= MAX_COEFF:  # NaN compares false
+        raise InputError(f"{what} coefficients must be finite and at most "
+                         f"{MAX_COEFF:g} in magnitude")
+    return c
+
 
 @dataclass(frozen=True)
 class GroupPathCoeffs:
@@ -581,10 +637,10 @@ class GroupPathCoeffs:
     coeffs: np.ndarray  # (3, modes)
 
     def sample(self, n_theta: int) -> SampledGroupPath:
+        c = _entry_coeffs(self.coeffs, "group path")
         u = np.linspace(0.0, 1.0, n_theta + 1)
-        modes = self.coeffs.shape[1]
-        powers = u[:, None] ** (np.arange(modes)[None, :] + 1)
-        w = np.asarray(self.coeffs, dtype=float) @ powers.T
+        powers = u[:, None] ** (np.arange(c.shape[1])[None, :] + 1)
+        w = c @ powers.T
         samples = exp_su2(w)
         samples[:, 0] = IDENTITY
         return SampledGroupPath(samples)
@@ -611,7 +667,9 @@ class LoopFieldCoeffs:
     with the loop basis B of ``_theta_loop_basis``.
 
     Every t-slice is a smooth loop based at the identity and the field is
-    pinned at t = 0.
+    pinned at t = 0.  The coefficients are checked where they enter, in
+    ``stream`` (and so in ``sample``): finite and at most ``MAX_COEFF`` in
+    magnitude, so every sample is unit to a few ulps.
     """
 
     coeffs: np.ndarray  # (3, t_modes, theta_modes)
@@ -619,7 +677,7 @@ class LoopFieldCoeffs:
     def stream(self, n_t: int, n_theta: int) -> StreamedPathOfLoops:
         if min(n_t, n_theta) < 4:
             raise InputError("loop field needs at least a 5x5 grid of quaternions")
-        c = np.asarray(self.coeffs, dtype=float)
+        c = _entry_coeffs(self.coeffs, "loop field")
         _, mt, mn = c.shape
         s = np.linspace(0.0, 1.0, n_t + 1)
         theta = np.linspace(0.0, TWO_PI, n_theta + 1)

@@ -231,15 +231,10 @@ class FiniteTwoGroup:
     def composable(self, m1: int, m2: int) -> bool:
         return bool(self.source[m1] == self.target[m2])
 
-    def compose(self, m1: int, m2: int) -> int:
-        """m1 o m2 (m2 first); defined iff source(m1) = target(m2)."""
-        if not self.composable(m1, m2):
-            raise InputError(f"morphisms {m1}, {m2} are not composable")
-        return int(self._composite(m1, m2))
-
     def _composite(self, m1, m2):
-        """(p1, h1) o (p2, h2) = (p2, h1 h2) without the composability check,
-        element-wise over integer arrays of morphisms."""
+        """m1 o m2 (m2 first), (p1, h1) o (p2, h2) = (p2, h1 h2), defined iff
+        ``composable(m1, m2)``, which is not checked; element-wise over
+        integer arrays of morphisms."""
         nH = self.cm.H.order
         return m2 - m2 % nH + self.cm.H.table[m1 % nH, m2 % nH]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -367,6 +368,50 @@ def test_replay_rejects_a_central_witness_whose_loop_is_not_a_path(tmp_path, cap
     assert main(["replay", "--report", str(report_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: witness central element's loop ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, position", [("kappa-cocycle", 2), ("kappa-conjugation", 0),
+                                             ("kappa-conjugation", 1)])
+def test_replay_refuses_oversized_grid_fixture_coefficients(tmp_path, capsys, suite, position):
+    # 1e200 is finite, so the report reader takes it; the fixture refuses it
+    # where its coefficients enter, before |v|^2 could overflow in exp_su2
+    report_path = tmp_path / "forced.json"
+    main(["verify", "--suite", suite, "--tol-quad", "1e-30", "--report", str(report_path),
+          *FAST])
+    doc = json.loads(report_path.read_text())
+    element = doc["suites"][0]["witness"]["inputs"][position]
+    element["value"] = _poison(element["value"], 1e200)
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["replay", "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coefficients must be finite and at most" in err
+
+
+@pytest.mark.parametrize("splitting, code", [([0.0, 1.0] + [0.0] * 7, 0),
+                                             ([0.5, 0.5] + [0.0] * 7, 2),
+                                             ([0.0, 2.0] + [0.0] * 7, 2)],
+                         ids=["admissible", "not-0-at-0", "not-1-at-2pi"])
+def test_replay_refuses_a_non_admissible_splitting_in_a_universality_witness(
+        tmp_path, capsys, splitting, code):
+    # the suite draws admissible splittings by construction, so the universal
+    # integral does not check them; replay checks a witness's where it enters
+    report_path = tmp_path / "forced.json"
+    main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    doc["suites"][0]["witness"] = {"component": suites.UNIVERSALITY, "inputs": [
+        {"type": "name", "value": suites.UNIVERSALITY}, {"type": "vector", "value": splitting}]}
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error: splitting function must ")
+    else:
+        assert out.startswith("equivalence: replayed residual")
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lie2 import su2grid as sg
 from lie2.liealg import InputError, sl2, su2
+from lie2.linfty import PathSpace, random_elements
 from lie2.paths import (
     BASED,
     LOOP,
@@ -102,17 +104,6 @@ def test_universal_integral_quintic():
     f = np.zeros(6)
     f[5] = 1.0
     assert universal_integral(f) == pytest.approx(-1.0 / 6.0, abs=1e-13)
-
-
-def test_universal_integral_accepts_scalar_path():
-    assert universal_integral(scalar_path([0.0, 1.0])) == pytest.approx(-1.0 / 6.0)
-
-
-def test_universal_integral_rejects_bad_endpoints():
-    with pytest.raises(InputError):
-        universal_integral(np.array([0.5, 0.5]))
-    with pytest.raises(InputError):
-        universal_integral(np.array([0.0, 2.0]))
 
 
 def test_integration_by_parts_based(g, rng):
@@ -304,6 +295,30 @@ def test_degree_grows_without_truncation(g, rng):
 def test_random_splitting_is_admissible(rng):
     for _ in range(10):
         validate_splitting(random_splitting(rng, 8))
+
+
+def _spread(draws) -> bool:
+    """Whether the arrays are not all equal."""
+    return not all(np.array_equal(d, draws[0]) for d in draws[1:])
+
+
+def test_every_sampler_spreads_its_draws(rng):
+    # a sampler that draws one value, or a degree short, would show every
+    # trial one input: the draws differ, and paths and splittings reach their
+    # degree with a nonzero top coefficient
+    degree, draws = 5, 4
+    for kind in (BASED, LOOP):
+        paths = [random_path(su2(), rng, degree, kind) for _ in range(draws)]
+        assert all(p.degree == degree and np.all(p.coeffs[:, degree] != 0) for p in paths)
+        assert _spread([p.coeffs for p in paths])
+    splittings = [random_splitting(rng, degree) for _ in range(draws)]
+    assert all(f.shape == (degree + 1,) and f[degree] != 0 for f in splittings)
+    assert _spread(splittings)
+    for sampler in (sg.random_loop_field_coeffs, sg.random_group_path_coeffs):
+        assert _spread([sampler(rng).coeffs for _ in range(draws)])
+    [(block,)] = random_elements(rng, draws, (PathSpace(su2(), LOOP, degree),))
+    assert block.coeffs.shape == (draws, 3, degree + 1)
+    assert _spread(list(block.coeffs))
 
 
 @pytest.mark.parametrize("poly", [[np.nan, np.nan, np.nan], [0.0, np.inf, 1.0], [0.0, 1.0, np.nan]])

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -419,11 +421,13 @@ def _cocycle_by_composition(f, g, h):
 
 
 def _conjugation_by_composition(p, f1, f2):
+    # beta_p is linear, so the residual pairs p's form once with the combined
+    # t-form; the forms are unscaled (unit step), as the trapezoid steps cancel
     conj = sg.kappa_exponent(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2))
-    rows = (sg.beta_p(p, sg.maurer_cartan_t(sg.product_field(f1, f2)))
-            - sg.beta_p(p, sg.maurer_cartan_t(f1))
-            - sg.beta_p(p, sg.maurer_cartan_t(f2)))
-    correction = float(sg._trapz(rows, TWO_PI / f1.n_t))
+    f12 = sg.product_field(f1, f2)
+    combined = (sg.maurer_cartan_t(f12, 1.0) - sg.maurer_cartan_t(f1, 1.0)
+                - sg.maurer_cartan_t(f2, 1.0))
+    correction = float(sg._trapz(sg.beta_p(p, combined), 1.0))
     return abs(2.0 * (conj - sg.kappa_exponent(f1, f2)) - correction)
 
 
@@ -470,20 +474,49 @@ def test_a_stream_samples_each_row_once(rng, monkeypatch, nt, ntheta):
 @pytest.mark.parametrize("residual, position", [("cocycle", 0), ("cocycle", 1), ("cocycle", 2),
                                                 ("conjugation", 0), ("conjugation", 1)])
 def test_nan_coefficients_raise_the_same_error_from_the_stream(rng, residual, position):
-    bad = sg.LoopFieldCoeffs(np.full((3, 2, 2), np.nan))
+    # a suite evaluation (as a run and a replay make it) streams its loop
+    # fields, and the stream checks their coefficients as they enter: a NaN
+    # field in any position raises the error of sampling it in full
+    bad = np.full((3, 2, 2), np.nan)
     with pytest.raises(InputError) as sampled:
-        bad.sample(64, 48)
-    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).stream(64, 48) for _ in range(3)]
-    fs[position] = bad.stream(64, 48)
-    p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(48)
+        sg.LoopFieldCoeffs(bad).sample(64, 48)
+    spec = REGISTRY[f"kappa-{residual}"]
+    config = RunConfig(nt=64, ntheta=48, suites=(spec.name,))
+    [inputs] = spec.sample(config, rng)
+    inputs[position + (residual == "conjugation")] = bad  # after the path p
     with pytest.raises(InputError) as streamed:
-        if residual == "cocycle":
-            sg.kappa_cocycle_residual(*fs)
-        else:
-            sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
+        spec.evaluate(config, inputs)
     assert str(streamed.value) == str(sampled.value)
     with pytest.raises(InputError, match="5x5"):
-        bad.stream(3, 48)
+        sg.LoopFieldCoeffs(bad).stream(3, 48)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, -2e150])
+def test_bad_fixture_coefficients_are_refused_where_they_enter(rng, value):
+    # refused before any sample is made, so no overflow or invalid-value
+    # warning is raised on the way
+    loop = sg.random_loop_field_coeffs(rng).coeffs
+    path = sg.random_group_path_coeffs(rng).coeffs
+    loop[1, 0, 1] = path[2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="loop field coefficients must be finite") as streamed:
+            sg.LoopFieldCoeffs(loop).stream(16, 16)
+        with pytest.raises(InputError) as sampled:
+            sg.LoopFieldCoeffs(loop).sample(16, 16)
+        with pytest.raises(InputError, match="group path coefficients must be finite"):
+            sg.GroupPathCoeffs(path).sample(16)
+    assert str(streamed.value) == str(sampled.value)
+
+
+def test_coefficients_at_the_bound_give_unit_samples():
+    # |v|^2 <= 48 MAX_COEFF^2 stays finite, so the exponential is unit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = sg.LoopFieldCoeffs(np.full((3, 2, 2), -sg.MAX_COEFF)).sample(16, 16)
+        path = sg.GroupPathCoeffs(np.full((3, 3), sg.MAX_COEFF)).sample(16)
+    assert sg.unitary_drift(field.grid) <= 1e-13
+    assert sg.unitary_drift(path.samples) <= 1e-13
 
 
 @pytest.mark.parametrize("suite", ["kappa-cocycle", "kappa-conjugation"])

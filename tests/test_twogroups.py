@@ -380,16 +380,17 @@ def test_composition_worked_example():
     assert grp.violations() == []
     m2 = grp.morphism(1, 2)  # 1 -> 3
     m1 = grp.morphism(3, 1)  # 3 -> 4
-    assert grp.target[m2] == grp.source[m1]
-    c = grp.compose(m1, m2)
+    assert grp.target[m2] == grp.source[m1] and grp.composable(m1, m2)
+    c = int(grp._composite(m1, m2))
     assert grp.pair(c) == (1, 3)
     assert grp.source[c] == 1 and grp.target[c] == 4
 
 
-def test_compose_rejects_non_matching():
+def test_non_matching_morphisms_are_not_composable():
     grp = FiniteTwoGroup(conjugation_module(cyclic_group(5)))
-    with pytest.raises(InputError):
-        grp.compose(grp.morphism(0, 1), grp.morphism(0, 1))
+    m = grp.morphism(0, 1)  # 0 -> 1
+    assert grp.source[m] != grp.target[m]
+    assert not grp.composable(m, m)
 
 
 def test_interchange_concrete_instance():
@@ -399,9 +400,10 @@ def test_interchange_concrete_instance():
     m2, m4 = grp.morphism(1, 2), grp.morphism(2, 5)
     m1 = grp.morphism(int(grp.target[m2]), 3)
     m3 = grp.morphism(int(grp.target[m4]), 4)
-    left = grp.mor_table[grp.compose(m1, m2), grp.compose(m3, m4)]
-    right = grp.compose(int(grp.mor_table[m1, m3]), int(grp.mor_table[m2, m4]))
-    assert left == right
+    m13, m24 = int(grp.mor_table[m1, m3]), int(grp.mor_table[m2, m4])
+    assert grp.composable(m1, m2) and grp.composable(m3, m4) and grp.composable(m13, m24)
+    left = grp.mor_table[grp._composite(m1, m2), grp._composite(m3, m4)]
+    assert left == grp._composite(m13, m24)
 
 
 def test_quotient_group():
