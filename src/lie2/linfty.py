@@ -229,8 +229,8 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
     its terms the nonvanishing l_j(l_i(...), ...) with their signs.
 
     Takes 1 <= n <= 4 inputs tagged with degrees in {0, 1}, as
-    ``jacobi_samples`` draws them.  Signatures without a ``jacobi_target``
-    return 0.
+    ``jacobi_samples`` draws them; every term then has the degree
+    ``jacobi_target``.  Signatures without one return 0.
     """
     from .signs import chi, unshuffles
 
@@ -253,10 +253,8 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
             term = L.apply_l([first] + [inputs[s] for s in sigma[i:]])
             if term is None:
                 continue
-            deg, val = term
-            assert deg == target
             coeff = float(chi(degrees, sigma)) * (-1.0) ** (i * (j - 1))
-            terms.append(coeff * val)
+            terms.append(coeff * term[1])
     norms = [L.space(d).norm(v) for d, v in inputs]
     return law_residual(terms, L.space(target).norm, norms)
 

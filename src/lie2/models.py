@@ -34,6 +34,7 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
+    _derived,
     derivative_pairing,
     f_minus_f2,
     pointwise_bracket,
@@ -125,18 +126,18 @@ def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
              gk: TwoTermLInfinity, pkg: TwoTermLInfinity) -> LInftyHom:
     """Skeletal model -> path model along a validated splitting function f
     with f(0) = 0, f(2*pi) = 1: x goes to the path x*f, the corrector is the
-    loop [x1, x2] * (f - f^2)."""
+    loop [x1, x2] * (f - f^2).  Their inputs are checked carriers and f is
+    validated, so the paths are derived ones, not checked again."""
     profile = f_minus_f2(f)
 
     def psi0(x) -> PolyPath:
-        return PolyPath(g, np.asarray(x)[..., :, None] * f, BASED)
+        return _derived(g, x[..., :, None] * f, BASED)
 
     def psi1(c: float) -> CentralVector:
         return CentralVector(zero_path(g, LOOP), c)
 
     def psi2(x1, x2) -> CentralVector:
-        loop = PolyPath(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP)
-        return CentralVector(loop, 0.0)
+        return CentralVector(_derived(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP), 0.0)
 
     return LInftyHom(gk, pkg, psi0, psi1, psi2, name="splitting")
 
@@ -158,10 +159,11 @@ def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
 def make_tau(g: LieAlgebraPresentation, *, pkg: TwoTermLInfinity,
              phi: LInftyHom, psi: LInftyHom) -> ChainHomotopy:
     """Homotopy from (splitting o endpoint) to the identity of the path
-    model: a path p is retracted onto the loop p - psi0(phi0(p))."""
+    model: a path p is retracted onto the loop p - psi0(phi0(p)), a derived
+    path of kind loop because psi0(phi0(p)) ends where p does."""
 
     def tau(p: PolyPath) -> CentralVector:
-        return CentralVector(PolyPath(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP), 0.0)
+        return CentralVector(_derived(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP), 0.0)
 
     return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau,
                          name="retraction")

@@ -22,7 +22,8 @@ kind, non-finite coefficients and broken endpoint constraints.  A path derived
 from checked paths (bracket, sum, negation, scalar multiple, batch selection)
 takes its kind from theirs through the lattice and is not checked again, so a
 NaN scalar gives a NaN path, which the residual it reaches carries to the
-suite's running maximum.
+suite's running maximum.  The model maps (``models.make_psi``,
+``models.make_tau``) build their paths with ``_derived`` too.
 """
 
 from __future__ import annotations

@@ -2,28 +2,21 @@
 
 Permutations are tuples ``sigma`` of length n whose entry ``sigma[a]`` is the
 0-based index of the argument placed in slot ``a``; degree signatures are
-sequences of non-negative integers, one per argument slot.
+sequences of non-negative integers, one per argument slot.  Every permutation
+and signature the engine passes in comes from ``unshuffles`` and
+``linfty.jacobi_samples``, so none is checked here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 Permutation = tuple[int, ...]
 
 
-def _check_permutation(sigma: Sequence[int], n: int) -> Permutation:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
-    return sigma
-
-
 def sign(sigma: Sequence[int]) -> int:
     """Sign of a permutation, from inversion parity."""
-    sigma = _check_permutation(sigma, len(sigma))
     inversions = sum(
         1 for a, b in itertools.combinations(range(len(sigma)), 2) if sigma[a] > sigma[b]
     )
@@ -36,9 +29,6 @@ def koszul_sign(degrees: Sequence[int], sigma: Sequence[int]) -> int:
     Each crossing of two factors of degrees d_i, d_j contributes (-1)^(d_i d_j);
     the crossings of ``sigma`` are exactly its inversion pairs.
     """
-    if len(degrees) != len(sigma):
-        raise ValueError("degree signature and permutation lengths differ")
-    sigma = _check_permutation(sigma, len(sigma))
     weight = 0
     for a, b in itertools.combinations(range(len(sigma)), 2):
         if sigma[a] > sigma[b]:
@@ -55,19 +45,14 @@ def chi(degrees: Sequence[int], sigma: Sequence[int]) -> int:
 
 
 def unshuffles(j: int, n: int) -> list[Permutation]:
-    """All permutations increasing on the first j and on the last n-j slots.
+    """All permutations increasing on the first j and on the last n-j slots,
+    for 1 <= j <= n.
 
     Values are strictly increasing on each block (permutation entries are
     distinct).  Returned in lexicographic order of the first block; there are
-    C(n, j) of them.  ``j == n`` is accepted and yields only the identity, so
-    callers can sum over arities uniformly.
+    C(n, j) of them.  ``j == n`` yields only the identity, so callers can sum
+    over arities uniformly.
     """
-    if not 1 <= j <= n:
-        raise ValueError(f"unshuffle block size {j} out of range for n={n}")
-    out = []
     universe = range(n)
-    for head in itertools.combinations(universe, j):
-        tail = tuple(i for i in universe if i not in head)
-        out.append(head + tail)
-    assert len(out) == math.comb(n, j)
-    return out
+    return [head + tuple(i for i in universe if i not in head)
+            for head in itertools.combinations(universe, j)]

@@ -32,16 +32,19 @@ Derivatives use central differences with one-sided second-order stencils at
 the boundaries; integrals use the trapezoid rule.  Both are O(h^2), which the
 convergence suites verify by refinement.
 
-Kernel arithmetic.  The stencils give raw differences (2h x the derivative).
-The two kappa residuals keep their Maurer-Cartan forms unscaled, the form at
-unit step: the t- and theta-steps of the trapezoids cancel the 1/h of the two
-forms, so A is the unit-step trapezoid double sum of raw_t . raw_theta and C is
--2 times that of raw_t . raw_p.  The public kernels scale by 1/h unless given
-h = 1.  A pairing and its theta-trapezoid are one ``einsum``, which sums each
-component of each row over all columns, less half of the two end columns; it
-sums within one row, so a row's value does not depend on the block around it,
-and no (rows, Ntheta + 1) array of pointwise pairings is formed.  The
-theta-stencil works on the last axis in place, with no transpose.
+Kernel arithmetic.  Every kernel works at unit step, with no step argument.
+The stencils give raw differences (2h x the derivative), the Maurer-Cartan
+forms are unscaled (h x the form, at the step h of their axis) and the
+trapezoids are unit-step sums.  Each step cancels against one of these: A is
+the unit-step trapezoid double sum of raw_t . raw_theta, C is -2 times that of
+raw_t . raw_p, beta_p is -2 times the unit-step theta-sum of xi . raw_p, and
+omega at unit level, 2 * the integral of xi . d eta / d theta, is the unit-step
+theta-sum of xi . raw_eta.  A pairing and its theta-trapezoid are one
+``einsum`` (``_theta_integrals``), which sums each component of each row over
+all columns, less half of the two end columns; it sums within one row, so a
+row's value does not depend on the block around it, and no (rows, Ntheta + 1)
+array of pointwise pairings is formed.  The theta-stencil works on the last
+axis in place, with no transpose.
 ``exp_su2`` goes through the half-angle tangent: numpy's float64 tan is a SIMD
 loop where sin and cos are scalar libm calls (2.3 against 20-22 ns per
 element, numpy 2.4 on a Xeon); it reuses three temporaries of the sample shape.
@@ -74,8 +77,8 @@ three forms, their differences and a scratch row), and every block's kernels
 write into views of it.  The products and conjugates of unit rows are not
 checked: their boundaries are exactly the identity, so a check could only
 turn a NaN into an input error; the NaN reaches the residual instead.  The
-public kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``
-at h = 1, ``kappa_exponent``, ``beta_p``) are the same row kernels applied to
+public kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``,
+``kappa_exponent``, ``beta_p``) are the same row kernels applied to
 all rows, so a streamed residual is bitwise equal to their composition.  The
 residuals read a loop field only through ``windows(blocks)``, its samples on
 each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
@@ -157,16 +160,13 @@ def _rotate(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
     return _products(_MATRIX_ROWS, r.reshape(9, *r.shape[2:]), v, out, scratch)
 
 
-def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float, h: float,
+def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float,
                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Maurer-Cartan coordinates q0 d - d0 q + sign q x d over h from
-    quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) / h for
-    sign -1 (left form), vec(diff conj(q)) / h for +1 (right form).  At the
-    unit step h = 1 the form is the raw one and is not scaled."""
-    out = _products(_FORM_TERMS[sign], q, diff, out, scratch)
-    if h != 1.0:
-        out *= 1.0 / h
-    return out
+    """Unscaled Maurer-Cartan coordinates q0 d - d0 q + sign q x d from
+    quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) for
+    sign -1 (left form), vec(diff conj(q)) for +1 (right form), each h x the
+    form at step h."""
+    return _products(_FORM_TERMS[sign], q, diff, out, scratch)
 
 
 def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -204,12 +204,6 @@ def unitary_drift(q: np.ndarray) -> float:
     if any sample is NaN."""
     norm2 = np.einsum("k...,k...->...", q, q)
     return float(np.maximum(norm2.max() - 1.0, 1.0 - norm2.min()))
-
-
-def pair_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise pairing a . b = -2 Re tr((a . X)(b . X)) over the leading
-    axis; the trailing axes broadcast."""
-    return np.einsum("k...,k...->...", a, b)
 
 
 def check_grid_algebra(g: LieAlgebraPresentation) -> None:
@@ -251,9 +245,9 @@ def _last_differences(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _trapz(v: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid rule along the last axis."""
-    return h * (v[..., 1:-1].sum(axis=-1) + 0.5 * (v[..., 0] + v[..., -1]))
+def _trapz(v: np.ndarray) -> np.ndarray:
+    """Unit-step trapezoid rule along the last axis."""
+    return v[..., 1:-1].sum(axis=-1) + 0.5 * (v[..., 0] + v[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +268,14 @@ class _Block:
         """The block's own rows lo..hi-1 of its window."""
         return window[:, self.lo - self.a:self.hi - self.a]
 
-    def t_form(self, window: np.ndarray, h: float, out: np.ndarray | None = None,
+    def t_form(self, window: np.ndarray, out: np.ndarray | None = None,
                diff: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """Coordinates of q^-1 dq/dt at t-step h on the block's rows from
+        """Unscaled coordinates of q^-1 dq/dt on the block's rows from
         quaternion samples (4, b - a, Ntheta + 1) of its window; written into
         ``out`` through the differences ``diff`` when given."""
         i0, i1 = self.lo - self.a, self.hi - self.a
         diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n, diff)
-        return _vector_form(window[:, i0:i1], diff, -1.0, h, out, scratch)
+        return _vector_form(window[:, i0:i1], diff, -1.0, out, scratch)
 
 
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
@@ -323,18 +317,17 @@ class _Buffers:
                           scratch=self._view(self.scratch, rows))
 
     def t_form(self, blk: _Block, window: np.ndarray, slot: int) -> np.ndarray:
-        """``blk.t_form`` of a window at the unit step in form buffer ``slot``."""
+        """``blk.t_form`` of a window in form buffer ``slot``."""
         rows = blk.hi - blk.lo
-        return blk.t_form(window, 1.0, out=self._view(self.forms[slot], 3, rows),
+        return blk.t_form(window, out=self._view(self.forms[slot], 3, rows),
                           diff=self._view(self.diff, 4, rows),
                           scratch=self._view(self.scratch, rows))
 
     def right_form(self, q: np.ndarray, slot: int) -> np.ndarray:
-        """``maurer_cartan_theta_right`` of rows q at the unit step in form
-        buffer ``slot``."""
+        """``maurer_cartan_theta_right`` of rows q in form buffer ``slot``."""
         rows = q.shape[1]
         diff = _last_differences(q, self._view(self.diff, 4, rows))
-        return _vector_form(q, diff, 1.0, h=1.0, out=self._view(self.forms[slot], 3, rows),
+        return _vector_form(q, diff, 1.0, out=self._view(self.forms[slot], 3, rows),
                             scratch=self._view(self.scratch, rows))
 
 
@@ -464,17 +457,17 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 # Maurer-Cartan data and the two defining integrals
 # ---------------------------------------------------------------------------
 
-def maurer_cartan_t(f: SampledPathOfLoops, h: float | None = None) -> np.ndarray:
-    """Coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
-    (second-order stencils) at t-step h, by default the grid's; at h = 1 the
-    unscaled form of the residuals."""
-    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid, TWO_PI / f.n_t if h is None else h)
+def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
+    """Unscaled coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
+    (second-order stencils): the t-step times the form, as the residuals
+    pair it."""
+    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid)
 
 
-def maurer_cartan_theta_right(f: np.ndarray, h: float) -> np.ndarray:
-    """Coordinates of (d f / d theta) f^-1 along the last axis of a
-    quaternion array (4, ..., Ntheta + 1)."""
-    return _vector_form(f, _last_differences(f), 1.0, h)
+def maurer_cartan_theta_right(f: np.ndarray) -> np.ndarray:
+    """Unscaled coordinates of (d f / d theta) f^-1 along the last axis of a
+    quaternion array (4, ..., Ntheta + 1): the theta-step times the form."""
+    return _vector_form(f, _last_differences(f), 1.0)
 
 
 def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -494,10 +487,10 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kappa_exponent(f: SampledPathOfLoops, g: SampledPathOfLoops) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
     kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form.  The
-    t- and theta-steps of the trapezoids cancel the 1/h of the two forms,
-    so A is the unit-step double sum of the unscaled forms' pairing."""
-    right = maurer_cartan_theta_right(g.grid, 1.0)
-    return float(_trapz(_theta_integrals(maurer_cartan_t(f, 1.0), right), 1.0))
+    unscaled forms carry the t- and theta-steps of the trapezoids, so A is
+    the unit-step double sum of their pairing."""
+    right = maurer_cartan_theta_right(g.grid)
+    return float(_trapz(_theta_integrals(maurer_cartan_t(f), right)))
 
 
 def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
@@ -519,18 +512,18 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
         out[1] = _theta_integrals(buf.t_form(blk, buf.hamilton(f_win, g_win), 2), mc_h)
         out[2] = _theta_integrals(buf.t_form(blk, g_win, 2), mc_h)
         out[3] = _theta_integrals(mc_f, buf.right_form(buf.hamilton(g_rows, h_rows), 1))
-    a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r, 1.0)) for r in rows)
+    a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r)) for r in rows)
     return 2.0 * abs(a_f_g + a_fg_h - a_g_h - a_f_gh)
 
 
 def _base_form(p: SampledGroupPath) -> np.ndarray:
     """Unscaled coordinates (3, Ntheta + 1) of p^-1 dp/dtheta (unit step)."""
-    return _vector_form(p.samples, _last_differences(p.samples), -1.0, 1.0)
+    return _vector_form(p.samples, _last_differences(p.samples), -1.0)
 
 
 def _beta_rows(form: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """beta_p(xi) from the base path's unscaled form: -2 * the unit-step
-    theta-trapezoid of xi . form, the theta-step cancelling the form's 1/h."""
+    theta-trapezoid of xi . form, the form carrying the theta-step."""
     return -2.0 * _theta_integrals(xi, form.reshape(3, *(1,) * (xi.ndim - 2), -1))
 
 
@@ -545,13 +538,6 @@ def beta_p(p: SampledGroupPath, xi: np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def omega_quadrature(xi: np.ndarray, eta: np.ndarray, h: float) -> float:
-    """2 * integral of xi . d eta / d theta by trapezoid + stencils, the loop
-    cocycle omega at unit level, for coordinate fields (3, Ntheta + 1)."""
-    deta = _last_differences(eta) / (2.0 * h)
-    return float(2.0 * _trapz(pair_fields(xi, deta), h))
-
-
 def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath) -> float:
     """Quadrature defect of the conjugation-invariance identity of the loop
     cocycle at unit level: omega(Ad(p) xi, Ad(p) eta) - omega(xi, eta) =
@@ -561,18 +547,17 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath)
     The boundary 1-form convention: for a left-invariant 1-form the exterior
     derivative pairs as d beta (xi, eta) = -beta([xi, eta]), which fixes the
     sign of the right-hand side; the refinement suite confirms the orientation
-    by convergence to zero.
+    by convergence to zero.  Each omega is the unit-step theta-sum of
+    xi . raw_eta, whose 2h cancels both the 2 and the step of 2 integral B(xi, eta').
     """
-    n = p.n_theta
-    h = TWO_PI / n
-    u = np.linspace(0.0, 1.0, n + 1)
+    u = np.linspace(0.0, 1.0, p.n_theta + 1)
     xi_c = xi.eval_grid(u).T
     eta_c = eta.eval_grid(u).T
     q = p.samples
-    lhs = omega_quadrature(_rotate(q, xi_c), _rotate(q, eta_c), h) \
-        - omega_quadrature(xi_c, eta_c, h)
+    lhs = _theta_integrals(_rotate(q, xi_c), _last_differences(_rotate(q, eta_c))) \
+        - _theta_integrals(xi_c, _last_differences(eta_c))
     rhs = beta_p(p, pointwise_bracket(xi, eta).eval_grid(u).T)
-    return abs(lhs - rhs)
+    return float(abs(lhs - rhs))
 
 
 def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
@@ -605,7 +590,7 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
         combined -= mc_f1
         combined -= buf.t_form(blk, f2_win, 1)
         out[2] = _beta_rows(form, combined)
-    a_conj, a, correction = (float(_trapz(r, 1.0)) for r in rows)
+    a_conj, a, correction = (float(_trapz(r)) for r in rows)
     return abs(2.0 * (a_conj - a) - correction)
 
 

@@ -219,8 +219,8 @@ class SuiteSpec:
     ``mutant`` maps the config's models to a bundle that must break the
     suite's laws: after the trials, ``_mutation_control`` folds the spec over
     the mutated bundle on the same generator.  The reported trial count is
-    the number of trials folded unless ``trials(config)`` says otherwise.
-    ``runner`` is ``_drive`` bound to this spec.
+    the fold's (``WorstCase.count``): the trials of the suite's most-sampled
+    component.  ``runner`` is ``_drive`` bound to this spec.
     """
 
     name: str
@@ -230,7 +230,6 @@ class SuiteSpec:
     evaluate: Callable[[RunConfig, Any], dict]
     tolerance: Callable[[RunConfig], float] = attrgetter("tol_exact")
     mutant: Callable[[ModelBundle], ModelBundle] | None = None
-    trials: Callable[[RunConfig], int] | None = None
     runner: Callable[[RunConfig, np.random.Generator], SuiteResult] | None = None
 
     def __post_init__(self):
@@ -252,10 +251,6 @@ def _fold(spec: SuiteSpec, config: RunConfig,
     return worst, notes
 
 
-def _trial_count(spec: SuiteSpec, config: RunConfig, worst: WorstCase) -> int:
-    return spec.trials(config) if spec.trials else worst.count
-
-
 def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
     """Fold the blocks; a suite that checks more than one component reports
     the maximum of each in its details.  Only a failing suite slices its
@@ -266,7 +261,7 @@ def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> Suit
     within = bool(worst.max_residual <= tolerance)  # false for NaN
     return SuiteResult(
         name=spec.name,
-        trials=_trial_count(spec, config, worst),
+        trials=worst.count,
         max_residual=float(worst.max_residual),
         tolerance=tolerance,
         passed=within and bool(control_ok),
@@ -290,7 +285,9 @@ def _jacobi_sample(model: str, config, rng):
 
 
 def _jacobi_evaluate(model: str, config, inputs):
-    return {"jacobi": generalized_jacobi_residual(getattr(config.models, model), inputs)}
+    """One component per live signature, ``jacobi[d1,...,dn]``: each sees every trial."""
+    name = f"jacobi[{','.join(str(d) for d, _ in inputs)}]"
+    return {name: generalized_jacobi_residual(getattr(config.models, model), inputs)}
 
 
 def _hom_sample(hom: str, config, rng):
@@ -331,7 +328,7 @@ def _mutation_control(spec: SuiteSpec, config, rng):
     mutated.__dict__["models"] = spec.mutant(config.models)  # fills the models cache
     worst = _fold(spec, mutated, rng)[0]
     return ({"mutation_residual": worst.max_residual, "mutation_floor": MUTATION_FLOOR,
-             "mutation_trials": _trial_count(spec, mutated, worst)},
+             "mutation_trials": worst.count},
             worst.max_residual > MUTATION_FLOOR)
 
 
@@ -541,15 +538,14 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "graded Jacobi identity of the skeletal model: for n inputs, "
         "sum over unshuffles of chi(sigma) (-1)^(i(j-1)) l_j(l_i(...), ...) = 0; "
         "at n = 4 this is the closedness of the 3-form B(x, [y, z]).",
-        partial(_jacobi_sample, "gk"), partial(_jacobi_evaluate, "gk"),
-        trials=attrgetter("trials")),
+        partial(_jacobi_sample, "gk"), partial(_jacobi_evaluate, "gk")),
     SuiteSpec(
         "pkg-jacobi", 1,
         "graded Jacobi identity of the path model; the mixed-degree cases "
         "encode that the twisted action of based paths on centrally extended "
         "loops is an action by derivations.",
         partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
-        mutant=_double_bracket, trials=attrgetter("trials")),
+        mutant=_double_bracket),
     SuiteSpec(
         "phi-hom", 2,
         "coherence of the endpoint homomorphism: d(phi2(x,y)) = phi0(l2(x,y)) "
@@ -587,7 +583,7 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         "(endpoint o splitting) is the identity of the skeletal model with "
         "vanishing corrector; the retraction homotopy certifies the other "
         "composite; the indiscrete model is trivialized by tau(x) = x.",
-        _equivalence_sample, _equivalence_evaluate, trials=attrgetter("trials")),
+        _equivalence_sample, _equivalence_evaluate),
     SuiteSpec(
         "omega-cocycle", 8,
         "loop cocycle omega(f,g) = 2k integral B(f, g') satisfies "

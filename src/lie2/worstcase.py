@@ -5,6 +5,8 @@ each residual an array over the block's trials (or a number the whole block
 shares).  A NaN counts as worse than any number: the first NaN becomes the
 maximum of its component and of the whole stream and is never replaced, so a
 NaN residual can never be dropped by a comparison that is false for NaN.
+The fold is also the one trial count: each component counts the trials of
+the blocks it appears in, and the count is that of the most-sampled one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class WorstCase:
     Every maximum starts at 0.0, so a stream of exact zeros records no inputs.
     ``inputs`` is the block that holds the maximum and ``row`` its trial in
     the block, or None when the block's residuals were plain numbers;
-    ``witness`` is that one trial's inputs.
+    ``witness`` is that one trial's inputs.  ``counts`` holds the trials
+    each component was folded over, and ``count`` is the largest of them.
     """
 
     def __init__(self):
@@ -45,7 +48,7 @@ class WorstCase:
         self.component: str | None = None
         self.inputs: Any = None
         self.row: int | None = None
-        self.count = 0
+        self.counts: dict[str, int] = {}
 
     def add(self, residuals: dict, inputs: Any = None) -> None:
         """Fold one block.  The overall maximum moves to the first trial, and
@@ -57,8 +60,8 @@ class WorstCase:
         shape = np.broadcast_shapes(*(v.shape for v in values))
         table = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
         table = table.reshape(-1, len(names))  # trial-major, component-minor
-        self.count += len(table)
         for name, value in zip(names, table.max(axis=0).tolist()):
+            self.counts[name] = self.counts.get(name, 0) + len(table)
             if _worse(value, self.maxima.setdefault(name, 0.0)):
                 self.maxima[name] = value
         row, col = divmod(int(table.argmax()), len(names))
@@ -66,6 +69,10 @@ class WorstCase:
         if _worse(value, self.max_residual):
             self.max_residual, self.component = value, names[col]
             self.inputs, self.row = inputs, (row if shape else None)
+
+    @property
+    def count(self) -> int:
+        return max(self.counts.values(), default=0)
 
     @property
     def witness(self) -> Any:

@@ -26,7 +26,8 @@ from lie2.linfty import (
 )
 from lie2.models import build_models, equivalence_samples
 from lie2.paths import LOOP, CentralVector, PolyPath, pointwise_bracket, random_path
-from lie2.suites import REGISTRY, RunConfig, run
+from lie2.replay import replay_suite
+from lie2.suites import GRID_SUITES, REGISTRY, RunConfig, run
 from lie2.worstcase import WorstCase, largest, trial
 
 POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
@@ -235,6 +236,48 @@ def test_running_maximum_keeps_the_first_trial_and_counts_trials():
     assert worst.inputs is block and worst.count == 8
     vector, law = worst.witness
     assert vector.tolist() == [1.0, 2.0] and law == "law"
+
+
+def test_the_count_is_that_of_the_most_sampled_component():
+    # blocks that check different laws add to each law's count, not to one sum
+    worst = WorstCase()
+    worst.add({"a": np.zeros(4)})
+    worst.add({"b": np.zeros(2)})
+    worst.add({"b": 0.0, "c": np.zeros(2)})
+    assert worst.counts == {"a": 4, "b": 4, "c": 2} and worst.count == 4
+    assert WorstCase().count == 0
+
+
+LIVE_JACOBI = {f"jacobi[{','.join(map(str, sig))}]"
+               for sig in all_signatures() if jacobi_target(sig) is not None}
+
+
+@pytest.mark.parametrize("trials", [1, 7, 50, 400])
+def test_every_suite_reports_the_trials_its_fold_counted(trials):
+    # one rule for every suite: the trials of its most-sampled component.
+    # equivalence's universality law always checks 20 splittings, exactness
+    # one rank check per degree 2..degree, and each finite suite one count
+    # per bundled module or pair
+    config = RunConfig(trials=trials, nt=16, ntheta=16)
+    report = run(config)
+    expected = {name: trials for name in REGISTRY} | {name: 1 for name in GRID_SUITES} | {
+        "equivalence": max(trials, 20), "exactness": config.degree - 1,
+        "crossed-axioms": 5, "two-group-axioms": 5, "strict-exactness": 3}
+    assert {s["name"]: s["trials"] for s in report["suites"]} == expected
+    assert {s["name"]: s["details"]["mutation_trials"] for s in report["suites"]
+            if s["details"].get("mutation_trials") is not None} \
+        == {name: min(trials, 50) for name, spec in REGISTRY.items() if spec.mutant}
+    for entry in report["suites"][:2]:  # gk-jacobi and pkg-jacobi
+        assert {key for key in entry["details"] if key.startswith("jacobi")} == LIVE_JACOBI
+
+
+def test_a_jacobi_failure_replays_under_its_signature():
+    config = RunConfig(trials=10, tol_exact=1e-300, suites=("gk-jacobi", "pkg-jacobi"))
+    for entry in run(config)["suites"]:
+        component = entry["witness"]["component"]
+        assert not entry["passed"] and component in LIVE_JACOBI
+        assert entry["details"][component] == entry["max_residual"]
+        assert replay_suite(entry["name"], entry["witness"], config) == entry["max_residual"]
 
 
 def test_largest_is_element_wise_and_keeps_nan():

@@ -74,20 +74,24 @@ def test_conjugation_and_exp_match_the_matrix_formulas(rng):
 
 
 def test_maurer_cartan_forms_match_skew_projected_products(rng):
+    # the kernels work at unit step: each form is its axis' step times the form
     f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(16, 20)
     m = to_matrix(f.grid)
     ht, htheta = TWO_PI / 16, TWO_PI / 20
     # np.gradient at edge_order 2 is the same stencil: central inside, one-sided ends
     left = skew_project(dagger(m) @ np.gradient(m, ht, axis=0, edge_order=2))
     right = skew_project(np.gradient(m, htheta, axis=1, edge_order=2) @ dagger(m))
-    assert np.abs(embed(sg.maurer_cartan_t(f)) - left).max() <= 1e-14
-    assert np.abs(embed(sg.maurer_cartan_theta_right(f.grid, htheta)) - right).max() <= 1e-14
+    assert np.abs(embed(sg.maurer_cartan_t(f)) - ht * left).max() <= 1e-14
+    assert np.abs(embed(sg.maurer_cartan_theta_right(f.grid)) - htheta * right).max() <= 1e-14
 
 
 def test_pairing_matches_the_trace_formula(rng):
-    a, b = rng.uniform(-1, 1, (2, 3, 25))
+    # the theta-integral of a pairing is the unit-step trapezoid of the trace
+    # formula along each row
+    a, b = rng.uniform(-1, 1, (2, 3, 4, 25))
     trace = -2.0 * np.real(np.einsum("...ij,...ji->...", embed(a), embed(b)))
-    assert np.abs(sg.pair_fields(a, b) - trace).max() <= 1e-14
+    trapezoid = trace[:, 1:-1].sum(axis=-1) + 0.5 * (trace[:, 0] + trace[:, -1])
+    assert np.abs(sg._theta_integrals(a, b) - trapezoid).max() <= 1e-13
 
 
 # -- the quaternion layer --------------------------------------------------------
@@ -222,15 +226,17 @@ def test_maurer_cartan_constant_grid_is_zero():
 
 def test_maurer_cartan_linear_in_t_oracle(rng):
     # v(t, theta) = (t / 2pi) w(theta): single direction along t, so the
-    # t-form is exactly w(theta) / 2pi; stencils converge at order 2
+    # t-form is exactly w(theta) / 2pi; the unscaled form is the t-step times
+    # it, and stencils converge at order 2
     spec = sg.LoopFieldCoeffs(0.4 * rng.uniform(-1, 1, (3, 1, 2)))
     errs = []
     for n_t in (16, 32, 64):
         f = spec.sample(n_t, 24)
         theta = np.linspace(0.0, TWO_PI, 25)
         w = np.einsum("kmn,jn->kj", spec.coeffs, sg._theta_loop_basis(theta, 2))
+        h = TWO_PI / n_t
         exact = w / TWO_PI
-        errs.append(np.abs(sg.maurer_cartan_t(f) - exact[:, None]).max())
+        errs.append(np.abs(sg.maurer_cartan_t(f) - h * exact[:, None]).max() / h)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
@@ -356,18 +362,17 @@ def test_kappa_conjugation_second_order(rng):
 def test_embedding_consistency_small_amplitude(g, rng):
     # group loops exp(eps * eta): the grid cocycle on (eps xi, mc of exp(eps
     # eta)) reproduces eps^2 times the exact polynomial value, with the
-    # deviation controlled by eps^2 * (C eps + quadrature)
+    # deviation controlled by eps^2 * (C eps + quadrature); the unscaled form
+    # carries the theta-step, so the trapezoid is a unit-step sum
     xi = random_path(g, rng, 4, LOOP)
     eta = random_path(g, rng, 4, LOOP)
     exact = 2.0 * derivative_pairing(xi, eta)
     n = 1024
-    h = TWO_PI / n
     u = np.linspace(0.0, 1.0, n + 1)
     for eps in (0.1, 0.05):
         gamma = sg.exp_su2(eps * eta.eval_grid(u).T)
-        c_form = sg.maurer_cartan_theta_right(gamma, h)
-        grid_value = float(2.0 * sg._trapz(
-            sg.pair_fields(eps * xi.eval_grid(u).T, c_form), h))
+        c_form = sg.maurer_cartan_theta_right(gamma)
+        grid_value = float(2.0 * sg._theta_integrals(eps * xi.eval_grid(u).T, c_form))
         assert abs(grid_value - eps**2 * exact) <= 0.2 * eps**3 + 1e-8
 
 
@@ -422,12 +427,11 @@ def _cocycle_by_composition(f, g, h):
 
 def _conjugation_by_composition(p, f1, f2):
     # beta_p is linear, so the residual pairs p's form once with the combined
-    # t-form; the forms are unscaled (unit step), as the trapezoid steps cancel
+    # t-form; the forms are unscaled and the trapezoids unit-step sums
     conj = sg.kappa_exponent(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2))
     f12 = sg.product_field(f1, f2)
-    combined = (sg.maurer_cartan_t(f12, 1.0) - sg.maurer_cartan_t(f1, 1.0)
-                - sg.maurer_cartan_t(f2, 1.0))
-    correction = float(sg._trapz(sg.beta_p(p, combined), 1.0))
+    combined = sg.maurer_cartan_t(f12) - sg.maurer_cartan_t(f1) - sg.maurer_cartan_t(f2)
+    correction = float(sg._trapz(sg.beta_p(p, combined)))
     return abs(2.0 * (conj - sg.kappa_exponent(f1, f2)) - correction)
 
 
