@@ -26,6 +26,7 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
+    _derived_central,
     projected_path,
     zero_central,
     zero_path,
@@ -37,10 +38,10 @@ Graded = tuple[int, Any]
 # element spaces
 # ---------------------------------------------------------------------------
 
-# uniform numbers random_elements builds into elements per block (512 KiB of
-# float64): a block holds max(1, BLOCK_NUMBERS // built width) trials, so it is
-# sized by the memory its elements and their intermediates take, not by a
-# trial count
+# uniform numbers random_elements draws per block (512 KiB of float64): a
+# block holds max(1, BLOCK_NUMBERS // width) trials, width being the numbers
+# one trial draws, so it is sized by the memory its elements and their
+# intermediates take, not by a trial count
 BLOCK_NUMBERS = 1 << 16
 
 # A space makes its elements from ``width`` uniform numbers per trial, an
@@ -109,43 +110,33 @@ class CentralSpace:
         return v.norm()
 
     def element(self, u: np.ndarray) -> CentralVector:
-        return CentralVector(self.loops.element(u[..., :-1]), u[..., -1])
+        return _derived_central(self.loops.element(u[..., :-1]), u[..., -1])
 
 
 def random_elements(rng: np.random.Generator, trials: int,
                     spaces: Sequence) -> Iterator[tuple]:
     """One random element of each space per trial, drawn in that order.
 
-    A slot given as an int instead of a space stands for that many numbers
-    that are drawn in their place and skipped: no element is built from them
-    and the yielded tuples leave them out.
-
-    A block holds ``step = max(1, BLOCK_NUMBERS // built)`` trials, ``built``
-    being the numbers one trial builds into elements.  Its numbers are drawn
-    trial after trial and within a trial slot after slot, so they are those
-    of drawing each element on its own.  They are drawn an eighth of
-    ``min(step, BLOCK_NUMBERS // width)`` trials at a time (at least one),
-    ``width`` counting the skipped numbers too, so a slice never holds more
-    than an eighth of the budget unless it is one trial.  Each slice is
-    gathered straight into one buffer per distinct space,
-    ``(trials, slots, width)``, so a block's built numbers are held about
-    once.  Each distinct space then makes one batched element from its
-    buffer, with one projection and one entry check, and each slot of the
-    yielded tuple is that element's batch slice ``[:, slot]``."""
+    A block holds ``step = max(1, BLOCK_NUMBERS // width)`` trials, ``width``
+    being the numbers one trial draws.  Its numbers are drawn trial after
+    trial and within a trial space after space, so they are those of drawing
+    each element on its own.  They are drawn an eighth of a block,
+    ``max(1, step // 8)`` trials, at a time, so a slice never holds more than
+    an eighth of the budget unless it is one trial.  Each slice is gathered
+    straight into one buffer per distinct space, ``(trials, slots, width)``,
+    so a block's numbers are held about once.  Each distinct space then makes
+    one batched element from its buffer, with one projection, and each slot of
+    the yielded tuple is that element's batch slice ``[:, slot]``."""
     ranges: dict = {}  # each distinct space: the column range of each of its slots
-    where = []  # each built slot: its space and its position among that space's slots
+    where = []  # each slot: its space and its position among that space's slots
     width = 0
     for space in spaces:
-        if isinstance(space, int):
-            width += space
-            continue
         where.append((space, len(ranges.setdefault(space, []))))
         ranges[space].append(np.arange(width, width + space.width))
         width += space.width
     columns = {space: np.concatenate(r) for space, r in ranges.items()}
-    built = sum(len(cols) for cols in columns.values())
-    step = max(1, BLOCK_NUMBERS // max(1, built))
-    chunk = max(1, min(step, BLOCK_NUMBERS // max(1, width)) // 8)
+    step = max(1, BLOCK_NUMBERS // width)
+    chunk = max(1, step // 8)
     for start in range(0, trials, step):
         rows = min(step, trials - start)
         buffers = {space: np.empty((rows, len(cols) // space.width, space.width))
@@ -280,14 +271,10 @@ def all_signatures() -> list[tuple[int, ...]]:
 def jacobi_samples(L: TwoTermLInfinity, rng: np.random.Generator,
                    trials: int) -> Iterator[list[Graded]]:
     """Random graded inputs of every live signature, one block of trials at a
-    time.  Within a trial the numbers are drawn signature after signature,
-    over all of them: a dead signature's numbers are drawn, not built, so the
-    live elements are those of drawing every signature's elements."""
-    signatures = all_signatures()
-    live = [sig for sig in signatures if jacobi_target(sig) is not None]
-    slots = [L.space(d) if sig in live else L.space(d).width
-             for sig in signatures for d in sig]
-    for block in random_elements(rng, trials, slots):
+    time.  Within a trial the numbers are drawn signature after signature, for
+    the live ones only."""
+    live = [sig for sig in all_signatures() if jacobi_target(sig) is not None]
+    for block in random_elements(rng, trials, [L.space(d) for sig in live for d in sig]):
         elements = iter(block)
         for sig in live:
             yield [(d, next(elements)) for d in sig]

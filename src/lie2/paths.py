@@ -16,14 +16,16 @@ the batch, and whatever they return per trial (pairings, norms) has its shape.
 The kernels are batched matmuls: numpy runs a multi-operand ``einsum`` as one
 loop without BLAS.
 
-Paths are checked where they enter: ``PolyPath(...)``, ``projected_path``,
-``scalar_path`` and ``zero_path`` reject a wrong coordinate count, an unknown
-kind, non-finite coefficients and broken endpoint constraints.  A path derived
-from checked paths (bracket, sum, negation, scalar multiple, batch selection)
-takes its kind from theirs through the lattice and is not checked again, so a
-NaN scalar gives a NaN path, which the residual it reaches carries to the
-suite's running maximum.  The model maps (``models.make_psi``,
-``models.make_tau``) build their paths with ``_derived`` too.
+Paths are checked where they enter: ``PolyPath(...)`` and ``scalar_path``
+reject a wrong coordinate count, an unknown kind, non-finite coefficients and
+broken endpoint constraints.  A path derived from checked paths (bracket, sum,
+negation, scalar multiple, batch selection) takes its kind from theirs through
+the lattice and is not checked again, so a NaN scalar gives a NaN path, which
+the residual it reaches carries to the suite's running maximum.  The model
+maps (``models.make_psi``, ``models.make_tau``) build their paths with
+``_derived`` too, and so do the samplers: ``projected_path`` projects finite
+numbers onto the endpoint constraints, and ``zero_path`` and ``zero_central``
+build zeros.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class PolyPath:
 
 
 def zero_path(algebra: LieAlgebraPresentation, kind: str = LOOP) -> PolyPath:
-    return PolyPath(algebra, np.zeros((algebra.dim, 1)), kind)
+    return _derived(algebra, np.zeros((algebra.dim, 1)), kind)
 
 
 @lru_cache(maxsize=None)
@@ -246,14 +248,15 @@ def universal_integral(f) -> float:
 
 def projected_path(algebra: LieAlgebraPresentation, coeffs: np.ndarray,
                    kind: str = BASED) -> PolyPath:
-    """A path of the given kind from free coefficients (*batch, dim, degree + 1):
-    the constant term is zeroed for based paths, and a loop's linear term
-    absorbs its value at theta = 2*pi.  ``coeffs`` is changed in place."""
-    if kind in (BASED, LOOP):
-        coeffs[..., 0] = 0.0
+    """A path of the given kind from finite free coefficients
+    (*batch, dim, degree + 1): the constant term is zeroed, and a loop's
+    linear term absorbs its value at theta = 2*pi.  The projection makes the
+    endpoint constraints hold, so the path is a derived one.  ``coeffs`` is
+    changed in place."""
+    coeffs[..., 0] = 0.0
     if kind == LOOP:
         coeffs[..., 1] -= coeffs.sum(axis=-1)
-    return PolyPath(algebra, coeffs, kind)
+    return _derived(algebra, coeffs, kind)
 
 
 def random_path(
@@ -322,4 +325,4 @@ def _derived_central(loop: PolyPath, c: float | np.ndarray) -> CentralVector:
 
 
 def zero_central(algebra: LieAlgebraPresentation) -> CentralVector:
-    return CentralVector(zero_path(algebra, LOOP), 0.0)
+    return _derived_central(zero_path(algebra, LOOP), np.float64(0.0))

@@ -209,8 +209,8 @@ class SuiteSpec:
     """One suite, stated once.
 
     ``sample(config, rng)`` yields the inputs of one block of trials at a
-    time (the polynomial suites take as many trials per block as build at
-    most ``linfty.BLOCK_NUMBERS`` uniform numbers into elements, and the
+    time (the polynomial suites take as many trials per block as draw at
+    most ``linfty.BLOCK_NUMBERS`` uniform numbers, and the
     Jacobi suites yield each block once per live signature; the others take
     one trial);
     ``evaluate(config, inputs)`` returns

@@ -25,7 +25,16 @@ from lie2.linfty import (
     two_hom_samples,
 )
 from lie2.models import build_models, equivalence_samples
-from lie2.paths import LOOP, CentralVector, PolyPath, pointwise_bracket, random_path
+from lie2.paths import (
+    BASED,
+    LOOP,
+    CentralVector,
+    PolyPath,
+    pointwise_bracket,
+    random_path,
+    zero_central,
+    zero_path,
+)
 from lie2.replay import replay_suite
 from lie2.suites import GRID_SUITES, REGISTRY, RunConfig, run
 from lie2.worstcase import WorstCase, largest, trial
@@ -86,16 +95,21 @@ def stacked(draws):
     return [np.stack(parts) for parts in zip(*map(numbers, draws))]
 
 
+LIVE_SIGNATURES = [sig for sig in all_signatures() if jacobi_target(sig) is not None]
+# numbers a trial draws for the live signatures, and trials per block
+JACOBI_WIDTHS = {"gk": (52, 1260), "pkg": (337, 194)}
+
+
 def test_jacobi_block_draws_equal_per_trial_draws(bundle):
-    # only the 8 live signatures are built, and a block holds
-    # max(1, BLOCK_NUMBERS // built) trials, built counting their numbers only:
-    # gk builds 52 of its 196 numbers a trial, pkg 337 of its 1519
-    signatures = all_signatures()
-    live = [sig for sig in signatures if jacobi_target(sig) is not None]
-    assert (len(signatures), len(live)) == (30, 8)
-    for L, built, step in [(bundle.gk, 52, 1260), (bundle.pkg, 337, 194)]:
-        assert sum(L.space(d).width for sig in live for d in sig) == built
-        assert max(1, BLOCK_NUMBERS // built) == step  # the budget rule
+    # only the 8 live signatures are drawn, and a block holds
+    # max(1, BLOCK_NUMBERS // width) trials: gk draws 52 numbers a trial,
+    # pkg 337
+    live = LIVE_SIGNATURES
+    assert (len(all_signatures()), len(live)) == (30, 8)
+    for name, (width, step) in JACOBI_WIDTHS.items():
+        L = getattr(bundle, name)
+        assert sum(L.space(d).width for sig in live for d in sig) == width
+        assert max(1, BLOCK_NUMBERS // width) == step  # the budget rule
         rng, reference = np.random.default_rng(1), np.random.default_rng(1)
         samples = jacobi_samples(L, rng, step + 5)
         sizes = []
@@ -105,19 +119,28 @@ def test_jacobi_block_draws_equal_per_trial_draws(bundle):
             assert [tuple(d for d, _ in inputs) for inputs in block] == live
             rows = len(numbers(first[0][1])[0])
             want = {sig: [[] for _ in sig] for sig in live}
-            for _ in range(rows):  # every signature, trial after trial
-                for sig in signatures:
+            for _ in range(rows):  # every live signature, trial after trial
+                for sig in live:
                     for slot, d in enumerate(sig):
-                        element = draw(L.space(d), reference)  # a dead one is dropped
-                        if sig in want:
-                            want[sig][slot].append(element)
+                        want[sig][slot].append(draw(L.space(d), reference))
             for sig, inputs in zip(live, block):
                 for (d, element), drawn in zip(inputs, want[sig]):
                     for got, expected in zip(numbers(element), stacked(drawn)):
                         assert np.array_equal(got, expected)
             sizes.append(rows)
         assert sizes == [step, 5]
-        assert rng.uniform() == reference.uniform()  # dead numbers were consumed
+        assert rng.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200])
+def test_jacobi_samples_draw_only_the_live_numbers(bundle, trials):
+    # after k trials the generator has given k * width numbers, no more
+    for name, (width, step) in JACOBI_WIDTHS.items():
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        blocks = -(-trials // step)
+        assert len(list(jacobi_samples(getattr(bundle, name), rng, trials))) == 8 * blocks
+        reference.uniform(-1.0, 1.0, trials * width)
+        assert rng.uniform() == reference.uniform()
 
 
 @pytest.mark.parametrize("name", ["gk-jacobi", "pkg-jacobi"])
@@ -143,17 +166,15 @@ def test_jacobi_suites_evaluate_only_live_signatures(monkeypatch, name):
 def test_no_block_draws_more_than_the_budget_unless_it_is_one_trial(
         bundle, monkeypatch, budget):
     monkeypatch.setattr(linfty, "BLOCK_NUMBERS", budget)
-    # the budget counts built numbers; an int slot is drawn but not built
     for spaces in [(bundle.pkg.space0,) * 3 + (bundle.pkg.space1,),
-                   [bundle.pkg.space(d) for sig in all_signatures() for d in sig],
-                   [bundle.pkg.space0, 1000, bundle.pkg.space1, 7]]:
-        built = sum(space.width for space in spaces if not isinstance(space, int))
-        step = max(1, budget // built)
+                   [bundle.pkg.space(d) for sig in all_signatures() for d in sig]]:
+        width = sum(space.width for space in spaces)
+        step = max(1, budget // width)
         trials = 2 * step + 1
         sizes = [len(numbers(block[0])[0])
                  for block in random_elements(np.random.default_rng(6), trials, spaces)]
         assert sizes == [step, step, 1]
-        assert all(rows * built <= budget or rows == 1 for rows in sizes)
+        assert all(rows * width <= budget or rows == 1 for rows in sizes)
 
 
 @pytest.mark.parametrize("hom", ["phi", "psi", "lam"])
@@ -315,36 +336,42 @@ def test_sub_block_draws_equal_one_whole_block_draw(bundle, monkeypatch, budget,
     assert rng.uniform() == reference.uniform()
 
 
-def test_a_block_makes_one_checked_element_per_distinct_space(bundle, monkeypatch):
-    counts = {"projected_path": 0, "PolyPath": 0, "CentralVector": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(linfty, "projected_path",
-                        counting("projected_path", linfty.projected_path))
-    monkeypatch.setattr(PolyPath, "__post_init__",
-                        counting("PolyPath", PolyPath.__post_init__))
-    monkeypatch.setattr(CentralVector, "__post_init__",
-                        counting("CentralVector", CentralVector.__post_init__))
-    slots = pkg_slots(bundle)
-    assert len(slots) == 98 and len(set(map(id, slots))) == 2
+def test_sampled_blocks_and_zeros_run_no_entry_check(bundle, g, monkeypatch):
+    # their numbers come from the generator (or are zeros) and the projection
+    # makes the endpoint constraints hold, so they are built as derived ones
+    checked = []
+    for cls in (PolyPath, CentralVector):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self))
+    slots = pkg_slots(bundle) + [PathSpace(g, LOOP, 5)] * 2
+    assert len(set(map(id, slots))) == 3  # based paths, loops, central vectors
     block = next(random_elements(np.random.default_rng(8), 43, slots))
-    assert len(block) == 98
-    # the based paths, and the loops of the central vectors
-    assert counts == {"projected_path": 2, "PolyPath": 2, "CentralVector": 1}
+    assert len(block) == 100
+    zeros = [zero_path(g, BASED), zero_path(g, LOOP), zero_central(g),
+             bundle.pkg.space0.zero(), bundle.pkg.space1.zero()]
+    assert checked == []
+    assert [z.kind for z in zeros[:2]] == [BASED, LOOP] and zeros[2].loop.kind == LOOP
+    assert not any(np.any(numbers(z)[0]) for z in zeros)
+    assert zeros[2].c == 0.0 and zeros[2].c.dtype == np.float64
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_sampled_blocks_meet_the_endpoint_constraints(g, degree):
+    # the guard the entry check gave: a constant term of exactly 0, and loops
+    # that end at 0 to roundoff relative to their coefficients
+    spaces = (PathSpace(g, BASED, degree), PathSpace(g, LOOP, degree),
+              CentralSpace(g, degree))
+    based, loop, central = next(random_elements(np.random.default_rng(degree), 500, spaces))
+    for path in (based, loop, central.loop):
+        assert not path.coeffs[..., 0].any()
+    for path in (loop, central.loop):
+        scale = np.maximum(np.abs(path.coeffs).max(axis=(-2, -1)), 1.0)
+        assert (np.abs(path.endpoint()).max(axis=-1) <= 1e-14 * scale).all()
 
 
 def test_drawing_a_block_holds_its_numbers_about_once(bundle):
-    # a pkg-jacobi block of 194 trials builds 194 * 337 numbers, within the
-    # budget, and skips the other 1182 of each trial's 1519; gathering them
-    # from one whole-block draw would hold the block's numbers four times over.
-    # With every slot built, 43 trials fill the budget.
-    live = [bundle.pkg.space(d) if jacobi_target(sig) is not None
-            else bundle.pkg.space(d).width for sig in all_signatures() for d in sig]
+    # a pkg-jacobi block of 194 trials draws 194 * 337 numbers, within the
+    # budget; with every signature's slots drawn, 43 trials fill it
+    live = [bundle.pkg.space(d) for sig in LIVE_SIGNATURES for d in sig]
     for slots, trials, built in [(live, 194, 22), (pkg_slots(bundle), 43, 98)]:
         next(random_elements(np.random.default_rng(9), trials, slots))  # warm caches
         tracemalloc.start()

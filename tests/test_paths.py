@@ -17,7 +17,6 @@ from lie2.paths import (
     derivative_pairing,
     f_minus_f2,
     pointwise_bracket,
-    projected_path,
     random_path,
     random_splitting,
     scalar_path,
@@ -268,9 +267,7 @@ def test_constructor_rejects_nan_endpoints(g):
 
 
 def test_entry_points_reject_non_finite_coefficients(g):
-    # only derived paths skip the checks; every way in still runs them
-    with pytest.raises(InputError, match="finite"):
-        projected_path(g, np.full((2, 3, 4), np.nan), LOOP)
+    # derived and sampled paths skip the checks; every way in still runs them
     with pytest.raises(InputError, match="finite"):
         scalar_path([0.0, np.inf])
     doc = {"type": "path", "kind": "based", "coeffs": [[0.0, math.nan]] * 3}
