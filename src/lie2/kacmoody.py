@@ -80,5 +80,5 @@ def dalpha_matches_central_bracket_residual(l: PolyPath, v: CentralVector,
     """For a loop acting, the action coincides with the twisted bracket
     against the zero-center lift (infinitesimal form of letting the extension
     act on itself through the projection)."""
-    terms = [dalpha(l, v, k), -extended_bracket(CentralVector(l, 0.0), v, k)]
+    terms = [dalpha(l, v, k), -extended_bracket(_derived_central(l), v, k)]
     return law_residual(terms, CentralVector.norm, [l.norm(), v.norm()])

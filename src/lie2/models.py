@@ -35,6 +35,7 @@ from .paths import (
     CentralVector,
     PolyPath,
     _derived,
+    _derived_central,
     derivative_pairing,
     f_minus_f2,
     pointwise_bracket,
@@ -124,20 +125,20 @@ def make_phi(k: float, *, pkg: TwoTermLInfinity, gk: TwoTermLInfinity) -> LInfty
 
 def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
              gk: TwoTermLInfinity, pkg: TwoTermLInfinity) -> LInftyHom:
-    """Skeletal model -> path model along a validated splitting function f
-    with f(0) = 0, f(2*pi) = 1: x goes to the path x*f, the corrector is the
-    loop [x1, x2] * (f - f^2).  Their inputs are checked carriers and f is
-    validated, so the paths are derived ones, not checked again."""
+    """Skeletal model -> path model along a validated splitting f, f(0) = 0
+    and f(2*pi) = 1: x goes to the path x*f, c to (0, c), and the corrector is
+    the loop [x1, x2] * (f - f^2).  The inputs are checked carriers and f is
+    validated, so every image is derived (c made float64), not checked again."""
     profile = f_minus_f2(f)
 
     def psi0(x) -> PolyPath:
         return _derived(g, x[..., :, None] * f, BASED)
 
     def psi1(c: float) -> CentralVector:
-        return CentralVector(zero_path(g, LOOP), c)
+        return _derived_central(zero_path(g, LOOP), np.asarray(c, dtype=float)[()])
 
     def psi2(x1, x2) -> CentralVector:
-        return CentralVector(_derived(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP), 0.0)
+        return _derived_central(_derived(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP))
 
     return LInftyHom(gk, pkg, psi0, psi1, psi2, name="splitting")
 
@@ -145,25 +146,25 @@ def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
 def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
                 pkg: TwoTermLInfinity) -> LInftyHom:
     """Indiscrete loop model -> path model: inclusion on objects, central lift
-    on directions, corrector landing purely in the center."""
+    (l, 0) on directions, corrector (0, -omega); derived from checked loops."""
 
     def lam2(l1: PolyPath, l2: PolyPath) -> CentralVector:
-        return CentralVector(zero_path(g, LOOP), -omega(l1, l2, k))
+        return _derived_central(zero_path(g, LOOP), -omega(l1, l2, k))
 
     return LInftyHom(el, pkg,
                      lambda l: l,
-                     lambda l: CentralVector(l, 0.0),
+                     _derived_central,
                      lam2, name="loop-inclusion")
 
 
 def make_tau(g: LieAlgebraPresentation, *, pkg: TwoTermLInfinity,
              phi: LInftyHom, psi: LInftyHom) -> ChainHomotopy:
     """Homotopy from (splitting o endpoint) to the identity of the path
-    model: a path p is retracted onto the loop p - psi0(phi0(p)), a derived
-    path of kind loop because psi0(phi0(p)) ends where p does."""
+    model: a path p is retracted onto (l, 0), l = p - psi0(phi0(p)) a derived
+    loop because psi0(phi0(p)) ends where p does."""
 
     def tau(p: PolyPath) -> CentralVector:
-        return CentralVector(_derived(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP), 0.0)
+        return _derived_central(_derived(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP))
 
     return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau,
                          name="retraction")

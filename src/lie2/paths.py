@@ -16,16 +16,16 @@ the batch, and whatever they return per trial (pairings, norms) has its shape.
 The kernels are batched matmuls: numpy runs a multi-operand ``einsum`` as one
 loop without BLAS.
 
-Paths are checked where they enter: ``PolyPath(...)`` and ``scalar_path``
-reject a wrong coordinate count, an unknown kind, non-finite coefficients and
-broken endpoint constraints.  A path derived from checked paths (bracket, sum,
-negation, scalar multiple, batch selection) takes its kind from theirs through
-the lattice and is not checked again, so a NaN scalar gives a NaN path, which
-the residual it reaches carries to the suite's running maximum.  The model
-maps (``models.make_psi``, ``models.make_tau``) build their paths with
-``_derived`` too, and so do the samplers: ``projected_path`` projects finite
-numbers onto the endpoint constraints, and ``zero_path`` and ``zero_central``
-build zeros.
+Carriers are checked where they enter, from witness replay or a library
+call: ``PolyPath(...)`` rejects a wrong coordinate count, an unknown kind,
+non-finite coefficients and broken endpoint constraints, ``CentralVector(...)``
+a component that is not a loop.  Whatever a run computes from checked data is
+built by ``_derived`` or ``_derived_central`` and not checked again: the
+operations (a path takes its kind through the lattice, so a NaN scalar gives
+a NaN path, which its residual carries to the suite's maximum), the model
+maps, ``universal_integral`` and the samplers (``projected_path`` projects
+finite numbers onto the endpoint constraints; ``zero_path`` and
+``zero_central`` build zeros).
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class PolyPath:
     def __getitem__(self, index) -> "PolyPath":
         """The trials selected by indexing the batch axes."""
         return _derived(self.algebra, self.coeffs[index], self.kind)
-
-    def eval(self, u: float) -> np.ndarray:
-        powers = u ** np.arange(self.coeffs.shape[-1])
-        return self.coeffs @ powers
 
     def eval_grid(self, u: np.ndarray) -> np.ndarray:
         """Values at many u's at once, shape (*batch, len(u), dim)."""
@@ -210,11 +206,6 @@ SCALAR_LINE = LieAlgebraPresentation(
 )
 
 
-def scalar_path(poly, kind: str = BASED) -> PolyPath:
-    """Wrap 1-d u-coefficients as a path in the abelian line."""
-    return PolyPath(SCALAR_LINE, np.atleast_2d(np.asarray(poly, dtype=float)), kind)
-
-
 def validate_splitting(poly: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """A splitting function interpolates 0 -> 1 across the interval."""
     poly = np.atleast_1d(np.asarray(poly, dtype=float))
@@ -237,13 +228,14 @@ def f_minus_f2(f: np.ndarray) -> np.ndarray:
 def universal_integral(f) -> float:
     """Exact integral over [0, 2*pi] of f * (f - f^2)' for 1-d u-coefficients f.
 
-    For an admissible f, f(0) = 0 and f(2*pi) = 1 (``validate_splitting``,
-    which checks a splitting where it enters), the value is -1/6, but it is
-    computed here directly from the monomial rule rather than assumed, so
-    universality stays a checkable claim.
+    For an admissible f, f(0) = 0 and f(2*pi) = 1, the value is -1/6, but it
+    is computed here from the monomial rule rather than assumed, so
+    universality stays a checkable claim.  f was checked where it entered
+    (``validate_splitting``) or drawn admissible, so its paths are derived.
     """
     poly = np.atleast_1d(np.asarray(f, dtype=float))
-    return float(derivative_pairing(scalar_path(poly), scalar_path(f_minus_f2(poly))))
+    return float(derivative_pairing(_derived(SCALAR_LINE, poly[None, :], BASED),
+                                    _derived(SCALAR_LINE, f_minus_f2(poly)[None, :], BASED)))
 
 
 def projected_path(algebra: LieAlgebraPresentation, coeffs: np.ndarray,
@@ -316,13 +308,13 @@ class CentralVector:
         return np.hypot(self.loop.norm(), self.c)
 
 
-def _derived_central(loop: PolyPath, c: float | np.ndarray) -> CentralVector:
-    """A central vector computed from checked ones (its loop a loop, its c a
-    float64 scalar or array), built without the entry checks."""
+def _derived_central(loop: PolyPath, c: float | np.ndarray = np.float64(0.0)) -> CentralVector:
+    """A central vector computed from checked data (its loop a loop, its c a
+    float64 scalar or array, by default 0), built without the entry checks."""
     v = object.__new__(CentralVector)
     v.__dict__.update(loop=loop, c=c)
     return v
 
 
 def zero_central(algebra: LieAlgebraPresentation) -> CentralVector:
-    return _derived_central(zero_path(algebra, LOOP), np.float64(0.0))
+    return _derived_central(zero_path(algebra, LOOP))

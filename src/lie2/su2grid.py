@@ -56,12 +56,13 @@ few ulps (at most 1.3e-15 at 512 x 512 over five seeds; the input checks
 allow 1e-10).  Each kernel writes into an ``out`` array (and its scratch row)
 when given one and allocates otherwise.
 
-Checks at entry.  ``SampledGroupPath`` and ``SampledPathOfLoops`` take user
-grids and check their samples' unitary drift.  The coefficient fixtures
-``GroupPathCoeffs`` and ``LoopFieldCoeffs`` check their coefficients instead,
-where they enter (``sample``, ``stream``): finite and at most ``MAX_COEFF`` in
-magnitude, so |v|^2 cannot overflow and ``exp_su2`` of every sample is unit to
-a few ulps.  A streamed row is therefore not checked again.
+Checks at entry.  ``SampledGroupPath(...)`` and ``SampledPathOfLoops(...)``
+check the shape, identity rows and unitary drift of grids from outside.  The
+fixtures ``GroupPathCoeffs`` and ``LoopFieldCoeffs`` check their coefficients
+where they enter (``sample``, ``stream``): their axes, finite and at most
+``MAX_COEFF`` in magnitude, so |v|^2 cannot overflow and ``exp_su2`` of every
+sample is unit to a few ulps; they refuse fewer than 5 samples per axis.  The grids and rows
+they sample pin their identity rows as built and are derived (``_derived``).
 
 Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
 within one t-row, or a 3-point stencil along t, and the theta-trapezoid
@@ -73,13 +74,14 @@ over the assembled row sums.  The t-stencils of a block read a window of the
 input rows with a 1-row halo on each side, or the 3 end rows where the
 one-sided stencil applies.  A residual allocates one set of block buffers per
 call, each sized by its largest block (``_Buffers``: a product or conjugate,
-three forms, their differences and a scratch row), and every block's kernels
-write into views of it.  The products and conjugates of unit rows are not
-checked: their boundaries are exactly the identity, so a check could only
-turn a NaN into an input error; the NaN reaches the residual instead.  The
-public kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``,
-``kappa_exponent``, ``beta_p``) are the same row kernels applied to
-all rows, so a streamed residual is bitwise equal to their composition.  The
+three forms, their differences and a scratch array), and every block's
+kernels write into leading slices of them.  Products and conjugates of unit
+rows, here or in ``product_field`` and ``conjugate_field``, are not checked:
+their boundaries are exactly the identity, so a check could only turn a NaN
+into an input error; the NaN reaches the residual instead.  The public
+kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``,
+``kappa_exponent``, ``beta_p``) are the same row kernels applied to all rows,
+so a streamed residual is bitwise equal to their composition.  The
 residuals read a loop field only through ``windows(blocks)``, its samples on
 each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
 ``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples each row once
@@ -91,7 +93,6 @@ the same windows.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -285,50 +286,43 @@ def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
 
 class _Buffers:
     """The block buffers of one residual call, allocated once and each sized
-    by its largest block: a product or conjugate of windows, ``forms``
-    unscaled Maurer-Cartan forms of block rows, the differences a form is
-    made from and one scratch row.  A block's kernels write into views of its
-    own shape; only its pairings allocate, a few arrays of one number per
-    row."""
+    by its largest block: a product or conjugate of windows (4, window, cols),
+    ``forms`` unscaled Maurer-Cartan forms (forms, 3, rows, cols), their
+    differences (4, rows, cols) and a scratch array (window, cols).  A block's
+    kernels write into leading slices of them, whose last two axes merge
+    without a copy, as ``_last_differences`` needs of its ``out``; only its
+    pairings allocate, a few arrays of one number per row."""
 
     def __init__(self, blocks: list[_Block], cols: int, forms: int):
-        window = max(b.b - b.a for b in blocks) * cols
-        rows = max(b.hi - b.lo for b in blocks) * cols
-        self.cols = cols
-        self.product = np.empty(4 * window)
-        self.forms = np.empty((forms, 3 * rows))
-        self.diff = np.empty(4 * rows)
-        self.scratch = np.empty(window)
-
-    def _view(self, flat: np.ndarray, *shape: int) -> np.ndarray:
-        """The first elements of a flat buffer as a contiguous (*shape, cols) array."""
-        return flat[:math.prod(shape) * self.cols].reshape(*shape, self.cols)
+        window = max(b.b - b.a for b in blocks)
+        rows = max(b.hi - b.lo for b in blocks)
+        self.product = np.empty((4, window, cols))
+        self.forms = np.empty((forms, 3, rows, cols))
+        self.diff = np.empty((4, rows, cols))
+        self.scratch = np.empty((window, cols))
 
     def hamilton(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a b (``_hamilton``) in the product buffer."""
         rows = a.shape[1]
-        return _hamilton(a, b, out=self._view(self.product, 4, rows),
-                         scratch=self._view(self.scratch, rows))
+        return _hamilton(a, b, out=self.product[:, :rows], scratch=self.scratch[:rows])
 
     def conjugate(self, q: np.ndarray, f: np.ndarray) -> np.ndarray:
         """q f q^-1 (``_conjugate``) in the product buffer."""
         rows = f.shape[1]
-        return _conjugate(q, f, out=self._view(self.product, 4, rows),
-                          scratch=self._view(self.scratch, rows))
+        return _conjugate(q, f, out=self.product[:, :rows], scratch=self.scratch[:rows])
 
     def t_form(self, blk: _Block, window: np.ndarray, slot: int) -> np.ndarray:
         """``blk.t_form`` of a window in form buffer ``slot``."""
         rows = blk.hi - blk.lo
-        return blk.t_form(window, out=self._view(self.forms[slot], 3, rows),
-                          diff=self._view(self.diff, 4, rows),
-                          scratch=self._view(self.scratch, rows))
+        return blk.t_form(window, out=self.forms[slot, :, :rows], diff=self.diff[:, :rows],
+                          scratch=self.scratch[:rows])
 
     def right_form(self, q: np.ndarray, slot: int) -> np.ndarray:
         """``maurer_cartan_theta_right`` of rows q in form buffer ``slot``."""
         rows = q.shape[1]
-        diff = _last_differences(q, self._view(self.diff, 4, rows))
-        return _vector_form(q, diff, 1.0, out=self._view(self.forms[slot], 3, rows),
-                            scratch=self._view(self.scratch, rows))
+        diff = _last_differences(q, self.diff[:, :rows])
+        return _vector_form(q, diff, 1.0, out=self.forms[slot, :, :rows],
+                            scratch=self.scratch[:rows])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +424,15 @@ class StreamedPathOfLoops:
 LoopField = SampledPathOfLoops | StreamedPathOfLoops
 
 
+def _derived(cls, **fields):
+    """A sampled carrier built from checked data, without the entry checks."""
+    carrier = object.__new__(cls)
+    carrier.__dict__.update(fields)
+    return carrier
+
+
 def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
-    return SampledPathOfLoops(_hamilton(a.grid, b.grid))
+    return _derived(SampledPathOfLoops, grid=_hamilton(a.grid, b.grid))
 
 
 def _conjugate(q: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
@@ -450,7 +451,7 @@ def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOf
 
     The scalar part is invariant and the vector part rotates, so the identity
     boundaries stay exact."""
-    return SampledPathOfLoops(_conjugate(p.samples[:, None, :], f.grid))
+    return _derived(SampledPathOfLoops, grid=_conjugate(p.samples[:, None, :], f.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +606,12 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
 MAX_COEFF = 1e150
 
 
-def _entry_coeffs(coeffs, what: str) -> np.ndarray:
-    """A fixture's coefficients as they enter: finite and at most
-    ``MAX_COEFF`` in magnitude, or an input error."""
+def _entry_coeffs(coeffs, what: str, ndim: int) -> np.ndarray:
+    """A fixture's coefficients as they enter: ``ndim`` axes, the first of
+    size 3, finite and at most ``MAX_COEFF`` in magnitude, or an input error."""
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim != ndim or len(c) != 3:
+        raise InputError(f"{what} coefficients must have {ndim} axes, the first of size 3")
     if not np.abs(c).max() <= MAX_COEFF:  # NaN compares false
         raise InputError(f"{what} coefficients must be finite and at most "
                          f"{MAX_COEFF:g} in magnitude")
@@ -622,13 +625,14 @@ class GroupPathCoeffs:
     coeffs: np.ndarray  # (3, modes)
 
     def sample(self, n_theta: int) -> SampledGroupPath:
-        c = _entry_coeffs(self.coeffs, "group path")
+        c = _entry_coeffs(self.coeffs, "group path", 2)
+        if n_theta < 4:
+            raise InputError("group path needs at least 5 quaternion samples, shape (4, N + 1)")
         u = np.linspace(0.0, 1.0, n_theta + 1)
         powers = u[:, None] ** (np.arange(c.shape[1])[None, :] + 1)
-        w = c @ powers.T
-        samples = exp_su2(w)
+        samples = exp_su2(c @ powers.T)
         samples[:, 0] = IDENTITY
-        return SampledGroupPath(samples)
+        return _derived(SampledGroupPath, samples=samples)
 
 
 def _theta_loop_basis(theta: np.ndarray, modes: int) -> np.ndarray:
@@ -662,7 +666,7 @@ class LoopFieldCoeffs:
     def stream(self, n_t: int, n_theta: int) -> StreamedPathOfLoops:
         if min(n_t, n_theta) < 4:
             raise InputError("loop field needs at least a 5x5 grid of quaternions")
-        c = _entry_coeffs(self.coeffs, "loop field")
+        c = _entry_coeffs(self.coeffs, "loop field", 3)
         _, mt, mn = c.shape
         s = np.linspace(0.0, 1.0, n_t + 1)
         theta = np.linspace(0.0, TWO_PI, n_theta + 1)
@@ -675,7 +679,7 @@ class LoopFieldCoeffs:
         blocks = _blocks(n_t + 1, n_theta + 1)
         for blk, win in zip(blocks, self.stream(n_t, n_theta).windows(blocks)):
             grid[:, blk.lo:blk.hi] = blk.inner(win)
-        return SampledPathOfLoops(grid)
+        return _derived(SampledPathOfLoops, grid=grid)
 
 
 def random_group_path_coeffs(rng: np.random.Generator, amplitude: float = 1.0) -> GroupPathCoeffs:

@@ -52,6 +52,7 @@ from .paths import (
     LOOP,
     CentralVector,
     PolyPath,
+    _derived,
     pointwise_bracket,
     random_path,
     validate_splitting,
@@ -376,8 +377,8 @@ def _omega_worked_value(g) -> float:
     the form, so the value is not 0 for any nonzero form (on the zero form it
     is 0, and so is the deviation)."""
     i, j = np.unravel_index(np.argmax(np.abs(g.form)), g.form.shape)
-    f = PolyPath(g, np.outer(np.eye(g.dim)[i], [0.0, 1.0, -1.0]), LOOP)
-    h = PolyPath(g, np.outer(np.eye(g.dim)[j], [0.0, 0.0, 1.0, -1.0]), LOOP)
+    f = _derived(g, np.outer(np.eye(g.dim)[i], [0.0, 1.0, -1.0]), LOOP)
+    h = _derived(g, np.outer(np.eye(g.dim)[j], [0.0, 0.0, 1.0, -1.0]), LOOP)
     expected = g.form[i, j] / 30.0
     deviation = abs(kacmoody.omega(f, h, 1.0) - expected)
     return deviation / abs(expected) if deviation else 0.0

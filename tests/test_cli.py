@@ -1,19 +1,22 @@
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from lie2 import kacmoody, models, suites, twogroups
+from lie2 import kacmoody, models, replay, su2grid, suites, twogroups
 from lie2.cli import _config_from_args, _parser, main
 from lie2.liealg import InputError
+from lie2.paths import CentralVector, PolyPath
 from lie2.replay import replay_report, replay_suite
 from lie2.suites import (
     REGISTRY,
     RunConfig,
     describe,
+    report_json,
     run,
     strip_wall_time,
 )
@@ -703,6 +706,44 @@ def test_run_is_deterministic_modulo_wall_time():
     a = strip_wall_time(run(config))
     b = strip_wall_time(run(config))
     assert a == b
+
+
+def _inside_replay() -> bool:
+    """Whether a caller up the stack is witness replay's deserialize_element."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code is not replay.deserialize_element.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+@pytest.mark.parametrize("case", ["defaults", "sl2", "replay"])
+def test_no_run_checks_a_carrier_it_built(monkeypatch, tmp_path, case):
+    # every carrier a run computes is built from checked data as a derived
+    # one; the entry checks run only where data enters from outside, here
+    # when replay reads a report's witnesses.  Over every suite and control
+    # at the defaults, over sl2 on its polynomial suites, and over a failing
+    # run whose report is then replayed
+    calls = []
+    for cls in (PolyPath, CentralVector, su2grid.SampledGroupPath,
+                su2grid.SampledPathOfLoops):
+        def counted(self, check=cls.__post_init__):
+            calls.append((type(self).__name__, _inside_replay()))
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    if case == "defaults":
+        assert run(RunConfig())["summary"]["all_passed"]
+    elif case == "sl2":
+        assert run(RunConfig(algebra="sl2", k=-2.0, splitting="0,0,3,-2",
+                             suites=(*POLYNOMIAL_SUITES, "exactness")))["summary"]["all_passed"]
+    else:
+        report = run(RunConfig(tol_exact=1e-20, tol_quad=1e-9))
+        assert calls == []
+        path = tmp_path / "failing.json"
+        path.write_text(report_json(report))
+        assert len(replay_report(path)) == report["summary"]["failed"] == 13
+        assert {name for name, _ in calls} == {"PolyPath", "CentralVector"}
+        calls = [call for call in calls if not call[1]]
+    assert calls == []
 
 
 def test_replay_drops_the_jobs_setting_of_older_reports(tmp_path):

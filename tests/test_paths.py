@@ -19,7 +19,6 @@ from lie2.paths import (
     pointwise_bracket,
     random_path,
     random_splitting,
-    scalar_path,
     universal_integral,
     validate_splitting,
     zero_path,
@@ -49,8 +48,8 @@ def test_pointwise_bracket_evaluation_homomorphism(g, rng):
     p, q = random_path(g, rng, 3), random_path(g, rng, 4)
     br = pointwise_bracket(p, q)
     assert np.allclose(br.endpoint(), g.bracket(p.endpoint(), q.endpoint()))
-    u = 0.37
-    assert np.allclose(br.eval(u), g.bracket(p.eval(u), q.eval(u)))
+    u = [0.37]
+    assert np.allclose(br.eval_grid(u), g.bracket(p.eval_grid(u), q.eval_grid(u)))
 
 
 def test_pointwise_bracket_kinds(g, rng):
@@ -269,7 +268,7 @@ def test_constructor_rejects_nan_endpoints(g):
 def test_entry_points_reject_non_finite_coefficients(g):
     # derived and sampled paths skip the checks; every way in still runs them
     with pytest.raises(InputError, match="finite"):
-        scalar_path([0.0, np.inf])
+        PolyPath(SCALAR_LINE, [[0.0, np.inf]], BASED)
     doc = {"type": "path", "kind": "based", "coeffs": [[0.0, math.nan]] * 3}
     with pytest.raises(InputError, match="finite"):
         deserialize_element(doc, g)
@@ -335,10 +334,10 @@ def test_addition_linear_in_evaluation(ca, cb):
     g = su2()
     a = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0] + ca), BASED)
     b = PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0] + cb), BASED)
-    u = 0.625
-    assert np.allclose((a + b).eval(u), a.eval(u) + b.eval(u))
-    assert np.allclose((a - b).eval(u), a.eval(u) - b.eval(u))
-    assert np.allclose((2.5 * a).eval(u), 2.5 * a.eval(u))
+    u = [0.625]
+    assert np.allclose((a + b).eval_grid(u), a.eval_grid(u) + b.eval_grid(u))
+    assert np.allclose((a - b).eval_grid(u), a.eval_grid(u) - b.eval_grid(u))
+    assert np.allclose((2.5 * a).eval_grid(u), 2.5 * a.eval_grid(u))
 
 
 @settings(max_examples=30)

@@ -204,6 +204,29 @@ def test_group_path_validation(rng):
         sg.SampledGroupPath(identity_grid(4))  # fewer than 5 samples
     with pytest.raises(InputError):
         sg.SampledPathOfLoops(identity_grid(5, 4))
+    # the fixtures sample derived grids, so they refuse too few samples themselves
+    with pytest.raises(InputError, match=r"^group path needs at least 5 quaternion samples, "
+                                         r"shape \(4, N \+ 1\)$"):
+        sg.GroupPathCoeffs(np.zeros((3, 3))).sample(3)
+    assert sg.GroupPathCoeffs(np.zeros((3, 3))).sample(4).n_theta == 4
+
+
+def test_sampled_grids_are_pinned_and_run_no_entry_check(rng, monkeypatch):
+    # their coefficients are checked where they enter and their identity rows
+    # are pinned as they are built, so they, their products and conjugates are
+    # derived carriers
+    checked = []
+    for cls in (sg.SampledGroupPath, sg.SampledPathOfLoops):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self))
+    p = sg.random_group_path_coeffs(rng).sample(16)
+    f = sg.random_loop_field_coeffs(rng).sample(12, 16)
+    fields = [f, sg.product_field(f, f), sg.conjugate_field(p, f)]
+    assert checked == []
+    assert (p.samples[:, 0] == sg.IDENTITY).all()
+    for field in fields:
+        assert (field.grid[:, 0] == sg.IDENTITY[:, None]).all()
+        assert (field.grid[:, :, 0] == sg.IDENTITY[:, None]).all()
+    assert max(sg.unitary_drift(x) for x in (p.samples, *(x.grid for x in fields))) <= 1e-14
 
 
 def test_nan_samples_are_rejected():
@@ -511,6 +534,21 @@ def test_bad_fixture_coefficients_are_refused_where_they_enter(rng, value):
         with pytest.raises(InputError, match="group path coefficients must be finite"):
             sg.GroupPathCoeffs(path).sample(16)
     assert str(streamed.value) == str(sampled.value)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 2, 2), (1, 2, 2), (3, 2), (3,)])
+def test_fixture_coefficients_of_another_shape_are_refused_where_they_enter(shape):
+    # the grids are sampled as derived carriers, so coefficients of a wrong
+    # shape are refused before they can make a grid that is not unit
+    coeffs = np.full(shape, 0.3)
+    if shape != (3, 2, 2):
+        with pytest.raises(InputError, match=r"^loop field coefficients must have 3 axes, "
+                                             r"the first of size 3$"):
+            sg.LoopFieldCoeffs(coeffs).stream(16, 16)
+    if shape != (3, 2):
+        with pytest.raises(InputError, match=r"^group path coefficients must have 2 axes, "
+                                             r"the first of size 3$"):
+            sg.GroupPathCoeffs(coeffs).sample(16)
 
 
 def test_coefficients_at_the_bound_give_unit_samples():
