@@ -54,41 +54,39 @@ Products and conjugates of samples are used as they come, not re-projected
 onto SU(2): at the suites' amplitudes those of unit samples are unit to a
 few ulps (at most 1.3e-15 at 512 x 512 over five seeds; the input checks
 allow 1e-10).  Each kernel writes into an ``out`` array (and its scratch row)
-when given one and allocates otherwise.
+when given one and allocates otherwise; the t-stencil, which only the blocks
+run, is always given one.
 
 Checks at entry.  ``SampledGroupPath(...)`` and ``SampledPathOfLoops(...)``
 check the shape, identity rows and unitary drift of grids from outside.  The
 fixtures ``GroupPathCoeffs`` and ``LoopFieldCoeffs`` check their coefficients
-where they enter (``sample``, ``stream``): their axes, finite and at most
-``MAX_COEFF`` in magnitude, so |v|^2 cannot overflow and ``exp_su2`` of every
-sample is unit to a few ulps; they refuse fewer than 5 samples per axis.  The grids and rows
-they sample pin their identity rows as built and are derived (``_derived``).
+where they enter (``sample``, ``stream``): their axes, not empty, finite and
+at most ``MAX_COEFF`` in magnitude, so |v|^2 cannot overflow and ``exp_su2``
+of every sample is unit to a few ulps; they refuse fewer than 5 samples per
+axis.  The grids and rows they sample pin their identity rows as built and
+are derived (``_derived``).
 
 Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
 within one t-row, or a 3-point stencil along t, and the theta-trapezoid
-reduces each row on its own.  So the two kappa residuals stream over blocks of
-at most ``BLOCK_POINTS`` grid points (31 t-rows at Ntheta = 512): a block forms
-the products, conjugates, unscaled Maurer-Cartan forms and pairings of its
-rows and reduces them to per-row theta-sums, and the t-trapezoid runs once
-over the assembled row sums.  The t-stencils of a block read a window of the
-input rows with a 1-row halo on each side, or the 3 end rows where the
-one-sided stencil applies.  A residual allocates one set of block buffers per
-call, each sized by its largest block (``_Buffers``: a product or conjugate,
-three forms, their differences and a scratch array), and every block's
-kernels write into leading slices of them.  Products and conjugates of unit
-rows, here or in ``product_field`` and ``conjugate_field``, are not checked:
-their boundaries are exactly the identity, so a check could only turn a NaN
-into an input error; the NaN reaches the residual instead.  The public
-kernels (``product_field``, ``conjugate_field``, ``maurer_cartan_t``,
-``kappa_exponent``, ``beta_p``) are the same row kernels applied to all rows,
-so a streamed residual is bitwise equal to their composition.  The
-residuals read a loop field only through ``windows(blocks)``, its samples on
-each block's window in turn: a ``SampledPathOfLoops`` slices its grid, and a
-``StreamedPathOfLoops`` (``LoopFieldCoeffs.stream``) samples each row once
-into one window buffer, moving the rows a window shares with the one before
-to its front.  So a residual on streamed fields holds O(``BLOCK_POINTS``)
-samples per field and never a full grid; ``LoopFieldCoeffs.sample`` assembles
-the same windows.
+reduces each row on its own.  So A and the two kappa residuals stream over
+blocks of at most ``BLOCK_POINTS`` grid points (31 t-rows at Ntheta = 512): a
+block forms the products, conjugates, unscaled Maurer-Cartan forms and
+pairings of its rows and reduces them to per-row theta-sums, and the
+t-trapezoid runs once over the assembled row sums.  The t-stencils of a block
+read a window of the input rows with a 1-row halo on each side, or the 3 end
+rows where the one-sided stencil applies.  A call allocates one set of block
+buffers, each sized by its largest block (``_Buffers``: a product or
+conjugate, two or three forms, their differences and a scratch array), and
+every block's kernels write into leading slices of them.  Products and
+conjugates of unit rows are not checked: their boundaries are exactly the
+identity, so a check could only turn a NaN into an input error; the NaN
+reaches the residual instead.  A and the residuals read a loop field only
+through ``windows(blocks)``, its samples on each block's window in turn: a
+``SampledPathOfLoops`` slices its grid, and a ``StreamedPathOfLoops``
+(``LoopFieldCoeffs.stream``) samples each row once into one window buffer,
+moving the rows a window shares with the one before to its front.  So A and
+the residuals on streamed fields hold O(``BLOCK_POINTS``) samples per field
+and never a full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
 """
 
 from __future__ import annotations
@@ -161,6 +159,17 @@ def _rotate(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
     return _products(_MATRIX_ROWS, r.reshape(9, *r.shape[2:]), v, out, scratch)
 
 
+def _conjugate(q: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1),
+    written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(f)
+    out[0] = f[0]
+    _rotate(q, f[1:], out=out[1:], scratch=scratch)
+    return out
+
+
 def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float,
                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unscaled Maurer-Cartan coordinates q0 d - d0 q + sign q x d from
@@ -216,13 +225,11 @@ def check_grid_algebra(g: LieAlgebraPresentation) -> None:
 
 
 def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray) -> np.ndarray:
     """Raw second-order differences (2h x the derivative) along axis 1 at rows
-    i0..i1-1 of the window w: central inside, one-sided at row 0 when w starts
-    the axis (start) and at its last row when w ends it (end).  Written into
-    ``out`` when given."""
-    if out is None:
-        out = np.empty((w.shape[0], i1 - i0, *w.shape[2:]), w.dtype)
+    i0..i1-1 of the window w, written into ``out``: central inside, one-sided
+    at row 0 when w starts the axis (start) and at its last row when w ends it
+    (end)."""
     c0, c1 = i0 + start, i1 - end
     np.subtract(w[:, c0 + 1:c1 + 1], w[:, c0 - 1:c1 - 1], out=out[:, c0 - i0:c1 - i0])
     if start:
@@ -269,15 +276,6 @@ class _Block:
         """The block's own rows lo..hi-1 of its window."""
         return window[:, self.lo - self.a:self.hi - self.a]
 
-    def t_form(self, window: np.ndarray, out: np.ndarray | None = None,
-               diff: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """Unscaled coordinates of q^-1 dq/dt on the block's rows from
-        quaternion samples (4, b - a, Ntheta + 1) of its window; written into
-        ``out`` through the differences ``diff`` when given."""
-        i0, i1 = self.lo - self.a, self.hi - self.a
-        diff = _row_differences(window, i0, i1, self.lo == 0, self.hi == self.n, diff)
-        return _vector_form(window[:, i0:i1], diff, -1.0, out, scratch)
-
 
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
     step = max(1, BLOCK_POINTS // n_cols)
@@ -285,13 +283,13 @@ def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
 
 
 class _Buffers:
-    """The block buffers of one residual call, allocated once and each sized
-    by its largest block: a product or conjugate of windows (4, window, cols),
-    ``forms`` unscaled Maurer-Cartan forms (forms, 3, rows, cols), their
-    differences (4, rows, cols) and a scratch array (window, cols).  A block's
-    kernels write into leading slices of them, whose last two axes merge
-    without a copy, as ``_last_differences`` needs of its ``out``; only its
-    pairings allocate, a few arrays of one number per row."""
+    """The block buffers of one call of A or a residual, allocated once and
+    each sized by its largest block: a product or conjugate of windows (4,
+    window, cols), ``forms`` unscaled Maurer-Cartan forms (forms, 3, rows,
+    cols), their differences (4, rows, cols) and a scratch array (window,
+    cols).  A block's kernels write into leading slices of them, whose last
+    two axes merge without a copy, as ``_last_differences`` needs of its
+    ``out``; only its pairings allocate, a few arrays of one number per row."""
 
     def __init__(self, blocks: list[_Block], cols: int, forms: int):
         window = max(b.b - b.a for b in blocks)
@@ -312,13 +310,18 @@ class _Buffers:
         return _conjugate(q, f, out=self.product[:, :rows], scratch=self.scratch[:rows])
 
     def t_form(self, blk: _Block, window: np.ndarray, slot: int) -> np.ndarray:
-        """``blk.t_form`` of a window in form buffer ``slot``."""
-        rows = blk.hi - blk.lo
-        return blk.t_form(window, out=self.forms[slot, :, :rows], diff=self.diff[:, :rows],
-                          scratch=self.scratch[:rows])
+        """Unscaled coordinates of q^-1 dq/dt on the block's rows from
+        quaternion samples (4, b - a, Ntheta + 1) of its window, in form
+        buffer ``slot``."""
+        rows, i0 = blk.hi - blk.lo, blk.lo - blk.a
+        diff = _row_differences(window, i0, i0 + rows, blk.lo == 0, blk.hi == blk.n,
+                                self.diff[:, :rows])
+        return _vector_form(blk.inner(window), diff, -1.0, out=self.forms[slot, :, :rows],
+                            scratch=self.scratch[:rows])
 
     def right_form(self, q: np.ndarray, slot: int) -> np.ndarray:
-        """``maurer_cartan_theta_right`` of rows q in form buffer ``slot``."""
+        """Unscaled coordinates of (dq/dtheta) q^-1 on rows q, in form buffer
+        ``slot``."""
         rows = q.shape[1]
         diff = _last_differences(q, self.diff[:, :rows])
         return _vector_form(q, diff, 1.0, out=self.forms[slot, :, :rows],
@@ -431,45 +434,9 @@ def _derived(cls, **fields):
     return carrier
 
 
-def product_field(a: SampledPathOfLoops, b: SampledPathOfLoops) -> SampledPathOfLoops:
-    return _derived(SampledPathOfLoops, grid=_hamilton(a.grid, b.grid))
-
-
-def _conjugate(q: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
-               scratch: np.ndarray | None = None) -> np.ndarray:
-    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1),
-    written into ``out`` when given."""
-    if out is None:
-        out = np.empty_like(f)
-    out[0] = f[0]
-    _rotate(q, f[1:], out=out[1:], scratch=scratch)
-    return out
-
-
-def conjugate_field(p: SampledGroupPath, f: SampledPathOfLoops) -> SampledPathOfLoops:
-    """p f p^-1 pointwise in theta, constant in t; p must share the theta grid.
-
-    The scalar part is invariant and the vector part rotates, so the identity
-    boundaries stay exact."""
-    return _derived(SampledPathOfLoops, grid=_conjugate(p.samples[:, None, :], f.grid))
-
-
 # ---------------------------------------------------------------------------
-# Maurer-Cartan data and the two defining integrals
+# the two defining integrals
 # ---------------------------------------------------------------------------
-
-def maurer_cartan_t(f: SampledPathOfLoops) -> np.ndarray:
-    """Unscaled coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on the grid
-    (second-order stencils): the t-step times the form, as the residuals
-    pair it."""
-    return _Block(0, f.n_t + 1, f.n_t + 1).t_form(f.grid)
-
-
-def maurer_cartan_theta_right(f: np.ndarray) -> np.ndarray:
-    """Unscaled coordinates of (d f / d theta) f^-1 along the last axis of a
-    quaternion array (4, ..., Ntheta + 1): the theta-step times the form."""
-    return _vector_form(f, _last_differences(f), 1.0)
-
 
 def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unit-step theta-trapezoid of a . b on each row of coordinate fields
@@ -485,13 +452,19 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return per_k[0] + per_k[1] + per_k[2]
 
 
-def kappa_exponent(f: SampledPathOfLoops, g: SampledPathOfLoops) -> float:
+def kappa_exponent(f: LoopField, g: LoopField) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
     kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form.  The
     unscaled forms carry the t- and theta-steps of the trapezoids, so A is
-    the unit-step double sum of their pairing."""
-    right = maurer_cartan_theta_right(g.grid)
-    return float(_trapz(_theta_integrals(maurer_cartan_t(f), right)))
+    the unit-step double sum of their pairing, streamed over blocks of t-rows
+    like the residuals."""
+    rows = np.empty(f.n_t + 1)
+    blocks = _blocks(f.n_t + 1, f.n_theta + 1)
+    buf = _Buffers(blocks, f.n_theta + 1, forms=2)
+    for blk, f_win, g_win in zip(blocks, f.windows(blocks), g.windows(blocks)):
+        rows[blk.lo:blk.hi] = _theta_integrals(buf.t_form(blk, f_win, 0),
+                                               buf.right_form(blk.inner(g_win), 1))
+    return float(_trapz(rows))
 
 
 def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
@@ -608,10 +581,13 @@ MAX_COEFF = 1e150
 
 def _entry_coeffs(coeffs, what: str, ndim: int) -> np.ndarray:
     """A fixture's coefficients as they enter: ``ndim`` axes, the first of
-    size 3, finite and at most ``MAX_COEFF`` in magnitude, or an input error."""
+    size 3, not empty, finite and at most ``MAX_COEFF`` in magnitude, or an
+    input error."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != ndim or len(c) != 3:
         raise InputError(f"{what} coefficients must have {ndim} axes, the first of size 3")
+    if c.size == 0:
+        raise InputError(f"{what} coefficients must not be empty")
     if not np.abs(c).max() <= MAX_COEFF:  # NaN compares false
         raise InputError(f"{what} coefficients must be finite and at most "
                          f"{MAX_COEFF:g} in magnitude")

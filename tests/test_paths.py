@@ -283,6 +283,32 @@ def test_endpoint_check_is_relative_to_scale(g, rng):
         PolyPath(g, np.outer([1e4, 0, 0], [0.0, 1.0, -1.0 + 1e-6]), LOOP)
 
 
+def test_endpoint_check_is_relative_to_each_trials_scale(g):
+    # an endpoint above 1e-12 is held to 1e-12 * max(1, max|coeffs|) of its
+    # own trial, for one path and for a batch
+    big = np.zeros((3, 3))
+    big[0, 1], big[1, 2] = 1e6, -1e6
+    unit = np.zeros((3, 3))
+    unit[2, 1] = 1.0
+    offset = np.zeros((3, 3))
+    offset[1, 0] = 1e-10
+    PolyPath(g, big + offset, BASED)
+    assert PolyPath(g, np.stack([big + offset, unit]), BASED).coeffs.shape == (2, 3, 3)
+    with pytest.raises(InputError, match="vanish at theta = 0"):
+        PolyPath(g, np.stack([big + offset, unit, unit + offset]), BASED)
+    with pytest.raises(InputError, match="vanish at theta = 0"):
+        PolyPath(g, big + 1e5 * offset, BASED)
+    with pytest.raises(InputError, match="vanish at theta = 0"):
+        PolyPath(g, np.stack([unit, big + 1e5 * offset]), BASED)
+    # the end value is ((0 + 1e6) - 1e6) + 1e-10
+    loop = np.outer([1.0, 0.0, 0.0], [0.0, 1e6, -1e6, 1e-10])
+    assert abs(loop.sum(axis=-1)[0] - 1e-10) <= 1e-25
+    PolyPath(g, loop, LOOP)
+    PolyPath(g, np.stack([loop, np.zeros((3, 4))]), LOOP)
+    with pytest.raises(InputError, match="vanish at theta = 2"):
+        PolyPath(g, np.outer([1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1e-10]), LOOP)
+
+
 def test_degree_grows_without_truncation(g, rng):
     p, q = random_path(g, rng, 3), random_path(g, rng, 4)
     assert pointwise_bracket(p, q).degree == 7

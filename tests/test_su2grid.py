@@ -48,6 +48,29 @@ def identity_grid(*shape: int) -> np.ndarray:
                            (4, *shape)).copy()
 
 
+# -- full-grid references from the row kernels, every row in one window --------
+
+def t_form(grid: np.ndarray) -> np.ndarray:
+    """Unscaled coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on a full grid."""
+    diff = sg._row_differences(grid, 0, grid.shape[1], True, True, np.empty_like(grid))
+    return sg._vector_form(grid, diff, -1.0)
+
+
+def right_form(q: np.ndarray) -> np.ndarray:
+    """Unscaled coordinates of (dq/dtheta) q^-1 along the last axis."""
+    return sg._vector_form(q, sg._last_differences(q), 1.0)
+
+
+def conjugate(p: sg.SampledGroupPath, grid: np.ndarray) -> np.ndarray:
+    """p f p^-1 pointwise in theta, constant in t."""
+    return sg._conjugate(p.samples[:, None, :], grid)
+
+
+def full_grid_exponent(f: np.ndarray, g: np.ndarray) -> float:
+    """A(f, g) on full grids, in one pass over all rows."""
+    return float(sg._trapz(sg._theta_integrals(t_form(f), right_form(g))))
+
+
 # -- matrix oracle -------------------------------------------------------------
 
 def test_hamilton_product_is_the_matrix_product(rng):
@@ -67,7 +90,7 @@ def test_conjugation_and_exp_match_the_matrix_formulas(rng):
     f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(12, 16)
     pm = to_matrix(p.samples)[None]
     expected = pm @ to_matrix(f.grid) @ dagger(pm)
-    assert np.abs(to_matrix(sg.conjugate_field(p, f).grid) - expected).max() <= 1e-14
+    assert np.abs(to_matrix(conjugate(p, f.grid)) - expected).max() <= 1e-14
     w = rng.uniform(-1, 1, (3, 17))
     rotated = to_matrix(p.samples) @ embed(w) @ dagger(to_matrix(p.samples))
     assert np.abs(embed(sg._rotate(p.samples, w)) - rotated).max() <= 1e-14
@@ -81,8 +104,8 @@ def test_maurer_cartan_forms_match_skew_projected_products(rng):
     # np.gradient at edge_order 2 is the same stencil: central inside, one-sided ends
     left = skew_project(dagger(m) @ np.gradient(m, ht, axis=0, edge_order=2))
     right = skew_project(np.gradient(m, htheta, axis=1, edge_order=2) @ dagger(m))
-    assert np.abs(embed(sg.maurer_cartan_t(f)) - ht * left).max() <= 1e-14
-    assert np.abs(embed(sg.maurer_cartan_theta_right(f.grid)) - htheta * right).max() <= 1e-14
+    assert np.abs(embed(t_form(f.grid)) - ht * left).max() <= 1e-14
+    assert np.abs(embed(right_form(f.grid)) - htheta * right).max() <= 1e-14
 
 
 def test_pairing_matches_the_trace_formula(rng):
@@ -180,8 +203,7 @@ def test_unitary_drift_after_products(rng):
     spec1 = sg.random_loop_field_coeffs(rng, amplitude=0.8)
     spec2 = sg.random_loop_field_coeffs(rng, amplitude=0.8)
     f, h = spec1.sample(48, 48), spec2.sample(48, 48)
-    prod = sg.product_field(f, h)
-    assert sg.unitary_drift(prod.grid) <= 1e-9
+    assert sg.unitary_drift(sg._hamilton(f.grid, h.grid)) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -193,7 +215,7 @@ def test_products_and_conjugates_of_unit_samples_stay_unit(seed):
     f, g = (sg.random_loop_field_coeffs(rng, KAPPA_AMPLITUDE).sample(512, 512) for _ in range(2))
     p = sg.random_group_path_coeffs(rng, CONJ_PATH_AMPLITUDE).sample(512)
     assert sg.unitary_drift(sg._hamilton(f.grid, g.grid)) <= 1e-14
-    assert sg.unitary_drift(sg.conjugate_field(p, f).grid) <= 1e-14
+    assert sg.unitary_drift(conjugate(p, f.grid)) <= 1e-14
 
 
 def test_group_path_validation(rng):
@@ -213,20 +235,20 @@ def test_group_path_validation(rng):
 
 def test_sampled_grids_are_pinned_and_run_no_entry_check(rng, monkeypatch):
     # their coefficients are checked where they enter and their identity rows
-    # are pinned as they are built, so they, their products and conjugates are
-    # derived carriers
+    # are pinned as they are built, so they are derived carriers, and their
+    # products and conjugates keep the identity rows exactly
     checked = []
     for cls in (sg.SampledGroupPath, sg.SampledPathOfLoops):
         monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self))
     p = sg.random_group_path_coeffs(rng).sample(16)
     f = sg.random_loop_field_coeffs(rng).sample(12, 16)
-    fields = [f, sg.product_field(f, f), sg.conjugate_field(p, f)]
+    grids = [f.grid, sg._hamilton(f.grid, f.grid), conjugate(p, f.grid)]
     assert checked == []
     assert (p.samples[:, 0] == sg.IDENTITY).all()
-    for field in fields:
-        assert (field.grid[:, 0] == sg.IDENTITY[:, None]).all()
-        assert (field.grid[:, :, 0] == sg.IDENTITY[:, None]).all()
-    assert max(sg.unitary_drift(x) for x in (p.samples, *(x.grid for x in fields))) <= 1e-14
+    for grid in grids:
+        assert (grid[:, 0] == sg.IDENTITY[:, None]).all()
+        assert (grid[:, :, 0] == sg.IDENTITY[:, None]).all()
+    assert max(sg.unitary_drift(x) for x in (p.samples, *grids)) <= 1e-14
 
 
 def test_nan_samples_are_rejected():
@@ -244,7 +266,8 @@ def test_nan_samples_are_rejected():
 
 def test_maurer_cartan_constant_grid_is_zero():
     f = sg.SampledPathOfLoops(identity_grid(17, 17))
-    assert np.abs(sg.maurer_cartan_t(f)).max() == 0.0
+    assert np.abs(t_form(f.grid)).max() == 0.0
+    assert np.abs(right_form(f.grid)).max() == 0.0
 
 
 def test_maurer_cartan_linear_in_t_oracle(rng):
@@ -259,7 +282,7 @@ def test_maurer_cartan_linear_in_t_oracle(rng):
         w = np.einsum("kmn,jn->kj", spec.coeffs, sg._theta_loop_basis(theta, 2))
         h = TWO_PI / n_t
         exact = w / TWO_PI
-        errs.append(np.abs(sg.maurer_cartan_t(f) - h * exact[:, None]).max() / h)
+        errs.append(np.abs(t_form(f.grid) - h * exact[:, None]).max() / h)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
@@ -394,7 +417,7 @@ def test_embedding_consistency_small_amplitude(g, rng):
     u = np.linspace(0.0, 1.0, n + 1)
     for eps in (0.1, 0.05):
         gamma = sg.exp_su2(eps * eta.eval_grid(u).T)
-        c_form = sg.maurer_cartan_theta_right(gamma)
+        c_form = right_form(gamma)
         grid_value = float(2.0 * sg._theta_integrals(eps * xi.eval_grid(u).T, c_form))
         assert abs(grid_value - eps**2 * exact) <= 0.2 * eps**3 + 1e-8
 
@@ -443,19 +466,19 @@ def test_ladder_residuals_move_by_roundoff_only(n):
 # -- row-block streaming ---------------------------------------------------------
 
 def _cocycle_by_composition(f, g, h):
-    fg, gh = sg.product_field(f, g), sg.product_field(g, h)
-    a = sg.kappa_exponent
+    # on full grids, every product and form over all rows at once
+    fg, gh = sg._hamilton(f, g), sg._hamilton(g, h)
+    a = full_grid_exponent
     return 2.0 * abs(a(f, g) + a(fg, h) - a(g, h) - a(f, gh))
 
 
 def _conjugation_by_composition(p, f1, f2):
     # beta_p is linear, so the residual pairs p's form once with the combined
     # t-form; the forms are unscaled and the trapezoids unit-step sums
-    conj = sg.kappa_exponent(sg.conjugate_field(p, f1), sg.conjugate_field(p, f2))
-    f12 = sg.product_field(f1, f2)
-    combined = sg.maurer_cartan_t(f12) - sg.maurer_cartan_t(f1) - sg.maurer_cartan_t(f2)
+    conj = full_grid_exponent(conjugate(p, f1), conjugate(p, f2))
+    combined = t_form(sg._hamilton(f1, f2)) - t_form(f1) - t_form(f2)
     correction = float(sg._trapz(sg.beta_p(p, combined)))
-    return abs(2.0 * (conj - sg.kappa_exponent(f1, f2)) - correction)
+    return abs(2.0 * (conj - full_grid_exponent(f1, f2)) - correction)
 
 
 def _streamed_grids():
@@ -477,15 +500,45 @@ def test_streamed_residuals_equal_the_full_grid_composition(rng, nt, ntheta):
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
     cocycle = sg.kappa_cocycle_residual(*fs)
     assert cocycle > 0.0
-    assert cocycle == _cocycle_by_composition(*fs)
+    assert cocycle == _cocycle_by_composition(*(f.grid for f in fs))
     assert sg.kappa_cocycle_residual(*streamed) == cocycle
     conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
     assert conjugation > 0.0
-    assert conjugation == _conjugation_by_composition(p, fs[0], fs[1])
+    assert conjugation == _conjugation_by_composition(p, fs[0].grid, fs[1].grid)
     assert sg.kappa_conjugation_identity_residual(p, *streamed[:2]) == conjugation
     blocks = sg._blocks(nt + 1, ntheta + 1)  # the grid's windows are the stream's
     for a, b in zip(streamed[0].windows(blocks), fs[0].windows(blocks)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
+def test_kappa_exponent_takes_streamed_fields(rng, nt, ntheta):
+    # A streams like the residuals, so it reads either kind of loop field and
+    # equals the one-pass value on the full grids
+    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
+    f, g = (s.sample(nt, ntheta) for s in specs)
+    value = sg.kappa_exponent(f, g)
+    assert value != 0.0
+    assert value == full_grid_exponent(f.grid, g.grid)
+    assert sg.kappa_exponent(*(s.stream(nt, ntheta) for s in specs)) == value
+    assert sg.kappa_exponent(f, specs[1].stream(nt, ntheta)) == value
+
+
+@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
+def test_one_block_spanning_the_grid_gives_the_blocked_values(rng, monkeypatch, nt, ntheta):
+    # the fields are sampled before the blocks change: sampling assembles
+    # blocks too
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(nt, ntheta) for _ in range(3)]
+    p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
+
+    def values():
+        return (sg.kappa_exponent(fs[0], fs[1]), sg.kappa_cocycle_residual(*fs),
+                sg.kappa_conjugation_identity_residual(p, fs[0], fs[1]))
+
+    blocked = values()
+    monkeypatch.setattr(sg, "BLOCK_POINTS", (nt + 1) * (ntheta + 1))
+    assert len(sg._blocks(nt + 1, ntheta + 1)) == 1
+    assert values() == blocked
 
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
@@ -536,19 +589,26 @@ def test_bad_fixture_coefficients_are_refused_where_they_enter(rng, value):
     assert str(streamed.value) == str(sampled.value)
 
 
-@pytest.mark.parametrize("shape", [(1, 3), (3, 2, 2), (1, 2, 2), (3, 2), (3,)])
+@pytest.mark.parametrize("shape", [(1, 3), (3, 2, 2), (1, 2, 2), (3, 2), (3,),
+                                   (3, 0), (3, 0, 2), (3, 2, 0)])
 def test_fixture_coefficients_of_another_shape_are_refused_where_they_enter(shape):
     # the grids are sampled as derived carriers, so coefficients of a wrong
-    # shape are refused before they can make a grid that is not unit
+    # shape are refused before they can make a grid that is not unit; an empty
+    # array of the right axes is refused before its magnitude is read
     coeffs = np.full(shape, 0.3)
-    if shape != (3, 2, 2):
-        with pytest.raises(InputError, match=r"^loop field coefficients must have 3 axes, "
-                                             r"the first of size 3$"):
-            sg.LoopFieldCoeffs(coeffs).stream(16, 16)
-    if shape != (3, 2):
-        with pytest.raises(InputError, match=r"^group path coefficients must have 2 axes, "
-                                             r"the first of size 3$"):
-            sg.GroupPathCoeffs(coeffs).sample(16)
+    for what, ndim, refusals in (
+            ("loop field", 3, (lambda: sg.LoopFieldCoeffs(coeffs).stream(16, 16),
+                               lambda: sg.LoopFieldCoeffs(coeffs).sample(16, 16))),
+            ("group path", 2, (lambda: sg.GroupPathCoeffs(coeffs).sample(16),))):
+        if len(shape) != ndim or shape[0] != 3:
+            message = f"^{what} coefficients must have {ndim} axes, the first of size 3$"
+        elif coeffs.size == 0:
+            message = f"^{what} coefficients must not be empty$"
+        else:
+            continue
+        for refuse in refusals:
+            with pytest.raises(InputError, match=message):
+                refuse()
 
 
 def test_coefficients_at_the_bound_give_unit_samples():
@@ -584,8 +644,10 @@ def test_streamed_suites_hold_no_full_grid(suite):
 # traced peaks in bytes of the two residuals at 512 x 512 on streamed fields,
 # as measured with block-local arrays allocated afresh for every block and
 # every product re-projected onto SU(2) (numpy 2.4); one buffer set per call
-# holds less
-STREAMED_PEAK_CEILINGS = {"cocycle": 6_277_959, "conjugation": 5_313_871}
+# holds less.  A's ceiling is one full grid of one field, 4 x 513^2 float64:
+# computed over the full grids it held 23.2 MB (numpy 2.4)
+STREAMED_PEAK_CEILINGS = {"cocycle": 6_277_959, "conjugation": 5_313_871,
+                          "exponent": 4 * 513 * 513 * 8}
 
 
 def test_streamed_residuals_hold_no_more_than_block_local_arrays():
@@ -595,7 +657,8 @@ def test_streamed_residuals_hold_no_more_than_block_local_arrays():
     peaks = {}
     for name, residual in (("cocycle", lambda: sg.kappa_cocycle_residual(*fs)),
                            ("conjugation",
-                            lambda: sg.kappa_conjugation_identity_residual(p, *fs[:2]))):
+                            lambda: sg.kappa_conjugation_identity_residual(p, *fs[:2])),
+                           ("exponent", lambda: sg.kappa_exponent(*fs[:2]))):
         tracemalloc.start()
         try:
             residual()
