@@ -97,13 +97,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: replayed residual {residual:.6e}")
             return 0
         # verify
-        config = _config_from_args(args)
-        config.validate()
-        if float(config.k) != int(config.k):
-            print(f"warning: level k = {config.k:g} is not an integer; "
-                  "group-level extensions require integral levels",
-                  file=sys.stderr)
-        report = run(config)
+        report = run(_config_from_args(args))
         _print_table(report)
         if args.report is not None:
             try:

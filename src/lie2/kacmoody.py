@@ -49,15 +49,6 @@ def dalpha(p: PolyPath, v: CentralVector, k: float) -> CentralVector:
                             2.0 * k * derivative_pairing(p, v.loop))
 
 
-def dalpha_action_residual(p1: PolyPath, p2: PolyPath, v: CentralVector,
-                           k: float) -> float:
-    """How far dalpha is from a Lie algebra action:
-    dalpha([p1, p2]) v - (dalpha(p1) dalpha(p2) - dalpha(p2) dalpha(p1)) v."""
-    terms = [dalpha(pointwise_bracket(p1, p2), v, k), -dalpha(p1, dalpha(p2, v, k), k),
-             dalpha(p2, dalpha(p1, v, k), k)]
-    return law_residual(terms, CentralVector.norm, [p1.norm(), p2.norm(), v.norm()])
-
-
 def dalpha_derivation_residual(p: PolyPath, a: CentralVector, b: CentralVector,
                                k: float) -> float:
     """How far dalpha(p) is from a derivation of the twisted bracket."""

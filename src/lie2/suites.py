@@ -398,18 +398,17 @@ def _extended_evaluate(config, vs):
 
 
 def _dalpha_sample(config, rng):
-    """(p1, p2, loop, v, w): two based paths, a loop and two central vectors."""
+    """(p, loop, v, w): a based path, a loop and two central vectors."""
     pkg, el = config.models.pkg, config.models.el
-    return random_elements(rng, config.trials, (pkg.space0, pkg.space0, el.space0,
+    return random_elements(rng, config.trials, (pkg.space0, el.space0,
                                                 pkg.space1, pkg.space1))
 
 
 def _dalpha_evaluate(config, inputs):
-    p1, p2, loop, v, w = inputs
+    p, loop, v, w = inputs
     return {
-        "action": kacmoody.dalpha_action_residual(p1, p2, v, config.k),
-        "derivation": kacmoody.dalpha_derivation_residual(p1, v, w, config.k),
-        "projection": kacmoody.dalpha_equivariance_residual(p1, v, config.k),
+        "derivation": kacmoody.dalpha_derivation_residual(p, v, w, config.k),
+        "projection": kacmoody.dalpha_equivariance_residual(p, v, config.k),
         "loop_bracket": kacmoody.dalpha_matches_central_bracket_residual(
             loop, v, config.k),
     }
@@ -542,9 +541,11 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         partial(_jacobi_sample, "gk"), partial(_jacobi_evaluate, "gk")),
     SuiteSpec(
         "pkg-jacobi", 1,
-        "graded Jacobi identity of the path model; the mixed-degree cases "
-        "encode that the twisted action of based paths on centrally extended "
-        "loops is an action by derivations.",
+        "graded Jacobi identity of the path model; its mixed-degree cases "
+        "state that the twisted action dalpha of based paths on centrally "
+        "extended loops is a Lie algebra action, jacobi[0,0,1]: dalpha([p1,p2]) "
+        "= [dalpha(p1), dalpha(p2)], and that the differential intertwines it "
+        "with the bracket of paths, jacobi[0,1].",
         partial(_jacobi_sample, "pkg"), partial(_jacobi_evaluate, "pkg"),
         mutant=_double_bracket),
     SuiteSpec(
@@ -582,8 +583,10 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
     SuiteSpec(
         "equivalence", 7,
         "(endpoint o splitting) is the identity of the skeletal model with "
-        "vanishing corrector; the retraction homotopy certifies the other "
-        "composite; the indiscrete model is trivialized by tau(x) = x.",
+        "vanishing corrector; the indiscrete model is trivialized by tau(x) = "
+        "x; the splitting integral takes its universal value -1/6.  The "
+        "retraction homotopy, which certifies the other composite, is "
+        "tau-2hom's.",
         _equivalence_sample, _equivalence_evaluate),
     SuiteSpec(
         "omega-cocycle", 8,
@@ -599,9 +602,10 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         _extended_sample, _extended_evaluate),
     SuiteSpec(
         "dalpha-action", 10,
-        "the lifted action ([p,l], 2k integral B(p, l')) is a Lie algebra "
-        "action by derivations of the twisted bracket, compatible with the "
-        "projection to loops.",
+        "the lifted action ([p,l], 2k integral B(p, l')) acts by derivations "
+        "of the twisted bracket, is compatible with the projection to loops, "
+        "and on a loop is the twisted bracket.  That it is a Lie algebra "
+        "action is pkg-jacobi's jacobi[0,0,1].",
         _dalpha_sample, _dalpha_evaluate),
     SuiteSpec(
         "kappa-cocycle", 11,

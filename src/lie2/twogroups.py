@@ -222,18 +222,12 @@ class FiniteTwoGroup:
     def n_morphisms(self) -> int:
         return self.cm.G.order * self.cm.H.order
 
-    def pair(self, m: int) -> tuple[int, int]:
-        return divmod(int(m), self.cm.H.order)
-
     def morphism(self, p: int, h: int) -> int:
         return p * self.cm.H.order + h
 
-    def composable(self, m1: int, m2: int) -> bool:
-        return bool(self.source[m1] == self.target[m2])
-
     def _composite(self, m1, m2):
         """m1 o m2 (m2 first), (p1, h1) o (p2, h2) = (p2, h1 h2), defined iff
-        ``composable(m1, m2)``, which is not checked; element-wise over
+        ``source[m1] == target[m2]``, which is not checked; element-wise over
         integer arrays of morphisms."""
         nH = self.cm.H.order
         return m2 - m2 % nH + self.cm.H.table[m1 % nH, m2 % nH]

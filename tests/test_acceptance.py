@@ -7,15 +7,20 @@ import time
 import numpy as np
 
 from lie2.kacmoody import (
-    dalpha_action_residual,
     dalpha_derivation_residual,
     extended_jacobi_residual,
     omega,
     omega_cocycle_residual,
 )
 from lie2.liealg import su2
-from lie2.linfty import hom_residuals_once, hom_samples
-from lie2.models import build_models, exactness_check, splitting_deviation, splitting_samples
+from lie2.linfty import generalized_jacobi_residual, hom_residuals_once, hom_samples
+from lie2.models import (
+    build_models,
+    exactness_check,
+    make_pkg,
+    splitting_deviation,
+    splitting_samples,
+)
 from lie2.paths import LOOP, CentralVector, PolyPath, random_path
 from lie2.suites import REGISTRY, RunConfig, run, strip_wall_time
 from lie2.worstcase import largest
@@ -121,13 +126,15 @@ def test_criterion_6_kac_moody_layer():
             *(CentralVector(random_path(g, rng, 4, LOOP), float(rng.uniform(-1, 1)))
               for _ in range(3)), 1.0)
         for _ in range(200)))
+    # the action law is the path model's Jacobi identity on signature (0, 0, 1)
+    pkg = make_pkg(g, 1.0)
     worst_action = 0.0
     for _ in range(200):
         p1, p2 = random_path(g, rng, 4), random_path(g, rng, 4)
         v = CentralVector(random_path(g, rng, 4, LOOP), float(rng.uniform(-1, 1)))
         w = CentralVector(random_path(g, rng, 4, LOOP), float(rng.uniform(-1, 1)))
         worst_action = largest(worst_action,
-                               dalpha_action_residual(p1, p2, v, 1.0),
+                               generalized_jacobi_residual(pkg, [(0, p1), (0, p2), (1, v)]),
                                dalpha_derivation_residual(p1, v, w, 1.0))
     f = PolyPath(g, np.outer([1, 0, 0], [0.0, 1.0, -1.0]), LOOP)
     h = PolyPath(g, np.outer([1, 0, 0], [0.0, 0.0, 1.0, -1.0]), LOOP)

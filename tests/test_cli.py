@@ -10,6 +10,7 @@ import pytest
 from lie2 import kacmoody, models, replay, su2grid, suites, twogroups
 from lie2.cli import _config_from_args, _parser, main
 from lie2.liealg import InputError
+from lie2.linfty import random_elements
 from lie2.paths import CentralVector, PolyPath
 from lie2.replay import replay_report, replay_suite
 from lie2.suites import (
@@ -20,6 +21,7 @@ from lie2.suites import (
     run,
     strip_wall_time,
 )
+from lie2.worstcase import trial
 
 FAST = ["--trials", "5", "--nt", "32", "--ntheta", "32"]
 POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
@@ -244,10 +246,15 @@ def test_verify_rejects_a_non_finite_splitting(capsys):
     assert "splitting function [nan, nan] has non-finite coefficients" in capsys.readouterr().err
 
 
-def test_non_integer_level_warns(capsys):
-    code = main(["verify", "--suite", "gk-jacobi", "--k", "0.5", *FAST])
+@pytest.mark.parametrize("k", ["0.5", "0.0397887"])
+def test_a_non_integral_level_draws_no_warning(capsys, k):
+    # whether the group extension exists at level k depends on the form's
+    # normalization: at su2's unit form it exists where 8 pi k is an integer,
+    # as at k = 1/(8 pi) = 0.0397887, and not at k = 1, so the level is not
+    # judged by whether it is an integer
+    code = main(["verify", "--suite", "gk-jacobi", "--k", k, *FAST])
     assert code == 0
-    assert "not an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
 def test_describe_known_suites(capsys):
@@ -470,6 +477,46 @@ def test_replay_of_a_malformed_report_exits_2(failing_report, tmp_path, capsys, 
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _replay_with_witness(tmp_path, capsys, suite, witness) -> tuple[int, str]:
+    """Exit code and stderr of replaying a report of ``suite`` whose witness is
+    ``witness``."""
+    report_path = tmp_path / "older.json"
+    main(["verify", "--suite", suite, "--tol-exact", "1e-300",
+          "--report", str(report_path), *FAST])
+    doc = json.loads(report_path.read_text())
+    doc["suites"][0]["witness"] = witness
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    return main(["replay", "--report", str(report_path)]), capsys.readouterr().err
+
+
+def _one_trial(*spaces) -> list:
+    return list(trial(next(random_elements(np.random.default_rng(3), 1, spaces)), 0))
+
+
+def test_replay_refuses_an_older_dalpha_action_witness_with_two_paths(tmp_path, capsys):
+    # older reports drew (p1, p2, loop, v, w) for an action component that
+    # pkg-jacobi's signature (0, 0, 1) now checks
+    bundle = RunConfig().models
+    pkg = bundle.pkg
+    inputs = _one_trial(pkg.space0, pkg.space0, bundle.el.space0, pkg.space1, pkg.space1)
+    code, err = _replay_with_witness(tmp_path, capsys, "dalpha-action", {
+        "component": "action", "inputs": suites.serialize_element(inputs)})
+    assert code == 2
+    assert err == "error: witness inputs do not have the form of a trial of dalpha-action\n"
+
+
+def test_replay_refuses_an_older_retraction_witness(tmp_path, capsys):
+    # older reports checked the retraction homotopy in equivalence too; it
+    # is tau-2hom's
+    pkg = RunConfig().models.pkg
+    inputs = ["retraction", *_one_trial(pkg.space0, pkg.space0, pkg.space1)]
+    code, err = _replay_with_witness(tmp_path, capsys, "equivalence", {
+        "component": "retraction", "inputs": suites.serialize_element(inputs)})
+    assert code == 2
+    assert err == "error: witness inputs do not have the form of a trial of equivalence\n"
+
+
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     report_path = tmp_path / "equivalence.json"
     code = main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
@@ -562,6 +609,25 @@ def test_every_mutation_control_can_fail_its_suite(monkeypatch, suite, changes):
     entry = run(config)["suites"][0]
     assert entry["details"]["mutation_residual"] <= entry["details"]["mutation_floor"]
     assert entry["passed"] is False and entry["max_residual"] <= entry["tolerance"]
+
+
+@pytest.mark.parametrize("k, floor", [(1.0, 0.3), (0.0, 0.05)])
+def test_pkg_jacobi_fails_when_dalpha_is_not_an_action(monkeypatch, k, floor):
+    # dalpha-action states no action law of its own: pkg-jacobi's signature
+    # (0, 0, 1) is that law.  A central term that adds v.c breaks it, at
+    # k = 1 (0.38) and at k = 0 (0.10), while the projection to loops,
+    # signature (0, 1), stays at roundoff (5e-17)
+    dalpha = models.dalpha
+
+    def shifted(p, v, k):
+        image = dalpha(p, v, k)
+        return CentralVector(image.loop, image.c + v.c)
+
+    monkeypatch.setattr(models, "dalpha", shifted)
+    entry = run(RunConfig(k=k, suites=("pkg-jacobi",)))["suites"][0]
+    assert entry["passed"] is False
+    assert entry["details"]["jacobi[0,0,1]"] > floor
+    assert entry["details"]["jacobi[0,1]"] <= 1e-15
 
 
 def _halve_omega(monkeypatch):

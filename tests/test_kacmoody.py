@@ -3,7 +3,6 @@ import pytest
 
 from lie2.kacmoody import (
     dalpha,
-    dalpha_action_residual,
     dalpha_derivation_residual,
     dalpha_equivariance_residual,
     dalpha_matches_central_bracket_residual,
@@ -13,7 +12,7 @@ from lie2.kacmoody import (
     omega_cocycle_residual,
 )
 from lie2.liealg import InputError, LieAlgebraPresentation
-from lie2.linfty import CentralSpace
+from lie2.linfty import CentralSpace, generalized_jacobi_residual
 from lie2.models import make_pkg
 from lie2.paths import BASED, LOOP, CentralVector, PolyPath, random_path, zero_path
 
@@ -119,10 +118,13 @@ def test_dalpha_loop_case_is_twisted_bracket(g, rng):
 
 
 def test_dalpha_action_property(g, rng):
+    # the action law is the path model's Jacobi identity on signature (0, 0, 1)
+    pkg = make_pkg(g, 1.0)
     worst = max(
-        dalpha_action_residual(random_path(g, rng, 4), random_path(g, rng, 4),
-                               CentralVector(random_path(g, rng, 4, LOOP),
-                                             float(rng.uniform(-1, 1))), 1.0)
+        generalized_jacobi_residual(pkg, [(0, random_path(g, rng, 4)),
+                                          (0, random_path(g, rng, 4)),
+                                          (1, CentralVector(random_path(g, rng, 4, LOOP),
+                                                            float(rng.uniform(-1, 1))))])
         for _ in range(100)
     )
     assert worst <= 1e-10
@@ -149,8 +151,9 @@ def test_dalpha_projection_compatibility_exact(g, rng):
 def test_residuals_level_independent_after_normalization(g, rng):
     p1, p2 = random_path(g, rng, 4), random_path(g, rng, 4)
     v = CentralVector(random_path(g, rng, 4, LOOP), 0.2)
-    r1 = dalpha_action_residual(p1, p2, v, 1.0)
-    r5 = dalpha_action_residual(p1, p2, v, 5.0)
+    inputs = [(0, p1), (0, p2), (1, v)]
+    r1 = generalized_jacobi_residual(make_pkg(g, 1.0), inputs)
+    r5 = generalized_jacobi_residual(make_pkg(g, 5.0), inputs)
     assert r5 <= 10 * r1 + 1e-12
 
 

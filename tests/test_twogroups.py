@@ -368,11 +368,12 @@ def test_indiscrete_two_group_has_unique_morphisms():
 def test_trivial_action_composability_is_equality_of_objects():
     grp = FiniteTwoGroup(trivial_action_module(symmetric_group_3(), cyclic_group(3)))
     assert grp.violations() == []
+    n_h = grp.cm.H.order
     for m1 in range(grp.n_morphisms):
         for m2 in range(grp.n_morphisms):
-            p1, _ = grp.pair(m1)
-            p2, _ = grp.pair(m2)
-            assert grp.composable(m1, m2) == (p1 == p2)
+            p1, _ = divmod(m1, n_h)
+            p2, _ = divmod(m2, n_h)
+            assert (grp.source[m1] == grp.target[m2]) == (p1 == p2)
 
 
 def test_composition_worked_example():
@@ -380,9 +381,9 @@ def test_composition_worked_example():
     assert grp.violations() == []
     m2 = grp.morphism(1, 2)  # 1 -> 3
     m1 = grp.morphism(3, 1)  # 3 -> 4
-    assert grp.target[m2] == grp.source[m1] and grp.composable(m1, m2)
+    assert grp.target[m2] == grp.source[m1]
     c = int(grp._composite(m1, m2))
-    assert grp.pair(c) == (1, 3)
+    assert divmod(c, grp.cm.H.order) == (1, 3)
     assert grp.source[c] == 1 and grp.target[c] == 4
 
 
@@ -390,7 +391,6 @@ def test_non_matching_morphisms_are_not_composable():
     grp = FiniteTwoGroup(conjugation_module(cyclic_group(5)))
     m = grp.morphism(0, 1)  # 0 -> 1
     assert grp.source[m] != grp.target[m]
-    assert not grp.composable(m, m)
 
 
 def test_interchange_concrete_instance():
@@ -401,7 +401,7 @@ def test_interchange_concrete_instance():
     m1 = grp.morphism(int(grp.target[m2]), 3)
     m3 = grp.morphism(int(grp.target[m4]), 4)
     m13, m24 = int(grp.mor_table[m1, m3]), int(grp.mor_table[m2, m4])
-    assert grp.composable(m1, m2) and grp.composable(m3, m4) and grp.composable(m13, m24)
+    assert (grp.source[[m1, m3, m13]] == grp.target[[m2, m4, m24]]).all()
     left = grp.mor_table[grp._composite(m1, m2), grp._composite(m3, m4)]
     assert left == grp._composite(m13, m24)
 
@@ -437,8 +437,8 @@ def test_kernel_of_the_quotient_is_the_conjugation_two_group_of_the_subgroup():
         assert np.array_equal(getattr(iota.src, table), getattr(conj, table))
     assert iota.obj_map.tolist() == members
     for m in range(iota.src.n_morphisms):  # (n, h) -> (n, h)
-        p, h = iota.src.pair(m)
-        assert iota.dst.pair(iota.mor_map[m]) == (members[p], h)
+        p, h = divmod(m, iota.src.cm.H.order)
+        assert divmod(int(iota.mor_map[m]), iota.dst.cm.H.order) == (members[p], h)
 
 
 def test_strict_kernel_of_quotient():
