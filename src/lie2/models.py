@@ -255,14 +255,16 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
 # exactness at finite polynomial degree
 # ---------------------------------------------------------------------------
 
-def _integer_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank over Q of integer rows given as {column: nonzero entry}, by sparse
-    fraction-free elimination.  Each row is reduced against the pivot rows,
-    keyed by their leading column: while its leading column holds a pivot p
-    where the row holds a, the row becomes p * row - a * pivot, divided by the
-    gcd of its entries.  It becomes a pivot once its leading column is free,
-    and vanishes if it lies in the span of the pivots."""
+def _integer_ranks(rows: Iterable[dict[int, int]]) -> list[int]:
+    """Rank over Q of each prefix of a sequence of integer rows given as
+    {column: nonzero entry}, by one sparse fraction-free elimination: entry i
+    is the pivot count once row i is reduced.  Each row is reduced against
+    the pivot rows, keyed by their leading column: while its leading column
+    holds a pivot p where the row holds a, the row becomes p * row - a * pivot,
+    divided by the gcd of its entries.  It becomes a pivot once its leading
+    column is free, and vanishes if it lies in the span of the pivots."""
     pivots: dict[int, dict[int, int]] = {}
+    ranks = []
     for row in rows:
         while row:
             lead = min(row)
@@ -280,7 +282,8 @@ def _integer_rank(rows: Iterable[dict[int, int]]) -> int:
                     del reduced[j]
             gcd = math.gcd(*reduced.values())
             row = {j: x // gcd for j, x in reduced.items()} if gcd > 1 else reduced
-    return len(pivots)
+        ranks.append(len(pivots))
+    return ranks
 
 
 def _matrix(image) -> np.ndarray:
@@ -299,13 +302,13 @@ def _integer_row(row: dict[int, float]) -> dict[int, int]:
     """A float row times the largest denominator of its entries: a float is a
     dyadic rational, so this is an exact integer row."""
     ratios = {j: x.as_integer_ratio() for j, x in row.items()}
-    scale = max(d for _, d in ratios.values())
+    scale = max((d for _, d in ratios.values()), default=1)
     return {j: n * (scale // d) for j, (n, d) in ratios.items()}
 
 
-def _exact_rank(image) -> int:
-    """Rank over Q of the images, by sparse fraction-free elimination
-    (``_integer_rank``) on the nonzeros of their matrix.  Integral entries
+def _exact_ranks(image) -> list[int]:
+    """Rank over Q of each prefix of the images, by one elimination
+    (``_integer_ranks``) on the nonzeros of their matrix.  Integral entries
     are taken as integers; otherwise each row is scaled by ``_integer_row``,
     so a non-integral image is ranked, not rounded."""
     m = _matrix(image)
@@ -313,10 +316,10 @@ def _exact_rank(image) -> int:
     x = m[r, c]
     integral = (x == np.round(x)).all() and (np.abs(x) < 2.0 ** 62).all()
     entries = (x.astype(np.int64) if integral else x).tolist()
-    rows: dict[int, dict] = {}
+    rows: list[dict] = [{} for _ in range(len(m))]
     for i, j, v in zip(r.tolist(), c.tolist(), entries):
-        rows.setdefault(i, {})[j] = v
-    return _integer_rank(rows.values() if integral else map(_integer_row, rows.values()))
+        rows[i][j] = v
+    return _integer_ranks(rows if integral else map(_integer_row, rows))
 
 
 @dataclass
@@ -329,32 +332,52 @@ class ExactnessReport:
     passed: bool
 
 
-def exactness_check(models: ModelBundle, degree: int) -> ExactnessReport:
+def exactness_records(models: ModelBundle, degree: int) -> list[ExactnessReport]:
     """Exact ranks showing that the bundle's loop inclusion lam hits precisely
     the kernel of its endpoint evaluation phi, on objects (loops -> based
     paths -> algebra) and on directions (loops -> central vectors -> center),
-    among polynomials of degree <= ``degree``.
+    among polynomials of degree <= d: entry d is the report of degree d, for
+    every d <= ``degree``.
 
-    The maps act on the batched images of a basis, ``element`` of the
-    identity, and a space's dimension is the rank of its basis images.  At
-    each level lam is injective, phi is surjective, phi o lam is exactly 0 and
+    The maps act once on the batched images of one basis of each space at
+    ``degree``, ``element`` of the identity with its rows ordered by power, so
+    the basis of degree d is a prefix of it; the central coordinate's row is
+    in every degree and goes first.  One elimination per map ranks every
+    prefix, and a space's dimension is the rank of its basis images.  At each
+    level lam is injective, phi is surjective, phi o lam is exactly 0 and
     rank lam = dim - rank phi, so by rank-nullity im lam = ker phi.
     """
     g, phi, lam = models.algebra, models.phi, models.lam
-    based, loops, central = (space.element(np.eye(space.width)) for space in (
-        PathSpace(g, BASED, degree), PathSpace(g, LOOP, degree), CentralSpace(g, degree)))
-    dim_paths, dim_loops, dim_central = map(_exact_rank, (based, loops, central))
-    rank_endpoint, rank_central = _exact_rank(phi.phi0(based)), _exact_rank(phi.phi1(central))
+    n, width = g.dim, g.dim * (degree + 1)
+    by_power = np.arange(width).reshape(n, degree + 1).T.ravel()
+    based, loops = (PathSpace(g, kind, degree).element(np.eye(width)[by_power])
+                    for kind in (BASED, LOOP))
+    central = CentralSpace(g, degree).element(np.eye(width + 1)[np.r_[width, by_power]])
+    dim_paths, dim_loops, dim_central = map(_exact_ranks, (based, loops, central))
+    rank_endpoint, rank_central = _exact_ranks(phi.phi0(based)), _exact_ranks(phi.phi1(central))
     included, lifted = lam.phi0(loops), lam.phi1(loops)
-    rank_inclusion, rank_lift = _exact_rank(included), _exact_rank(lifted)
-    nullity_endpoint = dim_paths - rank_endpoint
-    passed = (not (np.any(phi.phi0(included)) or np.any(phi.phi1(lifted)))
-              and rank_inclusion == dim_loops == nullity_endpoint
-              and rank_lift == dim_loops == dim_central - rank_central
-              and rank_endpoint == phi.dst.space0.width
-              and rank_central == phi.dst.space1.width)
-    return ExactnessReport(dim_paths, dim_loops, rank_endpoint, nullity_endpoint,
-                           rank_inclusion, passed)
+    rank_inclusion, rank_lift = _exact_ranks(included), _exact_ranks(lifted)
+    leaked = np.logical_or.accumulate(np.any(phi.phi0(included), axis=-1)
+                                      | (phi.phi1(lifted) != 0))
+    records = []
+    # the n (d + 1) path rows of degree <= d end at row i, the central ones,
+    # one more, at row c
+    for c in range(n, width + 1, n):
+        i = c - 1
+        nullity_endpoint = dim_paths[i] - rank_endpoint[i]
+        passed = (not leaked[i]
+                  and rank_inclusion[i] == dim_loops[i] == nullity_endpoint
+                  and rank_lift[i] == dim_loops[i] == dim_central[c] - rank_central[c]
+                  and rank_endpoint[i] == phi.dst.space0.width
+                  and rank_central[c] == phi.dst.space1.width)
+        records.append(ExactnessReport(dim_paths[i], dim_loops[i], rank_endpoint[i],
+                                       nullity_endpoint, rank_inclusion[i], passed))
+    return records
+
+
+def exactness_check(models: ModelBundle, degree: int) -> ExactnessReport:
+    """The report of ``exactness_records`` at ``degree`` itself."""
+    return exactness_records(models, degree)[-1]
 
 
 def splitting_samples(rng: np.random.Generator, count: int = 20,

@@ -40,11 +40,12 @@ from .linfty import (
     two_hom_samples,
 )
 from .models import (
+    ExactnessReport,
     ModelBundle,
     build_models,
     equivalence_residuals,
     equivalence_samples,
-    exactness_check,
+    exactness_records,
     splitting_deviation,
     splitting_samples,
 )
@@ -60,13 +61,13 @@ from .paths import (
 from .worstcase import WorstCase
 
 LINEAR = "linear"
-# exactness ranks every degree from 2 to the configured one: at 64 it passes
-# in about 0.1 s, and with the ten polynomial suites in about 4 s, on 2 Xeon
-# vCPUs (Python 3.11, numpy 2.4); the cost grows without bound past it.  It
-# bounds the splitting's degree d too (at most MAX_DEGREE + 1 coefficients):
-# psi-hom brackets two paths of degree d through a (d+1)^2 x (2d+1) matrix, so
-# the memory grows as d^3; a degree-64 splitting passes all 17 suites at the
-# defaults in 1.4 s and 65 MiB peak RSS
+# exactness ranks every degree from 2 to the configured one in one pass: at 64
+# it passes in about 0.01 s, and with the ten polynomial suites in about 3.3 s,
+# on 2 Xeon vCPUs (Python 3.11, numpy 2.4).  psi-hom brackets two paths of
+# degree d through a (d+1)^2 x (2d+1) matrix, so its memory grows as d^3; that
+# bounds the degree, and the splitting's degree d too (at most MAX_DEGREE + 1
+# coefficients): a degree-64 splitting passes all 17 suites at the defaults in
+# 1.4 s and 65 MiB peak RSS
 MAX_DEGREE = 64
 # the level enters only the polynomial suites (the quadrature suites report
 # their defects at unit level), whose residuals are sized by the terms their
@@ -115,6 +116,11 @@ class RunConfig:
         """Every structure and morphism of this configuration, built once."""
         return build_models(self.presentation, self.k, self.splitting_coeffs(),
                             self.degree)
+
+    @cached_property
+    def exactness(self) -> list[ExactnessReport]:
+        """The exactness report of every degree up to this one, ranked once."""
+        return exactness_records(self.models, self.degree)
 
     def resolve_suites(self) -> list[str]:
         names = list(self.suites)
@@ -346,7 +352,7 @@ def _exactness_sample(config, rng):
 
 
 def _exactness_evaluate(config, degree):
-    r = exactness_check(config.models, degree)
+    r = config.exactness[degree]
     return {"exactness": 0.0 if r.passed else 1.0, NOTES: {f"degree_{degree}": asdict(r)}}
 
 

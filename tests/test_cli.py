@@ -517,6 +517,24 @@ def test_replay_refuses_an_older_retraction_witness(tmp_path, capsys):
     assert err == "error: witness inputs do not have the form of a trial of equivalence\n"
 
 
+@pytest.mark.parametrize("degree, code", [(5, 0), (1, 2), (7, 2)])
+def test_an_exactness_witness_replays_its_own_degree(tmp_path, capsys, degree, code):
+    # a hand-written report at --degree 6: replay ranks every degree up to 6
+    # once and reads the witness's record; 1 and 7 are not degrees the suite
+    # checks there
+    report_path = tmp_path / "exactness.json"
+    report_path.write_text(json.dumps({
+        "config": {"degree": 6, "suites": ["exactness"]},
+        "suites": [{"name": "exactness", "witness": {
+            "component": "exactness", "inputs": {"type": "int", "value": degree}}}]}))
+    assert main(["replay", "--report", str(report_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out, err) == ("exactness: replayed residual 0.000000e+00\n", "")
+    else:
+        assert err == "error: witness inputs do not have the form of a trial of exactness\n"
+
+
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     report_path = tmp_path / "equivalence.json"
     code = main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lie2 import models as models_module
 from lie2.liealg import load_presentation
 from lie2.linfty import (
+    CentralSpace,
     ChainHomotopy,
+    PathSpace,
     compose,
     generalized_jacobi_residual,
     jacobi_samples,
@@ -16,10 +19,11 @@ from lie2.linfty import (
     two_hom_samples,
 )
 from lie2.models import (
-    _exact_rank,
-    _integer_rank,
+    _exact_ranks,
+    _integer_ranks,
     build_models,
     exactness_check,
+    exactness_records,
     make_el,
     make_el_vectors,
     make_gk,
@@ -257,26 +261,38 @@ def test_exactness_checks_the_directions(g, lift):
 
 
 def fraction_rank(matrix: list[list[int]]) -> int:
-    """Reference rank: Gauss-Jordan elimination over Fraction."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+    """Reference rank: Gauss-Jordan elimination over Fraction (a zero entry
+    is left as the int 0, not converted, divided or reduced)."""
+    m = [[Fraction(v) if v else 0 for v in row] for row in matrix]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        m[rank] = [v / m[rank][col] for v in m[rank]]
+        p = m[rank][col]
+        m[rank] = [v / p if v else v for v in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
 
 
+def prefix_ranks(matrix: list[list]) -> list[int]:
+    """Reference rank of each prefix of the rows."""
+    return [fraction_rank(matrix[:i + 1]) for i in range(len(matrix))]
+
+
 def sparse(matrix: list[list]) -> list[dict]:
-    """The rows of a matrix as {column: nonzero entry}, the form _integer_rank takes."""
+    """The rows of a matrix as {column: nonzero entry}, the form _integer_ranks takes."""
     return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def integer_rank(rows: list[dict]) -> int:
+    """The rank of all the rows: the last, and largest, of their prefix ranks."""
+    return max(_integer_ranks(rows), default=0)
 
 
 entries = st.one_of(st.integers(-2, 2), st.integers(-10**9, 10**9))
@@ -287,7 +303,7 @@ integer_matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
 
 @given(integer_matrices)
 def test_integer_rank_matches_fraction_oracle(matrix):
-    assert _integer_rank(sparse(matrix)) == fraction_rank(matrix)
+    assert _integer_ranks(sparse(matrix)) == prefix_ranks(matrix)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -299,9 +315,9 @@ def test_integer_rank_of_deficient_products(seed):
     product = (a @ b).tolist()
     # duplicate, negated and zero rows add no rank
     matrix = product + product[:2] + [[-v for v in product[0]], [0] * int(cols)]
-    rank = _integer_rank(sparse(matrix))
+    rank = integer_rank(sparse(matrix))
     assert rank == fraction_rank(matrix) <= inner
-    assert _integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
+    assert integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
 
 
 def matrices_of(values, rows: st.SearchStrategy, cols: st.SearchStrategy):
@@ -322,9 +338,9 @@ def test_integer_rank_of_sparse_matrices(matrix):
     width = len(matrix[0]) if matrix else 0
     padded = [[0, *row] for row in matrix] + [[0] * (width + 1)]
     rank = fraction_rank(matrix)
-    assert _integer_rank(sparse(matrix)) == rank
-    assert _integer_rank(sparse(padded)) == rank
-    assert _integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
+    assert _integer_ranks(sparse(matrix)) == prefix_ranks(matrix)
+    assert integer_rank(sparse(padded)) == rank
+    assert integer_rank(sparse([list(col) for col in zip(*matrix)])) == rank
 
 
 # a non-integral dyadic entry, or an integral one at or past 2^62, sends the
@@ -339,7 +355,7 @@ float_matrices = matrices_of(DYADIC_ENTRIES, st.integers(1, 10), st.integers(1, 
 def test_exact_rank_of_dyadic_floats(matrix):
     # a row times 2^-40 is an exact multiple of it and adds no rank
     m = np.array(matrix + [[x * 2.0**-40 for x in matrix[0]]])
-    assert _exact_rank(m) == fraction_rank(m.tolist())
+    assert _exact_ranks(m) == prefix_ranks(m.tolist())
 
 
 @pytest.mark.parametrize("k", [1.0, 0.0, -2.0])
@@ -351,6 +367,97 @@ def test_exactness_closed_form(algebra, k):
     for degree in range(2, 21):
         n = 3 * (degree - 1)
         assert astuple(exactness_check(models, degree)) == (3 * degree, n, 3, n, n, True)
+
+
+def test_exactness_suite_makes_one_elimination_per_map(monkeypatch):
+    # the based, loop and central bases and the images under phi0, phi1,
+    # lam0 and lam1 are each ranked at every degree by one elimination; a
+    # sweep that ranked each degree on its own would make 19 * 7 = 133
+    calls = []
+
+    def counted(rows, ranks=models_module._integer_ranks):
+        calls.append(1)
+        return ranks(rows)
+
+    monkeypatch.setattr(models_module, "_integer_ranks", counted)
+    entry = run(RunConfig(degree=20, suites=("exactness",)))["suites"][0]
+    assert entry["passed"] and entry["trials"] == 19
+    assert len(calls) == 7
+
+
+def reference_rows(image) -> list[list[float]]:
+    """The images of a batch of basis elements as the rows of a matrix, a
+    central coordinate last; a path's coefficients highest degree first, which
+    spares Gauss-Jordan the fill-in of the loops' common column u."""
+    if isinstance(image, CentralVector):
+        loop = reference_rows(image.loop)
+        return [row + [c] for row, c in zip(loop, np.broadcast_to(image.c, len(loop)).tolist())]
+    if isinstance(image, PolyPath):
+        image = image.coeffs[..., ::-1]
+    return np.reshape(image, (len(image), -1)).tolist()
+
+
+def reference_record(models, degree: int) -> tuple:
+    """The exactness report of one degree from that degree's own basis, every
+    rank a Fraction elimination of the basis images."""
+    g, phi, lam = models.algebra, models.phi, models.lam
+    based, loops, central = (space.element(np.eye(space.width)) for space in (
+        PathSpace(g, BASED, degree), PathSpace(g, LOOP, degree), CentralSpace(g, degree)))
+
+    def rank(image) -> int:
+        return fraction_rank(reference_rows(image))
+
+    dim_paths, dim_loops, dim_central = rank(based), rank(loops), rank(central)
+    rank_endpoint, rank_central = rank(phi.phi0(based)), rank(phi.phi1(central))
+    included, lifted = lam.phi0(loops), lam.phi1(loops)
+    rank_inclusion, rank_lift = rank(included), rank(lifted)
+    nullity = dim_paths - rank_endpoint
+    passed = (not (np.any(phi.phi0(included)) or np.any(phi.phi1(lifted)))
+              and rank_inclusion == dim_loops == nullity
+              and rank_lift == dim_loops == dim_central - rank_central
+              and rank_endpoint == g.dim and rank_central == 1)
+    return dim_paths, dim_loops, rank_endpoint, nullity, rank_inclusion, passed
+
+
+MUTANTS = {
+    "none": lambda models: models,
+    # the mutants of the two tests above: the endpoint at u = 1/2 (dyadic,
+    # not integral, images), a lift off the kernel of phi1, a lift that is 0
+    "endpoint-at-one-half": lambda models: replace(models, phi=replace(
+        models.phi, phi0=lambda p: p.eval_grid([0.5])[..., 0, :])),
+    "off-the-kernel-of-phi1": lambda models: replace(models, lam=replace(
+        models.lam, phi1=lambda l: CentralVector(l, 1.0))),
+    "not-injective": lambda models: replace(models, lam=replace(
+        models.lam, phi1=lambda l: CentralVector(0.0 * l, 0.0))),
+    # an endpoint that also reads the coefficient of u^2: onto, with a kernel
+    # of the same dimension, but the loops u^2 - u leave it, so at every
+    # degree only rows before the last show phi0 o lam0 != 0
+    "leaks-at-u-squared": lambda models: replace(models, phi=replace(
+        models.phi, phi0=lambda p: p.endpoint() + p.coeffs[..., 2])),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("splitting", [np.array([0.0, 1.0]), SMOOTHSTEP],
+                         ids=["linear", "smoothstep"])
+@pytest.mark.parametrize("k", [1.0, 0.0, -2.0, 1e12])
+@pytest.mark.parametrize("algebra", ["su2", "sl2"])
+def test_exactness_records_match_a_fraction_reference_at_each_degree(algebra, k, splitting,
+                                                                     mutant):
+    models = MUTANTS[mutant](build_models(load_presentation(algebra), k, splitting))
+    records = exactness_records(models, 12)
+    assert len(records) == 13
+    reference = [reference_record(models, degree) for degree in range(2, 13)]
+    assert [astuple(r) for r in records[2:]] == reference
+    # a mutant fails at every degree, the bundle passes at every degree
+    assert {r[-1] for r in reference} == {mutant == "none"}
+
+
+def test_exactness_check_at_each_degree_is_that_record_of_one_pass():
+    models = build_models(load_presentation("su2"), 1.0)
+    records = exactness_records(models, 20)
+    for degree in range(2, 21):
+        assert exactness_check(models, degree) == records[degree]
 
 
 def test_splitting_integral_is_universal(rng):
