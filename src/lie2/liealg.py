@@ -42,7 +42,7 @@ class LieAlgebraPresentation:
             raise InputError(f"structure tensor must be {(self.dim,) * 3}")
         if form.shape != (self.dim, self.dim):
             raise InputError(f"form must be {(self.dim, self.dim)}")
-        # a NaN passes every "> tol" check of validate, so it is refused here
+        # refused where they enter, so validate's NaN checks flag only overflow
         if not (np.isfinite(structure).all() and np.isfinite(form).all()):
             raise InputError(f"{self.name}: structure and form must be finite")
         object.__setattr__(self, "structure", structure)
@@ -55,22 +55,24 @@ class LieAlgebraPresentation:
         half-integer tables satisfy.
         """
         c, b = self.structure, self.form
-        anti = np.abs(c + c.transpose(1, 0, 2)).max()
-        if anti > tol:
-            raise InputError(f"{self.name}: bracket not antisymmetric (max {anti})")
-        jacobi = np.abs(
-            np.einsum("ijm,mlk->ijlk", c, c)
-            + np.einsum("jlm,mik->ijlk", c, c)
-            + np.einsum("lim,mjk->ijlk", c, c)
-        ).max()
-        if jacobi > tol:
-            raise InputError(f"{self.name}: Jacobi identity fails (max {jacobi})")
-        if np.abs(b - b.T).max() > tol:
-            raise InputError(f"{self.name}: form not symmetric")
-        # B([x,y],z) + B(y,[x,z]) = 0 on basis triples <=> nu totally antisymmetric
-        t = np.einsum("ijm,mk->ijk", c, b)
-        if np.abs(t + t.transpose(0, 2, 1)).max() > tol:
-            raise InputError(f"{self.name}: form not invariant")
+        # a check that overflows reads NaN, which "not <= tol" fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            anti = np.abs(c + c.transpose(1, 0, 2)).max()
+            if not anti <= tol:
+                raise InputError(f"{self.name}: bracket not antisymmetric (max {anti})")
+            jacobi = np.abs(
+                np.einsum("ijm,mlk->ijlk", c, c)
+                + np.einsum("jlm,mik->ijlk", c, c)
+                + np.einsum("lim,mjk->ijlk", c, c)
+            ).max()
+            if not jacobi <= tol:
+                raise InputError(f"{self.name}: Jacobi identity fails (max {jacobi})")
+            if not np.abs(b - b.T).max() <= tol:
+                raise InputError(f"{self.name}: form not symmetric")
+            # B([x,y],z) + B(y,[x,z]) = 0 on basis triples <=> nu totally antisymmetric
+            t = np.einsum("ijm,mk->ijk", c, b)
+            if not np.abs(t + t.transpose(0, 2, 1)).max() <= tol:
+                raise InputError(f"{self.name}: form not invariant")
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("ijk,...i,...j->...k", self.structure, x, y)

@@ -91,6 +91,8 @@ class PolyPath:
             raise InputError(
                 f"path has {coeffs.shape[-2]} coordinates, algebra has {self.algebra.dim}"
             )
+        if coeffs.shape[-1] == 0:
+            raise InputError("path has no coefficients")
         object.__setattr__(self, "coeffs", coeffs)
         if self.kind not in (BASED, LOOP):
             raise InputError(f"unknown path kind {self.kind!r}")

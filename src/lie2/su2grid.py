@@ -53,9 +53,10 @@ reduction goes through BLAS, whose summation order depends on the block shape.
 Products and conjugates of samples are used as they come, not re-projected
 onto SU(2): at the suites' amplitudes those of unit samples are unit to a
 few ulps (at most 1.3e-15 at 512 x 512 over five seeds; the input checks
-allow 1e-10).  Each kernel writes into an ``out`` array (and its scratch row)
-when given one and allocates otherwise; the t-stencil, which only the blocks
-run, is always given one.
+allow 1e-10).  Each kernel allocates what it returns, but for two callers
+that write into a slice of a larger array, through an ``out`` argument:
+``_conjugate`` has ``_rotate`` (and so ``_products``) write the vector part
+of its result, and a streamed window is written by ``exp_su2``.
 
 Checks at entry.  ``SampledGroupPath(...)`` and ``SampledPathOfLoops(...)``
 check the shape, identity rows and unitary drift of grids from outside.  The
@@ -74,10 +75,9 @@ block forms the products, conjugates, unscaled Maurer-Cartan forms and
 pairings of its rows and reduces them to per-row theta-sums, and the
 t-trapezoid runs once over the assembled row sums.  The t-stencils of a block
 read a window of the input rows with a 1-row halo on each side, or the 3 end
-rows where the one-sided stencil applies.  A call allocates one set of block
-buffers, each sized by its largest block (``_Buffers``: a product or
-conjugate, two or three forms, their differences and a scratch array), and
-every block's kernels write into leading slices of them.  Products and
+rows where the one-sided stencil applies.  A block's kernels allocate their
+outputs afresh, arrays the size of its rows or its window, so a call holds
+a few block-sized arrays at a time, whatever the grid.  Products and
 conjugates of unit rows are not checked: their boundaries are exactly the
 identity, so a check could only turn a NaN into an input error; the NaN
 reaches the residual instead.  A and the residuals read a loop field only
@@ -121,15 +121,13 @@ _FORM_TERMS = {sign: tuple(((0, i + 1, 1), (i + 1, 0, -1), (j + 1, k + 1, sign),
                for sign in (-1.0, 1.0)}
 
 
-def _products(terms, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def _products(terms, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Component i = the sum of sign * a[j] * b[k] over the terms (j, k, sign)
-    of terms[i] in order, the first sign +1; written into ``out`` with one
-    ``scratch`` row, each allocated when not given."""
+    of terms[i] in order, the first sign +1, added up in one scratch row;
+    written into ``out`` when given, allocated otherwise."""
     if out is None:
         out = np.empty((len(terms), *np.broadcast_shapes(a.shape[1:], b.shape[1:])))
-    if scratch is None:
-        scratch = np.empty(out.shape[1:])
+    scratch = np.empty(out.shape[1:])
     a, b = list(a), list(b)  # the components' views, made once
     for i, ((j, k, _), *rest) in enumerate(terms):
         row = out[i, ...]
@@ -140,43 +138,38 @@ def _products(terms, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion product over the leading axis (the 2x2 matrix product)."""
-    return _products(_HAMILTON, a, b, out, scratch)
+    return _products(_HAMILTON, a, b)
 
 
-def _rotate(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
+def _rotate(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Ad(q) on coordinates: the vector part of q (0, v) conj(q) for unit q,
-    R v with R = (1 - 2|x|^2) I + 2 x x^T + 2 q0 [x]_cross, x the vector part."""
+    R v with R = (1 - 2|x|^2) I + 2 x x^T + 2 q0 [x]_cross, x the vector part;
+    written into ``out`` when given."""
     x, twice_q0 = q[1:], 2.0 * q[0]
     r = 2.0 * x[:, None] * x[None, :]
     for i, j, k in _CYCLIC:
         r[i, i] = 1.0 - 2.0 * (x[j] * x[j] + x[k] * x[k])
         r[i, k] += twice_q0 * x[j]
         r[i, j] -= twice_q0 * x[k]
-    return _products(_MATRIX_ROWS, r.reshape(9, *r.shape[2:]), v, out, scratch)
+    return _products(_MATRIX_ROWS, r.reshape(9, *r.shape[2:]), v, out)
 
 
-def _conjugate(q: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
-               scratch: np.ndarray | None = None) -> np.ndarray:
-    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1),
-    written into ``out`` when given."""
-    if out is None:
-        out = np.empty_like(f)
+def _conjugate(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """q f q^-1 for quaternions q (4, 1, Ntheta + 1) and f (4, rows, Ntheta + 1)."""
+    out = np.empty_like(f)
     out[0] = f[0]
-    _rotate(q, f[1:], out=out[1:], scratch=scratch)
+    _rotate(q, f[1:], out=out[1:])
     return out
 
 
-def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float,
-                 out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float) -> np.ndarray:
     """Unscaled Maurer-Cartan coordinates q0 d - d0 q + sign q x d from
     quaternions q and raw differences diff = 2h dq: vec(conj(q) diff) for
     sign -1 (left form), vec(diff conj(q)) for +1 (right form), each h x the
     form at step h."""
-    return _products(_FORM_TERMS[sign], q, diff, out, scratch)
+    return _products(_FORM_TERMS[sign], q, diff)
 
 
 def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -224,28 +217,11 @@ def check_grid_algebra(g: LieAlgebraPresentation) -> None:
         raise InputError(f"the bracket of {g.name} is not su(2)'s epsilon table")
 
 
-def _row_differences(w: np.ndarray, i0: int, i1: int, start: bool, end: bool,
-                     out: np.ndarray) -> np.ndarray:
-    """Raw second-order differences (2h x the derivative) along axis 1 at rows
-    i0..i1-1 of the window w, written into ``out``: central inside, one-sided
-    at row 0 when w starts the axis (start) and at its last row when w ends it
-    (end)."""
-    c0, c1 = i0 + start, i1 - end
-    np.subtract(w[:, c0 + 1:c1 + 1], w[:, c0 - 1:c1 - 1], out=out[:, c0 - i0:c1 - i0])
-    if start:
-        out[:, 0] = -3.0 * w[:, 0] + 4.0 * w[:, 1] - w[:, 2]
-    if end:
-        out[:, -1] = 3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]
-    return out
-
-
-def _last_differences(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _last_differences(f: np.ndarray) -> np.ndarray:
     """Raw second-order differences along the last axis, one-sided at both ends.
     The central ones run over the last two axes merged (contiguous rows); the
-    ends then overwrite the values that straddle two rows.  Written into
-    ``out``, whose last two axes must merge without a copy, when given."""
-    if out is None:
-        out = np.empty(f.shape, f.dtype)
+    ends then overwrite the values that straddle two rows."""
+    out = np.empty(f.shape, f.dtype)
     merged, merged_out = f.reshape(*f.shape[:-2], -1), out.reshape(*f.shape[:-2], -1)
     np.subtract(merged[..., 2:], merged[..., :-2], out=merged_out[..., 1:-1])
     out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
@@ -282,50 +258,25 @@ def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
     return [_Block(lo, min(lo + step, n_rows), n_rows) for lo in range(0, n_rows, step)]
 
 
-class _Buffers:
-    """The block buffers of one call of A or a residual, allocated once and
-    each sized by its largest block: a product or conjugate of windows (4,
-    window, cols), ``forms`` unscaled Maurer-Cartan forms (forms, 3, rows,
-    cols), their differences (4, rows, cols) and a scratch array (window,
-    cols).  A block's kernels write into leading slices of them, whose last
-    two axes merge without a copy, as ``_last_differences`` needs of its
-    ``out``; only its pairings allocate, a few arrays of one number per row."""
+def _t_form(blk: _Block, window: np.ndarray) -> np.ndarray:
+    """Unscaled coordinates of q^-1 dq/dt on the block's rows from quaternion
+    samples (4, b - a, Ntheta + 1) of its window.  The raw differences along t
+    are central inside the grid and one-sided at its first and last rows."""
+    i0, i1 = blk.lo - blk.a, blk.hi - blk.a
+    start, end = blk.lo == 0, blk.hi == blk.n
+    c0, c1 = i0 + start, i1 - end
+    diff = np.empty((4, i1 - i0, window.shape[2]))
+    np.subtract(window[:, c0 + 1:c1 + 1], window[:, c0 - 1:c1 - 1], out=diff[:, c0 - i0:c1 - i0])
+    if start:
+        diff[:, 0] = -3.0 * window[:, 0] + 4.0 * window[:, 1] - window[:, 2]
+    if end:
+        diff[:, -1] = 3.0 * window[:, -1] - 4.0 * window[:, -2] + window[:, -3]
+    return _vector_form(blk.inner(window), diff, -1.0)
 
-    def __init__(self, blocks: list[_Block], cols: int, forms: int):
-        window = max(b.b - b.a for b in blocks)
-        rows = max(b.hi - b.lo for b in blocks)
-        self.product = np.empty((4, window, cols))
-        self.forms = np.empty((forms, 3, rows, cols))
-        self.diff = np.empty((4, rows, cols))
-        self.scratch = np.empty((window, cols))
 
-    def hamilton(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a b (``_hamilton``) in the product buffer."""
-        rows = a.shape[1]
-        return _hamilton(a, b, out=self.product[:, :rows], scratch=self.scratch[:rows])
-
-    def conjugate(self, q: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """q f q^-1 (``_conjugate``) in the product buffer."""
-        rows = f.shape[1]
-        return _conjugate(q, f, out=self.product[:, :rows], scratch=self.scratch[:rows])
-
-    def t_form(self, blk: _Block, window: np.ndarray, slot: int) -> np.ndarray:
-        """Unscaled coordinates of q^-1 dq/dt on the block's rows from
-        quaternion samples (4, b - a, Ntheta + 1) of its window, in form
-        buffer ``slot``."""
-        rows, i0 = blk.hi - blk.lo, blk.lo - blk.a
-        diff = _row_differences(window, i0, i0 + rows, blk.lo == 0, blk.hi == blk.n,
-                                self.diff[:, :rows])
-        return _vector_form(blk.inner(window), diff, -1.0, out=self.forms[slot, :, :rows],
-                            scratch=self.scratch[:rows])
-
-    def right_form(self, q: np.ndarray, slot: int) -> np.ndarray:
-        """Unscaled coordinates of (dq/dtheta) q^-1 on rows q, in form buffer
-        ``slot``."""
-        rows = q.shape[1]
-        diff = _last_differences(q, self.diff[:, :rows])
-        return _vector_form(q, diff, 1.0, out=self.forms[slot, :, :rows],
-                            scratch=self.scratch[:rows])
+def _right_form(q: np.ndarray) -> np.ndarray:
+    """Unscaled coordinates of (dq/dtheta) q^-1 on rows q."""
+    return _vector_form(q, _last_differences(q), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +411,9 @@ def kappa_exponent(f: LoopField, g: LoopField) -> float:
     like the residuals."""
     rows = np.empty(f.n_t + 1)
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
-    buf = _Buffers(blocks, f.n_theta + 1, forms=2)
     for blk, f_win, g_win in zip(blocks, f.windows(blocks), g.windows(blocks)):
-        rows[blk.lo:blk.hi] = _theta_integrals(buf.t_form(blk, f_win, 0),
-                                               buf.right_form(blk.inner(g_win), 1))
+        rows[blk.lo:blk.hi] = _theta_integrals(_t_form(blk, f_win),
+                                               _right_form(blk.inner(g_win)))
     return float(_trapz(rows))
 
 
@@ -473,19 +423,18 @@ def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
     kappa(g,h) kappa(f,gh)| = 2|sin(k c D)| is at most |k c| times this.
     Streamed over blocks of t-rows: each block forms the products fg and gh
     and the unscaled forms of its rows and keeps only the row integrals of the
-    four pairings.  The six forms take turns in three buffers."""
+    four pairings."""
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
     blocks = _blocks(f.n_t + 1, f.n_theta + 1)
-    buf = _Buffers(blocks, f.n_theta + 1, forms=3)
     for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
         g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
         out = rows[:, blk.lo:blk.hi]
-        mc_f = buf.t_form(blk, f_win, 0)
-        out[0] = _theta_integrals(mc_f, buf.right_form(g_rows, 1))
-        mc_h = buf.right_form(h_rows, 1)
-        out[1] = _theta_integrals(buf.t_form(blk, buf.hamilton(f_win, g_win), 2), mc_h)
-        out[2] = _theta_integrals(buf.t_form(blk, g_win, 2), mc_h)
-        out[3] = _theta_integrals(mc_f, buf.right_form(buf.hamilton(g_rows, h_rows), 1))
+        mc_f = _t_form(blk, f_win)
+        out[0] = _theta_integrals(mc_f, _right_form(g_rows))
+        mc_h = _right_form(h_rows)
+        out[1] = _theta_integrals(_t_form(blk, _hamilton(f_win, g_win)), mc_h)
+        out[2] = _theta_integrals(_t_form(blk, g_win), mc_h)
+        out[3] = _theta_integrals(mc_f, _right_form(_hamilton(g_rows, h_rows)))
     a_f_g, a_fg_h, a_g_h, a_f_gh = (float(_trapz(r)) for r in rows)
     return 2.0 * abs(a_f_g + a_fg_h - a_g_h - a_f_gh)
 
@@ -552,17 +501,16 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
     q = p.samples[:, None, :]
     rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
     blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
-    buf = _Buffers(blocks, f1.n_theta + 1, forms=3)
     for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
         f2_rows = blk.inner(f2_win)
         out = rows[:, blk.lo:blk.hi]
-        out[0] = _theta_integrals(buf.t_form(blk, buf.conjugate(q, f1_win), 0),
-                                  buf.right_form(buf.conjugate(q, f2_rows), 1))
-        mc_f1 = buf.t_form(blk, f1_win, 0)
-        out[1] = _theta_integrals(mc_f1, buf.right_form(f2_rows, 1))
-        combined = buf.t_form(blk, buf.hamilton(f1_win, f2_win), 2)
+        out[0] = _theta_integrals(_t_form(blk, _conjugate(q, f1_win)),
+                                  _right_form(_conjugate(q, f2_rows)))
+        mc_f1 = _t_form(blk, f1_win)
+        out[1] = _theta_integrals(mc_f1, _right_form(f2_rows))
+        combined = _t_form(blk, _hamilton(f1_win, f2_win))
         combined -= mc_f1
-        combined -= buf.t_form(blk, f2_win, 1)
+        combined -= _t_form(blk, f2_win)
         out[2] = _beta_rows(form, combined)
     a_conj, a, correction = (float(_trapz(r)) for r in rows)
     return abs(2.0 * (a_conj - a) - correction)

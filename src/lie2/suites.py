@@ -79,8 +79,8 @@ MAX_LEVEL = 1e12
 # about 11 s; the time grows with the grid
 MAX_GRID_POINTS = 1 << 23
 # a block of the kappa suites holds at least one t-row of ntheta + 1 points, so
-# their memory grows by about 1.5 KB per theta sample: peak RSS 86 MiB at 2^15
-# with nt = 8, 185 MiB at 100000
+# their memory grows by about 0.65 KiB per theta sample: with nt = 8 they peak
+# at 40.7, 47.7 and 58.5 MiB RSS at ntheta 2^12, 2^14 and 2^15 (numpy 2.4)
 MAX_NTHETA = 1 << 15
 
 

@@ -462,6 +462,9 @@ MALFORMED = {
     "suites as an object": lambda d: d.update(suites={"gk-jacobi": d["suites"][0]}),
     "config suites as a string": lambda d: d["config"].update(suites="omega-cocycle"),
     "witness as a list": lambda d: d["suites"][1].update(witness=[]),
+    "path without coefficients": lambda d: next(
+        e for e in _elements(_witness(d, 1)["inputs"]) if e["type"] == "path"
+    ).update(coeffs=[[], [], []]),
 }
 
 

@@ -175,13 +175,16 @@ BAD_FILES = {
                 '"form": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}' % SU2_TABLE,
     # refused as written, not symmetrized into a form the file does not state
     "asymmetric form": '{"name": "x", "dim": 2, "structure": [], "form": [[1, 3], [0, 1]]}',
+    # finite, but its Jacobi check overflows to NaN
+    "su2 table times 1e200": '{"name": "x", "dim": 3, "structure": '
+                             '[[1, 2, 3, 1e200], [2, 3, 1, 1e200], [3, 1, 2, 1e200]]}',
 }
 
 
 @pytest.mark.parametrize("text", BAD_FILES.values(), ids=BAD_FILES.keys())
 def test_loader_refuses_a_malformed_or_non_finite_file(tmp_path, text):
-    # a NaN compares false with every tolerance, so it would pass validate and
-    # reach the suites as a nan residual
+    # a NaN entry, or a check that overflows to NaN, is an input error, not a
+    # nan residual in the suites
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(InputError):

@@ -52,8 +52,7 @@ def identity_grid(*shape: int) -> np.ndarray:
 
 def t_form(grid: np.ndarray) -> np.ndarray:
     """Unscaled coordinates (3, Nt + 1, Ntheta + 1) of f^-1 df/dt on a full grid."""
-    diff = sg._row_differences(grid, 0, grid.shape[1], True, True, np.empty_like(grid))
-    return sg._vector_form(grid, diff, -1.0)
+    return sg._t_form(sg._Block(0, grid.shape[1], grid.shape[1]), grid)
 
 
 def right_form(q: np.ndarray) -> np.ndarray:
@@ -642,10 +641,11 @@ def test_streamed_suites_hold_no_full_grid(suite):
 
 
 # traced peaks in bytes of the two residuals at 512 x 512 on streamed fields,
-# as measured with block-local arrays allocated afresh for every block and
-# every product re-projected onto SU(2) (numpy 2.4); one buffer set per call
-# holds less.  A's ceiling is one full grid of one field, 4 x 513^2 float64:
-# computed over the full grids it held 23.2 MB (numpy 2.4)
+# as measured with block-local arrays allocated afresh for every block, as the
+# kernels allocate them, and every product then re-projected onto SU(2) (numpy
+# 2.4); without the re-projection they hold 3.98 and 3.79 MB.  A's ceiling is
+# one full grid of one field, 4 x 513^2 float64: computed over the full grids
+# it held 23.2 MB (numpy 2.4)
 STREAMED_PEAK_CEILINGS = {"cocycle": 6_277_959, "conjugation": 5_313_871,
                           "exponent": 4 * 513 * 513 * 8}
 
