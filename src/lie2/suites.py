@@ -122,6 +122,11 @@ class RunConfig:
         """The exactness report of every degree up to this one, ranked once."""
         return exactness_records(self.models, self.degree)
 
+    @cached_property
+    def fixtures(self) -> FixtureTable:
+        """The finite fixtures of this run, each built and checked once."""
+        return FixtureTable()
+
     def resolve_suites(self) -> list[str]:
         names = list(self.suites)
         if not names or "all" in names:
@@ -178,7 +183,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +481,7 @@ def _kappa_conjugation_evaluate(config, inputs):
         p, *_sampled_fields(config, fields))}
 
 
-# -- finite crossed-module suites: one bundled fixture per trial ----------------
+# -- finite crossed-module suites: one fixture table per run --------------------
 
 CROSSED_MODULES: dict[str, Callable[[], twogroups.FiniteCrossedModule]] = {
     "conj[Z5]": lambda: twogroups.conjugation_module(twogroups.cyclic_group(5)),
@@ -488,11 +493,44 @@ CROSSED_MODULES: dict[str, Callable[[], twogroups.FiniteCrossedModule]] = {
         twogroups.quaternion_group(), [0, 1, 2, 3], name="Z4<i>"),
 }
 
-STRICT_PAIRS = {
-    "kernel-inclusion[Q8]": lambda: twogroups.kernel_inclusion_pair(
-        twogroups.quaternion_group(), [0, 1, 2, 3]),
-    "collapse[S3]": lambda: twogroups.indiscrete_collapse_pair(twogroups.symmetric_group_3()),
-    "identity[Z4]": lambda: twogroups.identity_kernel_pair(twogroups.cyclic_group(4)),
+
+class FixtureTable:
+    """The finite fixtures of one run.  Each bundled crossed module and its
+    2-group is built on first use, and the ``violations()`` of each crossed
+    module or 2-group is evaluated on first query; every later use, by any
+    suite of the run, reads the same object or list."""
+
+    def __init__(self):
+        self._built: dict[tuple, Any] = {}
+
+    def _once(self, key: tuple, build: Callable[[], Any]) -> Any:
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def module(self, name: str) -> twogroups.FiniteCrossedModule:
+        return self._once(("module", name), CROSSED_MODULES[name])
+
+    def two_group(self, name: str) -> twogroups.FiniteTwoGroup:
+        return self._once(("2-group", name),
+                          lambda: twogroups.FiniteTwoGroup(self.module(name)))
+
+    def violations(self, fixture: twogroups.FiniteCrossedModule | twogroups.FiniteTwoGroup
+                   ) -> list[str]:
+        """Read-only: the list is shared by every suite that reports it.  The
+        entry keeps ``fixture`` alive, so its id is not reused in this run."""
+        return self._once(("laws", id(fixture)),
+                          lambda: (fixture, fixture.violations()))[1]
+
+
+# each pair builds its homomorphisms over the table's 2-group where it has one
+STRICT_PAIRS: dict[str, Callable[[FixtureTable], tuple[twogroups.TwoGroupHom,
+                                                      twogroups.TwoGroupHom]]] = {
+    "kernel-inclusion[Q8]": lambda table: twogroups.kernel_inclusion_pair(
+        table.two_group("incl[Z4<i><Q8]")),
+    "collapse[S3]": lambda table: twogroups.indiscrete_collapse_pair(
+        table.two_group("conj[S3]")),
+    "identity[Z4]": lambda table: twogroups.identity_kernel_pair(twogroups.cyclic_group(4)),
 }
 
 
@@ -505,14 +543,16 @@ def _violations(name: str, bad: list[str]) -> dict:
 
 
 def _crossed_evaluate(config, name):
-    return _violations(name, CROSSED_MODULES[name]().violations())
+    table = config.fixtures
+    return _violations(name, table.violations(table.module(name)))
 
 
 def _two_group_evaluate(config, name):
-    grp = twogroups.FiniteTwoGroup(CROSSED_MODULES[name]())
-    bad = grp.violations()
+    table = config.fixtures
+    grp = table.two_group(name)
+    bad = table.violations(grp)
     if name.startswith("conj["):
-        bad += twogroups.unique_morphism_count_violations(grp)
+        bad = bad + twogroups.unique_morphism_count_violations(grp)
     return _violations(name, bad)
 
 
@@ -523,10 +563,12 @@ def _strict_sample(config, rng):
 def _strict_evaluate(config, name):
     """One count of every law of the pair: the crossed-module and 2-group laws
     of each distinct 2-group, both homomorphisms' laws, and image = kernel."""
-    iota, pi = STRICT_PAIRS[name]()
+    table = config.fixtures
+    iota, pi = STRICT_PAIRS[name](table)
     record = twogroups.strict_kernel_exactness(iota, pi)
     groups = {id(g): g for g in (iota.src, iota.dst, pi.dst)}.values()
-    bad = [f"{g.cm.name}: {v}" for g in groups for v in g.cm.violations() + g.violations()]
+    bad = [f"{g.cm.name}: {v}" for g in groups
+           for v in table.violations(g.cm) + table.violations(g)]
     bad += [f"{h.name}: {v}" for h in (iota, pi) for v in h.violations()]
     if not record.passed:
         bad.append("image is not the kernel")

@@ -50,11 +50,10 @@ class FiniteGroup:
         if bad.size:
             raise InputError(f"{self.name}: element {bad[0]} lacks a two-sided inverse")
         self.inverse = inv
-        # associativity, exhaustive: (a b) c against a (b c) over (b, c), row by row
-        for a in range(n):
-            bad = np.flatnonzero((t[t[a]] != t[a, t]).any(axis=1))
-            if bad.size:
-                raise InputError(f"{self.name}: associativity fails at ({a}, {bad[0]})")
+        # associativity, exhaustive: (a b) c against a (b c), axes (a, b, c)
+        bad = np.argwhere((t[t] != t[idx[:, None, None], t]).any(axis=2))
+        if bad.size:
+            raise InputError(f"{self.name}: associativity fails at ({bad[0, 0]}, {bad[0, 1]})")
 
     @property
     def order(self) -> int:
@@ -380,7 +379,8 @@ def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessReco
 # standard exact sequences at finite scale
 # ---------------------------------------------------------------------------
 
-def quotient_group(G: FiniteGroup, members: list[int]) -> tuple[FiniteGroup, np.ndarray]:
+def quotient_group(G: FiniteGroup, members: list[int] | np.ndarray
+                   ) -> tuple[FiniteGroup, np.ndarray]:
     """G / N for a normal subgroup given by its member list; returns the
     quotient, whose elements are the cosets numbered by least element, and
     the projection map."""
@@ -400,15 +400,14 @@ def _identity_hom(grp: FiniteTwoGroup) -> TwoGroupHom:
                        name="identity")
 
 
-def kernel_inclusion_pair(G: FiniteGroup, members: list[int]
-                          ) -> tuple[TwoGroupHom, TwoGroupHom]:
-    """The finite analogue of loops -> paths -> group: the 2-group of a
-    normal-subgroup inclusion N -> G, projected onto the discrete quotient
-    G / N; its strict kernel is the conjugation 2-group of N, included on
-    objects by N -> G and on morphisms (n, h) -> (n, h)."""
-    cm = inclusion_module(G, members)
-    total = FiniteTwoGroup(cm)
-    q, proj = quotient_group(G, members)
+def kernel_inclusion_pair(total: FiniteTwoGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
+    """The finite analogue of loops -> paths -> group: ``total``, the 2-group
+    of a normal-subgroup inclusion N -> G (an ``inclusion_module``),
+    projected onto the discrete quotient G / N; its strict kernel is the
+    conjugation 2-group of N, included on objects by N -> G and on morphisms
+    (n, h) -> (n, h)."""
+    cm = total.cm
+    q, proj = quotient_group(cm.G, cm.partial)
     discrete = FiniteTwoGroup(trivial_action_module(q, cyclic_group(1)))
     pi = TwoGroupHom(total, discrete, proj, proj[total.source], name="quotient")
 
@@ -419,10 +418,10 @@ def kernel_inclusion_pair(G: FiniteGroup, members: list[int]
     return iota, pi
 
 
-def indiscrete_collapse_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
-    """Identity into the indiscrete 2-group followed by the collapse onto the
-    one-object, one-morphism 2-group; the kernel of the collapse is everything."""
-    total = FiniteTwoGroup(conjugation_module(G))
+def indiscrete_collapse_pair(total: FiniteTwoGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
+    """Identity into ``total``, the indiscrete 2-group of a
+    ``conjugation_module``, followed by the collapse onto the one-object,
+    one-morphism 2-group; the kernel of the collapse is everything."""
     pi = TwoGroupHom(total, FiniteTwoGroup(conjugation_module(cyclic_group(1))),
                      np.zeros(total.n_objects, dtype=int),
                      np.zeros(total.n_morphisms, dtype=int), name="collapse")

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -706,7 +707,7 @@ def _break_strict_pair(monkeypatch):
     mor_map[grp.morphism(0, 1)] = grp.morphism(0, 0)
     unit = twogroups.TwoGroupHom(point, grp, [0], [0], name="unit")
     broken = twogroups.TwoGroupHom(grp, grp, np.arange(grp.n_objects), mor_map, name="broken")
-    monkeypatch.setitem(suites.STRICT_PAIRS, "identity[Z4]", lambda: (unit, broken))
+    monkeypatch.setitem(suites.STRICT_PAIRS, "identity[Z4]", lambda fixtures: (unit, broken))
 
 
 def test_strict_pair_with_a_broken_law_fails_with_its_violations(monkeypatch, tmp_path, capsys):
@@ -727,11 +728,96 @@ def test_strict_pair_with_a_broken_law_fails_with_its_violations(monkeypatch, tm
     assert f"replayed residual {entry['max_residual']:.6e}" in capsys.readouterr().out
 
 
+FINITE_SUITES = ("crossed-axioms", "two-group-axioms", "strict-exactness")
+
+
+def test_a_run_builds_each_bundled_module_once_and_checks_each_fixture_once(monkeypatch):
+    # the finite suites read one fixture table per run: each bundled crossed
+    # module is constructed once, whichever suites use it (collapse[S3] is
+    # built over conj[S3], kernel-inclusion[Q8] over incl[Z4<i><Q8]); the
+    # pairs add only their kernel, quotient and point modules (one point
+    # each for collapse[S3] and identity[Z4]).  Every module built, and the
+    # 2-group of each, has its laws evaluated exactly once
+    built, checked = [], []
+    module_init = twogroups.FiniteCrossedModule.__post_init__
+
+    def counted_init(self):
+        built.append(self.name)
+        module_init(self)
+    monkeypatch.setattr(twogroups.FiniteCrossedModule, "__post_init__", counted_init)
+    for cls in (twogroups.FiniteCrossedModule, twogroups.FiniteTwoGroup):
+        def counted(self, laws=cls.violations):
+            checked.append(self)
+            return laws(self)
+        monkeypatch.setattr(cls, "violations", counted)
+    report = run(RunConfig(suites=FINITE_SUITES))
+    assert report["summary"]["all_passed"]
+    expected = Counter(list(suites.CROSSED_MODULES)) + Counter(
+        ["conj[Z4<i>]", "trivial[Q8/N,Z1]", "conj[Z1]", "conj[Z1]", "conj[Z4]"])
+    assert Counter(built) == expected
+    assert set(Counter(map(id, checked)).values()) == {1}
+    for cls in (twogroups.FiniteCrossedModule, twogroups.FiniteTwoGroup):
+        assert Counter(getattr(fixture, "cm", fixture).name for fixture in checked
+                       if isinstance(fixture, cls)) == expected
+    # a suite run alone builds and checks all it reports, and reports the same
+    for name, entry in zip(FINITE_SUITES, report["suites"]):
+        assert run(RunConfig(suites=(name,)))["suites"] == [entry]
+
+
+def _break_bundled_module(monkeypatch) -> list:
+    # conj[S3] with the trivial action in place of conjugation: equivariance
+    # and the conjugation law fail at the 18 pairs that do not commute, and
+    # in its 2-group the target is not a homomorphism, so products of
+    # composable pairs are not composable.  Returns the modules it built
+    s3 = twogroups.symmetric_group_3()
+    made = []
+
+    def build():
+        made.append(twogroups.FiniteCrossedModule(
+            "conj[S3]", s3, s3, np.arange(6), np.tile(np.arange(6), (6, 1))))
+        return made[-1]
+    monkeypatch.setitem(suites.CROSSED_MODULES, "conj[S3]", build)
+    return made
+
+
+@pytest.mark.parametrize("suite, fixture, first, count", [
+    ("crossed-axioms", "conj[S3]", "equivariance fails at (g=1, h=2)", 36),
+    ("two-group-axioms", "conj[S3]", "target is not a homomorphism", 2),
+    ("strict-exactness", "collapse[S3]", "conj[S3]: equivariance fails at (g=1, h=2)", 38)])
+def test_bundled_module_with_a_broken_law_fails_and_replays_through_the_table(
+        monkeypatch, tmp_path, capsys, suite, fixture, first, count):
+    # a law of a bundled module is a residual, not an input error: each suite
+    # that reports it fails (exit 1), collapse[S3] with the module's and its
+    # 2-group's laws; the details list the violations, and the witness, the
+    # fixture's name, replays to the count through the replaying run's table
+    made = _break_bundled_module(monkeypatch)
+    report_path = tmp_path / "r.json"
+    code = main(["verify", "--suite", suite, "--report", str(report_path)])
+    assert code == 1 and len(made) == 1
+    entry = json.loads(report_path.read_text())["suites"][0]
+    assert entry["passed"] is False and entry["witness"]["inputs"] == {
+        "type": "name", "value": fixture}
+    details = entry["details"]
+    if suite == "strict-exactness":
+        details = {name: pair.get("violations", []) for name, pair in details.items()}
+    assert [name for name, listed in details.items() if listed] == [fixture]
+    assert details[fixture][0] == first and len(details[fixture]) == min(count, 5)
+    assert entry["max_residual"] == count
+    config = RunConfig(suites=(suite,))
+    assert replay_suite(suite, entry["witness"], config) == count
+    assert replay_suite(suite, entry["witness"], config) == count
+    assert len(made) == 2 and config.fixtures.module("conj[S3]") is made[-1]
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report_path)]) == 0
+    assert f"replayed residual {entry['max_residual']:.6e}" in capsys.readouterr().out
+
+
 FAILING_RUNS = {
     "impossible-tolerances": ({"tol_exact": 1e-20, "tol_quad": 1e-9}, None),
     "omega-halved": ({}, _halve_omega),
     "identity-mutants": ({}, _identity_mutants),
     "broken-strict-pair": ({}, _break_strict_pair),
+    "broken-bundled-module": ({}, _break_bundled_module),
 }
 
 

@@ -428,8 +428,9 @@ def test_quotient_group_rejects_a_member_list_that_is_not_a_normal_subgroup(
 
 def test_kernel_of_the_quotient_is_the_conjugation_two_group_of_the_subgroup():
     members = [0, 1, 4, 5]  # {1, -1, j, -j}
-    iota, _ = kernel_inclusion_pair(quaternion_group(), members)
-    sub = inclusion_module(quaternion_group(), members).H
+    cm = inclusion_module(quaternion_group(), members)
+    iota, _ = kernel_inclusion_pair(FiniteTwoGroup(cm))
+    sub = cm.H
     conj = FiniteTwoGroup(conjugation_module(sub))
     assert conj.violations() == []
     assert np.array_equal(iota.src.cm.G.table, conj.cm.G.table)
@@ -441,8 +442,16 @@ def test_kernel_of_the_quotient_is_the_conjugation_two_group_of_the_subgroup():
         assert divmod(int(iota.mor_map[m]), iota.dst.cm.H.order) == (members[p], h)
 
 
+def incl_z4_q8() -> FiniteTwoGroup:
+    return FiniteTwoGroup(inclusion_module(quaternion_group(), [0, 1, 2, 3]))
+
+
+def conj_s3() -> FiniteTwoGroup:
+    return FiniteTwoGroup(conjugation_module(symmetric_group_3()))
+
+
 def test_strict_kernel_of_quotient():
-    iota, pi = kernel_inclusion_pair(quaternion_group(), [0, 1, 2, 3])
+    iota, pi = kernel_inclusion_pair(incl_z4_q8())
     objs, mors = strict_kernel(pi)
     assert objs == {0, 1, 2, 3}
     assert len(mors) == 4 * 4
@@ -450,8 +459,8 @@ def test_strict_kernel_of_quotient():
 
 def test_strict_exactness_cases():
     cases = [
-        kernel_inclusion_pair(quaternion_group(), [0, 1, 2, 3]),
-        indiscrete_collapse_pair(symmetric_group_3()),
+        kernel_inclusion_pair(incl_z4_q8()),
+        indiscrete_collapse_pair(conj_s3()),
         identity_kernel_pair(cyclic_group(4)),
     ]
     for iota, pi in cases:
@@ -461,7 +470,7 @@ def test_strict_exactness_cases():
 
 
 def test_exactness_sizes_for_collapse():
-    iota, pi = indiscrete_collapse_pair(symmetric_group_3())
+    iota, pi = indiscrete_collapse_pair(conj_s3())
     record = strict_kernel_exactness(iota, pi)
     assert record.kernel_objects == 6
     assert record.kernel_morphisms == 36
@@ -476,7 +485,7 @@ def test_exactness_sizes_for_identity():
 
 
 def test_non_composable_homs_rejected():
-    iota, _ = indiscrete_collapse_pair(symmetric_group_3())
+    iota, _ = indiscrete_collapse_pair(conj_s3())
     _, pi = identity_kernel_pair(cyclic_group(4))
     with pytest.raises(InputError):
         strict_kernel_exactness(iota, pi)
