@@ -21,7 +21,6 @@ from .linfty import (
 from .models import (
     ModelBundle,
     build_models,
-    exactness_check,
     make_el,
     make_gk,
     make_lambda,

@@ -1,12 +1,13 @@
 """Command-line entry point: verify / describe / replay.
 
-Exit codes: 0 all suites passed, 1 at least one residual failure,
-2 configuration or input error.
+Exit codes: 0 all suites passed, 1 at least one residual failure (or, on
+replay, a witness that replays to NaN), 2 configuration or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -95,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 0
             for name, residual in rows:
                 print(f"{name}: replayed residual {residual:.6e}")
-            return 0
+            return 1 if any(math.isnan(residual) for _, residual in rows) else 0
         # verify
         report = run(_config_from_args(args))
         _print_table(report)

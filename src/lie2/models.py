@@ -375,11 +375,6 @@ def exactness_records(models: ModelBundle, degree: int) -> list[ExactnessReport]
     return records
 
 
-def exactness_check(models: ModelBundle, degree: int) -> ExactnessReport:
-    """The report of ``exactness_records`` at ``degree`` itself."""
-    return exactness_records(models, degree)[-1]
-
-
 def splitting_samples(rng: np.random.Generator, count: int = 20,
                       degree: int = 8) -> Iterator[np.ndarray]:
     return (random_splitting(rng, degree) for _ in range(count))

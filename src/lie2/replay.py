@@ -1,14 +1,17 @@
-"""Witness replay: a report is read back and every witness it records is
-evaluated again.
+"""Witnesses: their JSON format, written by ``serialize_element`` when a suite
+fails and read by ``deserialize_element`` when a report is replayed, and the
+replay that evaluates every witness of a report again.
 
 A report comes from outside the program, so it is checked where it enters.
-Its config entries must have the types of ``RunConfig``'s defaults, its
+Its ``version`` must be the integer ``suites.REPORT_VERSION``, and its config
+entries must have the types of ``RunConfig``'s defaults, its
 suites must be a list of named entries, every witness element must carry a
 known type and the entries of that type (a central element's loop a path),
 the inputs must have the form of a trial the suite samples at that config
 (a splitting in a universality witness also admissible, as the sampled ones
 are by construction), and the component must be one the suite reports.
-Anything else is an ``InputError``, exit code 2 from the CLI.
+Anything else is an ``InputError``, exit code 2 from the CLI.  Witnesses are
+evaluated with numpy's warnings off, so an overflow shows only as a NaN.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .liealg import InputError, LieAlgebraPresentation
 from .paths import CentralVector, PolyPath, validate_splitting
-from .suites import NOTES, REGISTRY, UNIVERSALITY, RunConfig
+from .suites import NOTES, REGISTRY, REPORT_VERSION, UNIVERSALITY, RunConfig
 from .worstcase import trial
 
 
@@ -47,6 +50,26 @@ def _scalar(value, what: str) -> float:
 # the entries each witness element type needs besides "type"
 ELEMENT_ENTRIES = {"path": ("kind", "coeffs"), "central": ("loop", "c"), "vector": ("value",),
                    "real": ("value",), "int": ("value",), "name": ("value",)}
+
+
+def serialize_element(v) -> dict | list:
+    """A witness element in its JSON form, in the coefficient formats of the
+    owning modules."""
+    if isinstance(v, PolyPath):
+        return {"type": "path", "kind": v.kind, "coeffs": v.coeffs.tolist()}
+    if isinstance(v, CentralVector):
+        return {"type": "central", "loop": serialize_element(v.loop), "c": float(v.c)}
+    if isinstance(v, np.ndarray):
+        return {"type": "vector", "value": v.tolist()}
+    if isinstance(v, (float, np.floating)):
+        return {"type": "real", "value": float(v)}
+    if isinstance(v, (int, np.integer)):
+        return {"type": "int", "value": int(v)}
+    if isinstance(v, str):
+        return {"type": "name", "value": v}
+    if isinstance(v, (tuple, list)):
+        return [serialize_element(x) for x in v]
+    raise TypeError(f"cannot serialize witness element of type {type(v)!r}")
 
 
 def deserialize_element(doc, algebra: LieAlgebraPresentation):
@@ -133,14 +156,6 @@ def _report_config(doc) -> RunConfig:
     """A report's configuration, every entry of the type of its default."""
     if not isinstance(doc, dict):
         raise InputError("report config is not an object")
-    doc = {key: value for key, value in doc.items()
-           if key != "jobs"}  # a setting of older reports that did nothing
-    # older reports carry a form scale, 1.0 unless it was set; a scale now
-    # comes from the algebra file's form
-    scale = doc.pop("form_scale", 1.0)
-    if isinstance(scale, bool) or scale != 1.0:
-        raise InputError(f"report config form_scale = {scale!r} is no longer supported; "
-                         "put the scale into the algebra file's form")
     suites = doc.get("suites", ["all"])
     if not isinstance(suites, list) or not all(isinstance(n, str) for n in suites):
         raise InputError(f"report config suites {suites!r} is not a list of names")
@@ -170,11 +185,16 @@ def replay_report(path: str | Path) -> list[tuple[str, float]]:
         raise InputError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(doc, dict) or "config" not in doc or "suites" not in doc:
         raise InputError(f"malformed report {path}: it needs a config and suites")
+    version = doc.get("version")
+    if type(version) is not int or version != REPORT_VERSION:
+        raise InputError(f"report {path} has version {version!r}; this lie2 replays "
+                         f"version {REPORT_VERSION} only")
     config = _report_config(doc["config"])
     entries = doc["suites"]
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("name"), str) for e in entries):
         raise InputError(f"malformed report {path}: suites must be a list of named entries")
     config.validate()
-    return [(entry["name"], replay_suite(entry["name"], entry["witness"], config))
-            for entry in entries if entry.get("witness") is not None]
+    with np.errstate(all="ignore"):
+        return [(entry["name"], replay_suite(entry["name"], entry["witness"], config))
+                for entry in entries if entry.get("witness") is not None]

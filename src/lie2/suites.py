@@ -4,8 +4,9 @@ Each suite is stated once, as a ``SuiteSpec``: ``sample`` yields the inputs of
 one block of trials at a time and ``evaluate`` maps them to
 ``{component: residual}``, one residual per trial of the block.  One generic
 runner, ``_drive``, folds every suite's blocks through ``WorstCase``, so any
-NaN residual fails the suite; it writes the witness of a failing suite as
-``{"component", "inputs"}`` holding the one trial with the maximum, and replay
+NaN residual fails the suite, and returns the suite's report entry as a plain
+dict; it writes the witness of a failing suite as ``{"component", "inputs"}``
+holding the one trial with the maximum, in ``lie2.replay``'s format, and replay
 evaluates those inputs again, as a block of shape ().  A suite whose spec
 states a ``mutant`` also folds its own spec again, on the bundle with that one
 model mutated, and fails unless the mutant breaks the laws.  So every FAIL is
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable
@@ -51,8 +52,6 @@ from .models import (
 )
 from .paths import (
     LOOP,
-    CentralVector,
-    PolyPath,
     _derived,
     pointwise_bracket,
     random_path,
@@ -61,6 +60,9 @@ from .paths import (
 from .worstcase import WorstCase
 
 LINEAR = "linear"
+# what a report means: the entries a run writes and how replay evaluates them.
+# A change to either bumps it, and replay refuses a report of any other version
+REPORT_VERSION = 1
 # exactness ranks every degree from 2 to the configured one in one pass: at 64
 # it passes in about 0.01 s, and with the ten polynomial suites in about 3.3 s,
 # on 2 Xeon vCPUs (Python 3.11, numpy 2.4).  psi-hom brackets two paths of
@@ -172,43 +174,6 @@ class RunConfig:
                                  f"sample SU(2): {exc}") from exc
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-    witness: dict | None = None
-    details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
-
-# ---------------------------------------------------------------------------
-# witness serialization (coefficient formats of the owning modules; read
-# back by ``lie2.replay``)
-# ---------------------------------------------------------------------------
-
-def serialize_element(v) -> dict | list | float:
-    if isinstance(v, PolyPath):
-        return {"type": "path", "kind": v.kind, "coeffs": v.coeffs.tolist()}
-    if isinstance(v, CentralVector):
-        return {"type": "central", "loop": serialize_element(v.loop), "c": float(v.c)}
-    if isinstance(v, np.ndarray):
-        return {"type": "vector", "value": v.tolist()}
-    if isinstance(v, (float, np.floating)):
-        return {"type": "real", "value": float(v)}
-    if isinstance(v, (int, np.integer)):
-        return {"type": "int", "value": int(v)}
-    if isinstance(v, str):
-        return {"type": "name", "value": v}
-    if isinstance(v, (tuple, list)):
-        return [serialize_element(x) for x in v]
-    raise TypeError(f"cannot serialize witness element of type {type(v)!r}")
-
-
 # ---------------------------------------------------------------------------
 # suite specifications and the one generic runner
 # ---------------------------------------------------------------------------
@@ -242,11 +207,11 @@ class SuiteSpec:
     evaluate: Callable[[RunConfig, Any], dict]
     tolerance: Callable[[RunConfig], float] = attrgetter("tol_exact")
     mutant: Callable[[ModelBundle], ModelBundle] | None = None
-    runner: Callable[[RunConfig, np.random.Generator], SuiteResult] | None = None
+    runner: Callable[[RunConfig, np.random.Generator], dict] | None = None
 
     def __post_init__(self):
         if self.runner is None:
-            def runner(config: RunConfig, rng: np.random.Generator) -> SuiteResult:
+            def runner(config: RunConfig, rng: np.random.Generator) -> dict:
                 return _drive(self, config, rng)
             object.__setattr__(self, "runner", runner)
 
@@ -263,24 +228,27 @@ def _fold(spec: SuiteSpec, config: RunConfig,
     return worst, notes
 
 
-def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> SuiteResult:
-    """Fold the blocks; a suite that checks more than one component reports
-    the maximum of each in its details.  Only a failing suite slices its
-    witness trial out of the block."""
+def _drive(spec: SuiteSpec, config: RunConfig, rng: np.random.Generator) -> dict:
+    """Fold the blocks into the suite's report entry; a suite that checks more
+    than one component reports the maximum of each in its details.  Only a
+    failing suite slices its witness trial out of the block."""
     worst, notes = _fold(spec, config, rng)
     extra, control_ok = _mutation_control(spec, config, rng) if spec.mutant else ({}, True)
     tolerance = float(spec.tolerance(config))
     within = bool(worst.max_residual <= tolerance)  # false for NaN
-    return SuiteResult(
-        name=spec.name,
-        trials=worst.count,
-        max_residual=float(worst.max_residual),
-        tolerance=tolerance,
-        passed=within and bool(control_ok),
-        witness=None if within else {"component": worst.component,
-                                     "inputs": serialize_element(worst.witness)},
-        details=(worst.maxima if len(worst.maxima) > 1 else {}) | notes | extra,
-    )
+    witness = None
+    if not within:
+        from .replay import serialize_element  # replay owns the witness format
+        witness = {"component": worst.component, "inputs": serialize_element(worst.witness)}
+    return {
+        "name": spec.name,
+        "trials": worst.count,
+        "max_residual": float(worst.max_residual),
+        "tolerance": tolerance,
+        "passed": within and bool(control_ok),
+        "witness": witness,
+        "details": (worst.maxima if len(worst.maxima) > 1 else {}) | notes | extra,
+    }
 
 
 def _zero(config: RunConfig) -> float:
@@ -515,6 +483,11 @@ class FixtureTable:
         return self._once(("2-group", name),
                           lambda: twogroups.FiniteTwoGroup(self.module(name)))
 
+    def point(self) -> twogroups.FiniteTwoGroup:
+        """The one-point 2-group of the pairs; no suite reports it by itself."""
+        return self._once(("2-group", "conj[Z1]"), lambda: twogroups.FiniteTwoGroup(
+            twogroups.conjugation_module(twogroups.cyclic_group(1))))
+
     def violations(self, fixture: twogroups.FiniteCrossedModule | twogroups.FiniteTwoGroup
                    ) -> list[str]:
         """Read-only: the list is shared by every suite that reports it.  The
@@ -529,8 +502,9 @@ STRICT_PAIRS: dict[str, Callable[[FixtureTable], tuple[twogroups.TwoGroupHom,
     "kernel-inclusion[Q8]": lambda table: twogroups.kernel_inclusion_pair(
         table.two_group("incl[Z4<i><Q8]")),
     "collapse[S3]": lambda table: twogroups.indiscrete_collapse_pair(
-        table.two_group("conj[S3]")),
-    "identity[Z4]": lambda table: twogroups.identity_kernel_pair(twogroups.cyclic_group(4)),
+        table.two_group("conj[S3]"), table.point()),
+    "identity[Z4]": lambda table: twogroups.identity_kernel_pair(
+        twogroups.cyclic_group(4), table.point()),
 }
 
 
@@ -715,20 +689,20 @@ def run(config: RunConfig) -> dict:
     config.validate()
     names = config.resolve_suites()
     start = time.perf_counter()
-    results = [REGISTRY[name].runner(config, _suite_rng(config, name)) for name in names]
-    passed = sum(1 for r in results if r.passed)
-    report = {
+    entries = [REGISTRY[name].runner(config, _suite_rng(config, name)) for name in names]
+    passed = sum(1 for entry in entries if entry["passed"])
+    return {
+        "version": REPORT_VERSION,
         "config": asdict(config) | {"suites": list(config.suites)},
-        "suites": [r.to_json() for r in results],
+        "suites": entries,
         "summary": {
-            "total": len(results),
+            "total": len(entries),
             "passed": passed,
-            "failed": len(results) - passed,
-            "all_passed": passed == len(results),
+            "failed": len(entries) - passed,
+            "all_passed": passed == len(entries),
             "wall_time_s": time.perf_counter() - start,
         },
     }
-    return report
 
 
 def report_json(report: dict) -> str:

@@ -418,21 +418,21 @@ def kernel_inclusion_pair(total: FiniteTwoGroup) -> tuple[TwoGroupHom, TwoGroupH
     return iota, pi
 
 
-def indiscrete_collapse_pair(total: FiniteTwoGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
+def indiscrete_collapse_pair(total: FiniteTwoGroup, point: FiniteTwoGroup
+                             ) -> tuple[TwoGroupHom, TwoGroupHom]:
     """Identity into ``total``, the indiscrete 2-group of a
     ``conjugation_module``, followed by the collapse onto the one-object,
-    one-morphism 2-group; the kernel of the collapse is everything."""
-    pi = TwoGroupHom(total, FiniteTwoGroup(conjugation_module(cyclic_group(1))),
-                     np.zeros(total.n_objects, dtype=int),
+    one-morphism 2-group ``point``; the kernel of the collapse is everything."""
+    pi = TwoGroupHom(total, point, np.zeros(total.n_objects, dtype=int),
                      np.zeros(total.n_morphisms, dtype=int), name="collapse")
     return _identity_hom(total), pi
 
 
-def identity_kernel_pair(G: FiniteGroup) -> tuple[TwoGroupHom, TwoGroupHom]:
-    """Trivial 2-group into any 2-group followed by its identity; the kernel
-    of the identity is trivial."""
+def identity_kernel_pair(G: FiniteGroup, point: FiniteTwoGroup
+                         ) -> tuple[TwoGroupHom, TwoGroupHom]:
+    """The trivial 2-group ``point`` into the 2-group of conj[G] followed by
+    its identity; the kernel of the identity is trivial."""
     total = FiniteTwoGroup(conjugation_module(G))
-    iota = TwoGroupHom(FiniteTwoGroup(conjugation_module(cyclic_group(1))), total,
-                       np.array([total.cm.G.identity]),
+    iota = TwoGroupHom(point, total, np.array([total.cm.G.identity]),
                        np.array([total.mor_identity()]), name="unit")
     return iota, _identity_hom(total)

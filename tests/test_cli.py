@@ -505,7 +505,7 @@ def test_replay_refuses_an_older_dalpha_action_witness_with_two_paths(tmp_path, 
     pkg = bundle.pkg
     inputs = _one_trial(pkg.space0, pkg.space0, bundle.el.space0, pkg.space1, pkg.space1)
     code, err = _replay_with_witness(tmp_path, capsys, "dalpha-action", {
-        "component": "action", "inputs": suites.serialize_element(inputs)})
+        "component": "action", "inputs": replay.serialize_element(inputs)})
     assert code == 2
     assert err == "error: witness inputs do not have the form of a trial of dalpha-action\n"
 
@@ -516,7 +516,7 @@ def test_replay_refuses_an_older_retraction_witness(tmp_path, capsys):
     pkg = RunConfig().models.pkg
     inputs = ["retraction", *_one_trial(pkg.space0, pkg.space0, pkg.space1)]
     code, err = _replay_with_witness(tmp_path, capsys, "equivalence", {
-        "component": "retraction", "inputs": suites.serialize_element(inputs)})
+        "component": "retraction", "inputs": replay.serialize_element(inputs)})
     assert code == 2
     assert err == "error: witness inputs do not have the form of a trial of equivalence\n"
 
@@ -528,7 +528,7 @@ def test_an_exactness_witness_replays_its_own_degree(tmp_path, capsys, degree, c
     # checks there
     report_path = tmp_path / "exactness.json"
     report_path.write_text(json.dumps({
-        "config": {"degree": 6, "suites": ["exactness"]},
+        "version": 1, "config": {"degree": 6, "suites": ["exactness"]},
         "suites": [{"name": "exactness", "witness": {
             "component": "exactness", "inputs": {"type": "int", "value": degree}}}]}))
     assert main(["replay", "--report", str(report_path)]) == code
@@ -735,9 +735,9 @@ def test_a_run_builds_each_bundled_module_once_and_checks_each_fixture_once(monk
     # the finite suites read one fixture table per run: each bundled crossed
     # module is constructed once, whichever suites use it (collapse[S3] is
     # built over conj[S3], kernel-inclusion[Q8] over incl[Z4<i><Q8]); the
-    # pairs add only their kernel, quotient and point modules (one point
-    # each for collapse[S3] and identity[Z4]).  Every module built, and the
-    # 2-group of each, has its laws evaluated exactly once
+    # pairs add only their kernel, quotient and point modules (one point,
+    # conj[Z1], shared by collapse[S3] and identity[Z4]).  Every module
+    # built, and the 2-group of each, has its laws evaluated exactly once
     built, checked = [], []
     module_init = twogroups.FiniteCrossedModule.__post_init__
 
@@ -753,7 +753,7 @@ def test_a_run_builds_each_bundled_module_once_and_checks_each_fixture_once(monk
     report = run(RunConfig(suites=FINITE_SUITES))
     assert report["summary"]["all_passed"]
     expected = Counter(list(suites.CROSSED_MODULES)) + Counter(
-        ["conj[Z4<i>]", "trivial[Q8/N,Z1]", "conj[Z1]", "conj[Z1]", "conj[Z4]"])
+        ["conj[Z4<i>]", "trivial[Q8/N,Z1]", "conj[Z1]", "conj[Z4]"])
     assert Counter(built) == expected
     assert set(Counter(map(id, checked)).values()) == {1}
     for cls in (twogroups.FiniteCrossedModule, twogroups.FiniteTwoGroup):
@@ -919,38 +919,78 @@ def test_no_run_checks_a_carrier_it_built(monkeypatch, tmp_path, case):
     assert calls == []
 
 
-def test_replay_drops_the_jobs_setting_of_older_reports(tmp_path):
-    report_path = tmp_path / "old.json"
-    main(["verify", "--suite", "omega-cocycle", "--tol-exact", "1e-30",
-          "--report", str(report_path), *FAST])
-    doc = json.loads(report_path.read_text())
-    doc["config"]["jobs"] = 1
-    report_path.write_text(json.dumps(doc))
-    [(name, residual)] = replay_report(report_path)
-    assert name == "omega-cocycle"
-    assert residual == pytest.approx(doc["suites"][0]["max_residual"], rel=1e-12)
-
-
-def test_replay_drops_the_unit_form_scale_of_older_reports(failing_report, tmp_path):
-    # every report written while the form scale was a setting carries 1.0
-    doc = json.loads(failing_report)
-    doc["config"]["form_scale"] = 1.0
-    report_path = tmp_path / "old.json"
-    report_path.write_text(json.dumps(doc))
-    rows = replay_report(report_path)
-    report_path.write_text(failing_report)
-    assert rows == replay_report(report_path)
-
-
-def test_replay_refuses_an_older_report_at_another_form_scale(failing_report, tmp_path, capsys):
-    doc = json.loads(failing_report)
-    doc["config"]["form_scale"] = 2.0
-    report_path = tmp_path / "old.json"
+def _replay_doc(doc, tmp_path, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of replaying the report ``doc``."""
+    report_path = tmp_path / "replayed.json"
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: report config form_scale = 2.0 ") and "Traceback" not in err
+    code = main(["replay", "--report", str(report_path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _refuses_version(err: str, version) -> bool:
+    """Whether ``err`` is replay's one line refusing a report of ``version``."""
+    return (err.startswith("error: report ") and err.count("\n") == 1
+            and err.endswith(f" has version {version!r}; this lie2 replays version 1 only\n"))
+
+
+@pytest.mark.parametrize("setting", [{"jobs": 1}, {"form_scale": 1.0}, {"form_scale": 2.0}],
+                         ids=["jobs", "unit-form-scale", "form-scale-2"])
+def test_replay_refuses_an_older_report(failing_report, tmp_path, capsys, setting):
+    # reports written while jobs and the form scale were settings carry them
+    # in their config, and no version
+    doc = json.loads(failing_report)
+    del doc["version"]
+    doc["config"].update(setting)
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, out) == (2, "") and _refuses_version(err, None)
+
+
+def test_a_report_carries_its_version_first(failing_report):
+    assert list(json.loads(failing_report)) == ["version", "config", "suites", "summary"]
+    assert json.loads(failing_report)["version"] == suites.REPORT_VERSION == 1
+
+
+@pytest.mark.parametrize("version", [None, True, 1.0, 2, "1", 0])
+def test_replay_refuses_any_version_but_the_integer_1(failing_report, tmp_path, capsys,
+                                                      version):
+    # the version is read before the config: a report of another version may
+    # mean something else by it (None stands for a report without one)
+    doc = json.loads(failing_report)
+    doc["config"]["k"] = "abc"
+    if version is None:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, out) == (2, "") and _refuses_version(err, version)
+
+
+def _times(doc, factor: float):
+    """``doc`` with every float in it multiplied by ``factor``."""
+    if isinstance(doc, list):
+        return [_times(x, factor) for x in doc]
+    if isinstance(doc, dict):
+        return {key: _times(value, factor) for key, value in doc.items()}
+    return doc * factor if isinstance(doc, float) else doc
+
+
+def test_a_witness_that_replays_to_nan_exits_1_without_a_numpy_warning(tmp_path, capsys):
+    # psi-hom's homo3 witness with every float of its inputs times 1e60 is
+    # finite where it enters, but its pairing overflows: the replayed residual
+    # is NaN, and replay says so by its exit code, not by numpy's warnings
+    report_path = tmp_path / "psi.json"
+    assert main(["verify", "--suite", "psi-hom", "--tol-exact", "1e-300",
+                 "--report", str(report_path)]) == 1
+    doc = json.loads(report_path.read_text())
+    witness = doc["suites"][0]["witness"]
+    assert witness["component"] == "homo3"
+    witness["inputs"] = _times(witness["inputs"], 1e60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, out, err) == (1, "psi-hom: replayed residual nan\n", "")
 
 
 def test_config_validation_errors():

@@ -22,7 +22,6 @@ from lie2.models import (
     _exact_ranks,
     _integer_ranks,
     build_models,
-    exactness_check,
     exactness_records,
     make_el,
     make_el_vectors,
@@ -223,7 +222,7 @@ def test_exactness_all_degrees(algebra):
     models = build_models(load_presentation(algebra), 1.0)
     n = models.algebra.dim
     for degree in range(2, 21):
-        report = exactness_check(models, degree)
+        report = exactness_records(models, degree)[-1]
         assert report.passed
         assert report.dim_paths == n * degree
         assert report.dim_loops == report.nullity_endpoint == n * (degree - 1)
@@ -247,8 +246,8 @@ def test_exactness_fails_for_endpoint_at_one_half(g, degree):
     # the loops u^d - u; its images are not integral, so they are ranked exactly
     models = build_models(g, 1.0)
     mutant = replace(models, phi=replace(models.phi, phi0=lambda p: p.eval_grid([0.5])[..., 0, :]))
-    assert exactness_check(models, degree).passed
-    assert not exactness_check(mutant, degree).passed
+    assert exactness_records(models, degree)[-1].passed
+    assert not exactness_records(mutant, degree)[-1].passed
 
 
 @pytest.mark.parametrize("lift", [lambda l: CentralVector(l, 1.0),
@@ -257,7 +256,7 @@ def test_exactness_fails_for_endpoint_at_one_half(g, degree):
 def test_exactness_checks_the_directions(g, lift):
     models = build_models(g, 1.0)
     mutant = replace(models, lam=replace(models.lam, phi1=lift))
-    assert not exactness_check(mutant, 4).passed
+    assert not exactness_records(mutant, 4)[-1].passed
 
 
 def fraction_rank(matrix: list[list[int]]) -> int:
@@ -366,7 +365,7 @@ def test_exactness_closed_form(algebra, k):
     models = build_models(load_presentation(algebra), k)
     for degree in range(2, 21):
         n = 3 * (degree - 1)
-        assert astuple(exactness_check(models, degree)) == (3 * degree, n, 3, n, n, True)
+        assert astuple(exactness_records(models, degree)[-1]) == (3 * degree, n, 3, n, n, True)
 
 
 def test_exactness_suite_makes_one_elimination_per_map(monkeypatch):
@@ -457,7 +456,7 @@ def test_exactness_check_at_each_degree_is_that_record_of_one_pass():
     models = build_models(load_presentation("su2"), 1.0)
     records = exactness_records(models, 20)
     for degree in range(2, 21):
-        assert exactness_check(models, degree) == records[degree]
+        assert exactness_records(models, degree)[-1] == records[degree]
 
 
 def test_splitting_integral_is_universal(rng):

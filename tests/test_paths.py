@@ -246,6 +246,13 @@ def test_constructor_rejects_violations(g):
         PolyPath(g, np.zeros((2, 2)), BASED)  # wrong coordinate count
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0)])
+def test_constructor_rejects_a_path_with_no_coefficients(g, shape):
+    # the last axis holds the coefficients, one path or a batch of them
+    with pytest.raises(InputError, match="^path has no coefficients$"):
+        PolyPath(g, np.zeros(shape), BASED)
+
+
 def test_constructor_rejects_nan_endpoints(g):
     with pytest.raises(InputError):
         PolyPath(g, np.full((3, 3), np.nan), LOOP)

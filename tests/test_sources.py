@@ -42,3 +42,19 @@ def test_the_tracers_class_hooks_name_methods_of_their_classes():
         for qual in quals:
             cls_name, method = qual.split(".")
             assert method in vars(getattr(namespace, cls_name)), f"lie2.{module}.{qual}"
+
+
+def test_the_witness_format_has_one_owner():
+    # lie2.replay writes and reads witnesses; the runner imports the writer
+    # only when a suite fails, so ``import lie2`` loads no replay code and
+    # replay's import of lie2.suites makes no cycle
+    defined, top_level = {}, {}
+    for path in sorted((ROOT / "src" / "lie2").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined[path.stem] = {node.name for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef)}
+        top_level[path.stem] = {node.module for node in tree.body
+                                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert [m for m, names in defined.items() if names & {"serialize_element",
+                                                          "deserialize_element"}] == ["replay"]
+    assert [m for m, modules in top_level.items() if "replay" in modules] == ["cli"]

@@ -450,6 +450,10 @@ def conj_s3() -> FiniteTwoGroup:
     return FiniteTwoGroup(conjugation_module(symmetric_group_3()))
 
 
+def point() -> FiniteTwoGroup:
+    return FiniteTwoGroup(conjugation_module(cyclic_group(1)))
+
+
 def test_strict_kernel_of_quotient():
     iota, pi = kernel_inclusion_pair(incl_z4_q8())
     objs, mors = strict_kernel(pi)
@@ -460,8 +464,8 @@ def test_strict_kernel_of_quotient():
 def test_strict_exactness_cases():
     cases = [
         kernel_inclusion_pair(incl_z4_q8()),
-        indiscrete_collapse_pair(conj_s3()),
-        identity_kernel_pair(cyclic_group(4)),
+        indiscrete_collapse_pair(conj_s3(), point()),
+        identity_kernel_pair(cyclic_group(4), point()),
     ]
     for iota, pi in cases:
         assert iota.violations() == pi.violations() == []
@@ -470,7 +474,7 @@ def test_strict_exactness_cases():
 
 
 def test_exactness_sizes_for_collapse():
-    iota, pi = indiscrete_collapse_pair(conj_s3())
+    iota, pi = indiscrete_collapse_pair(conj_s3(), point())
     record = strict_kernel_exactness(iota, pi)
     assert record.kernel_objects == 6
     assert record.kernel_morphisms == 36
@@ -478,15 +482,15 @@ def test_exactness_sizes_for_collapse():
 
 
 def test_exactness_sizes_for_identity():
-    iota, pi = identity_kernel_pair(cyclic_group(4))
+    iota, pi = identity_kernel_pair(cyclic_group(4), point())
     record = strict_kernel_exactness(iota, pi)
     assert record.kernel_objects == 1
     assert record.kernel_morphisms == 1
 
 
 def test_non_composable_homs_rejected():
-    iota, _ = indiscrete_collapse_pair(conj_s3())
-    _, pi = identity_kernel_pair(cyclic_group(4))
+    iota, _ = indiscrete_collapse_pair(conj_s3(), point())
+    _, pi = identity_kernel_pair(cyclic_group(4), point())
     with pytest.raises(InputError):
         strict_kernel_exactness(iota, pi)
 
