@@ -1,7 +1,9 @@
 """Command-line entry point: verify / describe / replay.
 
 Exit codes: 0 all suites passed, 1 at least one residual failure (or, on
-replay, a witness that replays to NaN), 2 configuration or input error.
+replay, a witness that replays to NaN or to anything but its entry's
+``max_residual``), 2 configuration or input error.  A report with no
+witnesses replays with exit 0.
 """
 
 from __future__ import annotations
@@ -94,9 +96,15 @@ def main(argv: list[str] | None = None) -> int:
             if not rows:
                 print("report contains no witnesses to replay")
                 return 0
-            for name, residual in rows:
+            for name, residual, _ in rows:
                 print(f"{name}: replayed residual {residual:.6e}")
-            return 1 if any(math.isnan(residual) for _, residual in rows) else 0
+            # a NaN fails on its own; any other residual must equal its entry's
+            differ = [(name, residual, reported) for name, residual, reported in rows
+                      if not math.isnan(residual) and residual != reported]
+            for name, residual, reported in differ:
+                print(f"{name}: does not reproduce its report: replayed {residual!r}, "
+                      f"reported {reported!r}")
+            return 1 if differ or any(math.isnan(residual) for _, residual, _ in rows) else 0
         # verify
         report = run(_config_from_args(args))
         _print_table(report)

@@ -221,7 +221,9 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
 
     Takes 1 <= n <= 4 inputs tagged with degrees in {0, 1}, as
     ``jacobi_samples`` draws them; every term then has the degree
-    ``jacobi_target``.  Signatures without one return 0.
+    ``jacobi_target``.  Signatures without one return 0, and so does one
+    with no nonvanishing term (a strict structure's ``jacobi[0,0,0,0]``),
+    before any input norm is computed.
     """
     from .signs import chi, unshuffles
 
@@ -246,6 +248,8 @@ def generalized_jacobi_residual(L: TwoTermLInfinity, inputs: Sequence[Graded]) -
                 continue
             coeff = float(chi(degrees, sigma)) * (-1.0) ** (i * (j - 1))
             terms.append(coeff * term[1])
+    if not terms:
+        return 0.0
     norms = [L.space(d).norm(v) for d, v in inputs]
     return law_residual(terms, L.space(target).norm, norms)
 

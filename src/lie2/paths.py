@@ -13,8 +13,16 @@ Every carrier has leading trial axes: ``PolyPath.coeffs`` is
 ``(*batch, dim, degree + 1)`` and ``CentralVector.c`` is a float or
 ``(*batch,)``.  One element is batch shape ``()``; operations broadcast over
 the batch, and whatever they return per trial (pairings, norms) has its shape.
-The kernels are batched matmuls: numpy runs a multi-operand ``einsum`` as one
-loop without BLAS.
+The kernels are matmuls, since numpy runs a multi-operand ``einsum`` as one
+loop without BLAS.  Where the right operand is shared by the whole batch
+and the left one is contiguous (the collector of the bracket, the moments of
+the pairing and the norm), the batch is flattened into the rows of one 2-D
+product (``_rows_times``): numpy runs a stacked ``(*batch, m, K) @ (K, N)``
+as one small product per trial, far slower than the same rows in one.  Each
+row keeps its K axis and its order, and ``tests/test_batched.py`` pins that a
+trial gets the same bits in a block as alone, which witness replay relies
+on.  The bracket's structure contraction stays stacked: its left operand is
+a transpose, and the copy flattening it would take costs more than it saves.
 
 Carriers are checked where they enter, from witness replay or a library
 call: ``PolyPath(...)`` rejects a wrong coordinate count, an unknown kind,
@@ -67,6 +75,13 @@ def _derived(algebra: LieAlgebraPresentation, coeffs: np.ndarray, kind: str) -> 
     path = object.__new__(PolyPath)
     path.__dict__.update(algebra=algebra, coeffs=coeffs, kind=kind)
     return path
+
+
+def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` for x of shape (..., K), its leading axes flattened into
+    the rows of one 2-D product: numpy runs that as one BLAS call, and a
+    stacked product as one per matrix of the stack."""
+    return (x.reshape(-1, x.shape[-1]) @ matrix).reshape(x.shape[:-1] + matrix.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +153,7 @@ class PolyPath:
 
     def l2_norm_sq(self) -> float | np.ndarray:
         """Integral over u in [0,1] of |p(u)|^2 (coordinate-wise squares)."""
-        val = ((self.coeffs @ _hilbert(self.degree)) * self.coeffs).sum(axis=(-2, -1))
+        val = (_rows_times(self.coeffs, _hilbert(self.degree)) * self.coeffs).sum(axis=(-2, -1))
         return np.maximum(val, 0.0)
 
     def norm(self) -> float | np.ndarray:
@@ -163,7 +178,7 @@ def _antidiagonal_sums(t: np.ndarray) -> np.ndarray:
     """out[..., s] = sum over a + b = s of t[..., a, b]: the flattened (a, b)
     axes times the 0/1 matrix of a + b = s."""
     m, n = t.shape[-2:]
-    return t.reshape(t.shape[:-2] + (m * n,)) @ _collector(m, n)
+    return _rows_times(t.reshape(t.shape[:-2] + (m * n,)), _collector(m, n))
 
 
 def pointwise_bracket(p: PolyPath, q: PolyPath) -> PolyPath:
@@ -196,7 +211,7 @@ def derivative_pairing(p: PolyPath, q: PolyPath) -> float | np.ndarray:
     cancelling sums (the -1/6 of ``universal_integral``) at about that of a
     plain einsum."""
     moments = _derivative_moments(p.degree, q.degree)
-    return (p.coeffs * (p.algebra.form @ (q.coeffs @ moments.T))).sum(axis=(-2, -1))
+    return (p.coeffs * (p.algebra.form @ _rows_times(q.coeffs, moments.T))).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

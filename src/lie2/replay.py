@@ -1,6 +1,8 @@
 """Witnesses: their JSON format, written by ``serialize_element`` when a suite
 fails and read by ``deserialize_element`` when a report is replayed, and the
-replay that evaluates every witness of a report again.
+replay that evaluates every witness of a report again and returns each
+replayed residual beside its entry's ``max_residual``, for ``lie2 replay``
+to compare.
 
 A report comes from outside the program, so it is checked where it enters.
 Its ``version`` must be the integer ``suites.REPORT_VERSION``, and its config
@@ -9,7 +11,8 @@ suites must be a list of named entries, every witness element must carry a
 known type and the entries of that type (a central element's loop a path),
 the inputs must have the form of a trial the suite samples at that config
 (a splitting in a universality witness also admissible, as the sampled ones
-are by construction), and the component must be one the suite reports.
+are by construction), the component must be one the suite reports, and an
+entry with a witness must carry its ``max_residual`` as a number.
 Anything else is an ``InputError``, exit code 2 from the CLI.  Witnesses are
 evaluated with numpy's warnings off, so an overflow shows only as a NaN.
 """
@@ -177,8 +180,23 @@ def _report_config(doc) -> RunConfig:
     return RunConfig(**doc)
 
 
-def replay_report(path: str | Path) -> list[tuple[str, float]]:
-    """Re-run every witness recorded in a report; returns (suite, residual)."""
+def _reported(entry: dict) -> float:
+    """The ``max_residual`` of a report entry that holds a witness: the
+    number its witness must replay to."""
+    value = entry.get("max_residual")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"report entry {entry['name']} has a witness but its "
+                         f"max_residual {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"report entry {entry['name']} max_residual {value!r} "
+                         "is out of range") from exc
+
+
+def replay_report(path: str | Path) -> list[tuple[str, float, float]]:
+    """Re-run every witness recorded in a report; returns (suite, replayed
+    residual, the entry's ``max_residual``)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -194,7 +212,9 @@ def replay_report(path: str | Path) -> list[tuple[str, float]]:
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("name"), str) for e in entries):
         raise InputError(f"malformed report {path}: suites must be a list of named entries")
+    witnessed = [entry for entry in entries if entry.get("witness") is not None]
+    reported = [_reported(entry) for entry in witnessed]
     config.validate()
     with np.errstate(all="ignore"):
-        return [(entry["name"], replay_suite(entry["name"], entry["witness"], config))
-                for entry in entries if entry.get("witness") is not None]
+        return [(entry["name"], replay_suite(entry["name"], entry["witness"], config), value)
+                for entry, value in zip(witnessed, reported)]

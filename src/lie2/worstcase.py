@@ -11,6 +11,7 @@ the blocks it appears in, and the count is that of the most-sampled one.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Any
 
@@ -53,22 +54,30 @@ class WorstCase:
     def add(self, residuals: dict, inputs: Any = None) -> None:
         """Fold one block.  The overall maximum moves to the first trial, and
         within it the first component, that holds a strictly worse value: a
-        NaN if there is one (``argmax`` returns the first NaN), else the
-        largest residual."""
-        names = list(residuals)
-        values = [np.asarray(v, dtype=float) for v in residuals.values()]
-        shape = np.broadcast_shapes(*(v.shape for v in values))
-        table = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
-        table = table.reshape(-1, len(names))  # trial-major, component-minor
-        for name, value in zip(names, table.max(axis=0).tolist()):
-            self.counts[name] = self.counts.get(name, 0) + len(table)
+        NaN if there is one (``max`` returns NaN, ``argmax`` the first), else
+        the largest residual.  Each component is reduced once; the trial is
+        only looked for when the block beats the overall maximum."""
+        values = {name: np.asarray(v, dtype=float) for name, v in residuals.items()}
+        shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+        trials = math.prod(shape)
+        top = 0.0
+        for name, v in values.items():
+            value = float(v.max())
+            self.counts[name] = self.counts.get(name, 0) + trials
             if _worse(value, self.maxima.setdefault(name, 0.0)):
                 self.maxima[name] = value
-        row, col = divmod(int(table.argmax()), len(names))
-        value = float(table[row, col])
-        if _worse(value, self.max_residual):
-            self.max_residual, self.component = value, names[col]
-            self.inputs, self.row = inputs, (row if shape else None)
+            if _worse(value, top):
+                top = value
+        if not _worse(top, self.max_residual):
+            return
+        # the first trial holding ``top`` in each component that holds it;
+        # ``min`` keeps the first of those components at the earliest trial
+        hits = (np.broadcast_to(np.isnan(v) if top != top else v == top, shape).ravel()
+                for v in values.values())
+        row, self.component = min(((int(hit.argmax()), name)
+                                   for name, hit in zip(values, hits) if hit.any()),
+                                  key=lambda found: found[0])
+        self.max_residual, self.inputs, self.row = top, inputs, (row if shape else None)
 
     @property
     def count(self) -> int:

@@ -30,8 +30,8 @@ from lie2.paths import (
     LOOP,
     CentralVector,
     PolyPath,
+    derivative_pairing,
     pointwise_bracket,
-    random_path,
     zero_central,
     zero_path,
 )
@@ -234,13 +234,28 @@ def test_a_trial_alone_equals_its_row_of_the_block(name):
     assert checked >= TRIALS
 
 
-def test_bracket_of_a_batch_broadcasts_against_one_path(g, rng):
-    block = PathSpace(g, LOOP, 4).element(rng.uniform(-1, 1, (7, 15)))
-    one = random_path(g, rng, 3)
-    out = pointwise_bracket(block, one)
-    assert out.coeffs.shape == (7, 3, 8) and out.kind == LOOP
-    for r in range(7):
-        assert np.array_equal(out.coeffs[r], pointwise_bracket(block[r], one).coeffs)
+BATCH_SHAPES = [(), (1,), (7,), (200,), (2, 3)]
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=str)
+@pytest.mark.parametrize("against", ["batch", "one path"])
+def test_every_kernel_gives_each_trial_what_it_gives_that_trial_alone(g, rng, shape, against):
+    # each kernel flattens the batch into the rows of one 2-D product; a row
+    # must not depend on how many rows the product has, or replay would not
+    # reproduce a witness's residual
+    p = PathSpace(g, LOOP, 4).element(rng.uniform(-1, 1, shape + (15,)))
+    q = PathSpace(g, BASED, 3).element(rng.uniform(-1, 1, (shape if against == "batch" else ())
+                                                    + (12,)))
+    bracket, norms = pointwise_bracket(p, q), p.l2_norm_sq()
+    pq, qp = derivative_pairing(p, q), derivative_pairing(q, p)
+    assert bracket.coeffs.shape == shape + (3, 8) and bracket.kind == LOOP
+    assert np.shape(pq) == np.shape(qp) == np.shape(norms) == shape
+    for r in np.ndindex(shape):
+        q_r = q[r] if against == "batch" else q
+        assert np.array_equal(bracket.coeffs[r], pointwise_bracket(p[r], q_r).coeffs)
+        assert pq[r] == derivative_pairing(p[r], q_r)
+        assert qp[r] == derivative_pairing(q_r, p[r])
+        assert norms[r] == p[r].l2_norm_sq()
 
 
 def test_running_maximum_keeps_the_first_trial_and_counts_trials():
@@ -257,6 +272,15 @@ def test_running_maximum_keeps_the_first_trial_and_counts_trials():
     assert worst.inputs is block and worst.count == 8
     vector, law = worst.witness
     assert vector.tolist() == [1.0, 2.0] and law == "law"
+    # the first trial holding the maximum wins over the first component
+    # holding it: here b holds it at an earlier trial than a
+    worst = WorstCase()
+    worst.add({"a": np.array([0.1, 0.2, 0.9]), "b": np.array([0.1, 0.9, 0.0])}, "earlier")
+    assert (worst.max_residual, worst.component, worst.row) == (0.9, "b", 1)
+    # a tie across the components of one trial goes to the first of them
+    worst.add({"a": np.array([0.0, 2.0]), "b": np.array([1.0, 2.0]), "c": 0.5}, "tie")
+    assert (worst.max_residual, worst.component, worst.inputs, worst.row) == (2.0, "a", "tie", 1)
+    assert worst.maxima == {"a": 2.0, "b": 2.0, "c": 0.5} and worst.count == 5
 
 
 def test_the_count_is_that_of_the_most_sampled_component():

@@ -315,7 +315,7 @@ def test_replay_covers_every_witness_family(tmp_path):
     doc = json.loads(report_path.read_text())
     witnessed = {s["name"]: s for s in doc["suites"] if s["witness"]}
     assert len(witnessed) == 13
-    for name, residual in replay_report(report_path):
+    for name, residual, _ in replay_report(report_path):
         assert residual == pytest.approx(witnessed[name]["max_residual"], rel=1e-12)
 
 
@@ -415,6 +415,8 @@ def test_replay_refuses_a_non_admissible_splitting_in_a_universality_witness(
     doc = json.loads(report_path.read_text())
     doc["suites"][0]["witness"] = {"component": suites.UNIVERSALITY, "inputs": [
         {"type": "name", "value": suites.UNIVERSALITY}, {"type": "vector", "value": splitting}]}
+    # the entry's maximum is that witness's residual, which replay must reproduce
+    doc["suites"][0]["max_residual"] = models.splitting_deviation(np.array(splitting))
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["replay", "--report", str(report_path)]) == code
@@ -432,7 +434,7 @@ def failing_report(tmp_path_factory):
     report_path = tmp_path_factory.mktemp("replay") / "failing.json"
     assert main(["verify", "--suite", "gk-jacobi", "--suite", "omega-cocycle",
                  "--tol-exact", "1e-300", "--report", str(report_path), *FAST]) == 1
-    assert [name for name, _ in replay_report(report_path)] == ["gk-jacobi", "omega-cocycle"]
+    assert [name for name, _, _ in replay_report(report_path)] == ["gk-jacobi", "omega-cocycle"]
     return report_path.read_text()
 
 
@@ -463,6 +465,8 @@ MALFORMED = {
     "suites as an object": lambda d: d.update(suites={"gk-jacobi": d["suites"][0]}),
     "config suites as a string": lambda d: d["config"].update(suites="omega-cocycle"),
     "witness as a list": lambda d: d["suites"][1].update(witness=[]),
+    "witnessed entry without max_residual": lambda d: d["suites"][0].pop("max_residual"),
+    "max_residual as a string": lambda d: d["suites"][1].update(max_residual="0.1"),
     "path without coefficients": lambda d: next(
         e for e in _elements(_witness(d, 1)["inputs"]) if e["type"] == "path"
     ).update(coeffs=[[], [], []]),
@@ -529,7 +533,7 @@ def test_an_exactness_witness_replays_its_own_degree(tmp_path, capsys, degree, c
     report_path = tmp_path / "exactness.json"
     report_path.write_text(json.dumps({
         "version": 1, "config": {"degree": 6, "suites": ["exactness"]},
-        "suites": [{"name": "exactness", "witness": {
+        "suites": [{"name": "exactness", "max_residual": 0.0, "witness": {
             "component": "exactness", "inputs": {"type": "int", "value": degree}}}]}))
     assert main(["replay", "--report", str(report_path)]) == code
     out, err = capsys.readouterr()
@@ -546,7 +550,7 @@ def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     assert code == 1
     entry = json.loads(report_path.read_text())["suites"][0]
     assert entry["witness"]["component"] in entry["details"]
-    [(name, residual)] = replay_report(report_path)
+    [(name, residual, _)] = replay_report(report_path)
     assert name == "equivalence"
     assert residual == pytest.approx(entry["max_residual"], rel=1e-12)
 
@@ -991,6 +995,39 @@ def test_a_witness_that_replays_to_nan_exits_1_without_a_numpy_warning(tmp_path,
         warnings.simplefilter("error")
         code, out, err = _replay_doc(doc, tmp_path, capsys)
     assert (code, out, err) == (1, "psi-hom: replayed residual nan\n", "")
+
+
+def test_replay_exits_1_and_names_an_entry_its_witness_does_not_reproduce(
+        failing_report, tmp_path, capsys):
+    doc = json.loads(failing_report)
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, err) == (0, "") and out.count("replayed residual") == 2
+    entry = doc["suites"][1]
+    assert entry["name"] == "omega-cocycle"
+    reported = entry["max_residual"]
+    entry["max_residual"] = math.nextafter(reported, math.inf)  # one ulp off
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        f"omega-cocycle: does not reproduce its report: replayed {reported!r}, "
+        f"reported {entry['max_residual']!r}"]
+
+
+def test_verify_prints_no_numpy_warning_when_a_residual_overflows(tmp_path, capfd):
+    # su2's table times 1e100 passes the algebra's own checks, but the
+    # suites' products overflow: each residual is NaN and fails its suite,
+    # with nothing from numpy on stderr
+    path = tmp_path / "su2x1e100.json"
+    path.write_text(json.dumps({"name": "su2x1e100", "dim": 3, "structure": [
+        [1, 2, 3, 1e100], [2, 3, 1, 1e100], [3, 1, 2, 1e100]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--algebra", str(path), "--suite", "gk-jacobi",
+                     "--suite", "psi-hom"])
+    out, err = capfd.readouterr()
+    assert (code, err) == (1, "")
+    assert [line.split()[1:] for line in out.splitlines()[1:3]] == [
+        ["nan", "1.0e-10", "FAIL"], ["nan", "1.0e-10", "FAIL"]]
 
 
 def test_config_validation_errors():
