@@ -180,7 +180,6 @@ class TwoTermLInfinity:
     ``l3 = None`` means the structure is strict.
     """
 
-    name: str
     space0: Any
     space1: Any
     d: Callable[[Any], Any]
@@ -298,12 +297,10 @@ class LInftyHom:
     phi0: Callable[[Any], Any]
     phi1: Callable[[Any], Any]
     phi2: Callable[[Any, Any], Any]
-    name: str = ""
 
 
 def identity_hom(L: TwoTermLInfinity) -> LInftyHom:
-    return LInftyHom(L, L, lambda x: x, lambda h: h,
-                     lambda x, y: L.space1.zero(), name=f"id[{L.name}]")
+    return LInftyHom(L, L, lambda x: x, lambda h: h, lambda x, y: L.space1.zero())
 
 
 def compose(outer: LInftyHom, inner: LInftyHom) -> LInftyHom:
@@ -314,14 +311,8 @@ def compose(outer: LInftyHom, inner: LInftyHom) -> LInftyHom:
     def phi2(x, y):
         return outer.phi2(inner.phi0(x), inner.phi0(y)) + outer.phi1(inner.phi2(x, y))
 
-    return LInftyHom(
-        inner.src,
-        outer.dst,
-        lambda x: outer.phi0(inner.phi0(x)),
-        lambda h: outer.phi1(inner.phi1(h)),
-        phi2,
-        name=f"{outer.name}*{inner.name}",
-    )
+    return LInftyHom(inner.src, outer.dst, lambda x: outer.phi0(inner.phi0(x)),
+                     lambda h: outer.phi1(inner.phi1(h)), phi2)
 
 
 def hom_residuals_once(hom: LInftyHom, x, y, z, h) -> dict[str, float]:
@@ -376,7 +367,6 @@ class ChainHomotopy:
     from_hom: LInftyHom
     to_hom: LInftyHom
     tau: Callable[[Any], Any]
-    name: str = ""
 
     def __post_init__(self):
         if self.from_hom.src is not self.to_hom.src or self.from_hom.dst is not self.to_hom.dst:

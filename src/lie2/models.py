@@ -54,7 +54,6 @@ def make_gk(g: LieAlgebraPresentation, k: float) -> TwoTermLInfinity:
     zero differential, trivial action, Jacobiator k * B(x, [y, z])."""
     n = g.dim
     return TwoTermLInfinity(
-        name=f"skeletal[{g.name},k={k:g}]",
         space0=CoordSpace(n),
         space1=RealLine(),
         d=lambda c: np.zeros(n),
@@ -68,7 +67,6 @@ def make_pkg(g: LieAlgebraPresentation, k: float, degree: int = 4) -> TwoTermLIn
     """Strict path model: based paths in degree 0, centrally extended loops in
     degree 1; the degree-mixing bracket is the level-k action dalpha."""
     return TwoTermLInfinity(
-        name=f"paths[{g.name},k={k:g}]",
         space0=PathSpace(g, BASED, degree),
         space1=CentralSpace(g, degree),
         d=lambda v: v.loop,
@@ -83,7 +81,6 @@ def make_el(g: LieAlgebraPresentation, degree: int = 4) -> TwoTermLInfinity:
     identity differential, both brackets pointwise."""
     space = PathSpace(g, LOOP, degree)
     return TwoTermLInfinity(
-        name=f"indiscrete-loops[{g.name}]",
         space0=space,
         space1=space,
         d=lambda h: h,
@@ -97,7 +94,6 @@ def make_el_vectors(g: LieAlgebraPresentation) -> TwoTermLInfinity:
     """Indiscrete model on the algebra itself (used for the triviality check)."""
     space = CoordSpace(g.dim)
     return TwoTermLInfinity(
-        name=f"indiscrete[{g.name}]",
         space0=space,
         space1=CoordSpace(g.dim),
         d=lambda h: h,
@@ -119,8 +115,7 @@ def make_phi(k: float, *, pkg: TwoTermLInfinity, gk: TwoTermLInfinity) -> LInfty
     on directions, and the skew boundary-corrected pairing
     ``endpoint_corrector_terms`` as corrector."""
     return LInftyHom(pkg, gk, lambda p: p.endpoint(), lambda v: v.c,
-                     lambda p1, p2: sum(endpoint_corrector_terms(k, p1, p2)),
-                     name="endpoint")
+                     lambda p1, p2: sum(endpoint_corrector_terms(k, p1, p2)))
 
 
 def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
@@ -140,7 +135,7 @@ def make_psi(g: LieAlgebraPresentation, f: np.ndarray, *,
     def psi2(x1, x2) -> CentralVector:
         return _derived_central(_derived(g, g.bracket(x1, x2)[..., :, None] * profile, LOOP))
 
-    return LInftyHom(gk, pkg, psi0, psi1, psi2, name="splitting")
+    return LInftyHom(gk, pkg, psi0, psi1, psi2)
 
 
 def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
@@ -151,10 +146,7 @@ def make_lambda(g: LieAlgebraPresentation, k: float, *, el: TwoTermLInfinity,
     def lam2(l1: PolyPath, l2: PolyPath) -> CentralVector:
         return _derived_central(zero_path(g, LOOP), -omega(l1, l2, k))
 
-    return LInftyHom(el, pkg,
-                     lambda l: l,
-                     _derived_central,
-                     lam2, name="loop-inclusion")
+    return LInftyHom(el, pkg, lambda l: l, _derived_central, lam2)
 
 
 def make_tau(g: LieAlgebraPresentation, *, pkg: TwoTermLInfinity,
@@ -166,21 +158,15 @@ def make_tau(g: LieAlgebraPresentation, *, pkg: TwoTermLInfinity,
     def tau(p: PolyPath) -> CentralVector:
         return _derived_central(_derived(g, (p - psi.phi0(phi.phi0(p))).coeffs, LOOP))
 
-    return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau,
-                         name="retraction")
+    return ChainHomotopy(compose(psi, phi), identity_hom(pkg), tau)
 
 
 def trivializing_homotopy(el: TwoTermLInfinity) -> ChainHomotopy:
     """Homotopy from the zero endomorphism of an indiscrete model to its
     identity, witnessing equivalence with the trivial structure."""
-    zero = LInftyHom(
-        el, el,
-        lambda x: el.space0.zero(),
-        lambda h: el.space1.zero(),
-        lambda x, y: el.space1.zero(),
-        name="zero",
-    )
-    return ChainHomotopy(zero, identity_hom(el), lambda x: x, name="trivializer")
+    zero = LInftyHom(el, el, lambda x: el.space0.zero(), lambda h: el.space1.zero(),
+                     lambda x, y: el.space1.zero())
+    return ChainHomotopy(zero, identity_hom(el), lambda x: x)
 
 
 @dataclass(eq=False)
@@ -196,7 +182,6 @@ class ModelBundle:
     psi: LInftyHom
     lam: LInftyHom
     tau: ChainHomotopy
-    phi_psi: LInftyHom  # skeletal -> skeletal, should be the identity
     trivializer: ChainHomotopy  # zero => identity on the indiscrete vector model
 
 
@@ -212,7 +197,7 @@ def build_models(g: LieAlgebraPresentation, k: float, f=LINEAR_SPLITTING,
     tau = make_tau(g, pkg=pkg, phi=phi, psi=psi)
     return ModelBundle(
         algebra=g, k=k, gk=gk, pkg=pkg, el=el, phi=phi, psi=psi, lam=lam, tau=tau,
-        phi_psi=compose(phi, psi), trivializer=trivializing_homotopy(make_el_vectors(g)),
+        trivializer=trivializing_homotopy(make_el_vectors(g)),
     )
 
 
@@ -237,16 +222,16 @@ def equivalence_residuals(bundle: ModelBundle, inputs) -> dict[str, float]:
     """Residual of the law an ``equivalence_samples`` item is tagged with."""
     law, *args = inputs
     if law == "round_trip_identity":
-        gk, rt, phi, psi = bundle.gk, bundle.phi_psi, bundle.phi, bundle.psi
+        gk, phi, psi = bundle.gk, bundle.phi, bundle.psi
         x, y, c = args
         n0, n1 = gk.space0.norm, gk.space1.norm
         nx, ny = n0(x), n0(y)
-        # rt.phi2(x, y) = phi2(psi0 x, psi0 y) + phi1(psi2(x, y)), whose two
-        # pairings cancel inside phi2: they are the law's terms
+        # (phi o psi)_2(x, y) = phi2(psi0 x, psi0 y) + phi1(psi2(x, y)), whose
+        # two pairings cancel inside phi2: they are the law's terms
         corrector = [*endpoint_corrector_terms(bundle.k, psi.phi0(x), psi.phi0(y)),
                      phi.phi1(psi.phi2(x, y))]
-        return {law: largest(law_residual([rt.phi0(x), -x], n0, [nx]),
-                             law_residual([rt.phi1(c), -c], n1, [n1(c)]),
+        return {law: largest(law_residual([phi.phi0(psi.phi0(x)), -x], n0, [nx]),
+                             law_residual([phi.phi1(psi.phi1(c)), -c], n1, [n1(c)]),
                              law_residual(corrector, n1, [nx, ny]))}
     return {law: largest(*two_hom_residuals_once(bundle.trivializer, *args).values())}
 

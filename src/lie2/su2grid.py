@@ -80,13 +80,14 @@ outputs afresh, arrays the size of its rows or its window, so a call holds
 a few block-sized arrays at a time, whatever the grid.  Products and
 conjugates of unit rows are not checked: their boundaries are exactly the
 identity, so a check could only turn a NaN into an input error; the NaN
-reaches the residual instead.  A and the residuals read a loop field only
-through ``windows(blocks)``, its samples on each block's window in turn: a
-``SampledPathOfLoops`` slices its grid, and a ``StreamedPathOfLoops``
-(``LoopFieldCoeffs.stream``) samples each row once into one window buffer,
-moving the rows a window shares with the one before to its front.  So A and
-the residuals on streamed fields hold O(``BLOCK_POINTS``) samples per field
-and never a full grid; ``LoopFieldCoeffs.sample`` assembles the same windows.
+reaches the residual instead.  A and the residuals take streamed loop
+fields (``StreamedPathOfLoops``, from ``LoopFieldCoeffs.stream``) and read
+them only through ``windows(blocks)``, their samples on each block's window
+in turn: each row is sampled once into one window buffer, and the rows a
+window shares with the one before move to its front.  So A and the residuals
+hold O(``BLOCK_POINTS``) samples per field and never a full grid.
+``LoopFieldCoeffs.sample`` assembles the same windows into a full grid, a
+``SampledPathOfLoops``, which the kernels do not take.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _vector_form(q: np.ndarray, diff: np.ndarray, sign: float) -> np.ndarray:
 
 
 def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form exponential of v . X for coordinates (3, ...):
+    """Closed-form exponential of v . X for coordinates (3, n, ...):
     (cos(|v|/2), sin(|v|/2) v / |v|), by the half-angle tangent
     tau = tan(|v|/4): cos(|v|/2) = (1 - tau^2) / (1 + tau^2) and
     sin(|v|/2) / |v| = 2 tau / ((1 + tau^2) |v|).  Written into ``out``,
@@ -181,8 +182,6 @@ def exp_su2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the sample shape are the only temporaries: |v|, tau and 1 + tau^2, the
     last reused for the coefficient of v."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:  # one vector: the in-place kernels below need an array axis
-        return exp_su2(v[:, None], None if out is None else out[:, None])[:, 0]
     if out is None:
         out = np.empty((4, *v.shape[1:]))
     alpha = np.einsum("k...,k...->...", v, v)
@@ -306,7 +305,9 @@ class SampledGroupPath:
 
 @dataclass(eq=False)
 class SampledPathOfLoops:
-    """Grid f[:, i, j] = f(t_i, theta_j), the identity along t = 0 and theta = 0."""
+    """Grid f[:, i, j] = f(t_i, theta_j), the identity along t = 0 and theta = 0:
+    a checked full grid, as ``LoopFieldCoeffs.sample`` assembles it.  The
+    kernels take streamed fields instead."""
 
     grid: np.ndarray  # (4, Nt + 1, Ntheta + 1) float
 
@@ -322,17 +323,6 @@ class SampledPathOfLoops:
         if not unitary_drift(f) <= 1e-10:
             raise InputError("loop field samples drift off the unitary group")
         object.__setattr__(self, "grid", f)
-
-    @property
-    def n_t(self) -> int:
-        return self.grid.shape[1] - 1
-
-    @property
-    def n_theta(self) -> int:
-        return self.grid.shape[2] - 1
-
-    def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
-        return (self.grid[:, blk.a:blk.b] for blk in blocks)
 
 
 @dataclass(eq=False)
@@ -375,9 +365,6 @@ class StreamedPathOfLoops:
             yield win
 
 
-LoopField = SampledPathOfLoops | StreamedPathOfLoops
-
-
 def _derived(cls, **fields):
     """A sampled carrier built from checked data, without the entry checks."""
     carrier = object.__new__(cls)
@@ -403,7 +390,7 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return per_k[0] + per_k[1] + per_k[2]
 
 
-def kappa_exponent(f: LoopField, g: LoopField) -> float:
+def kappa_exponent(f: StreamedPathOfLoops, g: StreamedPathOfLoops) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
     kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form.  The
     unscaled forms carry the t- and theta-steps of the trapezoids, so A is
@@ -417,7 +404,8 @@ def kappa_exponent(f: LoopField, g: LoopField) -> float:
     return float(_trapz(rows))
 
 
-def kappa_cocycle_residual(f: LoopField, g: LoopField, h: LoopField) -> float:
+def kappa_cocycle_residual(f: StreamedPathOfLoops, g: StreamedPathOfLoops,
+                           h: StreamedPathOfLoops) -> float:
     """2|D|, D = A(f,g) + A(fg,h) - A(g,h) - A(f,gh): the cocycle defect of
     kappa at unit level.  At level k and form c I, |kappa(f,g) kappa(fg,h) -
     kappa(g,h) kappa(f,gh)| = 2|sin(k c D)| is at most |k c| times this.
@@ -483,8 +471,8 @@ def ad_omega_identity_residual(p: SampledGroupPath, xi: PolyPath, eta: PolyPath)
     return float(abs(lhs - rhs))
 
 
-def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: LoopField,
-                                        f2: LoopField) -> float:
+def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: StreamedPathOfLoops,
+                                        f2: StreamedPathOfLoops) -> float:
     """|2 (A(p f1 p^-1, p f2 p^-1) - A(f1, f2)) - C|, the defect at unit level
     of the conjugation rule for the cocycle,
 

@@ -73,8 +73,10 @@ REPORT_VERSION = 1
 MAX_DEGREE = 64
 # the level enters only the polynomial suites (the quadrature suites report
 # their defects at unit level), whose residuals are sized by the terms their
-# laws cancel and pass up to |k| = 1e300; near 1e308 the level-k terms
-# overflow.  The bound is the largest level the tests run them at
+# laws cancel; at degree 4 they pass up to |k| = 1e300, and near 1e308 the
+# level-k terms overflow.  At degree 2 three of them read about 1.6e-16 |k|
+# and fail from about |k| = 1e6 (ROADMAP item 1).  The bound is the largest
+# level the tests run them at
 MAX_LEVEL = 1e12
 # the three quadrature suites take 0.5 microseconds per grid point on square
 # grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
@@ -130,13 +132,14 @@ class RunConfig:
         return FixtureTable()
 
     def resolve_suites(self) -> list[str]:
-        names = list(self.suites)
-        if not names or "all" in names:
-            return list(REGISTRY)
-        unknown = [n for n in names if n not in REGISTRY]
+        """The suites to run, each once, in first-given order; ``all`` (or none
+        given) is every suite.  Every unknown name is refused, also beside
+        ``all``."""
+        names = list(dict.fromkeys(self.suites))
+        unknown = [n for n in names if n != "all" and n not in REGISTRY]
         if unknown:
             raise InputError(f"unknown suites: {', '.join(unknown)}")
-        return names
+        return list(REGISTRY) if not names or "all" in names else names
 
     def validate(self) -> None:
         if not all(math.isfinite(v) for v in (self.k, self.tol_exact, self.tol_quad)):
@@ -283,9 +286,8 @@ def _double_bracket(models: ModelBundle) -> ModelBundle:
     bracket, but the differential no longer intertwines it with the action,
     d(l2(p, v)) = [p, dv] against l2(p, dv) = 2 [p, dv]: the mutant fails
     outside the level term, at any k and degree."""
-    pkg = models.pkg
-    return replace(models, pkg=replace(pkg, l2_00=lambda p, q: 2.0 * pointwise_bracket(p, q),
-                                       name=f"{pkg.name}[2 bracket]"))
+    return replace(models, pkg=replace(models.pkg,
+                                       l2_00=lambda p, q: 2.0 * pointwise_bracket(p, q)))
 
 
 def _double_objects(hom: str) -> Callable[[ModelBundle], ModelBundle]:
@@ -295,8 +297,7 @@ def _double_objects(hom: str) -> Callable[[ModelBundle], ModelBundle]:
     level term appears, at any k and degree."""
     def mutate(models: ModelBundle) -> ModelBundle:
         h = getattr(models, hom)
-        return replace(models, **{hom: replace(h, phi0=lambda x: 2.0 * h.phi0(x),
-                                               name=f"{h.name}[2 phi0]")})
+        return replace(models, **{hom: replace(h, phi0=lambda x: 2.0 * h.phi0(x))})
     return mutate
 
 

@@ -59,12 +59,6 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def conj(self, g: int, x: int) -> int:
-        return self.mul(self.mul(g, x), int(self.inverse[g]))
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)

@@ -86,7 +86,7 @@ def test_verify_ntheta_past_the_bound_is_config_error(capsys):
     assert "error: ntheta must not exceed 32768, got 32769" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("form_scale", ["2", "0.5"])
+@pytest.mark.parametrize("form_scale", ["2", "0.5", "3"])
 def test_default_suites_pass_at_other_form_scales(capsys, su2_file, form_scale):
     # the quadrature suites read no form, and the polynomial ones size each
     # residual by the terms its law cancels
@@ -164,7 +164,8 @@ def test_level_float64_cannot_judge_is_config_error(capsys, flags):
 
 # (k, form scale c) corners up to the level bound, the form c I read from an
 # algebra file; (1, 1e6) is test_polynomial_suites_pass_at_a_large_form_scale's
-LEVEL_CORNERS = [(1e12, 1.0), (-1e6, 1e6), (1e12, 0.5), (1e9, 1e-3), (-1e9, 1e-3), (1e9, 1.0)]
+LEVEL_CORNERS = [(1e12, 1.0), (-1e12, 1.0), (-1e6, 1e6), (1e12, 0.5), (1e9, 1e-3), (-1e9, 1e-3),
+                 (1e9, 1.0)]
 
 
 @pytest.mark.parametrize("k, form_scale", [*LEVEL_CORNERS, (1.0, 1e6)])
@@ -176,8 +177,7 @@ def test_levels_up_to_the_bound_are_accepted(su2_file, k, form_scale):
 def test_polynomial_suites_pass_at_levels_up_to_the_bound(su2_file, k, form_scale):
     # each residual is sized by the terms its law cancels, which grow with
     # |k| and the form, so a level the bound admits reads roundoff
-    report = run(RunConfig(algebra=su2_file(form_scale), k=k, trials=5,
-                           suites=POLYNOMIAL_SUITES))
+    report = run(RunConfig(algebra=su2_file(form_scale), k=k, suites=POLYNOMIAL_SUITES))
     assert [s["name"] for s in report["suites"] if not s["passed"]] == []
     assert report["summary"]["passed"] == 10
 
@@ -229,6 +229,24 @@ def test_a_negative_tolerance_reaches_config_validation(capsys):
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nonesuch"])
     assert code == 2
+
+
+def test_verify_refuses_an_unknown_suite_beside_all(capsys):
+    # every name is checked before "all" expands, so no suite runs
+    code = main(["verify", "--suite", "all", "--suite", "bogus", "--suite", "bogus"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: unknown suites: bogus\n"
+
+
+def test_verify_runs_a_repeated_suite_once_in_first_given_order(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    assert main(["verify", "--suite", "gk-jacobi", "--suite", "gk-jacobi",
+                 "--report", str(path), *FAST]) == 0
+    assert "1/1 suites passed" in capsys.readouterr().out
+    assert [s["name"] for s in json.loads(path.read_text())["suites"]] == ["gk-jacobi"]
+    names = ("phi-hom", "gk-jacobi", "phi-hom", "exactness", "gk-jacobi")
+    assert RunConfig(suites=names).resolve_suites() == ["phi-hom", "gk-jacobi", "exactness"]
 
 
 def test_verify_unknown_algebra(capsys):
@@ -863,7 +881,7 @@ def test_every_config_field_has_a_verify_flag_with_no_default_of_its_own():
 def test_polynomial_suites_pass_at_a_large_form_scale(su2_file):
     # every identity is invariant under rescaling the form; the terms the form
     # enters grow with it, and each residual is sized by its law's terms
-    report = run(RunConfig(algebra=su2_file(1e6), trials=20, suites=POLYNOMIAL_SUITES))
+    report = run(RunConfig(algebra=su2_file(1e6), suites=POLYNOMIAL_SUITES))
     assert [s["name"] for s in report["suites"] if not s["passed"]] == []
     assert report["summary"]["passed"] == 10
 

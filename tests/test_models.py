@@ -466,7 +466,7 @@ def test_splitting_integral_is_universal(rng):
 def test_round_trip_zero_corrector_is_exact_zero(g, rng):
     bundle = build_models(g, 1.0, SMOOTHSTEP)
     x1, x2 = rng.uniform(-1, 1, (2, 3))
-    assert abs(bundle.phi_psi.phi2(x1, x2)) <= 1e-14
+    assert abs(compose(bundle.phi, bundle.psi).phi2(x1, x2)) <= 1e-14
 
 
 def test_psi_phi_composite_formulas(g, rng, draw):

@@ -48,6 +48,12 @@ def identity_grid(*shape: int) -> np.ndarray:
                            (4, *shape)).copy()
 
 
+def identity_stream(n_t: int, n_theta: int) -> sg.StreamedPathOfLoops:
+    """The identity loop field: every window of a zero-coefficient stream is
+    exactly the identity (``test_a_zero_stream_is_exactly_the_identity``)."""
+    return sg.LoopFieldCoeffs(np.zeros((3, 2, 2))).stream(n_t, n_theta)
+
+
 # -- full-grid references from the row kernels, every row in one window --------
 
 def t_form(grid: np.ndarray) -> np.ndarray:
@@ -163,8 +169,8 @@ def test_exp_su2_is_group_valued(rng):
 
 def test_exp_su2_half_turn():
     # exp(pi * X3) = -i sigma3: purely imaginary diagonal
-    u = sg.exp_su2(np.array([0.0, 0.0, np.pi]))
-    assert np.allclose(to_matrix(u), np.diag([-1.0j, 1.0j]), atol=1e-15)
+    u = sg.exp_su2(np.array([[0.0], [0.0], [np.pi]]))
+    assert np.allclose(to_matrix(u[:, 0]), np.diag([-1.0j, 1.0j]), atol=1e-15)
 
 
 EDGE_NORMS = [0.0, 1e-300, 1e-12, 2e-12, 1.0, np.pi, np.nextafter(TWO_PI, 0.0), TWO_PI,
@@ -322,26 +328,37 @@ def test_beta_p_closed_form_oracle(g, rng):
     assert numeric == pytest.approx(oracle, abs=1e-6)
 
 
+def test_a_zero_stream_is_exactly_the_identity():
+    # so the trivial-input cases below feed the kernels the identity field,
+    # on one block and on several
+    for n_t, n_theta in [(32, 32), (300, 96)]:
+        blocks = sg._blocks(n_t + 1, n_theta + 1)
+        for win in identity_stream(n_t, n_theta).windows(blocks):
+            assert (win == sg.IDENTITY[:, None, None]).all()
+
+
 def test_kappa_trivial_inputs(rng):
     n = 32
-    ident = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
-    f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
+    ident = identity_stream(n, n)
+    spec = sg.random_loop_field_coeffs(rng, amplitude=0.8)
+    f = spec.stream(n, n)
     # the Maurer-Cartan forms of the identity are exactly 0
     assert sg.kappa_exponent(f, ident) == 0.0
     assert sg.kappa_exponent(ident, f) == 0.0
-    assert sg.kappa_exponent(f, f) != 0.0
+    grid = spec.sample(n, n).grid
+    assert sg.kappa_exponent(f, f) == full_grid_exponent(grid, grid) != 0.0
 
 
 def test_kappa_matches_refined_grid(rng):
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.5) for _ in range(2)]
-    coarse = sg.kappa_exponent(specs[0].sample(192, 192), specs[1].sample(192, 192))
-    fine = sg.kappa_exponent(specs[0].sample(768, 768), specs[1].sample(768, 768))
+    coarse = sg.kappa_exponent(specs[0].stream(192, 192), specs[1].stream(192, 192))
+    fine = sg.kappa_exponent(specs[0].stream(768, 768), specs[1].stream(768, 768))
     assert 2.0 * abs(coarse - fine) <= 1e-4
 
 
 def test_kappa_cocycle_second_order(rng):
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
-    res = [sg.kappa_cocycle_residual(*(s.sample(n, n) for s in specs))
+    res = [sg.kappa_cocycle_residual(*(s.stream(n, n) for s in specs))
            for n in (64, 128, 256)]
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
@@ -349,10 +366,12 @@ def test_kappa_cocycle_second_order(rng):
 
 def test_kappa_cocycle_trivial_entry(rng):
     n = 32
-    ident = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
-    f = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    h = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_cocycle_residual(f, ident, h) <= 1e-12
+    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
+    f, h = (s.stream(n, n) for s in specs)
+    value = sg.kappa_cocycle_residual(f, identity_stream(n, n), h)
+    assert value <= 1e-12
+    f_grid, h_grid = (s.sample(n, n).grid for s in specs)
+    assert value == _cocycle_by_composition(f_grid, identity_grid(n + 1, n + 1), h_grid)
 
 
 def test_ad_omega_trivial_cases(g, rng):
@@ -379,17 +398,20 @@ def test_ad_omega_second_order(g, rng):
 def test_kappa_conjugation_trivial_conjugator(rng):
     n = 32
     ident = sg.SampledGroupPath(identity_grid(n + 1))
-    f1 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    f2 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_conjugation_identity_residual(ident, f1, f2) <= 1e-12
+    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
+    value = sg.kappa_conjugation_identity_residual(ident, *(s.stream(n, n) for s in specs))
+    assert value <= 1e-12
+    assert value == _conjugation_by_composition(ident, *(s.sample(n, n).grid for s in specs))
 
 
 def test_kappa_conjugation_trivial_field(rng):
     n = 32
-    ident_field = sg.SampledPathOfLoops(identity_grid(n + 1, n + 1))
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(n)
-    f1 = sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(n, n)
-    assert sg.kappa_conjugation_identity_residual(p, f1, ident_field) <= 1e-12
+    spec = sg.random_loop_field_coeffs(rng, amplitude=0.8)
+    value = sg.kappa_conjugation_identity_residual(p, spec.stream(n, n), identity_stream(n, n))
+    assert value <= 1e-12
+    assert value == _conjugation_by_composition(p, spec.sample(n, n).grid,
+                                                identity_grid(n + 1, n + 1))
 
 
 def test_kappa_conjugation_second_order(rng):
@@ -398,7 +420,7 @@ def test_kappa_conjugation_second_order(rng):
     res = []
     for n in (64, 128, 256):
         p = pspec.sample(n)
-        f1, f2 = (s.sample(n, n) for s in fspecs)
+        f1, f2 = (s.stream(n, n) for s in fspecs)
         res.append(sg.kappa_conjugation_identity_residual(p, f1, f2))
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
@@ -492,42 +514,45 @@ def _streamed_grids():
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
 def test_streamed_residuals_equal_the_full_grid_composition(rng, nt, ntheta):
-    # on sampled grids and on coefficient fields sampled a window at a time
+    # on coefficient fields sampled a window at a time, against the full grids
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
-    fs = [s.sample(nt, ntheta) for s in specs]
+    grids = [s.sample(nt, ntheta).grid for s in specs]
     streamed = [s.stream(nt, ntheta) for s in specs]
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
-    cocycle = sg.kappa_cocycle_residual(*fs)
+    cocycle = sg.kappa_cocycle_residual(*streamed)
     assert cocycle > 0.0
-    assert cocycle == _cocycle_by_composition(*(f.grid for f in fs))
-    assert sg.kappa_cocycle_residual(*streamed) == cocycle
-    conjugation = sg.kappa_conjugation_identity_residual(p, fs[0], fs[1])
+    assert cocycle == _cocycle_by_composition(*grids)
+    conjugation = sg.kappa_conjugation_identity_residual(p, *streamed[:2])
     assert conjugation > 0.0
-    assert conjugation == _conjugation_by_composition(p, fs[0].grid, fs[1].grid)
-    assert sg.kappa_conjugation_identity_residual(p, *streamed[:2]) == conjugation
-    blocks = sg._blocks(nt + 1, ntheta + 1)  # the grid's windows are the stream's
-    for a, b in zip(streamed[0].windows(blocks), fs[0].windows(blocks)):
-        assert np.array_equal(a, b)
+    assert conjugation == _conjugation_by_composition(p, *grids[:2])
+    blocks = sg._blocks(nt + 1, ntheta + 1)  # the stream's windows slice the grid
+    for blk, win in zip(blocks, streamed[0].windows(blocks)):
+        assert np.array_equal(win, grids[0][:, blk.a:blk.b])
 
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
 def test_kappa_exponent_takes_streamed_fields(rng, nt, ntheta):
-    # A streams like the residuals, so it reads either kind of loop field and
-    # equals the one-pass value on the full grids
+    # A streams like the residuals and equals the one-pass value on the full
+    # grids
     specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(2)]
-    f, g = (s.sample(nt, ntheta) for s in specs)
-    value = sg.kappa_exponent(f, g)
+    value = sg.kappa_exponent(*(s.stream(nt, ntheta) for s in specs))
     assert value != 0.0
-    assert value == full_grid_exponent(f.grid, g.grid)
-    assert sg.kappa_exponent(*(s.stream(nt, ntheta) for s in specs)) == value
-    assert sg.kappa_exponent(f, specs[1].stream(nt, ntheta)) == value
+    assert value == full_grid_exponent(*(s.sample(nt, ntheta).grid for s in specs))
 
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
 def test_one_block_spanning_the_grid_gives_the_blocked_values(rng, monkeypatch, nt, ntheta):
-    # the fields are sampled before the blocks change: sampling assembles
-    # blocks too
-    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(nt, ntheta) for _ in range(3)]
+    # a stream samples the windows of the blocks in force when it is read, and
+    # on one-row blocks (40 x 16385) its samples differ by an ulp from those of
+    # one block; so each field reads the grid it samples under the default
+    # blocks, whatever blocks the kernels then take
+    fs = []
+    for _ in range(3):
+        spec = sg.random_loop_field_coeffs(rng, amplitude=0.8)
+        fs.append(spec.stream(nt, ntheta))
+        grid = spec.sample(nt, ntheta).grid
+        monkeypatch.setattr(fs[-1], "windows",
+                            lambda blocks, grid=grid: (grid[:, b.a:b.b] for b in blocks))
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
 
     def values():
@@ -686,8 +711,8 @@ def test_blocks_partition_the_rows_and_window_their_stencils():
 
 def _poison_last_block(monkeypatch, kernel, is_operand):
     """Put a NaN into one computed product or conjugate, in the last of the two
-    blocks of a 301-row grid only: the kernel's output where the field it reads
-    passes is_operand."""
+    blocks of a 301-row grid only: the kernel's output where the window it
+    reads passes is_operand."""
     real = getattr(sg, kernel)
 
     def poisoned(a, b, **buffers):
@@ -710,11 +735,15 @@ def _poison_last_block(monkeypatch, kernel, is_operand):
 def test_a_nan_in_a_streamed_product_reaches_the_residual(rng, monkeypatch, residual, kernel,
                                                          operand):
     # products and conjugates of checked rows are not checked again
-    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).sample(300, 96) for _ in range(3)]
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).stream(300, 96) for _ in range(3)]
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(96)
     assert [(b.a, b.b) for b in sg._blocks(301, 97)] == [(0, 169), (167, 301)]
+    # the windows the operand's stream yields name it
+    windows, real = [], fs[operand].windows
+    monkeypatch.setattr(fs[operand], "windows",
+                        lambda blocks: (windows.append(w) or w for w in real(blocks)))
     _poison_last_block(monkeypatch, kernel,
-                       lambda field: np.shares_memory(field, fs[operand].grid))
+                       lambda field: any(np.shares_memory(field, w) for w in windows))
     if residual == "cocycle":
         value = sg.kappa_cocycle_residual(*fs)
     else:
