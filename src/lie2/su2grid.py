@@ -67,27 +67,24 @@ of every sample is unit to a few ulps; they refuse fewer than 5 samples per
 axis.  The grids and rows they sample pin their identity rows as built and
 are derived (``_derived``).
 
-Row-block streaming.  Every grid kernel is pointwise, a stencil along theta
-within one t-row, or a 3-point stencil along t, and the theta-trapezoid
-reduces each row on its own.  So A and the two kappa residuals stream over
-blocks of at most ``BLOCK_POINTS`` grid points (31 t-rows at Ntheta = 512): a
-block forms the products, conjugates, unscaled Maurer-Cartan forms and
-pairings of its rows and reduces them to per-row theta-sums, and the
-t-trapezoid runs once over the assembled row sums.  The t-stencils of a block
-read a window of the input rows with a 1-row halo on each side, or the 3 end
-rows where the one-sided stencil applies.  A block's kernels allocate their
-outputs afresh, arrays the size of its rows or its window, so a call holds
-a few block-sized arrays at a time, whatever the grid.  Products and
-conjugates of unit rows are not checked: their boundaries are exactly the
-identity, so a check could only turn a NaN into an input error; the NaN
-reaches the residual instead.  A and the residuals take streamed loop
-fields (``StreamedPathOfLoops``, from ``LoopFieldCoeffs.stream``) and read
-them only through ``windows(blocks)``, their samples on each block's window
-in turn: each row is sampled once into one window buffer, and the rows a
-window shares with the one before move to its front.  So A and the residuals
-hold O(``BLOCK_POINTS``) samples per field and never a full grid.
-``LoopFieldCoeffs.sample`` assembles the same windows into a full grid, a
-``SampledPathOfLoops``, which the kernels do not take.
+Row-block streaming.  A row's samples and integrals do not depend on the
+block of t-rows that holds it: every grid kernel is pointwise, a stencil along
+theta within one row, or a 3-point stencil along t, the theta-trapezoid
+reduces each row on its own, and a stream samples two or more rows at a time
+(numpy's one-row product can differ in the last bit).  So A and the two kappa
+residuals stream over blocks of max(2, ``BLOCK_POINTS`` // (Ntheta + 1)) rows
+(31 at Ntheta = 512), a remainder of 1 or 2 rows joining the last.  A block
+forms the products, conjugates, Maurer-Cartan forms and pairings of its rows,
+fresh arrays of its size, and reduces them to per-row theta-sums; the
+t-trapezoid runs once over the row sums.  Its t-stencils read its window, the
+block and a 1-row halo clipped to the grid.  Products and conjugates of unit
+rows are not checked: their boundaries are exactly the identity, so a check
+could only turn a NaN into an input error; the NaN reaches the residual
+instead.  The kernels read streamed loop fields (``StreamedPathOfLoops``, from
+``LoopFieldCoeffs.stream``) only through ``windows(blocks)``: each row is
+sampled once into one buffer, and the 2 rows a window shares with the one
+before move to its front, so a call holds O(``BLOCK_POINTS``) samples per
+field.  ``LoopFieldCoeffs.sample`` is one window spanning the grid.
 """
 
 from __future__ import annotations
@@ -239,13 +236,11 @@ def _trapz(v: np.ndarray) -> np.ndarray:
 
 class _Block:
     """Rows lo..hi-1 of a grid of n t-rows, and the window a..b-1 of rows their
-    t-stencils read: a 1-row halo, or the 3 end rows of the one-sided stencil."""
+    t-stencils read: the block and a 1-row halo, clipped to the grid."""
 
     def __init__(self, lo: int, hi: int, n: int):
         self.lo, self.hi, self.n = lo, hi, n
-        a, b = max(lo - 1, 0), min(hi + 1, n)
-        self.a = min(a, n - 3) if hi == n else a
-        self.b = max(b, 3) if lo == 0 else b
+        self.a, self.b = max(lo - 1, 0), min(hi + 1, n)
 
     def inner(self, window: np.ndarray) -> np.ndarray:
         """The block's own rows lo..hi-1 of its window."""
@@ -253,8 +248,9 @@ class _Block:
 
 
 def _blocks(n_rows: int, n_cols: int) -> list[_Block]:
-    step = max(1, BLOCK_POINTS // n_cols)
-    return [_Block(lo, min(lo + step, n_rows), n_rows) for lo in range(0, n_rows, step)]
+    step = max(2, BLOCK_POINTS // n_cols)
+    bounds = [*range(0, n_rows - 2, step), n_rows]
+    return [_Block(lo, hi, n_rows) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _t_form(blk: _Block, window: np.ndarray) -> np.ndarray:
@@ -306,7 +302,7 @@ class SampledGroupPath:
 @dataclass(eq=False)
 class SampledPathOfLoops:
     """Grid f[:, i, j] = f(t_i, theta_j), the identity along t = 0 and theta = 0:
-    a checked full grid, as ``LoopFieldCoeffs.sample`` assembles it.  The
+    a checked full grid, as ``LoopFieldCoeffs.sample`` returns it.  The
     kernels take streamed fields instead."""
 
     grid: np.ndarray  # (4, Nt + 1, Ntheta + 1) float
@@ -346,8 +342,8 @@ class StreamedPathOfLoops:
     def windows(self, blocks: list[_Block]) -> Iterator[np.ndarray]:
         """Each block's window in turn, every row sampled and pinned once.
         The windows share one buffer sized by the largest, so each is valid
-        until the next is drawn: the rows a window shares with the one before,
-        at most its last 3, are moved to the front."""
+        until the next is drawn: the 2 rows a window shares with the one
+        before are moved to its front."""
         buf = np.empty((4, max(b.b - b.a for b in blocks), self.n_theta + 1))
         prev_a = prev_b = 0
         for blk in blocks:
@@ -355,12 +351,11 @@ class StreamedPathOfLoops:
             buf[:, :kept] = buf[:, blk.a - prev_a:prev_b - prev_a]
             win = buf[:, :blk.b - blk.a]
             a, fresh = blk.a + kept, win[:, kept:]
-            if a < blk.b:
-                v = np.matmul(self.t_basis[a:blk.b], self.theta_part, out=fresh[1:])
-                exp_su2(v, out=fresh)
-                if a == 0:
-                    fresh[:, 0] = IDENTITY[:, None]
-                fresh[:, :, 0] = IDENTITY[:, None]
+            v = np.matmul(self.t_basis[a:blk.b], self.theta_part, out=fresh[1:])
+            exp_su2(v, out=fresh)
+            if a == 0:
+                fresh[:, 0] = IDENTITY[:, None]
+            fresh[:, :, 0] = IDENTITY[:, None]
             prev_a, prev_b = blk.a, blk.b
             yield win
 
@@ -390,6 +385,18 @@ def _theta_integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return per_k[0] + per_k[1] + per_k[2]
 
 
+def _blockwise(rows: np.ndarray, *fields: StreamedPathOfLoops
+               ) -> Iterator[tuple[np.ndarray, _Block, list[np.ndarray]]]:
+    """Each block's columns of ``rows``, the block, and each field's window."""
+    # the kernels keep their loop bodies inline: which block arrays are alive
+    # when the next block allocates decides whether glibc trims the heap, and
+    # a per-block closure multiplied the grid suites' page faults (6-fold at
+    # 512 x 512, 170-fold at 2048 x 2048) and slowed them by a fifth or more
+    blocks = _blocks(fields[0].n_t + 1, fields[0].n_theta + 1)
+    for blk, *windows in zip(blocks, *(x.windows(blocks) for x in fields)):
+        yield rows[..., blk.lo:blk.hi], blk, windows
+
+
 def kappa_exponent(f: StreamedPathOfLoops, g: StreamedPathOfLoops) -> float:
     """A(f, g), the double integral of <f^-1 df/dt, (dg/dtheta) g^-1>:
     kappa(f, g) = exp(2ik A(f, g)) at level k and the unit form.  The
@@ -397,10 +404,8 @@ def kappa_exponent(f: StreamedPathOfLoops, g: StreamedPathOfLoops) -> float:
     the unit-step double sum of their pairing, streamed over blocks of t-rows
     like the residuals."""
     rows = np.empty(f.n_t + 1)
-    blocks = _blocks(f.n_t + 1, f.n_theta + 1)
-    for blk, f_win, g_win in zip(blocks, f.windows(blocks), g.windows(blocks)):
-        rows[blk.lo:blk.hi] = _theta_integrals(_t_form(blk, f_win),
-                                               _right_form(blk.inner(g_win)))
+    for out, blk, (f_win, g_win) in _blockwise(rows, f, g):
+        out[:] = _theta_integrals(_t_form(blk, f_win), _right_form(blk.inner(g_win)))
     return float(_trapz(rows))
 
 
@@ -413,10 +418,8 @@ def kappa_cocycle_residual(f: StreamedPathOfLoops, g: StreamedPathOfLoops,
     and the unscaled forms of its rows and keeps only the row integrals of the
     four pairings."""
     rows = np.empty((4, f.n_t + 1))  # (f, g), (fg, h), (g, h), (f, gh)
-    blocks = _blocks(f.n_t + 1, f.n_theta + 1)
-    for blk, f_win, g_win, h_win in zip(blocks, *(x.windows(blocks) for x in (f, g, h))):
+    for out, blk, (f_win, g_win, h_win) in _blockwise(rows, f, g, h):
         g_rows, h_rows = blk.inner(g_win), blk.inner(h_win)
-        out = rows[:, blk.lo:blk.hi]
         mc_f = _t_form(blk, f_win)
         out[0] = _theta_integrals(mc_f, _right_form(g_rows))
         mc_h = _right_form(h_rows)
@@ -488,10 +491,8 @@ def kappa_conjugation_identity_residual(p: SampledGroupPath, f1: StreamedPathOfL
     form = _base_form(p)
     q = p.samples[:, None, :]
     rows = np.empty((3, f1.n_t + 1))  # (p f1 p^-1, p f2 p^-1), (f1, f2), correction
-    blocks = _blocks(f1.n_t + 1, f1.n_theta + 1)
-    for blk, f1_win, f2_win in zip(blocks, f1.windows(blocks), f2.windows(blocks)):
+    for out, blk, (f1_win, f2_win) in _blockwise(rows, f1, f2):
         f2_rows = blk.inner(f2_win)
-        out = rows[:, blk.lo:blk.hi]
         out[0] = _theta_integrals(_t_form(blk, _conjugate(q, f1_win)),
                                   _right_form(_conjugate(q, f2_rows)))
         mc_f1 = _t_form(blk, f1_win)
@@ -586,11 +587,8 @@ class LoopFieldCoeffs:
                                    c @ _theta_loop_basis(theta, mn).T)
 
     def sample(self, n_t: int, n_theta: int) -> SampledPathOfLoops:
-        """The full grid, assembled from the windows of ``stream``."""
-        grid = np.empty((4, n_t + 1, n_theta + 1))
-        blocks = _blocks(n_t + 1, n_theta + 1)
-        for blk, win in zip(blocks, self.stream(n_t, n_theta).windows(blocks)):
-            grid[:, blk.lo:blk.hi] = blk.inner(win)
+        """The full grid, as one window of ``stream`` spanning it."""
+        [grid] = self.stream(n_t, n_theta).windows([_Block(0, n_t + 1, n_t + 1)])
         return _derived(SampledPathOfLoops, grid=grid)
 
 

@@ -78,13 +78,14 @@ MAX_DEGREE = 64
 # and fail from about |k| = 1e6 (ROADMAP item 1).  The bound is the largest
 # level the tests run them at
 MAX_LEVEL = 1e12
-# the three quadrature suites take 0.5 microseconds per grid point on square
-# grids and 1.4 on grids of a few t-rows (2 vCPUs): at 2^23 points, 4.3 s and
-# about 11 s; the time grows with the grid
+# the three quadrature suites take about 0.5 microseconds per grid point on
+# square grids and 0.85 on a few t-rows (2 vCPUs): at 2^23 points, 3.7-4.1 s at
+# 2895 x 2895 and 6.7-7.4 s at 255 x 32767; the time grows with the grid
 MAX_GRID_POINTS = 1 << 23
-# a block of the kappa suites holds at least one t-row of ntheta + 1 points, so
-# their memory grows by about 0.65 KiB per theta sample: with nt = 8 they peak
-# at 40.7, 47.7 and 58.5 MiB RSS at ntheta 2^12, 2^14 and 2^15 (numpy 2.4)
+# a block of the kappa suites holds at least two t-rows of ntheta + 1 points,
+# the last up to four, so their memory grows by about 1.2 KiB per theta sample:
+# at nt = 9, whose last block holds four rows, they peak at 41.1, 55.9 and
+# 75.3 MiB RSS at ntheta 2^12, 2^14 and 2^15 (68.8 MiB at nt = 8; numpy 2.4)
 MAX_NTHETA = 1 << 15
 
 

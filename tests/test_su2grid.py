@@ -504,8 +504,8 @@ def _conjugation_by_composition(p, f1, f2):
 
 def _streamed_grids():
     """(nt, ntheta): square, not square with a partial last block, the minimum
-    RunConfig grid, grids whose last block holds 1, 2 and 3 rows, so the
-    one-sided end stencil reads rows of the block before, and one-row blocks."""
+    RunConfig grid, grids that leave 1, 2 and 3 rows after two full blocks, so
+    the last block holds rows + 1, rows + 2 and 3 rows, and two-row blocks."""
     ntheta = 1023
     rows = sg.BLOCK_POINTS // (ntheta + 1)
     return [(256, 256), (300, 96), (8, 8)] + [(2 * rows + last - 1, ntheta)
@@ -540,19 +540,9 @@ def test_kappa_exponent_takes_streamed_fields(rng, nt, ntheta):
     assert value == full_grid_exponent(*(s.sample(nt, ntheta).grid for s in specs))
 
 
-@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
-def test_one_block_spanning_the_grid_gives_the_blocked_values(rng, monkeypatch, nt, ntheta):
-    # a stream samples the windows of the blocks in force when it is read, and
-    # on one-row blocks (40 x 16385) its samples differ by an ulp from those of
-    # one block; so each field reads the grid it samples under the default
-    # blocks, whatever blocks the kernels then take
-    fs = []
-    for _ in range(3):
-        spec = sg.random_loop_field_coeffs(rng, amplitude=0.8)
-        fs.append(spec.stream(nt, ntheta))
-        grid = spec.sample(nt, ntheta).grid
-        monkeypatch.setattr(fs[-1], "windows",
-                            lambda blocks, grid=grid: (grid[:, b.a:b.b] for b in blocks))
+def _assert_one_block_gives_the_blocked_values(monkeypatch, rng, fs, nt, ntheta):
+    """A and both residuals on the default blocks equal, bit for bit, their
+    values on one block spanning the grid."""
     p = sg.random_group_path_coeffs(rng, amplitude=0.6).sample(ntheta)
 
     def values():
@@ -566,6 +556,26 @@ def test_one_block_spanning_the_grid_gives_the_blocked_values(rng, monkeypatch, 
 
 
 @pytest.mark.parametrize("nt, ntheta", _streamed_grids())
+def test_one_block_spanning_the_grid_gives_the_blocked_values(rng, monkeypatch, nt, ntheta):
+    fs = [sg.random_loop_field_coeffs(rng, amplitude=0.8).stream(nt, ntheta) for _ in range(3)]
+    _assert_one_block_gives_the_blocked_values(monkeypatch, rng, fs, nt, ntheta)
+
+
+@pytest.mark.parametrize("nt, ntheta", [(40, 16385), (41, 16385), (8, 32768), (9, 32768),
+                                       (300, 96)])
+def test_a_rows_samples_and_integrals_do_not_depend_on_its_block(rng, monkeypatch, nt, ntheta):
+    # every window a stream yields is the same rows of the full grid, sampled
+    # as one window, bit for bit; so are A and the residuals
+    specs = [sg.random_loop_field_coeffs(rng, amplitude=0.8) for _ in range(3)]
+    fs = [s.stream(nt, ntheta) for s in specs]
+    grid = specs[0].sample(nt, ntheta).grid
+    blocks = sg._blocks(nt + 1, ntheta + 1)
+    for blk, win in zip(blocks, fs[0].windows(blocks)):
+        assert np.array_equal(win, grid[:, blk.a:blk.b])
+    _assert_one_block_gives_the_blocked_values(monkeypatch, rng, fs, nt, ntheta)
+
+
+@pytest.mark.parametrize("nt, ntheta", _streamed_grids())
 def test_a_stream_samples_each_row_once(rng, monkeypatch, nt, ntheta):
     rows, real = [], sg.exp_su2
     monkeypatch.setattr(sg, "exp_su2", lambda v, out=None: rows.append(v.shape[1]) or real(v, out))
@@ -573,6 +583,7 @@ def test_a_stream_samples_each_row_once(rng, monkeypatch, nt, ntheta):
     windows = list(sg.random_loop_field_coeffs(rng).stream(nt, ntheta).windows(blocks))
     assert [w.shape[1] for w in windows] == [b.b - b.a for b in blocks]
     assert sum(rows) == nt + 1
+    assert min(rows) >= 2  # no one-row product, whose last bits differ
 
 
 @pytest.mark.parametrize("residual, position", [("cocycle", 0), ("cocycle", 1), ("cocycle", 2),
@@ -694,19 +705,26 @@ def test_streamed_residuals_hold_no_more_than_block_local_arrays():
 
 
 def test_blocks_partition_the_rows_and_window_their_stencils():
+    # blocks of step = max(2, BLOCK_POINTS // n_cols) rows, the last of 3 to
+    # step + 2; each window, its block and a 1-row halo clipped to the grid,
+    # is the rows the block's t-stencils read
     for n_rows, n_cols in [(5, 5), (9, 9), (257, 257), (131, 97), (301, 97), (33, 1024),
-                           (34, 1024), (35, 1024), (5, 20000)]:
+                           (34, 1024), (35, 1024), (5, 20000), (41, 16386), (42, 16386)]:
+        step = max(2, sg.BLOCK_POINTS // n_cols)
         blocks = sg._blocks(n_rows, n_cols)
         assert [b.lo for b in blocks[1:]] == [b.hi for b in blocks[:-1]]
         assert (blocks[0].lo, blocks[-1].hi) == (0, n_rows)
+        assert all(b.hi - b.lo == step for b in blocks[:-1])
+        assert 3 <= blocks[-1].hi - blocks[-1].lo <= step + 2
         for b in blocks:
-            assert (b.hi - b.lo) * n_cols <= max(sg.BLOCK_POINTS, n_cols)
             reads = {r + d for r in range(b.lo, b.hi) for d in (-1, 1)
                      if 0 < r < n_rows - 1}
             reads |= {0, 1, 2} if b.lo == 0 else set()
             reads |= {n_rows - 3, n_rows - 2, n_rows - 1} if b.hi == n_rows else set()
             assert set(range(b.a, b.b)) == reads | set(range(b.lo, b.hi))
     assert len(sg._blocks(301, 97)) == 2 and len(sg._blocks(257, 257)) == 5
+    assert [b.hi - b.lo for b in sg._blocks(41, 16386)] == [2] * 19 + [3]
+    assert [b.hi - b.lo for b in sg._blocks(42, 16386)] == [2] * 19 + [4]
 
 
 def _poison_last_block(monkeypatch, kernel, is_operand):
