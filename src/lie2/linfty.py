@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .liealg import InputError, LieAlgebraPresentation
+from .liealg import LieAlgebraPresentation
 from .paths import (
     BASED,
     LOOP,
@@ -304,10 +304,8 @@ def identity_hom(L: TwoTermLInfinity) -> LInftyHom:
 
 
 def compose(outer: LInftyHom, inner: LInftyHom) -> LInftyHom:
-    """Composite with (outer o inner)_2 = outer2(inner0 x, inner0 y) + outer1(inner2(x, y))."""
-    if inner.dst is not outer.src:
-        raise InputError("homomorphisms are not composable")
-
+    """Composite with (outer o inner)_2 = outer2(inner0 x, inner0 y) + outer1(inner2(x, y));
+    ``inner.dst`` is ``outer.src``."""
     def phi2(x, y):
         return outer.phi2(inner.phi0(x), inner.phi0(y)) + outer.phi1(inner.phi2(x, y))
 
@@ -351,7 +349,7 @@ def hom_samples(hom: LInftyHom, rng: np.random.Generator, trials: int) -> Iterat
 
 @dataclass(eq=False)
 class ChainHomotopy:
-    """Degree-raising map tau witnessing from_hom => to_hom.
+    """Degree-raising map tau witnessing from_hom => to_hom, parallel homomorphisms.
 
     Orientation: d o tau = to0 - from0 and tau o d = to1 - from1, paired with
     the coherence law
@@ -367,10 +365,6 @@ class ChainHomotopy:
     from_hom: LInftyHom
     to_hom: LInftyHom
     tau: Callable[[Any], Any]
-
-    def __post_init__(self):
-        if self.from_hom.src is not self.to_hom.src or self.from_hom.dst is not self.to_hom.dst:
-            raise InputError("2-homomorphism requires parallel homomorphisms")
 
 
 def two_hom_residuals_once(homotopy: ChainHomotopy, x, y, h) -> dict[str, float]:

@@ -656,8 +656,9 @@ REGISTRY: dict[str, SuiteSpec] = {spec.name: spec for spec in (
         tolerance=attrgetter("tol_quad")),
     SuiteSpec(
         "crossed-axioms", 14,
-        "boundary and action compatibility of the bundled finite crossed "
-        "modules: partial(alpha(g) h) = g partial(h) g^-1 and "
+        "the group axioms of G and H (identity, two-sided inverses, "
+        "associativity), then boundary and action compatibility of the bundled "
+        "finite crossed modules: partial(alpha(g) h) = g partial(h) g^-1 and "
         "alpha(partial h1) h2 = h1 h2 h1^-1, exhaustively.",
         _module_sample, _crossed_evaluate, tolerance=_zero),
     SuiteSpec(

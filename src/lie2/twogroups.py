@@ -2,12 +2,11 @@
 
 Everything here is exact integer table arithmetic: groups are multiplication
 tables, and morphisms of the 2-group are pairs (object, direction) indexed as
-p * |H| + h.  The constructors refuse malformed tables (shapes, ranges, and a
-group table's identity, inverses and associativity) with ``InputError``.
-Every law of a crossed module, a 2-group or a homomorphism - source / target
-/ identity homomorphisms, composability, associativity, units, interchange,
-preservation of composition - is reported by ``violations``, exhaustively and
-with zero tolerance, never raised; exactness is image = kernel, an
+p * |H| + h.  The tables are built in code, not read, so nothing here
+raises: every law of a group table, a crossed module, a 2-group or a
+homomorphism is reported by ``violations``, exhaustively and with zero
+tolerance, after the range check that lets the laws index the tables, whose
+failure is returned alone.  Exactness is image = kernel, an
 ``ExactnessRecord``.
 """
 
@@ -18,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import InputError
+
+def _range_violations(what: str, values: np.ndarray, shape: tuple, bound: int) -> list[str]:
+    """The shape ``shape`` and every entry in [0, bound)."""
+    if values.shape != shape:
+        return [f"{what} has shape {values.shape}, not {shape}"]
+    if values.size and not 0 <= values.min() <= values.max() < bound:
+        return [f"{what} entries out of range"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -31,33 +37,43 @@ class FiniteGroup:
     table: np.ndarray  # table[a, b] = a * b
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=int)
-        n = t.shape[0]
-        if t.shape != (n, n) or n == 0:
-            raise InputError("group table must be square and non-empty")
-        if t.min() < 0 or t.max() >= n:
-            raise InputError("group table entries out of range")
-        object.__setattr__(self, "table", t)
-        idx = np.arange(n)
-        ident = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
-        if len(ident) != 1:
-            raise InputError(f"{self.name}: table has no unique identity")
-        self.identity = int(ident[0])
-        # a's inverse is the one b with a b = e, and b a = e must hold too
-        is_e = t == self.identity
-        inv = is_e.argmax(axis=1)
-        bad = np.flatnonzero((is_e.sum(axis=1) != 1) | (t[inv, idx] != self.identity))
-        if bad.size:
-            raise InputError(f"{self.name}: element {bad[0]} lacks a two-sided inverse")
-        self.inverse = inv
-        # associativity, exhaustive: (a b) c against a (b c), axes (a, b, c)
-        bad = np.argwhere((t[t] != t[idx[:, None, None], t]).any(axis=2))
-        if bad.size:
-            raise InputError(f"{self.name}: associativity fails at ({bad[0, 0]}, {bad[0, 1]})")
+        t = self.table = np.asarray(self.table, dtype=int)
+        n = len(t)
+        # best-effort, as ``violations`` checks them: the two-sided identity,
+        # else 0, and for each a the first b with a b = identity
+        self.identity, self.inverse = 0, np.zeros(n, dtype=int)
+        if t.shape == (n, n) and n:
+            units = np.flatnonzero(((t == np.arange(n)) & (t.T == np.arange(n))).all(axis=1))
+            self.identity = int(units[0]) if units.size else 0
+            self.inverse = (t == self.identity).argmax(axis=1)
 
     @property
     def order(self) -> int:
         return self.table.shape[0]
+
+    def range_violations(self) -> list[str]:
+        n = self.order
+        return _range_violations("table", self.table, (n, n), n) if n else ["table is empty"]
+
+    def violations(self) -> list[str]:
+        """Identity, two-sided inverses and associativity, each at its first
+        failure; a failed range check is returned alone."""
+        if out := self.range_violations():
+            return out
+        t, e, idx = self.table, self.identity, np.arange(self.order)
+        if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
+            out.append("table has no identity")
+        else:
+            # a's inverse is the one b with a b = e, and b a = e must hold too
+            is_e = t == e
+            bad = np.flatnonzero((is_e.sum(axis=1) != 1) | (t[self.inverse, idx] != e))
+            if bad.size:
+                out.append(f"element {bad[0]} lacks a two-sided inverse")
+        # (a b) c against a (b c), axes (a, b, c)
+        bad = np.argwhere((t[t] != t[idx[:, None, None], t]).any(axis=2))
+        if bad.size:
+            out.append(f"associativity fails at ({bad[0, 0]}, {bad[0, 1]})")
+        return out
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -89,8 +105,8 @@ def quaternion_group() -> FiniteGroup:
 
 @dataclass(eq=False)
 class FiniteCrossedModule:
-    """(G, H, partial: H -> G, alpha: G acting on H) with the two
-    compatibility laws checked exhaustively by ``violations``."""
+    """(G, H, partial: H -> G, alpha: G acting on H); ``violations`` checks
+    the group laws of G and H, and the module's, exhaustively."""
 
     name: str
     G: FiniteGroup
@@ -99,24 +115,26 @@ class FiniteCrossedModule:
     alpha: np.ndarray  # (|G|, |H|) values in H
 
     def __post_init__(self):
-        partial = np.asarray(self.partial, dtype=int)
-        alpha = np.asarray(self.alpha, dtype=int)
-        if partial.shape != (self.H.order,):
-            raise InputError("partial must list one image per element of H")
-        if alpha.shape != (self.G.order, self.H.order):
-            raise InputError("alpha must be a |G| x |H| table")
-        if partial.min() < 0 or partial.max() >= self.G.order:
-            raise InputError("partial entries out of range")
-        if alpha.min() < 0 or alpha.max() >= self.H.order:
-            raise InputError("alpha entries out of range")
-        object.__setattr__(self, "partial", partial)
-        object.__setattr__(self, "alpha", alpha)
+        self.partial = np.asarray(self.partial, dtype=int)
+        self.alpha = np.asarray(self.alpha, dtype=int)
+
+    def range_violations(self) -> list[str]:
+        G, H = self.G, self.H
+        return ([f"{g.name}: {v}" for g in dict.fromkeys((G, H))
+                 for v in g.range_violations()]
+                + _range_violations("partial", self.partial, (H.order,), G.order)
+                + _range_violations("alpha", self.alpha, (G.order, H.order), H.order))
 
     def violations(self) -> list[str]:
+        """The laws of G and of H, each prefixed with the group's name, then
+        the module's own; failed range checks are returned alone."""
+        if out := self.range_violations():
+            return out
         G, H, d, a = self.G, self.H, self.partial, self.alpha
         g_idx, h_idx = np.arange(G.order), np.arange(H.order)
-        out = [f"partial not a homomorphism at ({h1}, {h2})"
-               for h1, h2 in np.argwhere(d[H.table] != G.table[d][:, d])]
+        out = [f"{g.name}: {v}" for g in dict.fromkeys((G, H)) for v in g.violations()]
+        out += [f"partial not a homomorphism at ({h1}, {h2})"
+                for h1, h2 in np.argwhere(d[H.table] != G.table[d][:, d])]
         # alpha(g)(h1 h2) against alpha(g)(h1) alpha(g)(h2), axes (g, h1, h2)
         hom_bad = a[:, H.table] != H.table[a[:, :, None], a[:, None, :]]
         not_bijective = (np.sort(a, axis=1) != h_idx).any(axis=1)
@@ -150,9 +168,7 @@ def conjugation_module(G: FiniteGroup) -> FiniteCrossedModule:
 
 
 def trivial_action_module(G: FiniteGroup, H: FiniteGroup) -> FiniteCrossedModule:
-    """Trivial boundary and trivial action; requires H abelian."""
-    if not np.array_equal(H.table, H.table.T):
-        raise InputError("trivial-action module needs an abelian direction group")
+    """Trivial boundary and action; a non-abelian H fails the conjugation law."""
     return FiniteCrossedModule(
         f"trivial[{G.name},{H.name}]", G, H,
         np.full(H.order, G.identity, dtype=int),
@@ -162,19 +178,13 @@ def trivial_action_module(G: FiniteGroup, H: FiniteGroup) -> FiniteCrossedModule
 
 def inclusion_module(G: FiniteGroup, members: list[int],
                      name: str = "") -> FiniteCrossedModule:
-    """Normal subgroup inclusion with the conjugation action."""
+    """Normal subgroup inclusion with the conjugation action; a product or a
+    conjugate outside ``members`` is -1, out of range, in H's table or alpha."""
     members = np.array(members, dtype=int)
     pos = np.full(G.order, -1)  # pos[g] = index of g among the members, or -1
     pos[members] = np.arange(members.size)
-    if pos[G.identity] < 0:
-        raise InputError("subgroup must contain the identity")
-    sub_table = pos[G.table[np.ix_(members, members)]]
-    if (sub_table < 0).any():
-        raise InputError("member list is not closed under the product")
-    H = FiniteGroup(name or f"sub[{G.name}]", sub_table)
+    H = FiniteGroup(name or f"sub[{G.name}]", pos[G.table[np.ix_(members, members)]])
     alpha = pos[G.table[G.table[:, members], G.inverse[:, None]]]  # (g h) g^-1
-    if (alpha < 0).any():
-        raise InputError("subgroup is not normal")
     return FiniteCrossedModule(f"incl[{H.name}<{G.name}]", G, H, members, alpha)
 
 
@@ -235,6 +245,9 @@ class FiniteTwoGroup:
     # -- exhaustive axioms ---------------------------------------------------
 
     def violations(self) -> list[str]:
+        """The laws of the 2-group, unless its crossed module is out of range."""
+        if self.cm.range_violations():
+            return ["crossed module entries out of range"]
         out, nM, G = [], self.n_morphisms, self.cm.G.table
         s, t, table, unit = self.source, self.target, self.mor_table, self.unit
         if not np.array_equal(s[table], G[s][:, s]):
@@ -308,22 +321,18 @@ class TwoGroupHom:
     name: str = ""
 
     def __post_init__(self):
-        obj_map = np.asarray(self.obj_map, dtype=int)
-        mor_map = np.asarray(self.mor_map, dtype=int)
-        if obj_map.shape != (self.src.n_objects,):
-            raise InputError("object map has the wrong length")
-        if mor_map.shape != (self.src.n_morphisms,):
-            raise InputError("morphism map has the wrong length")
-        if obj_map.min() < 0 or obj_map.max() >= self.dst.n_objects:
-            raise InputError("object map entries out of range")
-        if mor_map.min() < 0 or mor_map.max() >= self.dst.n_morphisms:
-            raise InputError("morphism map entries out of range")
-        object.__setattr__(self, "obj_map", obj_map)
-        object.__setattr__(self, "mor_map", mor_map)
+        self.obj_map = np.asarray(self.obj_map, dtype=int)
+        self.mor_map = np.asarray(self.mor_map, dtype=int)
 
     def violations(self) -> list[str]:
-        out = []
+        """The laws of a strict homomorphism, unless a 2-group or a map is out of range."""
         src, dst, f0, f1 = self.src, self.dst, self.obj_map, self.mor_map
+        out = [f"{g.cm.name}: crossed module entries out of range"
+               for g in dict.fromkeys((src, dst)) if g.cm.range_violations()]
+        out += _range_violations("object map", f0, (src.n_objects,), dst.n_objects)
+        out += _range_violations("morphism map", f1, (src.n_morphisms,), dst.n_morphisms)
+        if out:
+            return out
         if not np.array_equal(f0[src.cm.G.table], dst.cm.G.table[f0][:, f0]):
             out.append("object map is not a homomorphism")
         if not np.array_equal(f1[src.mor_table], dst.mor_table[f1][:, f1]):
@@ -361,8 +370,6 @@ def strict_kernel_exactness(iota: TwoGroupHom, pi: TwoGroupHom) -> ExactnessReco
     """For a composable pair iota, pi of strict homomorphisms, compare
     image(iota) with kernel(pi) on objects and on morphisms, exactly; the
     laws of the pair are their ``violations``."""
-    if iota.dst is not pi.src:
-        raise InputError("homomorphisms are not composable")
     ker_obj, ker_mor = strict_kernel(pi)
     im_obj, im_mor = set(iota.obj_map.tolist()), set(iota.mor_map.tolist())
     return ExactnessRecord(len(ker_obj), len(ker_mor), len(im_obj), len(im_mor),
@@ -379,13 +386,8 @@ def quotient_group(G: FiniteGroup, members: list[int] | np.ndarray
     quotient, whose elements are the cosets numbered by least element, and
     the projection map."""
     # row g is the coset g N, sorted, so unique rows come in order of least element
-    cosets, proj = np.unique(np.sort(G.table[:, members], axis=1), axis=0,
-                             return_inverse=True)
-    if not np.array_equal(np.sort(cosets, axis=None), np.arange(G.order)):
-        raise InputError("member list does not induce a partition")
-    if G.identity not in members:  # else g N need not contain g
-        raise InputError("subgroup must contain the identity")
-    reps = cosets[:, 0]
+    _, proj = np.unique(np.sort(G.table[:, members], axis=1), axis=0, return_inverse=True)
+    reps = np.unique(proj, return_index=True)[1]  # the least element of each coset
     return FiniteGroup(f"{G.name}/N", proj[G.table[np.ix_(reps, reps)]]), proj
 
 

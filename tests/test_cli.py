@@ -786,6 +786,37 @@ def test_a_run_builds_each_bundled_module_once_and_checks_each_fixture_once(monk
         assert run(RunConfig(suites=(name,)))["suites"] == [entry]
 
 
+def test_a_tampered_bundled_group_fails_the_suites_over_it_and_no_other(monkeypatch, tmp_path):
+    # Q8 with i (-i) and i j swapped in row 2: i has no two-sided inverse.
+    # The run completes with a report (exit 1, not 2): crossed-axioms fails
+    # and names Q8's inverse law, the other finite suites fail on the
+    # fixtures built over Q8 and keep every other entry, and every suite that
+    # reads no finite table passes, as it does untampered
+    clean = {entry["name"]: entry for entry in run(RunConfig(suites=FINITE_SUITES))["suites"]}
+    quaternion_group = twogroups.quaternion_group
+
+    def tampered():
+        table = quaternion_group().table
+        table[2, [3, 4]] = table[2, [4, 3]]
+        return twogroups.FiniteGroup("Q8", table)
+    monkeypatch.setattr(twogroups, "quaternion_group", tampered)
+    report_path = tmp_path / "r.json"
+    assert main(["verify", "--report", str(report_path)]) == 1
+    entries = {entry["name"]: entry for entry in json.loads(report_path.read_text())["suites"]}
+    assert list(entries) == list(REGISTRY)
+    assert entries["crossed-axioms"]["details"]["conj[Q8]"][0] == (
+        "Q8: element 2 lacks a two-sided inverse")
+    over_q8 = {"conj[Q8]", "incl[Z4<i><Q8]", "kernel-inclusion[Q8]"}
+    for name, entry in entries.items():
+        if name not in FINITE_SUITES:
+            assert entry["passed"]
+            continue
+        assert not entry["passed"]
+        details, before = entry["details"], clean[name]["details"]
+        assert {fixture for fixture in details.keys() | before.keys()
+                if details.get(fixture) != before.get(fixture)} == over_q8 & details.keys()
+
+
 def _break_bundled_module(monkeypatch) -> list:
     # conj[S3] with the trivial action in place of conjugation: equivariance
     # and the conjugation law fail at the 18 pairs that do not commute, and

@@ -58,3 +58,18 @@ def test_the_witness_format_has_one_owner():
     assert [m for m, names in defined.items() if names & {"serialize_element",
                                                           "deserialize_element"}] == ["replay"]
     assert [m for m, modules in top_level.items() if "replay" in modules] == ["cli"]
+
+
+def test_input_errors_are_raised_only_where_data_enters():
+    # exit 2 is bad input: flags, algebra files, reports and the carriers
+    # replay builds.  The finite tables, the models, the sign rules and the
+    # worst-case fold take no input, so a defect there is a law that fails
+    entry = {"liealg", "paths", "su2grid", "suites", "replay", "cli"}
+    raising = set()
+    for path in sorted((ROOT / "src" / "lie2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(call, ast.Name) and call.id == "InputError":
+                    raising.add(path.stem)
+    assert raising and raising <= entry

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from lie2.liealg import InputError
 from lie2.twogroups import (
     FiniteCrossedModule,
     FiniteGroup,
@@ -68,11 +67,17 @@ def test_quaternion_table_is_quaternion_arithmetic():
         assert units[q8.table[x, y]] == hamilton_product(units[x], units[y])
 
 
-def test_group_table_validation_rejects_bad_tables():
-    with pytest.raises(InputError):
-        FiniteGroup("bad", np.array([[0, 1], [0, 1]]))  # no inverse structure
-    with pytest.raises(InputError):
-        FiniteGroup("bad", np.array([[0, 1], [1, 5]]))  # out of range
+@pytest.mark.parametrize("table, law", [
+    ([[0, 1], [0, 1]], "table has no identity"),  # a b = b: associative, no right unit
+    ([[0, 1], [1, 5]], "table entries out of range"),
+    ([[0, 1, 2], [1, 2, 0]], "table has shape (2, 3), not (2, 2)"),
+    (np.zeros((0, 0)), "table is empty"),
+], ids=["no-identity", "out-of-range", "not-square", "empty"])
+def test_a_bad_group_table_is_built_and_fails_its_laws(table, law):
+    group = FiniteGroup("bad", table)
+    assert group.violations() == [law]
+    assert FiniteCrossedModule("bad", group, cyclic_group(1), [0],
+                               np.zeros((group.order, 1))).violations()[0] == f"bad: {law}"
 
 
 def test_bundled_crossed_modules_are_valid():
@@ -101,21 +106,25 @@ def conj(group, g, x):
     return group.table[group.table[g, x], group.inverse[g]]
 
 
-def loop_group_error(name, t):
-    """Reference: the identity, inverse and associativity checks of a group
-    table as scalar loops; the first error message, or None."""
+def loop_group_violations(t):
+    """Reference: the identity, inverse and associativity laws of a group
+    table as scalar loops, each at its first failure; no inverse law without
+    an identity."""
     n = len(t)
+    out = []
     ident = [e for e in range(n) if all(t[e, x] == x and t[x, e] == x for x in range(n))]
-    if len(ident) != 1:
-        return f"{name}: table has no unique identity"
-    for a in range(n):
+    if not ident:
+        out.append("table has no identity")
+    for a in range(n) if ident else ():
         where = np.nonzero(t[a] == ident[0])[0]
         if len(where) != 1 or t[where[0], a] != ident[0]:
-            return f"{name}: element {a} lacks a two-sided inverse"
+            out.append(f"element {a} lacks a two-sided inverse")
+            break
     for a, b in itertools.product(range(n), repeat=2):
         if not np.array_equal(t[t[a, b]], t[a, t[b]]):
-            return f"{name}: associativity fails at ({a}, {b})"
-    return None
+            out.append(f"associativity fails at ({a}, {b})")
+            break
+    return out
 
 
 def loop_module_violations(cm):
@@ -173,17 +182,13 @@ def tampered_tables(t, rng):
 def test_group_checks_match_the_loop_reference_on_tampered_tables(rng):
     seen = set()
     for group in (cyclic_group(5), symmetric_group_3(), quaternion_group()):
-        assert loop_group_error(group.name, group.table) is None
+        assert loop_group_violations(group.table) == group.violations() == []
         for bad in tampered_tables(group.table, rng):
-            try:
-                FiniteGroup(group.name, bad)
-                got = None
-            except InputError as exc:
-                got = str(exc)
-            assert got == loop_group_error(group.name, bad)
-            seen.add(got and next(law for law in ("identity", "inverse", "associativity")
-                                  if law in got))
-    assert seen == {None, "identity", "inverse", "associativity"}
+            got = FiniteGroup(group.name, bad).violations()
+            assert got == loop_group_violations(bad)
+            seen |= {re.sub(r"\d+", "#", v) for v in got} or {"a group"}
+    assert seen == {"a group", "table has no identity", "element # lacks a two-sided inverse",
+                    "associativity fails at (#, #)"}
 
 
 def test_crossed_module_violations_match_the_loop_reference_on_tampered_tables(rng):
@@ -209,26 +214,34 @@ def test_crossed_module_violations_match_the_loop_reference_on_tampered_tables(r
     assert len(kinds) == 7  # every law fails somewhere
 
 
-def test_crossed_module_entries_must_be_in_range():
+def test_crossed_module_entries_out_of_range_are_its_one_violation():
     cm = conjugation_module(symmetric_group_3())
-    with pytest.raises(InputError, match="partial entries"):
-        FiniteCrossedModule("bad", cm.G, cm.H, cm.partial + 6, cm.alpha)
-    with pytest.raises(InputError, match="alpha entries"):
-        FiniteCrossedModule("bad", cm.G, cm.H, cm.partial, cm.alpha - 1)
+    bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial + 6, cm.alpha)
+    assert bad.violations() == ["partial entries out of range"]
+    bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial, cm.alpha - 1)
+    assert bad.violations() == ["alpha entries out of range"]
+    # -1 indexes the last entry, so the 2-group is built; its laws are not checked
+    assert FiniteTwoGroup(bad).violations() == ["crossed module entries out of range"]
+    bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial[1:], cm.alpha)
+    assert bad.violations() == ["partial has shape (5,), not (6,)"]
 
 
-def test_trivial_action_module_needs_abelian_directions():
-    with pytest.raises(InputError):
-        trivial_action_module(cyclic_group(2), symmetric_group_3())
+def test_trivial_action_on_non_abelian_directions_fails_the_conjugation_law():
+    # alpha(partial h1) h2 = h2 against h1 h2 h1^-1: the 36 - 18 pairs of S3
+    # that do not commute
+    got = trivial_action_module(cyclic_group(2), symmetric_group_3()).violations()
+    assert len(got) == 18
+    assert all(v.startswith("conjugation law fails at") for v in got)
 
 
-def test_inclusion_module_requires_normal_subgroup():
+def test_inclusion_of_a_non_normal_subgroup_has_alpha_out_of_range():
     s3 = symmetric_group_3()
     # a two-element subgroup generated by a transposition is not normal
     flip = next(a for a in range(6) if a != 0 and s3.table[a, a] == 0
                 and any(conj(s3, b, a) != a for b in range(6)))
-    with pytest.raises(InputError):
-        inclusion_module(s3, [0, flip])
+    cm = inclusion_module(s3, [0, flip])
+    assert cm.violations() == ["alpha entries out of range"]
+    assert FiniteTwoGroup(cm).violations() == ["crossed module entries out of range"]
 
 
 def test_two_group_axioms_exhaustive():
@@ -419,16 +432,23 @@ def test_quotient_group():
     assert proj[4] != proj[0]
 
 
-@pytest.mark.parametrize("group, members, message", [
-    (cyclic_group(5), [0, 1], "does not induce a partition"),
-    (cyclic_group(4), [0, 1], "does not induce a partition"),
-    (cyclic_group(4), [1], "must contain the identity"),
-    (symmetric_group_3(), [0, 1], "S3/N: "),  # 1 is the transposition (0 2 1)
+@pytest.mark.parametrize("group, members, law, exact", [
+    (cyclic_group(5), [0, 1], "sub[Z5]: table entries out of range", False),
+    (cyclic_group(4), [0, 1], "sub[Z4]: table entries out of range", False),
+    (cyclic_group(4), [1], "sub[Z4]: table entries out of range", False),
+    (symmetric_group_3(), [0, 1], "alpha entries out of range", True),  # 1 is (0 2 1)
 ], ids=["Z5-not-closed", "Z4-not-closed", "Z4-without-identity", "S3-not-normal"])
-def test_quotient_group_rejects_a_member_list_that_is_not_a_normal_subgroup(
-        group, members, message):
-    with pytest.raises(InputError, match=message):
-        quotient_group(group, members)
+def test_a_member_list_that_is_not_a_normal_subgroup_fails_the_laws_of_its_pair(
+        group, members, law, exact):
+    # the pair N -> G -> G/N is built all the same; the inclusion module holds
+    # a -1 for each product or conjugate outside the list, and every law of
+    # the pair over it is the one out-of-range violation
+    total = FiniteTwoGroup(inclusion_module(group, members))
+    iota, pi = kernel_inclusion_pair(total)
+    assert total.cm.violations() == [law]
+    assert total.violations() == ["crossed module entries out of range"]
+    assert pi.violations() == [f"{total.cm.name}: crossed module entries out of range"]
+    assert strict_kernel_exactness(iota, pi).passed is exact
 
 
 def test_kernel_of_the_quotient_is_the_conjugation_two_group_of_the_subgroup():
@@ -493,11 +513,11 @@ def test_exactness_sizes_for_identity():
     assert record.kernel_morphisms == 1
 
 
-def test_non_composable_homs_rejected():
+def test_a_pair_that_does_not_compose_fails_exactness():
+    # the image of a map into conj[S3] against the kernel of the identity of conj[Z4]
     iota, _ = indiscrete_collapse_pair(conj_s3(), point())
     _, pi = identity_kernel_pair(cyclic_group(4), point())
-    with pytest.raises(InputError):
-        strict_kernel_exactness(iota, pi)
+    assert not strict_kernel_exactness(iota, pi).passed
 
 
 def test_bad_hom_rejected():
@@ -521,13 +541,15 @@ def test_hom_that_breaks_composition_is_caught():
     assert "composition is not preserved" in hom.violations()
 
 
-def test_hom_entries_must_be_in_range():
+def test_hom_entries_out_of_range_are_its_one_violation():
     grp = FiniteTwoGroup(conjugation_module(cyclic_group(3)))
     objects, morphisms = np.arange(grp.n_objects), np.arange(grp.n_morphisms)
     for bad in (np.r_[morphisms[:-1], grp.n_morphisms], np.r_[morphisms[:-1], -1]):
-        with pytest.raises(InputError, match="morphism map entries out of range"):
-            TwoGroupHom(grp, grp, objects, bad)
+        assert TwoGroupHom(grp, grp, objects, bad).violations() == [
+            "morphism map entries out of range"]
     for bad in (np.r_[objects[:-1], grp.n_objects], np.r_[-1, objects[1:]]):
-        with pytest.raises(InputError, match="object map entries out of range"):
-            TwoGroupHom(grp, grp, bad, morphisms)
+        assert TwoGroupHom(grp, grp, bad, morphisms).violations() == [
+            "object map entries out of range"]
+    assert TwoGroupHom(grp, grp, objects[1:], morphisms).violations() == [
+        "object map has shape (2,), not (3,)"]
     assert TwoGroupHom(grp, grp, objects, morphisms).violations() == []
