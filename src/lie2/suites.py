@@ -75,7 +75,7 @@ MAX_DEGREE = 64
 # their defects at unit level), whose residuals are sized by the terms their
 # laws cancel; at degree 4 they pass up to |k| = 1e300, and near 1e308 the
 # level-k terms overflow.  At degree 2 three of them read about 1.6e-16 |k|
-# and fail from about |k| = 1e6 (ROADMAP item 1).  The bound is the largest
+# and fail from about |k| = 1e6 (ROADMAP item 2).  The bound is the largest
 # level the tests run them at
 MAX_LEVEL = 1e12
 # the three quadrature suites take about 0.5 microseconds per grid point on

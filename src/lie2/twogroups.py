@@ -5,9 +5,11 @@ tables, and morphisms of the 2-group are pairs (object, direction) indexed as
 p * |H| + h.  The tables are built in code, not read, so nothing here
 raises: every law of a group table, a crossed module, a 2-group or a
 homomorphism is reported by ``violations``, exhaustively and with zero
-tolerance, after the range check that lets the laws index the tables, whose
-failure is returned alone.  Exactness is image = kernel, an
-``ExactnessRecord``.
+tolerance.  Each table's shape and range are checked once, where it is built,
+and kept as ``out_of_range``: an entry outside its table is stored as -1,
+which numpy indexing wraps, so nothing built on it indexes past a table, and
+a failed check is the one violation of everything built on the table.
+Exactness is image = kernel, an ``ExactnessRecord``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _range_violations(what: str, values: np.ndarray, shape: tuple, bound: int) -> list[str]:
-    """The shape ``shape`` and every entry in [0, bound)."""
+def _range_violations(what: str, values, shape: tuple, bound: int) -> tuple[np.ndarray, list]:
+    """The rule: the shape ``shape`` and every entry in [0, bound).  Returns
+    ``values`` as integers with every entry outside [0, bound) as -1, in a new
+    array (all -1 for another shape), and the rule's violations."""
+    values = np.asarray(values, dtype=int)
     if values.shape != shape:
-        return [f"{what} has shape {values.shape}, not {shape}"]
+        return np.full(shape, -1), [f"{what} has shape {values.shape}, not {shape}"]
     if values.size and not 0 <= values.min() <= values.max() < bound:
-        return [f"{what} entries out of range"]
-    return []
+        return (np.where((0 <= values) & (values < bound), values, -1),
+                [f"{what} entries out of range"])
+    return values, []
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +43,13 @@ class FiniteGroup:
     table: np.ndarray  # table[a, b] = a * b
 
     def __post_init__(self):
-        t = self.table = np.asarray(self.table, dtype=int)
-        n = len(t)
+        n = len(self.table)
+        t, out = _range_violations("table", self.table, (n, n), n)
+        self.table, self.out_of_range = t, (out if n else ["table is empty"])
         # best-effort, as ``violations`` checks them: the two-sided identity,
         # else 0, and for each a the first b with a b = identity
         self.identity, self.inverse = 0, np.zeros(n, dtype=int)
-        if t.shape == (n, n) and n:
+        if n:
             units = np.flatnonzero(((t == np.arange(n)) & (t.T == np.arange(n))).all(axis=1))
             self.identity = int(units[0]) if units.size else 0
             self.inverse = (t == self.identity).argmax(axis=1)
@@ -51,14 +58,10 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def range_violations(self) -> list[str]:
-        n = self.order
-        return _range_violations("table", self.table, (n, n), n) if n else ["table is empty"]
-
     def violations(self) -> list[str]:
         """Identity, two-sided inverses and associativity, each at its first
         failure; a failed range check is returned alone."""
-        if out := self.range_violations():
+        if out := list(self.out_of_range):
             return out
         t, e, idx = self.table, self.identity, np.arange(self.order)
         if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
@@ -115,20 +118,16 @@ class FiniteCrossedModule:
     alpha: np.ndarray  # (|G|, |H|) values in H
 
     def __post_init__(self):
-        self.partial = np.asarray(self.partial, dtype=int)
-        self.alpha = np.asarray(self.alpha, dtype=int)
-
-    def range_violations(self) -> list[str]:
         G, H = self.G, self.H
-        return ([f"{g.name}: {v}" for g in dict.fromkeys((G, H))
-                 for v in g.range_violations()]
-                + _range_violations("partial", self.partial, (H.order,), G.order)
-                + _range_violations("alpha", self.alpha, (G.order, H.order), H.order))
+        self.partial, bad_d = _range_violations("partial", self.partial, (H.order,), G.order)
+        self.alpha, bad_a = _range_violations("alpha", self.alpha, (G.order, H.order), H.order)
+        self.out_of_range = [f"{g.name}: {v}" for g in dict.fromkeys((G, H))
+                             for v in g.out_of_range] + bad_d + bad_a
 
     def violations(self) -> list[str]:
         """The laws of G and of H, each prefixed with the group's name, then
         the module's own; failed range checks are returned alone."""
-        if out := self.range_violations():
+        if out := list(self.out_of_range):
             return out
         G, H, d, a = self.G, self.H, self.partial, self.alpha
         g_idx, h_idx = np.arange(G.order), np.arange(H.order)
@@ -245,9 +244,9 @@ class FiniteTwoGroup:
     # -- exhaustive axioms ---------------------------------------------------
 
     def violations(self) -> list[str]:
-        """The laws of the 2-group, unless its crossed module is out of range."""
-        if self.cm.range_violations():
-            return ["crossed module entries out of range"]
+        """The laws of the 2-group, or the range violations of its crossed module."""
+        if self.cm.out_of_range:
+            return list(self.cm.out_of_range)
         out, nM, G = [], self.n_morphisms, self.cm.G.table
         s, t, table, unit = self.source, self.target, self.mor_table, self.unit
         if not np.array_equal(s[table], G[s][:, s]):
@@ -327,10 +326,9 @@ class TwoGroupHom:
     def violations(self) -> list[str]:
         """The laws of a strict homomorphism, unless a 2-group or a map is out of range."""
         src, dst, f0, f1 = self.src, self.dst, self.obj_map, self.mor_map
-        out = [f"{g.cm.name}: crossed module entries out of range"
-               for g in dict.fromkeys((src, dst)) if g.cm.range_violations()]
-        out += _range_violations("object map", f0, (src.n_objects,), dst.n_objects)
-        out += _range_violations("morphism map", f1, (src.n_morphisms,), dst.n_morphisms)
+        out = [f"{g.cm.name}: {v}" for g in dict.fromkeys((src, dst)) for v in g.cm.out_of_range]
+        out += _range_violations("object map", f0, (src.n_objects,), dst.n_objects)[1]
+        out += _range_violations("morphism map", f1, (src.n_morphisms,), dst.n_morphisms)[1]
         if out:
             return out
         if not np.array_equal(f0[src.cm.G.table], dst.cm.G.table[f0][:, f0]):

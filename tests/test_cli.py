@@ -786,27 +786,44 @@ def test_a_run_builds_each_bundled_module_once_and_checks_each_fixture_once(monk
         assert run(RunConfig(suites=(name,)))["suites"] == [entry]
 
 
-def test_a_tampered_bundled_group_fails_the_suites_over_it_and_no_other(monkeypatch, tmp_path):
-    # Q8 with i (-i) and i j swapped in row 2: i has no two-sided inverse.
-    # The run completes with a report (exit 1, not 2): crossed-axioms fails
-    # and names Q8's inverse law, the other finite suites fail on the
-    # fixtures built over Q8 and keep every other entry, and every suite that
-    # reads no finite table passes, as it does untampered
+def test_a_run_checks_the_range_of_each_array_once(monkeypatch):
+    # each group table, partial and alpha where it is built, and each
+    # homomorphism's two maps in its one violations() call: one range check
+    # per array, counted by its role and its identity
+    checked, seen = Counter(), []
+    rule = twogroups._range_violations
+
+    def counted(what, values, *args):
+        seen.append(values)  # kept alive, so no id is reused during the run
+        checked[what, id(values)] += 1
+        return rule(what, values, *args)
+    monkeypatch.setattr(twogroups, "_range_violations", counted)
+    assert run(RunConfig(suites=FINITE_SUITES))["summary"]["all_passed"]
+    assert {what for what, _ in checked} == {
+        "table", "partial", "alpha", "object map", "morphism map"}
+    assert set(checked.values()) == {1}
+
+
+OVER_Q8 = {"conj[Q8]", "incl[Z4<i><Q8]", "kernel-inclusion[Q8]"}
+
+
+def _verify_with_tampered_q8(monkeypatch, tmp_path, tamper) -> dict:
+    """The report entries of ``lie2 verify`` with ``tamper`` applied to Q8's
+    table.  The run completes with a report (exit 1, not 2): the finite
+    suites fail on the fixtures built over Q8 and keep every other entry,
+    and every suite that reads no finite table passes, as it does untampered."""
     clean = {entry["name"]: entry for entry in run(RunConfig(suites=FINITE_SUITES))["suites"]}
     quaternion_group = twogroups.quaternion_group
 
     def tampered():
         table = quaternion_group().table
-        table[2, [3, 4]] = table[2, [4, 3]]
+        tamper(table)
         return twogroups.FiniteGroup("Q8", table)
     monkeypatch.setattr(twogroups, "quaternion_group", tampered)
     report_path = tmp_path / "r.json"
     assert main(["verify", "--report", str(report_path)]) == 1
     entries = {entry["name"]: entry for entry in json.loads(report_path.read_text())["suites"]}
     assert list(entries) == list(REGISTRY)
-    assert entries["crossed-axioms"]["details"]["conj[Q8]"][0] == (
-        "Q8: element 2 lacks a two-sided inverse")
-    over_q8 = {"conj[Q8]", "incl[Z4<i><Q8]", "kernel-inclusion[Q8]"}
     for name, entry in entries.items():
         if name not in FINITE_SUITES:
             assert entry["passed"]
@@ -814,7 +831,32 @@ def test_a_tampered_bundled_group_fails_the_suites_over_it_and_no_other(monkeypa
         assert not entry["passed"]
         details, before = entry["details"], clean[name]["details"]
         assert {fixture for fixture in details.keys() | before.keys()
-                if details.get(fixture) != before.get(fixture)} == over_q8 & details.keys()
+                if details.get(fixture) != before.get(fixture)} == OVER_Q8 & details.keys()
+    return entries
+
+
+def test_a_tampered_bundled_group_fails_the_suites_over_it_and_no_other(monkeypatch, tmp_path):
+    # Q8 with i (-i) and i j swapped in row 2: i has no two-sided inverse,
+    # the law crossed-axioms names first
+    def swap(table):
+        table[2, [3, 4]] = table[2, [4, 3]]
+    entries = _verify_with_tampered_q8(monkeypatch, tmp_path, swap)
+    assert entries["crossed-axioms"]["details"]["conj[Q8]"][0] == (
+        "Q8: element 2 lacks a two-sided inverse")
+
+
+def test_a_group_table_entry_at_its_order_fails_each_finite_suite_over_it(monkeypatch, tmp_path):
+    # Q8 with i j = 8, one past the last element: stored as -1, so no fixture
+    # indexes past a table, and each finite suite names Q8's range law
+    def past_the_end(table):
+        table[2, 4] = 8
+    entries = _verify_with_tampered_q8(monkeypatch, tmp_path, past_the_end)
+    for name in FINITE_SUITES:
+        details = entries[name]["details"]
+        for fixture in OVER_Q8 & details.keys():
+            laws = details[fixture]
+            laws = laws["violations"] if isinstance(laws, dict) else laws
+            assert any(law.endswith("Q8: table entries out of range") for law in laws), laws
 
 
 def _break_bundled_module(monkeypatch) -> list:

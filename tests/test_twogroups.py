@@ -216,14 +216,35 @@ def test_crossed_module_violations_match_the_loop_reference_on_tampered_tables(r
 
 def test_crossed_module_entries_out_of_range_are_its_one_violation():
     cm = conjugation_module(symmetric_group_3())
-    bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial + 6, cm.alpha)
+    partial = cm.partial + 6
+    bad = FiniteCrossedModule("bad", cm.G, cm.H, partial, cm.alpha)
     assert bad.violations() == ["partial entries out of range"]
+    # each entry at or past the order is stored as -1, which indexes the last
+    # entry, so the 2-group is built; its laws are not checked, and its one
+    # violation is the module's
+    assert FiniteTwoGroup(bad).violations() == ["partial entries out of range"]
+    assert np.all(bad.partial == -1)
+    assert np.array_equal(partial, cm.partial + 6)  # in a new array
     bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial, cm.alpha - 1)
     assert bad.violations() == ["alpha entries out of range"]
-    # -1 indexes the last entry, so the 2-group is built; its laws are not checked
-    assert FiniteTwoGroup(bad).violations() == ["crossed module entries out of range"]
+    assert FiniteTwoGroup(bad).violations() == ["alpha entries out of range"]
     bad = FiniteCrossedModule("bad", cm.G, cm.H, cm.partial[1:], cm.alpha)
     assert bad.violations() == ["partial has shape (5,), not (6,)"]
+    assert FiniteTwoGroup(bad).violations() == ["partial has shape (5,), not (6,)"]
+
+
+def test_a_table_entry_at_its_groups_order_is_a_range_violation_of_all_built_on_it():
+    table = cyclic_group(3).table.copy()
+    table[1, 1] = 3
+    group = FiniteGroup("bad", table)
+    assert group.violations() == ["table entries out of range"]
+    cm = conjugation_module(group)
+    assert cm.violations()[0] == "bad: table entries out of range"
+    grp = FiniteTwoGroup(cm)
+    assert grp.violations()[0] == "bad: table entries out of range"
+    assert TwoGroupHom(grp, grp, np.arange(3), np.arange(9)).violations()[0] == (
+        "conj[bad]: bad: table entries out of range")
+    assert group.table[1, 1] == -1 and table[1, 1] == 3
 
 
 def test_trivial_action_on_non_abelian_directions_fails_the_conjugation_law():
@@ -241,7 +262,7 @@ def test_inclusion_of_a_non_normal_subgroup_has_alpha_out_of_range():
                 and any(conj(s3, b, a) != a for b in range(6)))
     cm = inclusion_module(s3, [0, flip])
     assert cm.violations() == ["alpha entries out of range"]
-    assert FiniteTwoGroup(cm).violations() == ["crossed module entries out of range"]
+    assert FiniteTwoGroup(cm).violations() == ["alpha entries out of range"]
 
 
 def test_two_group_axioms_exhaustive():
@@ -446,8 +467,8 @@ def test_a_member_list_that_is_not_a_normal_subgroup_fails_the_laws_of_its_pair(
     total = FiniteTwoGroup(inclusion_module(group, members))
     iota, pi = kernel_inclusion_pair(total)
     assert total.cm.violations() == [law]
-    assert total.violations() == ["crossed module entries out of range"]
-    assert pi.violations() == [f"{total.cm.name}: crossed module entries out of range"]
+    assert total.violations() == [law]
+    assert pi.violations() == [f"{total.cm.name}: {law}"]
     assert strict_kernel_exactness(iota, pi).passed is exact
 
 
