@@ -20,14 +20,15 @@ the pairing and the norm), the batch is flattened into the rows of one 2-D
 product (``_rows_times``): numpy runs a stacked ``(*batch, m, K) @ (K, N)``
 as one small product per trial, far slower than the same rows in one.  Each
 row keeps its K axis and its order, and ``tests/test_batched.py`` pins that a
-trial gets the same bits in a block as alone, which witness replay relies
-on.  The bracket's structure contraction stays stacked: its left operand is
-a transpose, and the copy flattening it would take costs more than it saves.
+trial gets the same bits in a block as alone, on the BLAS kernel the process
+selects; replay does not rely on it, as it runs the same blocks again.  The
+bracket's structure contraction stays stacked: its left operand is a
+transpose, and the copy flattening it would take costs more than it saves.
 
-Carriers are checked where they enter, from witness replay or a library
-call: ``PolyPath(...)`` rejects a wrong coordinate count, an unknown kind,
-non-finite coefficients and broken endpoint constraints, ``CentralVector(...)``
-a component that is not a loop.  Whatever a run computes from checked data is
+Carriers are checked where they enter, from a library call: ``PolyPath(...)``
+rejects a wrong coordinate count, an unknown kind, non-finite coefficients
+and broken endpoint constraints, ``CentralVector(...)`` a component that is
+not a loop.  Whatever a run computes from checked data is
 built by ``_derived`` or ``_derived_central`` and not checked again: the
 operations (a path takes its kind through the lattice, so a NaN scalar gives
 a NaN path, which its residual carries to the suite's maximum), the model

@@ -6,15 +6,16 @@ one block of trials at a time and ``evaluate`` maps them to
 runner, ``_drive``, folds every suite's blocks through ``WorstCase``, so any
 NaN residual fails the suite, and returns the suite's report entry as a plain
 dict; it writes the witness of a failing suite as ``{"component", "inputs"}``
-holding the one trial with the maximum, in ``lie2.replay``'s format, and replay
-evaluates those inputs again, as a block of shape ().  A suite whose spec
-states a ``mutant`` also folds its own spec again, on the bundle with that one
-model mutated, and fails unless the mutant breaks the laws.  So every FAIL is
-a residual over its tolerance, with a witness that replays to it, or a mutant
+holding the one trial with the maximum, in ``lie2.replay``'s format.  A suite
+whose spec states a ``mutant`` also folds its own spec again, on the bundle
+with that one model mutated, and fails unless the mutant breaks the laws.  So
+every FAIL is a residual over its tolerance, with its witness, or a mutant
 that did not break its laws.
 
 Every suite draws from its own generator seeded by (config.seed, ordinal), so
-a report depends only on the configuration, never on execution order.
+a report depends only on the configuration, never on execution order or on
+the other suites of the run.  Replay relies on that: it runs the witnessed
+suites again, alone, and compares their entries with the reported ones.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .paths import (
 from .worstcase import WorstCase
 
 LINEAR = "linear"
-# what a report means: the entries a run writes and how replay evaluates them.
-# A change to either bumps it, and replay refuses a report of any other version
+# what a report means: the entries a run writes, which replay compares with
+# those of a run at the report's config.  A change to them bumps it, and replay
+# refuses a report of any other version
 REPORT_VERSION = 1
 # exactness ranks every degree from 2 to the configured one in one pass: at 64
 # it passes in about 0.01 s, and with the ten polynomial suites in about 3.3 s,
@@ -543,8 +545,9 @@ def _strict_evaluate(config, name):
     iota, pi = STRICT_PAIRS[name](table)
     record = twogroups.strict_kernel_exactness(iota, pi)
     groups = {id(g): g for g in (iota.src, iota.dst, pi.dst)}.values()
+    # a 2-group over an out-of-range module reports the module's lines, once
     bad = [f"{g.cm.name}: {v}" for g in groups
-           for v in table.violations(g.cm) + table.violations(g)]
+           for v in dict.fromkeys(table.violations(g.cm) + table.violations(g))]
     bad += [f"{h.name}: {v}" for h in (iota, pi) for v in h.violations()]
     if not record.passed:
         bad.append("image is not the kernel")
@@ -689,8 +692,8 @@ def _suite_rng(config: RunConfig, name: str) -> np.random.Generator:
 
 def run(config: RunConfig) -> dict:
     """Execute the configured suites and assemble the report document.  The
-    suites run with numpy's floating-point warnings off, as replay does, so
-    an overflow shows only as the NaN residual that fails its suite."""
+    suites run with numpy's floating-point warnings off, so an overflow shows
+    only as the NaN residual that fails its suite."""
     config.validate()
     names = config.resolve_suites()
     start = time.perf_counter()

@@ -179,7 +179,8 @@ def inclusion_module(G: FiniteGroup, members: list[int],
                      name: str = "") -> FiniteCrossedModule:
     """Normal subgroup inclusion with the conjugation action; a product or a
     conjugate outside ``members`` is -1, out of range, in H's table or alpha."""
-    members = np.array(members, dtype=int)
+    # a member outside G is -1, which the module reports as partial's range
+    members = _range_violations("partial", members, np.shape(members), G.order)[0]
     pos = np.full(G.order, -1)  # pos[g] = index of g among the members, or -1
     pos[members] = np.arange(members.size)
     H = FiniteGroup(name or f"sub[{G.name}]", pos[G.table[np.ix_(members, members)]])

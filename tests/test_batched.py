@@ -35,8 +35,8 @@ from lie2.paths import (
     zero_central,
     zero_path,
 )
-from lie2.replay import replay_suite
-from lie2.suites import GRID_SUITES, REGISTRY, RunConfig, run
+from lie2.replay import replay_report
+from lie2.suites import GRID_SUITES, REGISTRY, RunConfig, report_json, run
 from lie2.worstcase import WorstCase, largest, trial
 
 POLYNOMIAL_SUITES = ("gk-jacobi", "pkg-jacobi", "phi-hom", "psi-hom", "lambda-hom",
@@ -216,7 +216,7 @@ def test_dalpha_block_draws_equal_per_trial_draws():
 
 @pytest.mark.parametrize("name", POLYNOMIAL_SUITES)
 def test_a_trial_alone_equals_its_row_of_the_block(name):
-    # replay evaluates a witness trial alone and must reproduce its residual
+    # a trial's residual is a value of the trial, not of the block it is drawn in
     config = RunConfig(k=-1.0, splitting="0,0,3,-2", trials=TRIALS)
     spec = REGISTRY[name]
     checked = 0
@@ -241,8 +241,8 @@ BATCH_SHAPES = [(), (1,), (7,), (200,), (2, 3)]
 @pytest.mark.parametrize("against", ["batch", "one path"])
 def test_every_kernel_gives_each_trial_what_it_gives_that_trial_alone(g, rng, shape, against):
     # each kernel flattens the batch into the rows of one 2-D product; a row
-    # must not depend on how many rows the product has, or replay would not
-    # reproduce a witness's residual
+    # must not depend on how many rows the product has, or a trial's residual
+    # would depend on the block it is drawn in
     p = PathSpace(g, LOOP, 4).element(rng.uniform(-1, 1, shape + (15,)))
     q = PathSpace(g, BASED, 3).element(rng.uniform(-1, 1, (shape if against == "batch" else ())
                                                     + (12,)))
@@ -320,13 +320,16 @@ def test_every_suite_reports_the_trials_its_fold_counted(trials):
             if not s["passed"] and s["name"] not in GRID_SUITES] == []
 
 
-def test_a_jacobi_failure_replays_under_its_signature():
-    config = RunConfig(trials=10, tol_exact=1e-300, suites=("gk-jacobi", "pkg-jacobi"))
-    for entry in run(config)["suites"]:
+def test_a_jacobi_failure_replays_under_its_signature(tmp_path):
+    report = run(RunConfig(trials=10, tol_exact=1e-300, suites=("gk-jacobi", "pkg-jacobi")))
+    for entry in report["suites"]:
         component = entry["witness"]["component"]
         assert not entry["passed"] and component in LIVE_JACOBI
         assert entry["details"][component] == entry["max_residual"]
-        assert replay_suite(entry["name"], entry["witness"], config) == entry["max_residual"]
+    report_path = tmp_path / "jacobi.json"
+    report_path.write_text(report_json(report))
+    assert replay_report(report_path) == [(entry["name"], entry["max_residual"], None)
+                                          for entry in report["suites"]]
 
 
 def test_largest_is_element_wise_and_keeps_nan():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from lie2.cli import _config_from_args, _parser, main
 from lie2.liealg import InputError
 from lie2.linfty import random_elements
 from lie2.paths import CentralVector, PolyPath
-from lie2.replay import replay_report, replay_suite
+from lie2.replay import replay_report
 from lie2.suites import (
     REGISTRY,
     RunConfig,
@@ -306,10 +310,8 @@ def test_report_written_and_failures_replayable(tmp_path, capsys):
     assert entry["passed"] is False
     assert entry["witness"] is not None
 
-    rows = replay_report(report_path)
-    assert rows and rows[0][0] == "omega-cocycle"
-    # the recorded worst case reproduces the reported residual exactly
-    assert rows[0][1] == pytest.approx(entry["max_residual"], rel=1e-12)
+    # the suite run again at the report's config reproduces its entry exactly
+    assert replay_report(report_path) == [("omega-cocycle", entry["max_residual"], None)]
 
     assert main(["replay", "--report", str(report_path)]) == 0
     assert "omega-cocycle" in capsys.readouterr().out
@@ -317,8 +319,7 @@ def test_report_written_and_failures_replayable(tmp_path, capsys):
 
 def test_replay_covers_every_witness_family(tmp_path):
     # forcing an impossible tolerance makes every suite record a witness;
-    # each must deserialize against a freshly loaded algebra and reproduce
-    # the reported residual
+    # the run at the report's config reproduces each entry exactly
     report_path = tmp_path / "forced.json"
     main([
         "verify", "--tol-exact", "1e-30", "--tol-quad", "1e-30",
@@ -333,8 +334,8 @@ def test_replay_covers_every_witness_family(tmp_path):
     doc = json.loads(report_path.read_text())
     witnessed = {s["name"]: s for s in doc["suites"] if s["witness"]}
     assert len(witnessed) == 13
-    for name, residual, _ in replay_report(report_path):
-        assert residual == pytest.approx(witnessed[name]["max_residual"], rel=1e-12)
+    assert replay_report(report_path) == [(name, entry["max_residual"], None)
+                                          for name, entry in witnessed.items()]
 
 
 def _elements(doc):
@@ -352,12 +353,20 @@ def _poison(value, bad):
     return [_poison(value[0], bad), *value[1:]] if isinstance(value, list) else bad
 
 
+def _differs(out: str, name: str, key: str = "witness") -> bool:
+    """Whether ``out`` is replay's output for a report whose one witnessed
+    entry, of ``name``, differs from its run first in ``key``."""
+    residual, difference = out.splitlines()
+    return (residual.startswith(f"{name}: replayed residual ")
+            and difference == f"{name}: does not reproduce its report: {key} differs")
+
+
 @pytest.mark.parametrize("suite, element_type, key, bad", [
     ("omega-cocycle", "path", "coeffs", math.nan), ("extended-jacobi", "central", "c", math.inf),
     ("kappa-cocycle", "vector", "value", math.nan), ("psi-hom", "real", "value", -math.inf),
     ("omega-cocycle", "path", "coeffs", "x")])
-def test_replay_rejects_non_finite_witness_numbers(tmp_path, capsys, suite,
-                                                   element_type, key, bad):
+def test_a_non_finite_witness_number_does_not_reproduce(tmp_path, capsys, suite,
+                                                        element_type, key, bad):
     report_path = tmp_path / "forced.json"
     main(["verify", "--suite", suite, "--tol-exact", "1e-300", "--tol-quad", "1e-300",
           "--report", str(report_path), *FAST])
@@ -367,12 +376,13 @@ def test_replay_rejects_non_finite_witness_numbers(tmp_path, capsys, suite,
     element[key] = _poison(element[key], bad)
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == 2
-    assert "error: witness" in capsys.readouterr().err
+    assert main(["replay", "--report", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and _differs(out, suite)
 
 
-def test_replay_rejects_a_free_path_witness(tmp_path, capsys):
-    # every path is based, so "free" is an unknown kind
+def test_a_free_path_witness_does_not_reproduce(tmp_path, capsys):
+    # every path is based, so the run's witness has no "free" path
     report_path = tmp_path / "forced.json"
     main(["verify", "--suite", "omega-cocycle", "--tol-exact", "1e-300",
           "--report", str(report_path), *FAST])
@@ -380,12 +390,14 @@ def test_replay_rejects_a_free_path_witness(tmp_path, capsys):
     next(_elements(doc["suites"][0]["witness"]["inputs"]))["kind"] = "free"
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == 2
-    assert "unknown path kind 'free'" in capsys.readouterr().err
+    assert main(["replay", "--report", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and _differs(out, "omega-cocycle")
 
 
 @pytest.mark.parametrize("loop", [[], {"type": "real", "value": 0.0}])
-def test_replay_rejects_a_central_witness_whose_loop_is_not_a_path(tmp_path, capsys, loop):
+def test_a_central_witness_whose_loop_is_not_a_path_does_not_reproduce(tmp_path, capsys,
+                                                                       loop):
     report_path = tmp_path / "forced.json"
     main(["verify", "--suite", "extended-jacobi", "--tol-exact", "1e-300",
           "--report", str(report_path), *FAST])
@@ -394,16 +406,17 @@ def test_replay_rejects_a_central_witness_whose_loop_is_not_a_path(tmp_path, cap
          if e["type"] == "central")["loop"] = loop
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: witness central element's loop ") and "Traceback" not in err
+    assert main(["replay", "--report", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and _differs(out, "extended-jacobi")
 
 
 @pytest.mark.parametrize("suite, position", [("kappa-cocycle", 2), ("kappa-conjugation", 0),
                                              ("kappa-conjugation", 1)])
-def test_replay_refuses_oversized_grid_fixture_coefficients(tmp_path, capsys, suite, position):
-    # 1e200 is finite, so the report reader takes it; the fixture refuses it
-    # where its coefficients enter, before |v|^2 could overflow in exp_su2
+def test_oversized_grid_fixture_coefficients_do_not_reproduce(tmp_path, capsys, suite,
+                                                              position):
+    # replay evaluates no witness, so a coefficient of 1e200, whose |v|^2
+    # would overflow in exp_su2, is a witness that differs, with no warning
     report_path = tmp_path / "forced.json"
     main(["verify", "--suite", suite, "--tol-quad", "1e-30", "--report", str(report_path),
           *FAST])
@@ -414,35 +427,30 @@ def test_replay_refuses_oversized_grid_fixture_coefficients(tmp_path, capsys, su
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["replay", "--report", str(report_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "coefficients must be finite and at most" in err
+        assert main(["replay", "--report", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and _differs(out, suite)
 
 
-@pytest.mark.parametrize("splitting, code", [([0.0, 1.0] + [0.0] * 7, 0),
-                                             ([0.5, 0.5] + [0.0] * 7, 2),
-                                             ([0.0, 2.0] + [0.0] * 7, 2)],
+@pytest.mark.parametrize("splitting", [[0.0, 1.0] + [0.0] * 7, [0.5, 0.5] + [0.0] * 7,
+                                       [0.0, 2.0] + [0.0] * 7],
                          ids=["admissible", "not-0-at-0", "not-1-at-2pi"])
-def test_replay_refuses_a_non_admissible_splitting_in_a_universality_witness(
-        tmp_path, capsys, splitting, code):
-    # the suite draws admissible splittings by construction, so the universal
-    # integral does not check them; replay checks a witness's where it enters
+def test_a_hand_written_universality_witness_does_not_reproduce(tmp_path, capsys, splitting):
+    # the suite draws admissible splittings by construction; a witness and
+    # maximum written in, admissible or not, are not the run's, and replay
+    # names the first key of the entry that differs
     report_path = tmp_path / "forced.json"
     main(["verify", "--suite", "equivalence", "--tol-exact", "1e-300",
           "--report", str(report_path), *FAST])
     doc = json.loads(report_path.read_text())
     doc["suites"][0]["witness"] = {"component": suites.UNIVERSALITY, "inputs": [
         {"type": "name", "value": suites.UNIVERSALITY}, {"type": "vector", "value": splitting}]}
-    # the entry's maximum is that witness's residual, which replay must reproduce
     doc["suites"][0]["max_residual"] = models.splitting_deviation(np.array(splitting))
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == code
+    assert main(["replay", "--report", str(report_path)]) == 1
     out, err = capsys.readouterr()
-    if code:
-        assert err.startswith("error: splitting function must ")
-    else:
-        assert out.startswith("equivalence: replayed residual")
+    assert err == "" and _differs(out, "equivalence", "max_residual")
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +460,8 @@ def failing_report(tmp_path_factory):
     report_path = tmp_path_factory.mktemp("replay") / "failing.json"
     assert main(["verify", "--suite", "gk-jacobi", "--suite", "omega-cocycle",
                  "--tol-exact", "1e-300", "--report", str(report_path), *FAST]) == 1
-    assert [name for name, _, _ in replay_report(report_path)] == ["gk-jacobi", "omega-cocycle"]
+    assert [(name, key) for name, _, key in replay_report(report_path)] == [
+        ("gk-jacobi", None), ("omega-cocycle", None)]
     return report_path.read_text()
 
 
@@ -464,30 +473,56 @@ def _first_int(inputs):
     return next(e for e in _elements(inputs) if e["type"] == "int")
 
 
-MALFORMED = {
-    "unreported component": lambda d: _witness(d, 0).update(component="nonesuch"),
-    "details as component": lambda d: _witness(d, 0).update(component="details"),
-    "element without type": lambda d: next(_elements(_witness(d, 1)["inputs"])).pop("type"),
-    "int that is not one": lambda d: _first_int(_witness(d, 0)["inputs"]).update(value="x"),
-    "real that is a list": lambda d: _first_int(_witness(d, 0)["inputs"]).update(
-        type="real", value=[1.0, 2.0]),
-    "vector of the wrong length": lambda d: next(
+# each tamper of a witnessed entry of the failing report: the entry it
+# tampers (0 gk-jacobi, 1 omega-cocycle) and the first key that then differs
+TAMPERED = {
+    "unreported component": (lambda d: _witness(d, 0).update(component="nonesuch"),
+                             0, "witness"),
+    "details as component": (lambda d: _witness(d, 0).update(component="details"),
+                             0, "witness"),
+    "element without type": (lambda d: next(_elements(_witness(d, 1)["inputs"])).pop("type"),
+                             1, "witness"),
+    "int that is not one": (lambda d: _first_int(_witness(d, 0)["inputs"]).update(value="x"),
+                            0, "witness"),
+    "real that is a list": (lambda d: _first_int(_witness(d, 0)["inputs"]).update(
+        type="real", value=[1.0, 2.0]), 0, "witness"),
+    "vector of the wrong length": (lambda d: next(
         e for e in _elements(_witness(d, 0)["inputs"]) if e["type"] == "vector"
-    ).update(value=[1.0, 2.0]),
+    ).update(value=[1.0, 2.0]), 0, "witness"),
+    "no omega-cocycle inputs": (lambda d: _witness(d, 1).update(inputs=[]), 1, "witness"),
+    "witness as a list": (lambda d: d["suites"][1].update(witness=[]), 1, "witness"),
+    "witnessed entry without max_residual": (lambda d: d["suites"][0].pop("max_residual"),
+                                             0, "max_residual"),
+    "max_residual as a string": (lambda d: d["suites"][1].update(max_residual="0.1"),
+                                 1, "max_residual"),
+    "path without coefficients": (lambda d: next(
+        e for e in _elements(_witness(d, 1)["inputs"]) if e["type"] == "path"
+    ).update(coeffs=[[], [], []]), 1, "witness"),
+}
+
+
+@pytest.mark.parametrize("tamper, entry, key", TAMPERED.values(), ids=TAMPERED.keys())
+def test_replay_of_a_tampered_witnessed_entry_exits_1_and_names_it(
+        failing_report, tmp_path, capsys, tamper, entry, key):
+    doc = json.loads(failing_report)
+    name = doc["suites"][entry]["name"]
+    tamper(doc)
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [f"{name}: does not reproduce its report: {key} differs"]
+
+
+MALFORMED = {
     "level not a number": lambda d: d["config"].update(k="abc"),
     "trials as a string": lambda d: d["config"].update(trials="5"),
     "level past float64": lambda d: d["config"].update(k=10**400),
+    "no trials": lambda d: d["config"].update(trials=0),
     "unknown config entry": lambda d: d["config"].update(colour="red"),
-    "no omega-cocycle inputs": lambda d: _witness(d, 1).update(inputs=[]),
     "entry without a name": lambda d: d["suites"][0].pop("name"),
+    "witness of an unknown suite": lambda d: d["suites"][0].update(name="nonesuch"),
+    "witness of all suites": lambda d: d["suites"][1].update(name="all"),
     "suites as an object": lambda d: d.update(suites={"gk-jacobi": d["suites"][0]}),
     "config suites as a string": lambda d: d["config"].update(suites="omega-cocycle"),
-    "witness as a list": lambda d: d["suites"][1].update(witness=[]),
-    "witnessed entry without max_residual": lambda d: d["suites"][0].pop("max_residual"),
-    "max_residual as a string": lambda d: d["suites"][1].update(max_residual="0.1"),
-    "path without coefficients": lambda d: next(
-        e for e in _elements(_witness(d, 1)["inputs"]) if e["type"] == "path"
-    ).update(coeffs=[[], [], []]),
 }
 
 
@@ -495,70 +530,61 @@ MALFORMED = {
 def test_replay_of_a_malformed_report_exits_2(failing_report, tmp_path, capsys, tamper):
     doc = json.loads(failing_report)
     tamper(doc)
-    report_path = tmp_path / "tampered.json"
-    report_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["replay", "--report", str(report_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _replay_with_witness(tmp_path, capsys, suite, witness) -> tuple[int, str]:
-    """Exit code and stderr of replaying a report of ``suite`` whose witness is
-    ``witness``."""
+def _replay_with_witness(tmp_path, capsys, suite, witness) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of replaying a report of ``suite`` whose
+    witness is ``witness``."""
     report_path = tmp_path / "older.json"
     main(["verify", "--suite", suite, "--tol-exact", "1e-300",
           "--report", str(report_path), *FAST])
     doc = json.loads(report_path.read_text())
     doc["suites"][0]["witness"] = witness
-    report_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    return main(["replay", "--report", str(report_path)]), capsys.readouterr().err
+    return _replay_doc(doc, tmp_path, capsys)
 
 
 def _one_trial(*spaces) -> list:
     return list(trial(next(random_elements(np.random.default_rng(3), 1, spaces)), 0))
 
 
-def test_replay_refuses_an_older_dalpha_action_witness_with_two_paths(tmp_path, capsys):
+def test_an_older_dalpha_action_witness_with_two_paths_does_not_reproduce(tmp_path, capsys):
     # older reports drew (p1, p2, loop, v, w) for an action component that
     # pkg-jacobi's signature (0, 0, 1) now checks
     bundle = RunConfig().models
     pkg = bundle.pkg
     inputs = _one_trial(pkg.space0, pkg.space0, bundle.el.space0, pkg.space1, pkg.space1)
-    code, err = _replay_with_witness(tmp_path, capsys, "dalpha-action", {
+    code, out, err = _replay_with_witness(tmp_path, capsys, "dalpha-action", {
         "component": "action", "inputs": replay.serialize_element(inputs)})
-    assert code == 2
-    assert err == "error: witness inputs do not have the form of a trial of dalpha-action\n"
+    assert (code, err) == (1, "") and _differs(out, "dalpha-action")
 
 
-def test_replay_refuses_an_older_retraction_witness(tmp_path, capsys):
+def test_an_older_retraction_witness_does_not_reproduce(tmp_path, capsys):
     # older reports checked the retraction homotopy in equivalence too; it
     # is tau-2hom's
     pkg = RunConfig().models.pkg
     inputs = ["retraction", *_one_trial(pkg.space0, pkg.space0, pkg.space1)]
-    code, err = _replay_with_witness(tmp_path, capsys, "equivalence", {
+    code, out, err = _replay_with_witness(tmp_path, capsys, "equivalence", {
         "component": "retraction", "inputs": replay.serialize_element(inputs)})
-    assert code == 2
-    assert err == "error: witness inputs do not have the form of a trial of equivalence\n"
+    assert (code, err) == (1, "") and _differs(out, "equivalence")
 
 
-@pytest.mark.parametrize("degree, code", [(5, 0), (1, 2), (7, 2)])
-def test_an_exactness_witness_replays_its_own_degree(tmp_path, capsys, degree, code):
-    # a hand-written report at --degree 6: replay ranks every degree up to 6
-    # once and reads the witness's record; 1 and 7 are not degrees the suite
-    # checks there
+@pytest.mark.parametrize("degree", [5, 1, 7])
+def test_an_exactness_witness_added_to_a_passing_entry_does_not_reproduce(tmp_path, capsys,
+                                                                          degree):
+    # exactness passes at --degree 6 with no witness; one written in, of a
+    # degree it checks (5) or not (1, 7), makes the entry differ from its run
     report_path = tmp_path / "exactness.json"
-    report_path.write_text(json.dumps({
-        "version": 1, "config": {"degree": 6, "suites": ["exactness"]},
-        "suites": [{"name": "exactness", "max_residual": 0.0, "witness": {
-            "component": "exactness", "inputs": {"type": "int", "value": degree}}}]}))
-    assert main(["replay", "--report", str(report_path)]) == code
-    out, err = capsys.readouterr()
-    if code == 0:
-        assert (out, err) == ("exactness: replayed residual 0.000000e+00\n", "")
-    else:
-        assert err == "error: witness inputs do not have the form of a trial of exactness\n"
+    assert main(["verify", "--suite", "exactness", "--degree", "6",
+                 "--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    doc["suites"][0]["witness"] = {"component": "exactness",
+                                   "inputs": {"type": "int", "value": degree}}
+    code, out, err = _replay_doc(doc, tmp_path, capsys)
+    assert (code, err) == (1, "") and _differs(out, "exactness")
+    assert out.startswith("exactness: replayed residual 0.000000e+00\n")
 
 
 def test_equivalence_failure_records_a_replayable_witness(tmp_path):
@@ -568,9 +594,7 @@ def test_equivalence_failure_records_a_replayable_witness(tmp_path):
     assert code == 1
     entry = json.loads(report_path.read_text())["suites"][0]
     assert entry["witness"]["component"] in entry["details"]
-    [(name, residual, _)] = replay_report(report_path)
-    assert name == "equivalence"
-    assert residual == pytest.approx(entry["max_residual"], rel=1e-12)
+    assert replay_report(report_path) == [("equivalence", entry["max_residual"], None)]
 
 
 def test_nan_residual_fails_the_suite_and_is_the_witness(monkeypatch):
@@ -680,18 +704,21 @@ def _halve_omega(monkeypatch):
     monkeypatch.setattr(kacmoody, "omega", lambda f, g, k: 0.5 * omega(f, g, k))
 
 
-def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch):
+def test_omega_cocycle_fails_when_its_fixture_is_off(monkeypatch, tmp_path):
     # the worked value is a component of the suite's own evaluate, so a wrong
-    # normalization fails with a witness that replays to the reported residual
+    # normalization fails with a witness, and its report replays
     config = RunConfig(trials=10, suites=("omega-cocycle",))
     assert run(config)["suites"][0]["passed"] is True
     _halve_omega(monkeypatch)
-    entry = run(config)["suites"][0]
+    report = run(config)
+    [entry] = report["suites"]
     assert entry["passed"] is False
     assert entry["max_residual"] == entry["details"]["worked_value"] == pytest.approx(0.5)
     assert entry["details"]["cocycle"] <= entry["tolerance"]
     assert entry["witness"]["component"] == "worked_value"
-    assert replay_suite("omega-cocycle", entry["witness"], config) == entry["max_residual"]
+    report_path = tmp_path / "omega.json"
+    report_path.write_text(report_json(report))
+    assert replay_report(report_path) == [("omega-cocycle", entry["max_residual"], None)]
 
 
 @pytest.mark.parametrize("algebra, form_scale, expected", [
@@ -847,7 +874,8 @@ def test_a_tampered_bundled_group_fails_the_suites_over_it_and_no_other(monkeypa
 
 def test_a_group_table_entry_at_its_order_fails_each_finite_suite_over_it(monkeypatch, tmp_path):
     # Q8 with i j = 8, one past the last element: stored as -1, so no fixture
-    # indexes past a table, and each finite suite names Q8's range law
+    # indexes past a table, and each finite suite names Q8's range law, each
+    # line once (a 2-group over an out-of-range module reports the module's)
     def past_the_end(table):
         table[2, 4] = 8
     entries = _verify_with_tampered_q8(monkeypatch, tmp_path, past_the_end)
@@ -857,6 +885,7 @@ def test_a_group_table_entry_at_its_order_fails_each_finite_suite_over_it(monkey
             laws = details[fixture]
             laws = laws["violations"] if isinstance(laws, dict) else laws
             assert any(law.endswith("Q8: table entries out of range") for law in laws), laws
+            assert len(set(laws)) == len(laws), laws
 
 
 def _break_bundled_module(monkeypatch) -> list:
@@ -883,8 +912,8 @@ def test_bundled_module_with_a_broken_law_fails_and_replays_through_the_table(
         monkeypatch, tmp_path, capsys, suite, fixture, first, count):
     # a law of a bundled module is a residual, not an input error: each suite
     # that reports it fails (exit 1), collapse[S3] with the module's and its
-    # 2-group's laws; the details list the violations, and the witness, the
-    # fixture's name, replays to the count through the replaying run's table
+    # 2-group's laws; the details list the violations, and the report
+    # replays, its run building the module once more in its own table
     made = _break_bundled_module(monkeypatch)
     report_path = tmp_path / "r.json"
     code = main(["verify", "--suite", suite, "--report", str(report_path)])
@@ -898,13 +927,10 @@ def test_bundled_module_with_a_broken_law_fails_and_replays_through_the_table(
     assert [name for name, listed in details.items() if listed] == [fixture]
     assert details[fixture][0] == first and len(details[fixture]) == min(count, 5)
     assert entry["max_residual"] == count
-    config = RunConfig(suites=(suite,))
-    assert replay_suite(suite, entry["witness"], config) == count
-    assert replay_suite(suite, entry["witness"], config) == count
-    assert len(made) == 2 and config.fixtures.module("conj[S3]") is made[-1]
     capsys.readouterr()
     assert main(["replay", "--report", str(report_path)]) == 0
-    assert f"replayed residual {entry['max_residual']:.6e}" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"{suite}: replayed residual {count:.6e}\n"
+    assert len(made) == 2
 
 
 FAILING_RUNS = {
@@ -917,20 +943,22 @@ FAILING_RUNS = {
 
 
 @pytest.mark.parametrize("changes, tamper", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
-def test_every_failing_suite_has_a_witness_or_a_mutant_that_held(monkeypatch, changes, tamper):
-    # a FAIL is a residual over its tolerance, whose witness replays to the
-    # reported maximum, or a mutant whose residual did not exceed its floor
+def test_every_failing_suite_has_a_witness_or_a_mutant_that_held(monkeypatch, tmp_path,
+                                                                 changes, tamper):
+    # a FAIL is a residual over its tolerance, with a witness whose entry
+    # replays exactly, or a mutant whose residual did not exceed its floor
     if tamper:
         tamper(monkeypatch)
-    config = RunConfig(trials=10, nt=32, ntheta=32, **changes)
-    failing = [s for s in run(config)["suites"] if not s["passed"]]
+    report = run(RunConfig(trials=10, nt=32, ntheta=32, **changes))
+    failing = [s for s in report["suites"] if not s["passed"]]
     assert failing
+    report_path = tmp_path / "failing.json"
+    report_path.write_text(report_json(report))
+    assert replay_report(report_path) == [(entry["name"], entry["max_residual"], None)
+                                          for entry in failing if entry["witness"]]
     for entry in failing:
         details = entry["details"]
-        if entry["witness"] is not None:
-            assert replay_suite(entry["name"], entry["witness"], config) \
-                == entry["max_residual"], entry["name"]
-        else:
+        if entry["witness"] is None:
             assert details.get("mutation_residual", math.inf) <= details.get(
                 "mutation_floor", -math.inf), entry
 
@@ -976,26 +1004,17 @@ def test_run_is_deterministic_modulo_wall_time():
     assert a == b
 
 
-def _inside_replay() -> bool:
-    """Whether a caller up the stack is witness replay's deserialize_element."""
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code is not replay.deserialize_element.__code__:
-        frame = frame.f_back
-    return frame is not None
-
-
 @pytest.mark.parametrize("case", ["defaults", "sl2", "replay"])
 def test_no_run_checks_a_carrier_it_built(monkeypatch, tmp_path, case):
     # every carrier a run computes is built from checked data as a derived
-    # one; the entry checks run only where data enters from outside, here
-    # when replay reads a report's witnesses.  Over every suite and control
-    # at the defaults, over sl2 on its polynomial suites, and over a failing
-    # run whose report is then replayed
+    # one, and replay reads no witness back, so no carrier entry check runs:
+    # over every suite and control at the defaults, over sl2 on its
+    # polynomial suites, and over a failing run and the replay of its report
     calls = []
     for cls in (PolyPath, CentralVector, su2grid.SampledGroupPath,
                 su2grid.SampledPathOfLoops):
         def counted(self, check=cls.__post_init__):
-            calls.append((type(self).__name__, _inside_replay()))
+            calls.append(type(self).__name__)
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     if case == "defaults":
@@ -1008,9 +1027,9 @@ def test_no_run_checks_a_carrier_it_built(monkeypatch, tmp_path, case):
         assert calls == []
         path = tmp_path / "failing.json"
         path.write_text(report_json(report))
-        assert len(replay_report(path)) == report["summary"]["failed"] == 13
-        assert {name for name, _ in calls} == {"PolyPath", "CentralVector"}
-        calls = [call for call in calls if not call[1]]
+        rows = replay_report(path)
+        assert len(rows) == report["summary"]["failed"] == 13
+        assert [key for _, _, key in rows] == [None] * 13
     assert calls == []
 
 
@@ -1071,10 +1090,10 @@ def _times(doc, factor: float):
     return doc * factor if isinstance(doc, float) else doc
 
 
-def test_a_witness_that_replays_to_nan_exits_1_without_a_numpy_warning(tmp_path, capsys):
-    # psi-hom's homo3 witness with every float of its inputs times 1e60 is
-    # finite where it enters, but its pairing overflows: the replayed residual
-    # is NaN, and replay says so by its exit code, not by numpy's warnings
+def test_a_witness_times_1e60_does_not_reproduce_and_warns_nothing(tmp_path, capsys):
+    # psi-hom's homo3 witness with every float of its inputs times 1e60 would
+    # overflow in its pairing if it were evaluated; replay runs the suite
+    # instead, so the entry differs in its witness alone
     report_path = tmp_path / "psi.json"
     assert main(["verify", "--suite", "psi-hom", "--tol-exact", "1e-300",
                  "--report", str(report_path)]) == 1
@@ -1085,7 +1104,27 @@ def test_a_witness_that_replays_to_nan_exits_1_without_a_numpy_warning(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _replay_doc(doc, tmp_path, capsys)
-    assert (code, out, err) == (1, "psi-hom: replayed residual nan\n", "")
+    assert (code, out, err) == (1, f"psi-hom: replayed residual "
+                                   f"{doc['suites'][0]['max_residual']:.6e}\n"
+                                   "psi-hom: does not reproduce its report: witness differs\n",
+                                "")
+
+
+def test_a_nan_residual_replays_to_nan_and_exits_1_without_a_numpy_warning(tmp_path, capfd):
+    # su2's table times 1e100 overflows the suite's products: the entry's
+    # maximum is NaN, the run reproduces it, and replay still exits 1 for it,
+    # with nothing from numpy on stderr
+    path = tmp_path / "su2x1e100.json"
+    path.write_text(json.dumps({"name": "su2x1e100", "dim": 3, "structure": [
+        [1, 2, 3, 1e100], [2, 3, 1, 1e100], [3, 1, 2, 1e100]]}))
+    report_path = tmp_path / "nan.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--algebra", str(path), "--suite", "gk-jacobi",
+                     "--report", str(report_path), *FAST]) == 1
+        capfd.readouterr()
+        assert main(["replay", "--report", str(report_path)]) == 1
+    assert capfd.readouterr() == ("gk-jacobi: replayed residual nan\n", "")
 
 
 def test_replay_exits_1_and_names_an_entry_its_witness_does_not_reproduce(
@@ -1099,9 +1138,37 @@ def test_replay_exits_1_and_names_an_entry_its_witness_does_not_reproduce(
     entry["max_residual"] = math.nextafter(reported, math.inf)  # one ulp off
     code, out, err = _replay_doc(doc, tmp_path, capsys)
     assert (code, err) == (1, "")
-    assert out.splitlines()[2:] == [
-        f"omega-cocycle: does not reproduce its report: replayed {reported!r}, "
-        f"reported {entry['max_residual']!r}"]
+    assert out.splitlines()[1:] == [
+        f"omega-cocycle: replayed residual {reported:.6e}",
+        "omega-cocycle: does not reproduce its report: max_residual differs"]
+
+
+CROSS_KERNEL_SUITES = ("pkg-jacobi", "phi-hom", "lambda-hom", "extended-jacobi",
+                       "dalpha-action")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64's")
+def test_a_report_replays_exactly_on_another_blas_kernel(tmp_path):
+    # OpenBLAS picks its GEMM kernel per process, and under Prescott's (SSE3
+    # only) a row of a block's product rounds otherwise than the same trial
+    # alone.  Replay runs the suites again, block for block, so every entry
+    # reproduces; both commands run under that kernel
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = tmp_path / "r.json"
+    suite_flags = [arg for name in CROSS_KERNEL_SUITES for arg in ("--suite", name)]
+
+    def lie2(*args) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "lie2.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+    verify = lie2("verify", *suite_flags, "--tol-exact", "1e-20", "--report", str(report))
+    assert verify.returncode == 1, verify.stderr
+    replayed = lie2("replay", "--report", str(report))
+    assert (replayed.returncode, replayed.stderr) == (0, ""), replayed.stdout
+    assert [line.split(":")[0] for line in replayed.stdout.splitlines()] == list(
+        CROSS_KERNEL_SUITES)
 
 
 def test_verify_prints_no_numpy_warning_when_a_residual_overflows(tmp_path, capfd):
@@ -1128,8 +1195,6 @@ def test_config_validation_errors():
         RunConfig(tol_exact=-1.0).validate()
     with pytest.raises(InputError):
         RunConfig(suites=("nonesuch",)).validate()
-    with pytest.raises(InputError):
-        replay_suite("nonesuch", {}, RunConfig())
 
 
 def test_exit_code_zero_on_default_config_exact_suites():

@@ -1,6 +1,7 @@
 """Fuzzing of the command line, in process through ``cli.main``: mutated
 algebra files under ``lie2 verify``, tampered reports under ``lie2 replay``,
-and random flag lists at small trial counts and grids.
+and random flag lists at small trial counts and grids.  A tampered witnessed
+entry must not replay to 0.
 
 Every example must end with exit code 0, 1 or 2 (argparse's usage error,
 ``SystemExit(2)``, counts as 2); any other exception fails it.  The examples
@@ -45,10 +46,11 @@ def exit_code(argv: list[str]) -> int:
     return code
 
 
-def mutate(doc, data):
-    """The document with one node, reached by a random walk from the root,
-    replaced by a drawn JSON value, scaled by an extreme factor, or deleted."""
-    parent, key, node = None, None, doc
+def mutate(doc, data, field=None):
+    """The document with one node, reached by a random walk from the root (or
+    from its entry ``field``), replaced by a drawn JSON value, scaled by an
+    extreme factor, or deleted."""
+    parent, key, node = (None, None, doc) if field is None else (doc, field, doc[field])
     while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
         parent, key = node, data.draw(st.sampled_from(
             list(node) if isinstance(node, dict) else range(len(node))))
@@ -102,6 +104,22 @@ def test_tampered_reports_exit_0_1_or_2_under_replay(files, failing_report, data
     path = files / "tampered.json"
     path.write_text(mutated(failing_report, data))
     exit_code(["replay", "--report", str(path)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_tampered_witnessed_entry_never_replays_to_0(files, failing_report, data):
+    # a report of one witnessed entry replays to 0; with one field of the
+    # entry tampered, replay exits 1 or 2 unless the entry's JSON is
+    # unchanged.  An entry left without a witness holds nothing to replay
+    entry = data.draw(st.sampled_from([e for e in failing_report["suites"] if e["witness"]]))
+    tampered = mutate(json.loads(json.dumps(entry)), data, data.draw(st.sampled_from(list(entry))))
+    path = files / "tampered-entry.json"
+    path.write_text(json.dumps(dict(failing_report, suites=[tampered])))
+    code = exit_code(["replay", "--report", str(path)])
+    if tampered.get("witness") is not None:
+        unchanged = json.dumps(tampered, sort_keys=True) == json.dumps(entry, sort_keys=True)
+        assert (code == 0) == unchanged, (tampered, code)
 
 
 TOLERANCES = st.sampled_from(["1e-10", "1e-3", "0", "-1", "1e-300", "nan", "inf"])

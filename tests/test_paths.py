@@ -23,7 +23,6 @@ from lie2.paths import (
     validate_splitting,
     zero_path,
 )
-from lie2.replay import deserialize_element
 
 
 def linear_path(g, x):
@@ -273,12 +272,11 @@ def test_constructor_rejects_nan_endpoints(g):
 
 
 def test_entry_points_reject_non_finite_coefficients(g):
-    # derived and sampled paths skip the checks; every way in still runs them
+    # derived and sampled paths skip the checks; the constructor runs them
     with pytest.raises(InputError, match="finite"):
         PolyPath(SCALAR_LINE, [[0.0, np.inf]], BASED)
-    doc = {"type": "path", "kind": "based", "coeffs": [[0.0, math.nan]] * 3}
     with pytest.raises(InputError, match="finite"):
-        deserialize_element(doc, g)
+        PolyPath(g, [[0.0, math.nan]] * 3, BASED)
     assert zero_path(g).kind == LOOP and not zero_path(g).coeffs.any()
 
 

@@ -589,7 +589,7 @@ def test_a_stream_samples_each_row_once(rng, monkeypatch, nt, ntheta):
 @pytest.mark.parametrize("residual, position", [("cocycle", 0), ("cocycle", 1), ("cocycle", 2),
                                                 ("conjugation", 0), ("conjugation", 1)])
 def test_nan_coefficients_raise_the_same_error_from_the_stream(rng, residual, position):
-    # a suite evaluation (as a run and a replay make it) streams its loop
+    # a suite evaluation (as a run makes it) streams its loop
     # fields, and the stream checks their coefficients as they enter: a NaN
     # field in any position raises the error of sampling it in full
     bad = np.full((3, 2, 2), np.nan)

@@ -265,6 +265,17 @@ def test_inclusion_of_a_non_normal_subgroup_has_alpha_out_of_range():
     assert FiniteTwoGroup(cm).violations() == ["alpha entries out of range"]
 
 
+@pytest.mark.parametrize("members", [[0, 4], [0, 2, 7], [0, -1]])
+def test_an_inclusion_of_members_outside_the_group_is_built_and_names_the_partial_range(
+        members):
+    # a member outside G is -1 before it indexes anything, so the module and
+    # its 2-group are built, and partial's range is named among their violations
+    cm = inclusion_module(cyclic_group(4), members)
+    assert "partial entries out of range" in cm.violations()
+    assert FiniteTwoGroup(cm).violations() == cm.violations()
+    assert cm.partial.tolist() == [m if 0 <= m < 4 else -1 for m in members]
+
+
 def test_two_group_axioms_exhaustive():
     for cm in (
         conjugation_module(symmetric_group_3()),
